@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks for the continuous-query engine.
 //!
-//! The engine is opt-in: a cloud without `attach_queries` must pay
-//! nothing beyond one `Option` check per `advance`, and an actor storm
-//! whose hub nobody subscribes to must pay nothing at all. The paired
-//! `detached`/`attached` groups pin that contract — `bench_check
-//! --suite=query` enforces detached ≤ 1.05× attached on both hot paths
-//! (the detached run is a strict subset of the attached one, so the
-//! ratio only approaches the ceiling if the detached path ever starts
-//! doing real query work). The `query/*` functions price the engine's
-//! own operations.
+//! The paired `detached`/`attached` groups price what switching the
+//! engine on costs, and `bench_check --suite=query` gates the attached
+//! side against the detached one: on a steady-state fleet tick
+//! (`fleet_tick`: `advance` over four standing deployments, where the
+//! query barrier is most of what an idle control loop does), on a whole
+//! short tenant life (`build_submit_advance4`: build a cloud, submit
+//! the medical pipeline, four advances) and on an actor storm drained
+//! through a feed afterwards (`ping_storm`). The `query/*` functions
+//! price the engine's own operations.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -33,9 +33,9 @@ fn engine_with_default_rules() -> QueryEngine {
     engine
 }
 
-fn bench_place_medical(c: &mut Criterion) {
+fn bench_build_submit_advance4(c: &mut Criterion) {
     let medical = medical_pipeline();
-    let mut group = c.benchmark_group("query_overhead/place_medical");
+    let mut group = c.benchmark_group("query_overhead/build_submit_advance4");
     for (variant, attached) in [("detached", false), ("attached", true)] {
         group.bench_function(variant, |b| {
             b.iter(|| {
@@ -49,6 +49,32 @@ fn bench_place_medical(c: &mut Criterion) {
                     cloud.advance(&mut dep, 250_000);
                 }
                 black_box(dep.placement.modules.len())
+            })
+        });
+    }
+    group.finish();
+}
+
+/// One control-loop barrier over a standing fleet, in steady state: the
+/// first `advance` carries the tick's 250 ms, the rest run at the same
+/// instant (the end-to-end benchmark's `fleet_attached` tick, minus
+/// economics, lease detection and faults).
+fn bench_fleet_tick(c: &mut Criterion) {
+    let medical = medical_pipeline();
+    let mut group = c.benchmark_group("query_overhead/fleet_tick");
+    for (variant, attached) in [("detached", false), ("attached", true)] {
+        group.bench_function(variant, |b| {
+            let mut cloud = UdcCloud::new(CloudConfig::default());
+            cloud.enable_telemetry();
+            if attached {
+                cloud.attach_queries(engine_with_default_rules(), 1_000_000);
+            }
+            let mut fleet: Vec<_> = (0..4).map(|_| cloud.submit(&medical).unwrap()).collect();
+            b.iter(|| {
+                for (i, dep) in fleet.iter_mut().enumerate() {
+                    let delta = if i == 0 { 250_000 } else { 0 };
+                    black_box(cloud.advance(dep, delta).is_quiet());
+                }
             })
         });
     }
@@ -142,7 +168,8 @@ fn bench_engine_primitives(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_place_medical,
+    bench_build_submit_advance4,
+    bench_fleet_tick,
     bench_ping_storm,
     bench_engine_primitives
 );

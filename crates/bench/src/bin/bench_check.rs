@@ -272,21 +272,37 @@ fn main() -> ExitCode {
     }
 
     if run("query") {
-        // The query engine is opt-in: a cloud without `attach_queries`
-        // pays one `Option` check per advance, and an unobserved actor
-        // hub pays nothing. The detached run is a strict subset of the
-        // attached one, so the ratio sits below 1.0 and only approaches
-        // the 1.05 ceiling if the detached path ever starts doing real
-        // query work (the ISSUE's disabled-path overhead floor).
+        // What switching the engine on costs, gated on the attached
+        // side (the old check, detached <= 1.05x attached, held by
+        // construction: the detached run is a subset of the attached
+        // one). A steady-state fleet tick is the sharpest case: with
+        // nothing to heal, a detached `advance` is an `Option` check
+        // and a plan lookup (~0.1 us), so the whole query barrier — a
+        // feed poll, one gauge sample per module, `advance_to`,
+        // `fire_into`, ~2.5 us per deployment — shows up as a ratio of
+        // 12-23x (it was ~1 200x while the feed snapshotted the hub).
+        // The ceiling leaves a 2-core CI runner's noise room; ROADMAP
+        // item 2's 1.15x is a target for the request path below, which
+        // a ratio over a near-empty denominator can only approach.
         c.ratio_at_most(
-            "query_overhead/place_medical/detached",
-            "query_overhead/place_medical/attached",
-            1.05,
+            "query_overhead/fleet_tick/attached",
+            "query_overhead/fleet_tick/detached",
+            40.0,
         );
+        // A short tenant life (build, submit, four advances): the
+        // barriers are a few microseconds against ~600 us of placement
+        // (measured 1.05-1.15x; was 1.3-1.5x).
         c.ratio_at_most(
-            "query_overhead/ping_storm/detached",
+            "query_overhead/build_submit_advance4/attached",
+            "query_overhead/build_submit_advance4/detached",
+            1.25,
+        );
+        // Draining a 1 000-message actor storm's hub through a fresh
+        // feed afterwards (measured 1.01-1.05x; was 1.09x).
+        c.ratio_at_most(
             "query_overhead/ping_storm/attached",
-            1.05,
+            "query_overhead/ping_storm/detached",
+            1.15,
         );
         // The engine's own operating costs must be in the artifact —
         // no floor yet, but a silently missing bench is a regression

@@ -586,7 +586,6 @@ fn evaluate_alerts(tel: &Telemetry) -> std::collections::BTreeMap<String, (u64, 
     let mut feed = udc_query::HubFeed::new();
     engine.ingest(feed.poll(tel, horizon));
     engine.advance_to(horizon);
-    engine.fire_into(tel);
     let mut out = std::collections::BTreeMap::new();
     for a in engine.alerts() {
         let e = out.entry(a.rule.clone()).or_insert((0u64, u64::MAX, 0u64));
@@ -594,6 +593,7 @@ fn evaluate_alerts(tel: &Telemetry) -> std::collections::BTreeMap<String, (u64, 
         e.1 = e.1.min(a.at_us);
         e.2 = e.2.max(a.at_us);
     }
+    engine.fire_into(tel);
     out
 }
 

@@ -225,13 +225,29 @@ fn parse_decisions(root: &serde_json::Value) -> Result<Vec<DecisionRow>, String>
     Ok(out)
 }
 
-/// Structural validation: every violation is one human-readable line.
-fn validate(spans: &[SpanRow]) -> Vec<String> {
-    let mut violations = Vec::new();
+/// What [`validate`] found.
+#[derive(Default)]
+struct Validation {
+    /// Hard failures, one human-readable line each.
+    violations: Vec<String>,
+    /// Parent links the hub's bounded span store cut by evicting the
+    /// parent (only ever non-zero when the artifact says
+    /// `dropped_spans > 0`): reported, not failed.
+    cut_by_eviction: usize,
+}
+
+/// Structural validation. `dropped_spans` is the artifact's count of
+/// spans its hub evicted: when non-zero, a span whose parent lies below
+/// the retained floor, and a trace left with several roots, are what
+/// eviction looks like, not corruption.
+fn validate(spans: &[SpanRow], dropped_spans: u64) -> Validation {
+    let mut out = Validation::default();
+    let violations = &mut out.violations;
     let by_id: BTreeMap<u64, &SpanRow> = spans.iter().map(|s| (s.id, s)).collect();
     if by_id.len() != spans.len() {
         violations.push("duplicate span ids".to_string());
     }
+    let floor = by_id.keys().next().copied().unwrap_or(0);
     for s in spans {
         if s.end_us.is_none() {
             violations.push(format!("span {} `{}` never closed", s.id, s.name));
@@ -243,10 +259,14 @@ fn validate(spans: &[SpanRow]) -> Vec<String> {
         }
         let Some(pid) = s.parent else { continue };
         let Some(p) = by_id.get(&pid) else {
-            violations.push(format!(
-                "orphan span {} `{}`: parent {} not in artifact",
-                s.id, s.name, pid
-            ));
+            if dropped_spans > 0 && pid < floor {
+                out.cut_by_eviction += 1;
+            } else {
+                violations.push(format!(
+                    "orphan span {} `{}`: parent {} not in artifact",
+                    s.id, s.name, pid
+                ));
+            }
             continue;
         };
         if s.trace.is_some() && p.trace != s.trace {
@@ -264,8 +284,10 @@ fn validate(spans: &[SpanRow]) -> Vec<String> {
             ));
         }
     }
-    violations.extend(validate_trace_dags(spans));
-    violations
+    let dags = validate_trace_dags(spans, dropped_spans > 0);
+    out.violations.extend(dags.violations);
+    out.cut_by_eviction += dags.cut_by_eviction;
+    out
 }
 
 /// Per-trace connectivity: every trace must be ONE connected DAG — a
@@ -273,9 +295,10 @@ fn validate(spans: &[SpanRow]) -> Vec<String> {
 /// every member span reachable from it by parent links. A merged
 /// artifact that absorbed shard hubs without reknitting their spans
 /// fails this with extra roots; a parent cycle fails it with
-/// unreachable spans.
-fn validate_trace_dags(spans: &[SpanRow]) -> Vec<String> {
-    let mut violations = Vec::new();
+/// unreachable spans. In a `truncated` artifact extra roots are counted
+/// as cut by eviction and reachability is checked from all of them.
+fn validate_trace_dags(spans: &[SpanRow], truncated: bool) -> Validation {
+    let mut out = Validation::default();
     let mut traces: BTreeMap<u64, Vec<&SpanRow>> = BTreeMap::new();
     for s in spans {
         if let Some(t) = s.trace {
@@ -288,9 +311,15 @@ fn validate_trace_dags(spans: &[SpanRow]) -> Vec<String> {
             .iter()
             .filter(|s| s.parent.map(|p| !ids.contains(&p)).unwrap_or(true))
             .collect();
-        if roots.len() != 1 {
+        if truncated && roots.len() > 1 {
+            // Each root beyond the first lost its parent (an absorbed
+            // store's evicted parents arrive as `null`); those naming a
+            // below-floor parent were already counted as orphans.
+            let parentless = roots.iter().filter(|s| s.parent.is_none()).count();
+            out.cut_by_eviction += parentless.saturating_sub(1);
+        } else if roots.len() != 1 {
             let names: Vec<&str> = roots.iter().map(|s| s.name.as_str()).collect();
-            violations.push(format!(
+            out.violations.push(format!(
                 "trace {tid} has {} roots ({}) — absorbed shard stores were not reknit into one DAG",
                 roots.len(),
                 if names.is_empty() {
@@ -309,7 +338,7 @@ fn validate_trace_dags(spans: &[SpanRow]) -> Vec<String> {
             }
         }
         let mut reachable = std::collections::BTreeSet::new();
-        let mut frontier = vec![roots[0].id];
+        let mut frontier: Vec<u64> = roots.iter().map(|s| s.id).collect();
         while let Some(id) = frontier.pop() {
             if reachable.insert(id) {
                 if let Some(kids) = children.get(&id) {
@@ -319,14 +348,14 @@ fn validate_trace_dags(spans: &[SpanRow]) -> Vec<String> {
         }
         for s in members {
             if !reachable.contains(&s.id) {
-                violations.push(format!(
+                out.violations.push(format!(
                     "trace {tid}: span {} `{}` is not reachable from root `{}` — disconnected DAG",
                     s.id, s.name, roots[0].name
                 ));
             }
         }
     }
-    violations
+    out
 }
 
 /// The chain from `root` to the latest-ending descendant: at each level
@@ -556,8 +585,23 @@ fn run() -> Result<ExitCode, String> {
     let decisions = parse_decisions(&root)?;
 
     println!("== udc-trace: {artifact} ==");
-    let violations = validate(&spans);
+    // Absent in artifacts written before the span store was bounded.
+    let dropped_spans = root
+        .get("dropped_spans")
+        .and_then(|x| x.as_u64())
+        .unwrap_or(0);
+    let Validation {
+        violations,
+        cut_by_eviction,
+    } = validate(&spans, dropped_spans);
     print_trace_report(&spans, &decisions);
+    if dropped_spans > 0 {
+        println!();
+        println!(
+            "span store evicted {dropped_spans} span(s) before export: {cut_by_eviction} retained \
+             span(s) lost their parent to it (reported, not a violation)"
+        );
+    }
     if show_alerts {
         let (alerts, dropped) = parse_alerts(&root)?;
         print_alert_summary(&alerts, dropped);
@@ -645,16 +689,44 @@ mod tests {
         assert_eq!(spans.len(), 6);
         let traces: std::collections::BTreeSet<_> = spans.iter().filter_map(|s| s.trace).collect();
         assert_eq!(traces.len(), 3, "absorb keeps shard traces distinct");
-        assert_eq!(validate(&spans), Vec::<String>::new());
+        assert_eq!(validate(&spans, 0).violations, Vec::<String>::new());
     }
 
     #[test]
     fn orphan_parent_is_a_violation() {
         let spans = vec![row(0, None, 7, "cloud.submit"), row(1, Some(99), 7, "lost")];
-        let v = validate(&spans);
+        let v = validate(&spans, 0).violations;
         assert!(
             v.iter().any(|m| m.contains("orphan span 1")),
             "violations: {v:?}"
+        );
+    }
+
+    /// A hub whose span store wrapped: the artifact starts mid-trace.
+    /// Links cut by eviction are counted, everything else still holds.
+    #[test]
+    fn parents_below_the_retained_floor_are_reported_not_failed() {
+        let spans = vec![
+            // Trace 7's root (id 3) was evicted; 4 and 5 hung off it.
+            row(4, Some(3), 7, "sched.place"),
+            row(5, Some(3), 7, "isolate.launch"),
+            row(6, None, 8, "cloud.heal"),
+            row(7, Some(6), 8, "heal.detect"),
+        ];
+        let v = validate(&spans, 4);
+        assert_eq!(v.violations, Vec::<String>::new());
+        assert_eq!(v.cut_by_eviction, 2);
+        // The same rows from a hub that claims to have dropped nothing
+        // are orphans, and a parent id the store never evicted (above
+        // the floor) is an orphan whatever was dropped.
+        assert_eq!(validate(&spans, 0).violations.len(), 3);
+        let mut spans = spans;
+        spans.push(row(8, Some(99), 8, "lost"));
+        let v = validate(&spans, 4);
+        assert!(
+            v.violations.iter().any(|m| m.contains("orphan span 8")),
+            "violations: {:?}",
+            v.violations
         );
     }
 
@@ -667,7 +739,7 @@ mod tests {
             row(2, None, 3, "actor.round"),
             row(3, Some(2), 3, "actor.deliver"),
         ];
-        let v = validate_trace_dags(&spans);
+        let v = validate_trace_dags(&spans, false).violations;
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("trace 3 has 2 roots"), "violation: {}", v[0]);
     }
@@ -679,7 +751,7 @@ mod tests {
             row(1, Some(2), 5, "a"),
             row(2, Some(1), 5, "b"),
         ];
-        let v = validate_trace_dags(&spans);
+        let v = validate_trace_dags(&spans, false).violations;
         assert_eq!(v.len(), 2, "both cycle members unreachable: {v:?}");
         assert!(v.iter().all(|m| m.contains("not reachable from root")));
     }
@@ -692,6 +764,9 @@ mod tests {
             row(2, Some(1), 1, "hal.pool.allocate"),
             row(3, Some(0), 1, "isolate.launch"),
         ];
-        assert_eq!(validate_trace_dags(&spans), Vec::<String>::new());
+        assert_eq!(
+            validate_trace_dags(&spans, false).violations,
+            Vec::<String>::new()
+        );
     }
 }

@@ -91,11 +91,11 @@ fn chaos_style_artifact(threads: usize, trials: usize) -> String {
     let mut feed = udc_query::HubFeed::new();
     engine.ingest(feed.poll(&main, 2_000_000));
     engine.advance_to(2_000_000);
-    engine.fire_into(&main);
     assert!(
         !engine.alerts().is_empty(),
         "the trial pattern must actually trip the default rules"
     );
+    engine.fire_into(&main);
     main.snapshot().to_json()
 }
 

@@ -172,7 +172,7 @@ pub struct UdcCloud {
     /// Continuous-query engine fed at every [`UdcCloud::advance`]
     /// barrier. `None` = no queries attached (zero overhead).
     pub(crate) queries: Option<udc_query::QueryEngine>,
-    /// Diff cursor over `obs` for the attached engine.
+    /// The attached engine's cursors over `obs`.
     pub(crate) query_feed: udc_query::HubFeed,
 }
 
@@ -186,6 +186,21 @@ pub const HEAL_DEGRADED_GAUGE: &str = "heal.degraded";
 /// `sustained(gauge:heal.degraded >= 1) for <degraded_alert_after_us>`.
 /// [`UdcCloud::degraded_for_us`] reads its held-since state.
 pub const HEAL_DEGRADED_RULE: &str = "heal.module_degraded";
+
+/// Gauge sampled into the attached query engine at every barrier: how
+/// many records the hub's bounded stores (event, decision and alert
+/// rings, span store) have evicted so far.
+pub const RING_DROPPED_GAUGE: &str = "telemetry.dropped";
+
+/// Sustained rule auto-loaded by [`UdcCloud::attach_queries`]:
+/// `sustained(gauge:telemetry.dropped >= 1) for 0us` — fires once, at
+/// the first barrier that finds any bounded store has lost a record, so
+/// an audit trail that is no longer complete says so itself.
+pub const RING_DROPPED_RULE: &str = "telemetry.ring_dropped";
+
+/// Counter of events and decisions the hub's rings evicted before the
+/// attached engine's feed read them (see `HubFeed::missed`).
+pub const FEED_MISSED_COUNTER: &str = "query.feed_missed";
 
 impl UdcCloud {
     /// Builds the cloud: datacenter, scheduler, and fused device keys.
@@ -297,30 +312,38 @@ impl UdcCloud {
     }
 
     /// Attaches a continuous-query engine. Every [`UdcCloud::advance`]
-    /// barrier then feeds it: the hub's new records (via a diff cursor),
-    /// one [`HEAL_DEGRADED_GAUGE`] sample per placed module, an
-    /// `advance_to(now)` watermark, and a flush of any fired alerts into
-    /// the hub's alert ring. Attach *before* the first `advance` so the
-    /// engine sees every health transition from its entry time.
+    /// barrier then feeds it: the hub's new records (via the feed's
+    /// cursors), one [`HEAL_DEGRADED_GAUGE`] sample per placed module,
+    /// one [`RING_DROPPED_GAUGE`] sample, an `advance_to(now)`
+    /// watermark, and a flush of any fired alerts into the hub's alert
+    /// ring. Attach *before* the first `advance` so the engine sees
+    /// every health transition from its entry time.
     ///
     /// If the engine doesn't already carry a rule named
     /// [`HEAL_DEGRADED_RULE`], one is loaded firing after
     /// `degraded_alert_after_us` of sustained unhealth; its held-since
-    /// state backs [`UdcCloud::degraded_for_us`].
+    /// state backs [`UdcCloud::degraded_for_us`]. Likewise for
+    /// [`RING_DROPPED_RULE`].
     pub fn attach_queries(
         &mut self,
         mut engine: udc_query::QueryEngine,
         degraded_alert_after_us: Micros,
     ) {
-        if !engine.has_rule(HEAL_DEGRADED_RULE) {
-            let parsed = udc_query::parse_rule(&format!(
-                "{HEAL_DEGRADED_RULE}: sustained(gauge:{HEAL_DEGRADED_GAUGE} >= 1) \
-                 for {degraded_alert_after_us}us"
-            ))
-            .expect("heal degraded rule parses");
-            engine
-                .add_rule(parsed.rule)
-                .expect("heal degraded rule is fresh");
+        for (name, gauge, for_us) in [
+            (
+                HEAL_DEGRADED_RULE,
+                HEAL_DEGRADED_GAUGE,
+                degraded_alert_after_us,
+            ),
+            (RING_DROPPED_RULE, RING_DROPPED_GAUGE, 0),
+        ] {
+            if !engine.has_rule(name) {
+                let text = format!("{name}: sustained(gauge:{gauge} >= 1) for {for_us}us");
+                let parsed = udc_query::parse_rule(&text).expect("built-in rule parses");
+                engine
+                    .add_rule(parsed.rule)
+                    .expect("built-in rule is fresh");
+            }
         }
         self.queries = Some(engine);
         self.query_feed = udc_query::HubFeed::new();

@@ -802,24 +802,45 @@ impl UdcCloud {
     /// one [`HEAL_DEGRADED_GAUGE`](crate::cloud::HEAL_DEGRADED_GAUGE)
     /// observation per placed module *at this barrier's `now`* (health
     /// transitions above used the same `now`, which is what makes the
-    /// subscription's held-since equal `detected_us` exactly), advances
-    /// the watermark, and flushes fired alerts into the hub's ring.
+    /// subscription's held-since equal `detected_us` exactly) and the
+    /// hub's [`RING_DROPPED_GAUGE`](crate::cloud::RING_DROPPED_GAUGE),
+    /// advances the watermark, and flushes fired alerts into the hub's
+    /// ring.
     fn observe_queries(&mut self, dep: &Deployment, now: Micros) {
-        if self.queries.is_none() {
+        let Some(engine) = self.queries.as_mut() else {
             return;
+        };
+        let missed = self.query_feed.missed();
+        engine.ingest(self.query_feed.poll(&self.obs, now));
+        let missed = self.query_feed.missed() - missed;
+        if missed > 0 {
+            self.obs
+                .incr(crate::cloud::FEED_MISSED_COUNTER, Labels::none(), missed);
         }
-        let batch = self.query_feed.poll(&self.obs, now);
-        let engine = self.queries.as_mut().expect("checked above");
-        engine.ingest(batch);
+        // One sample reused for every module: only its module label and
+        // value change, in place.
+        let mut sample = udc_query::Obs::Gauge {
+            at_us: now,
+            name: crate::cloud::HEAL_DEGRADED_GAUGE.to_string(),
+            labels: Labels::module(self.tenant.as_str(), ""),
+            value: 0.0,
+        };
         for id in dep.placement.modules.keys() {
-            let unhealthy = dep.health.module(id) != ModuleHealth::Healthy;
-            engine.push(udc_query::Obs::Gauge {
-                at_us: now,
-                name: crate::cloud::HEAL_DEGRADED_GAUGE.to_string(),
-                labels: Labels::module(self.tenant.as_str(), id.as_str()),
-                value: if unhealthy { 1.0 } else { 0.0 },
-            });
+            if let udc_query::Obs::Gauge { labels, value, .. } = &mut sample {
+                let module = labels.module.get_or_insert_with(String::new);
+                module.clear();
+                module.push_str(id.as_str());
+                let unhealthy = dep.health.module(id) != ModuleHealth::Healthy;
+                *value = if unhealthy { 1.0 } else { 0.0 };
+            }
+            engine.observe(&sample);
         }
+        engine.push(udc_query::Obs::Gauge {
+            at_us: now,
+            name: crate::cloud::RING_DROPPED_GAUGE.to_string(),
+            labels: Labels::none(),
+            value: self.query_feed.hub_dropped() as f64,
+        });
         engine.advance_to(now);
         engine.fire_into(&self.obs);
     }
@@ -1398,6 +1419,39 @@ mod tests {
         assert_eq!(fires[0].at_us, 2_500);
         assert_eq!(fires[0].reason, udc_telemetry::AlertReason::Sustained);
         assert_eq!(fires[0].labels.module.as_deref(), Some("T"));
+    }
+
+    #[test]
+    fn a_hub_that_lost_records_says_so_once() {
+        // Rings of two: the submit alone overflows them, before the
+        // engine's feed has polled even once.
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let tel = udc_telemetry::Telemetry::with_capacities(2, 2);
+        cloud.set_observer(tel.clone());
+        cloud.attach_queries(udc_query::QueryEngine::new(), 1_000_000);
+        let mut dep = cloud.submit(&one_task_app(None)).unwrap();
+        for _ in 0..3 {
+            cloud.advance(&mut dep, 1_000);
+        }
+        let snap = tel.snapshot();
+        assert!(snap.dropped_events + snap.dropped_decisions > 0);
+        // The built-in rule fired at the first barrier and stays fired:
+        // one alert, however long the hub keeps dropping.
+        let fires: Vec<_> = snap
+            .alerts
+            .iter()
+            .filter(|a| a.rule == crate::cloud::RING_DROPPED_RULE)
+            .collect();
+        assert_eq!(fires.len(), 1);
+        assert_eq!(fires[0].at_us, 1_000);
+        // What the rings evicted before the feed read it never reached
+        // the engine, and is counted where the operator will look.
+        let missed = tel.counter(crate::cloud::FEED_MISSED_COUNTER, &Labels::none());
+        assert_eq!(
+            missed,
+            snap.dropped_events + snap.dropped_decisions,
+            "nothing was evicted after the first poll"
+        );
     }
 
     #[test]

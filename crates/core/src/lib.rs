@@ -32,8 +32,8 @@ pub mod verify;
 pub use billing::{BillingModel, CostBreakdown};
 pub use bundle::{HighLevelObject, ResourceUnit};
 pub use cloud::{
-    CloudConfig, CloudError, Deployment, RunReport, UdcCloud, HEAL_DEGRADED_GAUGE,
-    HEAL_DEGRADED_RULE,
+    CloudConfig, CloudError, Deployment, RunReport, UdcCloud, FEED_MISSED_COUNTER,
+    HEAL_DEGRADED_GAUGE, HEAL_DEGRADED_RULE, RING_DROPPED_GAUGE, RING_DROPPED_RULE,
 };
 pub use dryrun::{dry_run, TaskProfile, TrialResult};
 pub use heal::{

@@ -2,19 +2,33 @@
 //! `Vm::run` and `CompiledProgram::run` reuse the hoisted buffers
 //! (operand stack, locals, memory, registers, host-call scratch) and
 //! never touch the allocator. This is ISSUE 10's "reset-in-place"
-//! satellite, enforced with a counting global allocator.
+//! satellite, enforced with a counting global allocator. The count is
+//! per thread: the harness runs this file's tests on parallel threads
+//! (and allocates on its own), and a process-wide counter charged each
+//! test with its sibling's warm-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use udc_extvm::{assemble, CompiledProgram, NullHost, Vm, VmLimits};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or re-enters.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only extra
+// work is bumping a thread-local `Cell`, which cannot allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -32,9 +46,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static A: CountingAlloc = CountingAlloc;
 
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.get() - before
 }
 
 #[test]

@@ -411,10 +411,10 @@ pub struct QueryEngine {
     rules: Vec<RuleState>,
     subs: Vec<SubState>,
     watermark: Micros,
+    /// Outputs not yet released by [`QueryEngine::fire_into`].
     outputs: Vec<QueryOutput>,
+    /// Alerts not yet handed to a hub by [`QueryEngine::fire_into`].
     alerts: Vec<AlertFire>,
-    /// How many of `alerts` have been flushed to a hub.
-    alerts_flushed: usize,
     /// Observations that arrived after their every window had closed
     /// (counted, never silently lost).
     late_obs: u64,
@@ -532,9 +532,15 @@ impl QueryEngine {
     /// Ingests one observation: it lands in every still-open window of
     /// every matching query, and drives rule state machines.
     pub fn push(&mut self, obs: Obs) {
+        self.observe(&obs);
+    }
+
+    /// [`QueryEngine::push`] by reference, for a caller that samples
+    /// many series through one reused `Obs`.
+    pub fn observe(&mut self, obs: &Obs) {
         let t = obs.at_us();
         for q in &mut self.queries {
-            let Some(c) = q.spec.source.contribution(&obs) else {
+            let Some(c) = q.spec.source.contribution(obs) else {
                 continue;
             };
             let (lo, hi) = q.spec.window.covering(t);
@@ -551,14 +557,14 @@ impl QueryEngine {
             }
         }
         for r in &mut self.rules {
-            r.on_obs(&obs, &mut self.alerts);
+            r.on_obs(obs, &mut self.alerts);
         }
     }
 
     /// Convenience: [`QueryEngine::push`] over a batch.
     pub fn ingest(&mut self, batch: impl IntoIterator<Item = Obs>) {
         for obs in batch {
-            self.push(obs);
+            self.observe(&obs);
         }
     }
 
@@ -602,12 +608,16 @@ impl QueryEngine {
         self.watermark
     }
 
-    /// Every output emitted so far, in emission order.
+    /// Outputs emitted and not yet released by
+    /// [`QueryEngine::fire_into`] (every output so far on an engine
+    /// that is never flushed), in emission order.
     pub fn outputs(&self) -> &[QueryOutput] {
         &self.outputs
     }
 
-    /// Every alert fired so far, in fire order.
+    /// Alerts fired and not yet handed over by
+    /// [`QueryEngine::fire_into`] (every alert so far on an engine that
+    /// is never flushed), in fire order.
     pub fn alerts(&self) -> &[AlertFire] {
         &self.alerts
     }
@@ -638,15 +648,29 @@ impl QueryEngine {
             .and_then(|r| r.held_since(labels))
     }
 
-    /// Flushes alerts fired since the previous flush into `hub`'s
-    /// bounded alert ring. Call only on the single-threaded driver hub
+    /// Ends a barrier: hands the alerts fired since the previous flush
+    /// to `hub`'s bounded alert ring, and releases the outputs every
+    /// subscriber has polled (all of them when nobody subscribes). The
+    /// ring and the subscribers hold what matters from then on, so an
+    /// engine flushed at every barrier stays bounded however long it
+    /// runs; read [`QueryEngine::alerts`] / [`QueryEngine::outputs`]
+    /// before flushing. Call only on the single-threaded driver hub
     /// (after `absorb_draining`), never on shard hubs — that is the
     /// thread-count determinism contract.
     pub fn fire_into(&mut self, hub: &Telemetry) {
-        for fire in &self.alerts[self.alerts_flushed..] {
-            hub.alert(fire.clone());
+        for fire in self.alerts.drain(..) {
+            hub.alert(fire);
         }
-        self.alerts_flushed = self.alerts.len();
+        let polled = self
+            .subs
+            .iter()
+            .map(|s| s.cursor)
+            .min()
+            .unwrap_or(self.outputs.len());
+        self.outputs.drain(..polled);
+        for s in &mut self.subs {
+            s.cursor -= polled;
+        }
     }
 }
 
@@ -861,6 +885,44 @@ mod tests {
         let batch = e.poll(sub);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].window_index, 1);
+    }
+
+    #[test]
+    fn fire_into_hands_alerts_over_and_releases_polled_outputs() {
+        let mut e = QueryEngine::new();
+        e.register(counter_query(
+            "s",
+            Aggregation::Sum,
+            WindowSpec::tumbling(100),
+        ))
+        .unwrap();
+        let rule = crate::rules::parse_rule("busy: sum(counter:hits) over 100us >= 1").unwrap();
+        e.register(rule.queries[0].clone()).unwrap();
+        e.add_rule(rule.rule).unwrap();
+        let hub = Telemetry::enabled();
+
+        // No subscriber: a flush keeps nothing back.
+        e.push(counter_obs(10, 1));
+        e.advance_to(100);
+        assert_eq!((e.outputs().len(), e.alerts().len()), (2, 1));
+        e.fire_into(&hub);
+        assert!(e.outputs().is_empty() && e.alerts().is_empty());
+        assert_eq!(hub.alerts().len(), 1, "the hub's ring holds the fire now");
+
+        // A subscriber that has not polled yet holds its outputs back
+        // across flushes, and still sees each exactly once.
+        let sub = e.subscribe("s").unwrap();
+        e.push(counter_obs(110, 2));
+        e.advance_to(200);
+        e.fire_into(&hub);
+        assert_eq!(e.outputs().len(), 2, "unpolled window retained");
+        e.advance_to(300);
+        let got: Vec<u64> = e.poll(sub).iter().map(|o| o.window_index).collect();
+        assert_eq!(got, vec![1, 2]);
+        e.fire_into(&hub);
+        assert!(e.outputs().is_empty());
+        assert!(e.poll(sub).is_empty());
+        assert_eq!(hub.alerts().len(), 2, "each fire flushed once");
     }
 
     #[test]

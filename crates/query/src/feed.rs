@@ -2,9 +2,10 @@
 //! observation stream.
 //!
 //! Poll the feed at single-threaded barriers, *after* shard hubs have
-//! been absorbed in trial order — the feed diffs the merged hub against
-//! its previous poll, so the resulting stream (and therefore every
-//! query output and alert) is byte-identical at any thread count.
+//! been absorbed in trial order — the feed reads what the merged hub
+//! took in since its previous poll, so the resulting stream (and
+//! therefore every query output and alert) is byte-identical at any
+//! thread count.
 //!
 //! What a poll yields:
 //!
@@ -21,10 +22,19 @@
 //! replaying a recorded artifact (same sort, see [`crate::replay`])
 //! produces the same per-window contents and the same rule
 //! transitions.
+//!
+//! What a poll costs: one lock of the hub and a by-reference look
+//! ([`Telemetry::view`]) — a stamp comparison per counter and histogram
+//! series, and real work (a lookup in the feed's own last-seen map, a
+//! name and label clone for the emitted [`Obs`]) only for series written
+//! and ring records appended since *this feed's* previous poll, plus one
+//! sample per gauge. Nothing is copied out of the hub that is not
+//! emitted. The cursors live in the feed, so any number of feeds can
+//! follow one hub without seeing each other.
 
 use std::collections::BTreeMap;
 
-use udc_telemetry::{Histogram, Labels, Telemetry};
+use udc_telemetry::{Histogram, SeriesKey, Telemetry};
 
 use crate::engine::Obs;
 use crate::Micros;
@@ -34,10 +44,14 @@ use crate::Micros;
 /// driver hubs do).
 #[derive(Default)]
 pub struct HubFeed {
-    counters: BTreeMap<(String, Labels), u64>,
-    hists: BTreeMap<(String, Labels), Histogram>,
+    counters: BTreeMap<SeriesKey, u64>,
+    hists: BTreeMap<SeriesKey, Histogram>,
+    /// The hub's metric-write count at the previous poll.
+    metric_writes: u64,
     next_event_seq: u64,
     next_decision_seq: u64,
+    missed: u64,
+    hub_dropped: u64,
 }
 
 impl HubFeed {
@@ -46,72 +60,99 @@ impl HubFeed {
         Self::default()
     }
 
+    /// Events and decisions the hub's rings evicted before this feed
+    /// read them: they never reached the engine. Non-zero means the
+    /// rings are too small for the poll cadence.
+    pub fn missed(&self) -> u64 {
+        self.missed
+    }
+
+    /// Records the hub's rings and span store had evicted in total
+    /// (`dropped_events + dropped_decisions + dropped_alerts +
+    /// dropped_spans`) as of the previous poll.
+    pub fn hub_dropped(&self) -> u64 {
+        self.hub_dropped
+    }
+
     /// Drains everything new since the previous poll as a
     /// timestamp-ordered observation batch. `now` is the barrier's sim
     /// time; metric samples are stamped with it.
     pub fn poll(&mut self, hub: &Telemetry, now: Micros) -> Vec<Obs> {
-        let snap = hub.snapshot();
+        let Some(view) = hub.view() else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
-        for (name, labels, value) in snap.counters {
-            let key = (name, labels);
-            let prev = self.counters.get(&key).copied().unwrap_or(0);
-            let delta = value.saturating_sub(prev);
-            self.counters.insert(key.clone(), value);
+        for (key, value) in view.counters_since(self.metric_writes) {
+            let delta = match self.counters.get_mut(key) {
+                Some(prev) => value.saturating_sub(std::mem::replace(prev, value)),
+                None => {
+                    self.counters.insert(key.clone(), value);
+                    value
+                }
+            };
             if delta > 0 {
                 out.push(Obs::Counter {
                     at_us: now,
-                    name: key.0,
-                    labels: key.1,
+                    name: key.0.clone(),
+                    labels: key.1.clone(),
                     delta,
                 });
             }
         }
-        for (name, labels, value, _high_water) in snap.gauges {
+        for (key, value) in view.gauges() {
             out.push(Obs::Gauge {
                 at_us: now,
-                name,
-                labels,
+                name: key.0.clone(),
+                labels: key.1.clone(),
                 value: value as f64,
             });
         }
-        for (name, labels, hist) in hub.histograms_raw() {
-            let key = (name, labels);
-            let delta = match self.hists.get(&key) {
-                Some(prev) => hist.diff(prev),
-                None => hist.clone(),
+        for (key, hist) in view.histograms_since(self.metric_writes) {
+            let delta = match self.hists.get_mut(key) {
+                Some(prev) => {
+                    let delta = hist.diff(prev);
+                    prev.clone_from(hist);
+                    delta
+                }
+                None => {
+                    self.hists.insert(key.clone(), hist.clone());
+                    hist.clone()
+                }
             };
-            self.hists.insert(key.clone(), hist);
             if delta.count() > 0 {
                 out.push(Obs::Hist {
                     at_us: now,
-                    name: key.0,
-                    labels: key.1,
+                    name: key.0.clone(),
+                    labels: key.1.clone(),
                     delta: Box::new(delta),
                 });
             }
         }
-        for e in snap.events {
-            if e.seq >= self.next_event_seq {
-                self.next_event_seq = e.seq + 1;
-                out.push(Obs::Event {
-                    at_us: e.at_us,
-                    kind: e.kind.as_str().to_string(),
-                    labels: e.labels,
-                });
-            }
+        self.metric_writes = view.metric_writes();
+        let events = view.events_since(self.next_event_seq);
+        self.missed += events.missed;
+        self.next_event_seq = self.next_event_seq.max(events.next_seq);
+        for e in events.records {
+            out.push(Obs::Event {
+                at_us: e.at_us,
+                kind: e.kind.as_str().to_string(),
+                labels: e.labels.clone(),
+            });
         }
-        for d in snap.decisions {
-            if d.seq >= self.next_decision_seq {
-                self.next_decision_seq = d.seq + 1;
-                out.push(Obs::Decision {
-                    at_us: d.at_us,
-                    stage: d.stage,
-                    module: d.module,
-                    reason: d.reason.as_str().to_string(),
-                    accepted: d.accepted,
-                });
-            }
+        let decisions = view.decisions_since(self.next_decision_seq);
+        self.missed += decisions.missed;
+        self.next_decision_seq = self.next_decision_seq.max(decisions.next_seq);
+        for d in decisions.records {
+            out.push(Obs::Decision {
+                at_us: d.at_us,
+                stage: d.stage.clone(),
+                module: d.module.clone(),
+                reason: d.reason.as_str().to_string(),
+                accepted: d.accepted,
+            });
         }
+        self.hub_dropped = view.dropped();
+        drop(view);
         // Stable sort: equal timestamps keep the construction order
         // (metrics, then events, then decisions) — the same order the
         // replay path reconstructs.
@@ -123,7 +164,7 @@ impl HubFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udc_telemetry::{Decision, EventKind, ReasonCode};
+    use udc_telemetry::{Decision, EventKind, Labels, ReasonCode};
 
     #[test]
     fn poll_diffs_counters_and_histograms() {

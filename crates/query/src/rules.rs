@@ -33,6 +33,7 @@
 //! A threshold rule implicitly registers a query named after the rule;
 //! `over` defaults to a 250 ms tumbling window.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use udc_telemetry::{AlertFire, AlertReason, Labels};
@@ -155,8 +156,8 @@ pub(crate) struct RuleState {
     /// Labels carried by threshold fires (copied from the query's
     /// source filter by the engine at `add_rule`).
     pub threshold_labels: Labels,
-    /// Sustained: condition runs keyed by `(tenant, module)`.
-    cond: BTreeMap<(Option<String>, Option<String>), CondState>,
+    /// Sustained: condition runs per label set.
+    cond: BTreeMap<Labels, CondState>,
     /// Absence: last time the source spoke (0 = never).
     last_seen_us: Micros,
     /// Absence: whether the current gap already fired.
@@ -165,16 +166,16 @@ pub(crate) struct RuleState {
     pending_first: Option<Micros>,
 }
 
-fn obs_labels(obs: &Obs) -> Labels {
+fn obs_labels(obs: &Obs) -> Cow<'_, Labels> {
     match obs {
         Obs::Counter { labels, .. }
         | Obs::Gauge { labels, .. }
         | Obs::Hist { labels, .. }
-        | Obs::Event { labels, .. } => labels.clone(),
-        Obs::Decision { module, .. } => Labels {
+        | Obs::Event { labels, .. } => Cow::Borrowed(labels),
+        Obs::Decision { module, .. } => Cow::Owned(Labels {
             tenant: None,
             module: Some(module.clone()),
-        },
+        }),
     }
 }
 
@@ -191,9 +192,7 @@ impl RuleState {
     }
 
     pub fn held_since(&self, labels: &Labels) -> Option<Micros> {
-        self.cond
-            .get(&(labels.tenant.clone(), labels.module.clone()))
-            .and_then(|c| c.held_since)
+        self.cond.get(labels).and_then(|c| c.held_since)
     }
 
     /// Observation-driven transitions. The stream is time-ordered, so
@@ -213,9 +212,14 @@ impl RuleState {
                     return;
                 };
                 let labels = obs_labels(obs);
-                let key = (labels.tenant.clone(), labels.module.clone());
                 let holds = cmp.eval(v, *value);
-                let state = self.cond.entry(key).or_default();
+                // Look up by reference: a series seen before (every
+                // barrier re-samples the same gauges) clones nothing.
+                if !self.cond.contains_key(&*labels) {
+                    self.cond
+                        .insert(labels.clone().into_owned(), CondState::default());
+                }
+                let state = self.cond.get_mut(&*labels).expect("just ensured");
                 if holds {
                     if state.held_since.is_none() {
                         *state = CondState {
@@ -230,7 +234,7 @@ impl RuleState {
                         if at >= t0 + *for_us {
                             alerts.push(sustained_fire(
                                 &self.rule.name,
-                                labels,
+                                labels.into_owned(),
                                 t0,
                                 *for_us,
                                 cmp,
@@ -270,7 +274,7 @@ impl RuleState {
                                 at_us: at,
                                 rule: self.rule.name.clone(),
                                 reason: AlertReason::Sequence,
-                                labels: obs_labels(obs),
+                                labels: obs_labels(obs).into_owned(),
                                 window_start_us: f,
                                 window_end_us: at,
                                 value: (at - f) as f64,
@@ -316,15 +320,12 @@ impl RuleState {
             RuleKind::Sustained {
                 cmp, value, for_us, ..
             } => {
-                for ((tenant, module), state) in self.cond.iter_mut() {
+                for (labels, state) in self.cond.iter_mut() {
                     if let (Some(t0), false) = (state.held_since, state.fired) {
                         if wm >= t0 + *for_us {
                             alerts.push(sustained_fire(
                                 &self.rule.name,
-                                Labels {
-                                    tenant: tenant.clone(),
-                                    module: module.clone(),
-                                },
+                                labels.clone(),
                                 t0,
                                 *for_us,
                                 cmp,

@@ -16,8 +16,7 @@
 //! destination counter while keeping timestamps, so merged artifacts
 //! are byte-identical at any thread count.
 
-use std::collections::VecDeque;
-
+use crate::ring::Ring;
 use crate::{Labels, Micros};
 
 /// Which rule family fired the alert. One code per rule kind, so an
@@ -113,38 +112,18 @@ pub struct AlertRecord {
 
 /// Bounded ring of alert records.
 pub(crate) struct AlertLog {
-    records: VecDeque<AlertRecord>,
-    capacity: usize,
-    next_seq: u64,
-    dropped: u64,
+    pub ring: Ring<AlertRecord>,
 }
 
 impl AlertLog {
     pub fn new(capacity: usize) -> Self {
         Self {
-            records: VecDeque::new(),
-            capacity,
-            next_seq: 0,
-            dropped: 0,
+            ring: Ring::new(capacity),
         }
-    }
-
-    fn push(&mut self, rec: AlertRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
     }
 
     pub fn record(&mut self, fire: AlertFire) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push(AlertRecord {
+        self.ring.push_with(|seq| AlertRecord {
             seq,
             at_us: fire.at_us,
             rule: fire.rule,
@@ -160,29 +139,8 @@ impl AlertLog {
     /// Appends `other`'s records, re-sequencing under this log's
     /// counter (timestamps kept).
     pub fn absorb(&mut self, other: &AlertLog) {
-        self.dropped += other.dropped;
-        for r in &other.records {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut rec = r.clone();
-            rec.seq = seq;
-            self.push(rec);
-        }
-    }
-
-    /// Empties the log after a draining absorb; `dropped` resets so
-    /// repeated barrier merges stay additive.
-    pub fn drain(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
-    }
-
-    pub fn records(&self) -> impl Iterator<Item = &AlertRecord> {
-        self.records.iter()
-    }
-
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring
+            .absorb(&other.ring, |r, seq| AlertRecord { seq, ..r.clone() });
     }
 }
 
@@ -209,10 +167,10 @@ mod tests {
         log.record(fire(1, "a", AlertReason::Threshold));
         log.record(fire(2, "b", AlertReason::Absence));
         log.record(fire(3, "c", AlertReason::Sequence));
-        let got: Vec<_> = log.records().map(|r| r.rule.clone()).collect();
+        let got: Vec<_> = log.ring.records().map(|r| r.rule.clone()).collect();
         assert_eq!(got, vec!["b", "c"]);
-        assert_eq!(log.dropped(), 1);
-        assert_eq!(log.records().last().unwrap().seq, 2);
+        assert_eq!(log.ring.dropped(), 1);
+        assert_eq!(log.ring.records().last().unwrap().seq, 2);
     }
 
     #[test]
@@ -222,7 +180,7 @@ mod tests {
         let mut src = AlertLog::new(16);
         src.record(fire(99, "b", AlertReason::Sustained));
         dst.absorb(&src);
-        let recs: Vec<_> = dst.records().cloned().collect();
+        let recs: Vec<_> = dst.ring.records().cloned().collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].seq, 1, "re-sequenced under dst counter");
         assert_eq!(recs[1].at_us, 99, "timestamp preserved");
@@ -232,8 +190,8 @@ mod tests {
     fn zero_capacity_drops_everything() {
         let mut log = AlertLog::new(0);
         log.record(fire(1, "a", AlertReason::Threshold));
-        assert_eq!(log.records().count(), 0);
-        assert_eq!(log.dropped(), 1);
+        assert_eq!(log.ring.records().count(), 0);
+        assert_eq!(log.ring.dropped(), 1);
     }
 
     #[test]

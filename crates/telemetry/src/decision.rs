@@ -12,8 +12,7 @@
 //! evicted (counted, never silently) so a long-running control plane
 //! cannot grow without bound.
 
-use std::collections::VecDeque;
-
+use crate::ring::Ring;
 use crate::{Micros, TraceCtx};
 
 /// Why a candidate was accepted or rejected.
@@ -156,38 +155,18 @@ pub struct DecisionRecord {
 
 /// Bounded ring of decision records.
 pub(crate) struct DecisionLog {
-    records: VecDeque<DecisionRecord>,
-    capacity: usize,
-    next_seq: u64,
-    dropped: u64,
+    pub ring: Ring<DecisionRecord>,
 }
 
 impl DecisionLog {
     pub fn new(capacity: usize) -> Self {
         Self {
-            records: VecDeque::new(),
-            capacity,
-            next_seq: 0,
-            dropped: 0,
+            ring: Ring::new(capacity),
         }
-    }
-
-    fn push(&mut self, rec: DecisionRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
     }
 
     pub fn record(&mut self, d: Decision<'_>, at: Micros) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push(DecisionRecord {
+        self.ring.push_with(|seq| DecisionRecord {
             seq,
             trace: d.ctx.map(|c| c.trace_id),
             at_us: at,
@@ -205,30 +184,11 @@ impl DecisionLog {
     /// counter (timestamps kept) and shifting trace ids by
     /// `trace_offset` to match the span-store remap.
     pub fn absorb(&mut self, other: &DecisionLog, trace_offset: u64) {
-        self.dropped += other.dropped;
-        for r in &other.records {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut rec = r.clone();
-            rec.seq = seq;
-            rec.trace = rec.trace.map(|t| t + trace_offset);
-            self.push(rec);
-        }
-    }
-
-    /// Empties the log after a draining absorb; `dropped` resets for the
-    /// same reason as [`crate::recorder::FlightRecorder::drain`].
-    pub fn drain(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
-    }
-
-    pub fn records(&self) -> impl Iterator<Item = &DecisionRecord> {
-        self.records.iter()
-    }
-
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.absorb(&other.ring, |r, seq| DecisionRecord {
+            seq,
+            trace: r.trace.map(|t| t + trace_offset),
+            ..r.clone()
+        });
     }
 }
 
@@ -260,11 +220,11 @@ mod tests {
         log.record(mk("s", "a", false, ReasonCode::Capacity), 1);
         log.record(mk("s", "b", false, ReasonCode::Policy), 2);
         log.record(mk("s", "c", true, ReasonCode::Accepted), 3);
-        let got: Vec<_> = log.records().map(|r| r.candidate.clone()).collect();
+        let got: Vec<_> = log.ring.records().map(|r| r.candidate.clone()).collect();
         assert_eq!(got, vec!["b", "c"]);
-        assert_eq!(log.dropped(), 1);
+        assert_eq!(log.ring.dropped(), 1);
         // Sequence numbers keep counting past evictions.
-        assert_eq!(log.records().last().unwrap().seq, 2);
+        assert_eq!(log.ring.records().last().unwrap().seq, 2);
     }
 
     #[test]
@@ -281,7 +241,7 @@ mod tests {
         src.record(d, 9);
 
         dst.absorb(&src, 5);
-        let recs: Vec<_> = dst.records().cloned().collect();
+        let recs: Vec<_> = dst.ring.records().cloned().collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].seq, 1, "re-sequenced under dst counter");
         assert_eq!(recs[1].at_us, 9, "timestamp preserved");
@@ -330,7 +290,7 @@ mod tests {
     fn zero_capacity_drops_everything() {
         let mut log = DecisionLog::new(0);
         log.record(mk("s", "a", true, ReasonCode::Accepted), 1);
-        assert_eq!(log.records().count(), 0);
-        assert_eq!(log.dropped(), 1);
+        assert_eq!(log.ring.records().count(), 0);
+        assert_eq!(log.ring.dropped(), 1);
     }
 }

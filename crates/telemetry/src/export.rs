@@ -2,6 +2,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::alert::AlertRecord;
 use crate::decision::DecisionRecord;
@@ -20,18 +21,21 @@ pub struct Snapshot {
     pub gauges: Vec<(String, Labels, i64, i64)>,
     /// `(name, labels, summary)` per histogram series.
     pub histograms: Vec<(String, Labels, HistogramSummary)>,
-    /// All spans in creation order.
+    /// Retained spans in creation order.
     pub spans: Vec<SpanRecord>,
-    /// Flight-recorder contents, oldest first.
-    pub events: Vec<Event>,
+    /// Closed spans evicted from the store before this snapshot.
+    pub dropped_spans: u64,
+    /// Flight-recorder contents, oldest first. Ring records are shared
+    /// with the hub, not copied.
+    pub events: Vec<Arc<Event>>,
     /// Events evicted from the ring before this snapshot.
     pub dropped_events: u64,
     /// Decision records, oldest first.
-    pub decisions: Vec<DecisionRecord>,
+    pub decisions: Vec<Arc<DecisionRecord>>,
     /// Decisions evicted from the ring before this snapshot.
     pub dropped_decisions: u64,
     /// Fired alerts, oldest first.
-    pub alerts: Vec<AlertRecord>,
+    pub alerts: Vec<Arc<AlertRecord>>,
     /// Alerts evicted from the ring before this snapshot.
     pub dropped_alerts: u64,
 }
@@ -41,8 +45,8 @@ impl Snapshot {
         Self {
             counters: state
                 .metrics
-                .counters()
-                .map(|((n, l), v)| (n.clone(), l.clone(), *v))
+                .counters_since(0)
+                .map(|((n, l), v)| (n.clone(), l.clone(), v))
                 .collect(),
             gauges: state
                 .metrics
@@ -51,16 +55,17 @@ impl Snapshot {
                 .collect(),
             histograms: state
                 .metrics
-                .histograms()
+                .histograms_since(0)
                 .map(|((n, l), h)| (n.clone(), l.clone(), h.summary()))
                 .collect(),
-            spans: state.spans.records().to_vec(),
-            events: state.recorder.events().cloned().collect(),
-            dropped_events: state.recorder.dropped(),
-            decisions: state.decisions.records().cloned().collect(),
-            dropped_decisions: state.decisions.dropped(),
-            alerts: state.alerts.records().cloned().collect(),
-            dropped_alerts: state.alerts.dropped(),
+            spans: state.spans.records().cloned().collect(),
+            dropped_spans: state.spans.dropped(),
+            events: state.recorder.ring.records().cloned().collect(),
+            dropped_events: state.recorder.ring.dropped(),
+            decisions: state.decisions.ring.records().cloned().collect(),
+            dropped_decisions: state.decisions.ring.dropped(),
+            alerts: state.alerts.ring.records().cloned().collect(),
+            dropped_alerts: state.alerts.ring.dropped(),
         }
     }
 
@@ -134,6 +139,7 @@ impl Snapshot {
                     .collect(),
             ),
         ));
+        root.push(("dropped_spans".to_string(), J::U(self.dropped_spans)));
         root.push((
             "events".to_string(),
             J::Arr(

@@ -37,16 +37,18 @@ pub mod instrument;
 mod json;
 pub mod metrics;
 pub mod recorder;
+mod ring;
 pub mod span;
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use alert::{AlertFire, AlertReason, AlertRecord};
 pub use decision::{Decision, DecisionRecord, ReasonCode};
 pub use export::Snapshot;
 pub use instrument::{CounterHandle, GaugeHandle, HistogramHandle};
-pub use metrics::{Histogram, HistogramSummary};
+pub use metrics::{Histogram, HistogramSummary, SeriesKey};
 pub use recorder::{Event, EventKind, FieldValue};
+pub use ring::RingTail;
 pub use span::{Span, SpanRecord};
 
 /// Simulated-time microseconds (mirrors `udc_hal::clock::Micros`
@@ -171,6 +173,10 @@ pub const DEFAULT_DECISION_CAPACITY: usize = 16384;
 /// Default alert-ring capacity (records retained).
 pub const DEFAULT_ALERT_CAPACITY: usize = 4096;
 
+/// Span-store capacity (spans retained; closed spans beyond it are
+/// evicted oldest-first and counted in `dropped_spans`).
+pub const SPAN_CAPACITY: usize = 4096;
+
 impl Telemetry {
     /// A disabled hub: every operation is a no-op.
     pub fn disabled() -> Self {
@@ -198,7 +204,7 @@ impl Telemetry {
                 ticks: 0,
                 metrics: metrics::MetricsRegistry::default(),
                 instruments: instrument::InstrumentTable::default(),
-                spans: span::SpanStore::default(),
+                spans: span::SpanStore::new(SPAN_CAPACITY),
                 recorder: recorder::FlightRecorder::new(recorder_capacity),
                 decisions: decision::DecisionLog::new(decision_capacity),
                 alerts: alert::AlertLog::new(DEFAULT_ALERT_CAPACITY),
@@ -212,7 +218,7 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    fn state(&self) -> Option<std::sync::MutexGuard<'_, State>> {
+    fn state(&self) -> Option<MutexGuard<'_, State>> {
         self.inner
             .as_ref()
             .map(|m| m.lock().expect("telemetry poisoned"))
@@ -309,24 +315,6 @@ impl Telemetry {
         })
     }
 
-    /// Clones every histogram series with its raw buckets (registry
-    /// order, i.e. sorted by `(name, labels)`). This is the live-feed
-    /// primitive for `udc-query`: the engine snapshots cumulative
-    /// histograms at sim-clock barriers and takes
-    /// [`Histogram::diff`]s between consecutive polls to recover exact
-    /// per-window bucket deltas.
-    pub fn histograms_raw(&self) -> Vec<(String, Labels, Histogram)> {
-        self.state()
-            .map(|mut s| {
-                s.flush_instruments();
-                s.metrics
-                    .histograms()
-                    .map(|((n, l), h)| (n.clone(), l.clone(), h.clone()))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Opens a span; it closes when the guard drops (or via
     /// [`Span::exit`]). Nesting follows open-span order, forming a
     /// tree; the span inherits the trace of its enclosing open span.
@@ -398,9 +386,9 @@ impl Telemetry {
 
     /// Decision records so far (snapshot order). Mostly for tests; the
     /// JSON export carries the same data.
-    pub fn decisions(&self) -> Vec<DecisionRecord> {
+    pub fn decisions(&self) -> Vec<Arc<DecisionRecord>> {
         self.state()
-            .map(|s| s.decisions.records().cloned().collect())
+            .map(|s| s.decisions.ring.records().cloned().collect())
             .unwrap_or_default()
     }
 
@@ -432,9 +420,9 @@ impl Telemetry {
 
     /// Alert records so far (snapshot order). Mostly for tests; the
     /// JSON export carries the same data.
-    pub fn alerts(&self) -> Vec<AlertRecord> {
+    pub fn alerts(&self) -> Vec<Arc<AlertRecord>> {
         self.state()
-            .map(|s| s.alerts.records().cloned().collect())
+            .map(|s| s.alerts.ring.records().cloned().collect())
             .unwrap_or_default()
     }
 
@@ -490,7 +478,7 @@ impl Telemetry {
         // Shift absorbed trace ids past everything this hub has minted
         // so worker-hub traces stay distinct after the merge.
         let trace_offset = d.next_trace;
-        d.spans.absorb(s.spans.records(), trace_offset);
+        d.spans.absorb(&s.spans, trace_offset);
         d.recorder.absorb(&s.recorder);
         d.decisions.absorb(&s.decisions, trace_offset);
         d.alerts.absorb(&s.alerts);
@@ -498,10 +486,24 @@ impl Telemetry {
         if drain {
             s.metrics.clear();
             s.spans.drain();
-            s.recorder.drain();
-            s.decisions.drain();
-            s.alerts.drain();
+            s.recorder.ring.drain();
+            s.decisions.ring.drain();
+            s.alerts.ring.drain();
         }
+    }
+
+    /// Locks the hub for one consistent by-reference look (`None` on a
+    /// disabled hub). This is the live-feed primitive for `udc-query`:
+    /// where [`Telemetry::snapshot`] copies everything, a view lends
+    /// only what the reader asks for, and the `_since` accessors let a
+    /// reader holding its own cursors skip what it has already seen.
+    /// The hub stays locked until the view drops — record nothing into
+    /// it meanwhile.
+    pub fn view(&self) -> Option<HubView<'_>> {
+        self.state().map(|mut state| {
+            state.flush_instruments();
+            HubView { state }
+        })
     }
 
     /// A consistent copy of everything recorded so far.
@@ -512,6 +514,62 @@ impl Telemetry {
                 Snapshot::capture(&s)
             })
             .unwrap_or_default()
+    }
+}
+
+/// A locked, by-reference look at one hub (see [`Telemetry::view`]).
+///
+/// Cursors belong to the reader, never to the hub: any number of
+/// independent readers can follow one hub, each passing back what its
+/// own previous view reported ([`HubView::metric_writes`],
+/// [`RingTail::next_seq`]).
+pub struct HubView<'a> {
+    state: MutexGuard<'a, State>,
+}
+
+impl HubView<'_> {
+    /// Counter and histogram writes the hub has taken so far: the
+    /// `since` to pass to the next view's `_since` accessors.
+    pub fn metric_writes(&self) -> u64 {
+        self.state.metrics.writes()
+    }
+
+    /// `(series, cumulative value)` for every counter written after
+    /// the hub's `since`-th metric write (0 = all), in series order.
+    pub fn counters_since(&self, since: u64) -> impl Iterator<Item = (&SeriesKey, u64)> {
+        self.state.metrics.counters_since(since)
+    }
+
+    /// `(series, current value)` for every gauge, in series order.
+    pub fn gauges(&self) -> impl Iterator<Item = (&SeriesKey, i64)> {
+        self.state.metrics.gauges().map(|(k, g)| (k, g.value))
+    }
+
+    /// `(series, cumulative histogram)` for every histogram written
+    /// after the hub's `since`-th metric write (0 = all), in series
+    /// order.
+    pub fn histograms_since(&self, since: u64) -> impl Iterator<Item = (&SeriesKey, &Histogram)> {
+        self.state.metrics.histograms_since(since)
+    }
+
+    /// Flight-recorder events with sequence number `seq` or later.
+    pub fn events_since(&self, seq: u64) -> RingTail<'_, Event> {
+        self.state.recorder.ring.since(seq)
+    }
+
+    /// Decision records with sequence number `seq` or later.
+    pub fn decisions_since(&self, seq: u64) -> RingTail<'_, DecisionRecord> {
+        self.state.decisions.ring.since(seq)
+    }
+
+    /// Records evicted so far by the event, decision and alert rings
+    /// and the span store together.
+    pub fn dropped(&self) -> u64 {
+        let s = &*self.state;
+        s.recorder.ring.dropped()
+            + s.decisions.ring.dropped()
+            + s.alerts.ring.dropped()
+            + s.spans.dropped()
     }
 }
 

@@ -4,7 +4,8 @@ use std::collections::BTreeMap;
 
 use crate::Labels;
 
-type Key = (String, Labels);
+/// What identifies one metric series: its name and labels.
+pub type SeriesKey = (String, Labels);
 
 /// A gauge value plus its high-water mark.
 #[derive(Clone, Copy, Debug)]
@@ -13,36 +14,54 @@ pub(crate) struct Gauge {
     pub high_water: i64,
 }
 
+/// A counter or histogram plus the registry write that last touched
+/// it, so a cursor reader visits only what changed since its last look
+/// (see [`MetricsRegistry::counters_since`]).
+#[derive(Default)]
+struct Stamped<T> {
+    value: T,
+    stamp: u64,
+}
+
 /// Holds every metric series, keyed by `(name, labels)`.
 #[derive(Default)]
 pub(crate) struct MetricsRegistry {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, Gauge>,
-    histograms: BTreeMap<Key, Histogram>,
+    counters: BTreeMap<SeriesKey, Stamped<u64>>,
+    gauges: BTreeMap<SeriesKey, Gauge>,
+    histograms: BTreeMap<SeriesKey, Stamped<Histogram>>,
+    /// Counter and histogram writes so far. Never reset (not even by
+    /// [`MetricsRegistry::clear`]), so a reader's remembered value
+    /// stays a valid "since" for the life of the registry.
+    writes: u64,
 }
 
 impl MetricsRegistry {
+    fn counter_mut(&mut self, key: SeriesKey) -> &mut u64 {
+        self.writes += 1;
+        let c = self.counters.entry(key).or_default();
+        c.stamp = self.writes;
+        &mut c.value
+    }
+
+    fn histogram_mut(&mut self, key: SeriesKey) -> &mut Histogram {
+        self.writes += 1;
+        let h = self.histograms.entry(key).or_default();
+        h.stamp = self.writes;
+        &mut h.value
+    }
+
     pub fn incr(&mut self, name: &str, labels: Labels, delta: u64) {
-        *self.counters.entry((name.to_string(), labels)).or_insert(0) += delta;
+        *self.counter_mut((name.to_string(), labels)) += delta;
     }
 
     pub fn counter(&self, name: &str, labels: &Labels) -> u64 {
         self.counters
             .get(&(name.to_string(), labels.clone()))
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |c| c.value)
     }
 
     pub fn gauge_set(&mut self, name: &str, labels: Labels, value: i64) {
-        let g = self
-            .gauges
-            .entry((name.to_string(), labels))
-            .or_insert(Gauge {
-                value,
-                high_water: value,
-            });
-        g.value = value;
-        g.high_water = g.high_water.max(value);
+        self.gauge_flush(name, labels, value, value);
     }
 
     pub fn gauge(&self, name: &str, labels: &Labels) -> Option<(i64, i64)> {
@@ -65,20 +84,15 @@ impl MetricsRegistry {
     }
 
     pub fn observe(&mut self, name: &str, labels: Labels, value: u64) {
-        self.histograms
-            .entry((name.to_string(), labels))
-            .or_default()
-            .record(value);
+        self.histogram_mut((name.to_string(), labels)).record(value);
     }
 
     pub fn histogram(&self, name: &str, labels: &Labels) -> Option<&Histogram> {
-        self.histograms.get(&(name.to_string(), labels.clone()))
+        self.histograms
+            .get(&(name.to_string(), labels.clone()))
+            .map(|h| &h.value)
     }
 
-    /// Folds another registry into this one: counters add, gauges take
-    /// the incoming value (high-water marks max together), histograms
-    /// merge bucket-wise. Used by [`crate::Telemetry::absorb`] to
-    /// combine per-trial hubs from parallel experiment workers.
     /// Empties the registry. Used by the draining absorb
     /// ([`crate::Telemetry::absorb_draining`]): once a source hub's
     /// series are merged into a destination, clearing them is what makes
@@ -89,9 +103,13 @@ impl MetricsRegistry {
         self.histograms.clear();
     }
 
+    /// Folds another registry into this one: counters add, gauges take
+    /// the incoming value (high-water marks max together), histograms
+    /// merge bucket-wise. Used by [`crate::Telemetry::absorb`] to
+    /// combine per-trial hubs from parallel experiment workers.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, v) in other.counters.iter() {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            *self.counter_mut(k.clone()) += v.value;
         }
         for (k, g) in other.gauges.iter() {
             let e = self.gauges.entry(k.clone()).or_insert(*g);
@@ -99,7 +117,7 @@ impl MetricsRegistry {
             e.high_water = e.high_water.max(g.high_water);
         }
         for (k, h) in other.histograms.iter() {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+            self.histogram_mut(k.clone()).merge(&h.value);
         }
     }
 
@@ -124,22 +142,35 @@ impl MetricsRegistry {
             min,
             max,
         };
-        self.histograms
-            .entry((name.to_string(), labels))
-            .or_default()
-            .merge(&delta);
+        self.histogram_mut((name.to_string(), labels)).merge(&delta);
     }
 
-    pub fn counters(&self) -> impl Iterator<Item = (&Key, &u64)> {
-        self.counters.iter()
+    /// Counter and histogram writes so far: remember it after a visit
+    /// and pass it to the `_since` iterators at the next one.
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 
-    pub fn gauges(&self) -> impl Iterator<Item = (&Key, &Gauge)> {
+    /// Counters written after the registry's `since`-th write (0 =
+    /// every counter), in key order.
+    pub fn counters_since(&self, since: u64) -> impl Iterator<Item = (&SeriesKey, u64)> {
+        self.counters
+            .iter()
+            .filter(move |(_, c)| c.stamp > since)
+            .map(|(k, c)| (k, c.value))
+    }
+
+    pub fn gauges(&self) -> impl Iterator<Item = (&SeriesKey, &Gauge)> {
         self.gauges.iter()
     }
 
-    pub fn histograms(&self) -> impl Iterator<Item = (&Key, &Histogram)> {
-        self.histograms.iter()
+    /// Histograms written after the registry's `since`-th write (0 =
+    /// every histogram), in key order.
+    pub fn histograms_since(&self, since: u64) -> impl Iterator<Item = (&SeriesKey, &Histogram)> {
+        self.histograms
+            .iter()
+            .filter(move |(_, h)| h.stamp > since)
+            .map(|(k, h)| (k, &h.value))
     }
 }
 

@@ -1,8 +1,7 @@
 //! The flight recorder: a bounded ring of structured control-plane
 //! events, old entries evicted first.
 
-use std::collections::VecDeque;
-
+use crate::ring::Ring;
 use crate::{Labels, Micros};
 
 /// What happened. The closed set keeps exports greppable; extend it as
@@ -126,19 +125,13 @@ pub struct Event {
 
 /// Fixed-capacity ring of events.
 pub(crate) struct FlightRecorder {
-    capacity: usize,
-    events: VecDeque<Event>,
-    next_seq: u64,
-    dropped: u64,
+    pub ring: Ring<Event>,
 }
 
 impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         Self {
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
-            next_seq: 0,
-            dropped: 0,
+            ring: Ring::new(capacity.max(1)),
         }
     }
 
@@ -149,12 +142,8 @@ impl FlightRecorder {
         fields: &[(&str, FieldValue)],
         at: Micros,
     ) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(Event {
-            seq: self.next_seq,
+        self.ring.push_with(|seq| Event {
+            seq,
             at_us: at,
             kind,
             labels,
@@ -163,7 +152,6 @@ impl FlightRecorder {
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
         });
-        self.next_seq += 1;
     }
 
     /// Appends another recorder's retained events in their original
@@ -171,34 +159,8 @@ impl FlightRecorder {
     /// preserving their simulated timestamps. Drops already suffered by
     /// `other` carry over, and the ring keeps evicting normally.
     pub fn absorb(&mut self, other: &FlightRecorder) {
-        for e in other.events.iter() {
-            if self.events.len() == self.capacity {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-            self.events.push_back(Event {
-                seq: self.next_seq,
-                ..e.clone()
-            });
-            self.next_seq += 1;
-        }
-        self.dropped += other.dropped;
-    }
-
-    /// Empties the ring after a draining absorb. `dropped` resets too:
-    /// `absorb` carries it over, so leaving it in place would re-count
-    /// the same drops at every barrier merge. `next_seq` stays monotone.
-    pub fn drain(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
-
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter()
-    }
-
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring
+            .absorb(&other.ring, |e, seq| Event { seq, ..e.clone() });
     }
 }
 
@@ -217,8 +179,8 @@ mod tests {
                 i,
             );
         }
-        let seqs: Vec<u64> = r.events().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = r.ring.records().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
-        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.ring.dropped(), 2);
     }
 }

@@ -1,5 +1,7 @@
 //! Nested span tracing over simulated time.
 
+use std::collections::VecDeque;
+
 use crate::{Micros, Telemetry, TraceCtx};
 
 /// One completed (or still-open) span.
@@ -20,17 +22,61 @@ pub struct SpanRecord {
     pub end_us: Option<Micros>,
 }
 
-/// All spans plus the stack of currently open ones.
-#[derive(Default)]
+/// A bounded window of spans plus the stack of currently open ones.
+///
+/// Like the three record rings, the store evicts oldest-first and
+/// counts what it dropped — but never a span on the open stack, nor
+/// past one (its guard still has to close it, and ids are positions).
+/// Ids are creation order and stay stable across evictions: span `id`
+/// lives at index `id - base`.
 pub(crate) struct SpanStore {
-    records: Vec<SpanRecord>,
+    records: VecDeque<SpanRecord>,
     open: Vec<u32>,
+    capacity: usize,
+    /// Id of `records[0]`: the retained floor.
+    base: u32,
+    dropped: u64,
 }
 
 impl SpanStore {
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            records: VecDeque::new(),
+            open: Vec::new(),
+            capacity,
+            base: 0,
+            dropped: 0,
+        }
+    }
+
+    fn get(&self, id: u32) -> Option<&SpanRecord> {
+        self.records.get(id.checked_sub(self.base)? as usize)
+    }
+
+    fn get_mut(&mut self, id: u32) -> Option<&mut SpanRecord> {
+        self.records.get_mut(id.checked_sub(self.base)? as usize)
+    }
+
+    fn push(&mut self, rec: SpanRecord) {
+        self.records.push_back(rec);
+        // The open stack ascends in id, so its first entry is the oldest
+        // span a guard still holds.
+        while self.records.len() > self.capacity
+            && self.open.first().is_none_or(|&oldest| oldest > self.base)
+        {
+            self.records.pop_front();
+            self.base += 1;
+            self.dropped += 1;
+        }
+    }
+
+    fn next_id(&self) -> u32 {
+        self.base + self.records.len() as u32
+    }
+
     pub fn begin(&mut self, name: &str, at: Micros) -> u32 {
         let parent = self.open.last().copied();
-        let trace = parent.and_then(|p| self.records[p as usize].trace);
+        let trace = parent.and_then(|p| self.trace_of(p));
         self.begin_at(name, at, parent, trace)
     }
 
@@ -46,8 +92,8 @@ impl SpanStore {
         parent: Option<u32>,
         trace: Option<u64>,
     ) -> u32 {
-        let id = self.records.len() as u32;
-        self.records.push(SpanRecord {
+        let id = self.next_id();
+        self.push(SpanRecord {
             id,
             parent,
             trace,
@@ -61,20 +107,25 @@ impl SpanStore {
 
     /// The trace id recorded for span `id`, if any.
     pub fn trace_of(&self, id: u32) -> Option<u64> {
-        self.records.get(id as usize).and_then(|r| r.trace)
+        self.get(id).and_then(|r| r.trace)
     }
 
     /// Closes `id` (and any children still open above it — guards
     /// dropping out of order close their subtree).
     pub fn end(&mut self, id: u32, at: Micros) {
-        if let Some(pos) = self.open.iter().rposition(|&open| open == id) {
-            for closed in self.open.drain(pos..) {
-                let rec = &mut self.records[closed as usize];
-                if rec.end_us.is_none() {
-                    rec.end_us = Some(at);
+        match self.open.iter().rposition(|&open| open == id) {
+            Some(pos) => {
+                while self.open.len() > pos {
+                    let closed = self.open.pop().expect("longer than pos");
+                    self.close(closed, at);
                 }
             }
-        } else if let Some(rec) = self.records.get_mut(id as usize) {
+            None => self.close(id, at),
+        }
+    }
+
+    fn close(&mut self, id: u32, at: Micros) {
+        if let Some(rec) = self.get_mut(id) {
             if rec.end_us.is_none() {
                 rec.end_us = Some(at);
             }
@@ -87,13 +138,17 @@ impl SpanStore {
     /// different worker hubs never collide after a merge.
     /// Absorbed spans keep their timestamps; any still-open ones stay
     /// open but are never pushed onto this store's open stack, so they
-    /// cannot become parents of future spans.
-    pub fn absorb(&mut self, records: &[SpanRecord], trace_offset: u64) {
-        let offset = self.records.len() as u32;
-        for r in records {
-            self.records.push(SpanRecord {
-                id: r.id + offset,
-                parent: r.parent.map(|p| p + offset),
+    /// cannot become parents of future spans. A parent `other` had
+    /// already evicted cannot be named in this id space: its children
+    /// arrive as roots, and `other`'s drop count carries over to say so.
+    pub fn absorb(&mut self, other: &SpanStore, trace_offset: u64) {
+        let offset = self.next_id();
+        let remap = |id: u32| id.checked_sub(other.base).map(|i| i + offset);
+        self.dropped += other.dropped;
+        for r in &other.records {
+            self.push(SpanRecord {
+                id: r.id - other.base + offset,
+                parent: r.parent.and_then(remap),
                 trace: r.trace.map(|t| t + trace_offset),
                 name: r.name.clone(),
                 start_us: r.start_us,
@@ -102,12 +157,18 @@ impl SpanStore {
         }
     }
 
-    pub fn records(&self) -> &[SpanRecord] {
-        &self.records
+    pub fn records(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.records.iter()
     }
 
-    /// Empties the store for a draining absorb. Open spans hold indices
-    /// into `records`, so draining under one would corrupt the guard's
+    /// Closed spans evicted to stay within capacity.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Empties the store for a draining absorb (ids restart at 0; the
+    /// absorbing store has remapped them). Open spans hold ids into
+    /// `records`, so draining under one would corrupt the guard's
     /// close — that is a caller bug, not a recoverable state.
     pub fn drain(&mut self) {
         assert!(
@@ -116,6 +177,8 @@ impl SpanStore {
             self.open.len()
         );
         self.records.clear();
+        self.base = 0;
+        self.dropped = 0;
     }
 }
 
@@ -311,6 +374,79 @@ mod tests {
         assert!(s.ctx().is_none(), "span outside any trace has no context");
         s.exit();
         assert!(Telemetry::disabled().span("x").ctx().is_none());
+    }
+
+    #[test]
+    fn store_evicts_oldest_closed_spans_and_keeps_ids_stable() {
+        use super::SpanStore;
+        let mut store = SpanStore::new(3);
+        // A long-lived span opened first pins the floor: nothing under
+        // an open span is ever evicted, however full the store gets.
+        let outer = store.begin("outer", 0);
+        for t in 1..=4 {
+            let id = store.begin("inner", t);
+            store.end(id, t);
+        }
+        assert_eq!((store.records().count(), store.dropped()), (5, 0));
+        // Once it closes, the backlog goes with the next span.
+        store.end(outer, 5);
+        let next = store.begin("next", 6);
+        assert_eq!(next, 5, "ids keep counting across evictions");
+        let ids: Vec<u32> = store.records().map(|r| r.id).collect();
+        assert_eq!(ids, vec![3, 4, 5]);
+        assert_eq!(store.dropped(), 3);
+        // Ids still address the right record after the shift.
+        assert_eq!(store.trace_of(next), None);
+        store.end(next, 9);
+        assert_eq!(store.records().last().unwrap().end_us, Some(9));
+        // Closing an evicted span is a no-op, not a panic.
+        store.end(0, 10);
+    }
+
+    #[test]
+    fn absorbing_a_truncated_store_orphans_nothing_silently() {
+        use super::SpanStore;
+        let mut src = SpanStore::new(2);
+        let root = src.begin_at("root", 0, None, Some(0));
+        let kids: Vec<u32> = (1..=3)
+            .map(|t| {
+                let id = src.begin_at("kid", t, Some(root), Some(0));
+                src.end(id, t);
+                id
+            })
+            .collect();
+        src.end(root, 4);
+        let tail = src.begin("tail", 5); // evicts root and two kids
+        src.end(tail, 5);
+        assert_eq!(src.dropped(), 3);
+        assert_eq!(kids, vec![1, 2, 3]);
+
+        let mut dst = SpanStore::new(16);
+        let own = dst.begin("own", 0);
+        dst.end(own, 0);
+        dst.absorb(&src, 10);
+        let got: Vec<_> = dst.records().map(|r| (r.id, r.parent, r.trace)).collect();
+        // Dense ids after the absorber's own; the evicted parent cannot
+        // be named, so its children arrive as roots — and the carried
+        // drop count is what tells a reader why.
+        assert_eq!(
+            got,
+            vec![(0, None, None), (1, None, Some(10)), (2, None, None)]
+        );
+        assert_eq!(dst.dropped(), 3);
+    }
+
+    #[test]
+    fn snapshot_exports_dropped_spans() {
+        let tel = Telemetry::enabled();
+        for _ in 0..crate::SPAN_CAPACITY + 7 {
+            tel.span("tick").exit();
+        }
+        let snap = tel.snapshot();
+        assert_eq!(snap.spans.len(), crate::SPAN_CAPACITY);
+        assert_eq!(snap.dropped_spans, 7);
+        assert_eq!(snap.spans[0].id, 7);
+        assert!(snap.to_json().contains("\"dropped_spans\": 7"));
     }
 
     #[test]
