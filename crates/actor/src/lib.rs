@@ -13,34 +13,27 @@
 //!
 //! - [`actor::Actor`] — the module-behaviour trait (message in,
 //!   messages out, no shared state);
-//! - [`system::System`] — the optimized deterministic single-threaded
-//!   executor: interned actor slots, an O(active) ready bitmap, and
-//!   lock-free telemetry handles on the per-message path;
+//! - [`system::System`] — the executor (there is exactly one, see
+//!   DESIGN.md §14): deterministic, single-threaded, interned actor
+//!   slots, an O(active) ready bitmap, and lock-free telemetry handles
+//!   on the per-message path;
 //! - [`naive::NaiveSystem`] — the seed executor, kept verbatim as the
 //!   observable-equivalence oracle (see `tests/prop_equiv.rs`);
 //! - [`log::MessageLog`] — reliable message recording enabling
 //!   replay-based recovery (consumed by `udc-dist`), with an indexed
 //!   replay suffix and checkpoint-driven truncation;
-//! - [`par::ParSystem`] — the work-stealing parallel executor: the same
-//!   slot/rank layout partitioned into worker shards, barrier-
-//!   synchronized rounds, per-shard telemetry hubs merged at barriers,
-//!   and a merged [`log::MessageLog`] with the same per-actor replay
-//!   guarantees;
-//! - [`runtime::ActorRuntime`] — the object-safe executor trait all
-//!   three systems implement, so replay/recovery consumers are
-//!   executor-agnostic;
 //! - [`supervise::SupervisionPolicy`] — restart/drop/escalate handling
 //!   of actor failures;
 //! - [`parallel::ThreadPool`] — a crossbeam-based threaded executor for
 //!   CPU-bound batch workloads where determinism is not required.
 
+#![forbid(unsafe_code)]
+
 pub mod actor;
 pub mod log;
 pub mod naive;
-pub mod par;
 pub mod parallel;
 mod readiness;
-pub mod runtime;
 mod slab;
 pub mod supervise;
 pub mod system;
@@ -48,8 +41,6 @@ pub mod system;
 pub use actor::{Actor, ActorError, ActorId, Ctx, Message};
 pub use log::MessageLog;
 pub use naive::NaiveSystem;
-pub use par::ParSystem;
 pub use parallel::ThreadPool;
-pub use runtime::ActorRuntime;
 pub use supervise::SupervisionPolicy;
 pub use system::{ActorRef, System, SystemStats};

@@ -4,9 +4,8 @@
 //! land in input order (the primitive the experiment harness in
 //! `udc-bench` builds on).
 //!
-//! The deterministic [`crate::system::System`] is the simulation
-//! executor and [`crate::par::ParSystem`] the deterministic parallel
-//! one; these helpers exist for workloads (experiment drivers, batch
+//! The deterministic [`crate::system::System`] is the actor executor;
+//! these helpers exist for workloads (experiment drivers, batch
 //! analytics in examples) that want raw parallelism and do not need
 //! deterministic interleaving.
 

@@ -1,16 +1,5 @@
-//! Ready bitmaps over dense ranks, shared by both executors.
-//!
-//! [`ReadySet`] is the single-threaded two-level bitmap
-//! [`crate::system::System`] walks each round. [`AtomicReadySet`] is the
-//! parallel variant [`crate::par::ParSystem`] layers over the same rank
-//! space: shard boundaries are 64-aligned (see
-//! [`crate::slab::shard_ranges`]), so each shard owns whole words, and
-//! the bitmap is only mutated in monotone-direction phases — workers
-//! clear bits as mailboxes drain during a round, the barrier sets bits
-//! as outboxes flush — so relaxed atomics plus the round barrier are
-//! enough synchronization.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The ready bitmap over dense ranks: [`ReadySet`] is the two-level
+//! bitmap [`crate::system::System`] walks each round.
 
 /// Two-level bitmap over dense ranks: bit `r` of `words` is set iff
 /// rank `r` has pending mail; `summary` has one bit per word so a round
@@ -81,73 +70,6 @@ impl ReadySet {
     }
 }
 
-/// Single-level atomic ready bitmap for parallel rounds.
-///
-/// No summary level: each shard scans only its own word range when
-/// building its worklist (a few dozen words for 10k actors / 8 shards),
-/// so the two-level skip buys nothing there. All operations are
-/// `Relaxed` — visibility across phases is provided by the round
-/// barrier, and within a phase no thread reads bits another thread is
-/// writing (worklists are snapshots taken at round start).
-#[derive(Default)]
-pub(crate) struct AtomicReadySet {
-    words: Vec<AtomicU64>,
-}
-
-impl AtomicReadySet {
-    /// Clears and resizes for `n` ranks.
-    pub fn reset(&mut self, n: usize) {
-        let w = n.div_ceil(64);
-        self.words.clear();
-        self.words.resize_with(w, || AtomicU64::new(0));
-    }
-
-    #[inline]
-    pub fn set(&self, rank: u32) {
-        let w = (rank / 64) as usize;
-        self.words[w].fetch_or(1u64 << (rank % 64), Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn clear(&self, rank: u32) {
-        let w = (rank / 64) as usize;
-        self.words[w].fetch_and(!(1u64 << (rank % 64)), Ordering::Relaxed);
-    }
-
-    #[cfg(test)]
-    pub fn is_set(&self, rank: u32) -> bool {
-        let w = (rank / 64) as usize;
-        self.words[w].load(Ordering::Relaxed) & (1u64 << (rank % 64)) != 0
-    }
-
-    /// Calls `f(rank)` for every set rank in `[lo, hi)`, ascending.
-    /// Non-empty shard ranges are word-aligned (see
-    /// [`crate::slab::shard_ranges`]); trailing shards clamped to the
-    /// rank count may start mid-word, which the first-word mask handles
-    /// (such ranges are always empty).
-    pub fn for_set_in(&self, lo: u32, hi: u32, mut f: impl FnMut(u32)) {
-        if lo >= hi {
-            return;
-        }
-        let w0 = (lo / 64) as usize;
-        let w1 = (hi as usize).div_ceil(64).min(self.words.len());
-        for w in w0..w1 {
-            let mut bits = self.words[w].load(Ordering::Relaxed);
-            if w == w0 && !lo.is_multiple_of(64) {
-                bits &= !0u64 << (lo % 64);
-            }
-            if w == w1 - 1 && !hi.is_multiple_of(64) {
-                bits &= (1u64 << (hi % 64)) - 1;
-            }
-            while bits != 0 {
-                let r = w as u32 * 64 + bits.trailing_zeros();
-                f(r);
-                bits &= bits - 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,39 +90,5 @@ mod tests {
         assert_eq!(seen, vec![0, 63, 64, 4095, 4096, 9999]);
         r.clear(4096);
         assert_eq!(r.next_at_or_after(4096), Some(9999));
-    }
-
-    #[test]
-    fn atomic_set_clear_round_trip() {
-        let mut a = AtomicReadySet::default();
-        a.reset(200);
-        a.set(0);
-        a.set(65);
-        a.set(199);
-        assert!(a.is_set(65));
-        a.clear(65);
-        assert!(!a.is_set(65));
-        let mut seen = Vec::new();
-        a.for_set_in(0, 200, |r| seen.push(r));
-        assert_eq!(seen, vec![0, 199]);
-    }
-
-    #[test]
-    fn for_set_in_respects_shard_bounds() {
-        let mut a = AtomicReadySet::default();
-        a.reset(300);
-        for r in [10u32, 63, 64, 127, 128, 250, 299] {
-            a.set(r);
-        }
-        let mut lo_half = Vec::new();
-        a.for_set_in(0, 128, |r| lo_half.push(r));
-        assert_eq!(lo_half, vec![10, 63, 64, 127]);
-        let mut hi_half = Vec::new();
-        a.for_set_in(128, 300, |r| hi_half.push(r));
-        assert_eq!(hi_half, vec![128, 250, 299]);
-        // Unaligned upper bound inside a word is honoured.
-        let mut partial = Vec::new();
-        a.for_set_in(192, 251, |r| partial.push(r));
-        assert_eq!(partial, vec![250]);
     }
 }

@@ -1,12 +1,6 @@
-//! The interned actor slab shared by every executor: dense `u32` slots
-//! behind an FNV-hashed id index, plus the id-order *rank* assignment
-//! that scheduling walks.
-//!
-//! [`crate::system::System`] introduced this layout (PR 5); the
-//! parallel executor ([`crate::par::ParSystem`]) partitions the same
-//! rank space into contiguous worker shards, so the slot/rank internals
-//! live here behind a shard-partitionable API instead of being private
-//! to one executor.
+//! The interned actor slab under [`crate::system::System`]: dense `u32`
+//! slots behind an FNV-hashed id index, plus the id-order *rank*
+//! assignment that scheduling walks.
 
 use crate::actor::{Actor, ActorId, Message};
 use crate::supervise::SupervisionPolicy;
@@ -65,9 +59,8 @@ pub(crate) enum SpawnEffect {
 /// The interned slot table: id index, slot slab, and rank order.
 ///
 /// Deliberately bookkeeping-free: it does not track readiness or queued
-/// counts — each executor layers its own (single-threaded bitmap for
-/// [`crate::system::System`], sharded atomic bitmap for
-/// [`crate::par::ParSystem`]) over the rank space this table defines.
+/// counts — [`crate::system::System`] layers its ready bitmap over the
+/// rank space this table defines.
 #[derive(Default)]
 pub(crate) struct SlotTable {
     /// Id → slot. Touched at spawn/enqueue, never per scheduler round.
@@ -150,27 +143,6 @@ impl SlotTable {
         self.order[rank as usize]
     }
 
-    /// Total ranks (== slots) once ranks are fresh.
-    pub fn ranks(&self) -> usize {
-        self.order.len()
-    }
-
-    pub fn slots(&self) -> &[Slot] {
-        &self.slots
-    }
-
-    pub fn slots_mut(&mut self) -> &mut [Slot] {
-        &mut self.slots
-    }
-
-    /// Raw parts for a parallel round: the slot slab and the rank →
-    /// slot order, borrowed together so a worker crew can address
-    /// disjoint slots by rank while the coordinator keeps the borrow.
-    pub fn parts_mut(&mut self) -> (&mut [Slot], &[u32]) {
-        debug_assert!(!self.ranks_dirty, "parallel round with dirty ranks");
-        (&mut self.slots, &self.order)
-    }
-
     /// Rebuilds rank order after new spawns; runs at most once per
     /// batch of spawns, not per round. Calls `on_ready(rank)` for every
     /// rank whose mailbox has pending mail (and is not stopped), so the
@@ -208,51 +180,5 @@ impl SlotTable {
             .collect();
         ids.sort_unstable();
         ids
-    }
-}
-
-/// Contiguous rank ranges partitioning `ranks` across `shards` workers.
-/// Non-empty shard boundaries fall on bitmap-word boundaries, so each
-/// shard owns whole `u64` words of the ready bitmap and parallel bit
-/// updates never share a word across shards; when there are fewer words
-/// than shards, the surplus trailing shards are empty (clamped to
-/// `ranks`, possibly mid-word — harmless precisely because they hold no
-/// ranks).
-pub(crate) fn shard_ranges(ranks: usize, shards: usize) -> Vec<(u32, u32)> {
-    let words = ranks.div_ceil(64);
-    let per = words.div_ceil(shards.max(1)).max(1);
-    (0..shards)
-        .map(|s| {
-            let lo = (s * per * 64).min(ranks);
-            let hi = ((s + 1) * per * 64).min(ranks);
-            (lo as u32, hi as u32)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shard_ranges_are_word_aligned_and_cover() {
-        for ranks in [0usize, 1, 63, 64, 65, 1000, 10_000] {
-            for shards in [1usize, 2, 4, 8] {
-                let r = shard_ranges(ranks, shards);
-                assert_eq!(r.len(), shards);
-                assert_eq!(r[0].0, 0);
-                assert_eq!(r[shards - 1].1 as usize, ranks);
-                for w in r.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "contiguous");
-                }
-                for &(lo, hi) in &r {
-                    assert!(lo <= hi);
-                    if lo < hi {
-                        assert_eq!(lo % 64, 0, "non-empty shard lo word-aligned");
-                        assert!(hi % 64 == 0 || hi as usize == ranks, "hi aligned or final");
-                    }
-                }
-            }
-        }
     }
 }

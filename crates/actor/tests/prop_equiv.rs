@@ -9,21 +9,17 @@
 //! actor state snapshots, telemetry counters/gauges, and per-actor
 //! replay suffixes must be identical — so the fast path is a pure
 //! speedup, never a behavior change.
-
-//! The work-stealing `ParSystem` joins the same oracle as a third
-//! executor (see `three_way` below): for commutativity-respecting
-//! workloads — handlers that never read `Message::seq`, under
-//! `Restart`/`RestartAndRetry` supervision — the per-actor message
-//! order and final actor state must match `System`'s, and the *entire*
-//! observable surface (log bytes including seqs, stats, snapshots,
-//! mailbox-depth high-water) must be identical across thread counts
-//! 1/2/4/8.
+//!
+//! A second generator feeds the same oracle TTL-bounded cascades
+//! (forwarders and ×2 fan-outs whose payload byte 0 counts down) under
+//! `Restart`/`RestartAndRetry` only, so every trace reaches true
+//! quiescence and the comparison covers deep multi-round cascades the
+//! 15-round cap of the first generator cuts short.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use udc_actor::{
-    Actor, ActorError, ActorId, ActorRuntime, Ctx, Message, NaiveSystem, ParSystem,
-    SupervisionPolicy, System,
+    Actor, ActorError, ActorId, Ctx, Message, NaiveSystem, SupervisionPolicy, System,
 };
 use udc_telemetry::{Labels, Telemetry};
 
@@ -191,6 +187,17 @@ fn assert_equivalent(
     Ok(())
 }
 
+/// The optimized system and the seed oracle, each on its own hub.
+fn twins() -> (System, NaiveSystem, Telemetry, Telemetry) {
+    let mut fast = System::new();
+    let mut seed = NaiveSystem::new();
+    let fast_obs = Telemetry::enabled();
+    let seed_obs = Telemetry::enabled();
+    fast.set_observer(fast_obs.clone());
+    seed.set_observer(seed_obs.clone());
+    (fast, seed, fast_obs, seed_obs)
+}
+
 proptest! {
     /// Every step of every trace is observably identical between the
     /// seed system and the optimized one.
@@ -201,12 +208,7 @@ proptest! {
             1..60,
         ),
     ) {
-        let mut fast = System::new();
-        let mut seed = NaiveSystem::new();
-        let fast_obs = Telemetry::enabled();
-        let seed_obs = Telemetry::enabled();
-        fast.set_observer(fast_obs.clone());
-        seed.set_observer(seed_obs.clone());
+        let (mut fast, mut seed, fast_obs, seed_obs) = twins();
 
         for (op, slot, aux, payload) in steps {
             match op {
@@ -248,12 +250,7 @@ proptest! {
         payloads in prop::collection::vec(any::<u8>(), 1..40),
         rounds in prop::collection::vec(any::<bool>(), 1..40),
     ) {
-        let mut fast = System::new();
-        let mut seed = NaiveSystem::new();
-        let fast_obs = Telemetry::enabled();
-        let seed_obs = Telemetry::enabled();
-        fast.set_observer(fast_obs.clone());
-        seed.set_observer(seed_obs.clone());
+        let (mut fast, mut seed, fast_obs, seed_obs) = twins();
         fast.spawn("flaky", Box::new(Flaky::default()), SupervisionPolicy::RestartAndRetry);
         seed.spawn("flaky", Box::new(Flaky::default()), SupervisionPolicy::RestartAndRetry);
 
@@ -279,19 +276,22 @@ proptest! {
     }
 }
 
+
 // ---------------------------------------------------------------------
-// Three-way oracle: NaiveSystem ≡ System ≡ ParSystem (1/2/4/8 threads).
-//
-// The parallel executor defers cascades to the next round, so its round
-// *structure* differs from `System`'s — but per-actor message order,
-// final actor state, and the failure/restart/dead-letter totals must
-// not. Workloads here respect the commutativity contract: handlers
-// never read `Message::seq`, and supervision is Restart or
-// RestartAndRetry (Stop semantics intentionally differ — see
-// DESIGN.md §14 — and are covered by ParSystem's own unit tests).
-// Message payloads carry a TTL in byte 0 so every cascade is finite and
-// all executors can be compared at true quiescence.
+// TTL-cascade inputs to the same oracle. Message payloads carry a TTL
+// in byte 0 so every cascade is finite, and supervision is Restart or
+// RestartAndRetry (no actor ever stops), so both systems can be driven
+// to true quiescence and compared there as well as after every op.
 // ---------------------------------------------------------------------
+
+/// The payload for the next hop: TTL (byte 0) decremented, or `None`
+/// when the cascade has run out.
+fn next_hop(msg: &Message) -> Option<Vec<u8>> {
+    let ttl = *msg.payload.first()?;
+    let mut body = msg.payload.to_vec();
+    body[0] = ttl.checked_sub(1)?;
+    Some(body)
+}
 
 /// Forwards with a decremented TTL; the cascade dies at TTL 0.
 struct TtlForwarder {
@@ -300,12 +300,8 @@ struct TtlForwarder {
 
 impl Actor for TtlForwarder {
     fn on_message(&mut self, ctx: &mut Ctx, msg: &Message) -> Result<(), ActorError> {
-        if let Some(&ttl) = msg.payload.first() {
-            if ttl > 0 {
-                let mut body = msg.payload.to_vec();
-                body[0] = ttl - 1;
-                ctx.send(self.next.clone(), body);
-            }
+        if let Some(body) = next_hop(msg) {
+            ctx.send(self.next.clone(), body);
         }
         Ok(())
     }
@@ -320,23 +316,18 @@ struct TtlFanOut {
 
 impl Actor for TtlFanOut {
     fn on_message(&mut self, ctx: &mut Ctx, msg: &Message) -> Result<(), ActorError> {
-        if let Some(&ttl) = msg.payload.first() {
-            if ttl > 0 {
-                let mut body = msg.payload.to_vec();
-                body[0] = ttl - 1;
-                ctx.send(self.left.clone(), body.clone());
-                ctx.send(self.right.clone(), body);
-            }
+        if let Some(body) = next_hop(msg) {
+            ctx.send(self.left.clone(), body.clone());
+            ctx.send(self.right.clone(), body);
         }
         Ok(())
     }
 }
 
-/// Behaviors for the three-way trace: all commutativity-respecting,
-/// all with finite cascades.
-fn behavior3(kind: u8, slot: u8) -> Box<dyn Actor> {
+/// [`behavior`] with the unbounded forwarders swapped for TTL ones, so
+/// every cascade is finite.
+fn ttl_behavior(kind: u8, slot: u8) -> Box<dyn Actor> {
     match kind % 4 {
-        0 => Box::new(Sink::default()),
         1 => Box::new(TtlForwarder {
             next: id_for(slot.wrapping_add(1 + kind / 4)),
         }),
@@ -344,11 +335,11 @@ fn behavior3(kind: u8, slot: u8) -> Box<dyn Actor> {
             left: id_for(slot.wrapping_add(1)),
             right: id_for(slot.wrapping_add(3)),
         }),
-        _ => Box::new(Flaky::default()),
+        _ => behavior(kind, slot),
     }
 }
 
-fn policy3(p: u8) -> SupervisionPolicy {
+fn restarting_policy(p: u8) -> SupervisionPolicy {
     if p.is_multiple_of(2) {
         SupervisionPolicy::Restart
     } else {
@@ -356,206 +347,49 @@ fn policy3(p: u8) -> SupervisionPolicy {
     }
 }
 
-/// The log projected per destination actor: the (from, payload) arrival
-/// order each actor observed. This is the surface the commutativity
-/// contract guarantees across executors with different round structure.
-/// One actor's observed arrivals: `(from, payload)` in delivery order.
-type Arrivals = Vec<(Option<String>, Vec<u8>)>;
-
-fn per_actor_order(rt: &dyn ActorRuntime) -> Vec<(String, Arrivals)> {
-    (0..SLOTS)
-        .map(|slot| {
-            let id = id_for(slot);
-            let arrivals = rt
-                .log()
-                .entries()
-                .iter()
-                .filter(|m| m.to == id)
-                .map(|m| {
-                    (
-                        m.from.as_ref().map(|f| f.as_str().to_string()),
-                        m.payload.to_vec(),
-                    )
-                })
-                .collect();
-            (id.as_str().to_string(), arrivals)
-        })
-        .collect()
-}
-
-fn snapshots(rt: &dyn ActorRuntime) -> Vec<Option<Vec<u8>>> {
-    (0..SLOTS)
-        .map(|slot| rt.actor(&id_for(slot)).map(|a| a.snapshot()))
-        .collect()
-}
-
-/// Byte-for-byte equality (log incl. seqs, stats, state, telemetry):
-/// holds between the two deterministic executors and across ParSystem
-/// thread counts.
-fn assert_strict_eq(
-    (a, a_obs): (&dyn ActorRuntime, &Telemetry),
-    (b, b_obs): (&dyn ActorRuntime, &Telemetry),
-    what: &str,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    prop_assert_eq!(a.log().entries(), b.log().entries(), "{}: log", what);
-    prop_assert_eq!(a.stats(), b.stats(), "{}: stats", what);
-    prop_assert_eq!(a.actor_ids(), b.actor_ids(), "{}: live ids", what);
-    prop_assert_eq!(snapshots(a), snapshots(b), "{}: snapshots", what);
-    prop_assert_eq!(
-        a_obs.gauge("actor.mailbox_depth", &Labels::none()),
-        b_obs.gauge("actor.mailbox_depth", &Labels::none()),
-        "{}: mailbox gauge",
-        what
-    );
-    Ok(())
-}
-
-/// The commutativity-contract surface: per-actor arrival order, final
-/// state, and delivery/failure totals — what ParSystem promises
-/// relative to `System` despite different round structure.
-fn assert_contract_eq(
-    (a, a_obs): (&dyn ActorRuntime, &Telemetry),
-    (b, b_obs): (&dyn ActorRuntime, &Telemetry),
-    what: &str,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    prop_assert_eq!(
-        per_actor_order(a),
-        per_actor_order(b),
-        "{}: arrival order",
-        what
-    );
-    prop_assert_eq!(a.stats(), b.stats(), "{}: stats", what);
-    prop_assert_eq!(a.actor_ids(), b.actor_ids(), "{}: live ids", what);
-    prop_assert_eq!(snapshots(a), snapshots(b), "{}: snapshots", what);
-    for name in [
-        "actor.delivered",
-        "actor.failures",
-        "actor.restarts",
-        "actor.dead_letters",
-    ] {
-        prop_assert_eq!(
-            a_obs.counter(name, &Labels::none()),
-            b_obs.counter(name, &Labels::none()),
-            "{}: counter {}",
-            what,
-            name
-        );
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One random trace, seven executors: the seed oracle, the
-    /// deterministic fast path, and ParSystem at 1/2/4/8 threads.
-    /// At every quiescence point: Naive ≡ System byte-for-byte,
-    /// ParSystem byte-identical across all thread counts, and
-    /// System ≡ ParSystem on the commutativity-contract surface.
+    /// Finite cascades under restarting supervision: identical after
+    /// every op, and both systems quiesce with identical totals.
     #[test]
-    fn three_way_par_system_matches_both_oracles(
+    fn ttl_cascades_match_seed_system_at_quiescence(
         steps in prop::collection::vec(
-            (0u8..3, 0u8..SLOTS, any::<u8>(), any::<u8>()),
+            (0u8..4, 0u8..SLOTS, any::<u8>(), any::<u8>()),
             1..36,
         ),
     ) {
-        let mut systems: Vec<(Box<dyn ActorRuntime>, Telemetry)> = vec![
-            (Box::new(NaiveSystem::new()), Telemetry::enabled()),
-            (Box::new(System::new()), Telemetry::enabled()),
-            (Box::new(ParSystem::new(1)), Telemetry::enabled()),
-            (Box::new(ParSystem::new(2)), Telemetry::enabled()),
-            (Box::new(ParSystem::new(4)), Telemetry::enabled()),
-            (Box::new(ParSystem::new(8)), Telemetry::enabled()),
-        ];
-        for (rt, obs) in &mut systems {
-            rt.set_observer(obs.clone());
-        }
-
-        let mut compare_due = false;
-        for (i, &(op, slot, aux, payload)) in steps.iter().enumerate() {
-            for (rt, _) in &mut systems {
-                match op {
-                    0 => rt.spawn(id_for(slot), behavior3(aux, slot), policy3(aux / 16)),
-                    1 => {
-                        let to = if aux % 7 == 0 {
-                            ActorId::new("ghost")
-                        } else {
-                            id_for(slot)
-                        };
-                        // Byte 0 is the TTL (amplification ≤ 2^3).
-                        rt.inject(to, Bytes::from(vec![payload % 4, payload, aux]));
-                    }
-                    _ => {
-                        let (_, quiescent) = rt.run_until_quiescent(400);
-                        assert!(quiescent, "TTL workload must quiesce");
-                    }
+        let (mut fast, mut seed, fast_obs, seed_obs) = twins();
+        // A final run-to-quiescence closes every trace.
+        for (op, slot, aux, payload) in steps.into_iter().chain([(3, 0, 0, 0)]) {
+            match op {
+                0 => {
+                    let pol = restarting_policy(aux / 16);
+                    fast.spawn(id_for(slot), ttl_behavior(aux, slot), pol);
+                    seed.spawn(id_for(slot), ttl_behavior(aux, slot), pol);
+                }
+                1 => {
+                    let to = if aux % 7 == 0 {
+                        ActorId::new("ghost")
+                    } else {
+                        id_for(slot)
+                    };
+                    // Byte 0 is the TTL (amplification ≤ 2^3).
+                    let body = Bytes::from(vec![payload % 4, payload, aux]);
+                    fast.inject(to.clone(), body.clone());
+                    seed.inject(to, body);
+                }
+                2 => {
+                    prop_assert_eq!(fast.step(), seed.step(), "round size diverged");
+                }
+                _ => {
+                    let a = fast.run_until_quiescent(400);
+                    prop_assert_eq!(a, seed.run_until_quiescent(400), "quiescence diverged");
+                    prop_assert!(a.1, "TTL workload must quiesce");
+                    prop_assert!(!fast.has_pending());
                 }
             }
-            compare_due = op == 2 || i == steps.len() - 1;
-            if compare_due {
-                if op != 2 {
-                    for (rt, _) in &mut systems {
-                        let (_, quiescent) = rt.run_until_quiescent(400);
-                        assert!(quiescent, "TTL workload must quiesce");
-                    }
-                }
-                let views: Vec<(&dyn ActorRuntime, &Telemetry)> = systems
-                    .iter()
-                    .map(|(rt, obs)| (rt.as_ref(), obs))
-                    .collect();
-                assert_strict_eq(views[0], views[1], "naive vs fast")?;
-                assert_strict_eq(views[2], views[3], "par1 vs par2")?;
-                assert_strict_eq(views[2], views[4], "par1 vs par4")?;
-                assert_strict_eq(views[2], views[5], "par1 vs par8")?;
-                assert_contract_eq(views[1], views[2], "fast vs par1")?;
-            }
+            assert_equivalent(&fast, &seed, &fast_obs, &seed_obs)?;
         }
-        prop_assert!(compare_due, "trace ended with a comparison");
     }
-}
-
-/// With sink-only actors there are no cascades, so `System` and
-/// `ParSystem` share even the mailbox-depth high-water — the one
-/// observable the general contract exempts (round structure shifts
-/// when cascaded messages are enqueued).
-#[test]
-fn mailbox_depth_matches_system_for_sink_only_workloads() {
-    let mut fast = System::new();
-    let mut par = ParSystem::new(4);
-    let fast_obs = Telemetry::enabled();
-    let par_obs = Telemetry::enabled();
-    fast.set_observer(fast_obs.clone());
-    par.set_observer(par_obs.clone());
-    for slot in 0..5u8 {
-        fast.spawn(
-            id_for(slot),
-            Box::new(Sink::default()),
-            SupervisionPolicy::Restart,
-        );
-        par.spawn(
-            id_for(slot),
-            Box::new(Sink::default()),
-            SupervisionPolicy::Restart,
-        );
-    }
-    // Uneven burst: slot i receives i+1 copies, then a partial drain,
-    // then a second burst to move the high-water again.
-    for round in 0..2 {
-        for slot in 0..5u8 {
-            for n in 0..=slot {
-                let body = Bytes::from(vec![round, slot, n]);
-                fast.inject(id_for(slot), body.clone());
-                par.inject(id_for(slot), body);
-            }
-        }
-        fast.step();
-        par.step();
-    }
-    fast.run_until_quiescent(100);
-    par.run_until_quiescent(100);
-    assert_eq!(
-        fast_obs.gauge("actor.mailbox_depth", &Labels::none()),
-        par_obs.gauge("actor.mailbox_depth", &Labels::none()),
-    );
-    assert_eq!(fast.stats(), par.stats());
 }

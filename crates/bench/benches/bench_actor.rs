@@ -8,11 +8,7 @@
 //!
 //! - `actor_ping_storm` — 10k actors × 16 messages each, the dense
 //!   saturation case; enabled/disabled telemetry variants pin both the
-//!   runtime speedup and the handle path's disabled overhead, and
-//!   `parallel/{1,2,4,8}` drive the same storm through the
-//!   work-stealing [`ParSystem`] (an `env/cpus` entry records the
-//!   machine's parallelism so the checker knows whether a speedup
-//!   floor is even physically possible);
+//!   runtime speedup and the handle path's disabled overhead;
 //! - `actor_sparse_chain` — a 64-hop token walk through 10k mostly-idle
 //!   actors: the seed pays O(all actors) per round, the ready bitmap
 //!   pays O(active);
@@ -25,7 +21,7 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use udc_actor::{
-    Actor, ActorError, ActorId, Ctx, Message, NaiveSystem, ParSystem, SupervisionPolicy, System,
+    Actor, ActorError, ActorId, Ctx, Message, NaiveSystem, SupervisionPolicy, System,
 };
 use udc_telemetry::Telemetry;
 
@@ -111,15 +107,6 @@ macro_rules! storm_spawn {
 /// caller would drive it — ids resolved *once* into dense
 /// [`udc_actor::ActorRef`] handles, then reused across bursts.
 fn bench_ping_storm(c: &mut Criterion) {
-    // The artifact must say how parallel the measuring machine was:
-    // `bench_check --suite=actor` enforces a parallel speedup floor
-    // only when this entry shows enough CPUs to make one possible.
-    criterion::record_value(
-        "env/cpus",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1) as f64,
-    );
     let ids: Vec<ActorId> = (0..STORM_ACTORS)
         .map(|i| ActorId::new(format!("a{i:05}")))
         .collect();
@@ -154,33 +141,6 @@ fn bench_ping_storm(c: &mut Criterion) {
                 }
                 let (n, _) = fast.run_until_quiescent(usize::MAX);
                 fast.truncate_log_through(u64::MAX);
-                black_box(n)
-            })
-        });
-    }
-    // The work-stealing executor over the identical storm, telemetry
-    // enabled like the headline fast variant. The whole burst is
-    // prebuilt once and handed to `inject_batch` so iterations measure
-    // parallel fan-in + delivery, not per-message call overhead.
-    for threads in [1usize, 2, 4, 8] {
-        let mut par = ParSystem::new(threads);
-        par.set_observer(Telemetry::enabled());
-        for id in ids {
-            par.spawn(
-                id.clone(),
-                Box::<Sink>::default(),
-                SupervisionPolicy::Restart,
-            );
-        }
-        let refs: Vec<_> = ids.iter().map(|id| par.resolve(id).unwrap()).collect();
-        let batch: Vec<_> = (0..STORM_MSGS)
-            .flat_map(|_| refs.iter().map(|&r| (r, Bytes::from_static(b"m"))))
-            .collect();
-        group.bench_function(format!("parallel/{threads}"), move |b| {
-            b.iter(|| {
-                par.inject_batch(&batch);
-                let (n, _) = par.run_until_quiescent(usize::MAX);
-                par.truncate_log_through(u64::MAX);
                 black_box(n)
             })
         });

@@ -672,8 +672,8 @@ mod tests {
             child.exit();
             root.exit();
         }
-        // Two shard hubs, each minting its own complete trace (the
-        // ParSystem contract: workers never split a trace across hubs).
+        // Two worker hubs, each minting its own complete trace (the
+        // harness contract: a trial never splits a trace across hubs).
         for shard in 0..2u32 {
             let hub = Telemetry::enabled();
             let root = hub.trace_root("actor.round");
@@ -681,7 +681,7 @@ mod tests {
             let d = hub.span_in(&ctx, &format!("actor.deliver.s{shard}"));
             d.exit();
             root.exit();
-            main.absorb_draining(&hub);
+            main.absorb(&hub);
         }
         let text = main.snapshot().to_json();
         let v: serde_json::Value = serde_json::from_str(&text).expect("export parses");

@@ -79,7 +79,7 @@ fn chaos_style_artifact(threads: usize, trials: usize) -> String {
     // Absorption in trial order is the determinism contract: the thread
     // count decided who *computed* each hub, never the merge order.
     for hub in &hubs {
-        main.absorb_draining(hub);
+        main.absorb(hub);
     }
     let mut engine = udc_query::QueryEngine::new();
     for parsed in udc_query::default_ruleset() {

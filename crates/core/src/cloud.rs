@@ -1195,6 +1195,31 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_multi_module_submit_holds_no_capacity_or_quota() {
+        use udc_economics::{PlanSpec, QuotaGate};
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let mut gate = QuotaGate::new();
+        gate.open_account("tenant", PlanSpec::unlimited("open"), 0);
+        let gate = udc_economics::shared(gate);
+        cloud.attach_economics(gate.clone());
+        // A standing deployment, so the baseline is not all zeros.
+        cloud.submit(&small_app()).unwrap();
+        let in_use = || gate.lock().unwrap().account("tenant").unwrap().in_use.clone();
+        let (capacity_before, quota_before) = (cloud.datacenter().utilization_report(), in_use());
+
+        // The weights and the two CPU stages place; the GPU stage cannot.
+        let mut app = udc_workload::ml_serving_chain(1);
+        let infer = app.modules.get_mut(&ModuleId::from("infer")).unwrap();
+        infer.resource.demand.set(ResourceKind::Gpu, 1 << 40);
+        match cloud.submit(&app) {
+            Err(CloudError::Sched(SchedError::Alloc { module, .. })) => assert_eq!(module, "infer"),
+            other => panic!("expected the GPU stage to be refused, got {:?}", other.err()),
+        }
+        assert_eq!(cloud.datacenter().utilization_report(), capacity_before);
+        assert_eq!(in_use(), quota_before);
+    }
+
+    #[test]
     fn ledger_reconciliation_matches_honest_billing_exactly() {
         use udc_economics::{PlanSpec, QuotaGate};
         let mut cloud = UdcCloud::new(CloudConfig::default());

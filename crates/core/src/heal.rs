@@ -31,9 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cloud::{Deployment, UdcCloud};
 use bytes::Bytes;
-use udc_actor::{
-    Actor, ActorError, ActorId, ActorRuntime, Ctx, Message, ParSystem, SupervisionPolicy, System,
-};
+use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, SupervisionPolicy, System};
 use udc_dist::{recover, safe_truncation_seq, CheckpointStore, RecoveryOutcome, RecoveryStrategy};
 use udc_economics::LifecycleEvent;
 use udc_failure::LeaseDetector;
@@ -135,9 +133,7 @@ impl HealthState {
 
     /// True when every module is healthy.
     pub fn is_converged(&self) -> bool {
-        self.modules
-            .values()
-            .all(|h| matches!(h, ModuleHealth::Healthy))
+        self.modules.is_empty()
     }
 
     /// Modules currently degraded, in id order.
@@ -191,10 +187,10 @@ impl HealthState {
         }
     }
 
-    /// Marks the module healthy again, returning (attempts, detected_us).
+    /// Marks the module healthy again (forgetting it), returning
+    /// (attempts, detected_us).
     fn repair_complete(&mut self, id: &ModuleId) -> (u32, Micros) {
-        let prior = self.modules.insert(id.clone(), ModuleHealth::Healthy);
-        match prior {
+        match self.modules.remove(id) {
             Some(ModuleHealth::Repairing {
                 attempt,
                 detected_us,
@@ -351,45 +347,18 @@ impl Actor for ModuleActor {
 /// deterministic actor system) plus user-defined checkpoints. The
 /// harness seeds each module's workload; [`UdcCloud::advance`] recovers
 /// it after a crash with the module's spec'd strategy.
-///
-/// The model is executor-agnostic: it drives any [`ActorRuntime`], so
-/// the log it replays from can come from the single-threaded [`System`]
-/// (the default) or the work-stealing [`ParSystem`] — both produce the
-/// same per-actor log order, which is the only property recovery needs.
+#[derive(Default)]
 pub struct RecoveryModel {
-    system: Box<dyn ActorRuntime>,
+    system: System,
     checkpoints: CheckpointStore,
     expected: BTreeMap<ActorId, u64>,
     recovered: BTreeMap<ActorId, u64>,
-}
-
-impl Default for RecoveryModel {
-    fn default() -> Self {
-        Self::with_runtime(Box::new(System::new()))
-    }
 }
 
 impl RecoveryModel {
     /// An empty model (modules recover with zero replay).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A model whose reliable log is produced by the given executor.
-    pub fn with_runtime(system: Box<dyn ActorRuntime>) -> Self {
-        Self {
-            system,
-            checkpoints: CheckpointStore::default(),
-            expected: BTreeMap::new(),
-            recovered: BTreeMap::new(),
-        }
-    }
-
-    /// A model seeded through the work-stealing parallel executor —
-    /// useful when a harness seeds large fleets and wants the fan-out
-    /// parallelised. Recovery results are identical to the default.
-    pub fn parallel(threads: usize) -> Self {
-        Self::with_runtime(Box::new(ParSystem::new(threads)))
     }
 
     /// Seeds `module` with a processed stream of `messages` messages
@@ -1259,6 +1228,31 @@ mod tests {
     }
 
     #[test]
+    fn a_healed_module_leaves_no_health_entry_behind() {
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let tel = cloud.enable_telemetry();
+        let mut dep = cloud.submit(&one_task_app(None)).unwrap();
+        let id = ModuleId::from("T");
+        let dead = dep.placement.modules[&id].primary_device;
+        cloud
+            .datacenter_mut()
+            .set_failure_plan(FailurePlan::from_events(vec![crash(5, dead)]));
+        let report = cloud.advance(&mut dep, 10);
+
+        assert_eq!(report.repaired.len(), 1);
+        assert!(dep.health.modules.is_empty(), "absent = healthy");
+        assert!(matches!(dep.health.module(&id), ModuleHealth::Healthy));
+        assert!(dep.health.is_converged());
+        assert!(dep.health.due_repairs(u64::MAX).is_empty());
+        // The repair is still reported once, report and hub agreeing.
+        let healed = &report.repaired[0];
+        assert_eq!(healed.attempts, 0);
+        let mttr = tel.histogram("heal.mttr_us", &Labels::none()).unwrap();
+        assert_eq!((mttr.count, mttr.max), (1, healed.mttr_us));
+        cloud.teardown(&mut dep);
+    }
+
+    #[test]
     fn crash_excluded_candidate_is_audited_during_replacement() {
         let mut cloud = UdcCloud::new(CloudConfig::default());
         let tel = cloud.enable_telemetry();
@@ -1344,6 +1338,7 @@ mod tests {
         assert_eq!(report.repaired_devices, vec![dead]);
         assert_eq!(report.repaired.len(), 1);
         assert!(dep.health.is_converged());
+        assert!(dep.health.modules.is_empty(), "forgotten once healed");
         // MTTR spans the whole degraded interval, not just the last try.
         assert!(report.repaired[0].mttr_us >= 2_000);
         cloud.teardown(&mut dep);
@@ -1849,36 +1844,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.replayed, 50);
         assert_eq!(model.recovered_state(&a), model.expected_state(&a));
-    }
-
-    #[test]
-    fn parallel_runtime_recovers_identically_to_the_default() {
-        // The same workload seeded through the work-stealing executor
-        // must checkpoint, compact and recover to the same state as the
-        // single-threaded default — the log contract behind
-        // `RecoveryModel::with_runtime`.
-        let a = ModuleId::from("A");
-        let b = ModuleId::from("B");
-        let mut serial = RecoveryModel::new();
-        let mut par = RecoveryModel::parallel(4);
-        for model in [&mut serial, &mut par] {
-            model.seed_workload(&a, 37, Some(10));
-            model.seed_workload(&b, 25, None);
-        }
-        assert_eq!(par.log_len(), serial.log_len());
-        for id in [&a, &b] {
-            assert_eq!(par.expected_state(id), serial.expected_state(id));
-            let strategy = if id == &a {
-                RecoveryStrategy::FromCheckpoint
-            } else {
-                RecoveryStrategy::Reexecute
-            };
-            let out_s = serial.recover_module(id, strategy).unwrap();
-            let out_p = par.recover_module(id, strategy).unwrap();
-            assert_eq!(out_p, out_s, "recovery outcome diverged for {id}");
-            assert_eq!(par.recovered_state(id), serial.recovered_state(id));
-            assert_eq!(par.recovered_state(id), par.expected_state(id));
-        }
     }
 
     #[test]

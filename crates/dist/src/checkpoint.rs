@@ -150,7 +150,7 @@ pub fn recover(
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use udc_actor::{ActorError, ParSystem, SupervisionPolicy, System};
+    use udc_actor::{ActorError, SupervisionPolicy, System};
 
     /// An accumulator actor: state = sum of payload bytes interpreted as
     /// u64 (little helper with deterministic, checkpointable state).
@@ -327,42 +327,6 @@ mod tests {
         );
         assert_eq!(out.replayed, 3);
         assert_eq!(fresh.sum, 55, "recovery unaffected by truncation");
-    }
-
-    #[test]
-    fn recovery_from_a_parallel_log_matches_the_serial_one() {
-        // The work-stealing executor's merged log must drive recovery to
-        // the same state and cost as the single-threaded log — per-actor
-        // order is the contract, and `replay_for` relies on nothing else.
-        let (serial, id) = run_workload(10);
-        let mut par = ParSystem::new(4);
-        par.spawn(
-            id.clone(),
-            Box::<Acc>::default(),
-            SupervisionPolicy::Restart,
-        );
-        for i in 1..=10u64 {
-            par.inject(id.clone(), Bytes::copy_from_slice(&i.to_le_bytes()));
-        }
-        par.run_until_quiescent(10_000);
-
-        let mut cps = CheckpointStore::new();
-        let seq7 = par.log().entries()[6].seq;
-        assert_eq!(seq7, serial.log().entries()[6].seq, "same seq numbering");
-        cps.save(&id, seq7, 28u64.to_le_bytes().to_vec());
-
-        for strategy in [
-            RecoveryStrategy::Reexecute,
-            RecoveryStrategy::FromCheckpoint,
-        ] {
-            let mut from_par = Acc::default();
-            let out_par = recover(&id, &mut from_par, par.log(), &cps, strategy);
-            let mut from_serial = Acc::default();
-            let out_serial = recover(&id, &mut from_serial, serial.log(), &cps, strategy);
-            assert_eq!(out_par, out_serial, "{strategy:?}");
-            assert_eq!(from_par.sum, 55);
-            assert_eq!(from_serial.sum, 55);
-        }
     }
 
     #[test]

@@ -655,8 +655,8 @@ impl QueryEngine {
     /// engine flushed at every barrier stays bounded however long it
     /// runs; read [`QueryEngine::alerts`] / [`QueryEngine::outputs`]
     /// before flushing. Call only on the single-threaded driver hub
-    /// (after `absorb_draining`), never on shard hubs — that is the
-    /// thread-count determinism contract.
+    /// (after the worker hubs are absorbed), never on worker hubs —
+    /// that is the thread-count determinism contract.
     pub fn fire_into(&mut self, hub: &Telemetry) {
         for fire in self.alerts.drain(..) {
             hub.alert(fire);

@@ -6,9 +6,9 @@
 //!    observation streams, window shapes, aggregations, and advance
 //!    interleavings (EWMA included: the oracle refolds its carry from
 //!    window zero on every advance).
-//! 2. **Merge-order invariance** — aggregations over a hub fed by
-//!    `absorb_draining` barrier rounds are byte-identical no matter the
-//!    order shard hubs are absorbed in (integer-valued sources: counter
+//! 2. **Merge-order invariance** — aggregations over a hub that
+//!    absorbs fresh shard hubs every barrier round are byte-identical
+//!    no matter the order the shards are absorbed in (integer-valued sources: counter
 //!    merges and histogram merges are commutative, and every per-window
 //!    fold is order-insensitive over the same multiset).
 //! 3. **Retro ≡ live** — replaying a hub's exported snapshot yields the
@@ -244,15 +244,6 @@ proptest! {
         let mut all_outputs = Vec::new();
         for order in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0]] {
             let driver = Telemetry::enabled();
-            let shards: Vec<(Telemetry, Arc<AtomicU64>)> = (0..3)
-                .map(|_| {
-                    let cell = Arc::new(AtomicU64::new(0));
-                    let hub = Telemetry::enabled();
-                    let c = Arc::clone(&cell);
-                    hub.set_clock(move || c.load(Ordering::Relaxed));
-                    (hub, cell)
-                })
-                .collect();
             let mut feed = HubFeed::new();
             let mut eng = QueryEngine::new();
             let mut naive = NaiveEngine::new();
@@ -261,6 +252,17 @@ proptest! {
                 naive.register(s.clone());
             }
             for (r, round_ops) in rounds.iter().enumerate() {
+                // Fresh shard hubs every round, so each barrier merges
+                // only what the round recorded.
+                let shards: Vec<(Telemetry, Arc<AtomicU64>)> = (0..3)
+                    .map(|_| {
+                        let cell = Arc::new(AtomicU64::new(0));
+                        let hub = Telemetry::enabled();
+                        let c = Arc::clone(&cell);
+                        hub.set_clock(move || c.load(Ordering::Relaxed));
+                        (hub, cell)
+                    })
+                    .collect();
                 let mut t = r as u64 * ROUND_US;
                 for &(shard, kind, dt, val) in round_ops.iter() {
                     t += dt; // ≤ 20 ops × <40us keeps t inside the round
@@ -284,7 +286,7 @@ proptest! {
                 }
                 let barrier = (r as u64 + 1) * ROUND_US;
                 for &i in &order {
-                    driver.absorb_draining(&shards[i].0);
+                    driver.absorb(&shards[i].0);
                 }
                 let batch = feed.poll(&driver, barrier);
                 for o in batch {

@@ -9,9 +9,9 @@
 //!
 //! The property drives random interleavings of every way a hub takes
 //! data in (`incr` / `observe` / `gauge_set`, the three lock-free
-//! handles, `event`, `decide`, `absorb` and `absorb_draining` of a
-//! worker hub) against two feeds polled independently, over rings small
-//! enough to wrap between polls.
+//! handles, `event`, `decide`, `absorb` of a worker hub that keeps
+//! accumulating or of a fresh one per round) against two feeds polled
+//! independently, over rings small enough to wrap between polls.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,7 +161,7 @@ proptest! {
         };
         let hub = Telemetry::with_capacities(event_cap, decision_cap);
         clocked(&hub);
-        let worker = Telemetry::enabled();
+        let mut worker = Telemetry::enabled();
         clocked(&worker);
         let hc = hub.counter_handle("handle.hits", &Labels::tenant("acme"));
         let hg = hub.gauge_handle("handle.depth", &Labels::none());
@@ -202,10 +202,12 @@ proptest! {
                 9 => {
                     let before = worker.snapshot();
                     recorded += (before.events.len() + before.decisions.len()) as u64;
-                    if val.is_multiple_of(2) {
-                        hub.absorb(&worker);
-                    } else {
-                        hub.absorb_draining(&worker);
+                    hub.absorb(&worker);
+                    if !val.is_multiple_of(2) {
+                        // A fresh worker: the next absorb brings only
+                        // what was recorded since this one.
+                        worker = Telemetry::enabled();
+                        clocked(&worker);
                     }
                 }
                 _ => {

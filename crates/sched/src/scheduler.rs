@@ -444,11 +444,14 @@ impl Scheduler {
             let mspan = self.obs.span_opt(pctx.as_ref(), "sched.place_module");
             let mctx = mspan.ctx().or(pctx);
             let placed = match module.kind {
-                ModuleKind::Data => self.place_data(dc, &app, module, &placement, &[], mctx)?,
+                ModuleKind::Data => self.place_data(dc, &app, module, &placement, &[], mctx),
                 ModuleKind::Task => {
-                    self.place_task(dc, &app, module, &placement, &colocate_rack, &[], mctx)?
+                    self.place_task(dc, &app, module, &placement, &colocate_rack, &[], mctx)
                 }
             };
+            // A refused app holds nothing: hand back what the earlier
+            // modules took.
+            let placed = placed.inspect_err(|_| self.release_app(dc, &placement))?;
             mspan.exit();
             placement.modules.insert(id.clone(), placed);
         }
@@ -1289,6 +1292,40 @@ mod tests {
             .unwrap()
             .release("tenant", &udc_economics::demand_of_app(&simple_app()));
         assert!(sched.place_app(&mut dc, &simple_app()).is_ok());
+    }
+
+    #[test]
+    fn refusal_at_a_later_module_releases_the_earlier_ones() {
+        use udc_economics::{PlanSpec, QuotaGate};
+
+        let mut gate = QuotaGate::new();
+        gate.open_account("tenant", PlanSpec::unlimited("open"), 0);
+        let shared = udc_economics::shared(gate);
+        let mut sched = Scheduler::new(SchedOptions {
+            quota_gate: Some(shared.clone()),
+            ..Default::default()
+        });
+        let mut dc = dc();
+        // A standing app, so the baseline is not all zeros.
+        sched.place_app(&mut dc, &simple_app()).unwrap();
+        let in_use = |shared: &udc_economics::SharedQuotaGate| {
+            shared.lock().unwrap().account("tenant").unwrap().in_use.clone()
+        };
+        let (capacity_before, quota_before) = (dc.utilization_report(), in_use(&shared));
+
+        // S1 and A1 place; A2, last in dependency order, cannot.
+        let mut app = simple_app();
+        app.add_task(
+            TaskSpec::new("A2")
+                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Gpu, 1 << 40)),
+        );
+        app.add_edge("A1", "A2", EdgeKind::Dependency).unwrap();
+        match sched.place_app(&mut dc, &app) {
+            Err(SchedError::Alloc { module, .. }) => assert_eq!(module, "A2"),
+            other => panic!("expected A2 to be refused, got {other:?}"),
+        }
+        assert_eq!(dc.utilization_report(), capacity_before);
+        assert_eq!(in_use(&shared), quota_before);
     }
 
     #[test]

@@ -438,29 +438,6 @@ impl Telemetry {
     /// them in a fixed order (trial order, not completion order), so
     /// the merged snapshot is identical at any thread count.
     pub fn absorb(&self, other: &Telemetry) {
-        self.absorb_inner(other, false);
-    }
-
-    /// [`Telemetry::absorb`] followed by emptying the source hub: the
-    /// merged series, spans, events and decisions are cleared from
-    /// `other` so a subsequent absorb contributes only what was recorded
-    /// *since*. This is the repeated-barrier-merge primitive: a parallel
-    /// executor absorbing its shard hubs every round would double-count
-    /// every counter with plain `absorb` (the source registry keeps its
-    /// merged totals); draining makes round merges additive.
-    ///
-    /// The source's instrument handles stay registered and valid —
-    /// counter/histogram cells drain at flush anyway, and a gauge cell's
-    /// high-water is monotone, so re-flushing after a drain merges
-    /// idempotently. The source must not have open spans (panics: an
-    /// open span holds an index into the store being cleared). Like
-    /// `absorb`, a no-op when either hub is disabled, so nothing is
-    /// drained unless it was actually merged.
-    pub fn absorb_draining(&self, other: &Telemetry) {
-        self.absorb_inner(other, true);
-    }
-
-    fn absorb_inner(&self, other: &Telemetry, drain: bool) {
         let (Some(dst), Some(src)) = (&self.inner, &other.inner) else {
             return;
         };
@@ -483,13 +460,6 @@ impl Telemetry {
         d.decisions.absorb(&s.decisions, trace_offset);
         d.alerts.absorb(&s.alerts);
         d.next_trace += s.next_trace;
-        if drain {
-            s.metrics.clear();
-            s.spans.drain();
-            s.recorder.ring.drain();
-            s.decisions.ring.drain();
-            s.alerts.ring.drain();
-        }
     }
 
     /// Locks the hub for one consistent by-reference look (`None` on a
@@ -676,78 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_draining_makes_round_merges_additive() {
-        // The parallel-executor barrier shape: shard hubs drained into
-        // the main hub every round, instrument handles staying live.
-        let main = Telemetry::enabled();
-        let shard = Telemetry::enabled();
-        let ops = shard.counter_handle("par.executed", &Labels::none());
-        let depth = shard.gauge_handle("par.depth", &Labels::none());
-        let lat = shard.histogram_handle("par.latency", &Labels::none());
-
-        ops.incr(5);
-        depth.set(9);
-        depth.set(2);
-        lat.observe(10);
-        shard.span("round").exit();
-        main.absorb_draining(&shard);
-        assert_eq!(main.counter("par.executed", &Labels::none()), 5);
-        assert_eq!(main.gauge("par.depth", &Labels::none()), Some((2, 9)));
-        assert_eq!(main.snapshot().spans.len(), 1);
-        // The shard hub is empty again…
-        assert_eq!(shard.counter("par.executed", &Labels::none()), 0);
-        assert!(shard.snapshot().spans.is_empty());
-
-        // …so a second round through the SAME handles contributes only
-        // its own delta — plain absorb would have re-added round one.
-        ops.incr(3);
-        depth.set(5);
-        lat.observe(30);
-        main.absorb_draining(&shard);
-        assert_eq!(main.counter("par.executed", &Labels::none()), 8);
-        // Gauge takes the fresh value; the high-water cell is monotone
-        // across drains, so round one's peak survives.
-        assert_eq!(main.gauge("par.depth", &Labels::none()), Some((5, 9)));
-        let h = main.histogram("par.latency", &Labels::none()).unwrap();
-        assert_eq!((h.count, h.min, h.max), (2, 10, 30));
-        assert_eq!(
-            main.snapshot().spans.len(),
-            1,
-            "spans drained, not re-merged"
-        );
-
-        // An empty drain is a no-op.
-        main.absorb_draining(&shard);
-        assert_eq!(main.counter("par.executed", &Labels::none()), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "still open")]
-    fn absorb_draining_rejects_open_source_spans() {
-        let main = Telemetry::enabled();
-        let shard = Telemetry::enabled();
-        // Forget the guard: its Drop would otherwise re-panic on the
-        // poisoned hub while the expected panic unwinds.
-        std::mem::forget(shard.span("never.closed"));
-        main.absorb_draining(&shard);
-    }
-
-    #[test]
-    fn absorb_draining_noops_when_either_hub_is_disabled() {
-        let src = Telemetry::enabled();
-        src.incr("x", Labels::none(), 4);
-        Telemetry::disabled().absorb_draining(&src);
-        assert_eq!(
-            src.counter("x", &Labels::none()),
-            4,
-            "nothing merged, so nothing drained"
-        );
-        let dst = Telemetry::enabled();
-        dst.absorb_draining(&Telemetry::disabled());
-        assert_eq!(dst.counter("x", &Labels::none()), 0);
-    }
-
-    #[test]
     fn absorb_noops_on_disabled_or_shared_hubs() {
         let hub = Telemetry::enabled();
         hub.incr("x", Labels::none(), 1);
@@ -813,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn alerts_absorb_and_drain_like_other_rings() {
+    fn alerts_absorb_like_other_rings() {
         let fire = |at: u64, rule: &str| AlertFire {
             at_us: at,
             rule: rule.to_string(),
@@ -828,15 +726,17 @@ mod tests {
         hub.alert(fire(50, "local.rule"));
         let worker = Telemetry::enabled();
         worker.alert(fire(500, "worker.rule"));
-        hub.absorb_draining(&worker);
+        hub.absorb(&worker);
         let got = hub.alerts();
         assert_eq!(got.len(), 2);
         assert_eq!((got[1].seq, got[1].at_us), (1, 500));
-        assert!(worker.alerts().is_empty(), "drained after merge");
-        // A second drain round stays additive, not double-counting.
+        assert_eq!(worker.alerts().len(), 1, "the source keeps its records");
+        // A second worker's alerts re-sequence after the first's.
+        let worker = Telemetry::enabled();
         worker.alert(fire(900, "worker.rule"));
-        hub.absorb_draining(&worker);
+        hub.absorb(&worker);
         assert_eq!(hub.alerts().len(), 3);
+        assert_eq!(hub.alerts()[2].seq, 2);
         let snap = hub.snapshot();
         assert_eq!(snap.alerts.len(), 3);
         assert_eq!(snap.dropped_alerts, 0);

@@ -93,16 +93,6 @@ impl MetricsRegistry {
             .map(|h| &h.value)
     }
 
-    /// Empties the registry. Used by the draining absorb
-    /// ([`crate::Telemetry::absorb_draining`]): once a source hub's
-    /// series are merged into a destination, clearing them is what makes
-    /// repeated barrier merges additive instead of double-counting.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-    }
-
     /// Folds another registry into this one: counters add, gauges take
     /// the incoming value (high-water marks max together), histograms
     /// merge bucket-wise. Used by [`crate::Telemetry::absorb`] to

@@ -4,9 +4,9 @@
 //! Records are held as `Arc`s so a [`Snapshot`](crate::Snapshot) shares
 //! them instead of deep-copying the ring, and sequence numbers are
 //! *dense*: the retained records are exactly `next_seq - len .. next_seq`
-//! (eviction pops the front, a drain empties the ring, `next_seq` never
-//! goes back). That is what lets a cursor reader skip to "everything
-//! since seq N" in O(1) and learn how many records it missed.
+//! (eviction pops the front, `next_seq` never goes back). That is what
+//! lets a cursor reader skip to "everything since seq N" in O(1) and
+//! learn how many records it missed.
 
 use std::collections::vec_deque;
 use std::collections::VecDeque;
@@ -23,7 +23,7 @@ pub(crate) struct Ring<T> {
 /// (see [`HubView`](crate::HubView)).
 pub struct RingTail<'a, T> {
     /// Records with a sequence number at or after the one asked for
-    /// that the ring had already evicted (or a drain had removed).
+    /// that the ring had already evicted.
     pub missed: u64,
     /// The sequence number the ring's next record will get: pass it
     /// back as the cursor to read each record exactly once.
@@ -67,14 +67,6 @@ impl<T> Ring<T> {
         for r in &other.records {
             self.push_with(|seq| remake(r, seq));
         }
-    }
-
-    /// Empties the ring after a draining absorb. `dropped` resets too:
-    /// `absorb` carries it over, so leaving it in place would re-count
-    /// the same drops at every barrier merge. `next_seq` stays monotone.
-    pub fn drain(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
     }
 
     pub fn records(&self) -> vec_deque::Iter<'_, Arc<T>> {
@@ -122,10 +114,5 @@ mod tests {
             0,
             "a cursor ahead reads nothing"
         );
-        // A drained ring stays dense: nothing retained, cursor keeps counting.
-        r.drain();
-        let tail = r.since(4);
-        assert_eq!((tail.missed, tail.next_seq), (1, 5));
-        assert_eq!(tail.records.count(), 0);
     }
 }

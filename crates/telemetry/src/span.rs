@@ -166,20 +166,6 @@ impl SpanStore {
         self.dropped
     }
 
-    /// Empties the store for a draining absorb (ids restart at 0; the
-    /// absorbing store has remapped them). Open spans hold ids into
-    /// `records`, so draining under one would corrupt the guard's
-    /// close — that is a caller bug, not a recoverable state.
-    pub fn drain(&mut self) {
-        assert!(
-            self.open.is_empty(),
-            "SpanStore::drain with {} span(s) still open",
-            self.open.len()
-        );
-        self.records.clear();
-        self.base = 0;
-        self.dropped = 0;
-    }
 }
 
 /// Guard for an open span; the span closes when this drops. On a
