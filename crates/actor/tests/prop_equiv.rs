@@ -18,9 +18,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use udc_actor::{
-    Actor, ActorError, ActorId, Ctx, Message, NaiveSystem, SupervisionPolicy, System,
-};
+use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, NaiveSystem, SupervisionPolicy, System};
 use udc_telemetry::{Labels, Telemetry};
 
 const SLOTS: u8 = 8;
@@ -275,7 +273,6 @@ proptest! {
         prop_assert_eq!(seqs, sorted, "log seqs strictly increasing");
     }
 }
-
 
 // ---------------------------------------------------------------------
 // TTL-cascade inputs to the same oracle. Message payloads carry a TTL

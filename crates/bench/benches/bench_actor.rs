@@ -20,9 +20,7 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use udc_actor::{
-    Actor, ActorError, ActorId, Ctx, Message, NaiveSystem, SupervisionPolicy, System,
-};
+use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, NaiveSystem, SupervisionPolicy, System};
 use udc_telemetry::Telemetry;
 
 const STORM_ACTORS: usize = 10_000;

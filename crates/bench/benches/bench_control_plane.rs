@@ -220,9 +220,9 @@ fn bench_binpack(c: &mut Criterion) {
 }
 
 /// End-to-end `place_app` against a datacenter 16x the default device
-/// count, placing and releasing in a loop — the shape that benefits
-/// from the scheduler's candidate cache (allocate/release does not
-/// invalidate it).
+/// count, placing and releasing in a loop — a cost that must not grow
+/// with the device count, since task placement asks the pool index
+/// rather than ranking every device.
 fn bench_place_big_dc(c: &mut Criterion) {
     let mut cfg = DatacenterConfig::default();
     for pool in &mut cfg.pools {

@@ -146,7 +146,8 @@ pub struct UdcCloud {
     pub(crate) tenant: String,
     tenant_secret: Vec<u8>,
     conflict_policy: ConflictPolicy,
-    /// Per-device attestation keys, fused at build time.
+    /// Per-device attestation keys, derived the first time a device
+    /// hosts a launch (see [`device_key`]).
     pub(crate) device_keys: BTreeMap<DeviceId, [u8; 32]>,
     pub(crate) next_instance: u64,
     pub(crate) next_unit: u64,
@@ -202,22 +203,22 @@ pub const RING_DROPPED_RULE: &str = "telemetry.ring_dropped";
 /// attached engine's feed read them (see `HubFeed::missed`).
 pub const FEED_MISSED_COUNTER: &str = "query.feed_missed";
 
+/// The attestation key fused into `device` at build time: a pure
+/// function of the device id, so it can be derived whenever a device
+/// first hosts a launch — including one enrolled after the cloud was
+/// built — instead of for the whole datacenter up front.
+pub(crate) fn device_key(device: DeviceId) -> [u8; 32] {
+    derive_key(
+        b"udc-hardware-root",
+        b"device-key",
+        format!("{device}").as_bytes(),
+    )
+}
+
 impl UdcCloud {
-    /// Builds the cloud: datacenter, scheduler, and fused device keys.
+    /// Builds the cloud: datacenter and scheduler.
     pub fn new(config: CloudConfig) -> Self {
         let dc = Datacenter::new(config.datacenter);
-        let device_keys: BTreeMap<DeviceId, [u8; 32]> = dc
-            .device_ids()
-            .into_iter()
-            .map(|id| {
-                let key = derive_key(
-                    b"udc-hardware-root",
-                    b"device-key",
-                    format!("{id}").as_bytes(),
-                );
-                (id, key)
-            })
-            .collect();
         let tenant = config.tenant.clone();
         let scheduler = Scheduler::new(SchedOptions {
             tenant: config.tenant,
@@ -233,7 +234,7 @@ impl UdcCloud {
             tenant,
             tenant_secret: config.tenant_secret,
             conflict_policy: config.conflict_policy,
-            device_keys,
+            device_keys: BTreeMap::new(),
             next_instance: 0,
             next_unit: 0,
             obs: Telemetry::disabled(),
@@ -376,11 +377,14 @@ impl UdcCloud {
     /// Installs an observability hub across the whole control plane:
     /// the datacenter (which points the hub's clock at the simulated
     /// clock and wires the fabric), the scheduler and its warm pool, and
-    /// the control plane itself.
+    /// the control plane itself. An attached query engine follows: its
+    /// feed's cursors belong to the hub they were read from, so they
+    /// start over on the new one.
     pub fn set_observer(&mut self, obs: Telemetry) {
         self.dc.set_observer(obs.clone());
         self.scheduler.set_observer(obs.clone());
         self.obs = obs;
+        self.query_feed = udc_query::HubFeed::new();
     }
 
     /// Convenience: creates an enabled hub, installs it everywhere, and
@@ -463,11 +467,10 @@ impl UdcCloud {
                 .modules
                 .get(id)
                 .expect("placement covers every module");
-            let device_key = self
+            let device_key = *self
                 .device_keys
-                .get(&p.primary_device)
-                .copied()
-                .unwrap_or([0u8; 32]);
+                .entry(p.primary_device)
+                .or_insert_with(|| device_key(p.primary_device));
             let mut env = Environment::new(InstanceId(self.next_instance), p.env, device_key);
             env.set_epoch(p.epoch);
             self.next_instance += 1;
@@ -691,7 +694,11 @@ impl UdcCloud {
         for (id, env) in dep.environments.iter() {
             if let Some(rot) = env.root_of_trust() {
                 let device = dep.placement.modules[id].primary_device;
-                let key = self.device_keys.get(&device).copied().unwrap_or([0u8; 32]);
+                let key = self
+                    .device_keys
+                    .get(&device)
+                    .copied()
+                    .unwrap_or_else(|| device_key(device));
                 verifier.trust_device(rot.device_id(), key);
             }
         }
@@ -1071,6 +1078,43 @@ mod tests {
     }
 
     #[test]
+    fn a_late_enrolled_device_attests_under_its_own_key() {
+        use udc_crypto::attest::AttestationPolicy;
+
+        // A TEE module only the late device can host: every CPU device
+        // the default datacenter was built with has 64 cores.
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let late = cloud.datacenter_mut().add_device(ResourceKind::Cpu, 128);
+        let mut app = AppSpec::new("late");
+        app.add_task(
+            TaskSpec::new("A1")
+                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, 100))
+                .with_exec_env(ExecEnvAspect::isolation(IsolationLevel::Strongest)),
+        );
+        let dep = cloud.submit(&app).unwrap();
+        let id = ModuleId::from("A1");
+        assert_eq!(dep.placement.modules[&id].primary_device, late);
+        assert_eq!(
+            cloud.verify_deployment(&dep).modules[&id],
+            ModuleVerification::Verified
+        );
+
+        // The quote is signed with the key fused into that device — a
+        // tenant trusting the manufacturer's key for it accepts the
+        // quote, one trusting the all-zero key does not.
+        let rot = dep.environments[&id].root_of_trust().expect("a TEE");
+        let nonce = [7u8; 32];
+        let quote = rot.quote(nonce, BTreeMap::new());
+        let verdict = |key: [u8; 32]| {
+            let mut verifier = Verifier::new();
+            verifier.trust_device(rot.device_id(), key);
+            verifier.verify(&quote, &nonce, &AttestationPolicy::default())
+        };
+        assert_eq!(verdict(device_key(late)), Ok(()));
+        assert!(verdict([0u8; 32]).is_err());
+    }
+
+    #[test]
     fn exact_fit_allocation_matches_demand() {
         let mut cloud = UdcCloud::new(CloudConfig::default());
         let dep = cloud.submit(&small_app()).unwrap();
@@ -1204,7 +1248,14 @@ mod tests {
         cloud.attach_economics(gate.clone());
         // A standing deployment, so the baseline is not all zeros.
         cloud.submit(&small_app()).unwrap();
-        let in_use = || gate.lock().unwrap().account("tenant").unwrap().in_use.clone();
+        let in_use = || {
+            gate.lock()
+                .unwrap()
+                .account("tenant")
+                .unwrap()
+                .in_use
+                .clone()
+        };
         let (capacity_before, quota_before) = (cloud.datacenter().utilization_report(), in_use());
 
         // The weights and the two CPU stages place; the GPU stage cannot.
@@ -1213,7 +1264,10 @@ mod tests {
         infer.resource.demand.set(ResourceKind::Gpu, 1 << 40);
         match cloud.submit(&app) {
             Err(CloudError::Sched(SchedError::Alloc { module, .. })) => assert_eq!(module, "infer"),
-            other => panic!("expected the GPU stage to be refused, got {:?}", other.err()),
+            other => panic!(
+                "expected the GPU stage to be refused, got {:?}",
+                other.err()
+            ),
         }
         assert_eq!(cloud.datacenter().utilization_report(), capacity_before);
         assert_eq!(in_use(), quota_before);

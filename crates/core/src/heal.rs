@@ -1023,11 +1023,10 @@ impl UdcCloud {
                 placed.epoch = self.fences.mint(id.as_str(), placed.primary_device);
                 // Re-launch: a crashed environment cannot restart — mint
                 // a fresh instance measured against the same identity.
-                let device_key = self
+                let device_key = *self
                     .device_keys
-                    .get(&placed.primary_device)
-                    .copied()
-                    .unwrap_or([0u8; 32]);
+                    .entry(placed.primary_device)
+                    .or_insert_with(|| crate::cloud::device_key(placed.primary_device));
                 let m_ir = dep.ir.module(id).expect("module exists in ir");
                 let mut env =
                     Environment::new(InstanceId(self.next_instance), placed.env, device_key);
@@ -1446,6 +1445,74 @@ mod tests {
             missed,
             snap.dropped_events + snap.dropped_decisions,
             "nothing was evicted after the first poll"
+        );
+    }
+
+    #[test]
+    fn a_replaced_hub_keeps_feeding_the_attached_engine() {
+        use udc_query::{Aggregation, LabelFilter, QuerySpec, Source, WindowSpec};
+
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        cloud.enable_telemetry();
+        let mut engine = udc_query::QueryEngine::new();
+        for (name, source, agg) in [
+            (
+                "submits",
+                Source::Counter {
+                    name: "core.submits".to_string(),
+                    labels: LabelFilter::any(),
+                },
+                Aggregation::Sum,
+            ),
+            (
+                "submit_events",
+                Source::Event {
+                    kind: Some("submit".to_string()),
+                    labels: LabelFilter::any(),
+                },
+                Aggregation::Count,
+            ),
+        ] {
+            engine
+                .register(QuerySpec {
+                    name: name.to_string(),
+                    source,
+                    agg,
+                    window: WindowSpec::tumbling(1_000),
+                })
+                .unwrap();
+        }
+        let submits = engine.subscribe("submits").unwrap();
+        let submit_events = engine.subscribe("submit_events").unwrap();
+        cloud.attach_queries(engine, 1_000_000);
+
+        // The first hub out-writes anything its replacement will have
+        // seen by the time the feed looks again: cursors carried over
+        // would point past the end of every new series and ring.
+        let mut old: Vec<Deployment> = (0..4)
+            .map(|_| cloud.submit(&one_task_app(None)).unwrap())
+            .collect();
+        for _ in 0..3 {
+            cloud.advance(&mut old[0], 1_000);
+        }
+        let total = |cloud: &mut UdcCloud, sub| -> f64 {
+            let engine = cloud.queries_mut().unwrap();
+            engine.poll(sub).iter().map(|o| o.value).sum()
+        };
+        assert_eq!(total(&mut cloud, submits), 4.0);
+        assert_eq!(total(&mut cloud, submit_events), 4.0);
+
+        let fresh = cloud.enable_telemetry();
+        let mut dep = cloud.submit(&one_task_app(None)).unwrap();
+        for _ in 0..3 {
+            cloud.advance(&mut dep, 1_000);
+        }
+        assert_eq!(total(&mut cloud, submits), 1.0, "the new hub's delta");
+        assert_eq!(total(&mut cloud, submit_events), 1.0, "the new hub's event");
+        assert_eq!(cloud.query_feed.missed(), 0);
+        assert_eq!(
+            fresh.counter(crate::cloud::FEED_MISSED_COUNTER, &Labels::none()),
+            0
         );
     }
 

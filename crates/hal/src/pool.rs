@@ -17,6 +17,7 @@
 //! | `allocate` (1 slice) | O(n)             | O(log n + A + X)   |
 //! | `allocate` (k spill) | O(n log n)       | O(k log n + A + X) |
 //! | `release`            | O(k)             | O(k log n)         |
+//! | `best_fit`           | O(n)             | O(log n + A + X)   |
 //! | `available_for`      | O(n)             | O(log n + X)       |
 //! | `total_capacity`     | O(n)             | O(1)               |
 //! | `total_used`         | O(n)             | O(1)               |
@@ -27,6 +28,11 @@
 //! `tests/prop_equiv.rs` drive this implementation and
 //! [`crate::linear::LinearPool`] (the retained seed algorithm) side by
 //! side over random traces and demand identical results.
+//!
+//! [`ResourcePool::best_fit`] is the read-only half of a one-device
+//! `allocate`: the scheduler asks it where a task goes instead of
+//! ranking every device itself, so placement and allocation share one
+//! probe.
 
 use crate::device::{Device, DeviceId, DeviceState};
 use serde::{de, ser, Deserialize, Serialize};
@@ -34,7 +40,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use udc_spec::ResourceKind;
 
 /// A slice of one device held by an allocation.
@@ -298,35 +303,12 @@ impl PoolIndex {
     }
 }
 
-static NEXT_POOL_INSTANCE: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_instance() -> u64 {
-    NEXT_POOL_INSTANCE.fetch_add(1, Ordering::Relaxed)
-}
-
 /// A pool of devices of one resource kind.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ResourcePool {
     kind: ResourceKind,
     devices: BTreeMap<DeviceId, Device>,
     index: PoolIndex,
-    instance: u64,
-    version: u64,
-}
-
-impl Clone for ResourcePool {
-    fn clone(&self) -> Self {
-        // A clone diverges independently, so it gets its own identity:
-        // stamps must never collide between pools with different
-        // contents (the scheduler's candidate cache keys on them).
-        Self {
-            kind: self.kind,
-            devices: self.devices.clone(),
-            index: self.index.clone(),
-            instance: fresh_instance(),
-            version: 0,
-        }
-    }
 }
 
 impl ResourcePool {
@@ -336,8 +318,6 @@ impl ResourcePool {
             kind,
             devices: BTreeMap::new(),
             index: PoolIndex::default(),
-            instance: fresh_instance(),
-            version: 0,
         }
     }
 
@@ -356,16 +336,6 @@ impl ResourcePool {
     /// The pool's resource kind.
     pub fn kind(&self) -> ResourceKind {
         self.kind
-    }
-
-    /// An identity stamp `(instance, version)` for cache invalidation:
-    /// `instance` is unique per pool object, `version` bumps whenever
-    /// the device *set* or device-level facts (capacity, rack, state)
-    /// may have changed. Plain allocate/release traffic does not bump
-    /// the version — only free units change, which cache holders are
-    /// expected to refresh themselves.
-    pub fn stamp(&self) -> (u64, u64) {
-        (self.instance, self.version)
     }
 
     /// Re-derives the index entries for one device after it changed.
@@ -399,7 +369,6 @@ impl ResourcePool {
         let prev = self.devices.insert(id, device);
         assert!(prev.is_none(), "duplicate device id in pool");
         self.reindex_device(id);
-        self.version += 1;
     }
 
     /// Number of devices (any state).
@@ -749,18 +718,25 @@ impl ResourcePool {
             .copied()
     }
 
-    fn allocate_single_device(
-        &mut self,
+    /// The device a single-device allocation of `units` for `tenant`
+    /// under `constraints` would take right now, or `None` when no
+    /// device qualifies: best-fit (smallest sufficient free block),
+    /// preferring the requested rack, lowest id on ties — the seed's
+    /// `(rack_penalty, free, id)` key. Read-only, O(log n + A + X);
+    /// [`ResourcePool::allocate`] takes exactly this device whenever
+    /// the constraints confine it to one (`exclusive`, `single_device`
+    /// or `require_device`), so a caller that asks first sees the
+    /// allocator's own decision, not a re-derivation of it.
+    ///
+    /// Candidates come from the index partition matching the constraint
+    /// (vacant devices for exclusive, the general partition otherwise)
+    /// plus the tenant's own footprint.
+    pub fn best_fit(
+        &self,
         tenant: &str,
         units: u64,
         constraints: &AllocConstraints,
-    ) -> Result<Allocation, AllocError> {
-        // Best-fit: the smallest device slot that satisfies the request,
-        // preferring the requested rack. Candidates come from the index
-        // partition matching the constraint (vacant devices for
-        // exclusive, the general partition otherwise) plus the tenant's
-        // own footprint, compared under the seed's `(rack_penalty, free,
-        // id)` key.
+    ) -> Option<DeviceId> {
         let mut best: Option<(u8, u64, DeviceId)> = None;
         let mut consider = |key: (u8, u64, DeviceId)| {
             if best.is_none_or(|b| key < b) {
@@ -811,8 +787,16 @@ impl ResourcePool {
                 consider((penalty_of(d.rack), free, d.id));
             }
         }
+        best.map(|(_, _, id)| id)
+    }
 
-        let Some((_, _, id)) = best else {
+    fn allocate_single_device(
+        &mut self,
+        tenant: &str,
+        units: u64,
+        constraints: &AllocConstraints,
+    ) -> Result<Allocation, AllocError> {
+        let Some(id) = self.best_fit(tenant, units, constraints) else {
             return Err(if constraints.exclusive {
                 AllocError::NoExclusiveDevice {
                     kind: self.kind,
@@ -908,9 +892,6 @@ impl DerefMut for DeviceMut<'_> {
 impl Drop for DeviceMut<'_> {
     fn drop(&mut self) {
         self.pool.reindex_device(self.id);
-        // Guard mutations may change capacity/rack/state, which cached
-        // candidate lists depend on.
-        self.pool.version += 1;
     }
 }
 
@@ -1189,21 +1170,6 @@ mod tests {
         assert_eq!(p.total_capacity(), 32);
         let a = p.allocate("t", 32, &AllocConstraints::default()).unwrap();
         assert_eq!(a.total_units(), 32);
-    }
-
-    #[test]
-    fn stamp_tracks_structural_changes() {
-        let mut p = pool(&[8]);
-        let s0 = p.stamp();
-        p.allocate("t", 4, &AllocConstraints::default()).unwrap();
-        assert_eq!(p.stamp(), s0, "allocations do not bump the version");
-        p.add_device(Device::new(DeviceId(9), ResourceKind::Cpu, 8, 0));
-        assert_ne!(p.stamp(), s0, "adding a device bumps the version");
-        let s1 = p.stamp();
-        p.device_mut(DeviceId(9)).unwrap().fail();
-        assert_ne!(p.stamp(), s1, "guard mutations bump the version");
-        let q = p.clone();
-        assert_ne!(q.stamp().0, p.stamp().0, "clones get their own identity");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! play. At every step they must return the *same* results — identical
 //! slices, identical errors, identical `available_for` answers, and
 //! identical accounting — so the index is a pure speedup, never a
-//! behavior change.
+//! behavior change. `best_fit`, the read-only probe placement asks
+//! before it allocates, must name the device both then take.
 
 use proptest::prelude::*;
 use udc_hal::linear::LinearPool;
@@ -103,10 +104,23 @@ proptest! {
         for (op, units, dev, tenant, exclusive, single, rack, avoid_mask) in steps {
             match decode(op, units, dev, tenant, exclusive, single, rack, avoid_mask) {
                 Op::Allocate { tenant, units, constraints } => {
+                    // What the index says a one-device ask would take,
+                    // read before either pool moves.
+                    let one_device = constraints.exclusive
+                        || constraints.single_device
+                        || constraints.require_device.is_some();
+                    let predicted = indexed.best_fit(tenant, units, &constraints);
                     // The headline answer: same slices or same error.
                     let a = linear.allocate(tenant, units, &constraints);
                     let b = indexed.allocate(tenant, units, &constraints);
                     prop_assert_eq!(&a, &b, "allocate diverged");
+                    // `best_fit` is the allocator's own decision: it names
+                    // the device both allocators then take, and finds
+                    // none exactly when both refuse.
+                    if one_device {
+                        let taken = a.as_ref().ok().map(|alloc| alloc.slices[0].device);
+                        prop_assert_eq!(predicted, taken, "best_fit diverged from allocate");
+                    }
                     // And the advisory answer agrees for every tenant.
                     for t in TENANTS {
                         prop_assert_eq!(

@@ -60,10 +60,36 @@ pub trait PlacementPolicy {
     fn take_exec_stats(&mut self) -> ExecStats {
         ExecStats::default()
     }
+
+    /// True when this policy's ranking *is* the pool's best-fit order:
+    /// for every candidate list, the lowest-id candidate with the
+    /// highest [`PlacementPolicy::score`] is the device
+    /// [`ResourcePool::best_fit`](udc_hal::ResourcePool::best_fit) names
+    /// under the same demand, preferred rack and exclusion set, and
+    /// every candidate is vetoed exactly when `best_fit` finds none. The
+    /// scheduler then takes the winner from the pool index in O(log n)
+    /// and never calls `score` to decide (only to annotate audit
+    /// records when a hub is enabled). The default, `false`, keeps the
+    /// scan: every candidate of the kind is scored — the only way to
+    /// rank under a policy the scheduler knows nothing about.
+    fn ranks_in_pool_order(&self) -> bool {
+        false
+    }
 }
+
+/// What a candidate in the hinted rack scores over one outside it.
+const RACK_BONUS: i64 = 1_000_000;
 
 /// The provider's native policy: prefer the hinted rack, then best-fit
 /// (least leftover capacity) to keep large holes open.
+///
+/// Its argmax — highest `rack_bonus − leftover`, lowest id on ties — is
+/// the pool's `(rack_penalty, free, id)` best-fit key, so it
+/// [ranks in pool order](PlacementPolicy::ranks_in_pool_order). That
+/// holds only while the rack bonus dominates any leftover, i.e. while
+/// no candidate has 1 000 000 or more units free beyond the demand: the
+/// scheduler ranks compute kinds only (4–64 units per device in every
+/// shipped configuration), and `score` asserts it in debug builds.
 #[derive(Debug, Default, Clone)]
 pub struct LocalityPolicy;
 
@@ -73,17 +99,25 @@ impl PlacementPolicy for LocalityPolicy {
             return None;
         }
         let rack_bonus = if ctx.preferred_rack != u32::MAX && ctx.rack == ctx.preferred_rack {
-            1_000_000
+            RACK_BONUS
         } else {
             0
         };
         let leftover = (ctx.free_units - ctx.demand) as i64;
+        debug_assert!(
+            leftover < RACK_BONUS,
+            "a leftover of {leftover} outranks the rack bonus: the policy no longer ranks in pool order"
+        );
         // Best-fit: smaller leftover scores higher.
         Some(rack_bonus - leftover)
     }
 
     fn name(&self) -> &str {
         "native-locality"
+    }
+
+    fn ranks_in_pool_order(&self) -> bool {
+        true
     }
 }
 
@@ -213,7 +247,8 @@ impl PlacementPolicy for ExtVmPolicy {
     }
 }
 
-/// Builds the [`PolicyCtx`] list for a demand on one resource pool.
+/// Builds the [`PolicyCtx`] list for a demand on one resource pool:
+/// every device of the kind, in device-id order.
 pub fn candidates_for(
     dc: &Datacenter,
     kind: udc_spec::ResourceKind,
@@ -221,19 +256,32 @@ pub fn candidates_for(
     demand: u64,
     preferred_rack: Option<u32>,
 ) -> Vec<PolicyCtx> {
+    let mut out = Vec::new();
+    fill_candidates(&mut out, dc, kind, tenant, demand, preferred_rack);
+    out
+}
+
+/// [`candidates_for`] into a buffer the caller reuses.
+pub(crate) fn fill_candidates(
+    out: &mut Vec<PolicyCtx>,
+    dc: &Datacenter,
+    kind: udc_spec::ResourceKind,
+    tenant: &str,
+    demand: u64,
+    preferred_rack: Option<u32>,
+) {
+    out.clear();
     let Some(pool) = dc.pool(kind) else {
-        return Vec::new();
+        return;
     };
-    pool.devices()
-        .map(|d| PolicyCtx {
-            device: d.id,
-            free_units: d.free_for(tenant),
-            capacity: d.capacity,
-            rack: d.rack,
-            preferred_rack: preferred_rack.unwrap_or(u32::MAX),
-            demand,
-        })
-        .collect()
+    out.extend(pool.devices().map(|d| PolicyCtx {
+        device: d.id,
+        free_units: d.free_for(tenant),
+        capacity: d.capacity,
+        rack: d.rack,
+        preferred_rack: preferred_rack.unwrap_or(u32::MAX),
+        demand,
+    }));
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Placing an application DAG onto the disaggregated datacenter.
 
-use crate::policy::{LocalityPolicy, PlacementPolicy, PolicyCtx};
+use crate::policy::{fill_candidates, LocalityPolicy, PlacementPolicy, PolicyCtx};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -230,22 +230,16 @@ impl Dsu {
     }
 }
 
-/// Cached candidate list for one resource kind, valid while the pool's
-/// identity stamp is unchanged.
-struct CandidateCache {
-    stamp: (u64, u64),
-    ctxs: Vec<PolicyCtx>,
-}
-
 /// The UDC runtime scheduler.
 pub struct Scheduler {
     options: SchedOptions,
     warm_pool: WarmPool,
     obs: Telemetry,
-    /// Per-kind candidate lists reused across `place_app` calls: the
-    /// structural fields (device, capacity, rack) are rebuilt only when
-    /// the pool's stamp changes; free units are refreshed in place.
-    cand_cache: BTreeMap<ResourceKind, CandidateCache>,
+    /// Scratch candidate list, refilled by every task placement that
+    /// walks the pool (a scanning policy, or the audit of an enabled
+    /// hub) and kept only so that walk allocates nothing after the
+    /// first.
+    cands: Vec<PolicyCtx>,
 }
 
 impl Scheduler {
@@ -256,53 +250,8 @@ impl Scheduler {
             options,
             warm_pool,
             obs: Telemetry::disabled(),
-            cand_cache: BTreeMap::new(),
+            cands: Vec::new(),
         }
-    }
-
-    /// Returns the candidate list for `kind`, reusing the cached
-    /// structure when the pool is unchanged (its stamp only moves on
-    /// device add / guard mutation). Candidates are in device-id order —
-    /// `ResourcePool::devices` iterates its id-keyed map — which is what
-    /// makes placement deterministic and bit-for-bit reproducible at any
-    /// experiment-harness thread count.
-    fn refreshed_candidates<'a>(
-        cache: &'a mut BTreeMap<ResourceKind, CandidateCache>,
-        dc: &Datacenter,
-        kind: ResourceKind,
-        tenant: &str,
-        demand: u64,
-        preferred_rack: Option<u32>,
-    ) -> &'a [PolicyCtx] {
-        let Some(pool) = dc.pool(kind) else {
-            return &[];
-        };
-        let stamp = pool.stamp();
-        let pr = preferred_rack.unwrap_or(u32::MAX);
-        let entry = cache.entry(kind).or_insert_with(|| CandidateCache {
-            stamp: (0, 0),
-            ctxs: Vec::new(),
-        });
-        if entry.stamp == stamp {
-            for (c, d) in entry.ctxs.iter_mut().zip(pool.devices()) {
-                debug_assert_eq!(c.device, d.id, "cached order must match pool order");
-                c.free_units = d.free_for(tenant);
-                c.preferred_rack = pr;
-                c.demand = demand;
-            }
-        } else {
-            entry.stamp = stamp;
-            entry.ctxs.clear();
-            entry.ctxs.extend(pool.devices().map(|d| PolicyCtx {
-                device: d.id,
-                free_units: d.free_for(tenant),
-                capacity: d.capacity,
-                rack: d.rack,
-                preferred_rack: pr,
-                demand,
-            }));
-        }
-        &entry.ctxs
     }
 
     /// Installs the observability hub on the scheduler and its warm
@@ -792,36 +741,65 @@ impl Scheduler {
 
         let env = select_env(&module.exec_env, kind).expect("selection is total");
 
-        // Rank candidates with the placement policy. The list comes
-        // from the per-kind cache in device-id order (see
-        // `refreshed_candidates`); the seed's re-sort per placement is
-        // unnecessary because `candidates_for` already yields that
-        // order, which `candidate_order_is_deterministic` pins down.
-        let cands = Self::refreshed_candidates(
-            &mut self.cand_cache,
-            dc,
-            kind,
-            &self.options.tenant,
-            units,
-            preferred_rack,
-        );
-        let mut best: Option<(i64, DeviceId)> = None;
-        for c in cands {
-            if exclude.contains(&c.device) {
-                continue;
-            }
-            if let Some(score) = self.options.policy.score(c) {
-                if best.is_none_or(|(s, d)| score > s || (score == s && c.device < d)) {
-                    best = Some((score, c.device));
+        // Where the module would go if it may share a device. For every
+        // module that may, this is the decision; for a single-tenant one
+        // it is only what the audit reports, and the allocator finds a
+        // vacant device itself below.
+        let mut constraints = AllocConstraints {
+            exclusive: false,
+            prefer_rack: preferred_rack,
+            single_device: true,
+            require_device: None,
+            avoid: exclude.to_vec(),
+        };
+        let tenant = self.options.tenant.as_str();
+        let pool_ordered = self.options.policy.ranks_in_pool_order();
+        // Only a scanning policy and the audit below walk the pool's
+        // devices: in device-id order (`candidates_for`), which is what
+        // makes a scan's tie-breaks reproducible at any harness thread
+        // count.
+        let cands: &[PolicyCtx] = if self.obs.is_enabled() || !pool_ordered {
+            fill_candidates(&mut self.cands, dc, kind, tenant, units, preferred_rack);
+            &self.cands
+        } else {
+            &[]
+        };
+        // The winner and its score; the score only reaches audit records.
+        let best: Option<(i64, DeviceId)> = if pool_ordered {
+            // The policy ranks in the pool's best-fit order, so the pool
+            // index names its winner without scoring anything. The audit
+            // wants the winner's score too: `cands` is sorted by id, and
+            // empty (no score call) when nothing audits.
+            let winner = dc
+                .pool(kind)
+                .and_then(|p| p.best_fit(tenant, units, &constraints));
+            winner.map(|d| {
+                let score = cands
+                    .binary_search_by_key(&d, |c| c.device)
+                    .ok()
+                    .and_then(|i| self.options.policy.score(&cands[i]));
+                (score.unwrap_or(0), d)
+            })
+        } else {
+            let mut best: Option<(i64, DeviceId)> = None;
+            for c in cands {
+                if exclude.contains(&c.device) {
+                    continue;
+                }
+                if let Some(score) = self.options.policy.score(c) {
+                    if best.is_none_or(|(s, d)| score > s || (score == s && c.device < d)) {
+                        best = Some((score, c.device));
+                    }
                 }
             }
-        }
+            best
+        };
         if self.obs.is_enabled() {
             // Audit pass: one decision record per candidate, classifying
             // why each lost to the winner (crash exclusion, capacity,
-            // locality, policy score). Runs only with an enabled hub —
-            // the scoring loop above stays allocation-free for the
-            // disabled hot path.
+            // locality, policy score). The one place that walks every
+            // candidate whatever the policy — it is the explain feature,
+            // and runs only with an enabled hub.
             for c in cands {
                 let excluded = exclude.contains(&c.device);
                 let score = if excluded {
@@ -875,20 +853,12 @@ impl Scheduler {
                 });
             }
         }
-        let constraints = AllocConstraints {
-            exclusive: env.single_tenant,
-            prefer_rack: preferred_rack,
-            single_device: true,
-            require_device: if env.single_tenant {
-                // Exclusive placement overrides the policy pick: the
-                // policy ranked by free space, but exclusivity needs a
-                // vacant device, which the allocator finds itself.
-                None
-            } else {
-                best.map(|(_, d)| d)
-            },
-            avoid: exclude.to_vec(),
-        };
+        constraints.exclusive = env.single_tenant;
+        // Exclusive placement overrides the pick: the policy ranked by
+        // free space, but exclusivity needs a vacant device, which the
+        // allocator finds itself.
+        let pinned = best.filter(|_| !env.single_tenant).map(|(_, d)| d);
+        constraints.require_device = pinned;
         let pool = dc.pool_mut(kind).ok_or(SchedError::Alloc {
             module: module.id.to_string(),
             cause: AllocError::Insufficient {
@@ -903,27 +873,25 @@ impl Scheduler {
                 obs,
                 ctx.as_ref(),
                 module.id.as_str(),
-                &self.options.tenant,
+                tenant,
                 units,
                 &constraints,
             )
-            .or_else(|_| {
-                // Fall back to an unpinned allocation (policy pick may
-                // have raced with capacity).
-                let relaxed = AllocConstraints {
-                    exclusive: env.single_tenant,
-                    prefer_rack: preferred_rack,
-                    single_device: true,
-                    require_device: None,
-                    avoid: exclude.to_vec(),
-                };
+            .or_else(|refused| {
+                if pinned.is_none() {
+                    // Nothing was pinned: the index itself said no.
+                    return Err(refused);
+                }
+                // A scanning policy may pick a device the allocator's own
+                // filters reject: let the allocator choose instead.
+                constraints.require_device = None;
                 pool.allocate_traced(
                     obs,
                     ctx.as_ref(),
                     module.id.as_str(),
-                    &self.options.tenant,
+                    tenant,
                     units,
-                    &relaxed,
+                    &constraints,
                 )
             })
             .map_err(|cause| SchedError::Alloc {
@@ -1309,7 +1277,13 @@ mod tests {
         // A standing app, so the baseline is not all zeros.
         sched.place_app(&mut dc, &simple_app()).unwrap();
         let in_use = |shared: &udc_economics::SharedQuotaGate| {
-            shared.lock().unwrap().account("tenant").unwrap().in_use.clone()
+            shared
+                .lock()
+                .unwrap()
+                .account("tenant")
+                .unwrap()
+                .in_use
+                .clone()
         };
         let (capacity_before, quota_before) = (dc.utilization_report(), in_use(&shared));
 
@@ -1688,11 +1662,11 @@ mod resize_tests {
 
     #[test]
     fn candidate_order_is_deterministic() {
-        // Placement is only reproducible bit-for-bit (including across
-        // parallel experiment trials) because candidates are evaluated in a
-        // deterministic order: strictly increasing device id. The cache in
-        // `refreshed_candidates` relies on this being the natural iteration
-        // order of the pool, with no per-placement re-sort.
+        // A scanning policy's placement is only reproducible bit-for-bit
+        // (including across parallel experiment trials), and the audit
+        // can only look its winner up by binary search, because
+        // candidates come in a deterministic order: strictly increasing
+        // device id, the natural iteration order of the pool.
         let dc = Datacenter::default();
         let cands = crate::policy::candidates_for(&dc, ResourceKind::Cpu, "t", 4, Some(1));
         assert!(!cands.is_empty());
@@ -1700,24 +1674,5 @@ mod resize_tests {
             cands.windows(2).all(|w| w[0].device < w[1].device),
             "candidates_for must yield strictly increasing device ids"
         );
-
-        // The cached path must expose the same devices in the same order,
-        // and refreshing on an unchanged pool must not perturb it.
-        let mut cache = BTreeMap::new();
-        for _ in 0..2 {
-            let cached = Scheduler::refreshed_candidates(
-                &mut cache,
-                &dc,
-                ResourceKind::Cpu,
-                "t",
-                4,
-                Some(1),
-            );
-            assert_eq!(cached.len(), cands.len());
-            for (a, b) in cached.iter().zip(&cands) {
-                assert_eq!(a.device, b.device);
-                assert_eq!(a.free_units, b.free_units);
-            }
-        }
     }
 }

@@ -165,7 +165,6 @@ impl SpanStore {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
 }
 
 /// Guard for an open span; the span closes when this drops. On a
