@@ -2,7 +2,7 @@
 
 use crate::billing::{BillingModel, CostBreakdown};
 use crate::bundle::{HighLevelObject, ResourceUnit};
-use crate::ir::AppIr;
+use crate::ir::{AppIr, ModuleIr};
 use crate::verify::{
     check_quote, policy_for_module, BillingCheck, BillingReconciliation, ModuleVerification,
     VerificationReport,
@@ -13,7 +13,7 @@ use std::fmt;
 use udc_crypto::aead::{seal, Key, Nonce};
 use udc_crypto::attest::Verifier;
 use udc_crypto::derive_key;
-use udc_economics::{demand_of_app, SharedQuotaGate};
+use udc_economics::SharedQuotaGate;
 use udc_failure::{DetectorConfig, FenceRegistry, LeaseDetector, NetPlan};
 use udc_hal::{Datacenter, DatacenterConfig, DeviceId};
 use udc_isolate::{EnvState, Environment, InstanceId, WarmPoolConfig};
@@ -107,9 +107,6 @@ pub struct Deployment {
     /// Recoverable state: message log + checkpoints the repair loop
     /// replays/restores after a crash.
     pub recovery: crate::heal::RecoveryModel,
-    /// The admission footprint committed against the tenant's quota at
-    /// submit (released at teardown when economics is attached).
-    pub admitted_demand: udc_spec::ResourceVector,
     /// Modules evicted because the tenant's account is suspended; they
     /// stay out of the device-repair re-heal path until payment
     /// reinstates the account.
@@ -224,7 +221,6 @@ impl UdcCloud {
             tenant: config.tenant,
             use_locality_hints: config.use_locality_hints,
             warm_pool: config.warm_pool,
-            conflict_policy: config.conflict_policy,
             ..Default::default()
         });
         Self {
@@ -437,15 +433,7 @@ impl UdcCloud {
             let _validate = self.obs.span_opt(ctx.as_ref(), "spec.validate");
             AppIr::compile(app, self.conflict_policy)?
         };
-        let mut placement = self
-            .scheduler
-            .place_app_traced(&mut self.dc, &ir.app, ctx)?;
-        // Placement committed: mint one fencing epoch per module. The
-        // epoch travels with the environment so later writes/relaunches
-        // can prove they come from the placement currently in force.
-        for (id, p) in placement.modules.iter_mut() {
-            p.epoch = self.fences.mint(id.as_str(), p.primary_device);
-        }
+        let mut placement = self.scheduler.place(&mut self.dc, &ir.app, ctx)?;
         self.obs
             .incr("core.submits", Labels::tenant(self.tenant.as_str()), 1);
         self.obs.event(
@@ -465,20 +453,9 @@ impl UdcCloud {
             let id = &m.spec.id;
             let p = placement
                 .modules
-                .get(id)
+                .get_mut(id)
                 .expect("placement covers every module");
-            let device_key = *self
-                .device_keys
-                .entry(p.primary_device)
-                .or_insert_with(|| device_key(p.primary_device));
-            let mut env = Environment::new(InstanceId(self.next_instance), p.env, device_key);
-            env.set_epoch(p.epoch);
-            self.next_instance += 1;
-            let identity = format!("{}@{}", id, m.identity_hex());
-            {
-                let _launch = self.obs.span_opt(ctx.as_ref(), "isolate.launch");
-                env.start(p.start_mode == StartMode::Warm, &identity);
-            }
+            let (env, units) = self.launch(m, p, ctx);
             environments.insert(id.clone(), env);
 
             if m.spec.kind == ModuleKind::Data {
@@ -487,23 +464,6 @@ impl UdcCloud {
                     Key::derive(&self.tenant_secret, id.as_str().as_bytes()),
                 );
             }
-
-            let units = p
-                .replica_devices
-                .iter()
-                .map(|&device| {
-                    let unit = ResourceUnit {
-                        id: self.next_unit,
-                        device,
-                        kind: p.placed_kind,
-                        units: p.allocations.first().map(|a| a.total_units()).unwrap_or(0),
-                        env: p.env,
-                        endpoint: format!("{}#{}", id, self.next_unit),
-                    };
-                    self.next_unit += 1;
-                    unit
-                })
-                .collect();
             objects.push(HighLevelObject {
                 module: id.clone(),
                 dist: m.spec.dist.clone(),
@@ -518,13 +478,54 @@ impl UdcCloud {
             billing: self.billing,
             health: crate::heal::HealthState::default(),
             recovery: crate::heal::RecoveryModel::new(),
-            // Same estimate the scheduler committed at admission (it
-            // gates on the pre-resolution spec, as we compute here).
-            admitted_demand: demand_of_app(app),
             econ_suspended: std::collections::BTreeSet::new(),
             released: false,
             ir,
         })
+    }
+
+    /// Brings a committed placement `p` of `m` to life: mints its
+    /// fencing epoch (it travels with the environment, so later writes
+    /// and relaunches can prove they come from the placement in force),
+    /// launches a fresh instance attested under the device's key, and
+    /// lists the resource units backing it, one per replica device.
+    pub(crate) fn launch(
+        &mut self,
+        m: &ModuleIr,
+        p: &mut udc_sched::ModulePlacement,
+        ctx: Option<udc_telemetry::TraceCtx>,
+    ) -> (Environment, Vec<ResourceUnit>) {
+        let id = &m.spec.id;
+        p.epoch = self.fences.mint(id.as_str(), p.primary_device);
+        let device_key = *self
+            .device_keys
+            .entry(p.primary_device)
+            .or_insert_with(|| device_key(p.primary_device));
+        let mut env = Environment::new(InstanceId(self.next_instance), p.env, device_key);
+        env.set_epoch(p.epoch);
+        self.next_instance += 1;
+        let identity = format!("{}@{}", id, m.identity_hex());
+        {
+            let _launch = self.obs.span_opt(ctx.as_ref(), "isolate.launch");
+            env.start(p.start_mode == StartMode::Warm, &identity);
+        }
+        let units = p
+            .replica_devices
+            .iter()
+            .map(|&device| {
+                let unit = ResourceUnit {
+                    id: self.next_unit,
+                    device,
+                    kind: p.placed_kind,
+                    units: p.allocations.first().map(|a| a.total_units()).unwrap_or(0),
+                    env: p.env,
+                    endpoint: format!("{}#{}", id, self.next_unit),
+                };
+                self.next_unit += 1;
+                unit
+            })
+            .collect();
+        (env, units)
     }
 
     /// Runs a deployment end to end on the virtual clock.
@@ -538,10 +539,9 @@ impl UdcCloud {
         let _span = self.obs.span("cloud.run");
         let app = &dep.ir.app;
         let mut report = RunReport::default();
-        let order = app.topo_order().expect("validated at submit");
         let mut finish: BTreeMap<ModuleId, u64> = BTreeMap::new();
 
-        for id in &order {
+        for id in app.order() {
             let module = app.module(id).expect("ordered ids exist");
             let p = &dep.placement.modules[id];
             match module.kind {
@@ -948,7 +948,7 @@ impl UdcCloud {
         if let Some(gate) = &self.econ_gate {
             gate.lock()
                 .expect("quota gate poisoned")
-                .release(&self.tenant, &dep.admitted_demand);
+                .release(&self.tenant, &dep.placement.admitted_demand);
         }
         dep.released = true;
         self.obs.event(
@@ -1271,6 +1271,45 @@ mod tests {
         }
         assert_eq!(cloud.datacenter().utilization_report(), capacity_before);
         assert_eq!(in_use(), quota_before);
+    }
+
+    #[test]
+    fn teardown_releases_exactly_the_quota_submit_held() {
+        use udc_economics::{PlanSpec, QuotaGate};
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let mut gate = QuotaGate::new();
+        gate.open_account("tenant", PlanSpec::unlimited("open"), 0);
+        let gate = udc_economics::shared(gate);
+        cloud.attach_economics(gate.clone());
+        let in_use = || {
+            gate.lock()
+                .unwrap()
+                .account("tenant")
+                .unwrap()
+                .in_use
+                .clone()
+        };
+        let before = in_use();
+
+        // Strictest-wins raises S2 to S1's three replicas, so the
+        // admitted footprint is larger than the raw spec's.
+        let mut app = AppSpec::new("leak");
+        app.add_task(TaskSpec::new("A"));
+        for (id, replicas) in [("S1", 3), ("S2", 2)] {
+            app.add_data(
+                DataSpec::new(id).with_dist(
+                    DistributedAspect::default()
+                        .replication(replicas)
+                        .failure_domain("d0"),
+                ),
+            );
+        }
+        let mut dep = cloud.submit(&app).unwrap();
+        let held = in_use();
+        assert_eq!(held.get(ResourceKind::Ssd), 6);
+        assert_eq!(dep.placement.admitted_demand, held);
+        cloud.teardown(&mut dep);
+        assert_eq!(in_use(), before);
     }
 
     #[test]

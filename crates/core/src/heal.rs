@@ -36,8 +36,6 @@ use udc_dist::{recover, safe_truncation_seq, CheckpointStore, RecoveryOutcome, R
 use udc_economics::LifecycleEvent;
 use udc_failure::LeaseDetector;
 use udc_hal::DeviceId;
-use udc_isolate::{Environment, InstanceId};
-use udc_sched::StartMode;
 use udc_spec::{AppSpec, FailureHandling, ModuleId};
 use udc_telemetry::{Decision, EventKind, FieldValue, Labels, Micros, ReasonCode};
 
@@ -502,6 +500,13 @@ pub fn backoff_delay_us(config: &HealConfig, module: &ModuleId, attempt: u32) ->
     raw + h % jitter_space
 }
 
+/// The placed modules no repair has in hand, in id order.
+fn healthy_modules(dep: &Deployment) -> Vec<ModuleId> {
+    let placed = dep.placement.modules.keys();
+    let healthy = placed.filter(|id| dep.health.module(id) == ModuleHealth::Healthy);
+    healthy.cloned().collect()
+}
+
 impl UdcCloud {
     /// Advances virtual time, applying failure events and driving the
     /// repair loop over `dep`: *detect → evict → re-place → re-launch →
@@ -693,16 +698,14 @@ impl UdcCloud {
             let dspan = self.obs.span_opt(ctx.as_ref(), "heal.detect");
             let dctx = dspan.ctx().or(ctx);
             for id in &impacted {
-                let (dead_here, allocations): (Vec<DeviceId>, Vec<_>) = {
+                let dead_here: BTreeSet<DeviceId> = {
                     let p = &dep.placement.modules[id];
-                    let mut dead: BTreeSet<DeviceId> = p
-                        .allocations
+                    p.allocations
                         .iter()
                         .flat_map(|a| a.slices.iter().map(|s| s.device))
+                        .chain(p.replica_devices.iter().copied())
                         .filter(|d| lost.contains(d))
-                        .collect();
-                    dead.extend(p.replica_devices.iter().filter(|d| lost.contains(d)));
-                    (dead.into_iter().collect(), p.allocations.clone())
+                        .collect()
                 };
                 if self.obs.is_enabled() {
                     for d in &dead_here {
@@ -718,29 +721,13 @@ impl UdcCloud {
                         });
                     }
                 }
-                // Evict: free every allocation. Slices on dead devices
-                // were already wiped by `Device::fail`, so release is a
-                // clamped no-op there; surviving slices return real
-                // capacity. The placement entry is cleared so a later
-                // teardown (or a second crash) can never double-free.
-                for a in &allocations {
-                    self.dc.release(a);
-                }
-                report.evicted_allocations += allocations.len() as u64;
+                let evicted = self.evict(dep, id);
+                report.evicted_allocations += evicted;
                 self.obs.incr(
                     "heal.evictions",
                     Labels::module(self.tenant.as_str(), id.as_str()),
-                    allocations.len() as u64,
+                    evicted,
                 );
-                if let Some(p) = dep.placement.modules.get_mut(id) {
-                    p.allocations.clear();
-                }
-                // The isolate died with its device: retire the handle.
-                if let Some(env) = dep.environments.get_mut(id) {
-                    if env.is_running() {
-                        env.stop();
-                    }
-                }
                 dep.health.mark_detected(id, now);
                 report.detected.push(id.clone());
                 self.obs.event(
@@ -749,7 +736,7 @@ impl UdcCloud {
                     &[
                         ("action", FieldValue::from("detect")),
                         ("dead_devices", FieldValue::from(dead_here.len())),
-                        ("evicted_allocations", FieldValue::from(allocations.len())),
+                        ("evicted_allocations", FieldValue::from(evicted)),
                     ],
                 );
             }
@@ -764,6 +751,25 @@ impl UdcCloud {
         }
         self.observe_queries(dep, now);
         report
+    }
+
+    /// Evicts `id`: retires its isolate and frees every allocation it
+    /// holds, returning how many. Slices on dead devices were already
+    /// wiped by `Device::fail` (release is a clamped no-op there); the
+    /// rest return real capacity. The placement entry is left empty, so
+    /// a later teardown or a second crash can never double-free.
+    fn evict(&mut self, dep: &mut Deployment, id: &ModuleId) -> u64 {
+        let Some(p) = dep.placement.modules.get_mut(id) else {
+            return 0;
+        };
+        let allocations = std::mem::take(&mut p.allocations);
+        for a in &allocations {
+            self.dc.release(a);
+        }
+        if let Some(env) = dep.environments.get_mut(id).filter(|env| env.is_running()) {
+            env.stop();
+        }
+        allocations.len() as u64
     }
 
     /// The single-threaded query barrier at the end of every `advance`:
@@ -845,13 +851,7 @@ impl UdcCloud {
                     // healthy module gets an audit record so the trail
                     // explains later throttling or suspension.
                     if self.obs.is_enabled() {
-                        let healthy: Vec<ModuleId> = dep
-                            .placement
-                            .modules
-                            .keys()
-                            .filter(|id| dep.health.module(id) == ModuleHealth::Healthy)
-                            .cloned()
-                            .collect();
+                        let healthy = healthy_modules(dep);
                         for id in &healthy {
                             self.obs.decide(Decision {
                                 ctx: None,
@@ -870,27 +870,9 @@ impl UdcCloud {
                     self.obs.incr("econ.degradations", Labels::none(), 1);
                 }
                 LifecycleEvent::Suspended { .. } => {
-                    let healthy: Vec<ModuleId> = dep
-                        .placement
-                        .modules
-                        .keys()
-                        .filter(|id| dep.health.module(id) == ModuleHealth::Healthy)
-                        .cloned()
-                        .collect();
+                    let healthy = healthy_modules(dep);
                     for id in &healthy {
-                        let allocations = dep.placement.modules[id].allocations.clone();
-                        for a in &allocations {
-                            self.dc.release(a);
-                        }
-                        report.evicted_allocations += allocations.len() as u64;
-                        if let Some(p) = dep.placement.modules.get_mut(id) {
-                            p.allocations.clear();
-                        }
-                        if let Some(env) = dep.environments.get_mut(id) {
-                            if env.is_running() {
-                                env.stop();
-                            }
-                        }
+                        report.evicted_allocations += self.evict(dep, id);
                         dep.health.mark_econ_suspended(id, now);
                         dep.econ_suspended.insert(id.clone());
                         if self.obs.is_enabled() {
@@ -1016,63 +998,21 @@ impl UdcCloud {
             rctx,
         ) {
             Ok(mut placed) => {
-                // Re-placement committed: mint the next fencing epoch.
-                // From here on the old replica — possibly still running
-                // on the far side of a partition — presents a stale
-                // epoch and every write/relaunch it attempts bounces.
-                placed.epoch = self.fences.mint(id.as_str(), placed.primary_device);
-                // Re-launch: a crashed environment cannot restart — mint
-                // a fresh instance measured against the same identity.
-                let device_key = *self
-                    .device_keys
-                    .entry(placed.primary_device)
-                    .or_insert_with(|| crate::cloud::device_key(placed.primary_device));
+                // Re-launch: a crashed environment cannot restart, so a
+                // fresh instance is measured against the same identity
+                // under the next fencing epoch — the old replica, maybe
+                // still running beyond a partition, now presents a stale one.
                 let m_ir = dep.ir.module(id).expect("module exists in ir");
-                let mut env =
-                    Environment::new(InstanceId(self.next_instance), placed.env, device_key);
-                env.set_epoch(placed.epoch);
-                self.next_instance += 1;
-                let identity = format!("{}@{}", id, m_ir.identity_hex());
-                {
-                    let _launch = self.obs.span_opt(rctx.as_ref(), "isolate.launch");
-                    env.start(placed.start_mode == StartMode::Warm, &identity);
-                }
+                let (env, units) = self.launch(m_ir, &mut placed, rctx);
                 dep.environments.insert(id.clone(), env);
-
-                // Rebuild the module's vertical bundle over the new units.
                 if let Some(obj) = dep.objects.iter_mut().find(|o| &o.module == id) {
-                    obj.units = placed
-                        .replica_devices
-                        .iter()
-                        .map(|&device| {
-                            let unit = crate::bundle::ResourceUnit {
-                                id: self.next_unit,
-                                device,
-                                kind: placed.placed_kind,
-                                units: placed
-                                    .allocations
-                                    .first()
-                                    .map(|a| a.total_units())
-                                    .unwrap_or(0),
-                                env: placed.env,
-                                endpoint: format!("{}#{}", id, self.next_unit),
-                            };
-                            self.next_unit += 1;
-                            unit
-                        })
-                        .collect();
+                    obj.units = units;
                 }
                 let new_device = placed.primary_device;
                 dep.placement.modules.insert(id.clone(), placed);
 
                 // Recover state with the module's spec'd strategy.
-                let strategy = match dep
-                    .ir
-                    .app
-                    .module(id)
-                    .and_then(|m| m.dist.failure)
-                    .unwrap_or_default()
-                {
+                let strategy = match m_ir.spec.dist.failure.unwrap_or_default() {
                     FailureHandling::Reexecute => RecoveryStrategy::Reexecute,
                     FailureHandling::Checkpoint { .. } => RecoveryStrategy::FromCheckpoint,
                 };

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use udc_crypto::sha256;
-use udc_spec::{AppSpec, ConflictPolicy, ModuleId, ModuleSpec, SpecResult};
+use udc_spec::{AppSpec, ConflictPolicy, ModuleId, ModuleSpec, ResolvedApp, SpecResult};
 
 /// One IR module: the spec module plus a content identity used for
 /// attestation measurements.
@@ -43,25 +43,21 @@ impl ModuleIr {
 }
 
 /// The IR of a whole application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppIr {
-    /// The source app — post conflict resolution, validated.
-    pub app: AppSpec,
+    /// The source app, behind the front door.
+    pub app: ResolvedApp,
     /// IR modules in id order.
     pub modules: Vec<ModuleIr>,
 }
 
 impl AppIr {
-    /// Compiles an application: resolves conflicts with `policy`,
-    /// validates, and derives module identities.
+    /// Compiles an application: takes it through the front door under
+    /// `policy` and derives module identities.
     pub fn compile(app: &AppSpec, policy: ConflictPolicy) -> SpecResult<Self> {
-        let resolved = udc_spec::resolve(app, policy)?;
-        resolved.validate()?;
-        let modules = resolved.iter_modules().map(ModuleIr::compile).collect();
-        Ok(Self {
-            app: resolved,
-            modules,
-        })
+        let app = ResolvedApp::new(app, policy)?;
+        let modules = app.iter_modules().map(ModuleIr::compile).collect();
+        Ok(Self { app, modules })
     }
 
     /// Looks up an IR module by id.

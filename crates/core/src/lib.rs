@@ -10,9 +10,9 @@
 //!
 //! ```text
 //! AppSpec (udc-spec)                        // what the user writes
-//!   └── UdcCloud::submit(app)               // conflict-check, compile
-//!         ├── AppIr (ir.rs)                 // IR of modules + bundles
-//!         ├── Scheduler::place_app          // exact-fit placement
+//!   └── UdcCloud::submit(app)               // the front door, once
+//!         ├── AppIr (ir.rs)                 // ResolvedApp + module IR
+//!         ├── Scheduler::place              // exact-fit placement
 //!         └── Deployment                    // live environments + keys
 //!               ├── UdcCloud::run           // execute the DAG
 //!               │     └── RunReport         // latency, cost, security

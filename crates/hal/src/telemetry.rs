@@ -80,7 +80,14 @@ impl Telemetry {
 
     /// Increments a named counter by `delta`.
     pub fn incr(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        // `entry` would allocate the key on every call; only the first
+        // sight of a name needs one.
+        match self.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Reads a counter (0 if never written).

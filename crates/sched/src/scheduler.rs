@@ -9,7 +9,8 @@ use udc_hal::pool::AllocConstraints;
 use udc_hal::{AllocError, Allocation, Datacenter, DeviceId};
 use udc_isolate::{select_env, EnvironmentPlan, WarmPool, WarmPoolConfig};
 use udc_spec::{
-    AppSpec, ConflictPolicy, Goal, ModuleId, ModuleKind, ResourceKind, ResourceVector, SpecError,
+    AppSpec, ConflictPolicy, Goal, ModuleId, ModuleKind, ResolvedApp, ResourceKind, ResourceVector,
+    SpecError,
 };
 use udc_telemetry::{Decision, EventKind, FieldValue, Labels, ReasonCode, Telemetry, TraceCtx};
 
@@ -59,6 +60,9 @@ pub struct ModulePlacement {
 pub struct AppPlacement {
     /// Per-module placements, in module-id order.
     pub modules: BTreeMap<ModuleId, ModulePlacement>,
+    /// What the scheduler committed against the tenant's quota for this
+    /// placement (empty without a gate); the holder releases it.
+    pub admitted_demand: ResourceVector,
 }
 
 impl AppPlacement {
@@ -97,8 +101,7 @@ impl AppPlacement {
 /// Scheduling failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
-    /// The specification was invalid or conflicted (under an `Error`
-    /// conflict policy).
+    /// The spec failed [`ResolvedApp::new`], or lacks the module named.
     Spec(SpecError),
     /// A module's resources could not be allocated.
     Alloc {
@@ -179,8 +182,6 @@ pub struct SchedOptions {
     pub use_locality_hints: bool,
     /// Warm-pool configuration (experiment E6 sweeps this).
     pub warm_pool: WarmPoolConfig,
-    /// What to do about aspect conflicts (§3.4).
-    pub conflict_policy: ConflictPolicy,
     /// Candidate-ranking policy (native or tenant extension).
     pub policy: Box<dyn PlacementPolicy>,
     /// Tenant economics admission gate. `None` (the default) is the
@@ -195,7 +196,6 @@ impl Default for SchedOptions {
             tenant: "tenant".to_string(),
             use_locality_hints: true,
             warm_pool: WarmPoolConfig::disabled(),
-            conflict_policy: ConflictPolicy::StrictestWins,
             policy: Box::new(LocalityPolicy),
             quota_gate: None,
         }
@@ -278,25 +278,25 @@ impl Scheduler {
         self.options.quota_gate = gate;
     }
 
-    /// Places an application: conflict resolution, validation, data
-    /// modules first (so tasks can follow their affinity hints), then
-    /// tasks in dependency order.
+    /// [`Scheduler::place`] for a caller holding a raw spec: takes it
+    /// through the front door under strictest-wins, untraced.
     pub fn place_app(
         &mut self,
         dc: &mut Datacenter,
         app: &AppSpec,
     ) -> Result<AppPlacement, SchedError> {
-        self.place_app_traced(dc, app, None)
+        let app = ResolvedApp::new(app, ConflictPolicy::StrictestWins)?;
+        self.place(dc, &app, None)
     }
 
-    /// [`Scheduler::place_app`] under an explicit trace context: the
-    /// `sched.place` span (and everything beneath it — per-module
-    /// spans, pool allocations, isolate acquisition) joins the caller's
-    /// trace so one `Cloud::submit` reconstructs as a single DAG.
-    pub fn place_app_traced(
+    /// Places an application: data modules first (so tasks can follow
+    /// their affinity hints), then tasks in dependency order. Given a
+    /// trace context, the `sched.place` span and everything beneath it
+    /// join the caller's trace: one `Cloud::submit`, one span DAG.
+    pub fn place(
         &mut self,
         dc: &mut Datacenter,
-        app: &AppSpec,
+        app: &ResolvedApp,
         ctx: Option<TraceCtx>,
     ) -> Result<AppPlacement, SchedError> {
         let span = self.obs.span_opt(ctx.as_ref(), "sched.place");
@@ -307,9 +307,9 @@ impl Scheduler {
         // module not running" for economic denials exactly like
         // capacity ones. Usage is committed only after placement
         // succeeds (see below), so a failed placement never leaks quota.
-        let admission_demand = self.options.quota_gate.as_ref().map(|_| demand_of_app(app));
-        if let Some(gate) = self.options.quota_gate.clone() {
-            let demand = admission_demand.as_ref().expect("computed above");
+        let gate = self.options.quota_gate.clone();
+        let admission = gate.map(|gate| (gate, demand_of_app(app)));
+        if let Some((gate, demand)) = &admission {
             let verdict = gate
                 .lock()
                 .expect("quota gate poisoned")
@@ -353,49 +353,39 @@ impl Scheduler {
             }
         }
         if self.obs.is_enabled() {
-            // `resolve` below re-runs detection; this pass only exists to
-            // log what got resolved, so skip it entirely when disabled.
-            for c in &udc_spec::detect_conflicts(app).conflicts {
+            // A conflict that got this far was resolved strictest-wins:
+            // the other policy refuses the app at the front door.
+            for c in &app.conflicts().conflicts {
                 self.obs.event(
                     EventKind::ConflictResolution,
                     Labels::tenant(self.options.tenant.as_str()),
                     &[
                         ("app", FieldValue::from(app.name.as_str())),
                         ("conflict", FieldValue::from(c.to_string())),
-                        (
-                            "policy",
-                            FieldValue::from(format!("{:?}", self.options.conflict_policy)),
-                        ),
+                        ("policy", FieldValue::from("StrictestWins")),
                     ],
                 );
             }
         }
-        let app = udc_spec::resolve(app, self.options.conflict_policy)?;
-        app.validate()?;
-
-        let order = app.topo_order()?;
-        let colocate_rack = self.colocation_racks(&app);
+        let colocate_rack = self.colocation_racks(app);
 
         let mut placement = AppPlacement::default();
         // Data modules first (they are sources of affinity).
-        let data_first: Vec<&ModuleId> = order
-            .iter()
-            .filter(|id| app.module(id).map(|m| m.kind) == Some(ModuleKind::Data))
-            .chain(
-                order
-                    .iter()
-                    .filter(|id| app.module(id).map(|m| m.kind) == Some(ModuleKind::Task)),
-            )
-            .collect();
+        let of_kind = |kind| {
+            app.order()
+                .iter()
+                .filter(move |id| app.module(id).map(|m| m.kind) == Some(kind))
+        };
+        let data_first = of_kind(ModuleKind::Data).chain(of_kind(ModuleKind::Task));
 
         for id in data_first {
             let module = app.module(id).expect("ordered ids exist");
             let mspan = self.obs.span_opt(pctx.as_ref(), "sched.place_module");
             let mctx = mspan.ctx().or(pctx);
             let placed = match module.kind {
-                ModuleKind::Data => self.place_data(dc, &app, module, &placement, &[], mctx),
+                ModuleKind::Data => self.place_data(dc, app, module, &placement, &[], mctx),
                 ModuleKind::Task => {
-                    self.place_task(dc, &app, module, &placement, &colocate_rack, &[], mctx)
+                    self.place_task(dc, app, module, &placement, &colocate_rack, &[], mctx)
                 }
             };
             // A refused app holds nothing: hand back what the earlier
@@ -451,29 +441,28 @@ impl Scheduler {
         // Placement held: the admission estimate now counts against the
         // tenant's quota until the control plane releases it at
         // teardown.
-        if let (Some(gate), Some(demand)) = (&self.options.quota_gate, &admission_demand) {
+        if let Some((gate, demand)) = admission {
             gate.lock()
                 .expect("quota gate poisoned")
-                .commit(&self.options.tenant, demand);
+                .commit(&self.options.tenant, &demand);
+            placement.admitted_demand = demand;
         }
         Ok(placement)
     }
 
-    /// Re-places a single module of an already-resolved app — the
-    /// repair loop's *re-place* step (§3.4). `exclude` lists devices
+    /// Re-places a single module of a placed app — the repair loop's
+    /// *re-place* step (§3.4). `exclude` lists devices
     /// that must not host the module (typically the currently-crashed
     /// set): excluded candidates are rejected with
     /// [`ReasonCode::CrashExcluded`] audit records, and replica
     /// anti-affinity applies exactly as in the original placement, so a
     /// module never heals onto the failure domain it must avoid.
     ///
-    /// `so_far` is the surviving placement (used for locality hints);
-    /// `app` must already be conflict-resolved (e.g. the spec inside a
-    /// compiled `AppIr`).
+    /// `so_far` is the surviving placement (used for locality hints).
     pub fn replace_module(
         &mut self,
         dc: &mut Datacenter,
-        app: &AppSpec,
+        app: &ResolvedApp,
         module_id: &ModuleId,
         so_far: &AppPlacement,
         exclude: &[DeviceId],
@@ -1226,8 +1215,9 @@ mod tests {
         sched.set_observer(obs.clone());
         let mut dc = dc();
 
-        let first = sched.place_app(&mut dc, &simple_app());
-        assert!(first.is_ok(), "4 of 6 cpu fits");
+        let first = sched
+            .place_app(&mut dc, &simple_app())
+            .expect("4 of 6 cpu fits");
         let second = sched.place_app(&mut dc, &simple_app());
         match second {
             Err(SchedError::QuotaDenied { app, verdict }) => {
@@ -1255,10 +1245,11 @@ mod tests {
             .iter()
             .all(|d| d.reason == ReasonCode::QuotaExceeded && !d.accepted));
         // Releasing the first app's footprint re-opens admission.
+        assert_eq!(first.admitted_demand, demand_of_app(&simple_app()));
         shared
             .lock()
             .unwrap()
-            .release("tenant", &udc_economics::demand_of_app(&simple_app()));
+            .release("tenant", &first.admitted_demand);
         assert!(sched.place_app(&mut dc, &simple_app()).is_ok());
     }
 
@@ -1520,31 +1511,6 @@ mod tests {
         let p2 = without.place_app(&mut dc2, &app).unwrap();
         let (us_plain, _) = data_movement(&dc2, &app, &p2);
         assert!(us_hints <= us_plain, "{us_hints} vs {us_plain}");
-    }
-
-    #[test]
-    fn conflict_error_policy_propagates() {
-        use udc_spec::ConsistencyLevel;
-        let mut app = AppSpec::new("c");
-        app.add_task(TaskSpec::new("A"));
-        app.add_task(TaskSpec::new("B"));
-        app.add_data(DataSpec::new("S"));
-        app.add_access_with("A", "S", Some(ConsistencyLevel::Sequential), None)
-            .unwrap();
-        app.add_access_with("B", "S", Some(ConsistencyLevel::Release), None)
-            .unwrap();
-        let mut dc = dc();
-        let mut sched = Scheduler::new(SchedOptions {
-            conflict_policy: ConflictPolicy::Error,
-            ..Default::default()
-        });
-        assert!(matches!(
-            sched.place_app(&mut dc, &app),
-            Err(SchedError::Spec(SpecError::Conflict(_)))
-        ));
-        // Strictest-wins succeeds on the same app.
-        let mut sched2 = Scheduler::new(SchedOptions::default());
-        assert!(sched2.place_app(&mut dc, &app).is_ok());
     }
 }
 

@@ -294,7 +294,7 @@ struct Lane {
     dc: Datacenter,
     sched: Scheduler,
     obs: Telemetry,
-    live: Vec<(AppSpec, AppPlacement)>,
+    live: Vec<(ResolvedApp, AppPlacement)>,
     dead: Vec<DeviceId>,
 }
 
@@ -349,7 +349,8 @@ impl Lane {
     }
 
     fn place(&mut self, app: AppSpec) -> String {
-        let result = self.sched.place_app(&mut self.dc, &app);
+        let app = ResolvedApp::new(&app, ConflictPolicy::StrictestWins).expect("generated valid");
+        let result = self.sched.place(&mut self.dc, &app, None);
         let shown = format!("{result:?}");
         if let Ok(placement) = result {
             self.live.push((app, placement));

@@ -259,7 +259,15 @@ pub fn detect_conflicts(app: &AppSpec) -> ConflictReport {
 /// every conflict (the paper's second option). A conflict-free app is
 /// returned unchanged under either policy.
 pub fn resolve(app: &AppSpec, policy: ConflictPolicy) -> SpecResult<AppSpec> {
-    let report = detect_conflicts(app);
+    apply(&detect_conflicts(app), app, policy)
+}
+
+/// [`resolve`], given the report [`detect_conflicts`] made of `app`.
+pub(crate) fn apply(
+    report: &ConflictReport,
+    app: &AppSpec,
+    policy: ConflictPolicy,
+) -> SpecResult<AppSpec> {
     if report.is_clean() {
         return Ok(app.clone());
     }

@@ -423,7 +423,7 @@ impl AppSpec {
 
     /// Validates the application (see [`crate::validate`]).
     pub fn validate(&self) -> SpecResult<()> {
-        crate::validate::validate(self)
+        crate::validate::validate(self).map(drop)
     }
 
     /// Returns the modules in a topological order of the `Dependency`

@@ -22,6 +22,7 @@
 //! - DAG validation,
 //! - conflict detection for incompatible aspects on shared data (§3.4),
 //!   with both strictest-wins resolution and error reporting,
+//! - [`ResolvedApp`], the proof a spec was resolved, validated, ordered,
 //! - a declarative text format (`.udc`) with a parser and canonical
 //!   printer, plus JSON via serde.
 //!
@@ -46,6 +47,7 @@ pub mod error;
 pub mod ids;
 pub mod parser;
 pub mod printer;
+pub mod resolved;
 pub mod validate;
 
 pub use aspect::{
@@ -58,6 +60,7 @@ pub use error::{SpecError, SpecResult};
 pub use ids::{AppName, ModuleId};
 pub use parser::parse_app;
 pub use printer::print_app;
+pub use resolved::ResolvedApp;
 
 /// Convenient glob-import surface for downstream crates and examples.
 pub mod prelude {
@@ -71,4 +74,5 @@ pub mod prelude {
     pub use crate::ids::ModuleId;
     pub use crate::parser::parse_app;
     pub use crate::printer::print_app;
+    pub use crate::resolved::ResolvedApp;
 }

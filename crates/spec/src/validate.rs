@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// headroom but reject absurd values that would exhaust the simulator.
 pub const MAX_REPLICATION: u32 = 16;
 
-/// Validates an application specification.
+/// Validates an application; `Ok` carries check 3's [`topo_order`].
 ///
 /// Checks, in order:
 /// 1. every edge endpoint exists (guaranteed by [`AppSpec::add_edge`] but
@@ -29,7 +29,7 @@ pub const MAX_REPLICATION: u32 = 16;
 ///    only on data modules, checkpoint intervals non-zero, and isolation /
 ///    tenancy combinations consistent (e.g. `Strongest` implies
 ///    single-tenant, so an explicit `Shared` tenancy contradicts it).
-pub fn validate(app: &AppSpec) -> SpecResult<()> {
+pub fn validate(app: &AppSpec) -> SpecResult<Vec<ModuleId>> {
     if app.is_empty() {
         return Err(SpecError::InvalidApp("application has no modules".into()));
     }
@@ -79,7 +79,7 @@ pub fn validate(app: &AppSpec) -> SpecResult<()> {
         }
     }
 
-    topo_order(app)?;
+    let order = topo_order(app)?;
 
     for h in &app.hints {
         match h {
@@ -160,7 +160,7 @@ pub fn validate(app: &AppSpec) -> SpecResult<()> {
         }
     }
 
-    Ok(())
+    Ok(order)
 }
 
 /// Kahn topological sort over the `Dependency` edges.

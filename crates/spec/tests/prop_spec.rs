@@ -1,12 +1,15 @@
 //! Property-based tests for the spec crate: text-format round-trips,
-//! conflict-resolution invariants, and validation robustness.
+//! conflict-resolution invariants, validation robustness, and the front
+//! door ([`ResolvedApp`]) under well-formed and hostile input.
 
 use proptest::prelude::*;
+use udc_core::{CloudConfig, CloudError, UdcCloud};
 use udc_spec::aspect::*;
 use udc_spec::conflict::{detect_conflicts, resolve, ConflictPolicy};
 use udc_spec::dag::{AppSpec, DataSpec, EdgeKind, TaskSpec};
 use udc_spec::parser::parse_app;
 use udc_spec::printer::print_app;
+use udc_spec::ResolvedApp;
 
 fn arb_kind() -> impl Strategy<Value = ResourceKind> {
     prop::sample::select(ResourceKind::ALL.to_vec())
@@ -106,7 +109,13 @@ fn arb_dist_aspect() -> impl Strategy<Value = DistributedAspect> {
             (1u64..100_000)
                 .prop_map(|interval_ms| Some(FailureHandling::Checkpoint { interval_ms })),
         ],
-        prop_oneof![Just(None), "[a-z][a-z0-9]{0,6}".prop_map(Some)],
+        // Two domains are shared on purpose: modules that meet in one
+        // with different replication factors conflict.
+        prop_oneof![
+            Just(None),
+            "[a-z][a-z0-9]{0,6}".prop_map(Some),
+            "d[01]".prop_map(Some)
+        ],
     )
         .prop_map(
             |(replication, consistency, preference, failure, failure_domain)| DistributedAspect {
@@ -120,7 +129,8 @@ fn arb_dist_aspect() -> impl Strategy<Value = DistributedAspect> {
 }
 
 /// Generates a valid application: `n_tasks` tasks in a chain plus
-/// `n_data` data modules each accessed by one task.
+/// `n_data` data modules, each accessed by one task under a consistency
+/// requirement and by the next under a protection requirement.
 fn arb_app() -> impl Strategy<Value = AppSpec> {
     (
         1usize..6,
@@ -129,8 +139,9 @@ fn arb_app() -> impl Strategy<Value = AppSpec> {
         prop::collection::vec(arb_exec_aspect(), 10),
         prop::collection::vec(arb_dist_aspect(), 10),
         prop::collection::vec(prop_oneof![Just(None), arb_consistency().prop_map(Some)], 4),
+        prop::collection::vec(prop_oneof![Just(None), arb_protection().prop_map(Some)], 4),
     )
-        .prop_map(|(n_tasks, n_data, res, exec, dist, reqs)| {
+        .prop_map(|(n_tasks, n_data, res, exec, dist, reqs, prots)| {
             let mut app = AppSpec::new("gen");
             for i in 0..n_tasks {
                 let mut exec_a = exec[i].clone();
@@ -170,9 +181,64 @@ fn arb_app() -> impl Strategy<Value = AppSpec> {
                 let accessor = format!("T{}", j % n_tasks);
                 app.add_access_with(&accessor, &format!("S{j}"), reqs[j], None)
                     .unwrap();
+                let second = format!("T{}", (j + 1) % n_tasks);
+                app.add_access_with(&format!("S{j}"), &second, None, prots[j])
+                    .unwrap();
             }
             app
         })
+}
+
+/// What the hostile-input property mangles: every shipped `.udc` spec
+/// and the printed form of each `udc_workload` generator (built once).
+fn corpus() -> &'static [String] {
+    static CORPUS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(build_corpus)
+}
+
+fn build_corpus() -> Vec<String> {
+    let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs");
+    let mut paths: Vec<_> = std::fs::read_dir(specs)
+        .expect("examples/specs exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "udc"))
+        .collect();
+    paths.sort();
+    let mut corpus: Vec<String> = paths
+        .iter()
+        .map(|path| std::fs::read_to_string(path).expect("readable spec"))
+        .collect();
+    assert!(!corpus.is_empty(), "no .udc spec under {specs}");
+    let conflicting = udc_workload::RandomDagConfig {
+        tasks: 6,
+        data: 3,
+        conflict_prob: 0.5,
+        ..Default::default()
+    };
+    for app in [
+        udc_workload::medical_pipeline(),
+        udc_workload::microservice_chain(3),
+        udc_workload::ml_serving_chain(2),
+        udc_workload::analytics_fanout(4),
+        udc_workload::random_app(conflicting).0,
+    ] {
+        corpus.push(print_app(&app));
+    }
+    corpus
+}
+
+/// One edit of `text`, seen as lines or as space-separated tokens:
+/// delete unit `i` (op 0), duplicate it (1), or swap it with unit `j`.
+fn mangle(text: &str, by_line: bool, op: u8, i: usize, j: usize) -> String {
+    let sep = if by_line { "\n" } else { " " };
+    let mut units: Vec<&str> = text.split(sep).collect();
+    let (i, j) = (i % units.len(), j % units.len());
+    match op {
+        0 => drop(units.remove(i)),
+        1 => units.insert(i, units[i]),
+        _ => units.swap(i, j),
+    }
+    units.join(sep)
 }
 
 proptest! {
@@ -258,6 +324,66 @@ proptest! {
         let report = detect_conflicts(&app);
         let res = resolve(&app, ConflictPolicy::Error);
         prop_assert_eq!(report.is_clean(), res.is_ok());
+    }
+
+    /// Resolution is a value fixed point — resolving a resolved app
+    /// changes nothing, which is why everything behind the front door
+    /// may act on a `ResolvedApp` without resolving again — and what the
+    /// front door lets through validates.
+    #[test]
+    fn resolution_is_a_fixed_point_and_resolved_apps_validate(app in arb_app()) {
+        let once = resolve(&app, ConflictPolicy::StrictestWins).unwrap();
+        let twice = resolve(&once, ConflictPolicy::StrictestWins).unwrap();
+        prop_assert_eq!(&twice, &once);
+        let resolved = ResolvedApp::new(&app, ConflictPolicy::StrictestWins).unwrap();
+        prop_assert_eq!(&*resolved, &once);
+        prop_assert!(resolved.validate().is_ok(), "{:?}", resolved.validate());
+        prop_assert_eq!(resolved.conflicts(), &detect_conflicts(&app));
+    }
+
+    /// The order a `ResolvedApp` stores is `topo_order()` of its app: a
+    /// permutation of the modules in which every dependency edge points
+    /// forward.
+    #[test]
+    fn stored_order_is_a_topological_order(app in arb_app()) {
+        let resolved = ResolvedApp::new(&app, ConflictPolicy::StrictestWins).unwrap();
+        prop_assert_eq!(resolved.order(), resolved.topo_order().unwrap());
+        let pos: std::collections::BTreeMap<_, _> =
+            resolved.order().iter().enumerate().map(|(i, id)| (id, i)).collect();
+        prop_assert_eq!(pos.len(), resolved.len());
+        prop_assert!(resolved.modules.keys().all(|id| pos.contains_key(id)));
+        for e in resolved.edges.iter().filter(|e| e.kind == EdgeKind::Dependency) {
+            prop_assert!(pos[&e.from] < pos[&e.to], "{} must precede {}", e.from, e.to);
+        }
+    }
+
+    /// Hostile input: shipped specs with lines and tokens deleted,
+    /// duplicated and swapped go through the whole front door — parser,
+    /// `ResolvedApp::new`, `UdcCloud::submit` — and come out as a
+    /// deployment or a typed error, never a panic; and `submit` refuses
+    /// exactly what the front door refuses, for the same reason.
+    #[test]
+    fn mangled_specs_yield_typed_errors_never_panics(
+        source in 0usize..64,
+        edits in prop::collection::vec((any::<bool>(), 0u8..3, any::<usize>(), any::<usize>()), 1..4),
+        policy in prop_oneof![Just(ConflictPolicy::StrictestWins), Just(ConflictPolicy::Error)],
+    ) {
+        let corpus = corpus();
+        let mut text = corpus[source % corpus.len()].clone();
+        for (by_line, op, i, j) in edits {
+            text = mangle(&text, by_line, op, i, j);
+        }
+        let Ok(app) = parse_app(&text) else { return Ok(()) };
+        let front_door = ResolvedApp::new(&app, policy).map(drop);
+        let mut cloud = UdcCloud::new(CloudConfig { conflict_policy: policy, ..Default::default() });
+        match cloud.submit(&app) {
+            Ok(mut dep) => {
+                prop_assert_eq!(front_door, Ok(()));
+                cloud.teardown(&mut dep);
+            }
+            Err(CloudError::Spec(e)) => prop_assert_eq!(front_door, Err(e)),
+            Err(CloudError::Sched(_)) => prop_assert_eq!(front_door, Ok(())),
+        }
     }
 
     /// The parser never panics on arbitrary input.
