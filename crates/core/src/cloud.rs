@@ -111,6 +111,12 @@ pub struct Deployment {
     /// stay out of the device-repair re-heal path until payment
     /// reinstates the account.
     pub econ_suspended: std::collections::BTreeSet<ModuleId>,
+    /// The cloud's lost epoch at this deployment's last `advance`.
+    pub(crate) seen_epoch: u64,
+    /// Every slice and replica device of the placement, sorted and
+    /// deduplicated — known only while the last full look found the
+    /// deployment converged and no placement change has happened since.
+    pub(crate) footprint: Option<Vec<DeviceId>>,
     /// Released flag (idempotent teardown).
     released: bool,
 }
@@ -155,6 +161,13 @@ pub struct UdcCloud {
     /// detector-confirmed devices, which can lag reality by up to the
     /// detection bound.
     pub(crate) dead_devices: std::collections::BTreeSet<DeviceId>,
+    /// Bumped whenever a device joins `dead_devices` (a crash event
+    /// under omniscient detection, a confirmation under lease
+    /// detection) — even one that leaves it again within the tick.
+    pub(crate) lost_epoch: u64,
+    /// Per device id, the `lost_epoch` at which it last joined
+    /// (0 = never).
+    pub(crate) lost_stamps: Vec<u64>,
     /// How [`UdcCloud::advance`] learns about device failures.
     pub(crate) detection: crate::heal::DetectionMode,
     /// Deterministic network fault plan (partitions, gray devices, link
@@ -235,6 +248,8 @@ impl UdcCloud {
             next_unit: 0,
             obs: Telemetry::disabled(),
             dead_devices: std::collections::BTreeSet::new(),
+            lost_epoch: 0,
+            lost_stamps: Vec::new(),
             detection: crate::heal::DetectionMode::Omniscient,
             net: NetPlan::none(),
             fences: FenceRegistry::new(),
@@ -479,6 +494,8 @@ impl UdcCloud {
             health: crate::heal::HealthState::default(),
             recovery: crate::heal::RecoveryModel::new(),
             econ_suspended: std::collections::BTreeSet::new(),
+            seen_epoch: self.lost_epoch,
+            footprint: None,
             released: false,
             ir,
         })
@@ -901,6 +918,7 @@ impl UdcCloud {
                 udc_sched::TuneAction::Resize { to_units, .. } => ("resize", *to_units),
                 udc_sched::TuneAction::Migrate { units, .. } => ("migrate", *units),
             };
+            dep.footprint = None;
             let p = dep.placement.modules.get_mut(&id).expect("module placed");
             let result = match action {
                 udc_sched::TuneAction::Resize { to_units, .. } => {
@@ -943,6 +961,7 @@ impl UdcCloud {
             }
         }
         self.scheduler.release_app(&mut self.dc, &dep.placement);
+        dep.footprint = None;
         // Return the admission footprint to the tenant's quota (the
         // scheduler committed it when placement succeeded).
         if let Some(gate) = &self.econ_gate {

@@ -36,6 +36,7 @@ use udc_dist::{recover, safe_truncation_seq, CheckpointStore, RecoveryOutcome, R
 use udc_economics::LifecycleEvent;
 use udc_failure::LeaseDetector;
 use udc_hal::DeviceId;
+use udc_sched::ModulePlacement;
 use udc_spec::{AppSpec, FailureHandling, ModuleId};
 use udc_telemetry::{Decision, EventKind, FieldValue, Labels, Micros, ReasonCode};
 
@@ -500,6 +501,26 @@ pub fn backoff_delay_us(config: &HealConfig, module: &ModuleId, attempt: u32) ->
     raw + h % jitter_space
 }
 
+/// Every device a module's placement touches: its slices' and its
+/// replicas' (with repeats).
+fn module_devices(p: &ModulePlacement) -> impl Iterator<Item = DeviceId> + '_ {
+    let slices = p.allocations.iter().flat_map(|a| a.devices());
+    slices.chain(p.replica_devices.iter().copied())
+}
+
+/// `dep`'s footprint: every device of its placement, sorted, once.
+fn footprint_of(dep: &Deployment) -> Vec<DeviceId> {
+    let mut devices: Vec<DeviceId> = dep
+        .placement
+        .modules
+        .values()
+        .flat_map(module_devices)
+        .collect();
+    devices.sort_unstable();
+    devices.dedup();
+    devices
+}
+
 /// The placed modules no repair has in hand, in id order.
 fn healthy_modules(dep: &Deployment) -> Vec<ModuleId> {
     let placed = dep.placement.modules.keys();
@@ -508,6 +529,49 @@ fn healthy_modules(dep: &Deployment) -> Vec<ModuleId> {
 }
 
 impl UdcCloud {
+    /// `d` joins the lost set: it is dead now, and stamped with a fresh
+    /// lost epoch so every deployment's next look sees it joined.
+    fn mark_lost(&mut self, d: DeviceId) {
+        self.dead_devices.insert(d);
+        self.lost_epoch += 1;
+        let i = d.0 as usize;
+        if self.lost_stamps.len() <= i {
+            self.lost_stamps.resize(i + 1, 0);
+        }
+        self.lost_stamps[i] = self.lost_epoch;
+    }
+
+    /// The lost epoch at which `d` last joined the lost set (0 = never).
+    fn lost_stamp(&self, d: DeviceId) -> u64 {
+        self.lost_stamps.get(d.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// Whether a deployment whose last look was at lost epoch `seen`
+    /// must count `d` as lost: dead now, or — omniscient only — gone at
+    /// any moment since (a device that crashed and came back in between
+    /// lost its allocations all the same).
+    fn is_lost(&self, d: DeviceId, seen: u64, lease_mode: bool) -> bool {
+        self.dead_devices.contains(&d) || (!lease_mode && self.lost_stamp(d) > seen)
+    }
+
+    /// True when `dep` is converged, has a footprint, and no footprint
+    /// device is dead now or joined the lost set after lost epoch
+    /// `seen` — trivially so when nothing joined at all. Such a
+    /// deployment has no module to detect, re-heal or retry. Exact: the
+    /// footprint was taken by a look that found every device alive and
+    /// no placement has changed since (every change drops it), and a
+    /// device can only have become lost by joining after that look.
+    fn untouched_since(&self, dep: &Deployment, seen: u64) -> bool {
+        let Some(footprint) = &dep.footprint else {
+            return false;
+        };
+        dep.health.is_converged()
+            && (self.lost_epoch == seen
+                || footprint
+                    .iter()
+                    .all(|&d| !self.dead_devices.contains(&d) && self.lost_stamp(d) <= seen))
+    }
+
     /// Advances virtual time, applying failure events and driving the
     /// repair loop over `dep`: *detect → evict → re-place → re-launch →
     /// recover*. Call repeatedly (e.g. from a chaos harness) until
@@ -532,7 +596,7 @@ impl UdcCloud {
                 // of the crashed/repaired sets happens to apply last.
                 for e in &tick.events {
                     if e.crash {
-                        self.dead_devices.insert(e.device);
+                        self.mark_lost(e.device);
                     } else {
                         self.dead_devices.remove(&e.device);
                     }
@@ -544,7 +608,7 @@ impl UdcCloud {
                 // truth gates emission; the net plan gates delivery).
                 let dr = det.observe(now, &tick.events, &self.net);
                 for &d in &dr.newly_confirmed {
-                    self.dead_devices.insert(d);
+                    self.mark_lost(d);
                 }
                 for &d in &dr.resurrected {
                     self.dead_devices.remove(&d);
@@ -577,7 +641,8 @@ impl UdcCloud {
             // device's story — suspected, held back, exonerated without
             // eviction — must be explainable from the artifact just
             // like a real eviction would be.
-            if self.obs.is_enabled() {
+            let verdicts_moved = !report.suspected.is_empty() || !cleared.is_empty();
+            if verdicts_moved && self.obs.is_enabled() {
                 for (id, p) in &dep.placement.modules {
                     let d = p.primary_device;
                     if report.suspected.contains(&d) {
@@ -639,28 +704,25 @@ impl UdcCloud {
 
         // A module is impacted when any of its slices or replica
         // devices sits on a device the control plane believes dead — or
-        // (omniscient only) on one that crashed this interval, even if a
-        // same-tick repair already brought the (now empty) device back.
-        // Lease mode acts strictly on confirmed knowledge: a crash the
-        // detector hasn't confirmed yet is, to the control plane, not a
-        // crash — that lag is the price of dropping the oracle, and the
-        // property suite bounds it at `lease × confirm_misses`.
-        let mut lost: BTreeSet<DeviceId> = self.dead_devices.clone();
-        if !lease_mode {
-            lost.extend(tick.crashed.iter().copied());
+        // (omniscient only) on one that crashed since the deployment's
+        // last look, even if a repair already brought the (now empty)
+        // device back. Lease mode acts strictly on confirmed knowledge:
+        // a crash the detector hasn't confirmed yet is, to the control
+        // plane, not a crash — that lag is the price of dropping the
+        // oracle, and the property suite bounds it at `lease ×
+        // confirm_misses`. A converged deployment whose footprint no loss
+        // touched since its last look is skipped without a module scan.
+        let seen = std::mem::replace(&mut dep.seen_epoch, self.lost_epoch);
+        if self.untouched_since(dep, seen) {
+            self.observe_queries(dep, now);
+            return report;
         }
         let impacted: Vec<ModuleId> = dep
             .placement
             .modules
             .iter()
             .filter(|(id, _)| dep.health.module(id) == ModuleHealth::Healthy)
-            .filter(|(_, p)| {
-                p.allocations
-                    .iter()
-                    .flat_map(|a| a.slices.iter())
-                    .any(|s| lost.contains(&s.device))
-                    || p.replica_devices.iter().any(|d| lost.contains(d))
-            })
+            .filter(|(_, p)| module_devices(p).any(|d| self.is_lost(d, seen, lease_mode)))
             .map(|(id, _)| id.clone())
             .collect();
 
@@ -685,6 +747,11 @@ impl UdcCloud {
         if impacted.is_empty() && reheal.is_empty() && dep.health.due_repairs(now).is_empty() {
             // Quiet interval — but the query barrier still runs, so
             // windows close and absence/sustained rules see time pass.
+            // A converged deployment found clean gets its footprint
+            // back, so later looks can skip it.
+            if dep.footprint.is_none() && dep.health.is_converged() {
+                dep.footprint = Some(footprint_of(dep));
+            }
             self.observe_queries(dep, now);
             return report;
         }
@@ -698,15 +765,9 @@ impl UdcCloud {
             let dspan = self.obs.span_opt(ctx.as_ref(), "heal.detect");
             let dctx = dspan.ctx().or(ctx);
             for id in &impacted {
-                let dead_here: BTreeSet<DeviceId> = {
-                    let p = &dep.placement.modules[id];
-                    p.allocations
-                        .iter()
-                        .flat_map(|a| a.slices.iter().map(|s| s.device))
-                        .chain(p.replica_devices.iter().copied())
-                        .filter(|d| lost.contains(d))
-                        .collect()
-                };
+                let dead_here: BTreeSet<DeviceId> = module_devices(&dep.placement.modules[id])
+                    .filter(|&d| self.is_lost(d, seen, lease_mode))
+                    .collect();
                 if self.obs.is_enabled() {
                     for d in &dead_here {
                         self.obs.decide(Decision {
@@ -754,14 +815,16 @@ impl UdcCloud {
     }
 
     /// Evicts `id`: retires its isolate and frees every allocation it
-    /// holds, returning how many. Slices on dead devices were already
-    /// wiped by `Device::fail` (release is a clamped no-op there); the
-    /// rest return real capacity. The placement entry is left empty, so
+    /// holds, returning how many. Slices a crash took were already
+    /// wiped by `Device::fail`, and releasing them is a no-op even once
+    /// the device is back and holds the tenant's newer slices; the rest
+    /// return real capacity. The placement entry is left empty, so
     /// a later teardown or a second crash can never double-free.
     fn evict(&mut self, dep: &mut Deployment, id: &ModuleId) -> u64 {
         let Some(p) = dep.placement.modules.get_mut(id) else {
             return 0;
         };
+        dep.footprint = None;
         let allocations = std::mem::take(&mut p.allocations);
         for a in &allocations {
             self.dc.release(a);
@@ -1010,6 +1073,7 @@ impl UdcCloud {
                 }
                 let new_device = placed.primary_device;
                 dep.placement.modules.insert(id.clone(), placed);
+                dep.footprint = None;
 
                 // Recover state with the module's spec'd strategy.
                 let strategy = match m_ir.spec.dist.failure.unwrap_or_default() {
@@ -1577,6 +1641,195 @@ mod tests {
             dead
         );
         cloud.teardown(&mut dep);
+    }
+
+    /// One CPU task named `module`, two cores.
+    fn task_app(module: &str) -> AppSpec {
+        let mut app = AppSpec::new(module);
+        app.add_task(
+            TaskSpec::new(module)
+                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, 2)),
+        );
+        app
+    }
+
+    fn cpu_used(cloud: &UdcCloud) -> u64 {
+        cloud
+            .datacenter()
+            .pool(ResourceKind::Cpu)
+            .unwrap()
+            .total_used()
+    }
+
+    #[test]
+    fn a_crash_and_repair_inside_one_tick_is_seen_by_every_deployment() {
+        // Regression: only the advance that drained the tick counted its
+        // crashes, so a second deployment on a device that crashed and
+        // came back within the tick kept a "healthy" module whose slice
+        // the crash had wiped — and releasing that slice later freed
+        // units the tenant's newer module held on the repaired device.
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let mut a = cloud.submit(&task_app("A")).unwrap();
+        let mut b = cloud.submit(&task_app("B")).unwrap();
+        let (ida, idb) = (ModuleId::from("A"), ModuleId::from("B"));
+        let dev = a.placement.modules[&ida].primary_device;
+        assert_eq!(b.placement.modules[&idb].primary_device, dev, "packed");
+        cloud
+            .datacenter_mut()
+            .set_failure_plan(FailurePlan::from_events(vec![
+                crash(5, dev),
+                repair(7, dev),
+            ]));
+
+        let ra = cloud.advance(&mut a, 10);
+        assert_eq!(ra.detected, vec![ida]);
+        let rb = cloud.advance(&mut b, 0);
+        assert_eq!(rb.detected, vec![idb], "the flap wiped B's slice too");
+        assert_eq!(rb.repaired.len(), 1, "and B was re-placed");
+        assert!(a.health.is_converged() && b.health.is_converged());
+        assert_eq!(cpu_used(&cloud), 4, "two 2-core modules run");
+
+        cloud.teardown(&mut a);
+        cloud.teardown(&mut b);
+        assert_eq!(cpu_used(&cloud), 0);
+    }
+
+    /// A cloud and the fleet it supervises, for the fast-path property.
+    struct Lane {
+        cloud: UdcCloud,
+        deps: Vec<Deployment>,
+    }
+
+    impl Lane {
+        fn new(apps: &[AppSpec], lease: Option<&(udc_failure::DetectorConfig, NetPlan)>) -> Self {
+            let mut cloud = UdcCloud::new(CloudConfig::default());
+            if let Some((config, net)) = lease {
+                cloud.attach_failure_detection(*config);
+                cloud.set_net_plan(net.clone());
+            }
+            let deps = apps.iter().filter_map(|a| cloud.submit(a).ok()).collect();
+            Self { cloud, deps }
+        }
+
+        /// One tick: every deployment advanced once, `mover`'s call
+        /// carrying the time. `full_scan` forgets every footprint first.
+        fn tick(&mut self, mover: usize, step_us: u64, full_scan: bool) -> Vec<HealReport> {
+            let mut reports = Vec::new();
+            for (i, dep) in self.deps.iter_mut().enumerate() {
+                if full_scan {
+                    dep.footprint = None;
+                }
+                let delta = if i == mover { step_us } else { 0 };
+                reports.push(self.cloud.advance(dep, delta));
+            }
+            reports
+        }
+    }
+
+    fn fleet_app(kind: u32) -> AppSpec {
+        match kind % 8 {
+            0..=3 => udc_workload::microservice_chain(1 + kind % 4),
+            4 | 5 => udc_workload::analytics_fanout(2 + kind % 3),
+            6 => udc_workload::ml_serving_chain(1),
+            _ => udc_workload::medical_pipeline(),
+        }
+    }
+
+    use proptest::prelude::*;
+    use udc_failure::{GrayFault, NetPlan, Partition};
+
+    const LANE_STEP_US: u64 = 100_000;
+    const LANE_STEPS: u64 = 16;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The quiet-advance fast path is exact: a fleet whose footprints
+        /// are dropped before every `advance` — so every call runs the
+        /// full per-module scan — reports, places, believes and holds
+        /// exactly what the normal fleet does, step by step, under crash
+        /// schedules with same-tick flaps, in both detection modes.
+        #[test]
+        fn skipping_untouched_deployments_changes_nothing(
+            kinds in prop::collection::vec(0u32..64, 2..=6),
+            faults in prop::collection::vec(
+                (1..LANE_STEPS * LANE_STEP_US, 0usize..64, 0..2 * LANE_STEP_US),
+                0..10,
+            ),
+            lease in any::<bool>(),
+            (cuts, grays, net_seed) in (
+                prop::collection::vec((0usize..64, 0..LANE_STEPS * LANE_STEP_US, 1..500_000u64), 0..3),
+                prop::collection::vec(
+                    (0usize..64, 0..LANE_STEPS * LANE_STEP_US, 1..800_000u64, 0..120_000u64, 0u16..600),
+                    0..3,
+                ),
+                any::<u64>(),
+            ),
+            movers in prop::collection::vec(0usize..6, LANE_STEPS as usize),
+        ) {
+            let apps: Vec<AppSpec> = kinds.iter().map(|&k| fleet_app(k)).collect();
+            // Faults land on the fleet's own devices, plus a few idle ones.
+            let probe = Lane::new(&apps, None);
+            let mut domain: Vec<DeviceId> = probe.deps.iter().flat_map(footprint_of).collect();
+            domain.extend([DeviceId(1), DeviceId(40), DeviceId(90)]);
+            domain.sort_unstable();
+            domain.dedup();
+            let pick = |i: usize| domain[i % domain.len()];
+            let mut events = Vec::new();
+            for &(at_us, i, down_us) in &faults {
+                events.push(crash(at_us, pick(i)));
+                events.push(repair(at_us + down_us, pick(i)));
+            }
+            events.sort_by_key(|e| e.at_us);
+            let detection = lease.then(|| {
+                let config = udc_failure::DetectorConfig { lease_us: 40_000, confirm_misses: 2, seed: net_seed };
+                let net = NetPlan {
+                    partitions: cuts
+                        .iter()
+                        .map(|&(i, from_us, len)| Partition { island: vec![pick(i)], from_us, until_us: from_us + len })
+                        .collect(),
+                    grays: grays
+                        .iter()
+                        .map(|&(i, from_us, len, delay_us, drop_per_mille)| GrayFault {
+                            device: pick(i),
+                            from_us,
+                            until_us: from_us + len,
+                            delay_us,
+                            drop_per_mille,
+                        })
+                        .collect(),
+                    links: Vec::new(),
+                    seed: net_seed,
+                };
+                (config, net)
+            });
+
+            let mut fast = Lane::new(&apps, detection.as_ref());
+            let mut full = Lane::new(&apps, detection.as_ref());
+            for lane in [&mut fast, &mut full] {
+                lane.cloud
+                    .datacenter_mut()
+                    .set_failure_plan(FailurePlan::from_events(events.clone()));
+            }
+            let mut skippable = 0;
+            for (step, &mover) in movers.iter().enumerate() {
+                let mover = mover % fast.deps.len();
+                skippable += fast.deps.iter().filter(|d| d.footprint.is_some()).count();
+                let a = fast.tick(mover, LANE_STEP_US, false);
+                let b = full.tick(mover, LANE_STEP_US, true);
+                prop_assert_eq!(&a, &b, "reports diverged at step {}", step);
+                for (x, y) in fast.deps.iter().zip(&full.deps) {
+                    prop_assert_eq!(format!("{:?}", x.placement), format!("{:?}", y.placement));
+                    prop_assert_eq!(format!("{:?}", x.health), format!("{:?}", y.health));
+                }
+                prop_assert_eq!(&fast.cloud.dead_devices, &full.cloud.dead_devices);
+                prop_assert_eq!(
+                    fast.cloud.datacenter().utilization_report(),
+                    full.cloud.datacenter().utilization_report()
+                );
+            }
+            prop_assert!(skippable > 0, "the fast path never ran");
+        }
     }
 
     #[test]

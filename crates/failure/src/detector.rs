@@ -134,6 +134,8 @@ impl DetectorReport {
 pub struct LeaseDetector {
     config: DetectorConfig,
     tracks: BTreeMap<DeviceId, Track>,
+    /// Every emission and arrival up to here has been taken: each
+    /// track's next emission lies after it.
     last_poll_us: Micros,
 }
 
@@ -184,6 +186,7 @@ impl LeaseDetector {
                 state: Suspicion::Alive,
             },
         );
+        self.last_poll_us = self.last_poll_us.min(now);
     }
 
     /// The tuning in effect.
@@ -222,15 +225,23 @@ impl LeaseDetector {
     /// window (sorted by time, as
     /// [`TickReport::events`](udc_hal::TickReport) delivers them) and
     /// the net plan, then re-evaluates every device's verdict at `now`.
+    ///
+    /// A second poll at the same `now` with no new events returns the
+    /// empty report without looking at any device. That is exact: no
+    /// beat can be emitted or land in an empty window, and a verdict
+    /// depends only on `now − last_arrival`, which has not moved.
     pub fn observe(
         &mut self,
         now: Micros,
         events: &[FailureEvent],
         net: &NetPlan,
     ) -> DetectorReport {
+        let mut report = DetectorReport::default();
+        if now == self.last_poll_us && events.is_empty() {
+            return report;
+        }
         let lease = self.config.lease_us.max(1);
         let confirm_after = lease * self.config.confirm_misses as Micros;
-        let mut report = DetectorReport::default();
         for (&d, t) in self.tracks.iter_mut() {
             // Gray-delayed beats emitted before this window may land now.
             t.pending.retain(|&arr| {
@@ -493,6 +504,55 @@ mod tests {
     }
 
     proptest! {
+        /// Polling k times at one `now` is polling once: the first poll
+        /// of a tick reports what a single full poll does, the repeats
+        /// (answered by the shortcut) report nothing, and every device
+        /// ends with the same verdict — under any crash/repair schedule
+        /// and any network plan.
+        #[test]
+        fn repeat_polls_at_one_instant_change_nothing(
+            seed in any::<u64>(),
+            net in crate::netplan::tests::arb_plan(6, 40_000),
+            step in prop::sample::select(vec![300u64, 700, 1_500]),
+            schedule in prop::collection::vec((0u64..40_000, 0u32..6, any::<bool>()), 0..12),
+            repeats in prop::collection::vec(1usize..=16, 24),
+        ) {
+            let cfg = DetectorConfig { lease_us: 1_000, confirm_misses: 3, seed };
+            let mut once = LeaseDetector::new(cfg, devices(6), 0);
+            let mut many = once.clone();
+            let mut evs: Vec<FailureEvent> = schedule
+                .into_iter()
+                .map(|(at_us, d, down)| FailureEvent { at_us, device: DeviceId(d), crash: down })
+                .collect();
+            evs.sort_by_key(|e| e.at_us);
+            for (tick, k) in repeats.into_iter().enumerate() {
+                let now = (tick as u64 + 1) * step;
+                let window: Vec<FailureEvent> = evs
+                    .iter()
+                    .copied()
+                    .filter(|e| now - step < e.at_us && e.at_us <= now)
+                    .collect();
+                // An event for a device the detector does not track moves
+                // nothing, but keeps `once` off the shortcut: its poll is
+                // always the full evaluation.
+                let mut full = window.clone();
+                full.push(repair(now, 99));
+                let single = once.observe(now, &full, &net);
+                let mut joined = many.observe(now, &window, &net);
+                for _ in 1..k {
+                    let r = many.observe(now, &[], &net);
+                    joined.newly_suspected.extend(r.newly_suspected);
+                    joined.newly_confirmed.extend(r.newly_confirmed);
+                    joined.false_suspects.extend(r.false_suspects);
+                    joined.resurrected.extend(r.resurrected);
+                }
+                prop_assert_eq!(&single, &joined, "tick {} polled {} times", tick, k);
+                for d in devices(6) {
+                    prop_assert_eq!(once.suspicion(d), many.suspicion(d));
+                }
+            }
+        }
+
         /// No false confirms absent gray faults: whatever the crash
         /// schedule, a device that is up and reachable for the whole run
         /// is never suspected, let alone confirmed — and every device

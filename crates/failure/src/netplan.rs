@@ -245,12 +245,95 @@ impl NetPlan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dev(n: u32) -> Endpoint {
         Endpoint::Device(DeviceId(n))
     }
+
+    /// Random plans over devices `0..devices` with every fault window
+    /// inside `0..horizon_us`: partitions of random islands, gray
+    /// devices that delay and (mostly) drop, and link faults between
+    /// the control plane and a device or between two devices. Windows
+    /// start and end on a grid of `horizon_us / GRID`, so they often
+    /// share edges with each other and with the times a test asks about.
+    pub(crate) fn arb_plan(devices: u32, horizon_us: Micros) -> impl Strategy<Value = NetPlan> {
+        let unit = horizon_us / GRID;
+        let span = horizon_us / 3;
+        let window =
+            move || (0..GRID, 1..GRID / 3).prop_map(move |(from, len)| (from * unit, len * unit));
+        let partitions = prop::collection::vec((1u32..1 << devices, window()), 0..4);
+        let grays = prop::collection::vec(
+            (
+                0..devices,
+                window(),
+                0..span,
+                prop_oneof![Just(0u16), 1u16..1000],
+            ),
+            0..4,
+        );
+        let links = prop::collection::vec(
+            (
+                0..devices + 1,
+                0..devices,
+                window(),
+                (0u16..1000, 0..span, any::<bool>()),
+            ),
+            0..4,
+        );
+        (partitions, grays, links, any::<u64>()).prop_map(
+            move |(partitions, grays, links, seed)| NetPlan {
+                partitions: partitions
+                    .into_iter()
+                    .map(|(mask, (from_us, len))| Partition {
+                        island: (0..devices)
+                            .filter(|d| mask & (1 << d) != 0)
+                            .map(DeviceId)
+                            .collect(),
+                        from_us,
+                        until_us: from_us + len,
+                    })
+                    .collect(),
+                grays: grays
+                    .into_iter()
+                    .map(|(d, (from_us, len), delay_us, drop_per_mille)| GrayFault {
+                        device: DeviceId(d),
+                        from_us,
+                        until_us: from_us + len,
+                        delay_us,
+                        drop_per_mille,
+                    })
+                    .collect(),
+                links: links
+                    .into_iter()
+                    .map(
+                        |(a, b, (from_us, len), (drop_per_mille, delay_us, duplicate))| {
+                            LinkFault {
+                                // `devices` stands for the control plane.
+                                a: if a == devices {
+                                    Endpoint::Control
+                                } else {
+                                    dev(a)
+                                },
+                                b: dev(b),
+                                from_us,
+                                until_us: from_us + len,
+                                drop_per_mille,
+                                delay_us,
+                                duplicate,
+                            }
+                        },
+                    )
+                    .collect(),
+                seed,
+            },
+        )
+    }
+
+    /// Grid steps per horizon of [`arb_plan`]'s fault windows.
+    const GRID: u64 = 40;
 
     #[test]
     fn partition_cuts_island_from_control_and_mainland_until_heal() {

@@ -120,6 +120,10 @@ pub struct Device {
     allocations: BTreeMap<String, u64>,
     /// When `Some(tenant)`, the device is reserved single-tenant.
     exclusive_holder: Option<String>,
+    /// Times the device has failed: a slice carved before the latest
+    /// failure belongs to a life the device no longer has.
+    #[serde(default)]
+    failures: u64,
 }
 
 impl Device {
@@ -134,7 +138,13 @@ impl Device {
             state: DeviceState::Healthy,
             allocations: BTreeMap::new(),
             exclusive_holder: None,
+            failures: 0,
         }
+    }
+
+    /// How many times the device has failed (see [`Device::fail`]).
+    pub fn failures(&self) -> u64 {
+        self.failures
     }
 
     /// Units currently allocated.
@@ -205,6 +215,7 @@ impl Device {
     /// as §3.4's failure domains assume).
     pub fn fail(&mut self) -> Vec<String> {
         self.state = DeviceState::Failed;
+        self.failures += 1;
         self.exclusive_holder = None;
         let victims: Vec<String> = self.allocations.keys().cloned().collect();
         self.allocations.clear();

@@ -139,11 +139,7 @@ impl LinearPool {
             let d = self.devices.get_mut(&id).expect("planned device exists");
             let ok = d.allocate(tenant, take, false);
             debug_assert!(ok, "planned allocation must succeed");
-            slices.push(Slice {
-                device: id,
-                units: take,
-                exclusive: false,
-            });
+            slices.push(Slice::carve(d, take, false));
         }
         Ok(Allocation {
             kind: self.kind,
@@ -207,20 +203,16 @@ impl LinearPool {
         Ok(Allocation {
             kind: self.kind,
             tenant: tenant.to_string(),
-            slices: vec![Slice {
-                device: id,
-                units,
-                exclusive: constraints.exclusive,
-            }],
+            slices: vec![Slice::carve(d, units, constraints.exclusive)],
         })
     }
 
-    /// Releases an allocation (idempotent per slice; unknown devices are
-    /// ignored).
+    /// Releases an allocation (unknown devices are ignored, and so is a
+    /// slice its device lost in a failure).
     pub fn release(&mut self, alloc: &Allocation) {
         for s in &alloc.slices {
             if let Some(d) = self.devices.get_mut(&s.device) {
-                d.release(&alloc.tenant, s.units);
+                s.release_from(d, &alloc.tenant);
             }
         }
     }

@@ -51,6 +51,31 @@ pub struct Slice {
     pub units: u64,
     /// Whether the device is held single-tenant.
     pub exclusive: bool,
+    /// The device's [`Device::failures`] when the slice was carved.
+    #[serde(default)]
+    device_failures: u64,
+}
+
+impl Slice {
+    /// `units` carved from `d` as it is now.
+    pub(crate) fn carve(d: &Device, units: u64, exclusive: bool) -> Self {
+        Self {
+            device: d.id,
+            units,
+            exclusive,
+            device_failures: d.failures(),
+        }
+    }
+
+    /// Gives the slice's units on `d` back to `tenant`'s holding. A
+    /// slice carved before `d`'s latest failure died with it: the
+    /// failure dropped its units, and what `tenant` holds on `d` now
+    /// belongs to later allocations, so releasing it is a no-op.
+    pub(crate) fn release_from(&self, d: &mut Device, tenant: &str) {
+        if d.failures() == self.device_failures {
+            d.release(tenant, self.units);
+        }
+    }
 }
 
 /// A successful allocation: one or more slices totalling the requested
@@ -517,12 +542,8 @@ impl ResourcePool {
             let d = self.devices.get_mut(&id).expect("planned device exists");
             let ok = d.allocate(tenant, take, false);
             debug_assert!(ok, "planned allocation must succeed");
+            slices.push(Slice::carve(d, take, false));
             self.reindex_device(id);
-            slices.push(Slice {
-                device: id,
-                units: take,
-                exclusive: false,
-            });
         }
         Ok(Allocation {
             kind: self.kind,
@@ -813,24 +834,22 @@ impl ResourcePool {
         let d = self.devices.get_mut(&id).expect("chosen device exists");
         let ok = d.allocate(tenant, units, constraints.exclusive);
         debug_assert!(ok, "chosen device must accept the allocation");
+        let slice = Slice::carve(d, units, constraints.exclusive);
         self.reindex_device(id);
         Ok(Allocation {
             kind: self.kind,
             tenant: tenant.to_string(),
-            slices: vec![Slice {
-                device: id,
-                units,
-                exclusive: constraints.exclusive,
-            }],
+            slices: vec![slice],
         })
     }
 
-    /// Releases an allocation (idempotent per slice; unknown devices are
-    /// ignored, which makes release safe after failures).
+    /// Releases an allocation. Unknown devices are ignored, and so is a
+    /// slice its device lost in a failure, which makes release safe
+    /// after failures.
     pub fn release(&mut self, alloc: &Allocation) {
         for s in &alloc.slices {
             if let Some(d) = self.devices.get_mut(&s.device) {
-                d.release(&alloc.tenant, s.units);
+                s.release_from(d, &alloc.tenant);
                 self.reindex_device(s.device);
             }
         }
@@ -1170,6 +1189,24 @@ mod tests {
         assert_eq!(p.total_capacity(), 32);
         let a = p.allocate("t", 32, &AllocConstraints::default()).unwrap();
         assert_eq!(a.total_units(), 32);
+    }
+
+    #[test]
+    fn releasing_a_slice_lost_to_a_failure_frees_nothing() {
+        let mut p = pool(&[16]);
+        let lost = p.allocate("t", 4, &AllocConstraints::default()).unwrap();
+        p.device_mut(DeviceId(0)).unwrap().fail();
+        p.device_mut(DeviceId(0)).unwrap().repair();
+        let held = p.allocate("t", 4, &AllocConstraints::default()).unwrap();
+        // Same tenant, same device: only the failure count tells them apart.
+        p.release(&lost);
+        assert_eq!(
+            p.total_used(),
+            4,
+            "the repaired device's holder keeps its units"
+        );
+        p.release(&held);
+        assert_eq!(p.total_used(), 0);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! slices, identical errors, identical `available_for` answers, and
 //! identical accounting — so the index is a pure speedup, never a
 //! behavior change. `best_fit`, the read-only probe placement asks
-//! before it allocates, must name the device both then take.
+//! before it allocates, must name the device both then take. Both also
+//! match a model of what is held: the units of every slice carved since
+//! its device last failed — releasing a slice a failure already took
+//! must not free units a later allocation holds on the repaired device.
 
 use proptest::prelude::*;
 use udc_hal::linear::LinearPool;
@@ -100,7 +103,10 @@ proptest! {
         ),
     ) {
         let (mut linear, mut indexed) = twin_pools();
-        let mut held = Vec::new();
+        // Each held allocation with the failure count of every slice's
+        // device when it was carved; `failures` is the model's own count.
+        let mut held: Vec<(udc_hal::Allocation, Vec<u64>)> = Vec::new();
+        let mut failures = [0u64; DEVICES as usize];
         for (op, units, dev, tenant, exclusive, single, rack, avoid_mask) in steps {
             match decode(op, units, dev, tenant, exclusive, single, rack, avoid_mask) {
                 Op::Allocate { tenant, units, constraints } => {
@@ -130,12 +136,13 @@ proptest! {
                         );
                     }
                     if let Ok(alloc) = a {
-                        held.push(alloc);
+                        let lives = alloc.slices.iter().map(|s| failures[s.device.0 as usize]).collect();
+                        held.push((alloc, lives));
                     }
                 }
                 Op::ReleaseOldest => {
                     if !held.is_empty() {
-                        let alloc = held.remove(0);
+                        let (alloc, _) = held.remove(0);
                         linear.release(&alloc);
                         indexed.release(&alloc);
                     }
@@ -149,15 +156,26 @@ proptest! {
                     }
                     let d = linear.device_mut(id).unwrap();
                     if failed { d.repair() } else { let _ = d.fail(); }
+                    if !failed {
+                        failures[id.0 as usize] += 1;
+                    }
                 }
             }
+            // What is held is exactly the slices no failure has taken.
+            let live: u64 = held
+                .iter()
+                .flat_map(|(alloc, lives)| alloc.slices.iter().zip(lives))
+                .filter(|(s, &life)| failures[s.device.0 as usize] == life)
+                .map(|(s, _)| s.units)
+                .sum();
+            prop_assert_eq!(indexed.total_used(), live, "held units diverged from live slices");
             // Accounting is identical after every step.
             prop_assert_eq!(linear.total_capacity(), indexed.total_capacity());
             prop_assert_eq!(linear.total_used(), indexed.total_used());
             prop_assert_eq!(linear.utilization(), indexed.utilization());
         }
         // Draining everything leaves both pristine.
-        for alloc in &held {
+        for (alloc, _) in &held {
             linear.release(alloc);
             indexed.release(alloc);
         }
