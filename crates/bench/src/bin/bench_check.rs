@@ -4,16 +4,22 @@
 //! ```text
 //! UDC_BENCH_QUICK=1 UDC_BENCH_JSON=results/bench_control_plane.json \
 //!     cargo bench -p udc-bench --bench bench_control_plane
-//! UDC_BENCH_QUICK=1 UDC_BENCH_JSON=results/bench_telemetry.json \
-//!     cargo bench -p udc-bench --bench bench_telemetry
+//! UDC_BENCH_QUICK=1 UDC_BENCH_JSON=results/bench_extvm.json \
+//!     cargo bench -p udc-bench --bench bench_extvm
 //! cargo run -p udc-bench --bin bench_check -- \
-//!     results/bench_control_plane.json results/bench_telemetry.json
+//!     results/bench_control_plane.json results/bench_extvm.json
 //! ```
+//!
+//! The suites gate fast paths against the oracles they replaced, which
+//! no end-to-end metric covers: `control` (`bench_control_plane`: the
+//! indexed pool and bin-packer), `actor` (`bench_actor`: the executor)
+//! and `extvm` (`bench_extvm`: the compiled VM). Request-path costs are
+//! `udc-benchmark`'s per-layer metrics.
 //!
 //! Every threshold is stated next to its check. All files passed on the
 //! command line are merged into one name → ns/iter map; a missing bench
 //! name fails the run (a silently skipped check is a regression vector).
-//! `--suite=control|telemetry|actor|economics|query|failure|extvm` (repeatable) restricts which check
+//! `--suite=control|actor|extvm` (repeatable) restricts which check
 //! suites run, so a CI job that only ran one bench binary can enforce
 //! exactly that binary's floors; with no `--suite=` flag every suite
 //! runs. Exits 0 when every check holds, 1 otherwise.
@@ -104,15 +110,7 @@ impl Checker {
     }
 }
 
-const SUITES: &[&str] = &[
-    "control",
-    "telemetry",
-    "actor",
-    "economics",
-    "query",
-    "failure",
-    "extvm",
-];
+const SUITES: &[&str] = &["control", "actor", "extvm"];
 
 fn main() -> ExitCode {
     let mut paths = Vec::new();
@@ -129,10 +127,7 @@ fn main() -> ExitCode {
         }
     }
     if paths.is_empty() {
-        eprintln!(
-            "usage: bench_check [--suite=control|telemetry|actor|economics|query|failure|extvm]... \
-             <bench-json>..."
-        );
+        eprintln!("usage: bench_check [--suite=control|actor|extvm]... <bench-json>...");
         return ExitCode::from(2);
     }
     let run = |name: &str| suites.is_empty() || suites.iter().any(|s| s == name);
@@ -164,34 +159,6 @@ fn main() -> ExitCode {
             "binpack_10k/naive/bestfit",
             "binpack_10k/indexed/bestfit",
             1.0,
-        );
-    }
-
-    if run("economics") {
-        // Quota-gated admission is one pure `admit` plus one `commit`
-        // under a lock per placement: at most 5% over the ungated
-        // placement (the PR's acceptance floor; measured ~1.00-1.02x).
-        c.ratio_at_most(
-            "sched/place_medical_quota_gated",
-            "sched/place_medical",
-            1.05,
-        );
-    }
-
-    if run("telemetry") {
-        // Disabled-telemetry overhead: a no-op counter bump is one
-        // Option check and must stay under 25 ns/iter even on a noisy
-        // runner.
-        c.at_most_ns("telemetry/noop_incr", 25.0);
-        c.at_most_ns("telemetry/noop_span", 25.0);
-        // An instrumented placement with telemetry disabled must not
-        // cost more than 1.15x the enabled run (it is normally well
-        // below it; this trips if the disabled path ever starts doing
-        // real work).
-        c.ratio_at_most(
-            "telemetry_overhead/place_medical/disabled",
-            "telemetry_overhead/place_medical/enabled",
-            1.15,
         );
     }
 
@@ -231,64 +198,6 @@ fn main() -> ExitCode {
             "actor_failure_churn/fast/enabled",
             2.0,
         );
-    }
-
-    if run("query") {
-        // What switching the engine on costs, gated on the attached
-        // side (the old check, detached <= 1.05x attached, held by
-        // construction: the detached run is a subset of the attached
-        // one). A steady-state fleet tick is the sharpest case: with
-        // nothing to heal, a detached `advance` is an `Option` check
-        // and a plan lookup (~0.1 us), so the whole query barrier — a
-        // feed poll, one gauge sample per module, `advance_to`,
-        // `fire_into`, ~2.5 us per deployment — shows up as a ratio of
-        // 12-23x (it was ~1 200x while the feed snapshotted the hub).
-        // The ceiling leaves a 2-core CI runner's noise room; ROADMAP
-        // item 2's 1.15x is a target for the request path below, which
-        // a ratio over a near-empty denominator can only approach.
-        c.ratio_at_most(
-            "query_overhead/fleet_tick/attached",
-            "query_overhead/fleet_tick/detached",
-            40.0,
-        );
-        // A short tenant life (build, submit, four advances): the
-        // barriers are a few microseconds against ~600 us of placement
-        // (measured 1.05-1.15x; was 1.3-1.5x).
-        c.ratio_at_most(
-            "query_overhead/build_submit_advance4/attached",
-            "query_overhead/build_submit_advance4/detached",
-            1.25,
-        );
-        // Draining a 1 000-message actor storm's hub through a fresh
-        // feed afterwards (measured 1.01-1.05x; was 1.09x).
-        c.ratio_at_most(
-            "query_overhead/ping_storm/attached",
-            "query_overhead/ping_storm/detached",
-            1.15,
-        );
-        // The engine's own operating costs must be in the artifact —
-        // no floor yet, but a silently missing bench is a regression
-        // vector, same as everywhere else in this file.
-        let _ = c.ns("query/advance_quiet");
-        let _ = c.ns("query/feed_1k_advance");
-    }
-
-    if run("failure") {
-        // Lease-based detection replaces omniscient crash knowledge
-        // with heartbeat bookkeeping inside every `advance`. The full
-        // heal cycle (submit → crash → detect → re-place → converge)
-        // must cost at most 1.05x the omniscient oracle — the detector
-        // is a BTreeMap walk per poll, dwarfed by placement (measured
-        // ~1.00x; the ceiling trips if observe() ever grows a scan).
-        c.ratio_at_most(
-            "failure/heal_cycle/lease",
-            "failure/heal_cycle/omniscient",
-            1.05,
-        );
-        // The detector's own poll cost must be in the artifact — no
-        // floor yet, but a silently missing bench is a regression
-        // vector, same as everywhere else in this file.
-        let _ = c.ns("failure/detector_poll_100dev");
     }
 
     if run("extvm") {

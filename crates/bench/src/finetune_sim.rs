@@ -1,22 +1,23 @@
 //! The E12 fine-tune control loop, runnable over either telemetry feed:
-//! **polling** (the seed path — `udc_hal::Telemetry::sample_usage` +
-//! `FineTuner::evaluate` re-reading the raw estimator each round) or
-//! **subscribed** (the continuous-query path — one EWMA query per
-//! module over a `tune.usage` gauge stream, the tuner fed from
-//! subscription polls via `FineTuner::evaluate_usage`).
+//! **polling** (the seed path — each round's sample goes straight into
+//! the tuner's own EWMA via `FineTuner::observe`) or **subscribed** (the
+//! continuous-query path — one EWMA query per module over a
+//! `tune.usage` gauge stream, the tuner fed from subscription polls via
+//! `FineTuner::evaluate_usage`).
 //!
 //! Both modes drive the *same* tuner policy over the *same* simulated
 //! workload and record the *same* per-round Measurement events into the
 //! returned hub, so with no alert rules loaded the exported artifacts
 //! are byte-identical — that equivalence is pinned by
 //! `tests/query_equiv.rs`. The query EWMA uses
-//! [`udc_hal::telemetry::EWMA_ALPHA`], so the smoothed values the two
+//! [`udc_sched::finetune::EWMA_ALPHA`], so the smoothed values the two
 //! modes see are the same `f64`s bit-for-bit, not merely close.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use udc_query::{Aggregation, LabelFilter, Obs, QueryEngine, QuerySpec, Source, SubId, WindowSpec};
+use udc_sched::finetune::EWMA_ALPHA;
 use udc_sched::{FineTuner, TuneAction, TunerConfig};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry as Hub};
 
@@ -31,7 +32,7 @@ pub const ROUNDS: u64 = 12;
 /// Which feed drives the tuner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FeedMode {
-    /// Seed path: HAL estimator polled every round.
+    /// Seed path: the tuner smooths every round's sample itself.
     Polling,
     /// Query path: per-module EWMA subscriptions.
     Subscribed,
@@ -119,7 +120,6 @@ pub fn run(mode: FeedMode, rules: &[&str]) -> SimOutcome {
         hub.set_clock(move || c.load(Ordering::Relaxed));
     }
 
-    let mut hal = udc_hal::Telemetry::new();
     let mut engine = QueryEngine::new();
     let mut subs: Vec<SubId> = Vec::new();
     if mode == FeedMode::Subscribed {
@@ -135,9 +135,7 @@ pub fn run(mode: FeedMode, rules: &[&str]) -> SimOutcome {
                             module: Some(m.name.to_string()),
                         },
                     },
-                    agg: Aggregation::Ewma {
-                        alpha: udc_hal::telemetry::EWMA_ALPHA,
-                    },
+                    agg: Aggregation::Ewma { alpha: EWMA_ALPHA },
                     window: WindowSpec::tumbling(ROUND_US),
                 })
                 .expect("usage query registers");
@@ -165,10 +163,7 @@ pub fn run(mode: FeedMode, rules: &[&str]) -> SimOutcome {
             FeedMode::Polling => modules
                 .iter()
                 .zip(&usages)
-                .map(|(m, &u)| {
-                    hal.sample_usage(m.name, round, u);
-                    hal.usage_estimate(m.name)
-                })
+                .map(|(m, &u)| Some(tuner.observe(m.name, u)))
                 .collect(),
             FeedMode::Subscribed => {
                 for (m, &u) in modules.iter().zip(&usages) {
@@ -184,7 +179,7 @@ pub fn run(mode: FeedMode, rules: &[&str]) -> SimOutcome {
                 }
                 // Close this round's windows; each subscription yields
                 // exactly the EWMA including this round's sample —
-                // which is what the polling path's estimator returns.
+                // which is what the polling path's `observe` returns.
                 engine.advance_to((round + 1) * ROUND_US);
                 let vals = subs
                     .iter()

@@ -696,7 +696,6 @@ impl UdcCloud {
             }
         }
         self.dc.clock().advance(report.makespan_us);
-        self.dc.telemetry_mut().incr("runs", 1);
         report
     }
 
@@ -876,12 +875,14 @@ impl UdcCloud {
     }
 
     /// One round of §3.2 runtime fine-tuning over a live deployment:
-    /// samples each task module's usage (`observed_usage` maps module →
-    /// fraction of its allocation actually used), lets the tuner decide,
-    /// and applies resizes/migrations to the live allocations.
+    /// feeds each module's usage (`observed_usage` maps module →
+    /// fraction of its allocation actually used) to the tuner, lets it
+    /// decide, and applies resizes/migrations to the live allocations.
     ///
     /// Returns the number of adjustments applied. Call repeatedly as
-    /// telemetry arrives; the EWMA smooths noisy samples.
+    /// telemetry arrives; the tuner's EWMA smooths noisy samples. The
+    /// scheduler refuses to resize a module whose device failed since it
+    /// was placed; the next [`UdcCloud::advance`] heals it instead.
     pub fn autoscale(
         &mut self,
         dep: &mut Deployment,
@@ -889,11 +890,8 @@ impl UdcCloud {
         observed_usage: &BTreeMap<ModuleId, f64>,
     ) -> usize {
         let _span = self.obs.span("cloud.autoscale");
-        let now = self.dc.clock().now();
         for (id, usage) in observed_usage {
-            self.dc
-                .telemetry_mut()
-                .sample_usage(id.as_str(), now, *usage);
+            tuner.observe(id.as_str(), *usage);
         }
         let mut applied = 0;
         let ids: Vec<ModuleId> = dep.placement.modules.keys().cloned().collect();
@@ -912,8 +910,9 @@ impl UdcCloud {
                 .and_then(|pool| pool.device(device))
                 .map(|d| d.free_for(&self.tenant))
                 .unwrap_or(0);
-            let action = tuner.evaluate(id.as_str(), self.dc.telemetry(), current_units, headroom);
-            let Some(action) = action else { continue };
+            let Some(action) = tuner.evaluate(id.as_str(), current_units, headroom) else {
+                continue;
+            };
             let (action_name, action_units) = match &action {
                 udc_sched::TuneAction::Resize { to_units, .. } => ("resize", *to_units),
                 udc_sched::TuneAction::Migrate { units, .. } => ("migrate", *units),
@@ -1446,6 +1445,45 @@ mod autoscale_tests {
         // Usage of the true need (4 cores) is now inside the band.
         assert!(4.0 / final_units as f64 >= 0.4);
         cloud.teardown(&mut dep);
+    }
+
+    #[test]
+    fn autoscale_between_a_flap_and_the_heal_frees_nothing() {
+        use udc_hal::{FailureEvent, FailurePlan};
+        let cpu_used = |cloud: &UdcCloud| {
+            cloud
+                .datacenter()
+                .pool(ResourceKind::Cpu)
+                .unwrap()
+                .total_used()
+        };
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let mut dep = cloud.submit(&one_task(8)).unwrap();
+        let mut other = cloud.submit(&one_task(4)).unwrap();
+        let device = dep.placement.modules[&ModuleId::from("T")].primary_device;
+        let now = cloud.datacenter().clock().now();
+        cloud
+            .datacenter_mut()
+            .set_failure_plan(FailurePlan::from_events(
+                [(1, true), (2, false)]
+                    .map(|(dt, crash)| FailureEvent {
+                        at_us: now + dt,
+                        device,
+                        crash,
+                    })
+                    .to_vec(),
+            ));
+        // `other` sees the flap and heals; `dep` has not looked yet.
+        cloud.advance(&mut other, 10);
+        let before = cpu_used(&cloud);
+        let mut tuner = FineTuner::new(TunerConfig::default());
+        let usage = BTreeMap::from([(ModuleId::from("T"), 0.1f64)]);
+        assert_eq!(cloud.autoscale(&mut dep, &mut tuner, &usage), 0);
+        assert_eq!(cpu_used(&cloud), before, "no other module's units freed");
+        cloud.advance(&mut dep, 0);
+        cloud.teardown(&mut dep);
+        cloud.teardown(&mut other);
+        assert_eq!(cpu_used(&cloud), 0);
     }
 
     #[test]

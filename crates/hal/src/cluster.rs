@@ -1,13 +1,12 @@
 //! The datacenter: pools of every resource kind, a fabric, a clock,
-//! telemetry, and failure injection — the complete hardware substrate
-//! the UDC control plane manages.
+//! an observability hub, and failure injection — the complete hardware
+//! substrate the UDC control plane manages.
 
 use crate::clock::SimClock;
 use crate::device::{Device, DeviceId};
 use crate::fabric::{Fabric, FabricConfig};
 use crate::failure::{FailureEvent, FailurePlan};
 use crate::pool::{AllocConstraints, AllocError, Allocation, ResourcePool};
-use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use udc_spec::{ResourceKind, ResourceVector};
@@ -120,10 +119,7 @@ pub struct Datacenter {
     clock: SimClock,
     pools: BTreeMap<ResourceKind, ResourcePool>,
     fabric: Fabric,
-    telemetry: Telemetry,
-    /// Control-plane observability hub (disabled by default); distinct
-    /// from the legacy `telemetry` counters above, which feed the
-    /// fine-tuner's usage estimator.
+    /// Control-plane observability hub (disabled by default).
     obs: udc_telemetry::Telemetry,
     failure_plan: FailurePlan,
     next_device_id: u32,
@@ -137,7 +133,6 @@ impl Datacenter {
             clock: SimClock::new(),
             pools: BTreeMap::new(),
             fabric: Fabric::new(config.fabric),
-            telemetry: Telemetry::new(),
             obs: udc_telemetry::Telemetry::disabled(),
             failure_plan: FailurePlan::none(),
             next_device_id: 0,
@@ -174,16 +169,6 @@ impl Datacenter {
     /// The fabric.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
-    }
-
-    /// Telemetry sink.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Mutable telemetry sink.
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 
     /// Installs the control-plane observability hub. The hub's clock is
@@ -236,15 +221,9 @@ impl Datacenter {
     }
 
     /// Advances virtual time by `delta_us`, applying any failure events
-    /// that become due. Returns the device ids that crashed during the
-    /// interval (for the runtime to trigger recovery, §3.4).
-    pub fn tick(&mut self, delta_us: u64) -> Vec<DeviceId> {
-        self.tick_events(delta_us).crashed
-    }
-
-    /// Like [`Datacenter::tick`], but reports repairs as well as
-    /// crashes. The repair loop needs both: crashes start repairs,
-    /// repairs returning capacity re-heal `Degraded` deployments.
+    /// that become due, and reports the devices that crashed and were
+    /// repaired. The repair loop needs both: crashes start recovery
+    /// (§3.4), repairs returning capacity re-heal `Degraded` deployments.
     pub fn tick_events(&mut self, delta_us: u64) -> TickReport {
         let now = self.clock.advance(delta_us);
         let mut crashed = Vec::new();
@@ -256,7 +235,6 @@ impl Datacenter {
                 if let Some(mut d) = pool.device_mut(ev.device) {
                     if ev.crash {
                         let victims = d.fail();
-                        self.telemetry.incr("device_crashes", 1);
                         self.obs.event(
                             EventKind::Failure,
                             Labels::none(),
@@ -269,7 +247,6 @@ impl Datacenter {
                         crashed.push(ev.device);
                     } else {
                         d.repair();
-                        self.telemetry.incr("device_repairs", 1);
                         self.obs.event(
                             EventKind::Failure,
                             Labels::none(),
@@ -324,7 +301,6 @@ impl Datacenter {
                 }
             }
         }
-        self.telemetry.incr("allocations", 1);
         if self.obs.is_enabled() {
             self.obs.incr("hal.allocations", Labels::tenant(tenant), 1);
             self.observe_pool_levels();
@@ -479,14 +455,17 @@ mod tests {
                 crash: false,
             },
         ]));
-        let crashed = dc.tick(150);
-        assert_eq!(crashed, vec![DeviceId(0)]);
-        assert_eq!(dc.telemetry().counter("device_crashes"), 1);
+        let report = dc.tick_events(150);
+        assert_eq!(report.crashed, vec![DeviceId(0)]);
+        assert!(report.repaired.is_empty());
+        assert_eq!(report.events.len(), 1);
         assert_eq!(dc.pool(ResourceKind::Cpu).unwrap().total_capacity(), 8);
-        let crashed = dc.tick(1_000);
-        assert!(crashed.is_empty());
-        assert_eq!(dc.telemetry().counter("device_repairs"), 1);
+        let report = dc.tick_events(1_000);
+        assert!(report.crashed.is_empty());
+        assert_eq!(report.repaired, vec![DeviceId(0)]);
+        assert_eq!(report.events.len(), 1);
         assert_eq!(dc.pool(ResourceKind::Cpu).unwrap().total_capacity(), 16);
+        assert!(dc.tick_events(1_000).is_empty());
     }
 
     #[test]

@@ -67,12 +67,17 @@ impl Slice {
         }
     }
 
-    /// Gives the slice's units on `d` back to `tenant`'s holding. A
-    /// slice carved before `d`'s latest failure died with it: the
-    /// failure dropped its units, and what `tenant` holds on `d` now
-    /// belongs to later allocations, so releasing it is a no-op.
+    /// True when the slice was carved before `d`'s latest failure and so
+    /// died with it: the failure dropped its units, and what the tenant
+    /// holds on `d` now belongs to later allocations.
+    pub fn lost_on(&self, d: &Device) -> bool {
+        d.failures() != self.device_failures
+    }
+
+    /// Gives the slice's units on `d` back to `tenant`'s holding; a no-op
+    /// for a slice [lost](Slice::lost_on) to a failure.
     pub(crate) fn release_from(&self, d: &mut Device, tenant: &str) {
-        if d.failures() == self.device_failures {
+        if !self.lost_on(d) {
             d.release(tenant, self.units);
         }
     }
@@ -222,8 +227,9 @@ impl DevMeta {
 /// their sharing state:
 ///
 /// - *general*: healthy, no exclusive holder — free for every tenant;
-///   keyed ascending and descending by `(free, id)` (globally and
-///   per rack) to serve best-fit probes and worst-fit spills.
+///   keyed ascending by `(free, id)` (globally and per rack). Best-fit
+///   probes read it forwards; worst-fit spills walk it one free level
+///   at a time from the top (see [`desc_by_free`]).
 /// - *vacant*: healthy with no allocations at all — the only devices a
 ///   tenant with no footprint can take exclusively.
 /// - *sole\[t\]* / *excl\[t\]*: devices occupied by exactly tenant `t`
@@ -234,9 +240,7 @@ impl DevMeta {
 #[derive(Debug, Clone, Default)]
 struct PoolIndex {
     general_asc: BTreeSet<(u64, DeviceId)>,
-    general_desc: BTreeSet<(Reverse<u64>, DeviceId)>,
     rack_asc: BTreeMap<u32, BTreeSet<(u64, DeviceId)>>,
-    rack_desc: BTreeMap<u32, BTreeSet<(Reverse<u64>, DeviceId)>>,
     vacant_asc: BTreeSet<(u64, DeviceId)>,
     rack_vacant_asc: BTreeMap<u32, BTreeSet<(u64, DeviceId)>>,
     sole: BTreeMap<String, BTreeSet<DeviceId>>,
@@ -264,12 +268,7 @@ impl PoolIndex {
             None => {
                 let free = m.free();
                 self.general_asc.insert((free, id));
-                self.general_desc.insert((Reverse(free), id));
                 self.rack_asc.entry(m.rack).or_default().insert((free, id));
-                self.rack_desc
-                    .entry(m.rack)
-                    .or_default()
-                    .insert((Reverse(free), id));
                 self.general_free += free;
                 if m.vacant() {
                     self.vacant_asc.insert((m.capacity, id));
@@ -302,12 +301,8 @@ impl PoolIndex {
             None => {
                 let free = m.free();
                 self.general_asc.remove(&(free, id));
-                self.general_desc.remove(&(Reverse(free), id));
                 if let Some(set) = self.rack_asc.get_mut(&m.rack) {
                     set.remove(&(free, id));
-                }
-                if let Some(set) = self.rack_desc.get_mut(&m.rack) {
-                    set.remove(&(Reverse(free), id));
                 }
                 self.general_free -= free;
                 if m.vacant() {
@@ -326,6 +321,15 @@ impl PoolIndex {
             }
         }
     }
+}
+
+/// An ascending `(free, id)` set in worst-fit order — free descending,
+/// id ascending — walked one free level at a time from the top.
+fn desc_by_free(set: &BTreeSet<(u64, DeviceId)>) -> impl Iterator<Item = (u64, DeviceId)> + '_ {
+    let level_below = |free: u64| set.range(..(free, DeviceId(0))).next_back();
+    std::iter::successors(set.last(), move |&&(free, _)| level_below(free))
+        .flat_map(|&(free, _)| set.range((free, DeviceId(0))..=(free, DeviceId(u32::MAX))))
+        .copied()
 }
 
 /// A pool of devices of one resource kind.
@@ -693,31 +697,22 @@ impl ResourcePool {
 
         match constraints.prefer_rack {
             None => {
-                let mut general = self
-                    .index
-                    .general_desc
-                    .iter()
-                    .map(|&(Reverse(free), id)| (free, id));
+                let mut general = desc_by_free(&self.index.general_asc);
                 consume(&mut general, &own_near, &mut remaining, &mut plan);
             }
             Some(r) => {
                 let mut near = self
                     .index
-                    .rack_desc
+                    .rack_asc
                     .get(&r)
                     .into_iter()
-                    .flatten()
-                    .map(|&(Reverse(free), id)| (free, id));
+                    .flat_map(desc_by_free);
                 consume(&mut near, &own_near, &mut remaining, &mut plan);
                 if remaining > 0 {
                     // Everything in rack `r` is exhausted, so the rack-r
                     // entries still present in the global stream carry
                     // zero takeable units; skip them by rack.
-                    let mut far = self
-                        .index
-                        .general_desc
-                        .iter()
-                        .map(|&(Reverse(free), id)| (free, id))
+                    let mut far = desc_by_free(&self.index.general_asc)
                         .filter(|&(_, id)| self.index.meta[&id].rack != r);
                     consume(&mut far, &own_far, &mut remaining, &mut plan);
                 }
@@ -1189,6 +1184,18 @@ mod tests {
         assert_eq!(p.total_capacity(), 32);
         let a = p.allocate("t", 32, &AllocConstraints::default()).unwrap();
         assert_eq!(a.total_units(), 32);
+    }
+
+    #[test]
+    fn worst_fit_walk_is_free_desc_then_id_asc() {
+        let set: BTreeSet<(u64, DeviceId)> =
+            [(8, 4), (3, 1), (8, 0), (0, 7), (3, 9), (8, 2), (5, 3)]
+                .map(|(free, id)| (free, DeviceId(id)))
+                .into();
+        let mut expected: Vec<_> = set.iter().copied().collect();
+        expected.sort_by_key(|&(free, id)| (Reverse(free), id));
+        assert_eq!(desc_by_free(&set).collect::<Vec<_>>(), expected);
+        assert_eq!(desc_by_free(&BTreeSet::new()).next(), None);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl WindowSpec {
 /// (the proptests pin this down under shard-merge permutations);
 /// `Ewma` is deliberately order-*sensitive* — it replicates the
 /// exponentially-weighted estimator control loops poll (see
-/// `udc_hal::telemetry::UsageEstimator`) and so folds samples in
+/// `udc_sched::FineTuner::observe`) and so folds samples in
 /// ingestion order, carrying its estimate across windows.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Aggregation {

@@ -11,7 +11,13 @@
 //! on a full device → migrate.
 
 use serde::{Deserialize, Serialize};
-use udc_hal::Telemetry;
+use std::collections::BTreeMap;
+
+/// EWMA smoothing factor for usage estimation. Public so
+/// subscription-driven control loops can register a query-engine EWMA
+/// aggregation that reproduces [`FineTuner::observe`]'s smoothing
+/// bit-exactly.
+pub const EWMA_ALPHA: f64 = 0.3;
 
 /// Tuner parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,6 +71,8 @@ pub enum TuneAction {
 #[derive(Debug, Clone, Default)]
 pub struct FineTuner {
     config: TunerConfig,
+    /// Smoothed used fraction per module (see [`FineTuner::observe`]).
+    usage: BTreeMap<String, f64>,
     /// SLO-violation counter: samples where usage exceeded allocation.
     pub slo_violations: u64,
     /// Actions recommended so far.
@@ -76,33 +84,48 @@ impl FineTuner {
     pub fn new(config: TunerConfig) -> Self {
         Self {
             config,
-            slo_violations: 0,
-            actions_issued: 0,
+            ..Self::default()
         }
     }
 
-    /// Evaluates one module: given its smoothed usage estimate from
-    /// telemetry and its current allocation, recommend an action (or
-    /// nothing when inside the band).
+    /// Folds one usage sample for `module` — the fraction of its
+    /// allocation actually used, in [0, +inf); above 1.0 the module is
+    /// starved — into the module's EWMA, and returns the new estimate.
+    /// The first sample seeds the estimate.
+    pub fn observe(&mut self, module: &str, used_fraction: f64) -> f64 {
+        match self.usage.get_mut(module) {
+            Some(prev) => {
+                *prev = EWMA_ALPHA * used_fraction + (1.0 - EWMA_ALPHA) * *prev;
+                *prev
+            }
+            None => {
+                self.usage.insert(module.to_string(), used_fraction);
+                used_fraction
+            }
+        }
+    }
+
+    /// Evaluates one module: given its smoothed usage (nothing before
+    /// its first [`FineTuner::observe`]) and its current allocation,
+    /// recommend an action (or nothing when inside the band).
     ///
     /// `device_headroom` is the free capacity on the hosting device; a
     /// grow that exceeds it becomes a migration.
     pub fn evaluate(
         &mut self,
         module: &str,
-        telemetry: &Telemetry,
         current_units: u64,
         device_headroom: u64,
     ) -> Option<TuneAction> {
-        let usage = telemetry.usage_estimate(module)?;
+        let usage = *self.usage.get(module)?;
         self.evaluate_usage(module, usage, current_units, device_headroom)
     }
 
     /// The policy core behind [`FineTuner::evaluate`], taking the
-    /// smoothed usage directly instead of reading the HAL estimator —
+    /// smoothed usage directly instead of the tuner's own estimate —
     /// this is the entry point for subscription-driven control loops
     /// that receive the smoothed value from a query engine (an EWMA
-    /// aggregation reproduces the estimator's smoothing exactly).
+    /// aggregation with [`EWMA_ALPHA`] reproduces it exactly).
     pub fn evaluate_usage(
         &mut self,
         module: &str,
@@ -150,19 +173,47 @@ impl FineTuner {
 mod tests {
     use super::*;
 
-    fn telemetry_with(module: &str, samples: &[f64]) -> Telemetry {
-        let mut t = Telemetry::new();
-        for (i, &s) in samples.iter().enumerate() {
-            t.sample_usage(module, i as u64, s);
+    fn tuner_with(module: &str, samples: &[f64]) -> FineTuner {
+        let mut tuner = FineTuner::new(TunerConfig::default());
+        for &s in samples {
+            tuner.observe(module, s);
         }
-        t
+        tuner
+    }
+
+    #[test]
+    fn observe_is_the_ewma_bit_for_bit() {
+        let samples = [0.42, 1.3, 0.0, 0.77, 0.05, 2.5, 0.6, 0.6, 0.31];
+        let mut tuner = FineTuner::default();
+        let mut expected: Option<f64> = None;
+        for (n, &x) in samples.iter().enumerate() {
+            let got = tuner.observe("A1", x);
+            // The recurrence the query engine's `Ewma` folds with.
+            let e = match expected {
+                None => x,
+                Some(prev) => EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * prev,
+            };
+            assert_eq!(got.to_bits(), e.to_bits(), "sample {n}");
+            expected = Some(e);
+            // ... which is the closed form (1-a)^n x_0 + sum a (1-a)^(n-k) x_k.
+            let closed: f64 = (1.0 - EWMA_ALPHA).powi(n as i32) * samples[0]
+                + (1..=n)
+                    .map(|k| EWMA_ALPHA * (1.0 - EWMA_ALPHA).powi((n - k) as i32) * samples[k])
+                    .sum::<f64>();
+            assert!(
+                (got - closed).abs() < 1e-12,
+                "sample {n}: {got} vs {closed}"
+            );
+        }
+        // Each module smooths its own samples.
+        assert_eq!(tuner.observe("A2", 0.9), 0.9);
+        assert!(tuner.evaluate("A3", 4, 100).is_none());
     }
 
     #[test]
     fn overloaded_module_grows() {
-        let t = telemetry_with("A1", &[0.95; 20]);
-        let mut tuner = FineTuner::new(TunerConfig::default());
-        let action = tuner.evaluate("A1", &t, 4, 100).unwrap();
+        let mut tuner = tuner_with("A1", &[0.95; 20]);
+        let action = tuner.evaluate("A1", 4, 100).unwrap();
         match action {
             TuneAction::Resize {
                 from_units: 4,
@@ -175,9 +226,8 @@ mod tests {
 
     #[test]
     fn idle_module_shrinks() {
-        let t = telemetry_with("A1", &[0.1; 20]);
-        let mut tuner = FineTuner::new(TunerConfig::default());
-        let action = tuner.evaluate("A1", &t, 8, 100).unwrap();
+        let mut tuner = tuner_with("A1", &[0.1; 20]);
+        let action = tuner.evaluate("A1", 8, 100).unwrap();
         match action {
             TuneAction::Resize {
                 from_units: 8,
@@ -190,33 +240,29 @@ mod tests {
 
     #[test]
     fn in_band_module_untouched() {
-        let t = telemetry_with("A1", &[0.7; 20]);
-        let mut tuner = FineTuner::new(TunerConfig::default());
-        assert!(tuner.evaluate("A1", &t, 4, 100).is_none());
+        let mut tuner = tuner_with("A1", &[0.7; 20]);
+        assert!(tuner.evaluate("A1", 4, 100).is_none());
         assert_eq!(tuner.actions_issued, 0);
     }
 
     #[test]
     fn saturated_on_full_device_migrates() {
-        let t = telemetry_with("A1", &[1.2; 20]);
-        let mut tuner = FineTuner::new(TunerConfig::default());
-        let action = tuner.evaluate("A1", &t, 4, 0).unwrap();
+        let mut tuner = tuner_with("A1", &[1.2; 20]);
+        let action = tuner.evaluate("A1", 4, 0).unwrap();
         assert!(matches!(action, TuneAction::Migrate { units, .. } if units > 4));
         assert!(tuner.slo_violations > 0);
     }
 
     #[test]
     fn never_shrinks_below_minimum() {
-        let t = telemetry_with("A1", &[0.01; 20]);
-        let mut tuner = FineTuner::new(TunerConfig::default());
-        assert!(tuner.evaluate("A1", &t, 1, 100).is_none());
+        let mut tuner = tuner_with("A1", &[0.01; 20]);
+        assert!(tuner.evaluate("A1", 1, 100).is_none());
     }
 
     #[test]
     fn unsampled_module_untouched() {
-        let t = Telemetry::new();
         let mut tuner = FineTuner::new(TunerConfig::default());
-        assert!(tuner.evaluate("ghost", &t, 4, 100).is_none());
+        assert!(tuner.evaluate("ghost", 4, 100).is_none());
     }
 
     #[test]
@@ -228,9 +274,10 @@ mod tests {
         let need = 6.0;
         let mut tuner = FineTuner::new(TunerConfig::default());
         for round in 0..20 {
-            let usage = need / units as f64;
-            let t = telemetry_with("A1", &[usage; 10]);
-            match tuner.evaluate("A1", &t, units, 1000) {
+            for _ in 0..10 {
+                tuner.observe("A1", need / units as f64);
+            }
+            match tuner.evaluate("A1", units, 1000) {
                 Some(TuneAction::Resize { to_units, .. }) => units = to_units,
                 Some(TuneAction::Migrate { units: u, .. }) => units = u,
                 None => {

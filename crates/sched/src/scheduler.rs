@@ -127,6 +127,14 @@ pub enum SchedError {
         /// The gate's verdict (failing dimension or suspension).
         verdict: AdmissionVerdict,
     },
+    /// A resize found the module's slice lost to a failure of its device
+    /// since it was carved; the module must be healed, not resized.
+    SliceLost {
+        /// The module whose allocation is stale.
+        module: String,
+        /// The device that failed under it.
+        device: DeviceId,
+    },
 }
 
 impl fmt::Display for SchedError {
@@ -162,6 +170,10 @@ impl fmt::Display for SchedError {
                 }
                 AdmissionVerdict::Admit => write!(f, "app `{app}` denied (spurious)"),
             },
+            SchedError::SliceLost { module, device } => write!(
+                f,
+                "`{module}`'s slice on {device} was lost to a device failure"
+            ),
         }
     }
 }
@@ -394,7 +406,6 @@ impl Scheduler {
             mspan.exit();
             placement.modules.insert(id.clone(), placed);
         }
-        dc.telemetry_mut().incr("apps_placed", 1);
         if self.obs.is_enabled() {
             let tenant = self.options.tenant.as_str();
             for (id, m) in &placement.modules {
@@ -1033,7 +1044,10 @@ impl Scheduler {
     /// resources for a module"). Grows on the same device when it has
     /// headroom; otherwise falls back to [`Scheduler::migrate`].
     ///
-    /// Returns the device the module ends up on.
+    /// Returns the device the module ends up on. A slice its device lost
+    /// in a failure (see [`udc_hal::Slice::lost_on`]) is refused with
+    /// [`SchedError::SliceLost`] and no device is touched: what the
+    /// tenant holds there now belongs to later allocations.
     pub fn resize(
         &mut self,
         dc: &mut Datacenter,
@@ -1045,6 +1059,17 @@ impl Scheduler {
         let old_units = placement.allocations[0].total_units();
         if new_units == old_units {
             return Ok(device);
+        }
+        let slice = &placement.allocations[0].slices[0];
+        if dc
+            .pool(kind)
+            .and_then(|p| p.device(slice.device))
+            .is_some_and(|d| slice.lost_on(d))
+        {
+            return Err(SchedError::SliceLost {
+                module: placement.module.to_string(),
+                device: slice.device,
+            });
         }
         if new_units < old_units {
             // Shrink: release the difference on the same device.
@@ -1119,7 +1144,6 @@ impl Scheduler {
         {
             *slot = new_device;
         }
-        dc.telemetry_mut().incr("migrations", 1);
         Ok(new_device)
     }
 
@@ -1591,7 +1615,8 @@ mod resize_tests {
             .device(old_device)
             .unwrap();
         assert_eq!(old.used(), 4, "only the other tenant remains");
-        assert_eq!(dc.telemetry().counter("migrations"), 1);
+        let new = dc.pool(ResourceKind::Cpu).unwrap().device(device).unwrap();
+        assert_eq!(new.used(), 6, "the module's whole allocation moved");
     }
 
     #[test]
@@ -1613,6 +1638,64 @@ mod resize_tests {
         assert!(err.is_err(), "single-device pool has no destination");
         assert_eq!(m.allocations[0].total_units(), 8, "old allocation intact");
         assert_eq!(dc.pool(ResourceKind::Cpu).unwrap().total_used(), 8);
+    }
+
+    /// One 16-core device: module `T` (8 units) on dev0, dev0 crashes and
+    /// is repaired, then a second app of the same tenant takes 4 units
+    /// there. `T`'s slice is stale; the device's 4 used units are not its.
+    fn flapped_under_a_module() -> (Datacenter, Scheduler, AppPlacement, AppPlacement) {
+        let mut dc = Datacenter::new(udc_hal::DatacenterConfig {
+            pools: vec![udc_hal::PoolConfig {
+                kind: ResourceKind::Cpu,
+                devices: 1,
+                capacity_per_device: 16,
+            }],
+            racks: 1,
+            fabric: Default::default(),
+        });
+        let mut sched = Scheduler::new(SchedOptions::default());
+        let stale = sched.place_app(&mut dc, &one_task_app(8)).unwrap();
+        let pool = dc.pool_mut(ResourceKind::Cpu).unwrap();
+        pool.device_mut(DeviceId(0)).unwrap().fail();
+        pool.device_mut(DeviceId(0)).unwrap().repair();
+        let fresh = sched.place_app(&mut dc, &one_task_app(4)).unwrap();
+        assert_eq!(dc.pool(ResourceKind::Cpu).unwrap().total_used(), 4);
+        (dc, sched, stale, fresh)
+    }
+
+    #[test]
+    fn shrinking_a_slice_lost_to_a_flap_frees_nothing() {
+        let (mut dc, mut sched, mut stale, _fresh) = flapped_under_a_module();
+        let m = stale.modules.get_mut(&ModuleId::from("T")).unwrap();
+        let result = sched.resize(&mut dc, m, 2);
+        assert_eq!(
+            dc.pool(ResourceKind::Cpu).unwrap().total_used(),
+            4,
+            "the newer module keeps its units"
+        );
+        assert_eq!(
+            result,
+            Err(SchedError::SliceLost {
+                module: "T".to_string(),
+                device: DeviceId(0),
+            })
+        );
+        assert_eq!(m.allocations[0].total_units(), 8, "slice untouched");
+    }
+
+    #[test]
+    fn growing_a_slice_lost_to_a_flap_leaks_nothing() {
+        let (mut dc, mut sched, mut stale, fresh) = flapped_under_a_module();
+        let m = stale.modules.get_mut(&ModuleId::from("T")).unwrap();
+        let result = sched.resize(&mut dc, m, 10);
+        sched.release_app(&mut dc, &stale);
+        sched.release_app(&mut dc, &fresh);
+        assert_eq!(
+            dc.pool(ResourceKind::Cpu).unwrap().total_used(),
+            0,
+            "no grown units outlive both modules"
+        );
+        assert!(matches!(result, Err(SchedError::SliceLost { .. })));
     }
 
     #[test]

@@ -49,12 +49,14 @@ fn device_crash_and_repair_cycle() {
             crash: false,
         },
     ]));
-    let crashed = dc.tick(10_000);
-    assert_eq!(crashed, vec![victim]);
-    assert_eq!(dc.telemetry().counter("device_crashes"), 1);
-    let crashed_again = dc.tick(120_000_000);
-    assert!(crashed_again.is_empty());
-    assert_eq!(dc.telemetry().counter("device_repairs"), 1);
+    let first = dc.tick_events(10_000);
+    assert_eq!(first.crashed, vec![victim]);
+    assert!(first.repaired.is_empty());
+    assert_eq!(dc.device(victim).unwrap().free_for("t"), 0, "crashed");
+    let second = dc.tick_events(120_000_000);
+    assert!(second.crashed.is_empty());
+    assert_eq!(second.repaired, vec![victim]);
+    assert!(dc.device(victim).unwrap().free_for("t") > 0, "repaired");
 }
 
 #[test]
@@ -174,14 +176,13 @@ fn random_failure_plan_applies_fully() {
     let plan = FailurePlan::random(&ids, 0.25, 1_000_000, 500_000, 42);
     let expected_events = plan.len();
     dc.set_failure_plan(plan);
-    let mut crashes = 0;
+    let mut applied = 0;
     for _ in 0..40 {
-        crashes += dc.tick(50_000).len();
+        let report = dc.tick_events(50_000);
+        applied += report.crashed.len() + report.repaired.len();
     }
-    assert_eq!(dc.telemetry().counter("device_crashes"), crashes as u64);
     assert_eq!(
-        dc.telemetry().counter("device_crashes") + dc.telemetry().counter("device_repairs"),
-        expected_events as u64,
+        applied, expected_events,
         "every scheduled event fires exactly once"
     );
 }
