@@ -3,7 +3,6 @@
 use bytes::Bytes;
 use std::fmt;
 use std::sync::Arc;
-use udc_telemetry::TraceCtx;
 
 /// Identifier of an actor (module instance) within a system.
 ///
@@ -76,34 +75,16 @@ pub struct Message {
     /// Delivery sequence number, assigned by the system at delivery
     /// time; 0 before delivery.
     pub seq: u64,
-    /// Causal trace context. Messages sent from a handler inherit the
-    /// context of the message being handled, so a whole message cascade
-    /// reconstructs as one trace.
-    pub trace: Option<TraceCtx>,
 }
 
 impl Message {
-    /// Builds an external message (no sender, no trace).
+    /// Builds an external message (no sender).
     pub fn external(to: impl Into<ActorId>, payload: impl Into<Bytes>) -> Self {
         Self {
             from: None,
             to: to.into(),
             payload: payload.into(),
             seq: 0,
-            trace: None,
-        }
-    }
-
-    /// Builds an external message carrying a trace context, so the
-    /// cascade it triggers joins the caller's trace.
-    pub fn external_traced(
-        to: impl Into<ActorId>,
-        payload: impl Into<Bytes>,
-        ctx: TraceCtx,
-    ) -> Self {
-        Self {
-            trace: Some(ctx),
-            ..Self::external(to, payload)
         }
     }
 }
@@ -128,15 +109,10 @@ impl std::error::Error for ActorError {}
 pub struct Ctx {
     /// Messages queued by the current handler invocation.
     pub(crate) outbox: Vec<(ActorId, Bytes)>,
-    /// Trace context of the delivery in progress: the `actor.deliver`
-    /// span when tracing is on, else the incoming message's context.
-    /// Outbox messages inherit it.
-    pub(crate) trace: Option<TraceCtx>,
 }
 
 impl Ctx {
-    /// Queues a message to another actor. The message inherits the
-    /// trace context of the delivery being handled.
+    /// Queues a message to another actor.
     pub fn send(&mut self, to: impl Into<ActorId>, payload: impl Into<Bytes>) {
         self.outbox.push((to.into(), payload.into()));
     }
@@ -144,11 +120,6 @@ impl Ctx {
     /// Number of messages queued so far in this invocation.
     pub fn pending(&self) -> usize {
         self.outbox.len()
-    }
-
-    /// The trace context this handler invocation runs under, if any.
-    pub fn trace(&self) -> Option<TraceCtx> {
-        self.trace
     }
 }
 

@@ -15,8 +15,8 @@
 //!   messages out, no shared state);
 //! - [`system::System`] — the executor (there is exactly one, see
 //!   DESIGN.md §14): deterministic, single-threaded, interned actor
-//!   slots, an O(active) ready bitmap, and lock-free telemetry handles
-//!   on the per-message path;
+//!   slots, an O(active) ready bitmap, and no telemetry call on the
+//!   per-message path;
 //! - [`naive::NaiveSystem`] — the seed executor, kept verbatim as the
 //!   observable-equivalence oracle (see `tests/prop_equiv.rs`);
 //! - [`log::MessageLog`] — reliable message recording enabling

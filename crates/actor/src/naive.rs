@@ -21,7 +21,7 @@ use crate::supervise::SupervisionPolicy;
 use crate::system::SystemStats;
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
-use udc_telemetry::{Labels, Telemetry, TraceCtx};
+use udc_telemetry::{Labels, Telemetry};
 
 struct Registered {
     actor: Box<dyn Actor>,
@@ -77,16 +77,6 @@ impl NaiveSystem {
         self.enqueue(Message::external(to, payload));
     }
 
-    /// Enqueues an external message under an explicit trace context.
-    pub fn inject_traced(
-        &mut self,
-        to: impl Into<ActorId>,
-        payload: impl Into<Bytes>,
-        ctx: TraceCtx,
-    ) {
-        self.enqueue(Message::external_traced(to, payload, ctx));
-    }
-
     fn enqueue(&mut self, msg: Message) {
         match self.actors.get_mut(&msg.to) {
             Some(r) if !r.stopped => {
@@ -137,19 +127,7 @@ impl NaiveSystem {
             self.obs.incr("actor.dead_letters", Labels::none(), 1);
             return;
         };
-        // Each traced delivery becomes an `actor.deliver` span parented
-        // on the incoming message's context; outbox messages inherit the
-        // span's context so the cascade forms a connected DAG.
-        let span = if msg.trace.is_some() && self.obs.is_enabled() {
-            Some(self.obs.span_opt(msg.trace.as_ref(), "actor.deliver"))
-        } else {
-            None
-        };
-        let dctx = span.as_ref().and_then(|s| s.ctx()).or(msg.trace);
-        let mut ctx = Ctx {
-            trace: dctx,
-            ..Ctx::default()
-        };
+        let mut ctx = Ctx::default();
         let result = r.actor.on_message(&mut ctx, &msg);
         match result {
             Ok(()) => {
@@ -163,7 +141,6 @@ impl NaiveSystem {
                         to,
                         payload,
                         seq: 0,
-                        trace: dctx,
                     });
                 }
             }

@@ -19,11 +19,10 @@
 //!   `step()` is O(actors with pending mail) and allocation-free in
 //!   steady state.
 //!
-//! Telemetry on the per-message path goes through pre-registered
-//! lock-free handles ([`udc_telemetry::CounterHandle`] /
-//! [`udc_telemetry::GaugeHandle`]) resolved once in
-//! [`System::set_observer`], so a delivery costs one relaxed atomic op
-//! instead of a mutex acquisition plus string-keyed map walk.
+//! Nothing on the per-message path touches the telemetry hub: a
+//! delivery only bumps [`SystemStats`], and each `step` hands the hub
+//! what the stats gained in one `incr` per counter that moved (see
+//! [`System::set_observer`]).
 
 use crate::actor::{Actor, ActorId, Ctx, Message};
 pub use crate::log::MessageLog;
@@ -31,13 +30,12 @@ use crate::readiness::ReadySet;
 use crate::slab::{SlotTable, SpawnEffect};
 use crate::supervise::SupervisionPolicy;
 use bytes::Bytes;
-use udc_telemetry::{CounterHandle, GaugeHandle, Labels, Telemetry, TraceCtx};
+use udc_telemetry::{Labels, Telemetry};
 
 /// A resolve-once injection handle: the dense slot an [`ActorId`] was
 /// interned into. Callers on a hot injection path look the id up a
 /// single time with [`System::resolve`] and then inject through the
-/// handle, skipping the per-message index probe — the same
-/// resolve-once pattern the telemetry instrument handles use.
+/// handle, skipping the per-message index probe.
 ///
 /// Slots are never deallocated, so a handle stays valid for the life of
 /// the system; it keeps addressing the same id even across a re-spawn
@@ -78,11 +76,6 @@ pub struct System {
     /// Deepest mailbox seen; gates gauge updates to high-water
     /// candidates so steady-state enqueues skip the gauge entirely.
     mailbox_hw: i64,
-    delivered_h: CounterHandle,
-    failures_h: CounterHandle,
-    restarts_h: CounterHandle,
-    dead_letters_h: CounterHandle,
-    mailbox_depth_h: GaugeHandle,
 }
 
 impl System {
@@ -93,15 +86,12 @@ impl System {
 
     /// Installs the observability hub: deliveries, failures, restarts
     /// and dead letters become `actor.*` counters, and the deepest
-    /// mailbox seen is tracked as a gauge high-water mark. Counter and
-    /// gauge cells are resolved once here; per-message updates are
-    /// single atomic ops.
+    /// mailbox seen is tracked as a gauge high-water mark. The counters
+    /// are [`SystemStats`]' own numbers: each `step` reports what they
+    /// gained, and a dead letter outside a step is reported at once, so
+    /// no message costs a hub lock and the hub never lags the stats
+    /// between calls.
     pub fn set_observer(&mut self, obs: Telemetry) {
-        self.delivered_h = obs.counter_handle("actor.delivered", &Labels::none());
-        self.failures_h = obs.counter_handle("actor.failures", &Labels::none());
-        self.restarts_h = obs.counter_handle("actor.restarts", &Labels::none());
-        self.dead_letters_h = obs.counter_handle("actor.dead_letters", &Labels::none());
-        self.mailbox_depth_h = obs.gauge_handle("actor.mailbox_depth", &Labels::none());
         self.obs = obs;
     }
 
@@ -130,18 +120,10 @@ impl System {
 
     /// Enqueues an external message.
     pub fn inject(&mut self, to: impl Into<ActorId>, payload: impl Into<Bytes>) {
-        self.enqueue(Message::external(to, payload));
-    }
-
-    /// Enqueues an external message under an explicit trace context, so
-    /// the whole cascade it triggers joins the caller's trace.
-    pub fn inject_traced(
-        &mut self,
-        to: impl Into<ActorId>,
-        payload: impl Into<Bytes>,
-        ctx: TraceCtx,
-    ) {
-        self.enqueue(Message::external_traced(to, payload, ctx));
+        if !self.enqueue(Message::external(to, payload)) {
+            // Outside a step: no round will report this dead letter.
+            self.obs.incr("actor.dead_letters", Labels::none(), 1);
+        }
     }
 
     /// Resolves an id to its injection handle, if the id was ever
@@ -160,7 +142,7 @@ impl System {
         let s = self.table.slot_mut(at.0);
         if s.stopped {
             self.stats.dead_letters += 1;
-            self.dead_letters_h.incr(1);
+            self.obs.incr("actor.dead_letters", Labels::none(), 1);
             return;
         }
         let msg = Message {
@@ -168,7 +150,6 @@ impl System {
             to: s.id.clone(),
             payload: payload.into(),
             seq: 0,
-            trace: None,
         };
         if s.mailbox.capacity() == 0 {
             s.mailbox.reserve(16);
@@ -178,17 +159,19 @@ impl System {
         self.note_enqueued(depth, rank);
     }
 
+    /// Queues `msg` at its recipient, or counts a dead letter (returning
+    /// false) when the recipient is unknown or stopped.
     #[inline]
-    fn enqueue(&mut self, msg: Message) {
+    fn enqueue(&mut self, msg: Message) -> bool {
         let slot = match self.table.lookup(&msg.to) {
             Some(s) if !self.table.slot(s).stopped => s,
             _ => {
                 self.stats.dead_letters += 1;
-                self.dead_letters_h.incr(1);
-                return;
+                return false;
             }
         };
         self.enqueue_at(slot, msg);
+        true
     }
 
     #[inline]
@@ -216,7 +199,8 @@ impl System {
         // steady-state enqueue path costs a compare.
         if depth as i64 > self.mailbox_hw {
             self.mailbox_hw = depth as i64;
-            self.mailbox_depth_h.set(depth as i64);
+            self.obs
+                .gauge_set("actor.mailbox_depth", Labels::none(), self.mailbox_hw);
         }
     }
 
@@ -240,10 +224,7 @@ impl System {
     /// the cursor — the seed's id-order snapshot semantics.
     pub fn step(&mut self) -> usize {
         self.refresh_ranks();
-        // Deliveries are summed locally and flushed to the counter cell
-        // once per round: the system is single-threaded, so no reader
-        // can observe the counter mid-step anyway.
-        let delivered_before = self.stats.delivered;
+        let before = self.stats;
         self.log.reserve(self.queued);
         let mut handled = 0;
         let mut cursor: u32 = 0;
@@ -268,16 +249,31 @@ impl System {
             handled += 1;
             self.deliver_front(slot, true);
         }
-        let delivered = self.stats.delivered - delivered_before;
-        if delivered > 0 {
-            self.delivered_h.incr(delivered);
-        }
+        self.report_since(before);
         handled
     }
 
-    /// Delivers the front of `slot`'s mailbox: the message moves
-    /// mailbox -> log in a single step (speculative append — see
-    /// [`System::run_recorded`]).
+    /// Hands the hub what the stats gained since `before`: one `incr`
+    /// per counter that moved, so a round takes at most four hub locks
+    /// however many messages it delivered.
+    fn report_since(&self, before: SystemStats) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let now = self.stats;
+        for (name, was, is) in [
+            ("actor.delivered", before.delivered, now.delivered),
+            ("actor.failures", before.failures, now.failures),
+            ("actor.restarts", before.restarts, now.restarts),
+            ("actor.dead_letters", before.dead_letters, now.dead_letters),
+        ] {
+            if is > was {
+                self.obs.incr(name, Labels::none(), is - was);
+            }
+        }
+    }
+
+    /// Delivers the front of `slot`'s mailbox.
     #[inline]
     fn deliver_front(&mut self, slot: u32, allow_retry: bool) {
         let s = self.table.slot_mut(slot);
@@ -285,49 +281,25 @@ impl System {
             .mailbox
             .pop_front()
             .expect("deliver_front on empty mailbox");
-        let trace = msg.trace;
-        self.log.record(msg);
-        self.run_recorded(slot, trace, allow_retry);
+        self.deliver(slot, msg, allow_retry);
     }
 
-    /// Delivers an owned message (the retry path re-delivers the popped
-    /// entry).
-    fn deliver_owned(&mut self, slot: u32, msg: Message, allow_retry: bool) {
-        let trace = msg.trace;
+    /// Delivers `msg` to `slot`'s actor with a speculative append:
+    /// success is the overwhelmingly common case, so the message is
+    /// recorded up front (by move — payload and ids are refcounted) and
+    /// the handler reads it in place in the log, saving a Message-sized
+    /// move per delivery. A failed delivery pops it back out: failures
+    /// are never logged, as in the seed.
+    #[inline]
+    fn deliver(&mut self, slot: u32, msg: Message, allow_retry: bool) {
         self.log.record(msg);
-        self.run_recorded(slot, trace, allow_retry);
-    }
-
-    /// Runs the handler against the just-recorded log tail.
-    ///
-    /// Speculative append: success is the overwhelmingly common case, so
-    /// the message is recorded up front (by move — payload and ids are
-    /// refcounted) and the handler reads it in place in the log, saving
-    /// a Message-sized move per delivery. A failed delivery pops it back
-    /// out: failures are never logged, as in the seed.
-    ///
-    /// Each traced delivery becomes an `actor.deliver` span parented on
-    /// the incoming message's context; outbox messages inherit the
-    /// span's context so the cascade forms a connected DAG. Untraced
-    /// deliveries skip the span store entirely (the fast path).
-    fn run_recorded(&mut self, slot: u32, trace: Option<TraceCtx>, allow_retry: bool) {
-        let span = if trace.is_some() && self.obs.is_enabled() {
-            Some(self.obs.span_opt(trace.as_ref(), "actor.deliver"))
-        } else {
-            None
-        };
-        let dctx = span.as_ref().and_then(|s| s.ctx()).or(trace);
-        let mut ctx = Ctx {
-            trace: dctx,
-            ..Ctx::default()
-        };
+        let mut ctx = Ctx::default();
         let result = {
             let m = self.log.last().expect("entry just recorded");
             self.table.slot_mut(slot).actor.on_message(&mut ctx, m)
         };
         match result {
             Ok(()) => {
-                // The counter cell is updated once per round in `step`.
                 self.stats.delivered += 1;
                 if !ctx.outbox.is_empty() {
                     let from = self.table.slot(slot).id.clone();
@@ -337,7 +309,6 @@ impl System {
                             to,
                             payload,
                             seq: 0,
-                            trace: dctx,
                         });
                     }
                 }
@@ -351,21 +322,18 @@ impl System {
     fn deliver_failed(&mut self, slot: u32, allow_retry: bool) {
         let msg = self.log.pop_last().expect("entry just recorded");
         self.stats.failures += 1;
-        self.failures_h.incr(1);
         match self.table.slot(slot).policy {
             SupervisionPolicy::Restart => {
                 self.table.slot_mut(slot).actor.reset();
                 self.stats.restarts += 1;
-                self.restarts_h.incr(1);
             }
             SupervisionPolicy::RestartAndRetry => {
                 self.table.slot_mut(slot).actor.reset();
                 self.stats.restarts += 1;
-                self.restarts_h.incr(1);
                 if allow_retry {
                     // The retry keeps the message's seq: it is the same
                     // delivery attempt, not a new one.
-                    self.deliver_owned(slot, msg, false);
+                    self.deliver(slot, msg, false);
                 }
             }
             SupervisionPolicy::Stop => {
@@ -574,6 +542,81 @@ mod tests {
             obs.gauge("actor.mailbox_depth", &Labels::none()),
             Some((4, 4))
         );
+    }
+
+    #[test]
+    fn dead_letters_outside_a_step_reach_the_hub_at_once() {
+        // No round follows to report them: both injection paths count
+        // the dead letter into the hub as it happens.
+        let mut sys = System::new();
+        let obs = Telemetry::enabled();
+        sys.set_observer(obs.clone());
+        sys.spawn("f", Box::new(Fragile::default()), SupervisionPolicy::Stop);
+        let at = sys.resolve(&ActorId::new("f")).expect("spawned");
+        sys.inject("f", Bytes::from_static(b"poison"));
+        sys.run_until_quiescent(100);
+        sys.inject("ghost", Bytes::from_static(b"x"));
+        sys.inject("f", Bytes::from_static(b"ok"));
+        sys.inject_at(at, Bytes::from_static(b"ok"));
+        assert_eq!(sys.stats().dead_letters, 3);
+        assert_eq!(obs.counter("actor.dead_letters", &Labels::none()), 3);
+    }
+
+    #[test]
+    fn each_step_reports_what_its_stats_gained() {
+        // Failures, restarts, retries and dead letters sent from inside
+        // a handler reach the hub with their round, each counted once.
+        let mut sys = System::new();
+        let obs = Telemetry::enabled();
+        sys.set_observer(obs.clone());
+        sys.spawn(
+            "a",
+            Box::new(Forwarder {
+                next: ActorId::new("ghost"),
+            }),
+            SupervisionPolicy::Restart,
+        );
+        sys.spawn(
+            "f",
+            Box::new(Fragile::default()),
+            SupervisionPolicy::RestartAndRetry,
+        );
+        sys.inject("a", Bytes::from_static(b"x"));
+        sys.inject("f", Bytes::from_static(b"poison"));
+        sys.inject("f", Bytes::from_static(b"ok"));
+        let counters = |obs: &Telemetry| {
+            [
+                "actor.delivered",
+                "actor.failures",
+                "actor.restarts",
+                "actor.dead_letters",
+            ]
+            .map(|name| obs.counter(name, &Labels::none()))
+        };
+        while sys.step() > 0 {
+            let s = sys.stats();
+            assert_eq!(
+                counters(&obs),
+                [s.delivered, s.failures, s.restarts, s.dead_letters]
+            );
+        }
+        // The poison message fails twice (delivery and its one retry).
+        assert_eq!(counters(&obs), [2, 2, 2, 1]);
+    }
+
+    #[test]
+    fn untraced_injection_emits_no_spans() {
+        let mut sys = System::new();
+        let obs = Telemetry::enabled();
+        sys.set_observer(obs.clone());
+        sys.spawn(
+            "c",
+            Box::new(Counter::default()),
+            SupervisionPolicy::Restart,
+        );
+        sys.inject("c", Bytes::from_static(b"x"));
+        sys.run_until_quiescent(100);
+        assert!(obs.snapshot().spans.is_empty());
     }
 
     #[test]
@@ -835,56 +878,6 @@ mod tests {
         let fresh = &mut Counter::default();
         fresh.restore(&snap);
         assert_eq!(fresh.seen, 3);
-    }
-
-    #[test]
-    fn traced_injection_links_cascade_into_one_trace() {
-        let mut sys = System::new();
-        let obs = Telemetry::enabled();
-        sys.set_observer(obs.clone());
-        sys.spawn(
-            "a",
-            Box::new(Forwarder {
-                next: ActorId::new("b"),
-            }),
-            SupervisionPolicy::Restart,
-        );
-        sys.spawn(
-            "b",
-            Box::new(Counter::default()),
-            SupervisionPolicy::Restart,
-        );
-        let root = obs.trace_root("test.root");
-        let ctx = root.ctx().expect("enabled root span carries a ctx");
-        sys.inject_traced("a", Bytes::from_static(b"x"), ctx);
-        sys.run_until_quiescent(100);
-        drop(root);
-
-        let spans = obs.snapshot().spans;
-        let delivers: Vec<_> = spans.iter().filter(|s| s.name == "actor.deliver").collect();
-        assert_eq!(delivers.len(), 2, "one deliver span per hop");
-        for d in &delivers {
-            assert_eq!(d.trace, Some(ctx.trace_id), "hop joins the root trace");
-            assert!(d.end_us.is_some(), "deliver spans closed");
-        }
-        // The first hop is parented on the root; the second on the first.
-        assert_eq!(delivers[0].parent, Some(ctx.span));
-        assert_eq!(delivers[1].parent, Some(delivers[0].id));
-    }
-
-    #[test]
-    fn untraced_injection_emits_no_spans() {
-        let mut sys = System::new();
-        let obs = Telemetry::enabled();
-        sys.set_observer(obs.clone());
-        sys.spawn(
-            "c",
-            Box::new(Counter::default()),
-            SupervisionPolicy::Restart,
-        );
-        sys.inject("c", Bytes::from_static(b"x"));
-        sys.run_until_quiescent(100);
-        assert!(obs.snapshot().spans.is_empty());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! every supervision policy and failure pattern in play. At every step
 //! they must handle the *same* number of messages, and at every
 //! checkpoint the stats, message log, dead letters, live actor set,
-//! actor state snapshots, telemetry counters/gauges, and per-actor
-//! replay suffixes must be identical — so the fast path is a pure
-//! speedup, never a behavior change.
+//! actor state snapshots, telemetry gauges, and per-actor replay
+//! suffixes must be identical, and each hub's counters must equal its
+//! own executor's stats — so the fast path is a pure speedup, never a
+//! behavior change.
 //!
 //! A second generator feeds the same oracle TTL-bounded cascades
 //! (forwarders and ×2 fan-outs whose payload byte 0 counts down) under
@@ -164,17 +165,24 @@ fn assert_equivalent(
             );
         }
     }
-    for name in [
-        "actor.delivered",
-        "actor.failures",
-        "actor.restarts",
-        "actor.dead_letters",
-    ] {
+    // Each hub holds exactly its executor's stats: `SystemStats` is the
+    // one place either counts, and the hub can never drift from it.
+    for (obs, stats) in [(fast_obs, fast.stats()), (seed_obs, seed.stats())] {
+        let hub = |name| obs.counter(name, &Labels::none());
         prop_assert_eq!(
-            fast_obs.counter(name, &Labels::none()),
-            seed_obs.counter(name, &Labels::none()),
-            "counter {} diverged",
-            name
+            [
+                hub("actor.delivered"),
+                hub("actor.failures"),
+                hub("actor.restarts"),
+                hub("actor.dead_letters"),
+            ],
+            [
+                stats.delivered,
+                stats.failures,
+                stats.restarts,
+                stats.dead_letters,
+            ],
+            "hub counters drifted from stats()"
         );
     }
     prop_assert_eq!(

@@ -2,13 +2,13 @@
 //!
 //! Every group runs the seed executor (`NaiveSystem`, kept verbatim as
 //! the equivalence oracle) next to the optimized `System` (interned
-//! slots, O(active) ready bitmap, lock-free telemetry handles) over the
+//! slots, O(active) ready bitmap, one hub report per round) over the
 //! identical workload, so one bench run quantifies the speedup and
 //! `bench_check --suite=actor` enforces the floors:
 //!
 //! - `actor_ping_storm` — 10k actors × 16 messages each, the dense
 //!   saturation case; enabled/disabled telemetry variants pin both the
-//!   runtime speedup and the handle path's disabled overhead;
+//!   runtime speedup and what switching the hub on costs;
 //! - `actor_sparse_chain` — a 64-hop token walk through 10k mostly-idle
 //!   actors: the seed pays O(all actors) per round, the ready bitmap
 //!   pays O(active);

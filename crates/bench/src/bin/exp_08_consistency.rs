@@ -41,7 +41,6 @@ fn main() {
         for replicas in [1u32, 2, 3] {
             let mut store =
                 ReplicatedStore::new(replicas, level, ReplicationParams::default()).expect("r>=1");
-            store.set_observer(tel.clone());
             // 2 000 ops on one hot key, 30% writes; asynchronous
             // propagation completes every 10 ops.
             for i in 0..2_000u64 {

@@ -161,12 +161,13 @@ pub struct UdcCloud {
     /// detector-confirmed devices, which can lag reality by up to the
     /// detection bound.
     pub(crate) dead_devices: std::collections::BTreeSet<DeviceId>,
-    /// Bumped whenever a device joins `dead_devices` (a crash event
-    /// under omniscient detection, a confirmation under lease
-    /// detection) — even one that leaves it again within the tick.
+    /// Bumped whenever a device joins `dead_devices` or loses what it
+    /// held (a crash event under omniscient detection; a confirmation,
+    /// or a restart no confirmation covered, under lease detection) —
+    /// even one that is back within the tick.
     pub(crate) lost_epoch: u64,
-    /// Per device id, the `lost_epoch` at which it last joined
-    /// (0 = never).
+    /// Per device id, the `lost_epoch` at which it last lost what it
+    /// held (0 = never).
     pub(crate) lost_stamps: Vec<u64>,
     /// How [`UdcCloud::advance`] learns about device failures.
     pub(crate) detection: crate::heal::DetectionMode,

@@ -287,6 +287,10 @@ pub struct HealReport {
     /// Devices that returned to service after suspicion or confirmation
     /// (a fresh heartbeat arrived).
     pub resurrected: Vec<DeviceId>,
+    /// Devices whose heartbeats came back from a new boot without any
+    /// confirmation covering the crash: alive, but what they held is
+    /// lost, so their modules are evicted and re-placed.
+    pub restarted: Vec<DeviceId>,
     /// Devices that were suspected but turned out alive (resurrected
     /// without ever being confirmed) — the cost of gray faults.
     pub false_suspects: u64,
@@ -306,6 +310,7 @@ impl HealReport {
             && self.suspected.is_empty()
             && self.confirmed.is_empty()
             && self.resurrected.is_empty()
+            && self.restarted.is_empty()
             && self.false_suspects == 0
     }
 }
@@ -529,10 +534,11 @@ fn healthy_modules(dep: &Deployment) -> Vec<ModuleId> {
 }
 
 impl UdcCloud {
-    /// `d` joins the lost set: it is dead now, and stamped with a fresh
-    /// lost epoch so every deployment's next look sees it joined.
-    fn mark_lost(&mut self, d: DeviceId) {
-        self.dead_devices.insert(d);
+    /// `d` lost whatever it held — a crash, or under lease detection a
+    /// restart no confirmation covered: stamped with a fresh lost epoch,
+    /// so every deployment's next look counts it lost, even once it is
+    /// back.
+    fn mark_wiped(&mut self, d: DeviceId) {
         self.lost_epoch += 1;
         let i = d.0 as usize;
         if self.lost_stamps.len() <= i {
@@ -541,35 +547,32 @@ impl UdcCloud {
         self.lost_stamps[i] = self.lost_epoch;
     }
 
-    /// The lost epoch at which `d` last joined the lost set (0 = never).
+    /// The lost epoch at which `d` was last wiped (0 = never).
     fn lost_stamp(&self, d: DeviceId) -> u64 {
         self.lost_stamps.get(d.0 as usize).copied().unwrap_or(0)
     }
 
     /// Whether a deployment whose last look was at lost epoch `seen`
-    /// must count `d` as lost: dead now, or — omniscient only — gone at
-    /// any moment since (a device that crashed and came back in between
-    /// lost its allocations all the same).
-    fn is_lost(&self, d: DeviceId, seen: u64, lease_mode: bool) -> bool {
-        self.dead_devices.contains(&d) || (!lease_mode && self.lost_stamp(d) > seen)
+    /// must count `d` as lost: believed dead now, or wiped at any moment
+    /// since (a device that crashed and came back in between lost its
+    /// allocations all the same).
+    fn is_lost(&self, d: DeviceId, seen: u64) -> bool {
+        self.dead_devices.contains(&d) || self.lost_stamp(d) > seen
     }
 
     /// True when `dep` is converged, has a footprint, and no footprint
-    /// device is dead now or joined the lost set after lost epoch
-    /// `seen` — trivially so when nothing joined at all. Such a
-    /// deployment has no module to detect, re-heal or retry. Exact: the
-    /// footprint was taken by a look that found every device alive and
-    /// no placement has changed since (every change drops it), and a
-    /// device can only have become lost by joining after that look.
+    /// device is lost to a look at lost epoch `seen` — trivially so when
+    /// the epoch has not moved. Such a deployment has no module to
+    /// detect, re-heal or retry. Exact: the footprint was taken by a
+    /// look that found every device alive and no placement has changed
+    /// since (every change drops it), and a device can only have become
+    /// lost by an epoch bump after that look.
     fn untouched_since(&self, dep: &Deployment, seen: u64) -> bool {
         let Some(footprint) = &dep.footprint else {
             return false;
         };
         dep.health.is_converged()
-            && (self.lost_epoch == seen
-                || footprint
-                    .iter()
-                    .all(|&d| !self.dead_devices.contains(&d) && self.lost_stamp(d) <= seen))
+            && (self.lost_epoch == seen || footprint.iter().all(|&d| !self.is_lost(d, seen)))
     }
 
     /// Advances virtual time, applying failure events and driving the
@@ -596,7 +599,8 @@ impl UdcCloud {
                 // of the crashed/repaired sets happens to apply last.
                 for e in &tick.events {
                     if e.crash {
-                        self.mark_lost(e.device);
+                        self.dead_devices.insert(e.device);
+                        self.mark_wiped(e.device);
                     } else {
                         self.dead_devices.remove(&e.device);
                     }
@@ -608,7 +612,14 @@ impl UdcCloud {
                 // truth gates emission; the net plan gates delivery).
                 let dr = det.observe(now, &tick.events, &self.net);
                 for &d in &dr.newly_confirmed {
-                    self.mark_lost(d);
+                    // Dead by belief, not known wiped: no stamp, so a
+                    // deployment that first looks after the device is
+                    // back (a healed partition) keeps what it holds.
+                    self.dead_devices.insert(d);
+                    self.lost_epoch += 1;
+                }
+                for &d in &dr.restarted {
+                    self.mark_wiped(d);
                 }
                 for &d in &dr.resurrected {
                     self.dead_devices.remove(&d);
@@ -617,6 +628,7 @@ impl UdcCloud {
                 report.suspected = dr.newly_suspected;
                 report.confirmed = dr.newly_confirmed;
                 report.resurrected = dr.resurrected;
+                report.restarted = dr.restarted;
                 cleared = dr.false_suspects;
                 true
             }
@@ -675,7 +687,9 @@ impl UdcCloud {
                     }
                 }
             }
-            for &d in &report.confirmed {
+            // A restart killed the device's pinned instances just as a
+            // confirmed crash would have.
+            for &d in report.confirmed.iter().chain(&report.restarted) {
                 report.invalidated_warm += self.scheduler.warm_pool_mut().confirm_device(d) as u64;
             }
         } else {
@@ -704,14 +718,15 @@ impl UdcCloud {
 
         // A module is impacted when any of its slices or replica
         // devices sits on a device the control plane believes dead — or
-        // (omniscient only) on one that crashed since the deployment's
-        // last look, even if a repair already brought the (now empty)
-        // device back. Lease mode acts strictly on confirmed knowledge:
-        // a crash the detector hasn't confirmed yet is, to the control
-        // plane, not a crash — that lag is the price of dropping the
-        // oracle, and the property suite bounds it at `lease ×
-        // confirm_misses`. A converged deployment whose footprint no loss
-        // touched since its last look is skipped without a module scan.
+        // on one wiped since the deployment's last look, even if the
+        // (now empty) device is back. Lease mode acts strictly on what
+        // heartbeats show: a crash the detector hasn't confirmed yet is,
+        // to the control plane, not a crash until the device is
+        // confirmed or beats again from a new boot — that lag is the
+        // price of dropping the oracle, and the property suite bounds it
+        // at `lease × confirm_misses`. A converged deployment whose
+        // footprint no loss touched since its last look is skipped
+        // without a module scan.
         let seen = std::mem::replace(&mut dep.seen_epoch, self.lost_epoch);
         if self.untouched_since(dep, seen) {
             self.observe_queries(dep, now);
@@ -722,16 +737,17 @@ impl UdcCloud {
             .modules
             .iter()
             .filter(|(id, _)| dep.health.module(id) == ModuleHealth::Healthy)
-            .filter(|(_, p)| module_devices(p).any(|d| self.is_lost(d, seen, lease_mode)))
+            .filter(|(_, p)| module_devices(p).any(|d| self.is_lost(d, seen)))
             .map(|(id, _)| id.clone())
             .collect();
 
         // Device repairs re-heal capacity-degraded modules, but never
         // economically suspended ones: those wait for payment. In lease
         // mode "capacity returned" means the detector saw the device
-        // come back (resurrection), not the raw repair event.
+        // come back (a resurrection or a restart), not the raw repair
+        // event.
         let capacity_back = if lease_mode {
-            !report.resurrected.is_empty()
+            !report.resurrected.is_empty() || !report.restarted.is_empty()
         } else {
             !tick.repaired.is_empty()
         };
@@ -766,7 +782,7 @@ impl UdcCloud {
             let dctx = dspan.ctx().or(ctx);
             for id in &impacted {
                 let dead_here: BTreeSet<DeviceId> = module_devices(&dep.placement.modules[id])
-                    .filter(|&d| self.is_lost(d, seen, lease_mode))
+                    .filter(|&d| self.is_lost(d, seen))
                     .collect();
                 if self.obs.is_enabled() {
                     for d in &dead_here {
@@ -1691,6 +1707,52 @@ mod tests {
 
         cloud.teardown(&mut a);
         cloud.teardown(&mut b);
+        assert_eq!(cpu_used(&cloud), 0);
+    }
+
+    #[test]
+    fn lease_detection_heals_a_restart_inside_the_bound() {
+        // Regression: a device that crashed and was back before three
+        // leases of silence was never confirmed, so its module stayed
+        // "converged" on units the crash had wiped and the pool counted
+        // free — free to hand to another module.
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        cloud.attach_failure_detection(udc_failure::DetectorConfig {
+            lease_us: 1_000,
+            confirm_misses: 3,
+            seed: 7,
+        });
+        let mut app = AppSpec::new("restart");
+        app.add_task(
+            TaskSpec::new("T")
+                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, 8)),
+        );
+        let mut dep = cloud.submit(&app).unwrap();
+        let dev = dep.placement.modules[&ModuleId::from("T")].primary_device;
+        cloud
+            .datacenter_mut()
+            .set_failure_plan(FailurePlan::from_events(vec![
+                crash(5, dev),
+                repair(1_200, dev),
+            ]));
+
+        let (mut detected, mut restarted) = (0, Vec::new());
+        for _ in 0..40 {
+            let r = cloud.advance(&mut dep, 500);
+            assert!(r.confirmed.is_empty(), "back inside the bound");
+            detected += r.detected.len();
+            restarted.extend(r.restarted);
+        }
+        assert_eq!(detected, 1, "the restart evicted and re-placed T");
+        assert_eq!(restarted, vec![dev]);
+        assert!(dep.health.is_converged());
+        let held: u64 = dep.placement.modules[&ModuleId::from("T")]
+            .allocations
+            .iter()
+            .map(|a| a.total_units())
+            .sum();
+        assert_eq!((held, cpu_used(&cloud)), (8, 8), "held = pool used");
+        cloud.teardown(&mut dep);
         assert_eq!(cpu_used(&cloud), 0);
     }
 

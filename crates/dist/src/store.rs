@@ -19,7 +19,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use udc_spec::ConsistencyLevel;
-use udc_telemetry::{Telemetry, TraceCtx};
 
 /// Latency parameters for the replication model (microseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -191,8 +190,6 @@ pub struct ReplicatedStore {
     stats: StoreStats,
     /// Round-robin read cursor for replica load-balancing.
     read_cursor: usize,
-    /// Observability hub (disabled no-op by default).
-    obs: Telemetry,
 }
 
 impl ReplicatedStore {
@@ -216,37 +213,7 @@ impl ReplicatedStore {
             release_buffer: Vec::new(),
             stats: StoreStats::default(),
             read_cursor: 0,
-            obs: Telemetry::disabled(),
         })
-    }
-
-    /// Installs the observability hub; traced reads and writes emit
-    /// `dist.read` / `dist.write` spans into it.
-    pub fn set_observer(&mut self, obs: Telemetry) {
-        self.obs = obs;
-    }
-
-    /// [`ReplicatedStore::write`] under an explicit trace context: the
-    /// `dist.write` span joins the caller's trace, so store operations
-    /// show up on a deployment's critical path.
-    pub fn write_traced(&mut self, key: &str, value: &[u8], ctx: Option<&TraceCtx>) -> u64 {
-        let _span = if self.obs.is_enabled() {
-            Some(self.obs.span_opt(ctx, "dist.write"))
-        } else {
-            None
-        };
-        self.write(key, value)
-    }
-
-    /// [`ReplicatedStore::read`] under an explicit trace context; emits
-    /// a `dist.read` span joined to the caller's trace.
-    pub fn read_traced(&mut self, key: &str, ctx: Option<&TraceCtx>) -> ReadResult {
-        let _span = if self.obs.is_enabled() {
-            Some(self.obs.span_opt(ctx, "dist.read"))
-        } else {
-            None
-        };
-        self.read(key)
     }
 
     /// The consistency level in force.
@@ -858,39 +825,6 @@ mod tests {
             assert_eq!(s.read("k").staleness, 0);
         }
         assert_eq!(s.stats().stale_reads, 0);
-    }
-
-    #[test]
-    fn traced_ops_join_caller_trace() {
-        let mut s = store(2, ConsistencyLevel::Sequential);
-        let obs = Telemetry::enabled();
-        s.set_observer(obs.clone());
-        let root = obs.trace_root("test.root");
-        let ctx = root.ctx().expect("enabled root span carries a ctx");
-        s.write_traced("k", b"v", Some(&ctx));
-        let r = s.read_traced("k", Some(&ctx));
-        drop(root);
-        assert_eq!(r.value.as_deref(), Some(b"v".as_ref()));
-        let spans = obs.snapshot().spans;
-        let names: Vec<&str> = spans.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, vec!["test.root", "dist.write", "dist.read"]);
-        for s in &spans[1..] {
-            assert_eq!(s.parent, Some(ctx.span));
-            assert_eq!(s.trace, Some(ctx.trace_id));
-        }
-    }
-
-    #[test]
-    fn untraced_store_emits_no_spans() {
-        let mut s = store(2, ConsistencyLevel::Sequential);
-        s.write("k", b"v");
-        s.read("k");
-        // No observer installed: nothing to assert beyond not panicking,
-        // but a disabled hub must also stay span-free when installed.
-        let obs = Telemetry::disabled();
-        s.set_observer(obs);
-        s.write_traced("k2", b"v", None);
-        assert_eq!(s.stats().writes, 2);
     }
 
     #[test]

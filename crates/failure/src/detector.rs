@@ -29,6 +29,12 @@
 //! is at most one lease old when the device dies, so the confirm
 //! threshold is crossed no later than `t + lease × confirm_misses`, and
 //! the next poll observes it.
+//!
+//! A device that crashes and is back before that bound is never
+//! confirmed, yet the crash wiped what it held. Every beat therefore
+//! carries its device's boot epoch (the crash events so far), and a
+//! beat from a newer boot than the last one heard reports the device as
+//! *restarted* — unless a confirmation already covered the outage.
 
 use std::collections::BTreeMap;
 
@@ -92,12 +98,17 @@ pub enum Suspicion {
 struct Track {
     /// Ground-truth emission state (a crashed device sends no beats).
     up: bool,
+    /// Crash events so far: the boot epoch every beat carries.
+    boot: u64,
+    /// The newest boot epoch a received beat carried.
+    heard_boot: u64,
     /// Arrival time of the freshest heartbeat received.
     last_beat_us: Micros,
     /// Next scheduled emission.
     next_emit_us: Micros,
-    /// Beats in flight: delayed by gray faults past the current poll.
-    pending: Vec<Micros>,
+    /// Beats in flight, as (arrival, boot epoch): delayed by gray faults
+    /// past the current poll.
+    pending: Vec<(Micros, u64)>,
     /// Emission sequence number (the delivery nonce).
     seq: u64,
     /// Current verdict.
@@ -117,6 +128,11 @@ pub struct DetectorReport {
     /// `Confirmed → Alive` this poll: beats resumed after a repair or a
     /// healed partition.
     pub resurrected: Vec<DeviceId>,
+    /// Beats from a new boot this poll, from a device no confirmation
+    /// covered: it crashed and came back inside the detection bound, so
+    /// what it held is gone — the caller evicts and re-places, though
+    /// the device itself is alive.
+    pub restarted: Vec<DeviceId>,
 }
 
 impl DetectorReport {
@@ -126,6 +142,7 @@ impl DetectorReport {
             && self.newly_confirmed.is_empty()
             && self.false_suspects.is_empty()
             && self.resurrected.is_empty()
+            && self.restarted.is_empty()
     }
 }
 
@@ -179,6 +196,8 @@ impl LeaseDetector {
             d,
             Track {
                 up,
+                boot: 0,
+                heard_boot: 0,
                 last_beat_us: now,
                 next_emit_us,
                 pending: Vec::new(),
@@ -243,10 +262,13 @@ impl LeaseDetector {
         let lease = self.config.lease_us.max(1);
         let confirm_after = lease * self.config.confirm_misses as Micros;
         for (&d, t) in self.tracks.iter_mut() {
+            // The newest boot epoch heard once this poll's beats land.
+            let mut heard = t.heard_boot;
             // Gray-delayed beats emitted before this window may land now.
-            t.pending.retain(|&arr| {
+            t.pending.retain(|&(arr, boot)| {
                 if arr <= now {
                     t.last_beat_us = t.last_beat_us.max(arr);
+                    heard = heard.max(boot);
                     false
                 } else {
                     true
@@ -259,7 +281,7 @@ impl LeaseDetector {
                 let te = t.next_emit_us;
                 while let Some(e) = dev_events.peek() {
                     if e.at_us <= te {
-                        t.up = !e.crash;
+                        t.apply(e);
                         dev_events.next();
                     } else {
                         break;
@@ -271,8 +293,9 @@ impl LeaseDetector {
                         let arrival = te + del.delay_us;
                         if arrival <= now {
                             t.last_beat_us = t.last_beat_us.max(arrival);
+                            heard = heard.max(t.boot);
                         } else {
-                            t.pending.push(arrival);
+                            t.pending.push((arrival, t.boot));
                         }
                     }
                 }
@@ -280,17 +303,21 @@ impl LeaseDetector {
                 t.next_emit_us += lease;
             }
             for e in dev_events {
-                t.up = !e.crash;
+                t.apply(e);
             }
-            // Verdict at `now`.
+            // Verdict at `now`. A beat from a new boot means a crash the
+            // verdicts never saw, unless the device was confirmed dead
+            // across it.
             let silent = now.saturating_sub(t.last_beat_us);
             let old = t.state;
+            let restarted = heard > t.heard_boot && !matches!(old, Suspicion::Confirmed { .. });
+            t.heard_boot = heard;
             if silent <= lease {
                 t.state = Suspicion::Alive;
                 match old {
-                    Suspicion::Suspected { .. } => report.false_suspects.push(d),
+                    Suspicion::Suspected { .. } if !restarted => report.false_suspects.push(d),
                     Suspicion::Confirmed { .. } => report.resurrected.push(d),
-                    Suspicion::Alive => {}
+                    _ => {}
                 }
             } else if silent > confirm_after {
                 if !matches!(old, Suspicion::Confirmed { .. }) {
@@ -304,9 +331,24 @@ impl LeaseDetector {
                 t.state = Suspicion::Suspected { since_us: now };
                 report.newly_suspected.push(d);
             }
+            // Confirmed this poll: the eviction covers the crash.
+            if restarted && !matches!(t.state, Suspicion::Confirmed { .. }) {
+                report.restarted.push(d);
+            }
         }
         self.last_poll_us = now;
         report
+    }
+}
+
+impl Track {
+    /// Applies one ground-truth transition; a crash of a running device
+    /// starts a new boot epoch.
+    fn apply(&mut self, e: &FailureEvent) {
+        if e.crash && self.up {
+            self.boot += 1;
+        }
+        self.up = !e.crash;
     }
 }
 
@@ -404,7 +446,66 @@ mod tests {
         // next poll, resurrecting the device.
         let r = det.observe(1_250_000, &[repair(1_100_000, 1)], &net);
         assert_eq!(r.resurrected, vec![DeviceId(1)]);
+        assert!(r.restarted.is_empty(), "the confirmation covered the crash");
         assert_eq!(det.suspicion(DeviceId(1)), Suspicion::Alive);
+    }
+
+    #[test]
+    fn restart_inside_the_bound_is_reported_once() {
+        let mut det = LeaseDetector::new(config(), devices(2), 0);
+        let net = NetPlan::none();
+        // Down for half a lease: silence never reaches the three-lease
+        // confirm threshold, but the device rebooted all the same.
+        let schedule = [crash(10_000, 1), repair(60_000, 1)];
+        let mut restarted = Vec::new();
+        for s in 1..=20u64 {
+            let now = s * 50_000;
+            let window: Vec<FailureEvent> = schedule
+                .iter()
+                .copied()
+                .filter(|e| now - 50_000 < e.at_us && e.at_us <= now)
+                .collect();
+            let r = det.observe(now, &window, &net);
+            assert!(r.newly_confirmed.is_empty() && r.false_suspects.is_empty());
+            restarted.extend(r.restarted);
+        }
+        assert_eq!(restarted, vec![DeviceId(1)]);
+        assert_eq!(det.suspicion(DeviceId(1)), Suspicion::Alive);
+    }
+
+    #[test]
+    fn silence_without_a_crash_is_never_a_restart() {
+        // A gray delay and a partition shorter than the confirm bound
+        // silence devices without rebooting them: they come back as
+        // false suspects, exactly as before boot epochs, never restarts.
+        let mut det = LeaseDetector::new(config(), devices(3), 0);
+        let net = NetPlan {
+            grays: vec![GrayFault {
+                device: DeviceId(0),
+                from_us: 150_000,
+                until_us: 1_150_000,
+                delay_us: 2 * LEASE,
+                drop_per_mille: 0,
+            }],
+            partitions: vec![Partition {
+                island: vec![DeviceId(1)],
+                from_us: 200_000,
+                until_us: 400_000,
+            }],
+            ..Default::default()
+        };
+        let mut false_suspects = Vec::new();
+        for s in 1..=24u64 {
+            let r = det.observe(s * 125_000, &[], &net);
+            assert!(
+                r.restarted.is_empty() && r.newly_confirmed.is_empty(),
+                "poll {s}: {r:?}"
+            );
+            false_suspects.extend(r.false_suspects);
+        }
+        false_suspects.sort();
+        false_suspects.dedup();
+        assert_eq!(false_suspects, vec![DeviceId(0), DeviceId(1)]);
     }
 
     #[test]
@@ -545,6 +646,7 @@ mod tests {
                     joined.newly_confirmed.extend(r.newly_confirmed);
                     joined.false_suspects.extend(r.false_suspects);
                     joined.resurrected.extend(r.resurrected);
+                    joined.restarted.extend(r.restarted);
                 }
                 prop_assert_eq!(&single, &joined, "tick {} polled {} times", tick, k);
                 for d in devices(6) {

@@ -556,81 +556,6 @@ impl ResourcePool {
         })
     }
 
-    /// [`ResourcePool::allocate`] with causal tracing: opens a
-    /// `hal.pool.allocate` span under `ctx` on `obs` and records the
-    /// outcome as decision records (accepted device slices, or the
-    /// reason the pool could not serve). `module` attributes the
-    /// decision to the module being placed. Identical allocation
-    /// behaviour; with a disabled hub this is exactly `allocate`.
-    pub fn allocate_traced(
-        &mut self,
-        obs: &udc_telemetry::Telemetry,
-        ctx: Option<&udc_telemetry::TraceCtx>,
-        module: &str,
-        tenant: &str,
-        units: u64,
-        constraints: &AllocConstraints,
-    ) -> Result<Allocation, AllocError> {
-        if !obs.is_enabled() {
-            return self.allocate(tenant, units, constraints);
-        }
-        let span = obs.span_opt(ctx, "hal.pool.allocate");
-        let sctx = span.ctx().or(ctx.copied());
-        let result = self.allocate(tenant, units, constraints);
-        match &result {
-            Ok(a) => {
-                for s in &a.slices {
-                    obs.decide(udc_telemetry::Decision {
-                        ctx: sctx,
-                        stage: "hal.alloc",
-                        module,
-                        candidate: &format!("dev{}", s.device.0),
-                        accepted: true,
-                        reason: udc_telemetry::ReasonCode::Accepted,
-                        score: None,
-                        detail: format!(
-                            "kind={} units={}{}",
-                            self.kind,
-                            s.units,
-                            if s.exclusive { " exclusive" } else { "" }
-                        ),
-                    });
-                }
-            }
-            Err(e) => {
-                let (reason, detail) = match e {
-                    AllocError::Insufficient {
-                        requested,
-                        available,
-                        ..
-                    } => (
-                        udc_telemetry::ReasonCode::Capacity,
-                        format!("requested={requested} available={available}"),
-                    ),
-                    AllocError::ZeroRequest => (
-                        udc_telemetry::ReasonCode::Policy,
-                        "zero-unit request".to_string(),
-                    ),
-                    AllocError::NoExclusiveDevice { requested, .. } => (
-                        udc_telemetry::ReasonCode::Exclusivity,
-                        format!("no vacant device fits {requested} units single-tenant"),
-                    ),
-                };
-                obs.decide(udc_telemetry::Decision {
-                    ctx: sctx,
-                    stage: "hal.alloc",
-                    module,
-                    candidate: "-",
-                    accepted: false,
-                    reason,
-                    score: None,
-                    detail,
-                });
-            }
-        }
-        result
-    }
-
     /// Plans a guaranteed-feasible multi-device allocation in the seed's
     /// candidate order: `(rack_penalty, free desc, id asc)` over general
     /// devices merged with the tenant's exclusively-held devices.

@@ -11,7 +11,7 @@ use crate::env::EnvKind;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use udc_hal::DeviceId;
-use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry, TraceCtx};
+use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 
 /// Warm-pool sizing per environment class.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -130,18 +130,6 @@ impl WarmPool {
     /// and every miss logs a cold-start flight event.
     pub fn set_observer(&mut self, obs: Telemetry) {
         self.obs = obs;
-    }
-
-    /// [`WarmPool::acquire`] under an explicit trace context: the
-    /// `isolate.acquire` span joins the caller's trace, so environment
-    /// acquisition shows up on a deployment's critical path.
-    pub fn acquire_traced(&mut self, kind: EnvKind, ctx: Option<&TraceCtx>) -> u64 {
-        let _span = if self.obs.is_enabled() {
-            Some(self.obs.span_opt(ctx, "isolate.acquire"))
-        } else {
-            None
-        };
-        self.acquire(kind)
     }
 
     /// Attempts to draw a warm instance of `kind`. Returns the startup

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use udc_economics::{demand_of_app, AdmissionVerdict, SharedQuotaGate};
 use udc_hal::pool::AllocConstraints;
-use udc_hal::{AllocError, Allocation, Datacenter, DeviceId};
+use udc_hal::{AllocError, Allocation, Datacenter, DeviceId, ResourcePool};
 use udc_isolate::{select_env, EnvironmentPlan, WarmPool, WarmPoolConfig};
 use udc_spec::{
     AppSpec, ConflictPolicy, Goal, ModuleId, ModuleKind, ResolvedApp, ResourceKind, ResourceVector,
@@ -395,7 +395,7 @@ impl Scheduler {
             let mspan = self.obs.span_opt(pctx.as_ref(), "sched.place_module");
             let mctx = mspan.ctx().or(pctx);
             let placed = match module.kind {
-                ModuleKind::Data => self.place_data(dc, app, module, &placement, &[], mctx),
+                ModuleKind::Data => self.place_data(dc, module, &[], mctx),
                 ModuleKind::Task => {
                     self.place_task(dc, app, module, &placement, &colocate_rack, &[], mctx)
                 }
@@ -486,7 +486,7 @@ impl Scheduler {
         let mctx = span.ctx().or(ctx);
         let colocate_rack = self.colocation_racks(app);
         let placed = match module.kind {
-            ModuleKind::Data => self.place_data(dc, app, module, so_far, exclude, mctx),
+            ModuleKind::Data => self.place_data(dc, module, exclude, mctx),
             ModuleKind::Task => {
                 self.place_task(dc, app, module, so_far, &colocate_rack, exclude, mctx)
             }
@@ -607,9 +607,7 @@ impl Scheduler {
     fn place_data(
         &mut self,
         dc: &mut Datacenter,
-        _app: &AppSpec,
         module: &udc_spec::ModuleSpec,
-        _so_far: &AppPlacement,
         exclude: &[DeviceId],
         ctx: Option<TraceCtx>,
     ) -> Result<ModulePlacement, SchedError> {
@@ -635,24 +633,15 @@ impl Scheduler {
                 avoid,
                 ..Default::default()
             };
-            match dc
-                .pool_mut(kind)
-                .ok_or(SchedError::Alloc {
-                    module: module.id.to_string(),
-                    cause: AllocError::Insufficient {
-                        kind,
-                        requested: units,
-                        available: 0,
-                    },
-                })?
-                .allocate_traced(
-                    &self.obs,
-                    ctx.as_ref(),
-                    module.id.as_str(),
-                    &self.options.tenant,
-                    units,
-                    &constraints,
-                ) {
+            let pool = dc.pool_mut(kind).ok_or(SchedError::Alloc {
+                module: module.id.to_string(),
+                cause: AllocError::Insufficient {
+                    kind,
+                    requested: units,
+                    available: 0,
+                },
+            })?;
+            match self.allocate_audited(pool, &module.id, units, &constraints, ctx) {
                 Ok(a) => {
                     replica_devices.push(a.slices[0].device);
                     allocations.push(a);
@@ -867,16 +856,8 @@ impl Scheduler {
                 available: 0,
             },
         })?;
-        let obs = &self.obs;
-        let alloc = pool
-            .allocate_traced(
-                obs,
-                ctx.as_ref(),
-                module.id.as_str(),
-                tenant,
-                units,
-                &constraints,
-            )
+        let alloc = self
+            .allocate_audited(pool, &module.id, units, &constraints, ctx)
             .or_else(|refused| {
                 if pinned.is_none() {
                     // Nothing was pinned: the index itself said no.
@@ -885,14 +866,7 @@ impl Scheduler {
                 // A scanning policy may pick a device the allocator's own
                 // filters reject: let the allocator choose instead.
                 constraints.require_device = None;
-                pool.allocate_traced(
-                    obs,
-                    ctx.as_ref(),
-                    module.id.as_str(),
-                    tenant,
-                    units,
-                    &constraints,
-                )
+                self.allocate_audited(pool, &module.id, units, &constraints, ctx)
             })
             .map_err(|cause| SchedError::Alloc {
                 module: module.id.to_string(),
@@ -957,16 +931,10 @@ impl Scheduler {
                 require_device: None,
                 avoid,
             };
-            match dc.pool_mut(kind).map(|p| {
-                p.allocate_traced(
-                    &self.obs,
-                    ctx.as_ref(),
-                    module.id.as_str(),
-                    &self.options.tenant,
-                    units,
-                    &standby_constraints,
-                )
-            }) {
+            match dc
+                .pool_mut(kind)
+                .map(|p| self.allocate_audited(p, &module.id, units, &standby_constraints, ctx))
+            {
                 Some(Ok(a)) => {
                     replica_devices.push(a.slices[0].device);
                     allocations.push(a);
@@ -1149,13 +1117,80 @@ impl Scheduler {
 
     fn start_env(&mut self, env: EnvironmentPlan, ctx: Option<TraceCtx>) -> (StartMode, u64) {
         let was_ready = self.warm_pool.ready(env.kind) > 0;
-        let latency = self.warm_pool.acquire_traced(env.kind, ctx.as_ref());
+        let latency = {
+            let _span = self.obs.span_opt(ctx.as_ref(), "isolate.acquire");
+            self.warm_pool.acquire(env.kind)
+        };
         let mode = if was_ready {
             StartMode::Warm
         } else {
             StartMode::Cold
         };
         (mode, latency)
+    }
+
+    /// [`ResourcePool::allocate`] as the audit sees it: a
+    /// `hal.pool.allocate` span under `ctx`, then one `hal.alloc`
+    /// decision record per slice granted, or one naming why the pool
+    /// refused. With a disabled hub this is exactly `allocate`.
+    fn allocate_audited(
+        &self,
+        pool: &mut ResourcePool,
+        module: &ModuleId,
+        units: u64,
+        constraints: &AllocConstraints,
+        ctx: Option<TraceCtx>,
+    ) -> Result<Allocation, AllocError> {
+        let (obs, tenant) = (&self.obs, self.options.tenant.as_str());
+        if !obs.is_enabled() {
+            return pool.allocate(tenant, units, constraints);
+        }
+        let span = obs.span_opt(ctx.as_ref(), "hal.pool.allocate");
+        let ctx = span.ctx().or(ctx);
+        let result = pool.allocate(tenant, units, constraints);
+        let decide = |candidate: &str, accepted, reason, detail| {
+            obs.decide(Decision {
+                ctx,
+                stage: "hal.alloc",
+                module: module.as_str(),
+                candidate,
+                accepted,
+                reason,
+                score: None,
+                detail,
+            })
+        };
+        match &result {
+            Ok(a) => {
+                for s in &a.slices {
+                    let device = format!("dev{}", s.device.0);
+                    let exclusive = if s.exclusive { " exclusive" } else { "" };
+                    let detail = format!("kind={} units={}{exclusive}", a.kind, s.units);
+                    decide(&device, true, ReasonCode::Accepted, detail);
+                }
+            }
+            Err(e) => {
+                let (reason, detail) = match e {
+                    AllocError::Insufficient {
+                        requested,
+                        available,
+                        ..
+                    } => (
+                        ReasonCode::Capacity,
+                        format!("requested={requested} available={available}"),
+                    ),
+                    AllocError::ZeroRequest => {
+                        (ReasonCode::Policy, "zero-unit request".to_string())
+                    }
+                    AllocError::NoExclusiveDevice { requested, .. } => (
+                        ReasonCode::Exclusivity,
+                        format!("no vacant device fits {requested} units single-tenant"),
+                    ),
+                };
+                decide("-", false, reason, detail);
+            }
+        }
+        result
     }
 }
 
@@ -1315,6 +1350,118 @@ mod tests {
         }
         assert_eq!(dc.utilization_report(), capacity_before);
         assert_eq!(in_use(&shared), quota_before);
+    }
+
+    #[test]
+    fn audited_allocations_join_the_callers_trace_with_one_record_per_slice() {
+        let mut dc = dc();
+        let mut sched = Scheduler::new(SchedOptions::default());
+        let obs = Telemetry::enabled();
+        sched.set_observer(obs.clone());
+        let app = ResolvedApp::new(&simple_app(), ConflictPolicy::StrictestWins).unwrap();
+        let root = obs.trace_root("test.root");
+        let ctx = root.ctx().expect("enabled root span carries a ctx");
+        let placement = sched.place(&mut dc, &app, Some(ctx)).unwrap();
+        drop(root);
+
+        // One `hal.pool.allocate` span per allocation and one
+        // `isolate.acquire` span per module, all closed, all in the
+        // caller's trace.
+        let spans = obs.snapshot().spans;
+        let named = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        let allocations: usize = placement
+            .modules
+            .values()
+            .map(|m| m.allocations.len())
+            .sum();
+        assert_eq!(named("hal.pool.allocate"), allocations);
+        assert_eq!(named("isolate.acquire"), placement.modules.len());
+        assert!(spans
+            .iter()
+            .all(|s| s.trace == Some(ctx.trace_id) && s.end_us.is_some()));
+
+        // One accepted `hal.alloc` record per granted slice, naming the
+        // device and the units it holds.
+        let mut expected: Vec<(String, String, String)> = Vec::new();
+        for m in placement.modules.values() {
+            for a in &m.allocations {
+                for s in &a.slices {
+                    let exclusive = if s.exclusive { " exclusive" } else { "" };
+                    expected.push((
+                        m.module.to_string(),
+                        format!("dev{}", s.device.0),
+                        format!("kind={} units={}{exclusive}", a.kind, s.units),
+                    ));
+                }
+            }
+        }
+        let mut recorded: Vec<(String, String, String)> = obs
+            .decisions()
+            .iter()
+            .filter(|d| d.stage == "hal.alloc")
+            .map(|d| {
+                assert!(d.accepted && d.reason == ReasonCode::Accepted);
+                assert_eq!(d.trace, Some(ctx.trace_id));
+                (d.module.clone(), d.candidate.clone(), d.detail.clone())
+            })
+            .collect();
+        expected.sort();
+        recorded.sort();
+        assert_eq!(recorded, expected);
+    }
+
+    #[test]
+    fn a_refused_allocation_records_why() {
+        let mut app = AppSpec::new("big");
+        app.add_task(
+            TaskSpec::new("A2")
+                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Gpu, 1 << 40)),
+        );
+        let mut dc = dc();
+        let mut sched = Scheduler::new(SchedOptions::default());
+        let obs = Telemetry::enabled();
+        sched.set_observer(obs.clone());
+        let err = sched.place_app(&mut dc, &app).unwrap_err();
+        assert!(matches!(err, SchedError::Alloc { ref module, .. } if module == "A2"));
+        let refusals: Vec<_> = obs
+            .decisions()
+            .into_iter()
+            .filter(|d| d.stage == "hal.alloc")
+            .collect();
+        assert!(!refusals.is_empty());
+        for d in &refusals {
+            assert!(!d.accepted);
+            assert_eq!(d.reason, ReasonCode::Capacity);
+            assert_eq!((d.module.as_str(), d.candidate.as_str()), ("A2", "-"));
+            assert!(
+                d.detail
+                    .starts_with(&format!("requested={} available=", 1u64 << 40)),
+                "{}",
+                d.detail
+            );
+        }
+    }
+
+    #[test]
+    fn the_hub_does_not_change_where_modules_land() {
+        // With the hub off the audit is skipped entirely; on or off, the
+        // allocator makes the same choices.
+        let devices = |obs: Telemetry| {
+            let mut dc = dc();
+            let mut sched = Scheduler::new(SchedOptions::default());
+            sched.set_observer(obs);
+            let placement = sched.place_app(&mut dc, &simple_app()).unwrap();
+            placement
+                .modules
+                .values()
+                .flat_map(|m| m.allocations.iter())
+                .flat_map(|a| a.slices.iter().map(|s| (s.device, s.units)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            devices(Telemetry::enabled()),
+            devices(Telemetry::disabled())
+        );
     }
 
     #[test]

@@ -33,7 +33,6 @@
 pub mod alert;
 pub mod decision;
 pub mod export;
-pub mod instrument;
 mod json;
 pub mod metrics;
 pub mod recorder;
@@ -45,7 +44,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub use alert::{AlertFire, AlertReason, AlertRecord};
 pub use decision::{Decision, DecisionRecord, ReasonCode};
 pub use export::Snapshot;
-pub use instrument::{CounterHandle, GaugeHandle, HistogramHandle};
 pub use metrics::{Histogram, HistogramSummary, SeriesKey};
 pub use recorder::{Event, EventKind, FieldValue};
 pub use ring::RingTail;
@@ -111,9 +109,6 @@ struct State {
     /// clock source is installed.
     ticks: Micros,
     metrics: metrics::MetricsRegistry,
-    /// Pre-registered lock-free instrument cells; their staged deltas
-    /// are flushed into `metrics` at every read/snapshot/absorb point.
-    instruments: instrument::InstrumentTable,
     spans: span::SpanStore,
     recorder: recorder::FlightRecorder,
     decisions: decision::DecisionLog,
@@ -132,17 +127,6 @@ impl State {
                 self.ticks
             }
         }
-    }
-
-    /// Folds every instrument cell's pending data into the registry so
-    /// reads and exports see one consistent, path-independent view.
-    fn flush_instruments(&mut self) {
-        let State {
-            instruments,
-            metrics,
-            ..
-        } = self;
-        instruments.flush(metrics);
     }
 }
 
@@ -203,7 +187,6 @@ impl Telemetry {
                 clock: None,
                 ticks: 0,
                 metrics: metrics::MetricsRegistry::default(),
-                instruments: instrument::InstrumentTable::default(),
                 spans: span::SpanStore::new(SPAN_CAPACITY),
                 recorder: recorder::FlightRecorder::new(recorder_capacity),
                 decisions: decision::DecisionLog::new(decision_capacity),
@@ -241,48 +224,8 @@ impl Telemetry {
     /// Reads a counter back (0 when absent or disabled).
     pub fn counter(&self, name: &str, labels: &Labels) -> u64 {
         self.state()
-            .map(|mut s| {
-                s.flush_instruments();
-                s.metrics.counter(name, labels)
-            })
+            .map(|s| s.metrics.counter(name, labels))
             .unwrap_or(0)
-    }
-
-    /// Registers (or re-resolves) a lock-free counter handle for
-    /// `(name, labels)`. Resolve once, then [`CounterHandle::incr`] is
-    /// a single atomic op — no lock, no string hashing. Handles from a
-    /// disabled hub are inert. Staged increments fold into the same
-    /// registry series the string-keyed [`Telemetry::incr`] writes, so
-    /// the two paths export identically.
-    pub fn counter_handle(&self, name: &str, labels: &Labels) -> CounterHandle {
-        match self.state() {
-            Some(mut s) => {
-                instrument::CounterHandle::active(s.instruments.register_counter(name, labels))
-            }
-            None => CounterHandle::default(),
-        }
-    }
-
-    /// Registers a lock-free gauge handle (see
-    /// [`Telemetry::counter_handle`] for semantics).
-    pub fn gauge_handle(&self, name: &str, labels: &Labels) -> GaugeHandle {
-        match self.state() {
-            Some(mut s) => {
-                instrument::GaugeHandle::active(s.instruments.register_gauge(name, labels))
-            }
-            None => GaugeHandle::default(),
-        }
-    }
-
-    /// Registers a lock-free histogram handle (see
-    /// [`Telemetry::counter_handle`] for semantics).
-    pub fn histogram_handle(&self, name: &str, labels: &Labels) -> HistogramHandle {
-        match self.state() {
-            Some(mut s) => {
-                instrument::HistogramHandle::active(s.instruments.register_histogram(name, labels))
-            }
-            None => HistogramHandle::default(),
-        }
     }
 
     /// Sets a gauge, tracking its high-water mark.
@@ -294,10 +237,7 @@ impl Telemetry {
 
     /// Reads a gauge as `(current, high_water)`.
     pub fn gauge(&self, name: &str, labels: &Labels) -> Option<(i64, i64)> {
-        self.state().and_then(|mut s| {
-            s.flush_instruments();
-            s.metrics.gauge(name, labels)
-        })
+        self.state().and_then(|s| s.metrics.gauge(name, labels))
     }
 
     /// Records one observation into a log-bucketed histogram.
@@ -309,10 +249,8 @@ impl Telemetry {
 
     /// Summarizes a histogram (count, min/max, p50/p95/p99).
     pub fn histogram(&self, name: &str, labels: &Labels) -> Option<HistogramSummary> {
-        self.state().and_then(|mut s| {
-            s.flush_instruments();
-            s.metrics.histogram(name, labels).map(|h| h.summary())
-        })
+        self.state()
+            .and_then(|s| s.metrics.histogram(name, labels).map(|h| h.summary()))
     }
 
     /// Opens a span; it closes when the guard drops (or via
@@ -445,11 +383,7 @@ impl Telemetry {
             return;
         }
         let mut d = dst.lock().expect("telemetry poisoned");
-        let mut s = src.lock().expect("telemetry poisoned");
-        // Both sides settle staged instrument deltas first, so the
-        // merge sees exactly what the string-keyed path would hold.
-        d.flush_instruments();
-        s.flush_instruments();
+        let s = src.lock().expect("telemetry poisoned");
         d.ticks = d.ticks.max(s.ticks);
         d.metrics.merge(&s.metrics);
         // Shift absorbed trace ids past everything this hub has minted
@@ -470,19 +404,13 @@ impl Telemetry {
     /// The hub stays locked until the view drops — record nothing into
     /// it meanwhile.
     pub fn view(&self) -> Option<HubView<'_>> {
-        self.state().map(|mut state| {
-            state.flush_instruments();
-            HubView { state }
-        })
+        self.state().map(|state| HubView { state })
     }
 
     /// A consistent copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
         self.state()
-            .map(|mut s| {
-                s.flush_instruments();
-                Snapshot::capture(&s)
-            })
+            .map(|s| Snapshot::capture(&s))
             .unwrap_or_default()
     }
 }
@@ -779,108 +707,6 @@ mod tests {
         let total = (BATCH * ROUNDS) as u64;
         assert_eq!(snap.dropped_events + snap.events.len() as u64, total);
         assert_eq!(snap.dropped_decisions + snap.decisions.len() as u64, total);
-    }
-
-    #[test]
-    fn instrument_handles_fold_into_registry() {
-        let tel = Telemetry::enabled();
-        let c = tel.counter_handle("actor.delivered", &Labels::none());
-        let g = tel.gauge_handle("depth", &Labels::none());
-        let h = tel.histogram_handle("lat", &Labels::none());
-        c.incr(2);
-        c.incr(3);
-        g.set(7);
-        g.set(4);
-        h.observe(10);
-        h.observe(1000);
-        assert_eq!(tel.counter("actor.delivered", &Labels::none()), 5);
-        assert_eq!(tel.gauge("depth", &Labels::none()), Some((4, 7)));
-        let s = tel.histogram("lat", &Labels::none()).unwrap();
-        assert_eq!((s.count, s.min, s.max), (2, 10, 1000));
-        // Further use after a flush keeps accumulating.
-        c.incr(1);
-        g.set(9);
-        h.observe(5);
-        assert_eq!(tel.counter("actor.delivered", &Labels::none()), 6);
-        assert_eq!(tel.gauge("depth", &Labels::none()), Some((9, 9)));
-        let s = tel.histogram("lat", &Labels::none()).unwrap();
-        assert_eq!((s.count, s.min, s.max), (3, 5, 1000));
-    }
-
-    #[test]
-    fn handle_and_string_paths_export_identically() {
-        // The same operation sequence recorded via handles and via the
-        // string-keyed API must produce byte-identical JSON exports.
-        let by_string = Telemetry::enabled();
-        by_string.incr("actor.delivered", Labels::none(), 3);
-        by_string.gauge_set("actor.mailbox_depth", Labels::none(), 2);
-        by_string.gauge_set("actor.mailbox_depth", Labels::none(), 1);
-        by_string.observe("actor.latency", Labels::tenant("acme"), 42);
-        by_string.observe("actor.latency", Labels::tenant("acme"), 7);
-
-        let by_handle = Telemetry::enabled();
-        let c = by_handle.counter_handle("actor.delivered", &Labels::none());
-        let g = by_handle.gauge_handle("actor.mailbox_depth", &Labels::none());
-        let h = by_handle.histogram_handle("actor.latency", &Labels::tenant("acme"));
-        c.incr(1);
-        c.incr(1);
-        c.incr(1);
-        g.set(2);
-        g.set(1);
-        h.observe(42);
-        h.observe(7);
-        // Handles that were registered but never used must not
-        // materialize a series.
-        let _unused = by_handle.counter_handle("actor.never", &Labels::none());
-        let _unused_g = by_handle.gauge_handle("actor.never_g", &Labels::none());
-        let _unused_h = by_handle.histogram_handle("actor.never_h", &Labels::none());
-
-        assert_eq!(
-            by_handle.snapshot().to_json(),
-            by_string.snapshot().to_json()
-        );
-    }
-
-    #[test]
-    fn handles_on_disabled_hub_are_inert() {
-        let tel = Telemetry::disabled();
-        let c = tel.counter_handle("x", &Labels::none());
-        let g = tel.gauge_handle("g", &Labels::none());
-        let h = tel.histogram_handle("h", &Labels::none());
-        assert!(!c.is_active() && !g.is_active() && !h.is_active());
-        c.incr(5);
-        g.set(1);
-        h.observe(9);
-        assert!(tel.snapshot().counters.is_empty());
-    }
-
-    #[test]
-    fn duplicate_registration_shares_one_cell() {
-        let tel = Telemetry::enabled();
-        let a = tel.counter_handle("hits", &Labels::none());
-        let b = tel.counter_handle("hits", &Labels::none());
-        a.incr(1);
-        b.incr(2);
-        assert_eq!(tel.counter("hits", &Labels::none()), 3);
-        // Handle staging composes with the string-keyed path too.
-        tel.incr("hits", Labels::none(), 10);
-        a.incr(1);
-        assert_eq!(tel.counter("hits", &Labels::none()), 14);
-    }
-
-    #[test]
-    fn absorb_flushes_staged_instrument_deltas() {
-        let hub = Telemetry::enabled();
-        let hc = hub.counter_handle("msgs", &Labels::none());
-        hc.incr(1);
-        let worker = Telemetry::enabled();
-        let wc = worker.counter_handle("msgs", &Labels::none());
-        let wg = worker.gauge_handle("depth", &Labels::none());
-        wc.incr(4);
-        wg.set(6);
-        hub.absorb(&worker);
-        assert_eq!(hub.counter("msgs", &Labels::none()), 5);
-        assert_eq!(hub.gauge("depth", &Labels::none()), Some((6, 6)));
     }
 
     #[test]

@@ -61,26 +61,21 @@ impl MetricsRegistry {
     }
 
     pub fn gauge_set(&mut self, name: &str, labels: Labels, value: i64) {
-        self.gauge_flush(name, labels, value, value);
+        let g = self
+            .gauges
+            .entry((name.to_string(), labels))
+            .or_insert(Gauge {
+                value,
+                high_water: value,
+            });
+        g.value = value;
+        g.high_water = g.high_water.max(value);
     }
 
     pub fn gauge(&self, name: &str, labels: &Labels) -> Option<(i64, i64)> {
         self.gauges
             .get(&(name.to_string(), labels.clone()))
             .map(|g| (g.value, g.high_water))
-    }
-
-    /// Flush path for [`crate::instrument::GaugeHandle`]: takes the
-    /// staged current value and max-folds the staged high-water mark
-    /// (which is monotone in the cell, so repeated flushes are
-    /// idempotent).
-    pub fn gauge_flush(&mut self, name: &str, labels: Labels, value: i64, high_water: i64) {
-        let g = self
-            .gauges
-            .entry((name.to_string(), labels))
-            .or_insert(Gauge { value, high_water });
-        g.value = value;
-        g.high_water = g.high_water.max(high_water);
     }
 
     pub fn observe(&mut self, name: &str, labels: Labels, value: u64) {
@@ -109,30 +104,6 @@ impl MetricsRegistry {
         for (k, h) in other.histograms.iter() {
             self.histogram_mut(k.clone()).merge(&h.value);
         }
-    }
-
-    /// Flush path for [`crate::instrument::HistogramHandle`]: merges a
-    /// drained bucket-count array exactly, as if each staged
-    /// observation had been `record`ed directly.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn merge_parts(
-        &mut self,
-        name: &str,
-        labels: Labels,
-        counts: [u64; BUCKETS],
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-    ) {
-        let delta = Histogram {
-            counts,
-            count,
-            sum: sum as u128,
-            min,
-            max,
-        };
-        self.histogram_mut((name.to_string(), labels)).merge(&delta);
     }
 
     /// Counter and histogram writes so far: remember it after a visit
@@ -422,6 +393,19 @@ mod tests {
         assert!(d.max() >= 900 && d.max() <= 1023, "{}", d.max());
         // Diffing against itself is empty.
         assert_eq!(later.diff(&later).count(), 0);
+    }
+
+    #[test]
+    fn a_gauges_first_value_is_its_high_water() {
+        // A negative first reading is not lifted to a zero high water;
+        // later readings only raise the mark.
+        let mut m = MetricsRegistry::default();
+        m.gauge_set("delta", Labels::none(), -3);
+        assert_eq!(m.gauge("delta", &Labels::none()), Some((-3, -3)));
+        m.gauge_set("delta", Labels::none(), -5);
+        assert_eq!(m.gauge("delta", &Labels::none()), Some((-5, -3)));
+        m.gauge_set("delta", Labels::none(), 2);
+        assert_eq!(m.gauge("delta", &Labels::none()), Some((2, 2)));
     }
 
     #[test]
