@@ -111,7 +111,7 @@ pub struct Deployment {
     /// stay out of the device-repair re-heal path until payment
     /// reinstates the account.
     pub econ_suspended: std::collections::BTreeSet<ModuleId>,
-    /// The cloud's lost epoch at this deployment's last `advance`.
+    /// The cloud's sense epoch at this deployment's last `advance`.
     pub(crate) seen_epoch: u64,
     /// Every slice and replica device of the placement, sorted and
     /// deduplicated — known only while the last full look found the
@@ -155,22 +155,15 @@ pub struct UdcCloud {
     pub(crate) next_instance: u64,
     pub(crate) next_unit: u64,
     pub(crate) obs: Telemetry,
-    /// Devices the control plane *believes* are down (maintained by
-    /// [`UdcCloud::advance`]). Under omniscient detection this tracks
-    /// ground truth; under lease detection it holds only
-    /// detector-confirmed devices, which can lag reality by up to the
-    /// detection bound.
-    pub(crate) dead_devices: std::collections::BTreeSet<DeviceId>,
-    /// Bumped whenever a device joins `dead_devices` or loses what it
-    /// held (a crash event under omniscient detection; a confirmation,
-    /// or a restart no confirmation covered, under lease detection) —
-    /// even one that is back within the tick.
-    pub(crate) lost_epoch: u64,
-    /// Per device id, the `lost_epoch` at which it last lost what it
-    /// held (0 = never).
-    pub(crate) lost_stamps: Vec<u64>,
-    /// How [`UdcCloud::advance`] learns about device failures.
-    pub(crate) detection: crate::heal::DetectionMode,
+    /// What [`UdcCloud::advance`] has sensed: belief about dead devices
+    /// and every fact a deployment's next look reconciles against.
+    pub(crate) sensed: crate::heal::Sensed,
+    /// How [`UdcCloud::advance`] learns about device failures. `None` is
+    /// omniscient detection, the retained oracle: ground-truth events
+    /// straight off the datacenter tick, believed at once. A lease
+    /// detector infers failure from heartbeat silence instead, so belief
+    /// lags ground truth by up to `lease_us × confirm_misses`.
+    pub(crate) detector: Option<LeaseDetector>,
     /// Deterministic network fault plan (partitions, gray devices, link
     /// faults) consulted by the lease detector's heartbeat path.
     pub(crate) net: NetPlan,
@@ -248,10 +241,8 @@ impl UdcCloud {
             next_instance: 0,
             next_unit: 0,
             obs: Telemetry::disabled(),
-            dead_devices: std::collections::BTreeSet::new(),
-            lost_epoch: 0,
-            lost_stamps: Vec::new(),
-            detection: crate::heal::DetectionMode::Omniscient,
+            sensed: Default::default(),
+            detector: None,
             net: NetPlan::none(),
             fences: FenceRegistry::new(),
             econ_gate: None,
@@ -288,16 +279,12 @@ impl UdcCloud {
     /// at the same epoch as the ground truth it shadows.
     pub fn attach_failure_detection(&mut self, config: DetectorConfig) {
         let now = self.dc.clock().now();
-        let detector = LeaseDetector::new(config, self.dc.device_ids(), now);
-        self.detection = crate::heal::DetectionMode::Lease(detector);
+        self.detector = Some(LeaseDetector::new(config, self.dc.device_ids(), now));
     }
 
     /// The lease detector, when failure detection is attached.
     pub fn detector(&self) -> Option<&LeaseDetector> {
-        match &self.detection {
-            crate::heal::DetectionMode::Lease(d) => Some(d),
-            crate::heal::DetectionMode::Omniscient => None,
-        }
+        self.detector.as_ref()
     }
 
     /// Installs the deterministic network fault plan (partitions, gray
@@ -495,7 +482,7 @@ impl UdcCloud {
             health: crate::heal::HealthState::default(),
             recovery: crate::heal::RecoveryModel::new(),
             econ_suspended: std::collections::BTreeSet::new(),
-            seen_epoch: self.lost_epoch,
+            seen_epoch: self.sensed.epoch,
             footprint: None,
             released: false,
             ir,

@@ -34,7 +34,6 @@ use bytes::Bytes;
 use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, SupervisionPolicy, System};
 use udc_dist::{recover, safe_truncation_seq, CheckpointStore, RecoveryOutcome, RecoveryStrategy};
 use udc_economics::LifecycleEvent;
-use udc_failure::LeaseDetector;
 use udc_hal::DeviceId;
 use udc_sched::ModulePlacement;
 use udc_spec::{AppSpec, FailureHandling, ModuleId};
@@ -44,6 +43,10 @@ use udc_telemetry::{Decision, EventKind, FieldValue, Labels, Micros, ReasonCode}
 pub const MSG_COST_US: u64 = 1_000;
 /// Modelled cost of restoring a checkpoint snapshot (matches E9).
 pub const RESTORE_COST_US: u64 = 50_000;
+
+/// The audit's account of a newly suspected device, and of a cleared one.
+const SILENT: &str = "heartbeats silent past one lease; warm instances held back, no eviction";
+const BEAT: &str = "false suspect: beat again before confirmation; returned to service";
 
 /// Repair-loop tuning knobs, carried per deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,25 +73,6 @@ impl Default for HealConfig {
     }
 }
 
-/// How [`UdcCloud::advance`] learns that devices failed.
-///
-/// The seed behavior — and the retained oracle — is omniscient: the
-/// control plane reads ground-truth crash/repair events straight off
-/// the datacenter tick. Real clouds don't get that; they infer failure
-/// from silence. `Lease` replaces the oracle with a deterministic
-/// heartbeat/lease detector ([`udc_failure::LeaseDetector`]): devices
-/// are evicted only once *confirmed* silent, suspected-but-recovered
-/// devices return to service without eviction, and detection can lag
-/// ground truth by up to `lease_us × confirm_misses`.
-#[derive(Debug, Clone)]
-pub enum DetectionMode {
-    /// Ground truth: tick events are believed immediately (the oracle).
-    Omniscient,
-    /// Heartbeat/lease detection over the installed
-    /// [`udc_failure::NetPlan`].
-    Lease(LeaseDetector),
-}
-
 /// Where a module stands in the repair state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModuleHealth {
@@ -103,8 +87,8 @@ pub enum ModuleHealth {
         /// When the crash was detected (MTTR epoch).
         detected_us: Micros,
     },
-    /// Retries exhausted: the module runs nowhere until repair events
-    /// return capacity, at which point healing resumes automatically.
+    /// Retries exhausted, or the tenant suspended: the module runs nowhere
+    /// until capacity returns, or the tenant pays, and healing resumes.
     Degraded {
         /// When the crash was detected (MTTR epoch, preserved across
         /// the degraded interval so MTTR stays honest).
@@ -161,29 +145,36 @@ impl HealthState {
             .collect()
     }
 
-    fn mark_detected(&mut self, id: &ModuleId, now: Micros) {
-        self.modules.insert(
-            id.clone(),
-            ModuleHealth::Repairing {
-                attempt: 0,
-                next_retry_us: now,
-                detected_us: now,
-            },
-        );
+    /// When an unhealthy module's repair began: its MTTR epoch.
+    fn detected_us(&self, id: &ModuleId) -> Option<Micros> {
+        match self.modules.get(id)? {
+            ModuleHealth::Repairing { detected_us, .. }
+            | ModuleHealth::Degraded { detected_us } => Some(*detected_us),
+            ModuleHealth::Healthy => None,
+        }
     }
 
-    /// Degraded → Repairing (capacity returned); the MTTR epoch is kept.
-    fn mark_reheal(&mut self, id: &ModuleId, now: Micros) {
-        if let Some(ModuleHealth::Degraded { detected_us }) = self.modules.get(id).copied() {
-            self.modules.insert(
-                id.clone(),
-                ModuleHealth::Repairing {
-                    attempt: 0,
-                    next_retry_us: now,
-                    detected_us,
-                },
-            );
-        }
+    /// Schedules re-placement attempt `attempt` at `at`. A healthy
+    /// module is detected lost at `at`; an unhealthy one — retrying, or
+    /// degraded until capacity came back or its tenant paid — keeps its
+    /// MTTR epoch, so MTTR spans the whole outage.
+    fn schedule(&mut self, id: &ModuleId, attempt: u32, at: Micros) {
+        let detected_us = self.detected_us(id).unwrap_or(at);
+        let health = ModuleHealth::Repairing {
+            attempt,
+            next_retry_us: at,
+            detected_us,
+        };
+        self.modules.insert(id.clone(), health);
+    }
+
+    /// Parks the module, holding nothing, until capacity returns (its
+    /// retries ran out) or its tenant pays (it was suspended). It keeps
+    /// its MTTR epoch, or starts one `now`.
+    fn degrade(&mut self, id: &ModuleId, now: Micros) {
+        let detected_us = self.detected_us(id).unwrap_or(now);
+        self.modules
+            .insert(id.clone(), ModuleHealth::Degraded { detected_us });
     }
 
     /// Marks the module healthy again (forgetting it), returning
@@ -197,42 +188,6 @@ impl HealthState {
             }) => (attempt, detected_us),
             _ => (0, 0),
         }
-    }
-
-    fn schedule_retry(&mut self, id: &ModuleId, attempt: u32, next_retry_us: Micros) {
-        let detected_us = match self.module(id) {
-            ModuleHealth::Repairing { detected_us, .. }
-            | ModuleHealth::Degraded { detected_us } => detected_us,
-            ModuleHealth::Healthy => next_retry_us,
-        };
-        self.modules.insert(
-            id.clone(),
-            ModuleHealth::Repairing {
-                attempt,
-                next_retry_us,
-                detected_us,
-            },
-        );
-    }
-
-    fn mark_degraded(&mut self, id: &ModuleId) {
-        let detected_us = match self.module(id) {
-            ModuleHealth::Repairing { detected_us, .. }
-            | ModuleHealth::Degraded { detected_us } => detected_us,
-            ModuleHealth::Healthy => 0,
-        };
-        self.modules
-            .insert(id.clone(), ModuleHealth::Degraded { detected_us });
-    }
-
-    /// Economics: a suspended account's module is evicted into the
-    /// degraded state — the same machinery as capacity exhaustion, with
-    /// the suspension time as its MTTR epoch — but it re-heals only
-    /// when the control plane reinstates it (`mark_reheal` on payment),
-    /// never on device-repair events.
-    fn mark_econ_suspended(&mut self, id: &ModuleId, now: Micros) {
-        self.modules
-            .insert(id.clone(), ModuleHealth::Degraded { detected_us: now });
     }
 }
 
@@ -255,6 +210,11 @@ pub struct ModuleRepair {
 }
 
 /// What one [`UdcCloud::advance`] call did.
+///
+/// The device fields, `invalidated_warm` and `false_suspects` are
+/// cloud-wide: what this call *sensed*, so only the call that moved the
+/// clock (or drained newly due events) carries them. The module fields
+/// and `evicted_allocations` describe the deployment passed in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealReport {
     /// Devices that crashed this interval.
@@ -533,46 +493,97 @@ fn healthy_modules(dep: &Deployment) -> Vec<ModuleId> {
     healthy.cloned().collect()
 }
 
-impl UdcCloud {
+/// The cloud's belief, and every fact `UdcCloud::sense` recorded,
+/// stamped with one monotone epoch. A deployment keeps the epoch of its
+/// own last look, so "what changed since I looked" is a comparison, and
+/// no deployment consumes a fact another one still needs.
+#[derive(Debug, Default)]
+pub(crate) struct Sensed {
+    /// Devices believed down: ground truth under omniscient detection,
+    /// detector-confirmed ones (lagging by up to the bound) under lease.
+    pub(crate) dead: BTreeSet<DeviceId>,
+    /// Facts recorded so far.
+    pub(crate) epoch: u64,
+    /// The latest loss: a device joined `dead`, or lost what it held
+    /// (even one that is back within the tick).
+    lost: u64,
+    /// The latest return of capacity: a repair, resurrection or restart.
+    returned: u64,
+    /// The latest suspicion or exoneration.
+    verdict: u64,
+    /// The latest crossing of the account's degrade threshold.
+    degraded: u64,
+    /// Whether the account is suspended: a level, read at every sense.
+    suspended: bool,
+    /// The latest end of a suspension.
+    reinstated: u64,
+    /// Per device id, when it was last wiped (0 = never). Kept apart from
+    /// `verdicts`: a loss makes every converged deployment check its
+    /// footprint against this, so it stays dense.
+    wiped: Vec<u64>,
+    /// Per device id, when it was last suspected and last cleared.
+    verdicts: Vec<[u64; 2]>,
+}
+
+/// `stamps[d]`, grown with zeros (never stamped) to reach it.
+fn stamp_of<T: Default + Clone>(stamps: &mut Vec<T>, d: DeviceId) -> &mut T {
+    let i = d.0 as usize;
+    if stamps.len() <= i {
+        stamps.resize(i + 1, T::default());
+    }
+    &mut stamps[i]
+}
+
+impl Sensed {
+    fn next(&mut self) -> u64 {
+        self.epoch += 1;
+        self.epoch
+    }
+
     /// `d` lost whatever it held — a crash, or under lease detection a
-    /// restart no confirmation covered: stamped with a fresh lost epoch,
-    /// so every deployment's next look counts it lost, even once it is
-    /// back.
-    fn mark_wiped(&mut self, d: DeviceId) {
-        self.lost_epoch += 1;
-        let i = d.0 as usize;
-        if self.lost_stamps.len() <= i {
-            self.lost_stamps.resize(i + 1, 0);
-        }
-        self.lost_stamps[i] = self.lost_epoch;
+    /// restart no confirmation covered — so every deployment's next look
+    /// counts it lost, even once it is back.
+    fn wipe(&mut self, d: DeviceId) {
+        self.lost = self.next();
+        *stamp_of(&mut self.wiped, d) = self.lost;
     }
 
-    /// The lost epoch at which `d` was last wiped (0 = never).
-    fn lost_stamp(&self, d: DeviceId) -> u64 {
-        self.lost_stamps.get(d.0 as usize).copied().unwrap_or(0)
+    /// The detector newly suspected `d`, or (`suspected` false) cleared
+    /// it of suspicion without a confirmation.
+    fn record_verdict(&mut self, d: DeviceId, suspected: bool) {
+        self.verdict = self.next();
+        let [suspected_at, cleared_at] = stamp_of(&mut self.verdicts, d);
+        *if suspected { suspected_at } else { cleared_at } = self.verdict;
     }
 
-    /// Whether a deployment whose last look was at lost epoch `seen`
-    /// must count `d` as lost: believed dead now, or wiped at any moment
-    /// since (a device that crashed and came back in between lost its
-    /// allocations all the same).
+    /// When `d` was last suspected, and last cleared.
+    fn verdicts_on(&self, d: DeviceId) -> [u64; 2] {
+        self.verdicts.get(d.0 as usize).copied().unwrap_or_default()
+    }
+
+    /// Whether a look at epoch `seen` must count `d` as lost: believed
+    /// dead now, or wiped at any moment since (a device that crashed and
+    /// came back in between lost its allocations all the same).
     fn is_lost(&self, d: DeviceId, seen: u64) -> bool {
-        self.dead_devices.contains(&d) || self.lost_stamp(d) > seen
+        self.dead.contains(&d) || self.wiped.get(d.0 as usize).is_some_and(|&at| at > seen)
     }
+}
 
+impl UdcCloud {
     /// True when `dep` is converged, has a footprint, and no footprint
-    /// device is lost to a look at lost epoch `seen` — trivially so when
-    /// the epoch has not moved. Such a deployment has no module to
+    /// device is lost to a look at epoch `seen` — trivially so when
+    /// nothing was lost since. Such a deployment has no module to
     /// detect, re-heal or retry. Exact: the footprint was taken by a
     /// look that found every device alive and no placement has changed
     /// since (every change drops it), and a device can only have become
-    /// lost by an epoch bump after that look.
+    /// lost by a loss recorded after that look.
     fn untouched_since(&self, dep: &Deployment, seen: u64) -> bool {
         let Some(footprint) = &dep.footprint else {
             return false;
         };
+        let s = &self.sensed;
         dep.health.is_converged()
-            && (self.lost_epoch == seen || footprint.iter().all(|&d| !self.is_lost(d, seen)))
+            && (s.lost <= seen || footprint.iter().all(|&d| !s.is_lost(d, seen)))
     }
 
     /// Advances virtual time, applying failure events and driving the
@@ -580,141 +591,154 @@ impl UdcCloud {
     /// recover*. Call repeatedly (e.g. from a chaos harness) until
     /// [`HealthState::is_converged`]; degraded modules re-heal on their
     /// own once repair events return capacity.
+    ///
+    /// The cloud senses first, then `dep` reconciles against everything
+    /// sensed since its own last look. So when a caller advances several
+    /// deployments per tick, neither their order nor which call carries
+    /// the time changes what any of them does.
     pub fn advance(&mut self, dep: &mut Deployment, delta_us: u64) -> HealReport {
+        let mut report = HealReport::default();
+        let now = self.sense(delta_us, &mut report);
+        self.reconcile(dep, now, &mut report);
+        self.observe_queries(dep, now);
+        report
+    }
+
+    /// Sense: drains the tick, folds ground truth (omniscient) or lease
+    /// verdicts into the cloud's belief, does warm-pool hygiene and
+    /// settles the account, recording every fact in `self.sensed`. The
+    /// one place the two detection modes differ. Fills in the report's
+    /// cloud-wide half — a second call at the same instant finds an
+    /// empty tick and a detector with nothing new — and returns the
+    /// instant it sensed.
+    fn sense(&mut self, delta_us: u64, report: &mut HealReport) -> Micros {
         let tick = self.dc.tick_events(delta_us);
         let now = self.dc.clock().now();
-        let mut report = HealReport {
-            crashed_devices: tick.crashed.clone(),
-            repaired_devices: tick.repaired.clone(),
-            ..Default::default()
-        };
-
-        // Update the control plane's view of dead devices.
-        let mut cleared: Vec<DeviceId> = Vec::new();
-        let lease_mode = match &mut self.detection {
-            DetectionMode::Omniscient => {
+        report.crashed_devices = tick.crashed;
+        report.repaired_devices = tick.repaired;
+        let (s, warm) = (&mut self.sensed, self.scheduler.warm_pool_mut());
+        let returned = match &mut self.detector {
+            None => {
                 // Ground truth, replayed in event order so a flap within
                 // one tick (repair → crash, or crash → repair → crash)
-                // lands on the device's *final* state, not on whichever
-                // of the crashed/repaired sets happens to apply last.
+                // lands on the device's *final* state. A crash destroys
+                // the device's warm instances.
                 for e in &tick.events {
                     if e.crash {
-                        self.dead_devices.insert(e.device);
-                        self.mark_wiped(e.device);
+                        s.dead.insert(e.device);
+                        s.wipe(e.device);
+                        report.invalidated_warm += warm.invalidate_device(e.device) as u64;
                     } else {
-                        self.dead_devices.remove(&e.device);
+                        s.dead.remove(&e.device);
                     }
                 }
-                false
+                !report.repaired_devices.is_empty()
             }
-            DetectionMode::Lease(det) => {
-                // The detector sees only heartbeat arrivals (ground
-                // truth gates emission; the net plan gates delivery).
+            Some(det) => {
+                // The detector sees only heartbeat arrivals (ground truth
+                // gates emission; the net plan gates delivery). Suspicion
+                // holds warm instances back (cheap, reversible), either
+                // exoneration lifts the hold, and only a confirmation or a
+                // restart destroys them: a flapping device that recovers
+                // inside its lease keeps its warm instances.
                 let dr = det.observe(now, &tick.events, &self.net);
+                for &d in &dr.newly_suspected {
+                    warm.suspect_device(d);
+                    s.record_verdict(d, true);
+                }
+                for &d in &dr.false_suspects {
+                    warm.clear_suspicion(d);
+                    s.record_verdict(d, false);
+                }
+                for &d in &dr.resurrected {
+                    warm.clear_suspicion(d);
+                    s.dead.remove(&d);
+                }
                 for &d in &dr.newly_confirmed {
                     // Dead by belief, not known wiped: no stamp, so a
                     // deployment that first looks after the device is
                     // back (a healed partition) keeps what it holds.
-                    self.dead_devices.insert(d);
-                    self.lost_epoch += 1;
+                    s.dead.insert(d);
+                    s.lost = s.next();
+                    report.invalidated_warm += warm.confirm_device(d) as u64;
                 }
                 for &d in &dr.restarted {
-                    self.mark_wiped(d);
-                }
-                for &d in &dr.resurrected {
-                    self.dead_devices.remove(&d);
+                    s.wipe(d);
+                    report.invalidated_warm += warm.confirm_device(d) as u64;
                 }
                 report.false_suspects = dr.false_suspects.len() as u64;
                 report.suspected = dr.newly_suspected;
                 report.confirmed = dr.newly_confirmed;
                 report.resurrected = dr.resurrected;
                 report.restarted = dr.restarted;
-                cleared = dr.false_suspects;
-                true
+                // Capacity is back when the detector saw a device return,
+                // not on the raw repair event.
+                !report.resurrected.is_empty() || !report.restarted.is_empty()
             }
         };
+        if returned {
+            s.returned = s.next();
+        }
+        for (counter, n) in [
+            ("heal.warm_invalidated", report.invalidated_warm),
+            ("heal.false_suspects", report.false_suspects),
+        ] {
+            if n > 0 {
+                self.obs.incr(counter, Labels::none(), n);
+            }
+        }
+        self.settle(now);
+        now
+    }
 
-        // Warm-pool hygiene. Omniscient mode invalidates on the crash
-        // itself; lease mode can't see crashes, so suspicion holds
-        // instances back (cheap, reversible) and only confirmation
-        // destroys them — a flapping device that recovers inside its
-        // lease returns to service with its warm instances intact.
-        if lease_mode {
-            for &d in &report.suspected {
-                self.scheduler.warm_pool_mut().suspect_device(d);
-            }
-            // Both exoneration paths lift the hold: a false suspect
-            // (beat again before confirmation) and a resurrection
-            // (beats resumed after a confirm).
-            for &d in cleared.iter().chain(report.resurrected.iter()) {
-                self.scheduler.warm_pool_mut().clear_suspicion(d);
-            }
-            // Audit the suspicion lifecycle per hosted module: a gray
-            // device's story — suspected, held back, exonerated without
-            // eviction — must be explainable from the artifact just
-            // like a real eviction would be.
-            let verdicts_moved = !report.suspected.is_empty() || !cleared.is_empty();
-            if verdicts_moved && self.obs.is_enabled() {
-                for (id, p) in &dep.placement.modules {
-                    let d = p.primary_device;
-                    if report.suspected.contains(&d) {
-                        self.obs.decide(Decision {
-                            ctx: None,
-                            stage: "heal.suspect",
-                            module: id.as_str(),
-                            candidate: &format!("dev{}", d.0),
-                            accepted: false,
-                            reason: ReasonCode::Suspected,
-                            score: None,
-                            detail: "heartbeats silent past one lease; warm instances \
-                                     held back, no eviction"
-                                .to_string(),
-                        });
-                    }
-                    if cleared.contains(&d) {
-                        self.obs.decide(Decision {
-                            ctx: None,
-                            stage: "heal.suspect",
-                            module: id.as_str(),
-                            candidate: &format!("dev{}", d.0),
-                            accepted: true,
-                            reason: ReasonCode::Suspected,
-                            score: None,
-                            detail: "false suspect: beat again before confirmation; \
-                                     returned to service"
-                                .to_string(),
-                        });
-                    }
+    /// Settles the tenant's account against the sim clock: counts its
+    /// lifecycle transitions, stamps a degrade, and reads whether it is
+    /// suspended, stamping the end of a suspension.
+    fn settle(&mut self, now: Micros) {
+        let Some(gate) = &self.econ_gate else {
+            return;
+        };
+        let (events, suspended) = {
+            let mut g = gate.lock().expect("quota gate poisoned");
+            let Some(acct) = g.account_mut(&self.tenant) else {
+                return;
+            };
+            (acct.settle(now), acct.is_suspended())
+        };
+        if std::mem::replace(&mut self.sensed.suspended, suspended) && !suspended {
+            self.sensed.reinstated = self.sensed.next();
+        }
+        for ev in events {
+            let counter = match ev {
+                LifecycleEvent::Renewed { .. } => "econ.renewals",
+                LifecycleEvent::BecameOverdue { .. } => "econ.overdue",
+                LifecycleEvent::Degraded { .. } => {
+                    self.sensed.degraded = self.sensed.next();
+                    "econ.degradations"
                 }
-            }
-            // A restart killed the device's pinned instances just as a
-            // confirmed crash would have.
-            for &d in report.confirmed.iter().chain(&report.restarted) {
-                report.invalidated_warm += self.scheduler.warm_pool_mut().confirm_device(d) as u64;
-            }
-        } else {
-            for &d in &tick.crashed {
-                report.invalidated_warm +=
-                    self.scheduler.warm_pool_mut().invalidate_device(d) as u64;
-            }
+                LifecycleEvent::Suspended { .. } => "econ.suspensions",
+                LifecycleEvent::Reinstated { .. } => "econ.reinstatements",
+            };
+            self.obs.incr(counter, Labels::none(), 1);
         }
-        if report.invalidated_warm > 0 {
-            self.obs.incr(
-                "heal.warm_invalidated",
-                Labels::none(),
-                report.invalidated_warm,
-            );
-        }
-        if report.false_suspects > 0 {
-            self.obs
-                .incr("heal.false_suspects", Labels::none(), report.false_suspects);
-        }
+    }
 
-        // Settle the tenant's account before computing impact: a
-        // suspension this interval evicts modules (they must not count
-        // as healthy below), and a reinstatement schedules repairs due
-        // now (so the early return can't skip them).
-        self.settle_economics(dep, now, &mut report);
+    /// Reconcile: brings `dep` in line with what was sensed since its
+    /// own last look, read from `self.sensed` alone — never from a
+    /// per-call tick or verdict list — and fills in the report's
+    /// per-deployment half.
+    fn reconcile(&mut self, dep: &mut Deployment, now: Micros, report: &mut HealReport) {
+        let seen = std::mem::replace(&mut dep.seen_epoch, self.sensed.epoch);
+        if self.sensed.verdict > seen && self.obs.is_enabled() {
+            self.audit_suspicion(dep, seen);
+        }
+        self.reconcile_account(dep, seen, now, report);
+        // A suspended tenant heals nothing until it pays. A converged
+        // deployment whose footprint no loss touched since its last look
+        // is skipped without a module scan.
+        if self.sensed.suspended || self.untouched_since(dep, seen) {
+            return;
+        }
 
         // A module is impacted when any of its slices or replica
         // devices sits on a device the control plane believes dead — or
@@ -724,52 +748,31 @@ impl UdcCloud {
         // to the control plane, not a crash until the device is
         // confirmed or beats again from a new boot — that lag is the
         // price of dropping the oracle, and the property suite bounds it
-        // at `lease × confirm_misses`. A converged deployment whose
-        // footprint no loss touched since its last look is skipped
-        // without a module scan.
-        let seen = std::mem::replace(&mut dep.seen_epoch, self.lost_epoch);
-        if self.untouched_since(dep, seen) {
-            self.observe_queries(dep, now);
-            return report;
-        }
+        // at `lease × confirm_misses`.
         let impacted: Vec<ModuleId> = dep
             .placement
             .modules
             .iter()
             .filter(|(id, _)| dep.health.module(id) == ModuleHealth::Healthy)
-            .filter(|(_, p)| module_devices(p).any(|d| self.is_lost(d, seen)))
+            .filter(|(_, p)| module_devices(p).any(|d| self.sensed.is_lost(d, seen)))
             .map(|(id, _)| id.clone())
             .collect();
 
-        // Device repairs re-heal capacity-degraded modules, but never
-        // economically suspended ones: those wait for payment. In lease
-        // mode "capacity returned" means the detector saw the device
-        // come back (a resurrection or a restart), not the raw repair
-        // event.
-        let capacity_back = if lease_mode {
-            !report.resurrected.is_empty() || !report.restarted.is_empty()
-        } else {
-            !tick.repaired.is_empty()
-        };
-        let reheal: Vec<ModuleId> = if !capacity_back {
-            Vec::new()
-        } else {
-            dep.health
-                .degraded_modules()
-                .into_iter()
-                .filter(|id| !dep.econ_suspended.contains(id))
-                .collect()
-        };
-        if impacted.is_empty() && reheal.is_empty() && dep.health.due_repairs(now).is_empty() {
-            // Quiet interval — but the query barrier still runs, so
-            // windows close and absence/sustained rules see time pass.
-            // A converged deployment found clean gets its footprint
-            // back, so later looks can skip it.
+        // Capacity that came back since the last look re-heals the
+        // capacity-degraded modules (suspension-evicted ones were handed
+        // back above, or wait for payment).
+        if self.sensed.returned > seen {
+            for id in dep.health.degraded_modules() {
+                dep.health.schedule(&id, 0, now);
+            }
+        }
+        if impacted.is_empty() && dep.health.due_repairs(now).is_empty() {
+            // Quiet interval. A converged deployment found clean gets its
+            // footprint back, so later looks can skip it.
             if dep.footprint.is_none() && dep.health.is_converged() {
                 dep.footprint = Some(footprint_of(dep));
             }
-            self.observe_queries(dep, now);
-            return report;
+            return;
         }
 
         // Something to do: mint one trace for the whole repair round.
@@ -782,7 +785,7 @@ impl UdcCloud {
             let dctx = dspan.ctx().or(ctx);
             for id in &impacted {
                 let dead_here: BTreeSet<DeviceId> = module_devices(&dep.placement.modules[id])
-                    .filter(|&d| self.is_lost(d, seen))
+                    .filter(|&d| self.sensed.is_lost(d, seen))
                     .collect();
                 if self.obs.is_enabled() {
                     for d in &dead_here {
@@ -805,7 +808,7 @@ impl UdcCloud {
                     Labels::module(self.tenant.as_str(), id.as_str()),
                     evicted,
                 );
-                dep.health.mark_detected(id, now);
+                dep.health.schedule(id, 0, now);
                 report.detected.push(id.clone());
                 self.obs.event(
                     EventKind::Failure,
@@ -818,16 +821,116 @@ impl UdcCloud {
                 );
             }
         }
-        for id in &reheal {
-            dep.health.mark_reheal(id, now);
-        }
 
         // re-place + re-launch + recover every due module, in id order.
         for id in dep.health.due_repairs(now) {
-            self.repair_module(dep, &id, now, ctx, &mut report);
+            self.repair_module(dep, &id, now, ctx, report);
         }
-        self.observe_queries(dep, now);
-        report
+    }
+
+    /// Audits the suspicion lifecycle of `dep`'s modules since its last
+    /// look: a gray device's story — suspected, held back, exonerated
+    /// without eviction — must be explainable from the artifact just
+    /// like a real eviction, for every deployment on the device.
+    fn audit_suspicion(&self, dep: &Deployment, seen: u64) {
+        for (id, p) in &dep.placement.modules {
+            let d = p.primary_device;
+            let [suspected, cleared] = self.sensed.verdicts_on(d);
+            for (at, accepted, detail) in [(suspected, false, SILENT), (cleared, true, BEAT)] {
+                if at > seen {
+                    self.obs.decide(Decision {
+                        ctx: None,
+                        stage: "heal.suspect",
+                        module: id.as_str(),
+                        candidate: &format!("dev{}", d.0),
+                        accepted,
+                        reason: ReasonCode::Suspected,
+                        score: None,
+                        detail: detail.to_string(),
+                    });
+                }
+            }
+        }
+    }
+
+    /// Applies the tenant's account to `dep`, level-triggered. A degrade
+    /// since its last look gets every healthy module an audit record
+    /// (advisory: they keep running, but the trail explains later
+    /// throttling or suspension). While the account is suspended, every
+    /// healthy module is evicted into the degraded state through the
+    /// same machinery as a capacity failure, with a zero-amount debit
+    /// recording the eviction, and waits for payment, never for
+    /// hardware. Once it is active again — a suspension ended since its
+    /// last look — every suspension-evicted module is scheduled for
+    /// immediate re-placement.
+    fn reconcile_account(
+        &mut self,
+        dep: &mut Deployment,
+        seen: u64,
+        now: Micros,
+        report: &mut HealReport,
+    ) {
+        let audited = self.obs.is_enabled();
+        if self.sensed.degraded > seen && audited {
+            for id in healthy_modules(dep) {
+                self.obs.decide(Decision {
+                    ctx: None,
+                    stage: "econ.degrade",
+                    module: id.as_str(),
+                    candidate: self.tenant.as_str(),
+                    accepted: false,
+                    reason: ReasonCode::Degraded,
+                    score: None,
+                    detail: "account overdue past degrade threshold; service degraded".to_string(),
+                });
+            }
+        }
+        if self.sensed.suspended {
+            let evicted = healthy_modules(dep);
+            for id in &evicted {
+                report.evicted_allocations += self.evict(dep, id);
+                dep.health.degrade(id, now);
+                dep.econ_suspended.insert(id.clone());
+                if audited {
+                    self.obs.decide(Decision {
+                        ctx: None,
+                        stage: "econ.suspend",
+                        module: id.as_str(),
+                        candidate: self.tenant.as_str(),
+                        accepted: false,
+                        reason: ReasonCode::Suspended,
+                        score: None,
+                        detail: "account overdue past grace; module evicted".to_string(),
+                    });
+                }
+            }
+            if let Some(gate) = &self.econ_gate {
+                let mut g = gate.lock().expect("quota gate poisoned");
+                if let Some(acct) = g.account_mut(&self.tenant) {
+                    for id in &evicted {
+                        acct.charge(now, 0, Some(id.as_str()), "suspension eviction");
+                    }
+                }
+            }
+            report.suspended.extend(evicted);
+        } else if self.sensed.reinstated > seen {
+            for id in std::mem::take(&mut dep.econ_suspended) {
+                dep.health.schedule(&id, 0, now);
+                if audited {
+                    self.obs.decide(Decision {
+                        ctx: None,
+                        stage: "econ.reinstate",
+                        module: id.as_str(),
+                        candidate: self.tenant.as_str(),
+                        accepted: true,
+                        reason: ReasonCode::Accepted,
+                        score: None,
+                        detail: "payment cleared; re-placement scheduled".to_string(),
+                    });
+                }
+                report.reinstated.push(id);
+            }
+        }
     }
 
     /// Evicts `id`: retires its isolate and frees every allocation it
@@ -899,108 +1002,6 @@ impl UdcCloud {
         engine.fire_into(&self.obs);
     }
 
-    /// Settles the tenant's account against the sim clock and applies
-    /// the resulting lifecycle transitions to the deployment: *overdue*
-    /// is advisory, *degraded* emits audit decisions but keeps modules
-    /// running, *suspended* evicts every healthy module through the
-    /// same machinery as a capacity failure (ledger-auditable, with a
-    /// zero-amount debit recording the eviction), and *reinstated*
-    /// schedules evicted modules for immediate re-placement.
-    fn settle_economics(&mut self, dep: &mut Deployment, now: Micros, report: &mut HealReport) {
-        let Some(gate) = self.econ_gate.clone() else {
-            return;
-        };
-        let events: Vec<LifecycleEvent> = {
-            let mut g = gate.lock().expect("quota gate poisoned");
-            match g.account_mut(&self.tenant) {
-                Some(acct) => acct.settle(now),
-                None => return,
-            }
-        };
-        for ev in events {
-            match ev {
-                LifecycleEvent::Renewed { .. } => {
-                    self.obs.incr("econ.renewals", Labels::none(), 1);
-                }
-                LifecycleEvent::BecameOverdue { .. } => {
-                    self.obs.incr("econ.overdue", Labels::none(), 1);
-                }
-                LifecycleEvent::Degraded { .. } => {
-                    // Advisory: the tenant keeps running, but every
-                    // healthy module gets an audit record so the trail
-                    // explains later throttling or suspension.
-                    if self.obs.is_enabled() {
-                        let healthy = healthy_modules(dep);
-                        for id in &healthy {
-                            self.obs.decide(Decision {
-                                ctx: None,
-                                stage: "econ.degrade",
-                                module: id.as_str(),
-                                candidate: self.tenant.as_str(),
-                                accepted: false,
-                                reason: ReasonCode::Degraded,
-                                score: None,
-                                detail: "account overdue past degrade threshold; \
-                                         service degraded"
-                                    .to_string(),
-                            });
-                        }
-                    }
-                    self.obs.incr("econ.degradations", Labels::none(), 1);
-                }
-                LifecycleEvent::Suspended { .. } => {
-                    let healthy = healthy_modules(dep);
-                    for id in &healthy {
-                        report.evicted_allocations += self.evict(dep, id);
-                        dep.health.mark_econ_suspended(id, now);
-                        dep.econ_suspended.insert(id.clone());
-                        if self.obs.is_enabled() {
-                            self.obs.decide(Decision {
-                                ctx: None,
-                                stage: "econ.suspend",
-                                module: id.as_str(),
-                                candidate: self.tenant.as_str(),
-                                accepted: false,
-                                reason: ReasonCode::Suspended,
-                                score: None,
-                                detail: "account overdue past grace; module evicted".to_string(),
-                            });
-                        }
-                        {
-                            let mut g = gate.lock().expect("quota gate poisoned");
-                            if let Some(acct) = g.account_mut(&self.tenant) {
-                                acct.charge(now, 0, Some(id.as_str()), "suspension eviction");
-                            }
-                        }
-                        report.suspended.push(id.clone());
-                    }
-                    self.obs.incr("econ.suspensions", Labels::none(), 1);
-                }
-                LifecycleEvent::Reinstated { .. } => {
-                    let ids: Vec<ModuleId> = dep.econ_suspended.iter().cloned().collect();
-                    for id in &ids {
-                        dep.health.mark_reheal(id, now);
-                        if self.obs.is_enabled() {
-                            self.obs.decide(Decision {
-                                ctx: None,
-                                stage: "econ.reinstate",
-                                module: id.as_str(),
-                                candidate: self.tenant.as_str(),
-                                accepted: true,
-                                reason: ReasonCode::Accepted,
-                                score: None,
-                                detail: "payment cleared; re-placement scheduled".to_string(),
-                            });
-                        }
-                        report.reinstated.push(id.clone());
-                    }
-                    dep.econ_suspended.clear();
-                    self.obs.incr("econ.reinstatements", Labels::none(), 1);
-                }
-            }
-        }
-    }
-
     /// Fencing check for a launch (or write) claim: `true` only when
     /// `epoch` is the module's current epoch. A stale epoch means the
     /// presenter was superseded by a re-placement — the canonical zombie
@@ -1045,24 +1046,12 @@ impl UdcCloud {
         // — devices hosting modules of *other* explicit failure domains:
         // distinct domains must fail independently, so a healing module
         // never lands on hardware another domain already occupies.
-        let mut exclude: BTreeSet<DeviceId> = self.dead_devices.clone();
-        if let Some(my_domain) = dep
-            .ir
-            .app
-            .module(id)
-            .and_then(|m| m.dist.failure_domain.as_ref())
-        {
-            for (oid, op) in &dep.placement.modules {
-                if oid == id {
-                    continue;
-                }
-                let other = dep
-                    .ir
-                    .app
-                    .module(oid)
-                    .and_then(|m| m.dist.failure_domain.as_ref());
-                if other.is_some_and(|d| d != my_domain) {
-                    exclude.extend(op.replica_devices.iter().copied());
+        let mut exclude: BTreeSet<DeviceId> = self.sensed.dead.clone();
+        let domain = |m: &ModuleId| dep.ir.app.module(m)?.dist.failure_domain.as_ref();
+        if let Some(mine) = domain(id) {
+            for (other, p) in &dep.placement.modules {
+                if domain(other).is_some_and(|d| d != mine) {
+                    exclude.extend(&p.replica_devices);
                 }
             }
         }
@@ -1100,18 +1089,11 @@ impl UdcCloud {
                     let _rec = self.obs.span_opt(rctx.as_ref(), "heal.recover");
                     dep.recovery.recover_module(id, strategy)
                 };
-                let recovery_us = recovery
-                    .as_ref()
-                    .map(|o| {
-                        let restore = if o.strategy == RecoveryStrategy::FromCheckpoint {
-                            RESTORE_COST_US
-                        } else {
-                            0
-                        };
-                        o.replayed as u64 * MSG_COST_US + restore
-                    })
-                    .unwrap_or(0);
+                let mut recovery_us = 0;
                 if let Some(o) = &recovery {
+                    let restored = o.strategy == RecoveryStrategy::FromCheckpoint;
+                    recovery_us = o.replayed as u64 * MSG_COST_US
+                        + if restored { RESTORE_COST_US } else { 0 };
                     self.obs.incr(
                         "heal.replayed_messages",
                         Labels::module(self.tenant.as_str(), id.as_str()),
@@ -1147,7 +1129,7 @@ impl UdcCloud {
                     _ => 1,
                 };
                 if attempt > dep.health.config.max_retries {
-                    dep.health.mark_degraded(id);
+                    dep.health.degrade(id, now);
                     self.obs.decide(Decision {
                         ctx: rctx,
                         stage: "heal.replace",
@@ -1170,7 +1152,7 @@ impl UdcCloud {
                     report.degraded.push(id.clone());
                 } else {
                     let delay = backoff_delay_us(&dep.health.config, id, attempt);
-                    dep.health.schedule_retry(id, attempt, now + delay);
+                    dep.health.schedule(id, attempt, now + delay);
                     self.obs.incr("heal.retries", Labels::none(), 1);
                     report.retried.push(id.clone());
                 }
@@ -1313,27 +1295,26 @@ mod tests {
         assert!(dep.health.is_converged());
     }
 
-    #[test]
-    fn capacity_exhaustion_degrades_then_reheals_on_repair() {
-        // One CPU device: a crash leaves nowhere to heal to.
-        let mut cloud = UdcCloud::new(CloudConfig {
+    /// One 8-core CPU device and one memory sled: a crash leaves
+    /// nowhere to heal to.
+    fn one_cpu_device() -> CloudConfig {
+        let pool = |kind, capacity_per_device| PoolConfig {
+            kind,
+            devices: 1,
+            capacity_per_device,
+        };
+        CloudConfig {
             datacenter: DatacenterConfig {
-                pools: vec![
-                    PoolConfig {
-                        kind: ResourceKind::Cpu,
-                        devices: 1,
-                        capacity_per_device: 8,
-                    },
-                    PoolConfig {
-                        kind: ResourceKind::Dram,
-                        devices: 1,
-                        capacity_per_device: 4096,
-                    },
-                ],
+                pools: vec![pool(ResourceKind::Cpu, 8), pool(ResourceKind::Dram, 4096)],
                 ..Default::default()
             },
             ..Default::default()
-        });
+        }
+    }
+
+    #[test]
+    fn capacity_exhaustion_degrades_then_reheals_on_repair() {
+        let mut cloud = UdcCloud::new(one_cpu_device());
         cloud.enable_telemetry();
         let mut dep = cloud.submit(&one_task_app(None)).unwrap();
         dep.health.config.max_retries = 0; // degrade on the first failed attempt
@@ -1367,24 +1348,7 @@ mod tests {
     fn degraded_duration_subscription_matches_health_map_exactly() {
         // Same one-CPU-device shape as above: the crash degrades the
         // module with nowhere to heal until the device repairs at 10ms.
-        let mut cloud = UdcCloud::new(CloudConfig {
-            datacenter: DatacenterConfig {
-                pools: vec![
-                    PoolConfig {
-                        kind: ResourceKind::Cpu,
-                        devices: 1,
-                        capacity_per_device: 8,
-                    },
-                    PoolConfig {
-                        kind: ResourceKind::Dram,
-                        devices: 1,
-                        capacity_per_device: 4096,
-                    },
-                ],
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let mut cloud = UdcCloud::new(one_cpu_device());
         let tel = cloud.enable_telemetry();
         cloud.attach_queries(udc_query::QueryEngine::new(), 1_500);
         let mut dep = cloud.submit(&one_task_app(None)).unwrap();
@@ -1645,7 +1609,7 @@ mod tests {
             ]));
         let report = cloud.advance(&mut dep, 1_000);
         assert!(
-            cloud.dead_devices.contains(&dead),
+            cloud.sensed.dead.contains(&dead),
             "crash→repair→crash in one tick must leave the device dead"
         );
         assert_eq!(report.crashed_devices, vec![dead, dead]);
@@ -1708,6 +1672,158 @@ mod tests {
         cloud.teardown(&mut a);
         cloud.teardown(&mut b);
         assert_eq!(cpu_used(&cloud), 0);
+    }
+
+    #[test]
+    fn a_repair_reheals_the_degraded_module_of_a_later_deployment() {
+        // Regression: only the advance that drained a repair counted it as
+        // capacity back, so a deployment advanced after it in the repair
+        // tick stayed degraded for good. The control run advances B first.
+        for b_first in [false, true] {
+            let mut cloud = UdcCloud::new(one_cpu_device());
+            let mut a = cloud.submit(&task_app("A")).unwrap();
+            let mut b = cloud.submit(&task_app("B")).unwrap();
+            let dev = a.placement.modules[&ModuleId::from("A")].primary_device;
+            cloud
+                .datacenter_mut()
+                .set_failure_plan(FailurePlan::from_events(vec![
+                    crash(5, dev),
+                    repair(20, dev),
+                ]));
+            for (dep, delta) in [(&mut a, 10), (&mut b, 0)] {
+                dep.health.config.max_retries = 0;
+                cloud.advance(dep, delta);
+                assert_eq!(dep.health.degraded_modules().len(), 1);
+            }
+            let (first, second) = if b_first {
+                (&mut b, &mut a)
+            } else {
+                (&mut a, &mut b)
+            };
+            cloud.advance(first, 10);
+            cloud.advance(second, 0);
+            assert!(a.health.is_converged(), "b_first={b_first}");
+            assert!(b.health.is_converged(), "b_first={b_first}");
+            assert_eq!(cpu_used(&cloud), 4);
+        }
+    }
+
+    /// A cloud whose tenant owes 500 µ$ from t=0, on a plan that degrades
+    /// it 10 µs after it is found overdue and suspends it 20 µs after.
+    fn overdue_cloud() -> (UdcCloud, udc_economics::SharedQuotaGate) {
+        let plan = udc_economics::PlanSpec {
+            name: "starter".to_string(),
+            window_us: u64::MAX,
+            credit_per_window: 0,
+            quota: udc_spec::ResourceVector::new(),
+            degrade_after_us: 10,
+            suspend_after_us: 20,
+        };
+        let mut gate = udc_economics::QuotaGate::new();
+        gate.open_account("tenant", plan, 0);
+        let acct = gate.account_mut("tenant").unwrap();
+        acct.charge(0, 500, None, "overage");
+        let gate = udc_economics::shared(gate);
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        cloud.attach_economics(gate.clone());
+        (cloud, gate)
+    }
+
+    /// Two 2-core deployments, `A` and `B`, on an [`overdue_cloud`],
+    /// advanced to its suspension at t=30 with `A` carrying the time.
+    fn two_suspended() -> (
+        UdcCloud,
+        udc_economics::SharedQuotaGate,
+        Deployment,
+        Deployment,
+    ) {
+        let (mut cloud, gate) = overdue_cloud();
+        let mut a = cloud.submit(&task_app("A")).unwrap();
+        let mut b = cloud.submit(&task_app("B")).unwrap();
+        // Overdue at t=5, degraded at t=15, suspended at t=30.
+        for step in [5, 10, 15] {
+            cloud.advance(&mut a, step);
+            cloud.advance(&mut b, 0);
+        }
+        (cloud, gate, a, b)
+    }
+
+    #[test]
+    fn suspension_evicts_every_deployment_of_the_tenant() {
+        // Regression: only the advance whose settle saw the suspension
+        // evicted, so B kept running on a suspended account.
+        let (cloud, _gate, a, b) = two_suspended();
+        for dep in [&a, &b] {
+            assert!(healthy_modules(dep).is_empty());
+            assert_eq!(dep.econ_suspended.len(), 1);
+        }
+        assert_eq!(cpu_used(&cloud), 0);
+    }
+
+    #[test]
+    fn reinstatement_reaches_the_deployment_that_was_suspended() {
+        // Regression: only the advance whose settle saw the payment
+        // re-placed, so A, advanced second in that tick, stayed degraded
+        // on a paid-up account.
+        let (mut cloud, gate, mut a, mut b) = two_suspended();
+        gate.lock()
+            .unwrap()
+            .account_mut("tenant")
+            .unwrap()
+            .pay(35, 1_000);
+        let rb = cloud.advance(&mut b, 5);
+        let ra = cloud.advance(&mut a, 0);
+        assert_eq!(rb.reinstated, vec![ModuleId::from("B")]);
+        assert_eq!(ra.reinstated, vec![ModuleId::from("A")]);
+        assert!(a.health.is_converged() && b.health.is_converged());
+        assert!(a.econ_suspended.is_empty() && b.econ_suspended.is_empty());
+        assert_eq!(cpu_used(&cloud), 4);
+    }
+
+    #[test]
+    fn suspicion_is_audited_for_every_deployment_on_the_device() {
+        // Regression: only the advance that polled the detector audited
+        // its verdicts, so B's module on the same gray device had none.
+        use udc_failure::{DetectorConfig, GrayFault};
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let obs = cloud.enable_telemetry();
+        cloud.attach_failure_detection(DetectorConfig {
+            lease_us: 1_000,
+            confirm_misses: 3,
+            seed: 7,
+        });
+        let mut a = cloud.submit(&task_app("A")).unwrap();
+        let mut b = cloud.submit(&task_app("B")).unwrap();
+        let gray = a.placement.modules[&ModuleId::from("A")].primary_device;
+        assert_eq!(
+            b.placement.modules[&ModuleId::from("B")].primary_device,
+            gray
+        );
+        cloud.set_net_plan(NetPlan {
+            grays: vec![GrayFault {
+                device: gray,
+                from_us: 0,
+                until_us: 2_500,
+                delay_us: 2_000,
+                drop_per_mille: 0,
+            }],
+            ..NetPlan::none()
+        });
+        for _ in 0..10 {
+            cloud.advance(&mut a, 500);
+            cloud.advance(&mut b, 0);
+        }
+        let audited = |module: &str, accepted| {
+            let decisions = obs.decisions();
+            let of = |d: &&std::sync::Arc<udc_telemetry::DecisionRecord>| {
+                d.stage == "heal.suspect" && d.module == module && d.accepted == accepted
+            };
+            decisions.iter().filter(of).count()
+        };
+        for accepted in [false, true] {
+            assert!(audited("A", accepted) >= 1, "accepted={accepted}");
+            assert_eq!(audited("B", accepted), audited("A", accepted));
+        }
     }
 
     #[test]
@@ -1803,6 +1919,90 @@ mod tests {
     const LANE_STEP_US: u64 = 100_000;
     const LANE_STEPS: u64 = 16;
 
+    /// Where the fleet properties inject faults: every device `deps`
+    /// use, plus a few idle ones.
+    fn fault_domain(deps: &[Deployment]) -> Vec<DeviceId> {
+        let mut domain: Vec<DeviceId> = deps.iter().flat_map(footprint_of).collect();
+        domain.extend([DeviceId(1), DeviceId(40), DeviceId(90)]);
+        domain.sort_unstable();
+        domain.dedup();
+        domain
+    }
+
+    /// Each fault `(at_us, i, down_us)` crashes a device of `domain` and
+    /// repairs it `down_us` later; in time order.
+    fn fault_events(domain: &[DeviceId], faults: &[(u64, usize, u64)]) -> Vec<FailureEvent> {
+        let pick = |i: usize| domain[i % domain.len()];
+        let mut events: Vec<FailureEvent> = faults
+            .iter()
+            .flat_map(|&(at_us, i, down_us)| {
+                [crash(at_us, pick(i)), repair(at_us + down_us, pick(i))]
+            })
+            .collect();
+        events.sort_by_key(|e| e.at_us);
+        events
+    }
+
+    /// Lease detection over `domain`'s network: one-device partitions
+    /// `(i, from_us, len)` and gray faults `(i, from_us, len, delay_us,
+    /// drop_per_mille)`.
+    fn lease_detection(
+        domain: &[DeviceId],
+        cuts: &[(usize, u64, u64)],
+        grays: &[(usize, u64, u64, u64, u16)],
+        seed: u64,
+    ) -> (udc_failure::DetectorConfig, NetPlan) {
+        let pick = |i: usize| domain[i % domain.len()];
+        let config = udc_failure::DetectorConfig {
+            lease_us: 40_000,
+            confirm_misses: 2,
+            seed,
+        };
+        let net = NetPlan {
+            partitions: cuts
+                .iter()
+                .map(|&(i, from_us, len)| Partition {
+                    island: vec![pick(i)],
+                    from_us,
+                    until_us: from_us + len,
+                })
+                .collect(),
+            grays: grays
+                .iter()
+                .map(|&(i, from_us, len, delay_us, drop_per_mille)| GrayFault {
+                    device: pick(i),
+                    from_us,
+                    until_us: from_us + len,
+                    delay_us,
+                    drop_per_mille,
+                })
+                .collect(),
+            links: Vec::new(),
+            seed,
+        };
+        (config, net)
+    }
+
+    /// `0..n` in a seeded order, different at every `step`.
+    fn shuffled(n: usize, seed: u64, step: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            let j = splitmix64(seed ^ step << 32 ^ i as u64) % (i as u64 + 1);
+            order.swap(i, j as usize);
+        }
+        order
+    }
+
+    /// At most three devices per pool of the default datacenter: tight
+    /// enough that a crash can leave a module nowhere to heal to.
+    fn tight_datacenter() -> DatacenterConfig {
+        let mut dc = DatacenterConfig::default();
+        for pool in &mut dc.pools {
+            pool.devices = pool.devices.min(3);
+        }
+        dc
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1830,41 +2030,9 @@ mod tests {
             movers in prop::collection::vec(0usize..6, LANE_STEPS as usize),
         ) {
             let apps: Vec<AppSpec> = kinds.iter().map(|&k| fleet_app(k)).collect();
-            // Faults land on the fleet's own devices, plus a few idle ones.
-            let probe = Lane::new(&apps, None);
-            let mut domain: Vec<DeviceId> = probe.deps.iter().flat_map(footprint_of).collect();
-            domain.extend([DeviceId(1), DeviceId(40), DeviceId(90)]);
-            domain.sort_unstable();
-            domain.dedup();
-            let pick = |i: usize| domain[i % domain.len()];
-            let mut events = Vec::new();
-            for &(at_us, i, down_us) in &faults {
-                events.push(crash(at_us, pick(i)));
-                events.push(repair(at_us + down_us, pick(i)));
-            }
-            events.sort_by_key(|e| e.at_us);
-            let detection = lease.then(|| {
-                let config = udc_failure::DetectorConfig { lease_us: 40_000, confirm_misses: 2, seed: net_seed };
-                let net = NetPlan {
-                    partitions: cuts
-                        .iter()
-                        .map(|&(i, from_us, len)| Partition { island: vec![pick(i)], from_us, until_us: from_us + len })
-                        .collect(),
-                    grays: grays
-                        .iter()
-                        .map(|&(i, from_us, len, delay_us, drop_per_mille)| GrayFault {
-                            device: pick(i),
-                            from_us,
-                            until_us: from_us + len,
-                            delay_us,
-                            drop_per_mille,
-                        })
-                        .collect(),
-                    links: Vec::new(),
-                    seed: net_seed,
-                };
-                (config, net)
-            });
+            let domain = fault_domain(&Lane::new(&apps, None).deps);
+            let events = fault_events(&domain, &faults);
+            let detection = lease.then(|| lease_detection(&domain, &cuts, &grays, net_seed));
 
             let mut fast = Lane::new(&apps, detection.as_ref());
             let mut full = Lane::new(&apps, detection.as_ref());
@@ -1884,13 +2052,167 @@ mod tests {
                     prop_assert_eq!(format!("{:?}", x.placement), format!("{:?}", y.placement));
                     prop_assert_eq!(format!("{:?}", x.health), format!("{:?}", y.health));
                 }
-                prop_assert_eq!(&fast.cloud.dead_devices, &full.cloud.dead_devices);
+                prop_assert_eq!(&fast.cloud.sensed.dead, &full.cloud.sensed.dead);
                 prop_assert_eq!(
                     fast.cloud.datacenter().utilization_report(),
                     full.cloud.datacenter().utilization_report()
                 );
             }
             prop_assert!(skippable > 0, "the fast path never ran");
+        }
+
+        /// Every deployment reconciles against what changed since its own
+        /// last look, whatever order the caller advances them in and
+        /// whichever call carries the time: random fleets on a tight
+        /// datacenter, crash schedules with same-tick flaps, both detection
+        /// modes (lease with partitions and gray faults), and an account
+        /// that goes overdue, is suspended and pays. After every tick:
+        /// (a) a suspended account leaves no deployment a healthy module,
+        /// and an active one no suspension-evicted module; (b) in a tick
+        /// that returned a device, every deployment's capacity-degraded
+        /// modules get a re-placement attempt; (c) every module whose
+        /// primary device was newly suspected or cleared gets exactly one
+        /// `heal.suspect` record per verdict.
+        #[test]
+        fn every_deployment_reconciles_whatever_the_advance_order(
+            kinds in prop::collection::vec(0u32..64, 2..=6),
+            faults in prop::collection::vec(
+                (1..LANE_STEPS * LANE_STEP_US, 0usize..64, 0..2 * LANE_STEP_US),
+                0..10,
+            ),
+            lease in any::<bool>(),
+            (cuts, grays, net_seed) in (
+                prop::collection::vec((0usize..64, 0..LANE_STEPS * LANE_STEP_US, 1..500_000u64), 0..3),
+                prop::collection::vec(
+                    (0usize..64, 0..LANE_STEPS * LANE_STEP_US, 1..800_000u64, 0..120_000u64, 0u16..600),
+                    0..3,
+                ),
+                any::<u64>(),
+            ),
+            (owe_at, pay_after, degrade_steps, suspend_steps) in (0..LANE_STEPS, 1..8u64, 0..3u64, 0..4u64),
+            order_seed in any::<u64>(),
+        ) {
+            use udc_economics::{PlanSpec, QuotaGate};
+            let apps: Vec<AppSpec> = kinds.iter().map(|&k| fleet_app(k)).collect();
+            let mut cloud = UdcCloud::new(CloudConfig { datacenter: tight_datacenter(), ..Default::default() });
+            let obs = cloud.enable_telemetry();
+            let mut gate = QuotaGate::new();
+            let plan = PlanSpec {
+                degrade_after_us: degrade_steps * LANE_STEP_US,
+                suspend_after_us: (degrade_steps + suspend_steps) * LANE_STEP_US,
+                ..PlanSpec::unlimited("overdraft")
+            };
+            gate.open_account("tenant", plan, 0);
+            let gate = udc_economics::shared(gate);
+            cloud.attach_economics(gate.clone());
+            let mut deps: Vec<Deployment> = apps.iter().filter_map(|a| cloud.submit(a).ok()).collect();
+            prop_assume!(deps.len() >= 2);
+            for dep in &mut deps {
+                dep.health.config.max_retries = 0;
+            }
+            let domain = fault_domain(&deps);
+            let events = fault_events(&domain, &faults);
+            cloud.datacenter_mut().set_failure_plan(FailurePlan::from_events(events));
+            if lease {
+                let (config, net) = lease_detection(&domain, &cuts, &grays, net_seed);
+                cloud.attach_failure_detection(config);
+                cloud.set_net_plan(net);
+            }
+
+            for step in 0..LANE_STEPS {
+                let now = cloud.datacenter().clock().now();
+                {
+                    let mut g = gate.lock().unwrap();
+                    let acct = g.account_mut("tenant").unwrap();
+                    if step == owe_at {
+                        acct.charge(now, 500, None, "overage");
+                    }
+                    if step == owe_at + pay_after {
+                        acct.pay(now, 1_000);
+                    }
+                }
+                // Each deployment's capacity-degraded modules and its
+                // modules' primary devices, before the tick.
+                let degraded: Vec<Vec<ModuleId>> = deps
+                    .iter()
+                    .map(|d| d.health.degraded_modules().into_iter().filter(|id| !d.econ_suspended.contains(id)).collect())
+                    .collect();
+                let primaries: Vec<(ModuleId, DeviceId)> = deps
+                    .iter()
+                    .flat_map(|d| d.placement.modules.iter().map(|(id, p)| (id.clone(), p.primary_device)))
+                    .collect();
+                let was_suspected: Vec<DeviceId> = cloud.detector().map_or_else(Vec::new, |det| {
+                    let suspected = |&d: &DeviceId| matches!(det.suspicion(d), udc_failure::Suspicion::Suspected { .. });
+                    domain.iter().copied().filter(suspected).collect()
+                });
+                let seq_before = obs.decisions().last().map_or(0, |d| d.seq);
+
+                let mut reports = vec![HealReport::default(); deps.len()];
+                for (k, i) in shuffled(deps.len(), order_seed, step).into_iter().enumerate() {
+                    let delta = if k == 0 { LANE_STEP_US } else { 0 };
+                    reports[i] = cloud.advance(&mut deps[i], delta);
+                }
+
+                // (a) The account's state reaches every deployment.
+                let suspended = gate.lock().unwrap().account("tenant").unwrap().is_suspended();
+                for (i, dep) in deps.iter().enumerate() {
+                    if suspended {
+                        prop_assert!(healthy_modules(dep).is_empty(), "step {}: dep {} runs while suspended", step, i);
+                    } else {
+                        prop_assert!(dep.econ_suspended.is_empty(), "step {}: dep {} still suspended", step, i);
+                    }
+                }
+                // (b) Returned capacity reaches every deployment.
+                let returned = reports.iter().any(|r| {
+                    let seen = if lease { r.resurrected.len() + r.restarted.len() } else { r.repaired_devices.len() };
+                    seen > 0
+                });
+                if returned && !suspended {
+                    for (i, (ids, r)) in degraded.iter().zip(&reports).enumerate() {
+                        for id in ids {
+                            let tried = r.repaired.iter().any(|m| &m.module == id)
+                                || r.retried.contains(id)
+                                || r.degraded.contains(id);
+                            prop_assert!(tried, "step {}: dep {}'s {} never retried", step, i, id);
+                        }
+                    }
+                }
+                // (c) One audit record per verdict per hosted module. A
+                // device suspected before the tick and alive after it,
+                // without a restart, was cleared.
+                let mut verdicts = BTreeSet::new();
+                for r in &reports {
+                    verdicts.extend(r.suspected.iter().map(|&d| (d, false)));
+                }
+                if let Some(det) = cloud.detector() {
+                    let restarted = |d| reports.iter().any(|r| r.restarted.contains(&d));
+                    let alive = |d| det.suspicion(d) == udc_failure::Suspicion::Alive;
+                    let cleared = was_suspected.iter().filter(|&&d| alive(d) && !restarted(d));
+                    verdicts.extend(cleared.map(|&d| (d, true)));
+                }
+                let mut expected: Vec<(String, String, bool)> = primaries
+                    .iter()
+                    .flat_map(|(id, d)| [false, true].map(|accepted| (id, *d, accepted)))
+                    .filter(|&(_, d, accepted)| verdicts.contains(&(d, accepted)))
+                    .map(|(id, d, accepted)| (id.to_string(), format!("dev{}", d.0), accepted))
+                    .collect();
+                let mut audited: Vec<(String, String, bool)> = obs
+                    .decisions()
+                    .iter()
+                    .filter(|d| d.seq > seq_before && d.stage == "heal.suspect")
+                    .map(|d| (d.module.clone(), d.candidate.clone(), d.accepted))
+                    .collect();
+                expected.sort();
+                audited.sort();
+                prop_assert_eq!(audited, expected, "step {}", step);
+            }
+            for dep in &mut deps {
+                cloud.teardown(dep);
+            }
+            for kind in ResourceKind::ALL {
+                let used = cloud.datacenter().pool(kind).map_or(0, |p| p.total_used());
+                prop_assert_eq!(used, 0, "{} leaked", kind);
+            }
         }
     }
 
@@ -2207,33 +2529,12 @@ mod tests {
 
     #[test]
     fn overdue_account_degrades_suspends_and_reinstates_on_payment() {
-        use udc_economics::{PlanSpec, QuotaGate};
-
-        let mut cloud = UdcCloud::new(CloudConfig::default());
+        // The tenant is in debt from the start; the lifecycle escalates:
+        // overdue at t=5, degraded at t=15, suspended at t=30.
+        let (mut cloud, gate) = overdue_cloud();
         let obs = cloud.enable_telemetry();
-        let plan = PlanSpec {
-            name: "starter".to_string(),
-            window_us: u64::MAX,
-            credit_per_window: 0,
-            quota: udc_spec::ResourceVector::new(),
-            degrade_after_us: 10,
-            suspend_after_us: 20,
-        };
-        let mut gate = QuotaGate::new();
-        gate.open_account("tenant", plan, 0);
-        let gate = udc_economics::shared(gate);
-        cloud.attach_economics(gate.clone());
-
         let mut dep = cloud.submit(&one_task_app(None)).unwrap();
         let id = ModuleId::from("T");
-
-        // Run the tenant into debt out-of-band, then let the lifecycle
-        // escalate: overdue at t=5, degraded at t=15, suspended at t=30.
-        gate.lock()
-            .unwrap()
-            .account_mut("tenant")
-            .unwrap()
-            .charge(0, 500, None, "overage");
 
         let r1 = cloud.advance(&mut dep, 5);
         assert!(r1.suspended.is_empty(), "overdue alone must not evict");

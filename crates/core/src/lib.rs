@@ -36,9 +36,7 @@ pub use cloud::{
     HEAL_DEGRADED_GAUGE, HEAL_DEGRADED_RULE, RING_DROPPED_GAUGE, RING_DROPPED_RULE,
 };
 pub use dryrun::{dry_run, TaskProfile, TrialResult};
-pub use heal::{
-    DetectionMode, HealConfig, HealReport, HealthState, ModuleHealth, ModuleRepair, RecoveryModel,
-};
+pub use heal::{HealConfig, HealReport, HealthState, ModuleHealth, ModuleRepair, RecoveryModel};
 pub use ir::{AppIr, ModuleIr};
 pub use verify::{
     check_quote, policy_for_module, BillingCheck, BillingReconciliation, ModuleVerification,

@@ -187,6 +187,18 @@ impl WarmPool {
         }
     }
 
+    /// Hands back an instance an acquisition drew for a launch that never
+    /// happened (its placement was refused). It goes in front of the
+    /// first instance that could be drawn now, which is where it was
+    /// drawn from, so the next draw takes it again.
+    pub fn restore(&mut self, kind: EnvKind, instance: WarmInstance) {
+        let suspected = &self.suspected;
+        let ready = self.ready.entry(kind).or_default();
+        let drawable = |i: &WarmInstance| i.device.is_none_or(|d| !suspected.contains(&d));
+        let at = ready.iter().position(drawable).unwrap_or(ready.len());
+        ready.insert(at, instance);
+    }
+
     /// Adds one pre-started instance of `kind` pinned to `device` (the
     /// provider pre-warmed on specific hardware). Pinned instances are
     /// dropped by [`WarmPool::invalidate_device`] when that device

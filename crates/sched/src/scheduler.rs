@@ -7,7 +7,7 @@ use std::fmt;
 use udc_economics::{demand_of_app, AdmissionVerdict, SharedQuotaGate};
 use udc_hal::pool::AllocConstraints;
 use udc_hal::{AllocError, Allocation, Datacenter, DeviceId, ResourcePool};
-use udc_isolate::{select_env, EnvironmentPlan, WarmPool, WarmPoolConfig};
+use udc_isolate::{select_env, EnvKind, EnvironmentPlan, WarmInstance, WarmPool, WarmPoolConfig};
 use udc_spec::{
     AppSpec, ConflictPolicy, Goal, ModuleId, ModuleKind, ResolvedApp, ResourceKind, ResourceVector,
     SpecError,
@@ -252,6 +252,9 @@ pub struct Scheduler {
     /// hub) and kept only so that walk allocates nothing after the
     /// first.
     cands: Vec<PolicyCtx>,
+    /// The warm instances the placement in progress drew, in order: a
+    /// refused app hands them back.
+    drawn: Vec<(EnvKind, WarmInstance)>,
 }
 
 impl Scheduler {
@@ -263,6 +266,7 @@ impl Scheduler {
             warm_pool,
             obs: Telemetry::disabled(),
             cands: Vec::new(),
+            drawn: Vec::new(),
         }
     }
 
@@ -381,6 +385,7 @@ impl Scheduler {
         }
         let colocate_rack = self.colocation_racks(app);
 
+        self.drawn.clear();
         let mut placement = AppPlacement::default();
         // Data modules first (they are sources of affinity).
         let of_kind = |kind| {
@@ -400,9 +405,14 @@ impl Scheduler {
                     self.place_task(dc, app, module, &placement, &colocate_rack, &[], mctx)
                 }
             };
-            // A refused app holds nothing: hand back what the earlier
-            // modules took.
-            let placed = placed.inspect_err(|_| self.release_app(dc, &placement))?;
+            // A refused app holds nothing: hand back the capacity and the
+            // warm instances the earlier modules took.
+            let placed = placed.inspect_err(|_| {
+                self.release_app(dc, &placement);
+                for (kind, instance) in self.drawn.drain(..).rev() {
+                    self.warm_pool.restore(kind, instance);
+                }
+            })?;
             mspan.exit();
             placement.modules.insert(id.clone(), placed);
         }
@@ -484,6 +494,7 @@ impl Scheduler {
             .ok_or_else(|| SchedError::Spec(SpecError::UnknownModule(module_id.to_string())))?;
         let span = self.obs.span_opt(ctx.as_ref(), "sched.replace_module");
         let mctx = span.ctx().or(ctx);
+        self.drawn.clear();
         let colocate_rack = self.colocation_racks(app);
         let placed = match module.kind {
             ModuleKind::Data => self.place_data(dc, module, exclude, mctx),
@@ -1117,16 +1128,20 @@ impl Scheduler {
 
     fn start_env(&mut self, env: EnvironmentPlan, ctx: Option<TraceCtx>) -> (StartMode, u64) {
         let was_ready = self.warm_pool.ready(env.kind) > 0;
-        let latency = {
+        let got = {
             let _span = self.obs.span_opt(ctx.as_ref(), "isolate.acquire");
-            self.warm_pool.acquire(env.kind)
+            self.warm_pool.acquire_detailed(env.kind)
         };
+        if got.warm {
+            let instance = WarmInstance { device: got.device };
+            self.drawn.push((env.kind, instance));
+        }
         let mode = if was_ready {
             StartMode::Warm
         } else {
             StartMode::Cold
         };
-        (mode, latency)
+        (mode, got.latency_us)
     }
 
     /// [`ResourcePool::allocate`] as the audit sees it: a
@@ -1647,6 +1662,41 @@ mod tests {
         assert!(p_warm.total_startup_us() < p_cold.total_startup_us());
         assert_eq!(p_warm.warm_fraction(), 1.0);
         assert_eq!(p_cold.warm_fraction(), 0.0);
+    }
+
+    #[test]
+    fn a_refused_app_hands_back_the_warm_instances_it_drew() {
+        // Regression: a-ok drew a warm instance before z-hog was refused,
+        // and the refusal released its capacity but kept the instance.
+        let mut sched = Scheduler::new(SchedOptions {
+            warm_pool: udc_isolate::WarmPoolConfig::uniform(2),
+            ..Default::default()
+        });
+        let ready = |sched: &mut Scheduler| -> usize {
+            let pool = sched.warm_pool_mut();
+            EnvKind::ALL.iter().map(|&k| pool.ready(k)).sum()
+        };
+        assert_eq!(ready(&mut sched), 12);
+        let mut app = AppSpec::new("refused");
+        for (id, kind, units) in [
+            ("a-ok", ResourceKind::Cpu, 1),
+            ("z-hog", ResourceKind::Gpu, 1_000_000),
+        ] {
+            app.add_task(
+                TaskSpec::new(id).with_resource(ResourceAspect::default().with_demand(kind, units)),
+            );
+        }
+        let mut dc = dc();
+        match sched.place_app(&mut dc, &app) {
+            Err(SchedError::Alloc { module, .. }) => assert_eq!(module, "z-hog"),
+            other => panic!("expected z-hog to be refused, got {other:?}"),
+        }
+        assert_eq!(ready(&mut sched), 12);
+        // The next launch draws the instance a-ok drew, warm.
+        app.modules.remove(&ModuleId::from("z-hog"));
+        let placed = sched.place_app(&mut dc, &app).unwrap();
+        assert_eq!(placed.warm_fraction(), 1.0);
+        assert_eq!(ready(&mut sched), 11);
     }
 
     #[test]
