@@ -24,8 +24,8 @@
 //!   replay suffix and checkpoint-driven truncation;
 //! - [`supervise::SupervisionPolicy`] — restart/drop/escalate handling
 //!   of actor failures;
-//! - [`parallel::ThreadPool`] — a crossbeam-based threaded executor for
-//!   CPU-bound batch workloads where determinism is not required.
+//! - [`parallel::fan_out`] — scoped threads for independent trials
+//!   whose results land in input order.
 
 #![forbid(unsafe_code)]
 
@@ -41,6 +41,5 @@ pub mod system;
 pub use actor::{Actor, ActorError, ActorId, Ctx, Message};
 pub use log::MessageLog;
 pub use naive::NaiveSystem;
-pub use parallel::ThreadPool;
 pub use supervise::SupervisionPolicy;
 pub use system::{ActorRef, System, SystemStats};

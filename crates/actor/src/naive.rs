@@ -210,11 +210,6 @@ impl NaiveSystem {
         self.actors.get(id).map(|r| r.actor.as_ref())
     }
 
-    /// Mutable access to an actor (checkpoint/restore flows).
-    pub fn actor_mut(&mut self, id: &ActorId) -> Option<&mut (dyn Actor + 'static)> {
-        self.actors.get_mut(id).map(|r| r.actor.as_mut())
-    }
-
     /// Ids of all registered (non-stopped) actors.
     pub fn actor_ids(&self) -> Vec<ActorId> {
         self.actors

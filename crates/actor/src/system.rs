@@ -396,13 +396,6 @@ impl System {
             .map(|s| self.table.slot(s).actor.as_ref())
     }
 
-    /// Mutable access to an actor (checkpoint/restore flows).
-    pub fn actor_mut(&mut self, id: &ActorId) -> Option<&mut (dyn Actor + 'static)> {
-        self.table
-            .lookup(id)
-            .map(|s| self.table.slot_mut(s).actor.as_mut())
-    }
-
     /// Ids of all registered (non-stopped) actors, in id order.
     pub fn actor_ids(&self) -> Vec<ActorId> {
         self.table.live_ids()

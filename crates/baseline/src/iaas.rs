@@ -31,11 +31,6 @@ impl IaasProvisioner {
         Self::default()
     }
 
-    /// With a custom catalog.
-    pub fn with_catalog(catalog: Catalog) -> Self {
-        Self { catalog }
-    }
-
     /// Provisions every demand on its own instance.
     pub fn provision(&self, demands: &[ResourceVector]) -> IaasOutcome {
         let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();

@@ -94,7 +94,7 @@ fn main() {
             .map(|_| ())
             .expect("dc exists");
         udc_core::BillingModel::default()
-            .price(cloud.datacenter(), &dep.placement, hour)
+            .price(cloud.datacenter(), &dep.placement, |_| hour)
             .total
     };
 
@@ -173,7 +173,7 @@ fn main() {
     let report2 = cloud2.run(&dep2);
     let hour = 3_600_000_000u64;
     let udc_relaxed_hourly = udc_core::BillingModel::default()
-        .price(cloud2.datacenter(), &dep2.placement, hour)
+        .price(cloud2.datacenter(), &dep2.placement, |_| hour)
         .total;
     t.row(&[
         "UDC (security relaxed)".to_string(),

@@ -45,7 +45,7 @@ fn run(app: &AppSpec) -> (u64, u64, u64) {
     let mut dep = cloud.submit(app).expect("fits the default datacenter");
     let report = cloud.run(&dep);
     let hourly = BillingModel::default()
-        .price(cloud.datacenter(), &dep.placement, HOUR_US)
+        .price(cloud.datacenter(), &dep.placement, |_| HOUR_US)
         .total;
     let run_cost = report.cost.total;
     let makespan = report.makespan_us;

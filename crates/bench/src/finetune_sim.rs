@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use udc_query::{Aggregation, LabelFilter, Obs, QueryEngine, QuerySpec, Source, SubId, WindowSpec};
 use udc_sched::finetune::EWMA_ALPHA;
-use udc_sched::{FineTuner, TuneAction, TunerConfig};
+use udc_sched::{FineTuner, TuneAction};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry as Hub};
 
 /// Gauge name the subscribed mode streams per-module usage under.
@@ -112,7 +112,7 @@ pub fn run(mode: FeedMode, rules: &[&str]) -> SimOutcome {
         "alert rules need the subscribed feed"
     );
     let mut modules = standard_modules();
-    let mut tuner = FineTuner::new(TunerConfig::default());
+    let mut tuner = FineTuner::default();
     let hub = Hub::enabled();
     let clock = Arc::new(AtomicU64::new(0));
     {

@@ -9,9 +9,10 @@
 //! region.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use udc_hal::Datacenter;
 use udc_sched::{AppPlacement, ModulePlacement};
-use udc_spec::ResourceKind;
+use udc_spec::{ModuleId, ResourceKind};
 
 /// The UDC pricing model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,7 +46,10 @@ pub struct CostBreakdown {
 }
 
 impl BillingModel {
-    /// Prices a placement held for `duration_us` of virtual time.
+    /// Prices a placement whose module `id` is held for `held_us(id)`
+    /// of virtual time — "pay only for the resources and features they
+    /// need" at *time* granularity: a run bills each task for its own
+    /// execution window and each data module for the whole run.
     ///
     /// Exclusive slices are billed for the *entire device* (the tenant
     /// monopolizes it), times the surcharge; shared slices for exactly
@@ -54,19 +58,19 @@ impl BillingModel {
         &self,
         dc: &Datacenter,
         placement: &AppPlacement,
-        duration_us: u64,
+        held_us: impl Fn(&ModuleId) -> u64,
     ) -> CostBreakdown {
-        let mut by_kind: std::collections::BTreeMap<ResourceKind, u64> = Default::default();
-        let mut surcharge_total = 0u64;
-        for m in placement.modules.values() {
-            self.price_module_into(dc, m, duration_us, &mut by_kind, &mut surcharge_total);
+        let mut bill = CostBreakdown::default();
+        let mut by_kind = BTreeMap::new();
+        for (id, m) in &placement.modules {
+            for (kind, cost, surcharge) in self.slice_costs(dc, m, held_us(id)) {
+                *by_kind.entry(kind).or_insert(0) += cost;
+                bill.exclusive_surcharge += surcharge;
+            }
         }
-        let total: u64 = by_kind.values().sum();
-        CostBreakdown {
-            by_kind: by_kind.into_iter().collect(),
-            exclusive_surcharge: surcharge_total,
-            total,
-        }
+        bill.total = by_kind.values().sum();
+        bill.by_kind = by_kind.into_iter().collect();
+        bill
     }
 
     /// Prices one module held for `duration_us`: the tenant-side
@@ -74,68 +78,33 @@ impl BillingModel {
     /// holding time, anyone can recompute what a module should cost.
     /// Returns total micro-dollars (surcharges included).
     pub fn price_module(&self, dc: &Datacenter, m: &ModulePlacement, duration_us: u64) -> u64 {
-        let mut by_kind: std::collections::BTreeMap<ResourceKind, u64> = Default::default();
-        let mut surcharge = 0u64;
-        self.price_module_into(dc, m, duration_us, &mut by_kind, &mut surcharge);
-        by_kind.values().sum()
+        self.slice_costs(dc, m, duration_us)
+            .map(|(_, cost, _)| cost)
+            .sum()
     }
 
-    fn price_module_into(
-        &self,
-        dc: &Datacenter,
-        m: &ModulePlacement,
+    /// `(kind, cost, exclusive surcharge within the cost)` of each slice
+    /// of `m` held for `duration_us`.
+    fn slice_costs<'a>(
+        &'a self,
+        dc: &'a Datacenter,
+        m: &'a ModulePlacement,
         duration_us: u64,
-        by_kind: &mut std::collections::BTreeMap<ResourceKind, u64>,
-        surcharge_total: &mut u64,
-    ) {
-        for alloc in &m.allocations {
-            for slice in &alloc.slices {
-                let Some(device) = dc.device(slice.device) else {
-                    continue;
-                };
-                let base = if slice.exclusive {
+    ) -> impl Iterator<Item = (ResourceKind, u64, u64)> + 'a {
+        m.allocations.iter().flat_map(move |alloc| {
+            alloc.slices.iter().filter_map(move |slice| {
+                let device = dc.device(slice.device)?;
+                let (base, surcharge) = if slice.exclusive {
                     let whole = device.cost_of(device.capacity, duration_us);
                     let with_surcharge = (whole as f64 * self.exclusive_surcharge).round() as u64;
-                    *surcharge_total += with_surcharge.saturating_sub(whole);
-                    with_surcharge
+                    (with_surcharge, with_surcharge.saturating_sub(whole))
                 } else {
-                    device.cost_of(slice.units, duration_us)
+                    (device.cost_of(slice.units, duration_us), 0)
                 };
                 let cost = (base as f64 * self.price_multiplier).round() as u64;
-                *by_kind.entry(alloc.kind).or_insert(0) += cost;
-            }
-        }
-    }
-}
-
-impl BillingModel {
-    /// Prices a run with per-module holding windows: each task module is
-    /// billed for its own `(start, end)` execution window — "pay only
-    /// for the resources and features they need" at *time* granularity —
-    /// while modules absent from `windows` (data modules, which persist)
-    /// are billed for the full `makespan_us`.
-    pub fn price_windows(
-        &self,
-        dc: &Datacenter,
-        placement: &AppPlacement,
-        windows: &std::collections::BTreeMap<udc_spec::ModuleId, (u64, u64)>,
-        makespan_us: u64,
-    ) -> CostBreakdown {
-        let mut by_kind: std::collections::BTreeMap<ResourceKind, u64> = Default::default();
-        let mut surcharge_total = 0u64;
-        for (id, m) in &placement.modules {
-            let duration = windows
-                .get(id)
-                .map(|(s, e)| e.saturating_sub(*s))
-                .unwrap_or(makespan_us);
-            self.price_module_into(dc, m, duration, &mut by_kind, &mut surcharge_total);
-        }
-        let total: u64 = by_kind.values().sum();
-        CostBreakdown {
-            by_kind: by_kind.into_iter().collect(),
-            exclusive_surcharge: surcharge_total,
-            total,
-        }
+                Some((alloc.kind, cost, surcharge))
+            })
+        })
     }
 }
 
@@ -166,7 +135,7 @@ mod tests {
     #[test]
     fn shared_pricing_is_per_unit() {
         let (dc, placement) = placed(false);
-        let bill = BillingModel::default().price(&dc, &placement, HOUR_US);
+        let bill = BillingModel::default().price(&dc, &placement, |_| HOUR_US);
         // 4 CPU cores at $0.04/core-hour = 160_000 micro-dollars.
         assert_eq!(bill.total, 160_000);
         assert_eq!(bill.exclusive_surcharge, 0);
@@ -175,7 +144,7 @@ mod tests {
     #[test]
     fn exclusive_bills_whole_device() {
         let (dc, placement) = placed(true);
-        let bill = BillingModel::default().price(&dc, &placement, HOUR_US);
+        let bill = BillingModel::default().price(&dc, &placement, |_| HOUR_US);
         // The exclusive CPU device has 64 cores.
         assert_eq!(bill.total, 64 * 40_000);
     }
@@ -183,12 +152,12 @@ mod tests {
     #[test]
     fn multiplier_scales_linearly() {
         let (dc, placement) = placed(false);
-        let base = BillingModel::default().price(&dc, &placement, HOUR_US);
+        let base = BillingModel::default().price(&dc, &placement, |_| HOUR_US);
         let pricey = BillingModel {
             price_multiplier: 1.5,
             ..Default::default()
         }
-        .price(&dc, &placement, HOUR_US);
+        .price(&dc, &placement, |_| HOUR_US);
         assert_eq!(pricey.total, (base.total as f64 * 1.5) as u64);
     }
 
@@ -199,7 +168,7 @@ mod tests {
             exclusive_surcharge: 1.25,
             ..Default::default()
         }
-        .price(&dc, &placement, HOUR_US);
+        .price(&dc, &placement, |_| HOUR_US);
         assert!(bill.exclusive_surcharge > 0);
         assert_eq!(bill.total, (64.0 * 40_000.0 * 1.25) as u64);
     }
@@ -207,55 +176,28 @@ mod tests {
     #[test]
     fn zero_duration_zero_cost() {
         let (dc, placement) = placed(false);
-        let bill = BillingModel::default().price(&dc, &placement, 0);
+        let bill = BillingModel::default().price(&dc, &placement, |_| 0);
         assert_eq!(bill.total, 0);
     }
-}
-
-#[cfg(test)]
-mod window_tests {
-    use super::*;
-    use std::collections::BTreeMap;
-    use udc_sched::{SchedOptions, Scheduler};
-    use udc_spec::{AppSpec, ModuleId, ResourceAspect, TaskSpec};
-
-    const HOUR_US: u64 = 3_600_000_000;
 
     #[test]
     fn windows_bill_tasks_for_their_own_duration() {
         let mut app = AppSpec::new("w");
-        app.add_task(
-            TaskSpec::new("short")
-                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, 4)),
-        );
-        app.add_task(
-            TaskSpec::new("long")
-                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, 4)),
-        );
+        for id in ["short", "long"] {
+            app.add_task(
+                TaskSpec::new(id)
+                    .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, 4)),
+            );
+        }
         let mut dc = Datacenter::default();
         let mut sched = Scheduler::new(SchedOptions::default());
         let placement = sched.place_app(&mut dc, &app).unwrap();
-        let mut windows = BTreeMap::new();
-        windows.insert(ModuleId::from("short"), (0u64, HOUR_US / 4));
-        windows.insert(ModuleId::from("long"), (0u64, HOUR_US));
-        let bill = BillingModel::default().price_windows(&dc, &placement, &windows, HOUR_US);
+        let held = BTreeMap::from([
+            (ModuleId::from("short"), HOUR_US / 4),
+            (ModuleId::from("long"), HOUR_US),
+        ]);
+        let bill = BillingModel::default().price(&dc, &placement, |id| held[id]);
         // 4 cores x (0.25h + 1h) at $0.04/core-h = $0.20.
         assert_eq!(bill.total, 200_000);
-    }
-
-    #[test]
-    fn modules_without_windows_pay_makespan() {
-        let mut app = AppSpec::new("w");
-        app.add_task(
-            TaskSpec::new("T")
-                .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, 2)),
-        );
-        let mut dc = Datacenter::default();
-        let mut sched = Scheduler::new(SchedOptions::default());
-        let placement = sched.place_app(&mut dc, &app).unwrap();
-        let empty = BTreeMap::new();
-        let bill = BillingModel::default().price_windows(&dc, &placement, &empty, HOUR_US);
-        let flat = BillingModel::default().price(&dc, &placement, HOUR_US);
-        assert_eq!(bill.total, flat.total, "fallback equals flat pricing");
     }
 }

@@ -629,18 +629,24 @@ impl UdcCloud {
 
         report.makespan_us = finish.values().copied().max().unwrap_or(0);
         report.warm_fraction = dep.placement.warm_fraction();
-        // Task modules pay for their own execution window; data modules
-        // persist for the whole run ("pay only for what is used", at
-        // time granularity too).
-        let task_windows: BTreeMap<ModuleId, (u64, u64)> = report
+        // Each module's holding time, derived once for the bill, the
+        // ledger and the counters: a task holds its resources for its
+        // own execution window, a data module for the whole run ("pay
+        // only for what is used", at time granularity too).
+        let held_us: BTreeMap<&ModuleId, u64> = report
             .timings
             .iter()
-            .filter(|(id, _)| app.module(id).map(|m| m.kind) == Some(ModuleKind::Task))
-            .map(|(id, w)| (id.clone(), *w))
+            .map(|(id, (start, end))| {
+                let held = match app.module(id).map(|m| m.kind) {
+                    Some(ModuleKind::Task) => end.saturating_sub(*start),
+                    _ => report.makespan_us,
+                };
+                (id, held)
+            })
             .collect();
-        report.cost =
-            self.billing
-                .price_windows(&self.dc, &dep.placement, &task_windows, report.makespan_us);
+        report.cost = self
+            .billing
+            .price(&self.dc, &dep.placement, |id| held_us[id]);
         // Tenant-side metering: debit the ledger at the prices *agreed
         // at submit* (`dep.billing`), never the provider's current
         // model. The provider-side counters below use `self.billing`,
@@ -651,11 +657,7 @@ impl UdcCloud {
             let mut g = gate.lock().expect("quota gate poisoned");
             if let Some(acct) = g.account_mut(&self.tenant) {
                 for (id, m) in &dep.placement.modules {
-                    let duration = task_windows
-                        .get(id)
-                        .map(|(s, e)| e.saturating_sub(*s))
-                        .unwrap_or(report.makespan_us);
-                    let owed = dep.billing.price_module(&self.dc, m, duration);
+                    let owed = dep.billing.price_module(&self.dc, m, held_us[id]);
                     acct.charge(now, owed, Some(id.as_str()), "usage window");
                 }
             }
@@ -664,22 +666,16 @@ impl UdcCloud {
             self.obs
                 .incr("core.runs", Labels::tenant(self.tenant.as_str()), 1);
             for (id, m) in &dep.placement.modules {
-                // Same holding windows billing uses: tasks pay for their
-                // execution window, data modules for the whole run.
-                let duration = task_windows
-                    .get(id)
-                    .map(|(s, e)| e.saturating_sub(*s))
-                    .unwrap_or(report.makespan_us);
+                let held = held_us[id];
                 let labels = Labels::module(self.tenant.as_str(), id.as_str());
                 let units: u64 = m.allocations.iter().map(|a| a.total_units()).sum();
-                self.obs
-                    .incr("core.module_window_us", labels.clone(), duration);
+                self.obs.incr("core.module_window_us", labels.clone(), held);
                 self.obs.incr(
                     "core.module_unit_us",
                     labels.clone(),
-                    units.saturating_mul(duration),
+                    units.saturating_mul(held),
                 );
-                let billed = self.billing.price_module(&self.dc, m, duration);
+                let billed = self.billing.price_module(&self.dc, m, held);
                 self.obs.incr("core.billed_microdollars", labels, billed);
             }
         }
@@ -1369,6 +1365,56 @@ mod tests {
     }
 
     #[test]
+    fn work_that_would_overflow_a_run_is_refused_at_submit() {
+        let app = udc_spec::parse_app(
+            "app huge {
+               task a { work = 18446744073709551615 }
+               task b { work = 18446744073709551615 }
+               edge a -> b
+             }",
+        )
+        .unwrap();
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        match cloud.submit(&app) {
+            Err(CloudError::Spec(SpecError::InvalidModule { module, reason })) => {
+                assert_eq!(module, "a");
+                assert!(reason.contains("exceeds maximum"), "{reason}");
+            }
+            other => panic!("expected a refusal, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn the_bill_the_ledger_and_the_counters_share_one_holding_time() {
+        use udc_economics::{PlanSpec, QuotaGate};
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let hub = cloud.enable_telemetry();
+        let mut gate = QuotaGate::new();
+        gate.open_account("tenant", PlanSpec::unlimited("open"), 0);
+        let gate = udc_economics::shared(gate);
+        cloud.attach_economics(gate.clone());
+        let dep = cloud.submit(&small_app()).unwrap();
+        let report = cloud.run(&dep);
+        let g = gate.lock().unwrap();
+        let ledger = &g.account("tenant").unwrap().ledger;
+        let mut billed = 0;
+        for (id, m) in &dep.placement.modules {
+            // Tasks hold for their own window, the data module for the run.
+            let held = match id.as_str() {
+                "S1" => report.makespan_us,
+                _ => report.timings[id].1 - report.timings[id].0,
+            };
+            let labels = Labels::module("tenant", id.as_str());
+            assert_eq!(hub.counter("core.module_window_us", &labels), held, "{id}");
+            let price = cloud.billing.price_module(&cloud.dc, m, held);
+            assert_eq!(hub.counter("core.billed_microdollars", &labels), price);
+            assert_eq!(ledger.debits_for_module(id.as_str()), price);
+            billed += price;
+        }
+        assert_eq!(report.cost.total, billed);
+    }
+
+    #[test]
     fn billing_reflects_price_multiplier() {
         let mut base_cloud = UdcCloud::new(CloudConfig::default());
         let dep = base_cloud.submit(&small_app()).unwrap();
@@ -1390,7 +1436,7 @@ mod tests {
 #[cfg(test)]
 mod autoscale_tests {
     use super::*;
-    use udc_sched::{FineTuner, TunerConfig};
+    use udc_sched::FineTuner;
     use udc_spec::{AppSpec, ResourceAspect, ResourceKind, TaskSpec};
 
     fn one_task(cores: u64) -> AppSpec {
@@ -1406,7 +1452,7 @@ mod autoscale_tests {
     fn autoscale_grows_starved_module() {
         let mut cloud = UdcCloud::new(CloudConfig::default());
         let mut dep = cloud.submit(&one_task(4)).unwrap();
-        let mut tuner = FineTuner::new(TunerConfig::default());
+        let mut tuner = FineTuner::default();
         let mut usage = BTreeMap::new();
         // The module is saturated: needs more than its 4 cores.
         usage.insert(ModuleId::from("T"), 1.5f64);
@@ -1421,7 +1467,7 @@ mod autoscale_tests {
     fn autoscale_shrinks_idle_module_over_rounds() {
         let mut cloud = UdcCloud::new(CloudConfig::default());
         let mut dep = cloud.submit(&one_task(32)).unwrap();
-        let mut tuner = FineTuner::new(TunerConfig::default());
+        let mut tuner = FineTuner::default();
         for _ in 0..6 {
             let units = dep.placement.modules[&ModuleId::from("T")].allocations[0].total_units();
             let mut usage = BTreeMap::new();
@@ -1464,7 +1510,7 @@ mod autoscale_tests {
         // `other` sees the flap and heals; `dep` has not looked yet.
         cloud.advance(&mut other, 10);
         let before = cpu_used(&cloud);
-        let mut tuner = FineTuner::new(TunerConfig::default());
+        let mut tuner = FineTuner::default();
         let usage = BTreeMap::from([(ModuleId::from("T"), 0.1f64)]);
         assert_eq!(cloud.autoscale(&mut dep, &mut tuner, &usage), 0);
         assert_eq!(cpu_used(&cloud), before, "no other module's units freed");
@@ -1478,7 +1524,7 @@ mod autoscale_tests {
     fn autoscale_in_band_module_untouched() {
         let mut cloud = UdcCloud::new(CloudConfig::default());
         let mut dep = cloud.submit(&one_task(8)).unwrap();
-        let mut tuner = FineTuner::new(TunerConfig::default());
+        let mut tuner = FineTuner::default();
         let mut usage = BTreeMap::new();
         usage.insert(ModuleId::from("T"), 0.7f64);
         let applied = cloud.autoscale(&mut dep, &mut tuner, &usage);

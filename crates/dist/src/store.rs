@@ -327,11 +327,6 @@ impl ReplicatedStore {
         self.live.iter().filter(|&&l| l).count()
     }
 
-    /// Whether replica `r` is live (out-of-range reads as dead).
-    pub fn is_live(&self, r: usize) -> bool {
-        self.live.get(r).copied().unwrap_or(false)
-    }
-
     /// Fan-out serialization cost for a synchronous write to `members`
     /// replicas: zero with in-network replication, a quarter of an ack
     /// round per extra member host-driven.

@@ -153,12 +153,6 @@ impl NetPlan {
         self.partitions.is_empty() && self.grays.is_empty() && self.links.is_empty()
     }
 
-    /// True when the plan schedules at least one gray fault (the only
-    /// fault class that can make a *reachable, live* device look dead).
-    pub fn has_gray(&self) -> bool {
-        !self.grays.is_empty()
-    }
-
     /// The time after which every scheduled fault has healed.
     pub fn horizon_us(&self) -> Micros {
         let p = self.partitions.iter().map(|p| p.until_us).max();

@@ -133,11 +133,6 @@ impl Environment {
         self.rot.as_ref()
     }
 
-    /// Mutable access to the root of trust.
-    pub fn root_of_trust_mut(&mut self) -> Option<&mut RootOfTrust> {
-        self.rot.as_mut()
-    }
-
     /// True when running.
     pub fn is_running(&self) -> bool {
         self.state == EnvState::Running

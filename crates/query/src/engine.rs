@@ -627,11 +627,6 @@ impl QueryEngine {
         self.late_obs
     }
 
-    /// Whether a query with this name is registered.
-    pub fn has_query(&self, name: &str) -> bool {
-        self.queries.iter().any(|q| q.spec.name == name)
-    }
-
     /// Whether a rule with this name is loaded.
     pub fn has_rule(&self, name: &str) -> bool {
         self.rules.iter().any(|r| r.rule.name == name)

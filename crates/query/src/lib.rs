@@ -43,7 +43,7 @@ pub use engine::{LabelFilter, Obs, QueryEngine, QueryOutput, QuerySpec, Source, 
 pub use feed::HubFeed;
 pub use naive::NaiveEngine;
 pub use replay::{default_horizon, obs_from_json};
-pub use rules::{default_ruleset, parse_rule, AlertRule, Cmp, ParsedRule, RuleKind};
+pub use rules::{default_ruleset, parse_rule, AlertRule, Cmp, ParsedRule, RuleKind, DEFAULT_RULES};
 pub use window::{Aggregation, WindowSpec};
 
 /// Simulated-time microseconds (re-exported from the telemetry crate).

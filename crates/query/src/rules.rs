@@ -231,7 +231,7 @@ impl RuleState {
                     // The run ends here; if it already crossed the
                     // duration, it must fire before being forgotten.
                     if let (Some(t0), false) = (state.held_since, state.fired) {
-                        if at >= t0 + *for_us {
+                        if at >= t0.saturating_add(*for_us) {
                             alerts.push(sustained_fire(
                                 &self.rule.name,
                                 labels.into_owned(),
@@ -249,7 +249,7 @@ impl RuleState {
                 if source.contribution(obs).is_none() {
                     return;
                 }
-                if !self.gap_fired && at >= self.last_seen_us + *for_us {
+                if !self.gap_fired && at >= self.last_seen_us.saturating_add(*for_us) {
                     alerts.push(absence_fire(
                         &self.rule.name,
                         source.alert_labels(),
@@ -322,7 +322,7 @@ impl RuleState {
             } => {
                 for (labels, state) in self.cond.iter_mut() {
                     if let (Some(t0), false) = (state.held_since, state.fired) {
-                        if wm >= t0 + *for_us {
+                        if wm >= t0.saturating_add(*for_us) {
                             alerts.push(sustained_fire(
                                 &self.rule.name,
                                 labels.clone(),
@@ -337,7 +337,7 @@ impl RuleState {
                 }
             }
             RuleKind::Absence { source, for_us }
-                if !self.gap_fired && wm >= self.last_seen_us + *for_us =>
+                if !self.gap_fired && wm >= self.last_seen_us.saturating_add(*for_us) =>
             {
                 alerts.push(absence_fire(
                     &self.rule.name,
@@ -361,12 +361,12 @@ fn sustained_fire(
     value: f64,
 ) -> AlertFire {
     AlertFire {
-        at_us: entered_us + for_us,
+        at_us: entered_us.saturating_add(for_us),
         rule: rule.to_string(),
         reason: AlertReason::Sustained,
         labels,
         window_start_us: entered_us,
-        window_end_us: entered_us + for_us,
+        window_end_us: entered_us.saturating_add(for_us),
         value: for_us as f64,
         detail: format!("held {} {} for {}us", cmp.as_str(), value, for_us),
     }
@@ -374,12 +374,12 @@ fn sustained_fire(
 
 fn absence_fire(rule: &str, labels: Labels, last_seen_us: Micros, for_us: Micros) -> AlertFire {
     AlertFire {
-        at_us: last_seen_us + for_us,
+        at_us: last_seen_us.saturating_add(for_us),
         rule: rule.to_string(),
         reason: AlertReason::Absence,
         labels,
         window_start_us: last_seen_us,
-        window_end_us: last_seen_us + for_us,
+        window_end_us: last_seen_us.saturating_add(for_us),
         value: for_us as f64,
         detail: format!("silent since {}us", last_seen_us),
     }
@@ -406,10 +406,11 @@ pub fn parse_dur(s: &str) -> Result<Micros, String> {
     } else {
         (s, 1)
     };
-    digits
+    let n = digits
         .parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|_| format!("bad duration '{}'", s))
+        .map_err(|_| format!("bad duration '{}'", s))?;
+    n.checked_mul(mult)
+        .ok_or_else(|| format!("duration '{}' overflows u64 microseconds", s))
 }
 
 /// Parses a source token (see the module grammar).
@@ -630,15 +631,18 @@ fn parse_num(s: &str) -> Result<f64, String> {
 /// - `failure_silence` — no failure events for 500 ms (fires on
 ///   healthy runs: silence is a first-class, testable outcome);
 /// - `rapid_refailure` — two failure events within 100 ms.
+pub const DEFAULT_RULES: [&str; 3] = [
+    "failure_burst: count(event:failure) over 250ms >= 1",
+    "failure_silence: absent(event:failure) for 500ms",
+    "rapid_refailure: seq(event:failure -> event:failure) within 100ms",
+];
+
+/// [`DEFAULT_RULES`], parsed.
 pub fn default_ruleset() -> Vec<ParsedRule> {
-    [
-        "failure_burst: count(event:failure) over 250ms >= 1",
-        "failure_silence: absent(event:failure) for 500ms",
-        "rapid_refailure: seq(event:failure -> event:failure) within 100ms",
-    ]
-    .iter()
-    .map(|s| parse_rule(s).expect("preset rules parse"))
-    .collect()
+    DEFAULT_RULES
+        .iter()
+        .map(|s| parse_rule(s).expect("preset rules parse"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -810,6 +814,31 @@ mod tests {
         assert!(parse_rule("bad: count(event:failure) >= ").is_err());
         assert!(parse_rule("no colon").is_err());
         assert!(parse_rule("x: sustained(gauge:g >= 1) within 5s").is_err());
+    }
+
+    #[test]
+    fn durations_that_overflow_are_refused() {
+        assert_eq!(parse_dur("18446744073709551615us"), Ok(u64::MAX));
+        assert!(parse_dur("18446744073709551615ms").is_err());
+        assert!(parse_rule("r: absent(event:failure) for 18446744073709551s").is_err());
+        assert_eq!(
+            parse_dur("18446744073709551ms"),
+            Ok(18_446_744_073_709_551_000)
+        );
+    }
+
+    #[test]
+    fn a_deadline_past_the_end_of_time_never_fires() {
+        for rule in [
+            "quiet: absent(event:failure) for 18446744073709551615",
+            "deg: sustained(gauge:degraded >= 1) for 18446744073709551615us",
+        ] {
+            let mut e = engine_with(rule);
+            e.push(failure(10));
+            e.push(gauge(20, "m0", 1.0));
+            e.advance_to(1_000);
+            assert!(e.alerts().is_empty(), "{rule}");
+        }
     }
 
     #[test]

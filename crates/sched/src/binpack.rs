@@ -10,21 +10,18 @@
 //! # Open-server index
 //!
 //! The seed implementation re-scanned every open server per placed
-//! demand (O(servers) per demand, quadratic per workload). The cluster
-//! now maintains two structures over its open servers:
+//! demand (O(servers) per demand, quadratic per workload). For
+//! first-fit the cluster now maintains a segment tree of per-dimension
+//! free maxima ([`MaxSegTree`]) whose leftmost-fit descent answers in
+//! O(log servers) with the exact `iter().position()` semantics.
+//! Best-fit is the seed's scan ([`best_fit`]), shared by both clusters:
+//! no end-to-end metric exercises it, so an index for it would have to
+//! move a gated number first.
 //!
-//! - a segment tree of per-dimension free maxima ([`MaxSegTree`]) whose
-//!   leftmost-fit descent answers first-fit in O(log servers) with the
-//!   exact `iter().position()` semantics, and
-//! - an ordered residual index `(scalar free, index)` whose ascending
-//!   range scan answers best-fit: when a demand fits a server, the
-//!   leftover scalar is `scalar(free) − scalar(demand)`, so the first
-//!   fitting entry at or above `scalar(demand)` *is* the
-//!   `min_by_key(leftover)` winner, lowest index on ties.
-//!
-//! [`NaiveServerCluster`] retains the seed scan verbatim so property
-//! tests (`tests/prop_binpack_equiv.rs`) and `bench_control_plane` can
-//! hold the index to the original behavior and price the difference.
+//! [`NaiveServerCluster`] retains the seed first-fit scan verbatim so
+//! property tests (`tests/prop_binpack_equiv.rs`) and
+//! `bench_control_plane` can hold the tree to the original behavior and
+//! price the difference.
 
 use serde::{Deserialize, Serialize};
 use udc_spec::{ResourceKind, ResourceVector};
@@ -87,6 +84,16 @@ impl PackOutcome {
             sum / n as f64
         }
     }
+}
+
+/// The seed's best-fit probe: the open server that `demand` fits with
+/// the least scalar leftover, lowest index on ties.
+fn best_fit(open: &[ResourceVector], demand: &ResourceVector) -> Option<usize> {
+    open.iter()
+        .enumerate()
+        .filter(|(_, free)| demand.fits_in(free))
+        .min_by_key(|(_, free)| free.saturating_sub(demand).scalar_size())
+        .map(|(i, _)| i)
 }
 
 /// A segment tree over open servers holding the per-dimension maximum
@@ -226,9 +233,6 @@ pub struct ServerCluster {
     shape: ServerShape,
     /// Free capacity of each opened server.
     open: Vec<ResourceVector>,
-    /// `(scalar free, index)` over open servers, ascending — the
-    /// best-fit residual index.
-    by_scalar: std::collections::BTreeSet<(u64, usize)>,
     /// Per-dimension free maxima — the first-fit index.
     max_tree: MaxSegTree,
     used_total: ResourceVector,
@@ -246,7 +250,6 @@ impl ServerCluster {
         Self {
             shape,
             open: Vec::new(),
-            by_scalar: std::collections::BTreeSet::new(),
             max_tree: MaxSegTree::new(dims),
             used_total: ResourceVector::new(),
             unplaceable: 0,
@@ -282,31 +285,18 @@ impl ServerCluster {
                 self.probe_prunes += prunes;
                 hit
             }
-            PackAlgo::BestFit => {
-                // Every fitting server satisfies scalar(free) ≥
-                // scalar(demand) and leaves scalar(free) − scalar(demand)
-                // behind, so the first fitting entry of the ascending
-                // range is the least-leftover, lowest-index winner.
-                let floor = demand.scalar_size();
-                self.by_scalar
-                    .range((floor, 0)..)
-                    .find(|&&(_, i)| demand.fits_in(&self.open[i]))
-                    .map(|&(_, i)| i)
-            }
+            PackAlgo::BestFit => best_fit(&self.open, demand),
         };
         let idx = match chosen {
             Some(i) => i,
             None => {
                 self.open.push(self.shape.capacity.clone());
                 let i = self.open.len() - 1;
-                self.by_scalar.insert((self.open[i].scalar_size(), i));
                 self.max_tree.push(&self.open[i]);
                 i
             }
         };
-        self.by_scalar.remove(&(self.open[idx].scalar_size(), idx));
         self.open[idx].saturating_sub_assign(demand);
-        self.by_scalar.insert((self.open[idx].scalar_size(), idx));
         self.max_tree.update(idx, &self.open[idx]);
         self.used_total.saturating_add_assign(demand);
         Some(idx)
@@ -427,13 +417,7 @@ impl NaiveServerCluster {
         }
         let chosen = match algo {
             PackAlgo::FirstFitDecreasing => self.open.iter().position(|free| demand.fits_in(free)),
-            PackAlgo::BestFit => self
-                .open
-                .iter()
-                .enumerate()
-                .filter(|(_, free)| demand.fits_in(free))
-                .min_by_key(|(_, free)| free.saturating_sub(demand).scalar_size())
-                .map(|(i, _)| i),
+            PackAlgo::BestFit => best_fit(&self.open, demand),
         };
         let idx = match chosen {
             Some(i) => i,

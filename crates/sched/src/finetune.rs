@@ -19,32 +19,16 @@ use std::collections::BTreeMap;
 /// bit-exactly.
 pub const EWMA_ALPHA: f64 = 0.3;
 
-/// Tuner parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TunerConfig {
-    /// Lower utilization bound: below this, shrink.
-    pub low_watermark: f64,
-    /// Upper utilization bound: above this, grow.
-    pub high_watermark: f64,
-    /// Multiplier when growing (e.g. 1.5).
-    pub grow_factor: f64,
-    /// Multiplier when shrinking (e.g. 0.7).
-    pub shrink_factor: f64,
-    /// Minimum units a module may shrink to.
-    pub min_units: u64,
-}
-
-impl Default for TunerConfig {
-    fn default() -> Self {
-        Self {
-            low_watermark: 0.4,
-            high_watermark: 0.9,
-            grow_factor: 1.5,
-            shrink_factor: 0.7,
-            min_units: 1,
-        }
-    }
-}
+/// Lower utilization bound: below this, shrink.
+const LOW_WATERMARK: f64 = 0.4;
+/// Upper utilization bound: above this, grow.
+const HIGH_WATERMARK: f64 = 0.9;
+/// Multiplier when growing.
+const GROW_FACTOR: f64 = 1.5;
+/// Multiplier when shrinking.
+const SHRINK_FACTOR: f64 = 0.7;
+/// Minimum units a module may shrink to.
+const MIN_UNITS: u64 = 1;
 
 /// A recommended adjustment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,7 +54,6 @@ pub enum TuneAction {
 /// The fine-tuning controller.
 #[derive(Debug, Clone, Default)]
 pub struct FineTuner {
-    config: TunerConfig,
     /// Smoothed used fraction per module (see [`FineTuner::observe`]).
     usage: BTreeMap<String, f64>,
     /// SLO-violation counter: samples where usage exceeded allocation.
@@ -80,14 +63,6 @@ pub struct FineTuner {
 }
 
 impl FineTuner {
-    /// Creates a tuner.
-    pub fn new(config: TunerConfig) -> Self {
-        Self {
-            config,
-            ..Self::default()
-        }
-    }
-
     /// Folds one usage sample for `module` — the fraction of its
     /// allocation actually used, in [0, +inf); above 1.0 the module is
     /// starved — into the module's EWMA, and returns the new estimate.
@@ -136,9 +111,9 @@ impl FineTuner {
         if usage > 1.0 {
             self.slo_violations += 1;
         }
-        if usage > self.config.high_watermark {
-            let target = ((current_units as f64 * self.config.grow_factor).ceil() as u64)
-                .max(current_units + 1);
+        if usage > HIGH_WATERMARK {
+            let target =
+                ((current_units as f64 * GROW_FACTOR).ceil() as u64).max(current_units + 1);
             let extra = target - current_units;
             self.actions_issued += 1;
             if extra > device_headroom {
@@ -153,9 +128,8 @@ impl FineTuner {
                 to_units: target,
             });
         }
-        if usage < self.config.low_watermark && current_units > self.config.min_units {
-            let target = ((current_units as f64 * self.config.shrink_factor).floor() as u64)
-                .max(self.config.min_units);
+        if usage < LOW_WATERMARK && current_units > MIN_UNITS {
+            let target = ((current_units as f64 * SHRINK_FACTOR).floor() as u64).max(MIN_UNITS);
             if target < current_units {
                 self.actions_issued += 1;
                 return Some(TuneAction::Resize {
@@ -174,7 +148,7 @@ mod tests {
     use super::*;
 
     fn tuner_with(module: &str, samples: &[f64]) -> FineTuner {
-        let mut tuner = FineTuner::new(TunerConfig::default());
+        let mut tuner = FineTuner::default();
         for &s in samples {
             tuner.observe(module, s);
         }
@@ -261,7 +235,7 @@ mod tests {
 
     #[test]
     fn unsampled_module_untouched() {
-        let mut tuner = FineTuner::new(TunerConfig::default());
+        let mut tuner = FineTuner::default();
         assert!(tuner.evaluate("ghost", 4, 100).is_none());
     }
 
@@ -272,7 +246,7 @@ mod tests {
         // forever.
         let mut units = 16u64;
         let need = 6.0;
-        let mut tuner = FineTuner::new(TunerConfig::default());
+        let mut tuner = FineTuner::default();
         for round in 0..20 {
             for _ in 0..10 {
                 tuner.observe("A1", need / units as f64);

@@ -27,7 +27,7 @@ pub mod policy;
 pub mod scheduler;
 
 pub use binpack::{NaiveServerCluster, PackAlgo, PackOutcome, ServerCluster, ServerShape};
-pub use finetune::{FineTuner, TuneAction, TunerConfig};
+pub use finetune::{FineTuner, TuneAction};
 pub use policy::{ExtVmPolicy, LocalityPolicy, PlacementPolicy, PolicyCtx};
 pub use scheduler::{
     data_movement, AppPlacement, ModulePlacement, SchedError, SchedOptions, Scheduler, StartMode,

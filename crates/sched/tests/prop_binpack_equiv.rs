@@ -2,8 +2,8 @@
 //! linear-scan cluster (`NaiveServerCluster`, kept verbatim) and the
 //! indexed `ServerCluster` place random demand streams side by side.
 //! Every `place`/`place_bounded` decision and the final outcome must
-//! match for both algorithms, so the residual index and the segment
-//! tree are pure speedups, never behavior changes.
+//! match for both algorithms, so the segment tree is a pure speedup,
+//! never a behavior change.
 
 use proptest::prelude::*;
 use udc_sched::{NaiveServerCluster, PackAlgo, ServerCluster, ServerShape};

@@ -291,12 +291,6 @@ impl ResourceAspect {
         self
     }
 
-    /// Builder-style: sets the goal.
-    pub fn with_goal(mut self, goal: Goal) -> Self {
-        self.goal = Some(goal);
-        self
-    }
-
     /// Builder-style: sets one demand dimension.
     pub fn with_demand(mut self, kind: ResourceKind, amount: u64) -> Self {
         self.demand.set(kind, amount);

@@ -15,6 +15,31 @@ use std::collections::{BTreeMap, VecDeque};
 /// headroom but reject absurd values that would exhaust the simulator.
 pub const MAX_REPLICATION: u32 = 16;
 
+/// Largest `work` a module may declare: 2^30 work units, about 124 days
+/// on one core. With [`MAX_BYTES`] it keeps every run an app can
+/// produce inside `u64` microseconds, so `UdcCloud::run` never
+/// overflows.
+///
+/// A task runs for at most `work` at 100 units/s (one unit of CPU, the
+/// slowest compute profile) times the largest runtime overhead, 1.25:
+///
+/// ```text
+/// 2^30 units × 10^4 µs/unit × 1.25 ≈ 1.3·10^13 µs < 2^44 µs
+/// ```
+///
+/// plus a start-up of under a second (< 2^20 µs), so < 2^45 µs. Each
+/// access edge adds at most a transfer of [`MAX_BYTES`] at 1 byte/µs
+/// or faster (the default fabric moves 3 200) and sealing at 1 µs per
+/// 4 KiB: 2^40 + 2^28 + latency < 2^41 µs. A run is the longest chain
+/// of dependent tasks, so any app with fewer than 2^18 tasks and 2^21
+/// access edges ends before 2^18·2^45 + 2^21·2^41 = 2^63 + 2^62 µs.
+pub const MAX_WORK_UNITS: u64 = 1 << 30;
+
+/// Largest `bytes` a module may declare: 1 TiB. It bounds transfer and
+/// sealing time per access edge (see [`MAX_WORK_UNITS`]) and keeps the
+/// sealed-byte and fabric traffic sums of 2^23 edges inside `u64`.
+pub const MAX_BYTES: u64 = 1 << 40;
+
 /// Validates an application; `Ok` carries check 3's [`topo_order`].
 ///
 /// Checks, in order:
@@ -25,10 +50,11 @@ pub const MAX_REPLICATION: u32 = 16;
 /// 3. the `Dependency` subgraph is acyclic;
 /// 4. `Colocate` hints connect two tasks, `Affinity` hints a task and a
 ///    data module;
-/// 5. per-module coherence: replication within bounds, consistency levels
-///    only on data modules, checkpoint intervals non-zero, and isolation /
-///    tenancy combinations consistent (e.g. `Strongest` implies
-///    single-tenant, so an explicit `Shared` tenancy contradicts it).
+/// 5. per-module coherence: replication, work and bytes within bounds,
+///    consistency levels only on data modules, checkpoint intervals
+///    non-zero, and isolation / tenancy combinations consistent (e.g.
+///    `Strongest` implies single-tenant, so an explicit `Shared` tenancy
+///    contradicts it).
 pub fn validate(app: &AppSpec) -> SpecResult<Vec<ModuleId>> {
     if app.is_empty() {
         return Err(SpecError::InvalidApp("application has no modules".into()));
@@ -156,6 +182,18 @@ pub fn validate(app: &AppSpec) -> SpecResult<Vec<ModuleId>> {
             return Err(SpecError::InvalidModule {
                 module: id,
                 reason: "work_units, when given, must be non-zero".into(),
+            });
+        }
+        if let Some(work) = m.work_units.filter(|&w| w > MAX_WORK_UNITS) {
+            return Err(SpecError::InvalidModule {
+                module: id,
+                reason: format!("work {work} exceeds maximum {MAX_WORK_UNITS}"),
+            });
+        }
+        if let Some(bytes) = m.bytes.filter(|&b| b > MAX_BYTES) {
+            return Err(SpecError::InvalidModule {
+                module: id,
+                reason: format!("bytes {bytes} exceeds maximum {MAX_BYTES}"),
             });
         }
     }
@@ -368,6 +406,32 @@ mod tests {
         assert!(matches!(
             app.validate(),
             Err(SpecError::InvalidModule { .. })
+        ));
+    }
+
+    #[test]
+    fn work_beyond_the_bound_rejected() {
+        let mut app = AppSpec::new("x");
+        app.add_task(TaskSpec::new("A").with_work(MAX_WORK_UNITS));
+        assert!(app.validate().is_ok());
+        let mut app = AppSpec::new("x");
+        app.add_task(TaskSpec::new("A").with_work(MAX_WORK_UNITS + 1));
+        assert!(matches!(
+            app.validate(),
+            Err(SpecError::InvalidModule { reason, .. }) if reason.contains(&MAX_WORK_UNITS.to_string())
+        ));
+    }
+
+    #[test]
+    fn bytes_beyond_the_bound_rejected() {
+        let mut app = AppSpec::new("x");
+        app.add_data(DataSpec::new("S").with_bytes(MAX_BYTES));
+        assert!(app.validate().is_ok());
+        let mut app = AppSpec::new("x");
+        app.add_task(TaskSpec::new("A").with_bytes(u64::MAX));
+        assert!(matches!(
+            app.validate(),
+            Err(SpecError::InvalidModule { reason, .. }) if reason.contains(&MAX_BYTES.to_string())
         ));
     }
 

@@ -1,9 +1,10 @@
 //! Property-based tests for the spec crate: text-format round-trips,
 //! conflict-resolution invariants, validation robustness, and the front
-//! door ([`ResolvedApp`]) under well-formed and hostile input.
+//! door ([`ResolvedApp`]) under well-formed input. Hostile specs go
+//! through the whole tenant life in the root package's
+//! `tests/hostile_input.rs`.
 
 use proptest::prelude::*;
-use udc_core::{CloudConfig, CloudError, UdcCloud};
 use udc_spec::aspect::*;
 use udc_spec::conflict::{detect_conflicts, resolve, ConflictPolicy};
 use udc_spec::dag::{AppSpec, DataSpec, EdgeKind, TaskSpec};
@@ -189,58 +190,6 @@ fn arb_app() -> impl Strategy<Value = AppSpec> {
         })
 }
 
-/// What the hostile-input property mangles: every shipped `.udc` spec
-/// and the printed form of each `udc_workload` generator (built once).
-fn corpus() -> &'static [String] {
-    static CORPUS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
-    CORPUS.get_or_init(build_corpus)
-}
-
-fn build_corpus() -> Vec<String> {
-    let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs");
-    let mut paths: Vec<_> = std::fs::read_dir(specs)
-        .expect("examples/specs exists")
-        .map(|entry| entry.expect("readable entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "udc"))
-        .collect();
-    paths.sort();
-    let mut corpus: Vec<String> = paths
-        .iter()
-        .map(|path| std::fs::read_to_string(path).expect("readable spec"))
-        .collect();
-    assert!(!corpus.is_empty(), "no .udc spec under {specs}");
-    let conflicting = udc_workload::RandomDagConfig {
-        tasks: 6,
-        data: 3,
-        conflict_prob: 0.5,
-        ..Default::default()
-    };
-    for app in [
-        udc_workload::medical_pipeline(),
-        udc_workload::microservice_chain(3),
-        udc_workload::ml_serving_chain(2),
-        udc_workload::analytics_fanout(4),
-        udc_workload::random_app(conflicting).0,
-    ] {
-        corpus.push(print_app(&app));
-    }
-    corpus
-}
-
-/// One edit of `text`, seen as lines or as space-separated tokens:
-/// delete unit `i` (op 0), duplicate it (1), or swap it with unit `j`.
-fn mangle(text: &str, by_line: bool, op: u8, i: usize, j: usize) -> String {
-    let sep = if by_line { "\n" } else { " " };
-    let mut units: Vec<&str> = text.split(sep).collect();
-    let (i, j) = (i % units.len(), j % units.len());
-    match op {
-        0 => drop(units.remove(i)),
-        1 => units.insert(i, units[i]),
-        _ => units.swap(i, j),
-    }
-    units.join(sep)
-}
-
 proptest! {
     /// The canonical printer and parser are inverse: parse(print(app)) == app.
     #[test]
@@ -354,35 +303,6 @@ proptest! {
         prop_assert!(resolved.modules.keys().all(|id| pos.contains_key(id)));
         for e in resolved.edges.iter().filter(|e| e.kind == EdgeKind::Dependency) {
             prop_assert!(pos[&e.from] < pos[&e.to], "{} must precede {}", e.from, e.to);
-        }
-    }
-
-    /// Hostile input: shipped specs with lines and tokens deleted,
-    /// duplicated and swapped go through the whole front door — parser,
-    /// `ResolvedApp::new`, `UdcCloud::submit` — and come out as a
-    /// deployment or a typed error, never a panic; and `submit` refuses
-    /// exactly what the front door refuses, for the same reason.
-    #[test]
-    fn mangled_specs_yield_typed_errors_never_panics(
-        source in 0usize..64,
-        edits in prop::collection::vec((any::<bool>(), 0u8..3, any::<usize>(), any::<usize>()), 1..4),
-        policy in prop_oneof![Just(ConflictPolicy::StrictestWins), Just(ConflictPolicy::Error)],
-    ) {
-        let corpus = corpus();
-        let mut text = corpus[source % corpus.len()].clone();
-        for (by_line, op, i, j) in edits {
-            text = mangle(&text, by_line, op, i, j);
-        }
-        let Ok(app) = parse_app(&text) else { return Ok(()) };
-        let front_door = ResolvedApp::new(&app, policy).map(drop);
-        let mut cloud = UdcCloud::new(CloudConfig { conflict_policy: policy, ..Default::default() });
-        match cloud.submit(&app) {
-            Ok(mut dep) => {
-                prop_assert_eq!(front_door, Ok(()));
-                cloud.teardown(&mut dep);
-            }
-            Err(CloudError::Spec(e)) => prop_assert_eq!(front_door, Err(e)),
-            Err(CloudError::Sched(_)) => prop_assert_eq!(front_door, Ok(())),
         }
     }
 

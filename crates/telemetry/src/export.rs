@@ -4,9 +4,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use serde_json::{Number, Value};
+
 use crate::alert::AlertRecord;
 use crate::decision::DecisionRecord;
-use crate::json::J;
 use crate::metrics::HistogramSummary;
 use crate::recorder::{Event, FieldValue};
 use crate::span::SpanRecord;
@@ -71,146 +72,90 @@ impl Snapshot {
 
     /// Renders the snapshot as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut root = Vec::new();
-        root.push((
-            "counters".to_string(),
-            J::Arr(
-                self.counters
-                    .iter()
-                    .map(|(n, l, v)| {
-                        let mut o = series_header(n, l);
-                        o.push(("value".to_string(), J::U(*v)));
-                        J::Obj(o)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "gauges".to_string(),
-            J::Arr(
-                self.gauges
-                    .iter()
-                    .map(|(n, l, v, hw)| {
-                        let mut o = series_header(n, l);
-                        o.push(("value".to_string(), J::I(*v)));
-                        o.push(("high_water".to_string(), J::I(*hw)));
-                        J::Obj(o)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "histograms".to_string(),
-            J::Arr(
-                self.histograms
-                    .iter()
-                    .map(|(n, l, s)| {
-                        let mut o = series_header(n, l);
-                        o.push(("count".to_string(), J::U(s.count)));
-                        o.push(("min".to_string(), J::U(s.min)));
-                        o.push(("max".to_string(), J::U(s.max)));
-                        o.push(("mean".to_string(), J::F(s.mean)));
-                        o.push(("p50".to_string(), J::U(s.p50)));
-                        o.push(("p95".to_string(), J::U(s.p95)));
-                        o.push(("p99".to_string(), J::U(s.p99)));
-                        J::Obj(o)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "spans".to_string(),
-            J::Arr(
-                self.spans
-                    .iter()
-                    .map(|s| {
-                        J::Obj(vec![
-                            ("id".to_string(), J::U(s.id as u64)),
-                            (
-                                "parent".to_string(),
-                                s.parent.map(|p| J::U(p as u64)).unwrap_or(J::Null),
-                            ),
-                            ("trace".to_string(), s.trace.map(J::U).unwrap_or(J::Null)),
-                            ("name".to_string(), J::S(s.name.clone())),
-                            ("start_us".to_string(), J::U(s.start_us)),
-                            ("end_us".to_string(), s.end_us.map(J::U).unwrap_or(J::Null)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push(("dropped_spans".to_string(), J::U(self.dropped_spans)));
-        root.push((
-            "events".to_string(),
-            J::Arr(
-                self.events
-                    .iter()
-                    .map(|e| {
-                        let mut o = vec![
-                            ("seq".to_string(), J::U(e.seq)),
-                            ("at_us".to_string(), J::U(e.at_us)),
-                            ("kind".to_string(), J::S(e.kind.as_str().to_string())),
-                        ];
-                        o.extend(labels_fields(&e.labels));
-                        for (k, v) in &e.fields {
-                            o.push((k.clone(), field_to_json(v)));
-                        }
-                        J::Obj(o)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push(("dropped_events".to_string(), J::U(self.dropped_events)));
-        root.push((
-            "decisions".to_string(),
-            J::Arr(
-                self.decisions
-                    .iter()
-                    .map(|d| {
-                        J::Obj(vec![
-                            ("seq".to_string(), J::U(d.seq)),
-                            ("trace".to_string(), d.trace.map(J::U).unwrap_or(J::Null)),
-                            ("at_us".to_string(), J::U(d.at_us)),
-                            ("stage".to_string(), J::S(d.stage.clone())),
-                            ("module".to_string(), J::S(d.module.clone())),
-                            ("candidate".to_string(), J::S(d.candidate.clone())),
-                            ("accepted".to_string(), J::Bool(d.accepted)),
-                            ("reason".to_string(), J::S(d.reason.as_str().to_string())),
-                            ("score".to_string(), d.score.map(J::I).unwrap_or(J::Null)),
-                            ("detail".to_string(), J::S(d.detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "dropped_decisions".to_string(),
-            J::U(self.dropped_decisions),
-        ));
-        root.push((
-            "alerts".to_string(),
-            J::Arr(
-                self.alerts
-                    .iter()
-                    .map(|a| {
-                        let mut o = vec![
-                            ("seq".to_string(), J::U(a.seq)),
-                            ("at_us".to_string(), J::U(a.at_us)),
-                            ("rule".to_string(), J::S(a.rule.clone())),
-                            ("reason".to_string(), J::S(a.reason.as_str().to_string())),
-                        ];
-                        o.extend(labels_fields(&a.labels));
-                        o.push(("window_start_us".to_string(), J::U(a.window_start_us)));
-                        o.push(("window_end_us".to_string(), J::U(a.window_end_us)));
-                        o.push(("value".to_string(), J::F(a.value)));
-                        o.push(("detail".to_string(), J::S(a.detail.clone())));
-                        J::Obj(o)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push(("dropped_alerts".to_string(), J::U(self.dropped_alerts)));
-        J::Obj(root).render()
+        let counters = self.counters.iter().map(|(n, l, v)| {
+            let mut o = series_header(n, l);
+            o.push(field("value", uint(*v)));
+            Value::Object(o)
+        });
+        let gauges = self.gauges.iter().map(|(n, l, v, hw)| {
+            let mut o = series_header(n, l);
+            o.push(field("value", int(*v)));
+            o.push(field("high_water", int(*hw)));
+            Value::Object(o)
+        });
+        let histograms = self.histograms.iter().map(|(n, l, s)| {
+            let mut o = series_header(n, l);
+            o.push(field("count", uint(s.count)));
+            o.push(field("min", uint(s.min)));
+            o.push(field("max", uint(s.max)));
+            o.push(field("mean", float(s.mean)));
+            o.push(field("p50", uint(s.p50)));
+            o.push(field("p95", uint(s.p95)));
+            o.push(field("p99", uint(s.p99)));
+            Value::Object(o)
+        });
+        let spans = self.spans.iter().map(|s| {
+            Value::Object(vec![
+                field("id", uint(s.id as u64)),
+                field("parent", opt(s.parent.map(u64::from))),
+                field("trace", opt(s.trace)),
+                field("name", text(&s.name)),
+                field("start_us", uint(s.start_us)),
+                field("end_us", opt(s.end_us)),
+            ])
+        });
+        let events = self.events.iter().map(|e| {
+            let mut o = vec![
+                field("seq", uint(e.seq)),
+                field("at_us", uint(e.at_us)),
+                field("kind", text(e.kind.as_str())),
+            ];
+            o.extend(labels_fields(&e.labels));
+            o.extend(e.fields.iter().map(|(k, v)| (k.clone(), field_value(v))));
+            Value::Object(o)
+        });
+        let decisions = self.decisions.iter().map(|d| {
+            Value::Object(vec![
+                field("seq", uint(d.seq)),
+                field("trace", opt(d.trace)),
+                field("at_us", uint(d.at_us)),
+                field("stage", text(&d.stage)),
+                field("module", text(&d.module)),
+                field("candidate", text(&d.candidate)),
+                field("accepted", Value::Bool(d.accepted)),
+                field("reason", text(d.reason.as_str())),
+                field("score", d.score.map_or(Value::Null, int)),
+                field("detail", text(&d.detail)),
+            ])
+        });
+        let alerts = self.alerts.iter().map(|a| {
+            let mut o = vec![
+                field("seq", uint(a.seq)),
+                field("at_us", uint(a.at_us)),
+                field("rule", text(&a.rule)),
+                field("reason", text(a.reason.as_str())),
+            ];
+            o.extend(labels_fields(&a.labels));
+            o.push(field("window_start_us", uint(a.window_start_us)));
+            o.push(field("window_end_us", uint(a.window_end_us)));
+            o.push(field("value", float(a.value)));
+            o.push(field("detail", text(&a.detail)));
+            Value::Object(o)
+        });
+        let root = Value::Object(vec![
+            field("counters", Value::Array(counters.collect())),
+            field("gauges", Value::Array(gauges.collect())),
+            field("histograms", Value::Array(histograms.collect())),
+            field("spans", Value::Array(spans.collect())),
+            field("dropped_spans", uint(self.dropped_spans)),
+            field("events", Value::Array(events.collect())),
+            field("dropped_events", uint(self.dropped_events)),
+            field("decisions", Value::Array(decisions.collect())),
+            field("dropped_decisions", uint(self.dropped_decisions)),
+            field("alerts", Value::Array(alerts.collect())),
+            field("dropped_alerts", uint(self.dropped_alerts)),
+        ]);
+        serde_json::to_string_pretty(&root).expect("a JSON value always renders")
     }
 
     /// Writes the JSON snapshot to `path`, creating parent directories.
@@ -224,36 +169,62 @@ impl Snapshot {
     }
 }
 
-fn series_header(name: &str, labels: &Labels) -> Vec<(String, J)> {
-    let mut o = vec![("name".to_string(), J::S(name.to_string()))];
+fn field(key: &str, value: Value) -> (String, Value) {
+    (key.to_string(), value)
+}
+
+fn uint(v: u64) -> Value {
+    Value::Number(Number::U(v))
+}
+
+fn int(v: i64) -> Value {
+    Value::Number(Number::I(v))
+}
+
+fn float(v: f64) -> Value {
+    Value::Number(Number::F(v))
+}
+
+fn text(v: &str) -> Value {
+    Value::String(v.to_string())
+}
+
+fn opt(v: Option<u64>) -> Value {
+    v.map_or(Value::Null, uint)
+}
+
+fn series_header(name: &str, labels: &Labels) -> Vec<(String, Value)> {
+    let mut o = vec![field("name", text(name))];
     o.extend(labels_fields(labels));
     o
 }
 
-fn labels_fields(labels: &Labels) -> Vec<(String, J)> {
+fn labels_fields(labels: &Labels) -> Vec<(String, Value)> {
     let mut o = Vec::new();
     if let Some(t) = &labels.tenant {
-        o.push(("tenant".to_string(), J::S(t.clone())));
+        o.push(field("tenant", text(t)));
     }
     if let Some(m) = &labels.module {
-        o.push(("module".to_string(), J::S(m.clone())));
+        o.push(field("module", text(m)));
     }
     o
 }
 
-fn field_to_json(v: &FieldValue) -> J {
+fn field_value(v: &FieldValue) -> Value {
     match v {
-        FieldValue::U64(u) => J::U(*u),
-        FieldValue::I64(i) => J::I(*i),
-        FieldValue::F64(f) => J::F(*f),
-        FieldValue::Str(s) => J::S(s.clone()),
-        FieldValue::Bool(b) => J::Bool(*b),
+        FieldValue::U64(u) => uint(*u),
+        FieldValue::I64(i) => int(*i),
+        FieldValue::F64(f) => float(*f),
+        FieldValue::Str(s) => text(s),
+        FieldValue::Bool(b) => Value::Bool(*b),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Decision, EventKind, FieldValue, Labels, ReasonCode, Telemetry};
+    use crate::{
+        AlertFire, AlertReason, Decision, EventKind, FieldValue, Labels, ReasonCode, Telemetry,
+    };
 
     #[test]
     fn export_is_valid_json_with_all_sections() {
@@ -323,4 +294,144 @@ mod tests {
             Some("free=2 needed=6")
         );
     }
+
+    /// The exact bytes of the export: every section, a negative gauge,
+    /// non-finite floats and a string that needs escaping. Committed
+    /// artifacts are diffed by CI; this pins the format in tier-1 too.
+    #[test]
+    fn export_bytes_are_pinned() {
+        let tel = Telemetry::enabled();
+        tel.set_clock(|| 42);
+        tel.incr("runs", Labels::tenant("acme"), 2);
+        tel.gauge_set("depth", Labels::none(), -3);
+        tel.observe("lat_us", Labels::module("acme", "s0"), 1234);
+        let root = tel.trace_root("cloud.submit");
+        let ctx = root.ctx().unwrap();
+        tel.span_in(&ctx, "sched.place").exit();
+        tel.event(
+            EventKind::ColdStart,
+            Labels::module("acme", "s0"),
+            &[
+                ("ratio", FieldValue::F64(f64::NAN)),
+                ("delta", FieldValue::I64(-5)),
+                ("warm", FieldValue::Bool(false)),
+                ("note", FieldValue::from("say \"hi\"\n\tback\\slash \u{1}")),
+            ],
+        );
+        tel.decide(Decision {
+            ctx: Some(ctx),
+            stage: "sched.place_task",
+            module: "s0",
+            candidate: "cpu-03",
+            accepted: false,
+            reason: ReasonCode::Capacity,
+            score: Some(-4),
+            detail: "free=2 needed=6".to_string(),
+        });
+        root.exit();
+        tel.alert(AlertFire {
+            at_us: 7,
+            rule: "r".to_string(),
+            reason: AlertReason::Threshold,
+            labels: Labels::tenant("acme"),
+            window_start_us: 0,
+            window_end_us: 7,
+            value: f64::INFINITY,
+            detail: "fired".to_string(),
+        });
+        assert_eq!(tel.snapshot().to_json(), PINNED);
+    }
+
+    const PINNED: &str = r##"{
+  "counters": [
+    {
+      "name": "runs",
+      "tenant": "acme",
+      "value": 2
+    }
+  ],
+  "gauges": [
+    {
+      "name": "depth",
+      "value": -3,
+      "high_water": -3
+    }
+  ],
+  "histograms": [
+    {
+      "name": "lat_us",
+      "tenant": "acme",
+      "module": "s0",
+      "count": 1,
+      "min": 1234,
+      "max": 1234,
+      "mean": 1234,
+      "p50": 1234,
+      "p95": 1234,
+      "p99": 1234
+    }
+  ],
+  "spans": [
+    {
+      "id": 0,
+      "parent": null,
+      "trace": 0,
+      "name": "cloud.submit",
+      "start_us": 42,
+      "end_us": 42
+    },
+    {
+      "id": 1,
+      "parent": 0,
+      "trace": 0,
+      "name": "sched.place",
+      "start_us": 42,
+      "end_us": 42
+    }
+  ],
+  "dropped_spans": 0,
+  "events": [
+    {
+      "seq": 0,
+      "at_us": 42,
+      "kind": "cold_start",
+      "tenant": "acme",
+      "module": "s0",
+      "ratio": null,
+      "delta": -5,
+      "warm": false,
+      "note": "say \"hi\"\n\tback\\slash \u0001"
+    }
+  ],
+  "dropped_events": 0,
+  "decisions": [
+    {
+      "seq": 0,
+      "trace": 0,
+      "at_us": 42,
+      "stage": "sched.place_task",
+      "module": "s0",
+      "candidate": "cpu-03",
+      "accepted": false,
+      "reason": "capacity",
+      "score": -4,
+      "detail": "free=2 needed=6"
+    }
+  ],
+  "dropped_decisions": 0,
+  "alerts": [
+    {
+      "seq": 0,
+      "at_us": 7,
+      "rule": "r",
+      "reason": "threshold",
+      "tenant": "acme",
+      "window_start_us": 0,
+      "window_end_us": 7,
+      "value": null,
+      "detail": "fired"
+    }
+  ],
+  "dropped_alerts": 0
+}"##;
 }

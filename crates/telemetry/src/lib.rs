@@ -1,4 +1,4 @@
-//! # udc-telemetry — zero-dependency observability substrate
+//! # udc-telemetry — the observability substrate
 //!
 //! The paper argues a user-defined cloud must remain *accountable*: §4
 //! asks "how can users trust the cloud?" and answers with verification
@@ -33,7 +33,6 @@
 pub mod alert;
 pub mod decision;
 pub mod export;
-mod json;
 pub mod metrics;
 pub mod recorder;
 mod ring;

@@ -85,3 +85,23 @@ fn unknown_command_shows_usage() {
     assert!(!ok);
     assert!(stderr.contains("usage:"), "{stderr}");
 }
+
+#[test]
+fn work_beyond_the_bound_is_a_typed_refusal() {
+    let dir = std::env::temp_dir().join("udc-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let huge = dir.join("huge.udc");
+    std::fs::write(
+        &huge,
+        "app huge {\n  task a { work = 18446744073709551615 }\n  \
+         task b { work = 18446744073709551615 }\n  edge a -> b\n}\n",
+    )
+    .unwrap();
+    let bound = udc_spec::validate::MAX_WORK_UNITS.to_string();
+    let (_, stderr, ok) = udc(&["check", huge.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains(&bound), "{stderr}");
+    let (_, stderr, ok) = udc(&["run", huge.to_str().unwrap()]);
+    assert!(!ok && stderr.starts_with("submit failed"), "{stderr}");
+    assert!(stderr.contains(&bound), "{stderr}");
+}
