@@ -154,6 +154,15 @@ pub struct UdcCloud {
     pub(crate) device_keys: BTreeMap<DeviceId, [u8; 32]>,
     pub(crate) next_instance: u64,
     pub(crate) next_unit: u64,
+    /// Sequence number of the next sealed message. A data key is derived
+    /// from the tenant secret and the data-module id alone, so the same
+    /// key seals in every run of a deployment and in every deployment
+    /// with that module id; nonces come from this one counter, which
+    /// never restarts, so no (key, nonce) pair is ever used twice.
+    next_seal: u64,
+    /// Every (key, nonce) pair `run` has sealed under.
+    #[cfg(test)]
+    sealed_under: Vec<([u8; 32], Nonce)>,
     pub(crate) obs: Telemetry,
     /// What [`UdcCloud::advance`] has sensed: belief about dead devices
     /// and every fact a deployment's next look reconciles against.
@@ -240,6 +249,9 @@ impl UdcCloud {
             device_keys: BTreeMap::new(),
             next_instance: 0,
             next_unit: 0,
+            next_seal: 1,
+            #[cfg(test)]
+            sealed_under: Vec::new(),
             obs: Telemetry::disabled(),
             sensed: Default::default(),
             detector: None,
@@ -603,13 +615,12 @@ impl UdcCloud {
                         if prot.confidentiality || prot.integrity {
                             if let Some(key) = dep.data_keys.get(data_id) {
                                 let sample = vec![0x5au8; (bytes.min(4096)) as usize];
-                                let boxed = seal(
-                                    key,
-                                    Nonce::from_sequence(report.sealed_messages + 1),
-                                    id.as_str().as_bytes(),
-                                    &sample,
-                                );
+                                let nonce = Nonce::from_sequence(self.next_seal);
+                                self.next_seal += 1;
+                                let boxed = seal(key, nonce, id.as_str().as_bytes(), &sample);
                                 debug_assert!(!boxed.ciphertext.is_empty());
+                                #[cfg(test)]
+                                self.sealed_under.push((key.0, boxed.nonce));
                                 report.sealed_messages += 1;
                                 report.sealed_bytes += bytes;
                                 // ~1 us per 4 KiB sealed (ChaCha20 +
@@ -1041,6 +1052,24 @@ mod tests {
         let report = cloud.run(&dep);
         assert_eq!(report.sealed_messages, 1, "one protected access edge");
         assert_eq!(report.sealed_bytes, 8 << 20);
+    }
+
+    #[test]
+    fn nonces_never_repeat_under_one_key() {
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        let first = cloud.submit(&small_app()).unwrap();
+        // A second deployment whose data module has the same id, so its
+        // data key is the same as the first deployment's.
+        let second = cloud.submit(&small_app()).unwrap();
+        assert_eq!(first.data_keys, second.data_keys);
+        for dep in [&first, &first, &second] {
+            assert_eq!(cloud.run(dep).sealed_messages, 1);
+        }
+        let pairs = &cloud.sealed_under;
+        assert_eq!(pairs.len(), 3);
+        let distinct: std::collections::BTreeSet<_> =
+            pairs.iter().map(|(key, nonce)| (key, nonce.0)).collect();
+        assert_eq!(distinct.len(), pairs.len(), "a (key, nonce) pair repeated");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::chacha20::ChaCha20;
 use crate::hkdf::derive_key;
-use crate::hmac::{hmac_sha256, verify_tag};
+use crate::hmac::{hmac_sha256_parts, verify_tag};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -82,12 +82,8 @@ fn subkeys(key: &Key) -> ([u8; 32], [u8; 32]) {
 }
 
 fn compute_tag(mac_key: &[u8; 32], nonce: &Nonce, aad: &[u8], ct: &[u8]) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(12 + 8 + aad.len() + ct.len());
-    msg.extend_from_slice(&nonce.0);
-    msg.extend_from_slice(&(aad.len() as u64).to_be_bytes());
-    msg.extend_from_slice(aad);
-    msg.extend_from_slice(ct);
-    hmac_sha256(mac_key, &msg)
+    let aad_len = (aad.len() as u64).to_be_bytes();
+    hmac_sha256_parts(mac_key, &[&nonce.0, &aad_len, aad, ct])
 }
 
 /// Seals `plaintext` under `key` and `nonce`, binding `aad` (associated

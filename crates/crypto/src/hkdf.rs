@@ -2,7 +2,7 @@
 //! used to derive per-module and per-purpose keys from a tenant master
 //! key so that each fine-grained module gets independent key material.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, hmac_sha256_parts};
 
 /// Derives a 32-byte key from `ikm` (input keying material), an optional
 /// `salt`, and a context `info` string.
@@ -12,10 +12,7 @@ use crate::hmac::hmac_sha256;
 pub fn derive_key(ikm: &[u8], salt: &[u8], info: &[u8]) -> [u8; 32] {
     let prk = hmac_sha256(salt, ikm);
     // Expand: T(1) = HMAC(PRK, info || 0x01).
-    let mut msg = Vec::with_capacity(info.len() + 1);
-    msg.extend_from_slice(info);
-    msg.push(0x01);
-    hmac_sha256(&prk, &msg)
+    hmac_sha256_parts(&prk, &[info, &[0x01]])
 }
 
 /// Derives `n` independent 32-byte keys using full HKDF-Expand chaining.
@@ -23,14 +20,11 @@ pub fn derive_keys(ikm: &[u8], salt: &[u8], info: &[u8], n: usize) -> Vec<[u8; 3
     assert!(n <= 255, "HKDF-Expand supports at most 255 blocks");
     let prk = hmac_sha256(salt, ikm);
     let mut out = Vec::with_capacity(n);
-    let mut prev: Vec<u8> = Vec::new();
+    // T(i) = HMAC(PRK, T(i-1) || info || i), with T(0) empty.
     for i in 1..=n {
-        let mut msg = prev.clone();
-        msg.extend_from_slice(info);
-        msg.push(i as u8);
-        let t = hmac_sha256(&prk, &msg);
+        let prev: &[u8] = out.last().map_or(&[], |t: &[u8; 32]| t);
+        let t = hmac_sha256_parts(&prk, &[prev, info, &[i as u8]]);
         out.push(t);
-        prev = t.to_vec();
     }
     out
 }
@@ -43,7 +37,7 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// RFC 5869 test case 1 (first 32 bytes of OKM).
+    /// RFC 5869 test case 1 (all 42 bytes of OKM, across two blocks).
     #[test]
     fn rfc5869_case1() {
         let ikm = [0x0bu8; 22];
@@ -54,6 +48,10 @@ mod tests {
             hex(&okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
         );
+        // OKM bytes 32..42 come from T(2) = HMAC(PRK, T(1) || info || 0x02).
+        let blocks = derive_keys(&ikm, &salt, &info, 2);
+        assert_eq!(blocks[0], okm);
+        assert_eq!(hex(&blocks[1][..10]), "34007208d5b887185865");
     }
 
     #[test]

@@ -7,6 +7,12 @@ const BLOCK: usize = 64;
 
 /// Computes `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
+    hmac_sha256_parts(key, &[message])
+}
+
+/// Computes `HMAC-SHA256(key, parts[0] || parts[1] || …)` without
+/// concatenating the parts.
+pub(crate) fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
     let mut k = [0u8; BLOCK];
     if key.len() > BLOCK {
         let d = sha256(key);
@@ -22,7 +28,9 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     }
     let mut inner = Sha256::new();
     inner.update(&ipad);
-    inner.update(message);
+    for part in parts {
+        inner.update(part);
+    }
     let inner_digest = inner.finalize();
     let mut outer = Sha256::new();
     outer.update(&opad);

@@ -379,6 +379,16 @@ pub enum Tenancy {
     SingleTenant,
 }
 
+impl Tenancy {
+    /// Canonical text-format name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tenancy::Shared => "shared",
+            Tenancy::SingleTenant => "single_tenant",
+        }
+    }
+}
+
 /// Protection options for data *leaving* the execution environment
 /// (§3.3: "encryption, integrity protection, and replay protection").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -597,6 +607,17 @@ pub enum FailureHandling {
         /// Checkpoint cadence in simulated milliseconds.
         interval_ms: u64,
     },
+}
+
+impl FailureHandling {
+    /// Canonical text-format name of the strategy (without the
+    /// checkpoint interval).
+    pub fn name(self) -> &'static str {
+        match self {
+            FailureHandling::Reexecute => "reexecute",
+            FailureHandling::Checkpoint { .. } => "checkpoint",
+        }
+    }
 }
 
 /// The distributed-semantics aspect of a module (§3.4).

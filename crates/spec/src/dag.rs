@@ -23,6 +23,16 @@ pub enum ModuleKind {
     Data,
 }
 
+impl ModuleKind {
+    /// Canonical text-format keyword.
+    pub fn name(self) -> &'static str {
+        match self {
+            ModuleKind::Task => "task",
+            ModuleKind::Data => "data",
+        }
+    }
+}
+
 /// Kinds of edges between modules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]

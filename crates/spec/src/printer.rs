@@ -4,10 +4,9 @@
 //! parses back to an equal [`AppSpec`] (property-tested round-trip).
 
 use crate::aspect::{
-    DataProtection, DistributedAspect, ExecEnvAspect, FailureHandling, OpPreference,
-    ResourceAspect, Tenancy,
+    DataProtection, DistributedAspect, ExecEnvAspect, FailureHandling, OpPreference, ResourceAspect,
 };
-use crate::dag::{AppSpec, EdgeKind, LocalityHint, ModuleKind, ModuleSpec};
+use crate::dag::{AppSpec, EdgeKind, LocalityHint, ModuleSpec};
 use std::fmt::Write as _;
 
 /// Renders an application spec in canonical `.udc` form.
@@ -53,11 +52,7 @@ pub fn print_app(app: &AppSpec) -> String {
 }
 
 fn print_module(out: &mut String, m: &ModuleSpec) {
-    let kw = match m.kind {
-        ModuleKind::Task => "task",
-        ModuleKind::Data => "data",
-    };
-    let _ = write!(out, "  {kw} {}", m.id);
+    let _ = write!(out, "  {} {}", m.kind.name(), m.id);
     if let Some(d) = &m.description {
         let _ = write!(out, " \"{d}\"");
     }
@@ -110,13 +105,7 @@ fn exec_str(e: &ExecEnvAspect) -> String {
         attrs.push(format!("isolation = {}", i.name()));
     }
     if let Some(t) = e.tenancy {
-        attrs.push(format!(
-            "tenancy = {}",
-            match t {
-                Tenancy::Shared => "shared",
-                Tenancy::SingleTenant => "single_tenant",
-            }
-        ));
+        attrs.push(format!("tenancy = {}", t.name()));
     }
     if e.tee_if_cpu {
         attrs.push("tee_if_cpu = true".to_string());
@@ -140,9 +129,9 @@ fn dist_str(d: &DistributedAspect) -> String {
     }
     if let Some(f) = d.failure {
         attrs.push(match f {
-            FailureHandling::Reexecute => "failure = reexecute".to_string(),
+            FailureHandling::Reexecute => format!("failure = {}", f.name()),
             FailureHandling::Checkpoint { interval_ms } => {
-                format!("failure = checkpoint({interval_ms})")
+                format!("failure = {}({interval_ms})", f.name())
             }
         });
     }
@@ -172,7 +161,7 @@ fn protection_str(p: DataProtection) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aspect::{ConsistencyLevel, Goal, IsolationLevel, ResourceKind};
+    use crate::aspect::{ConsistencyLevel, Goal, IsolationLevel, ResourceKind, Tenancy};
     use crate::dag::{DataSpec, TaskSpec};
     use crate::parser::parse_app;
 
