@@ -47,21 +47,6 @@ impl From<String> for ActorId {
     }
 }
 
-// Serialized transparently as the underlying string, exactly like the
-// previous `String`-backed representation, so checkpoint and artifact
-// formats are unchanged.
-impl serde::Serialize for ActorId {
-    fn to_value(&self) -> serde::Value {
-        self.as_str().to_value()
-    }
-}
-
-impl serde::Deserialize for ActorId {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        String::from_value(v).map(ActorId::new)
-    }
-}
-
 /// A message between actors. Payloads are opaque bytes: actors serialize
 /// their own protocols (no shared state, per §3.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,15 +152,6 @@ mod tests {
     #[test]
     fn actor_id_display() {
         assert_eq!(ActorId::new("A1").to_string(), "A1");
-    }
-
-    #[test]
-    fn actor_id_serde_is_transparent() {
-        use serde::{Deserialize, Serialize};
-        let id = ActorId::new("m7");
-        let v = id.to_value();
-        assert_eq!(v, serde::Value::String("m7".to_string()));
-        assert_eq!(ActorId::from_value(&v).unwrap(), id);
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Supervision: what the system does when an actor's handler fails.
 
-use serde::{Deserialize, Serialize};
-
 /// Failure-handling policy for actors, the local analogue of §3.4's
 /// per-module failure handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SupervisionPolicy {
     /// Reset the actor to its initial state and continue (the failed
     /// message is dropped).

@@ -7,11 +7,10 @@
 //! vCPUs to run the GPU orchestration software." The catalog reproduces
 //! those shapes and 2021-era on-demand prices (micro-dollars per hour).
 
-use serde::{Deserialize, Serialize};
 use udc_spec::{ResourceKind, ResourceVector};
 
 /// One instance type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceType {
     /// Name, e.g. `m5.xlarge`.
     pub name: &'static str,

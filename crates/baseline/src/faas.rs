@@ -7,11 +7,10 @@
 //! high demand ... no cloud provider has yet supported GPU in their
 //! serverless computing offerings").
 
-use serde::{Deserialize, Serialize};
 use udc_spec::{ResourceKind, ResourceVector};
 
 /// A FaaS memory size (the provider's fixed ladder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaasSize {
     /// Memory in MiB.
     pub memory_mib: u64,
@@ -52,7 +51,7 @@ impl Default for FaasRuntime {
 }
 
 /// The outcome of running one module as a function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaasOutcome {
     /// The chosen memory size.
     pub size: FaasSize,

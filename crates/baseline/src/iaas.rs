@@ -1,12 +1,11 @@
 //! IaaS and CaaS provisioning against the instance catalog.
 
 use crate::catalog::{Catalog, InstanceType};
-use serde::{Deserialize, Serialize};
 use udc_sched::{PackAlgo, ServerCluster, ServerShape};
 use udc_spec::ResourceVector;
 
 /// The outcome of provisioning a workload the IaaS/CaaS way.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IaasOutcome {
     /// Instances launched (name, count).
     pub instances: Vec<(String, usize)>,

@@ -15,10 +15,8 @@
 //! features: `services + features` cells. A bounded engineering capacity
 //! turns cumulative cells into time-to-market.
 
-use serde::{Deserialize, Serialize};
-
 /// The integration-cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DevOpsMatrix {
     /// Current number of services (provider-dictated) or composable
     /// service templates (UDC).
@@ -69,7 +67,7 @@ impl DevOpsMatrix {
 }
 
 /// A multi-year rollout simulation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RolloutReport {
     /// Year-by-year: (year, coupled cumulative cells, decoupled
     /// cumulative cells).

@@ -696,8 +696,8 @@ fn export_compact(
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).expect("results dir");
     }
-    let json = serde_json::to_string_pretty(&doc).expect("compact artifact renders");
-    std::fs::write(&path, json + "\n").expect("compact artifact writes");
+    std::fs::write(&path, serde_json::to_string_pretty(&doc) + "\n")
+        .expect("compact artifact writes");
     eprintln!();
     eprintln!("Compact chaos artifact: {}", path.display());
     println!("{}", path.display());

@@ -578,8 +578,7 @@ fn run() -> Result<ExitCode, String> {
     let artifact = artifact.ok_or("usage: udc-trace <artifact.json> [--explain <module>]")?;
     let text =
         std::fs::read_to_string(&artifact).map_err(|e| format!("reading {artifact}: {e}"))?;
-    let root: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {artifact}: {e}"))?;
+    let root = serde_json::parse_value(&text).map_err(|e| format!("parsing {artifact}: {e}"))?;
 
     let spans = parse_spans(&root)?;
     let decisions = parse_decisions(&root)?;
@@ -684,7 +683,7 @@ mod tests {
             main.absorb(&hub);
         }
         let text = main.snapshot().to_json();
-        let v: serde_json::Value = serde_json::from_str(&text).expect("export parses");
+        let v = serde_json::parse_value(&text).expect("export parses");
         let spans = parse_spans(&v).expect("span schema");
         assert_eq!(spans.len(), 6);
         let traces: std::collections::BTreeSet<_> = spans.iter().filter_map(|s| s.trace).collect();

@@ -8,14 +8,13 @@
 //! unit-price increase; experiment E15 sweeps it to find the win-win
 //! region.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use udc_hal::Datacenter;
 use udc_sched::{AppPlacement, ModulePlacement};
 use udc_spec::{ModuleId, ResourceKind};
 
 /// The UDC pricing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BillingModel {
     /// Multiplier over the baseline unit prices (1.0 = same per-unit
     /// price as the incumbent; the paper argues UDC can charge more).
@@ -35,7 +34,7 @@ impl Default for BillingModel {
 }
 
 /// An itemized bill for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostBreakdown {
     /// Per-kind cost in micro-dollars: (kind, micro-dollars).
     pub by_kind: Vec<(ResourceKind, u64)>,

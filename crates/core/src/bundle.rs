@@ -9,14 +9,13 @@
 //! and its aspects into a high-level object, which can be executed on
 //! one or more resource units."
 
-use serde::{Deserialize, Serialize};
 use udc_hal::DeviceId;
 use udc_isolate::EnvironmentPlan;
 use udc_spec::{DistributedAspect, ModuleId, ResourceKind};
 
 /// The low-level bundle: resources + environment + distributed endpoint,
 /// managed as one unit for allocation, scheduling and failure handling.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceUnit {
     /// Stable unit id.
     pub id: u64,
@@ -34,7 +33,7 @@ pub struct ResourceUnit {
 
 /// The high-level bundle: one module plus its aspects, executable on one
 /// or more resource units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HighLevelObject {
     /// The module.
     pub module: ModuleId,
@@ -90,17 +89,5 @@ mod tests {
             obj.devices(),
             vec![DeviceId(10), DeviceId(11), DeviceId(12)]
         );
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let obj = HighLevelObject {
-            module: "A1".into(),
-            dist: DistributedAspect::default(),
-            units: vec![unit(7, 3)],
-        };
-        let js = serde_json::to_string(&obj).unwrap();
-        let back: HighLevelObject = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, obj);
     }
 }

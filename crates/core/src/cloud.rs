@@ -7,7 +7,6 @@ use crate::verify::{
     check_quote, policy_for_module, BillingCheck, BillingReconciliation, ModuleVerification,
     VerificationReport,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use udc_crypto::aead::{seal, Key, Nonce};
@@ -122,7 +121,7 @@ pub struct Deployment {
 }
 
 /// The result of running a deployment end to end.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Per-module (start_us, finish_us) on the virtual clock.
     pub timings: BTreeMap<ModuleId, (u64, u64)>,

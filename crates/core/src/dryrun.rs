@@ -16,12 +16,11 @@
 //! writes the observed best choice back into each task's resource
 //! aspect — producing the concrete demands the scheduler then places.
 
-use serde::{Deserialize, Serialize};
 use udc_hal::PerfProfile;
 use udc_spec::{AppSpec, Goal, ModuleKind, ResourceKind};
 
 /// One task's measurements on one candidate kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialResult {
     /// Candidate hardware kind.
     pub kind: ResourceKind,
@@ -34,7 +33,7 @@ pub struct TrialResult {
 }
 
 /// The dry-run report for one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskProfile {
     /// The task.
     pub module: String,

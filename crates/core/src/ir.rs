@@ -5,7 +5,6 @@
 //! allocation and execution. Our IR is defined as high-level modules and
 //! their relationships, not low-level code instructions."
 
-use serde::{Deserialize, Serialize};
 use udc_crypto::sha256::Sha256;
 use udc_spec::{
     AppSpec, ConflictPolicy, DataProtection, DistributedAspect, ExecEnvAspect, FailureHandling,
@@ -14,7 +13,7 @@ use udc_spec::{
 
 /// One IR module: the spec module plus a content identity used for
 /// attestation measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleIr {
     /// The module's declarative specification (aspects included).
     pub spec: ModuleSpec,

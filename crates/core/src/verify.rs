@@ -12,14 +12,13 @@
 //! from its own aspects — trusting only the device keys, never the
 //! provider's software.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use udc_crypto::attest::{AttestError, AttestationPolicy, Quote, Verifier};
 use udc_crypto::MeasurementRegister;
 use udc_spec::ModuleId;
 
 /// Verification status of one module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModuleVerification {
     /// The module's environment produced a quote that satisfied the
     /// tenant's policy.
@@ -36,7 +35,7 @@ pub enum ModuleVerification {
 /// (from the `core.billed_microdollars` telemetry counter) against what
 /// the tenant recomputes from telemetry-observed holding time at the
 /// prices agreed at submit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BillingCheck {
     /// Micro-dollars the provider recorded as billed.
     pub billed: u64,
@@ -50,7 +49,7 @@ pub struct BillingCheck {
 /// Telemetry-vs-billing reconciliation across a deployment (§4: "how
 /// can users trust the cloud?" — by recomputing the bill from what
 /// observably happened).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BillingReconciliation {
     /// Per-module checks (only modules with recorded usage appear).
     pub modules: BTreeMap<ModuleId, BillingCheck>,
@@ -75,7 +74,7 @@ impl BillingReconciliation {
 }
 
 /// The per-deployment verification report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerificationReport {
     /// Per-module outcome.
     pub modules: BTreeMap<ModuleId, ModuleVerification>,

@@ -81,7 +81,7 @@ fn medical_pipeline_produces_full_telemetry_export() {
     let path = std::env::temp_dir().join("udc_medical_telemetry_test.json");
     let written = cloud.export_telemetry(&path).expect("export writes");
     let text = std::fs::read_to_string(&written).expect("file exists");
-    let v: serde_json::Value = serde_json::from_str(&text).expect("export parses");
+    let v = serde_json::parse_value(&text).expect("export parses");
     for section in ["counters", "gauges", "histograms", "spans", "events"] {
         let arr = v.get(section).and_then(|s| s.as_array());
         assert!(

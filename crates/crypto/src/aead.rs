@@ -9,11 +9,10 @@
 use crate::chacha20::ChaCha20;
 use crate::hkdf::derive_key;
 use crate::hmac::{hmac_sha256_parts, verify_tag};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 256-bit sealing key.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Key(pub [u8; 32]);
 
 impl Key {
@@ -32,7 +31,7 @@ impl fmt::Debug for Key {
 }
 
 /// A 96-bit nonce. Must be unique per (key, message).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Nonce(pub [u8; 12]);
 
 impl Nonce {
@@ -47,7 +46,7 @@ impl Nonce {
 }
 
 /// An encrypted, integrity-protected message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedBox {
     /// Nonce used for sealing.
     pub nonce: Nonce,
@@ -179,15 +178,5 @@ mod tests {
     fn key_debug_redacts() {
         let key = Key::derive(b"super-secret", b"c");
         assert_eq!(format!("{key:?}"), "Key(<redacted>)");
-    }
-
-    #[test]
-    fn sealed_box_serde_round_trip() {
-        let key = Key::derive(b"k", b"c");
-        let boxed = seal(&key, Nonce::from_sequence(9), b"a", b"payload");
-        let js = serde_json::to_string(&boxed).unwrap();
-        let back: SealedBox = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, boxed);
-        assert_eq!(open(&key, b"a", &back).unwrap(), b"payload");
     }
 }

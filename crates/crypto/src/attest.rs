@@ -21,13 +21,12 @@
 
 use crate::hmac::{hmac_sha256, verify_tag};
 use crate::sha256::Sha256;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A PCR-like measurement register with extend semantics:
 /// `new = SHA256(old || event)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasurementRegister {
     value: [u8; 32],
     log: Vec<String>,
@@ -81,7 +80,7 @@ impl MeasurementRegister {
 }
 
 /// A signed attestation quote.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
     /// Identifier of the attesting device.
     pub device_id: String,
@@ -245,7 +244,7 @@ impl fmt::Display for AttestError {
 impl std::error::Error for AttestError {}
 
 /// What a user requires a quote to demonstrate.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttestationPolicy {
     /// Expected final measurement (None = any software stack accepted,
     /// only claims are checked).
@@ -498,15 +497,5 @@ mod tests {
         assert_ne!(rot.measurement(), [0u8; 32]);
         rot.reset();
         assert_eq!(rot.measurement(), MeasurementRegister::new().value());
-    }
-
-    #[test]
-    fn quote_serde_round_trip() {
-        let (mut rot, _) = setup();
-        rot.measure("boot");
-        let q = rot.quote([8u8; 32], claims(&[("a", "b")]));
-        let js = serde_json::to_string(&q).unwrap();
-        let back: Quote = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, q);
     }
 }

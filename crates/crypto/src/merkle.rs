@@ -6,7 +6,6 @@
 //! or the storage substrate.
 
 use crate::sha256::{sha256, Sha256};
-use serde::{Deserialize, Serialize};
 
 /// Domain-separation prefixes so a leaf can never be confused with an
 /// interior node (second-preimage hardening).
@@ -39,7 +38,7 @@ pub struct MerkleTree {
 }
 
 /// An inclusion proof for one leaf.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleProof {
     /// Index of the proven leaf.
     pub index: usize,
@@ -227,14 +226,5 @@ mod tests {
             v
         };
         assert_ne!(hash_leaf(&forged), t.root());
-    }
-
-    #[test]
-    fn proof_serde_round_trip() {
-        let t = MerkleTree::build(&chunks(5)).unwrap();
-        let p = t.prove(2).unwrap();
-        let js = serde_json::to_string(&p).unwrap();
-        let back: MerkleProof = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -7,11 +7,10 @@
 //! [`ReplayGuard`] rejects any message whose sequence number is not
 //! strictly greater than the highest accepted so far.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A message with a sequence number attached.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequencedMessage<T> {
     /// Strictly increasing per-channel sequence number.
     pub seq: u64,
@@ -47,7 +46,7 @@ impl std::error::Error for ReplayError {}
 
 /// Receiver-side replay detector: accepts strictly increasing sequence
 /// numbers only.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayGuard {
     high_water: u64,
     accepted: u64,
@@ -86,7 +85,7 @@ impl ReplayGuard {
 }
 
 /// Sender-side sequence allocator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SequenceSource {
     next: u64,
 }

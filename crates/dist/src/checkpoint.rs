@@ -8,12 +8,11 @@
 //! log from scratch. Experiment E9 sweeps checkpoint intervals against
 //! module runtimes.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use udc_actor::{Actor, ActorId, Ctx, Message, MessageLog};
 
 /// One stored checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The actor this snapshot belongs to.
     pub actor: ActorId,
@@ -85,7 +84,7 @@ pub fn safe_truncation_seq<'a>(
 }
 
 /// The user-selected recovery strategy for a failure domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStrategy {
     /// Replay the entire message history from initial state.
     Reexecute,

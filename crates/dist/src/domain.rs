@@ -5,12 +5,11 @@
 //! independently while code and data within a domain will fail as a
 //! whole."
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tracks module → failure-domain assignments and answers blast-radius
 /// queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DomainTracker {
     /// module -> domain. Modules without an entry are their own
     /// implicit singleton domain.

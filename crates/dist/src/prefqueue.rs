@@ -2,12 +2,11 @@
 //! preference"): when reads and writes contend for a data module, the
 //! user chooses which class is served first.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use udc_spec::OpPreference;
 
 /// The class of a queued operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// A read.
     Read,
@@ -16,7 +15,7 @@ pub enum OpKind {
 }
 
 /// A queued operation with its arrival time (for wait accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
     /// Operation class.
     pub kind: OpKind,

@@ -15,13 +15,12 @@
 //! | Sequential | primary sequences, sync majority | majority-fresh replica | none observable |
 //! | Linearizable | sync all replicas | primary-confirmed | none |
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use udc_spec::ConsistencyLevel;
 
 /// Latency parameters for the replication model (microseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicationParams {
     /// One replica acknowledging a synchronous write.
     pub ack_latency_us: u64,
@@ -128,7 +127,7 @@ pub struct ReadResult {
 }
 
 /// Cumulative statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Writes accepted.
     pub writes: u64,

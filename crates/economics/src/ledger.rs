@@ -13,10 +13,8 @@
 //! what makes it usable as the reconciliation oracle in
 //! `verify_deployment`.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether an entry adds to or draws from the balance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryKind {
     /// Money in: entitlement renewal, payment, market refund.
     Credit,
@@ -25,7 +23,7 @@ pub enum EntryKind {
 }
 
 /// One immutable ledger line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerEntry {
     /// Append order (0-based, dense).
     pub seq: u64,
@@ -42,7 +40,7 @@ pub struct LedgerEntry {
 }
 
 /// An append-only account ledger with a running balance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UsageLedger {
     entries: Vec<LedgerEntry>,
     /// Running balance in micro-dollars (may go negative — that is the
@@ -170,16 +168,5 @@ mod tests {
         assert!(l.conservation_holds());
         assert_eq!(l.entries().len(), 3);
         assert_eq!(l.entries()[2].seq, 2);
-    }
-
-    #[test]
-    fn ledger_serializes_round_trip() {
-        let mut l = UsageLedger::new();
-        l.credit(1, 50, "seed");
-        l.debit(2, 20, Some("m"), "use");
-        let json = serde_json::to_string(&l).unwrap();
-        let back: UsageLedger = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, l);
-        assert!(back.conservation_holds());
     }
 }

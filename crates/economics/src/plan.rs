@@ -9,13 +9,12 @@
 //! so the control plane (and the experiments) replay identically at any
 //! thread count.
 
-use serde::{Deserialize, Serialize};
 use udc_spec::ResourceVector;
 
 use crate::ledger::UsageLedger;
 
 /// The commercial terms a tenant signed up for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanSpec {
     /// Human-readable plan name, e.g. `"starter"`.
     pub name: String,
@@ -52,7 +51,7 @@ impl PlanSpec {
 }
 
 /// Where an account sits in the payment lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccountStatus {
     /// Balance ≥ 0: full service.
     Active,
@@ -123,7 +122,7 @@ pub enum LifecycleEvent {
 
 /// One tenant's economic state: plan, ledger, status, and the resources
 /// currently held against the quota.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantAccount {
     /// Tenant name (matches the scheduler's tenant label).
     pub tenant: String,

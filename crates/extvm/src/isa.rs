@@ -5,10 +5,8 @@
 //! arithmetic is wrapping; division and modulo by zero are trapped
 //! errors rather than panics.
 
-use serde::{Deserialize, Serialize};
-
 /// One instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// Push an immediate.
     Push(i64),
@@ -87,7 +85,7 @@ pub enum Instr {
 }
 
 /// A validated program: a bounded sequence of instructions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     instrs: Vec<Instr>,
 }
@@ -190,18 +188,5 @@ mod tests {
     fn accepts_valid() {
         let p = Program::new(vec![Instr::Push(1), Instr::Jz(0), Instr::Ret]).unwrap();
         assert_eq!(p.len(), 3);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = Program::new(vec![
-            Instr::Push(42),
-            Instr::HostCall { idx: 1, argc: 1 },
-            Instr::Ret,
-        ])
-        .unwrap();
-        let js = serde_json::to_string(&p).unwrap();
-        let back: Program = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, p);
     }
 }

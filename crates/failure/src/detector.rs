@@ -38,7 +38,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use udc_hal::clock::Micros;
 use udc_hal::{DeviceId, FailureEvent};
 
@@ -46,7 +45,7 @@ use crate::mix64;
 use crate::netplan::{Endpoint, NetPlan};
 
 /// Detector tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// Heartbeat period — one beat per device per lease.
     pub lease_us: Micros,
@@ -77,7 +76,7 @@ impl DetectorConfig {
 }
 
 /// The detector's belief about one device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suspicion {
     /// Beating within its lease.
     Alive,

@@ -12,7 +12,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use udc_hal::DeviceId;
 
 /// A stale-epoch rejection.
@@ -40,7 +39,7 @@ impl std::error::Error for FenceError {}
 
 /// Monotone per-module fencing epochs, with the device each epoch was
 /// granted to.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FenceRegistry {
     /// Highest epoch minted per module (0 = never placed).
     epochs: BTreeMap<String, u64>,

@@ -8,7 +8,6 @@
 //! function of `(plan, time, nonce)`, so delivery outcomes are
 //! reproducible across runs and thread counts.
 
-use serde::{Deserialize, Serialize};
 use udc_hal::clock::Micros;
 use udc_hal::DeviceId;
 
@@ -20,7 +19,7 @@ use crate::mix64;
 /// `Device → Device`. Modelling the control plane as an explicit
 /// endpoint lets a partition's island lose its lease while the rest of
 /// the datacenter keeps heartbeating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Endpoint {
     /// The (non-partitionable) control plane.
     Control,
@@ -31,7 +30,7 @@ pub enum Endpoint {
 /// A bipartition of the datacenter: `island` loses contact with the
 /// control plane and with every non-island device for
 /// `[from_us, until_us)`, then heals.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Partition {
     /// Devices on the far side (the control plane is never in the
     /// island).
@@ -63,7 +62,7 @@ impl Partition {
 /// but slow or flaky towards the network, so its heartbeats arrive late
 /// or not at all. Gray faults are what make false suspicion — and, when
 /// severe enough, false *confirmation* — possible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrayFault {
     /// The affected device.
     pub device: DeviceId,
@@ -86,7 +85,7 @@ impl GrayFault {
 
 /// A fault on one (unordered) link: drop, delay, and/or duplication for
 /// `[from_us, until_us)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkFault {
     /// One end of the link.
     pub a: Endpoint,
@@ -130,7 +129,7 @@ impl Delivery {
 }
 
 /// A deterministic schedule of network faults.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetPlan {
     /// Device-set bipartitions with heal times.
     pub partitions: Vec<Partition>,

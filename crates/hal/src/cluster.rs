@@ -7,13 +7,12 @@ use crate::device::{Device, DeviceId};
 use crate::fabric::{Fabric, FabricConfig};
 use crate::failure::{FailureEvent, FailurePlan};
 use crate::pool::{AllocConstraints, AllocError, Allocation, ResourcePool};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use udc_spec::{ResourceKind, ResourceVector};
 use udc_telemetry::{EventKind, FieldValue, Labels};
 
 /// Configuration of one pool: how many devices and how large each is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Resource kind.
     pub kind: ResourceKind,
@@ -24,7 +23,7 @@ pub struct PoolConfig {
 }
 
 /// Datacenter shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatacenterConfig {
     /// Pools to create.
     pub pools: Vec<PoolConfig>,

@@ -7,14 +7,12 @@
 //! and health.
 
 use crate::clock::Micros;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use udc_spec::ResourceKind;
 
 /// Globally unique device identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {
@@ -24,7 +22,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// Health state of a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeviceState {
     /// Accepting allocations and executing work.
     #[default]
@@ -34,7 +32,7 @@ pub enum DeviceState {
 }
 
 /// Performance and cost profile of a device class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfProfile {
     /// Abstract work units per second delivered by *one* capacity unit
     /// (e.g. one core, one GPU, one MiB/s of storage bandwidth).
@@ -102,7 +100,7 @@ impl PerfProfile {
 }
 
 /// One disaggregated device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Device {
     /// Unique id.
     pub id: DeviceId,
@@ -122,7 +120,6 @@ pub struct Device {
     exclusive_holder: Option<String>,
     /// Times the device has failed: a slice carved before the latest
     /// failure belongs to a life the device no longer has.
-    #[serde(default)]
     failures: u64,
 }
 

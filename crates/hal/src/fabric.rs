@@ -8,20 +8,19 @@
 
 use crate::clock::Micros;
 use crate::device::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use udc_telemetry::{Labels, Telemetry};
 
 /// Where a device sits in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Location {
     /// Rack number.
     pub rack: u32,
 }
 
 /// Fabric latency/bandwidth parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// One-way latency between two devices in the same rack (ToR hop).
     pub intra_rack_latency_us: Micros,

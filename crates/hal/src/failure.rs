@@ -9,10 +9,9 @@ use crate::clock::Micros;
 use crate::device::DeviceId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled failure event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailureEvent {
     /// When the event fires.
     pub at_us: Micros,
@@ -23,7 +22,7 @@ pub struct FailureEvent {
 }
 
 /// A deterministic schedule of crash and repair events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FailurePlan {
     events: Vec<FailureEvent>,
     cursor: usize,

@@ -1,12 +1,10 @@
 //! Environment classes, their cost models, and their threat models.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// The execution-environment classes named in §3.3 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EnvKind {
     /// Plain container (weak isolation).
     Container,
@@ -135,8 +133,7 @@ impl fmt::Display for EnvKind {
 }
 
 /// Attack vectors in the paper's threat discussion (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttackVector {
     /// Another tenant's process on the same OS.
     CoTenantProcess,
@@ -153,7 +150,7 @@ pub enum AttackVector {
 }
 
 /// Startup/runtime cost model of an environment class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cold-start latency in microseconds.
     pub cold_start_us: u64,

@@ -2,13 +2,11 @@
 
 use crate::env::CostModel;
 use crate::select::EnvironmentPlan;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use udc_crypto::attest::RootOfTrust;
 
 /// Unique instance identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u64);
 
 impl fmt::Display for InstanceId {
@@ -18,7 +16,7 @@ impl fmt::Display for InstanceId {
 }
 
 /// Lifecycle state of an environment instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvState {
     /// Created but not yet started.
     Cold,

@@ -11,12 +11,11 @@
 //! device clusters that can only be occupied by one tenant at a time."
 
 use crate::env::EnvKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use udc_spec::{ExecEnvAspect, IsolationLevel, ResourceKind, Tenancy};
 
 /// The provider's concrete realization of an exec-env aspect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnvironmentPlan {
     /// Which environment class to launch.
     pub kind: EnvKind,

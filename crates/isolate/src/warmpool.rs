@@ -8,13 +8,12 @@
 //! to cold starts. Experiment E6 sweeps pool sizes against fan-out.
 
 use crate::env::EnvKind;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use udc_hal::DeviceId;
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 
 /// Warm-pool sizing per environment class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmPoolConfig {
     /// Instances kept warm per class.
     pub target_per_kind: BTreeMap<EnvKind, usize>,
@@ -43,7 +42,7 @@ impl WarmPoolConfig {
 }
 
 /// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmPoolStats {
     /// Launches served from the pool.
     pub hits: u64,
@@ -68,7 +67,7 @@ impl WarmPoolStats {
 /// One pre-started instance waiting in the pool. An instance may be
 /// pinned to the device it was booted on; unpinned instances are
 /// provider-global (migratable) and survive any device crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmInstance {
     /// Device hosting the pre-started instance, when pinned.
     pub device: Option<DeviceId>,

@@ -8,12 +8,11 @@
 //! order.
 
 use crate::program::{BlockId, LegacyProgram};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Developer hints ("developers can provide hints on where application
 /// semantics transition in their code").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hint {
     /// Force a module boundary immediately before this block.
     SplitBefore(BlockId),
@@ -23,7 +22,7 @@ pub enum Hint {
 }
 
 /// Partitioner parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionConfig {
     /// Upper bound on modules produced (cloud-management overhead cap).
     pub max_modules: usize,
@@ -45,7 +44,7 @@ impl Default for PartitionConfig {
 }
 
 /// The result: contiguous segments, each a future UDC module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// Segment index per block (non-decreasing, starting at 0).
     pub segment_of: Vec<usize>,

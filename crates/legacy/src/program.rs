@@ -1,19 +1,16 @@
 //! The analyzed form of a legacy program: what static analysis plus a
 //! profiling run produce (§4).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Index of a basic block / statement region in program order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub usize);
 
 /// The resource-usage phase a profiler observed for a block
 /// ("a profiling run could capture where resource usage patterns change
 /// in the code").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourcePhase {
     /// CPU-bound computation.
     CpuBound,
@@ -26,7 +23,7 @@ pub enum ResourcePhase {
 }
 
 /// One profiled block of the legacy program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Block id (program order).
     pub id: BlockId,
@@ -42,7 +39,7 @@ pub struct Block {
 
 /// A weighted dataflow dependency between blocks ("our static analysis
 /// can infer dependencies").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flow {
     /// Producing block.
     pub from: BlockId,
@@ -54,7 +51,7 @@ pub struct Flow {
 }
 
 /// The whole analyzed program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LegacyProgram {
     /// Blocks in program order.
     pub blocks: Vec<Block>,

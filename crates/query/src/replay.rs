@@ -40,7 +40,7 @@ fn u64_field(o: &Value, key: &str) -> Result<u64, String> {
 /// Reconstructs the observation stream from a full snapshot artifact's
 /// JSON text (events + decisions, timestamp-ordered).
 pub fn obs_from_json(text: &str) -> Result<Vec<Obs>, String> {
-    let v: Value = serde_json::from_str(text).map_err(|e| format!("artifact parse: {:?}", e))?;
+    let v = serde_json::parse_value(text).map_err(|e| format!("artifact parse: {e}"))?;
     if let Some(schema) = v.get("schema").and_then(|s| s.as_str()) {
         return Err(format!(
             "artifact is a compact export ('{}'); replay needs a full snapshot \

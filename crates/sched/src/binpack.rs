@@ -23,11 +23,10 @@
 //! `bench_control_plane` can hold the tree to the original behavior and
 //! price the difference.
 
-use serde::{Deserialize, Serialize};
 use udc_spec::{ResourceKind, ResourceVector};
 
 /// A server shape: the multi-dimensional capacity of one machine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerShape {
     /// Capacity per resource kind.
     pub capacity: ResourceVector,
@@ -49,7 +48,7 @@ impl ServerShape {
 }
 
 /// Packing algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackAlgo {
     /// First-fit over items sorted by decreasing scalar size.
     FirstFitDecreasing,
@@ -58,7 +57,7 @@ pub enum PackAlgo {
 }
 
 /// The outcome of packing a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackOutcome {
     /// Servers opened.
     pub servers_used: usize,

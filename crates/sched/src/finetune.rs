@@ -10,7 +10,6 @@
 //! band: above the band → grow, below → shrink, and a saturated module
 //! on a full device → migrate.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// EWMA smoothing factor for usage estimation. Public so
@@ -31,7 +30,7 @@ const SHRINK_FACTOR: f64 = 0.7;
 const MIN_UNITS: u64 = 1;
 
 /// A recommended adjustment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TuneAction {
     /// Change the module's allocation to `new_units`.
     Resize {

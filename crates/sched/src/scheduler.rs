@@ -1,7 +1,6 @@
 //! Placing an application DAG onto the disaggregated datacenter.
 
 use crate::policy::{fill_candidates, LocalityPolicy, PlacementPolicy, PolicyCtx};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use udc_economics::{demand_of_app, AdmissionVerdict, SharedQuotaGate};
@@ -15,7 +14,7 @@ use udc_spec::{
 use udc_telemetry::{Decision, EventKind, FieldValue, Labels, ReasonCode, Telemetry, TraceCtx};
 
 /// How a module's environment was started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StartMode {
     /// Started from scratch.
     Cold,

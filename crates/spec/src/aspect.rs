@@ -5,7 +5,6 @@
 //! they say *what* the user wants, never *how* to realize it. Realization
 //! lives in `udc-sched`, `udc-isolate` and `udc-dist`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,8 +17,7 @@ use std::fmt;
 /// Mirrors the device classes in Fig. 1 of the paper (CPU, GPU, FPGA,
 /// DRAM, NVM, SSD, HDD, SoC). Compute kinds are counted in discrete units
 /// (cores / devices); memory and storage kinds in mebibytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// General-purpose CPU cores.
     Cpu,
@@ -91,8 +89,7 @@ impl fmt::Display for ResourceKind {
 /// Used both for demands ("this module needs 4 CPU cores and 8192 MiB
 /// DRAM") and capacities. Arithmetic saturates rather than wrapping so
 /// capacity math can never silently overflow.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResourceVector {
     amounts: BTreeMap<ResourceKind, u64>,
 }
@@ -213,8 +210,7 @@ impl fmt::Display for ResourceVector {
 /// Optimization goal when the user does not pin exact resources (§3.2:
 /// "if users only provide a performance/cost goal, then UDC will select
 /// resources based on load and available hardware at run time").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Goal {
     /// Minimize end-to-end latency ("Fastest" in Table 1).
     Fastest,
@@ -253,16 +249,13 @@ impl Goal {
 ///
 /// An entirely empty aspect means "provider decides" (the paper's
 /// fall-back to today's cloud).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResourceAspect {
     /// Exact demand per resource kind; empty = unspecified.
-    #[serde(default, skip_serializing_if = "ResourceVector::is_zero")]
     pub demand: ResourceVector,
     /// Candidate compute kinds the module may execute on.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub candidates: Vec<ResourceKind>,
     /// Optimization goal.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub goal: Option<Goal>,
 }
 
@@ -319,10 +312,7 @@ impl ResourceAspect {
 /// - *medium*: provider choice among unikernel / lightweight VM /
 ///   sandboxed container (requires trusting the provider);
 /// - *weak*: plain containers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum IsolationLevel {
     /// Plain containers (weakest).
     #[default]
@@ -366,10 +356,7 @@ impl IsolationLevel {
 }
 
 /// Tenancy requirement, orthogonal to the TEE requirement.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Tenancy {
     /// Hardware may be shared with other tenants.
     #[default]
@@ -391,16 +378,13 @@ impl Tenancy {
 
 /// Protection options for data *leaving* the execution environment
 /// (§3.3: "encryption, integrity protection, and replay protection").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DataProtection {
     /// Encrypt data in flight / at rest outside the environment.
-    #[serde(default)]
     pub confidentiality: bool,
     /// MAC / Merkle-protect data against tampering.
-    #[serde(default)]
     pub integrity: bool,
     /// Monotonic-counter protection against replay of stale data.
-    #[serde(default)]
     pub replay: bool,
 }
 
@@ -453,20 +437,16 @@ impl DataProtection {
 }
 
 /// The execution-environment & security aspect of a module (§3.3).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecEnvAspect {
     /// Requested isolation level; `None` = provider default.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub isolation: Option<IsolationLevel>,
     /// Tenancy requirement; `None` = provider default.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub tenancy: Option<Tenancy>,
     /// Require a TEE *when the module runs on a CPU* — Table 1's
     /// "SGX enclave if CPU" refinement for hardware-candidate modules.
-    #[serde(default)]
     pub tee_if_cpu: bool,
     /// Protection for data leaving the environment.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub protection: Option<DataProtection>,
 }
 
@@ -515,10 +495,7 @@ impl ExecEnvAspect {
 /// Ordered weakest → strictest; the derived `Ord` is the strictness order
 /// used by conflict resolution ("UDC needs to detect such conflicts and
 /// either chooses the strictest specification or returns an error").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum ConsistencyLevel {
     /// Replicas converge eventually; reads may be arbitrarily stale.
     #[default]
@@ -561,8 +538,7 @@ impl ConsistencyLevel {
 /// Which operation class gets scheduling preference on a data module
 /// (§3.4: "what type of operations they want to give preferences to
 /// (e.g., read preference over write)").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OpPreference {
     /// No preference.
     #[default]
@@ -595,8 +571,7 @@ impl OpPreference {
 }
 
 /// How failures of a module's failure domain are handled (§3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FailureHandling {
     /// Re-run the module from its inputs.
     #[default]
@@ -621,32 +596,19 @@ impl FailureHandling {
 }
 
 /// The distributed-semantics aspect of a module (§3.4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributedAspect {
     /// Number of replicas (1 = no replication). Table 1 uses 1–3.
-    #[serde(default = "default_replication")]
     pub replication: u32,
     /// Consistency level for concurrent access (data modules).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub consistency: Option<ConsistencyLevel>,
     /// Operation-class preference.
-    #[serde(default, skip_serializing_if = "is_default_pref")]
     pub preference: OpPreference,
     /// Failure-handling strategy.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub failure: Option<FailureHandling>,
     /// User-assigned failure domain: modules sharing a domain fail as a
     /// whole; distinct domains fail independently. `None` = own domain.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub failure_domain: Option<String>,
-}
-
-fn default_replication() -> u32 {
-    1
-}
-
-fn is_default_pref(p: &OpPreference) -> bool {
-    *p == OpPreference::None
 }
 
 impl Default for DistributedAspect {
@@ -832,24 +794,6 @@ mod tests {
         assert!(!ExecEnvAspect::isolation(IsolationLevel::Weak).is_unspecified());
         assert!(DistributedAspect::default().is_unspecified());
         assert!(!DistributedAspect::default().replication(2).is_unspecified());
-    }
-
-    #[test]
-    fn aspect_json_round_trip() {
-        let a = ResourceAspect::goal(Goal::Cheapest)
-            .with_candidate(ResourceKind::Gpu)
-            .with_demand(ResourceKind::Dram, 2048);
-        let js = serde_json::to_string(&a).unwrap();
-        let back: ResourceAspect = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, a);
-
-        let d = DistributedAspect::default()
-            .replication(3)
-            .consistency(ConsistencyLevel::Sequential)
-            .failure(FailureHandling::Checkpoint { interval_ms: 500 });
-        let js = serde_json::to_string(&d).unwrap();
-        let back: DistributedAspect = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, d);
     }
 
     #[test]

@@ -25,13 +25,11 @@ use crate::aspect::{ConsistencyLevel, DataProtection, IsolationLevel, Tenancy};
 use crate::dag::{AppSpec, EdgeKind, LocalityHint, ModuleKind};
 use crate::error::{SpecError, SpecResult};
 use crate::ids::ModuleId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// How detected conflicts are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConflictPolicy {
     /// Upgrade every conflicting aspect to the strictest requirement.
     #[default]
@@ -41,7 +39,7 @@ pub enum ConflictPolicy {
 }
 
 /// One detected conflict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConflictKind {
     /// Accessors disagree on the consistency of a shared data module.
     Consistency {
@@ -121,7 +119,7 @@ impl fmt::Display for ConflictKind {
 }
 
 /// The full set of conflicts found in an application.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConflictReport {
     /// All conflicts, in deterministic order.
     pub conflicts: Vec<ConflictKind>,

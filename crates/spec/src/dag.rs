@@ -10,12 +10,10 @@
 use crate::aspect::{DistributedAspect, ExecEnvAspect, ResourceAspect};
 use crate::error::{SpecError, SpecResult};
 use crate::ids::{AppName, ModuleId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Whether a module is executable code or passive data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModuleKind {
     /// A code block representing a task (A1–A4, B1–B2 in Fig. 2).
     Task,
@@ -34,8 +32,7 @@ impl ModuleKind {
 }
 
 /// Kinds of edges between modules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// One task follows another task (control/data-flow dependency).
     Dependency,
@@ -50,7 +47,7 @@ pub enum EdgeKind {
 /// module. These are the source of the spec conflicts §3.4 discusses
 /// ("two modules sharing data and one specified as sequential consistency
 /// and the other as release consistency") — see [`crate::conflict`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edge {
     /// Source module.
     pub from: ModuleId,
@@ -60,17 +57,14 @@ pub struct Edge {
     pub kind: EdgeKind,
     /// Consistency this accessor requires of the data module
     /// (access edges only).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub require_consistency: Option<crate::aspect::ConsistencyLevel>,
     /// Protection this accessor requires for the data module
     /// (access edges only).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub require_protection: Option<crate::aspect::DataProtection>,
 }
 
 /// A locality hint guiding the runtime scheduler (§3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LocalityHint {
     /// Execute two task modules on the same hardware unit (e.g. A1, A2).
     Colocate(ModuleId, ModuleId),
@@ -96,30 +90,24 @@ impl LocalityHint {
 
 /// One module of an application: kind, human description, and the three
 /// aspects (each optional, Design Principle 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleSpec {
     /// Unique id within the app.
     pub id: ModuleId,
     /// Task or data.
     pub kind: ModuleKind,
     /// Optional human-readable description.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub description: Option<String>,
     /// Resource aspect (§3.2).
-    #[serde(default, skip_serializing_if = "ResourceAspect::is_unspecified")]
     pub resource: ResourceAspect,
     /// Execution-environment aspect (§3.3).
-    #[serde(default, skip_serializing_if = "ExecEnvAspect::is_unspecified")]
     pub exec_env: ExecEnvAspect,
     /// Distributed aspect (§3.4).
-    #[serde(default, skip_serializing_if = "DistributedAspect::is_unspecified")]
     pub dist: DistributedAspect,
     /// Estimated work in abstract compute units (used by the simulator to
     /// derive runtimes; a dry-run profile would populate this in §3.2).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub work_units: Option<u64>,
     /// Estimated size of the module's output / data set in bytes.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub bytes: Option<u64>,
 }
 
@@ -249,7 +237,7 @@ impl DataSpec {
 
 /// A complete application specification: modules, edges and locality
 /// hints. This is the unit a tenant submits to the UDC control plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Application name.
     pub name: AppName,
@@ -515,15 +503,5 @@ mod tests {
             app.module(&ModuleId::from("A1")).unwrap().work_units,
             Some(99)
         );
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut app = two_module_app();
-        app.add_edge("A1", "S1", EdgeKind::Access).unwrap();
-        app.affinity("A1", "S1").unwrap();
-        let js = serde_json::to_string_pretty(&app).unwrap();
-        let back: AppSpec = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, app);
     }
 }

@@ -1,6 +1,5 @@
 //! Identifier newtypes shared across the spec.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Name of a module (task or data) inside an application DAG.
@@ -8,8 +7,7 @@ use std::fmt;
 /// Module ids are user-chosen strings such as `A1` or `S3` (Fig. 2 of the
 /// paper). They must be non-empty and consist of ASCII alphanumerics,
 /// `_` or `-`; [`ModuleId::new`] enforces this.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModuleId(String);
 
 impl ModuleId {
@@ -53,8 +51,7 @@ impl From<&str> for ModuleId {
 }
 
 /// Name of an application (the DAG as a whole).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AppName(String);
 
 impl AppName {
@@ -113,14 +110,5 @@ mod tests {
         assert!(AppName::new("medical").is_some());
         assert!(AppName::new("").is_none());
         assert!(AppName::new("a b").is_none());
-    }
-
-    #[test]
-    fn module_id_serde_is_transparent() {
-        let id = ModuleId::new("A1").unwrap();
-        let js = serde_json::to_string(&id).unwrap();
-        assert_eq!(js, "\"A1\"");
-        let back: ModuleId = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, id);
     }
 }

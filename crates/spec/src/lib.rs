@@ -24,7 +24,7 @@
 //!   with both strictest-wins resolution and error reporting,
 //! - [`ResolvedApp`], the proof a spec was resolved, validated, ordered,
 //! - a declarative text format (`.udc`) with a parser and canonical
-//!   printer, plus JSON via serde.
+//!   printer.
 //!
 //! # Examples
 //!

@@ -44,7 +44,7 @@ pub const MAX_BYTES: u64 = 1 << 40;
 ///
 /// Checks, in order:
 /// 1. every edge endpoint exists (guaranteed by [`AppSpec::add_edge`] but
-///    re-checked for deserialized specs);
+///    re-checked for specs whose public `edges` were built directly);
 /// 2. `Dependency` edges connect two tasks; `Access` edges connect a task
 ///    and a data module;
 /// 3. the `Dependency` subgraph is acyclic;
@@ -303,8 +303,8 @@ mod tests {
         let mut app = AppSpec::new("x");
         app.add_task(TaskSpec::new("A"));
         app.add_data(DataSpec::new("S"));
-        // Bypass add_edge's checks by pushing directly, as a deserialized
-        // spec could contain this.
+        // Bypass add_edge's checks by pushing directly, as any caller of
+        // the public `edges` field can.
         app.edges.push(crate::dag::Edge {
             from: "A".into(),
             to: "S".into(),

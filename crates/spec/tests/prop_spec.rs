@@ -206,14 +206,6 @@ proptest! {
         prop_assert!(app.validate().is_ok(), "{:?}", app.validate());
     }
 
-    /// JSON serde round-trips.
-    #[test]
-    fn json_round_trip(app in arb_app()) {
-        let js = serde_json::to_string(&app).unwrap();
-        let back: AppSpec = serde_json::from_str(&js).unwrap();
-        prop_assert_eq!(back, app);
-    }
-
     /// Strictest-wins resolution never weakens any aspect: every module's
     /// consistency, isolation, protection, and replication in the resolved
     /// app are >= the original.

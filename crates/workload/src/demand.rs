@@ -7,11 +7,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use udc_spec::{ResourceKind, ResourceVector};
 
 /// Demand classes in the mixture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DemandClass {
     /// Small web/API service: 1–4 vCPU, 1–8 GiB.
     Web,

@@ -1,4 +1,4 @@
-//! The JSON-like data model shared by `Serialize` and `Deserialize`.
+//! The owned JSON value the writer renders and the reader builds.
 
 use std::fmt;
 
@@ -146,18 +146,6 @@ impl Value {
         match self {
             Value::Array(a) => Some(a),
             _ => None,
-        }
-    }
-
-    /// A short name of the value's type, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
         }
     }
 }

@@ -9,13 +9,19 @@
 //! ```
 //!
 //! Flags: `--conflicts=error|strictest` (default strictest),
-//! `--warm-pool=N` (default 0), `--json` (machine-readable run report).
+//! `--warm-pool=N` (default 0, at most 4096), `--json` (machine-readable
+//! run report).
 
+use serde_json::{Number, Value};
 use std::process::ExitCode;
-use udc_core::{CloudConfig, UdcCloud};
+use udc_core::{CloudConfig, RunReport, UdcCloud};
 use udc_isolate::WarmPoolConfig;
 use udc_spec::conflict::detect_conflicts;
 use udc_spec::{parse_app, print_app, AppSpec, ConflictPolicy};
+
+/// The largest `--warm-pool` size accepted: instances kept warm per
+/// environment class, far beyond any app's module count.
+const MAX_WARM_POOL: usize = 4096;
 
 struct Options {
     conflict_policy: ConflictPolicy,
@@ -52,9 +58,9 @@ fn main() -> ExitCode {
             };
         } else if let Some(v) = arg.strip_prefix("--warm-pool=") {
             options.warm_pool = match v.parse() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("bad warm-pool size `{v}`");
+                Ok(n) if n <= MAX_WARM_POOL => n,
+                _ => {
+                    eprintln!("bad warm-pool size `{v}` (at most {MAX_WARM_POOL})");
                     return usage();
                 }
             };
@@ -192,10 +198,7 @@ fn cmd_run(app: &AppSpec, options: &Options) -> ExitCode {
     let report = cloud.run(&dep);
     let verification = cloud.verify_deployment(&dep);
     if options.json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(js) => println!("{js}"),
-            Err(e) => eprintln!("serialization failed: {e}"),
-        }
+        println!("{}", serde_json::to_string_pretty(&report_json(&report)));
     } else {
         println!(
             "makespan {:.1} ms; cost ${:.6}; {} sealed transfers ({} MiB protected)",
@@ -224,4 +227,37 @@ fn cmd_run(app: &AppSpec, options: &Options) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// The `--json` form of a run report: timings as `[start, end]` per
+/// module id, the cost with `[kind, micro-dollars]` pairs, then totals.
+fn report_json(report: &RunReport) -> Value {
+    let uint = |v: u64| Value::Number(Number::U(v));
+    let field = |key: &str, v: Value| (key.to_string(), v);
+    let timings = report
+        .timings
+        .iter()
+        .map(|(id, &(start, end))| field(id.as_str(), Value::Array(vec![uint(start), uint(end)])));
+    let by_kind = report.cost.by_kind.iter().map(|&(kind, micros)| {
+        Value::Array(vec![Value::String(kind.name().to_string()), uint(micros)])
+    });
+    Value::Object(vec![
+        field("timings", Value::Object(timings.collect())),
+        field("makespan_us", uint(report.makespan_us)),
+        field(
+            "cost",
+            Value::Object(vec![
+                field("by_kind", Value::Array(by_kind.collect())),
+                field("exclusive_surcharge", uint(report.cost.exclusive_surcharge)),
+                field("total", uint(report.cost.total)),
+            ]),
+        ),
+        field("sealed_messages", uint(report.sealed_messages)),
+        field("sealed_bytes", uint(report.sealed_bytes)),
+        field("transfer_us", uint(report.transfer_us)),
+        field(
+            "warm_fraction",
+            Value::Number(Number::F(report.warm_fraction)),
+        ),
+    ])
 }

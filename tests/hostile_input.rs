@@ -2,9 +2,11 @@
 //! strings and `.udc` specs are mangled (1–3 lines or space-separated
 //! tokens deleted, duplicated or swapped, or a token's number replaced
 //! by a boundary numeral) and driven through everything that consumes
-//! them; each must come out as a typed error or a clean result.
+//! them; each must come out as a typed error or a clean result. So must
+//! any text handed to the JSON reader behind the offline artifact tools.
 
 use proptest::prelude::*;
+use serde_json::{parse_value, to_string_pretty, Error, MAX_DEPTH};
 use udc_core::{
     CloudConfig, CloudError, UdcCloud, HEAL_DEGRADED_GAUGE, HEAL_DEGRADED_RULE, RING_DROPPED_GAUGE,
     RING_DROPPED_RULE,
@@ -152,6 +154,13 @@ fn stream() -> Vec<Obs> {
     ]
 }
 
+/// Pieces of JSON text, well-formed and not: brackets, separators,
+/// escapes, partial literals and numbers, multi-byte characters.
+const JSON_BITS: [&str; 24] = [
+    "[", "]", "{", "}", "\"", "\\", ":", ",", " ", "\\u", "\\ud800", "00e9", "-", "1", "0.5e",
+    "E+", "nul", "null", "true", "fals", "\"k\"", "é", "😀", "\n",
+];
+
 proptest! {
     /// (a) The canned tenant policies, mangled, assemble or are refused
     /// with an `AsmError`.
@@ -218,5 +227,40 @@ proptest! {
             Err(CloudError::Spec(e)) => prop_assert_eq!(front_door, Err(e)),
             Err(CloudError::Sched(_)) => prop_assert_eq!(front_door, Ok(())),
         }
+    }
+
+    /// (d) Any text handed to the JSON reader parses or is refused with
+    /// an `Error`.
+    #[test]
+    fn arbitrary_text_is_parsed_or_refused(
+        bits in prop::collection::vec(0usize..JSON_BITS.len(), 0..64),
+        printable in "\\PC{0,32}",
+    ) {
+        let text: String = bits.iter().map(|&i| JSON_BITS[i]).collect();
+        let _ = parse_value(&text);
+        let _ = parse_value(&printable);
+        let _ = parse_value(&(text + &printable));
+    }
+
+    /// (e) Arrays and objects nested at random: up to `MAX_DEPTH` levels
+    /// the text parses and its value re-renders to itself, one level more
+    /// is refused as too deep, and any prefix cut short is refused.
+    #[test]
+    fn random_nestings_parse_or_are_refused_as_too_deep(
+        arrays in prop::collection::vec(any::<bool>(), 0..400),
+        cut in any::<usize>(),
+    ) {
+        let open: String = arrays.iter().map(|&a| if a { "[" } else { "{\"k\": " }).collect();
+        let close: String = arrays.iter().rev().map(|&a| if a { "]" } else { "}" }).collect();
+        let text = format!("{open}1{close}");
+        let parsed = parse_value(&text);
+        if arrays.len() <= MAX_DEPTH {
+            let v = parsed.expect("nesting within the cap parses");
+            prop_assert_eq!(parse_value(&to_string_pretty(&v)), Ok(v));
+        } else {
+            let too_deep = matches!(parsed, Err(Error::TooDeep { .. }));
+            prop_assert!(too_deep, "{parsed:?}");
+        }
+        prop_assert!(parse_value(&text[..cut % text.len()]).is_err());
     }
 }
