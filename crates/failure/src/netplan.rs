@@ -390,6 +390,84 @@ pub(crate) mod tests {
         );
     }
 
+    /// One heartbeat's fate as a character: `-` when it is cut or
+    /// dropped, else its extra delay (`0`, or the letter of one of the
+    /// golden plan's gray delays).
+    fn beat(plan: &NetPlan, d: u32, at_us: Micros, nonce: u64) -> char {
+        let del = plan.deliver(dev(d), Endpoint::Control, at_us, nonce);
+        if !del.delivered() {
+            return '-';
+        }
+        match del.delay_us {
+            0 => '0',
+            50 => 'a',
+            80 => 'b',
+            120 => 'c',
+            300 => 'd',
+            other => panic!("unexpected delay {other}"),
+        }
+    }
+
+    #[test]
+    fn heartbeat_delivery_is_pinned() {
+        // Overlapping partitions (device 2 sits in both islands), a
+        // gray delay under a partition (device 2), two overlapping gray
+        // windows on one device (device 4: the first listed wins) and
+        // one lossy gray (device 5).
+        let gray = |d, from_us, until_us, delay_us, drop_per_mille| GrayFault {
+            device: DeviceId(d),
+            from_us,
+            until_us,
+            delay_us,
+            drop_per_mille,
+        };
+        let plan = NetPlan {
+            partitions: vec![
+                Partition {
+                    island: vec![DeviceId(1), DeviceId(2)],
+                    from_us: 200,
+                    until_us: 600,
+                },
+                Partition {
+                    island: vec![DeviceId(2), DeviceId(3)],
+                    from_us: 400,
+                    until_us: 900,
+                },
+            ],
+            grays: vec![
+                gray(2, 100, 700, 300, 0),
+                gray(4, 0, 500, 50, 0),
+                gray(4, 300, 1_000, 80, 0),
+                gray(5, 200, 1_000, 120, 400),
+            ],
+            seed: 0x5eed,
+            ..NetPlan::default()
+        };
+        // One row per device; one group of four nonces per time
+        // 0, 100, …, 1 100.
+        let rows: Vec<String> = (0..6)
+            .map(|d| {
+                (0..12)
+                    .map(|t| {
+                        (0..4)
+                            .map(|n| beat(&plan, d, t * 100, n))
+                            .collect::<String>()
+                    })
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        let golden = [
+            "0000 0000 0000 0000 0000 0000 0000 0000 0000 0000 0000 0000",
+            "0000 0000 ---- ---- ---- ---- 0000 0000 0000 0000 0000 0000",
+            "0000 dddd ---- ---- ---- ---- ---- ---- ---- 0000 0000 0000",
+            "0000 0000 0000 0000 ---- ---- ---- ---- ---- 0000 0000 0000",
+            "aaaa aaaa aaaa aaaa aaaa bbbb bbbb bbbb bbbb bbbb 0000 0000",
+            "0000 0000 --cc --c- cc-c cccc cc-- ccc- c-c- c-c- 0000 0000",
+        ];
+        assert_eq!(rows, golden);
+    }
+
     #[test]
     fn link_fault_applies_drop_delay_and_duplication_both_ways() {
         let plan = NetPlan {
