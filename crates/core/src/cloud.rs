@@ -512,7 +512,7 @@ impl UdcCloud {
         ctx: Option<udc_telemetry::TraceCtx>,
     ) -> (Environment, Vec<ResourceUnit>) {
         let id = &m.spec.id;
-        p.epoch = self.fences.mint(id.as_str(), p.primary_device);
+        p.epoch = self.fences.mint(id.as_str());
         let device_key = *self
             .device_keys
             .entry(p.primary_device)

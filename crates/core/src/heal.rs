@@ -44,34 +44,18 @@ pub const MSG_COST_US: u64 = 1_000;
 /// Modelled cost of restoring a checkpoint snapshot (matches E9).
 pub const RESTORE_COST_US: u64 = 50_000;
 
+/// First re-placement retry delay; attempt `n` waits `BASE << (n-1)`
+/// (capped at [`MAX_BACKOFF_US`]).
+const BASE_BACKOFF_US: Micros = 10_000;
+/// Ceiling on the exponential retry backoff.
+const MAX_BACKOFF_US: Micros = 5_000_000;
+/// Seed for the deterministic retry jitter (same seed → identical
+/// schedules, which keeps chaos artifacts byte-reproducible).
+const JITTER_SEED: u64 = 0x75dc_c0de;
+
 /// The audit's account of a newly suspected device, and of a cleared one.
-const SILENT: &str = "heartbeats silent past one lease; warm instances held back, no eviction";
+const SILENT: &str = "heartbeats silent past one lease; no eviction";
 const BEAT: &str = "false suspect: beat again before confirmation; returned to service";
-
-/// Repair-loop tuning knobs, carried per deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealConfig {
-    /// Re-placement attempts before a module is declared [`ModuleHealth::Degraded`].
-    pub max_retries: u32,
-    /// First retry delay; attempt `n` waits `base << (n-1)` (capped).
-    pub base_backoff_us: Micros,
-    /// Ceiling on the exponential backoff.
-    pub max_backoff_us: Micros,
-    /// Seed for the deterministic retry jitter (same seed → identical
-    /// schedules, which keeps chaos artifacts byte-reproducible).
-    pub jitter_seed: u64,
-}
-
-impl Default for HealConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 5,
-            base_backoff_us: 10_000,
-            max_backoff_us: 5_000_000,
-            jitter_seed: 0x75dc_c0de,
-        }
-    }
-}
 
 /// Where a module stands in the repair state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,11 +82,22 @@ pub enum ModuleHealth {
 
 /// Per-deployment repair state: one [`ModuleHealth`] per module that
 /// has ever been impacted (absent = healthy).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HealthState {
-    /// Tuning knobs (public so harnesses can tighten retry budgets).
-    pub config: HealConfig,
+    /// Failed re-placement attempts a module may retry before it is
+    /// declared [`ModuleHealth::Degraded`] (default 5; public so
+    /// harnesses can tighten the budget).
+    pub max_retries: u32,
     modules: BTreeMap<ModuleId, ModuleHealth>,
+}
+
+impl Default for HealthState {
+    fn default() -> Self {
+        Self {
+            max_retries: 5,
+            modules: BTreeMap::new(),
+        }
+    }
 }
 
 impl HealthState {
@@ -211,7 +206,7 @@ pub struct ModuleRepair {
 
 /// What one [`UdcCloud::advance`] call did.
 ///
-/// The device fields, `invalidated_warm` and `false_suspects` are
+/// The device fields and `false_suspects` are
 /// cloud-wide: what this call *sensed*, so only the call that moved the
 /// clock (or drained newly due events) carries them. The module fields
 /// and `evicted_allocations` describe the deployment passed in.
@@ -225,8 +220,6 @@ pub struct HealReport {
     pub detected: Vec<ModuleId>,
     /// Allocations freed during eviction.
     pub evicted_allocations: u64,
-    /// Warm-pool instances dropped from crashed devices.
-    pub invalidated_warm: u64,
     /// Modules healed to completion this interval.
     pub repaired: Vec<ModuleRepair>,
     /// Modules whose re-placement failed and was rescheduled.
@@ -455,14 +448,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `min(base << (n-1), max)` plus a seeded jitter of up to a quarter of
 /// that, so concurrent repairs don't thundering-herd while identical
 /// seeds still produce identical schedules.
-pub fn backoff_delay_us(config: &HealConfig, module: &ModuleId, attempt: u32) -> Micros {
+pub fn backoff_delay_us(module: &ModuleId, attempt: u32) -> Micros {
     let shift = attempt.saturating_sub(1).min(32);
-    let raw = config
-        .base_backoff_us
+    let raw = BASE_BACKOFF_US
         .saturating_mul(1u64 << shift)
-        .min(config.max_backoff_us);
+        .min(MAX_BACKOFF_US);
     let jitter_space = raw / 4 + 1;
-    let h = splitmix64(config.jitter_seed ^ fnv1a(module.as_str().as_bytes()) ^ attempt as u64);
+    let h = splitmix64(JITTER_SEED ^ fnv1a(module.as_str().as_bytes()) ^ attempt as u64);
     raw + h % jitter_space
 }
 
@@ -605,8 +597,8 @@ impl UdcCloud {
     }
 
     /// Sense: drains the tick, folds ground truth (omniscient) or lease
-    /// verdicts into the cloud's belief, does warm-pool hygiene and
-    /// settles the account, recording every fact in `self.sensed`. The
+    /// verdicts into the cloud's belief and settles the account,
+    /// recording every fact in `self.sensed`. The
     /// one place the two detection modes differ. Fills in the report's
     /// cloud-wide half — a second call at the same instant finds an
     /// empty tick and a detector with nothing new — and returns the
@@ -616,18 +608,16 @@ impl UdcCloud {
         let now = self.dc.clock().now();
         report.crashed_devices = tick.crashed;
         report.repaired_devices = tick.repaired;
-        let (s, warm) = (&mut self.sensed, self.scheduler.warm_pool_mut());
+        let s = &mut self.sensed;
         let returned = match &mut self.detector {
             None => {
                 // Ground truth, replayed in event order so a flap within
                 // one tick (repair → crash, or crash → repair → crash)
-                // lands on the device's *final* state. A crash destroys
-                // the device's warm instances.
+                // lands on the device's *final* state.
                 for e in &tick.events {
                     if e.crash {
                         s.dead.insert(e.device);
                         s.wipe(e.device);
-                        report.invalidated_warm += warm.invalidate_device(e.device) as u64;
                     } else {
                         s.dead.remove(&e.device);
                     }
@@ -636,22 +626,15 @@ impl UdcCloud {
             }
             Some(det) => {
                 // The detector sees only heartbeat arrivals (ground truth
-                // gates emission; the net plan gates delivery). Suspicion
-                // holds warm instances back (cheap, reversible), either
-                // exoneration lifts the hold, and only a confirmation or a
-                // restart destroys them: a flapping device that recovers
-                // inside its lease keeps its warm instances.
+                // gates emission; the net plan gates delivery).
                 let dr = det.observe(now, &tick.events, &self.net);
                 for &d in &dr.newly_suspected {
-                    warm.suspect_device(d);
                     s.record_verdict(d, true);
                 }
                 for &d in &dr.false_suspects {
-                    warm.clear_suspicion(d);
                     s.record_verdict(d, false);
                 }
                 for &d in &dr.resurrected {
-                    warm.clear_suspicion(d);
                     s.dead.remove(&d);
                 }
                 for &d in &dr.newly_confirmed {
@@ -660,11 +643,9 @@ impl UdcCloud {
                     // back (a healed partition) keeps what it holds.
                     s.dead.insert(d);
                     s.lost = s.next();
-                    report.invalidated_warm += warm.confirm_device(d) as u64;
                 }
                 for &d in &dr.restarted {
                     s.wipe(d);
-                    report.invalidated_warm += warm.confirm_device(d) as u64;
                 }
                 report.false_suspects = dr.false_suspects.len() as u64;
                 report.suspected = dr.newly_suspected;
@@ -679,13 +660,9 @@ impl UdcCloud {
         if returned {
             s.returned = s.next();
         }
-        for (counter, n) in [
-            ("heal.warm_invalidated", report.invalidated_warm),
-            ("heal.false_suspects", report.false_suspects),
-        ] {
-            if n > 0 {
-                self.obs.incr(counter, Labels::none(), n);
-            }
+        if report.false_suspects > 0 {
+            self.obs
+                .incr("heal.false_suspects", Labels::none(), report.false_suspects);
         }
         self.settle(now);
         now
@@ -1128,7 +1105,7 @@ impl UdcCloud {
                     ModuleHealth::Repairing { attempt, .. } => attempt + 1,
                     _ => 1,
                 };
-                if attempt > dep.health.config.max_retries {
+                if attempt > dep.health.max_retries {
                     dep.health.degrade(id, now);
                     self.obs.decide(Decision {
                         ctx: rctx,
@@ -1151,7 +1128,7 @@ impl UdcCloud {
                     );
                     report.degraded.push(id.clone());
                 } else {
-                    let delay = backoff_delay_us(&dep.health.config, id, attempt);
+                    let delay = backoff_delay_us(id, attempt);
                     dep.health.schedule(id, attempt, now + delay);
                     self.obs.incr("heal.retries", Labels::none(), 1);
                     report.retried.push(id.clone());
@@ -1317,7 +1294,7 @@ mod tests {
         let mut cloud = UdcCloud::new(one_cpu_device());
         cloud.enable_telemetry();
         let mut dep = cloud.submit(&one_task_app(None)).unwrap();
-        dep.health.config.max_retries = 0; // degrade on the first failed attempt
+        dep.health.max_retries = 0; // degrade on the first failed attempt
         let id = ModuleId::from("T");
         let dead = dep.placement.modules[&id].primary_device;
 
@@ -1352,7 +1329,7 @@ mod tests {
         let tel = cloud.enable_telemetry();
         cloud.attach_queries(udc_query::QueryEngine::new(), 1_500);
         let mut dep = cloud.submit(&one_task_app(None)).unwrap();
-        dep.health.config.max_retries = 0;
+        dep.health.max_retries = 0;
         let id = ModuleId::from("T");
         let dead = dep.placement.modules[&id].primary_device;
         cloud
@@ -1691,7 +1668,7 @@ mod tests {
                     repair(20, dev),
                 ]));
             for (dep, delta) in [(&mut a, 10), (&mut b, 0)] {
-                dep.health.config.max_retries = 0;
+                dep.health.max_retries = 0;
                 cloud.advance(dep, delta);
                 assert_eq!(dep.health.degraded_modules().len(), 1);
             }
@@ -1977,7 +1954,6 @@ mod tests {
                     drop_per_mille,
                 })
                 .collect(),
-            links: Vec::new(),
             seed,
         };
         (config, net)
@@ -2108,7 +2084,7 @@ mod tests {
             let mut deps: Vec<Deployment> = apps.iter().filter_map(|a| cloud.submit(a).ok()).collect();
             prop_assume!(deps.len() >= 2);
             for dep in &mut deps {
-                dep.health.config.max_retries = 0;
+                dep.health.max_retries = 0;
             }
             let domain = fault_domain(&deps);
             let events = fault_events(&domain, &faults);
@@ -2321,14 +2297,6 @@ mod tests {
             cloud.detector().unwrap().suspicion(gray),
             udc_failure::Suspicion::Alive
         );
-        assert!(
-            cloud
-                .scheduler
-                .warm_pool_mut()
-                .suspected_devices()
-                .is_empty(),
-            "exoneration lifts the warm-pool hold"
-        );
         assert!(dep.health.is_converged(), "module never left Healthy");
         assert_eq!(
             dep.placement.modules[&ModuleId::from("T")].primary_device,
@@ -2432,22 +2400,74 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_exponential_and_capped() {
-        let cfg = HealConfig::default();
         let id = ModuleId::from("T");
-        let d1 = backoff_delay_us(&cfg, &id, 1);
-        assert_eq!(d1, backoff_delay_us(&cfg, &id, 1), "same seed, same delay");
+        let d1 = backoff_delay_us(&id, 1);
+        assert_eq!(d1, backoff_delay_us(&id, 1), "same seed, same delay");
         // Raw doubling with jitter < raw/4 + 1 keeps attempts ordered.
         for attempt in 1..12u32 {
-            let d = backoff_delay_us(&cfg, &id, attempt);
-            let raw = (cfg.base_backoff_us << (attempt - 1).min(32)).min(cfg.max_backoff_us);
+            let d = backoff_delay_us(&id, attempt);
+            let raw = (BASE_BACKOFF_US << (attempt - 1).min(32)).min(MAX_BACKOFF_US);
             assert!(d >= raw && d <= raw + raw / 4 + 1, "attempt {attempt}: {d}");
         }
         // Different modules jitter differently (herd avoidance).
         let other = ModuleId::from("U");
-        assert_ne!(
-            backoff_delay_us(&cfg, &id, 3),
-            backoff_delay_us(&cfg, &other, 3)
+        assert_ne!(backoff_delay_us(&id, 3), backoff_delay_us(&other, 3));
+    }
+
+    #[test]
+    fn a_crash_leaves_the_warm_pool_whole_and_the_heal_draws_from_it() {
+        // Warm instances are provider-global: losing a device loses none
+        // of them, and the re-launch starts warm.
+        let mut cloud = UdcCloud::new(CloudConfig {
+            warm_pool: udc_isolate::WarmPoolConfig::uniform(2),
+            ..Default::default()
+        });
+        let mut dep = cloud.submit(&one_task_app(None)).unwrap();
+        let id = ModuleId::from("T");
+        let kind = dep.placement.modules[&id].env.kind;
+        assert_eq!(cloud.scheduler_mut().warm_pool_mut().ready(kind), 1);
+        let dead = dep.placement.modules[&id].primary_device;
+        let plan = FailurePlan::from_events(vec![crash(5, dead)]);
+        cloud.datacenter_mut().set_failure_plan(plan);
+        assert_eq!(cloud.advance(&mut dep, 10).repaired.len(), 1);
+        assert_eq!(
+            dep.placement.modules[&id].start_mode,
+            udc_sched::StartMode::Warm
         );
+        let pool = cloud.scheduler_mut().warm_pool_mut();
+        assert_eq!((pool.ready(kind), pool.stats().hits), (0, 2));
+        cloud.teardown(&mut dep);
+    }
+
+    #[test]
+    fn backoff_saturates_at_any_attempt() {
+        let id = ModuleId::from("T");
+        for attempt in [33, 64, 1_000, u32::MAX] {
+            let d = backoff_delay_us(&id, attempt);
+            assert!((MAX_BACKOFF_US..=MAX_BACKOFF_US * 5 / 4 + 1).contains(&d));
+        }
+    }
+
+    #[test]
+    fn the_default_budget_degrades_after_six_failed_attempts_on_schedule() {
+        let mut cloud = UdcCloud::new(one_cpu_device());
+        let mut dep = cloud.submit(&one_task_app(None)).unwrap();
+        assert_eq!(dep.health.max_retries, 5);
+        let id = ModuleId::from("T");
+        let dead = dep.placement.modules[&id].primary_device;
+        let plan = FailurePlan::from_events(vec![crash(5, dead)]);
+        cloud.datacenter_mut().set_failure_plan(plan);
+        // Attempt 1 fails at detection, with nowhere to go; attempt
+        // k + 1 is due exactly `backoff_delay_us(k)` after attempt k.
+        assert_eq!(cloud.advance(&mut dep, 10).retried, vec![id.clone()]);
+        for attempt in 1..=5 {
+            let early = cloud.advance(&mut dep, backoff_delay_us(&id, attempt) - 1);
+            assert!(early.retried.is_empty() && early.degraded.is_empty());
+            let due = cloud.advance(&mut dep, 1);
+            let (retried, degraded) = if attempt < 5 { (1, 0) } else { (0, 1) };
+            assert_eq!((due.retried.len(), due.degraded.len()), (retried, degraded));
+        }
+        assert_eq!(dep.health.degraded_modules(), vec![id]);
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl SpotMarket {
     ///
     /// Suspended accounts are skipped (recorded with a `Suspended`
     /// decision); every other bidder's policy runs gas-metered against
-    /// its private [`MarketHost`] view. The winner is debited
+    /// its private `MarketHost` view. The winner is debited
     /// `clearing_price × units` on its ledger; losers get `Outbid`
     /// decisions so `udc-trace --explain` can audit why a tenant did
     /// not receive surplus capacity.

@@ -4,7 +4,7 @@
 //! compiled backend in [`crate::compile`] must match it bit for bit —
 //! results, trap values, and gas accounting at every observable
 //! boundary. The interpreter core is therefore factored into
-//! [`interp`], a resumable function over explicit machine state, so the
+//! `interp`, a resumable function over explicit machine state, so the
 //! compiled runner can *deopt* into it mid-run (from any basic-block
 //! boundary) and inherit exact trap semantics for the rest of the
 //! execution.

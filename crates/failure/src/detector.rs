@@ -42,7 +42,7 @@ use udc_hal::clock::Micros;
 use udc_hal::{DeviceId, FailureEvent};
 
 use crate::mix64;
-use crate::netplan::{Endpoint, NetPlan};
+use crate::netplan::NetPlan;
 
 /// Detector tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,15 +229,6 @@ impl LeaseDetector {
             .collect()
     }
 
-    /// Devices currently `Suspected`, in id order.
-    pub fn suspected(&self) -> Vec<DeviceId> {
-        self.tracks
-            .iter()
-            .filter(|(_, t)| matches!(t.state, Suspicion::Suspected { .. }))
-            .map(|(d, _)| *d)
-            .collect()
-    }
-
     /// Advances the detector to `now`: replays heartbeat emissions in
     /// `(last_poll, now]` against the ground-truth `events` of the same
     /// window (sorted by time, as
@@ -287,9 +278,8 @@ impl LeaseDetector {
                     }
                 }
                 if t.up {
-                    let del = net.deliver(Endpoint::Device(d), Endpoint::Control, te, t.seq);
-                    if del.delivered() {
-                        let arrival = te + del.delay_us;
+                    if let Some(delay_us) = net.deliver(d, te, t.seq) {
+                        let arrival = te + delay_us;
                         if arrival <= now {
                             t.last_beat_us = t.last_beat_us.max(arrival);
                             heard = heard.max(t.boot);
@@ -395,8 +385,9 @@ mod tests {
             let r = det.observe(step * 250_000, &[], &net);
             assert!(r.is_quiet(), "step {step}: {r:?}");
         }
-        assert!(det.confirmed().is_empty());
-        assert!(det.suspected().is_empty());
+        assert!(devices(8)
+            .iter()
+            .all(|&d| det.suspicion(d) == Suspicion::Alive));
     }
 
     #[test]
@@ -429,6 +420,42 @@ mod tests {
         );
         // And suspicion strictly precedes confirmation in time.
         assert!(at > crash_at);
+    }
+
+    #[test]
+    fn a_device_registered_down_is_confirmed_by_silence() {
+        let mut det = LeaseDetector::new(config(), devices(1), 0);
+        det.register(DeviceId(1), false, 0);
+        let r = det.observe(150_000, &[], &NetPlan::none());
+        assert_eq!(r.newly_suspected, vec![DeviceId(1)]);
+        let r = det.observe(350_000, &[], &NetPlan::none());
+        assert_eq!(r.newly_confirmed, vec![DeviceId(1)]);
+        assert_eq!(det.confirmed(), vec![DeviceId(1)]);
+    }
+
+    #[test]
+    fn a_late_registration_beats_within_one_lease() {
+        let mut det = LeaseDetector::new(config(), devices(0), 0);
+        det.register(DeviceId(3), true, 1_234_567);
+        for s in 1..=60u64 {
+            let r = det.observe(1_234_567 + s * 25_000, &[], &NetPlan::none());
+            assert!(r.is_quiet(), "poll {s}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn a_confirm_threshold_below_one_is_one() {
+        let cfg = DetectorConfig {
+            confirm_misses: 0,
+            ..config()
+        };
+        assert_eq!(cfg.detection_bound_us(), LEASE);
+        let mut det = LeaseDetector::new(cfg, devices(1), 0);
+        assert_eq!(det.config().confirm_misses, 1);
+        // Silent past one lease: confirmed at once, never just suspected.
+        let r = det.observe(250_000, &[crash(10_000, 0)], &NetPlan::none());
+        assert_eq!(r.newly_confirmed, vec![DeviceId(0)]);
+        assert!(r.newly_suspected.is_empty());
     }
 
     #[test]
@@ -533,6 +560,50 @@ mod tests {
         // Mainland devices were never even suspected.
         assert_eq!(det.suspicion(DeviceId(2)), Suspicion::Alive);
         assert_eq!(det.suspicion(DeviceId(3)), Suspicion::Alive);
+    }
+
+    #[test]
+    fn a_gray_that_drops_every_beat_is_confirmed_like_a_partition() {
+        // Device 0 is gray with total loss over the window of a one-device
+        // partition: the detector cannot tell the two apart.
+        let (from_us, until_us) = (200_000, 1_400_000);
+        let lossy = NetPlan {
+            grays: vec![GrayFault {
+                device: DeviceId(0),
+                from_us,
+                until_us,
+                delay_us: 0,
+                drop_per_mille: 1000,
+            }],
+            seed: 5,
+            ..NetPlan::none()
+        };
+        let island = vec![DeviceId(0)];
+        let cut = NetPlan {
+            partitions: vec![Partition {
+                island,
+                from_us,
+                until_us,
+            }],
+            ..NetPlan::none()
+        };
+        let mut by_gray = LeaseDetector::new(config(), devices(3), 0);
+        let mut by_cut = by_gray.clone();
+        let mut verdicts = Vec::new();
+        for s in 1..=16u64 {
+            let now = s * 125_000;
+            let r = by_gray.observe(now, &[], &lossy);
+            assert_eq!(r, by_cut.observe(now, &[], &cut), "poll {s}");
+            let during = now < until_us;
+            verdicts.extend(r.newly_confirmed.iter().map(|&d| (d, "confirmed", during)));
+            verdicts.extend(r.resurrected.iter().map(|&d| (d, "resurrected", during)));
+        }
+        // Confirmed inside the window, resurrected once it ended.
+        let d = DeviceId(0);
+        assert_eq!(
+            verdicts,
+            [(d, "confirmed", true), (d, "resurrected", false)]
+        );
     }
 
     #[test]

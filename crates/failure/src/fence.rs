@@ -4,15 +4,13 @@
 //! a device dead that is merely partitioned. When the partition heals,
 //! the old replica — a *zombie* — may still try to write or relaunch.
 //! The classic remedy is a fencing token: every placement of a module
-//! mints a **monotone epoch per (module, device)**; downstream writes
+//! mints the next **monotone epoch for that module**; downstream writes
 //! and isolate launches carry the epoch of the placement that spawned
 //! them, and anything presenting an epoch older than the module's
 //! current one is rejected. The registry is the single source of truth;
 //! epochs only move forward, so a zombie can never race its replacement.
 
 use std::collections::BTreeMap;
-
-use udc_hal::DeviceId;
 
 /// A stale-epoch rejection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,14 +35,11 @@ impl std::fmt::Display for FenceError {
 
 impl std::error::Error for FenceError {}
 
-/// Monotone per-module fencing epochs, with the device each epoch was
-/// granted to.
+/// Monotone per-module fencing epochs.
 #[derive(Debug, Clone, Default)]
 pub struct FenceRegistry {
     /// Highest epoch minted per module (0 = never placed).
     epochs: BTreeMap<String, u64>,
-    /// The device each (module, epoch-holder) grant went to.
-    holders: BTreeMap<String, DeviceId>,
 }
 
 impl FenceRegistry {
@@ -53,23 +48,17 @@ impl FenceRegistry {
         Self::default()
     }
 
-    /// Mints the next epoch for `module`, recording `device` as the
-    /// holder. Epochs start at 1 and only ever increase.
-    pub fn mint(&mut self, module: &str, device: DeviceId) -> u64 {
+    /// Mints the next epoch for `module`. Epochs start at 1 and only
+    /// ever increase.
+    pub fn mint(&mut self, module: &str) -> u64 {
         let e = self.epochs.entry(module.to_string()).or_insert(0);
         *e += 1;
-        self.holders.insert(module.to_string(), device);
         *e
     }
 
     /// The module's current epoch (0 = never placed).
     pub fn current(&self, module: &str) -> u64 {
         self.epochs.get(module).copied().unwrap_or(0)
-    }
-
-    /// The device holding the module's current epoch.
-    pub fn holder(&self, module: &str) -> Option<DeviceId> {
-        self.holders.get(module).copied()
     }
 
     /// Validates a claim: only the module's *current* epoch passes. A
@@ -97,12 +86,11 @@ mod tests {
     fn epochs_are_monotone_per_module_and_independent_across_modules() {
         let mut reg = FenceRegistry::new();
         assert_eq!(reg.current("a"), 0);
-        assert_eq!(reg.mint("a", DeviceId(1)), 1);
-        assert_eq!(reg.mint("a", DeviceId(2)), 2);
-        assert_eq!(reg.mint("b", DeviceId(1)), 1);
+        assert_eq!(reg.mint("a"), 1);
+        assert_eq!(reg.mint("a"), 2);
+        assert_eq!(reg.mint("b"), 1);
         assert_eq!(reg.current("a"), 2);
-        assert_eq!(reg.holder("a"), Some(DeviceId(2)));
-        assert_eq!(reg.holder("b"), Some(DeviceId(1)));
+        assert_eq!(reg.current("b"), 1);
     }
 
     #[test]
@@ -111,9 +99,9 @@ mod tests {
         // Nothing minted yet: every claim is invalid.
         assert!(reg.check("m", 0).is_err());
         assert!(reg.check("m", 1).is_err());
-        let e1 = reg.mint("m", DeviceId(3));
+        let e1 = reg.mint("m");
         assert!(reg.check("m", e1).is_ok());
-        let e2 = reg.mint("m", DeviceId(4));
+        let e2 = reg.mint("m");
         assert!(reg.check("m", e2).is_ok());
         let err = reg.check("m", e1).unwrap_err();
         assert_eq!(err.presented, e1);

@@ -6,16 +6,16 @@
 //! supplies the three pieces:
 //!
 //! - [`NetPlan`] extends the crash/repair fault model with deterministic
-//!   *network* faults: device-set partitions with heal times, per-link
-//!   message drop/delay/duplication, and *gray* devices that stay up but
-//!   respond slowly or flakily.
+//!   *network* faults: islands of devices cut off from the control plane
+//!   until a heal time, and *gray* devices that stay up but whose
+//!   heartbeats arrive late or not at all.
 //! - [`LeaseDetector`] replaces omniscient crash knowledge with a
 //!   sim-clock heartbeat/lease failure detector: missed-beat suspicion
 //!   levels `Alive → Suspected → Confirmed`, a configurable lease and
 //!   confirmation threshold, and a provable detection bound of
 //!   `lease × (confirm_misses + poll granularity)` for true crashes.
-//! - [`FenceRegistry`] mints a monotone fencing epoch per
-//!   (module, device) placement so zombie isolates on the far side of a
+//! - [`FenceRegistry`] mints a monotone fencing epoch per module
+//!   placement so zombie isolates on the far side of a
 //!   healed partition cannot double-write: stale epochs are rejected at
 //!   both store writes and isolate launches.
 //!
@@ -30,10 +30,10 @@ pub mod netplan;
 
 pub use detector::{DetectorConfig, DetectorReport, LeaseDetector, Suspicion};
 pub use fence::{FenceError, FenceRegistry};
-pub use netplan::{Delivery, Endpoint, GrayFault, LinkFault, NetPlan, Partition};
+pub use netplan::{GrayFault, NetPlan, Partition};
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) shared by the
-/// drop/duplication coin flips and heartbeat phase derivation.
+/// heartbeat drop coin flips and heartbeat phase derivation.
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -2,34 +2,20 @@
 //!
 //! [`FailurePlan`](udc_hal::FailurePlan) models fail-stop crashes; real
 //! ad hoc clouds also see *partial* failures — islands of devices cut
-//! off from the control plane, links that drop or duplicate messages,
-//! and gray members that are up but slow. A [`NetPlan`] is the seeded,
-//! time-indexed schedule of those faults. It is pure: every query is a
-//! function of `(plan, time, nonce)`, so delivery outcomes are
-//! reproducible across runs and thread counts.
+//! off from the control plane, and gray members that are up but slow or
+//! flaky. A [`NetPlan`] is the seeded, time-indexed schedule of those
+//! faults, as the heartbeats a device sends the control plane see them.
+//! It is pure: every query is a function of `(plan, device, time,
+//! nonce)`, so delivery outcomes are reproducible across runs and
+//! thread counts.
 
 use udc_hal::clock::Micros;
 use udc_hal::DeviceId;
 
 use crate::mix64;
 
-/// One end of a message: the control plane or a device.
-///
-/// Heartbeats flow `Device → Control`; replication traffic flows
-/// `Device → Device`. Modelling the control plane as an explicit
-/// endpoint lets a partition's island lose its lease while the rest of
-/// the datacenter keeps heartbeating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Endpoint {
-    /// The (non-partitionable) control plane.
-    Control,
-    /// A device in the datacenter.
-    Device(DeviceId),
-}
-
-/// A bipartition of the datacenter: `island` loses contact with the
-/// control plane and with every non-island device for
-/// `[from_us, until_us)`, then heals.
+/// An island of devices cut off from the control plane for
+/// `[from_us, until_us)`, then healed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Partition {
     /// Devices on the far side (the control plane is never in the
@@ -42,19 +28,8 @@ pub struct Partition {
 }
 
 impl Partition {
-    fn active(&self, now: Micros) -> bool {
-        self.from_us <= now && now < self.until_us
-    }
-
-    fn separates(&self, a: Endpoint, b: Endpoint, now: Micros) -> bool {
-        if !self.active(now) {
-            return false;
-        }
-        let side = |e: Endpoint| match e {
-            Endpoint::Control => false,
-            Endpoint::Device(d) => self.island.contains(&d),
-        };
-        side(a) != side(b)
+    fn cuts(&self, d: DeviceId, now: Micros) -> bool {
+        self.from_us <= now && now < self.until_us && self.island.contains(&d)
     }
 }
 
@@ -70,10 +45,10 @@ pub struct GrayFault {
     pub from_us: Micros,
     /// Fault window end (exclusive).
     pub until_us: Micros,
-    /// Extra one-way delay added to every message the device sends or
-    /// receives while gray.
+    /// Extra one-way delay added to every heartbeat the device sends
+    /// while gray.
     pub delay_us: Micros,
-    /// Per-message drop probability in thousandths (0..=1000).
+    /// Per-heartbeat drop probability in thousandths (0..=1000).
     pub drop_per_mille: u16,
 }
 
@@ -83,61 +58,14 @@ impl GrayFault {
     }
 }
 
-/// A fault on one (unordered) link: drop, delay, and/or duplication for
-/// `[from_us, until_us)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkFault {
-    /// One end of the link.
-    pub a: Endpoint,
-    /// The other end.
-    pub b: Endpoint,
-    /// Fault window start (inclusive).
-    pub from_us: Micros,
-    /// Fault window end (exclusive).
-    pub until_us: Micros,
-    /// Per-message drop probability in thousandths (0..=1000).
-    pub drop_per_mille: u16,
-    /// Extra one-way delay per message.
-    pub delay_us: Micros,
-    /// Deliver every message twice (dup storms; receivers must be
-    /// idempotent).
-    pub duplicate: bool,
-}
-
-impl LinkFault {
-    fn matches(&self, x: Endpoint, y: Endpoint, now: Micros) -> bool {
-        self.from_us <= now
-            && now < self.until_us
-            && ((self.a == x && self.b == y) || (self.a == y && self.b == x))
-    }
-}
-
-/// The outcome of one message send under the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Delivery {
-    /// How many copies arrive (0 = dropped, 2 = duplicated).
-    pub copies: u8,
-    /// Extra one-way delay accumulated from gray and link faults.
-    pub delay_us: Micros,
-}
-
-impl Delivery {
-    /// True when at least one copy arrives.
-    pub fn delivered(&self) -> bool {
-        self.copies > 0
-    }
-}
-
 /// A deterministic schedule of network faults.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetPlan {
-    /// Device-set bipartitions with heal times.
+    /// Islands cut off from the control plane, with heal times.
     pub partitions: Vec<Partition>,
     /// Gray (slow/flaky but up) devices.
     pub grays: Vec<GrayFault>,
-    /// Per-link drop/delay/duplication faults.
-    pub links: Vec<LinkFault>,
-    /// Seed for the drop/duplication coin flips.
+    /// Seed for the drop coin flips.
     pub seed: u64,
 }
 
@@ -147,93 +75,41 @@ impl NetPlan {
         Self::default()
     }
 
-    /// True when the plan schedules no faults.
-    pub fn is_empty(&self) -> bool {
-        self.partitions.is_empty() && self.grays.is_empty() && self.links.is_empty()
-    }
-
-    /// The time after which every scheduled fault has healed.
-    pub fn horizon_us(&self) -> Micros {
-        let p = self.partitions.iter().map(|p| p.until_us).max();
-        let g = self.grays.iter().map(|g| g.until_us).max();
-        let l = self.links.iter().map(|l| l.until_us).max();
-        p.into_iter().chain(g).chain(l).max().unwrap_or(0)
-    }
-
-    /// Rebases every fault window by `base_us` — the same anchoring
-    /// [`FailurePlan::shifted`](udc_hal::FailurePlan::shifted) does, so
-    /// a harness can build windows relative to 0 and shift them past
-    /// the deployment's startup transient.
-    pub fn shifted(mut self, base_us: Micros) -> Self {
-        for p in &mut self.partitions {
-            p.from_us = p.from_us.saturating_add(base_us);
-            p.until_us = p.until_us.saturating_add(base_us);
-        }
-        for g in &mut self.grays {
-            g.from_us = g.from_us.saturating_add(base_us);
-            g.until_us = g.until_us.saturating_add(base_us);
-        }
-        for l in &mut self.links {
-            l.from_us = l.from_us.saturating_add(base_us);
-            l.until_us = l.until_us.saturating_add(base_us);
-        }
-        self
-    }
-
-    /// True when `a` and `b` can exchange messages at `now` (no active
-    /// partition separates them). Gray and link faults never cut
-    /// reachability outright — they degrade it per message.
-    pub fn reachable(&self, a: Endpoint, b: Endpoint, now: Micros) -> bool {
-        !self.partitions.iter().any(|p| p.separates(a, b, now))
-    }
-
-    /// The gray fault affecting `d` at `now`, if any.
-    pub fn gray_at(&self, d: DeviceId, now: Micros) -> Option<&GrayFault> {
+    /// The gray fault affecting `d` at `now`, if any: the first listed.
+    fn gray_at(&self, d: DeviceId, now: Micros) -> Option<&GrayFault> {
         self.grays.iter().find(|g| g.device == d && g.active(now))
     }
 
-    /// Resolves one message sent `from → to` at `at_us`. `nonce`
-    /// distinguishes messages sent at the same instant (e.g. a
-    /// heartbeat sequence number) so their coin flips are independent
-    /// yet reproducible.
-    pub fn deliver(&self, from: Endpoint, to: Endpoint, at_us: Micros, nonce: u64) -> Delivery {
-        if !self.reachable(from, to, at_us) {
-            return Delivery {
-                copies: 0,
-                delay_us: 0,
-            };
+    /// Resolves the heartbeat `d` sends the control plane at `at_us`:
+    /// `None` when it is lost (a partition cuts `d` off, or its gray
+    /// fault drops it), else the extra delay it arrives with. `nonce`
+    /// distinguishes beats sent at the same instant (a beat sequence
+    /// number) so their coin flips are independent yet reproducible.
+    ///
+    /// Kept out of line: inlined into [`LeaseDetector::observe`]'s
+    /// per-beat loop, it grew that function by a third, and the
+    /// end-to-end benchmark's `fleet_attached` tick (lease detection on)
+    /// ran ~10 % slower at the median on a 2-core Xeon.
+    ///
+    /// [`LeaseDetector::observe`]: crate::LeaseDetector::observe
+    #[inline(never)]
+    pub fn deliver(&self, d: DeviceId, at_us: Micros, nonce: u64) -> Option<Micros> {
+        if self.partitions.iter().any(|p| p.cuts(d, at_us)) {
+            return None;
         }
-        let mut delay = 0;
-        let mut copies: u8 = 1;
-        let mut coin = 0u64;
-        let mut flip = |salt: u64, per_mille: u16| -> bool {
-            coin = coin.wrapping_add(1);
-            let h = mix64(self.seed ^ mix64(at_us ^ nonce.rotate_left(17) ^ salt ^ coin));
-            (h % 1000) < per_mille as u64
+        let Some(g) = self.gray_at(d, at_us) else {
+            return Some(0);
         };
-        for e in [from, to] {
-            if let Endpoint::Device(d) = e {
-                if let Some(g) = self.gray_at(d, at_us) {
-                    delay += g.delay_us;
-                    if g.drop_per_mille > 0 && flip(0x6772_6179 ^ d.0 as u64, g.drop_per_mille) {
-                        copies = 0;
-                    }
-                }
+        if g.drop_per_mille > 0 {
+            // The coin's inputs are part of every committed chaos
+            // artifact: salt `"gray" ^ device`, flip number 1.
+            let salt = 0x6772_6179 ^ d.0 as u64;
+            let h = mix64(self.seed ^ mix64(at_us ^ nonce.rotate_left(17) ^ salt ^ 1));
+            if h % 1000 < g.drop_per_mille as u64 {
+                return None;
             }
         }
-        for l in self.links.iter().filter(|l| l.matches(from, to, at_us)) {
-            delay += l.delay_us;
-            if l.drop_per_mille > 0 && flip(0x6c69_6e6b, l.drop_per_mille) {
-                copies = 0;
-            }
-            if l.duplicate && copies > 0 {
-                copies = 2;
-            }
-        }
-        Delivery {
-            copies,
-            delay_us: delay,
-        }
+        Some(g.delay_us)
     }
 }
 
@@ -242,16 +118,12 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn dev(n: u32) -> Endpoint {
-        Endpoint::Device(DeviceId(n))
-    }
-
     /// Random plans over devices `0..devices` with every fault window
-    /// inside `0..horizon_us`: partitions of random islands, gray
-    /// devices that delay and (mostly) drop, and link faults between
-    /// the control plane and a device or between two devices. Windows
-    /// start and end on a grid of `horizon_us / GRID`, so they often
-    /// share edges with each other and with the times a test asks about.
+    /// inside `0..horizon_us`: partitions of random islands, and gray
+    /// devices that delay and drop some, none or all of their beats.
+    /// Windows start and end on a grid of `horizon_us / GRID`, so they
+    /// often share edges with each other and with the times a test asks
+    /// about.
     pub(crate) fn arb_plan(devices: u32, horizon_us: Micros) -> impl Strategy<Value = NetPlan> {
         let unit = horizon_us / GRID;
         let span = horizon_us / 3;
@@ -263,148 +135,213 @@ pub(crate) mod tests {
                 0..devices,
                 window(),
                 0..span,
-                prop_oneof![Just(0u16), 1u16..1000],
+                prop_oneof![Just(0u16), 1u16..1000, Just(1000u16)],
             ),
-            0..4,
+            0..8,
         );
-        let links = prop::collection::vec(
-            (
-                0..devices + 1,
-                0..devices,
-                window(),
-                (0u16..1000, 0..span, any::<bool>()),
-            ),
-            0..4,
-        );
-        (partitions, grays, links, any::<u64>()).prop_map(
-            move |(partitions, grays, links, seed)| NetPlan {
-                partitions: partitions
-                    .into_iter()
-                    .map(|(mask, (from_us, len))| Partition {
-                        island: (0..devices)
-                            .filter(|d| mask & (1 << d) != 0)
-                            .map(DeviceId)
-                            .collect(),
-                        from_us,
-                        until_us: from_us + len,
-                    })
-                    .collect(),
-                grays: grays
-                    .into_iter()
-                    .map(|(d, (from_us, len), delay_us, drop_per_mille)| GrayFault {
-                        device: DeviceId(d),
-                        from_us,
-                        until_us: from_us + len,
-                        delay_us,
-                        drop_per_mille,
-                    })
-                    .collect(),
-                links: links
-                    .into_iter()
-                    .map(
-                        |(a, b, (from_us, len), (drop_per_mille, delay_us, duplicate))| {
-                            LinkFault {
-                                // `devices` stands for the control plane.
-                                a: if a == devices {
-                                    Endpoint::Control
-                                } else {
-                                    dev(a)
-                                },
-                                b: dev(b),
-                                from_us,
-                                until_us: from_us + len,
-                                drop_per_mille,
-                                delay_us,
-                                duplicate,
-                            }
-                        },
-                    )
-                    .collect(),
-                seed,
-            },
-        )
+        (partitions, grays, any::<u64>()).prop_map(move |(partitions, grays, seed)| NetPlan {
+            partitions: partitions
+                .into_iter()
+                .map(|(mask, (from_us, len))| Partition {
+                    island: (0..devices)
+                        .filter(|d| mask & (1 << d) != 0)
+                        .map(DeviceId)
+                        .collect(),
+                    from_us,
+                    until_us: from_us + len,
+                })
+                .collect(),
+            grays: grays
+                .into_iter()
+                .map(|(d, (from_us, len), delay_us, drop_per_mille)| GrayFault {
+                    device: DeviceId(d),
+                    from_us,
+                    until_us: from_us + len,
+                    delay_us,
+                    drop_per_mille,
+                })
+                .collect(),
+            seed,
+        })
     }
 
     /// Grid steps per horizon of [`arb_plan`]'s fault windows.
     const GRID: u64 = 40;
 
-    #[test]
-    fn partition_cuts_island_from_control_and_mainland_until_heal() {
-        let plan = NetPlan {
-            partitions: vec![Partition {
-                island: vec![DeviceId(1), DeviceId(2)],
-                from_us: 100,
-                until_us: 200,
-            }],
-            ..Default::default()
-        };
-        // Before / after the window everything is reachable.
-        for t in [0, 99, 200, 500] {
-            assert!(plan.reachable(dev(1), Endpoint::Control, t));
-            assert!(plan.reachable(dev(1), dev(3), t));
+    fn island(devices: &[u32], from_us: Micros, until_us: Micros) -> Partition {
+        Partition {
+            island: devices.iter().copied().map(DeviceId).collect(),
+            from_us,
+            until_us,
         }
-        // During: island ↔ {control, mainland} is cut, island-internal
-        // and mainland-internal traffic still flows.
-        assert!(!plan.reachable(dev(1), Endpoint::Control, 150));
-        assert!(!plan.reachable(dev(3), dev(2), 150));
-        assert!(plan.reachable(dev(1), dev(2), 150));
-        assert!(plan.reachable(dev(3), Endpoint::Control, 150));
-        assert!(!plan.deliver(dev(1), Endpoint::Control, 150, 0).delivered());
+    }
+
+    fn gray(d: u32, from_us: Micros, until_us: Micros, delay_us: Micros, drop: u16) -> GrayFault {
+        GrayFault {
+            device: DeviceId(d),
+            from_us,
+            until_us,
+            delay_us,
+            drop_per_mille: drop,
+        }
+    }
+
+    #[test]
+    fn partition_cuts_island_from_control_until_heal() {
+        let plan = NetPlan {
+            partitions: vec![island(&[1, 2], 100, 200)],
+            ..NetPlan::none()
+        };
+        // Before / after the window every beat arrives on time.
+        for t in [0, 99, 200, 500] {
+            for d in 1..=3 {
+                assert_eq!(plan.deliver(DeviceId(d), t, 0), Some(0), "t = {t}");
+            }
+        }
+        // During: the island's beats are cut, the mainland's flow.
+        assert_eq!(plan.deliver(DeviceId(1), 150, 0), None);
+        assert_eq!(plan.deliver(DeviceId(2), 150, 0), None);
+        assert_eq!(plan.deliver(DeviceId(3), 150, 0), Some(0));
+    }
+
+    #[test]
+    fn a_partition_window_is_half_open() {
+        let plan = NetPlan {
+            partitions: vec![island(&[4], 1_000, 2_000)],
+            ..NetPlan::none()
+        };
+        for nonce in 0..8 {
+            let at = |t| plan.deliver(DeviceId(4), t, nonce);
+            assert_eq!(
+                [at(999), at(1_000), at(1_999), at(2_000)],
+                [Some(0), None, None, Some(0)]
+            );
+        }
+    }
+
+    #[test]
+    fn a_partition_wins_over_a_gray_fault() {
+        // A device both cut off and gray gets nothing while the
+        // partition lasts, whatever the gray fault would have let
+        // through, and the gray delay once it heals.
+        let plan = NetPlan {
+            partitions: vec![island(&[3], 100, 200)],
+            grays: vec![gray(3, 0, 300, 40, 0)],
+            seed: 11,
+        };
+        for nonce in 0..16 {
+            assert_eq!(plan.deliver(DeviceId(3), 50, nonce), Some(40));
+            assert_eq!(plan.deliver(DeviceId(3), 150, nonce), None);
+            assert_eq!(plan.deliver(DeviceId(3), 250, nonce), Some(40));
+        }
     }
 
     #[test]
     fn gray_device_delays_and_drops_deterministically() {
         let plan = NetPlan {
-            grays: vec![GrayFault {
-                device: DeviceId(7),
-                from_us: 0,
-                until_us: 1_000,
-                delay_us: 250,
-                drop_per_mille: 500,
-            }],
+            grays: vec![gray(7, 0, 1_000, 250, 500)],
             seed: 42,
-            ..Default::default()
+            ..NetPlan::none()
         };
         let mut dropped = 0;
         for n in 0..200 {
-            let d = plan.deliver(dev(7), Endpoint::Control, 10, n);
-            let again = plan.deliver(dev(7), Endpoint::Control, 10, n);
+            let d = plan.deliver(DeviceId(7), 10, n);
+            let again = plan.deliver(DeviceId(7), 10, n);
             assert_eq!(d, again, "same (time, nonce) must resolve identically");
-            if d.delivered() {
-                assert_eq!(d.delay_us, 250);
-            } else {
-                dropped += 1;
+            match d {
+                Some(delay_us) => assert_eq!(delay_us, 250),
+                None => dropped += 1,
             }
         }
         // ~50% drop rate; the exact count is seed-determined, but it
         // must be neither 0 nor total.
         assert!((40..160).contains(&dropped), "dropped = {dropped}");
         // Outside the window the device behaves normally.
-        let after = plan.deliver(dev(7), Endpoint::Control, 2_000, 0);
-        assert_eq!(
-            after,
-            Delivery {
-                copies: 1,
-                delay_us: 0
+        assert_eq!(plan.deliver(DeviceId(7), 2_000, 0), Some(0));
+    }
+
+    #[test]
+    fn a_total_loss_gray_drops_every_beat_and_a_clean_one_none() {
+        let plan = NetPlan {
+            grays: vec![gray(1, 0, 1_000, 5, 1000), gray(2, 0, 1_000, 5, 0)],
+            seed: 3,
+            ..NetPlan::none()
+        };
+        for t in (0..1_000).step_by(37) {
+            for nonce in 0..8 {
+                assert_eq!(plan.deliver(DeviceId(1), t, nonce), None);
+                assert_eq!(plan.deliver(DeviceId(2), t, nonce), Some(5));
             }
+        }
+    }
+
+    #[test]
+    fn a_gray_window_is_half_open() {
+        let plan = NetPlan {
+            grays: vec![gray(6, 1_000, 2_000, 70, 0)],
+            ..NetPlan::none()
+        };
+        let at = |t| plan.deliver(DeviceId(6), t, 0);
+        assert_eq!(
+            [at(999), at(1_000), at(1_999), at(2_000)],
+            [Some(0), Some(70), Some(70), Some(0)]
         );
+    }
+
+    #[test]
+    fn the_seed_drives_the_drop_coin() {
+        let lossy = |seed| NetPlan {
+            grays: vec![gray(2, 0, 1_000, 0, 500)],
+            seed,
+            ..NetPlan::none()
+        };
+        let pattern = |plan: &NetPlan| -> Vec<bool> {
+            (0..64)
+                .map(|n| plan.deliver(DeviceId(2), 10, n).is_some())
+                .collect()
+        };
+        assert_eq!(pattern(&lossy(1)), pattern(&lossy(1)));
+        assert_ne!(pattern(&lossy(1)), pattern(&lossy(2)));
+    }
+
+    proptest! {
+        /// Whatever the plan, a beat is lost inside any partition of its
+        /// device, else carries the first active gray fault's delay, and
+        /// only a lossy gray fault can drop it.
+        #[test]
+        fn deliver_is_what_the_plan_says(
+            plan in arb_plan(6, 40_000),
+            d in 0u32..6,
+            at_us in 0u64..40_000,
+            nonce in any::<u64>(),
+        ) {
+            let d = DeviceId(d);
+            let live = |from_us: Micros, until_us: Micros| from_us <= at_us && at_us < until_us;
+            let cut = plan.partitions.iter().any(|p| live(p.from_us, p.until_us) && p.island.contains(&d));
+            let gray = plan.grays.iter().find(|g| g.device == d && live(g.from_us, g.until_us));
+            let got = plan.deliver(d, at_us, nonce);
+            match (cut, gray) {
+                (true, _) => prop_assert_eq!(got, None),
+                (false, None) => prop_assert_eq!(got, Some(0)),
+                (false, Some(g)) => match g.drop_per_mille {
+                    0 => prop_assert_eq!(got, Some(g.delay_us)),
+                    1000 => prop_assert_eq!(got, None),
+                    _ => prop_assert!(got.is_none() || got == Some(g.delay_us)),
+                },
+            }
+        }
     }
 
     /// One heartbeat's fate as a character: `-` when it is cut or
     /// dropped, else its extra delay (`0`, or the letter of one of the
     /// golden plan's gray delays).
     fn beat(plan: &NetPlan, d: u32, at_us: Micros, nonce: u64) -> char {
-        let del = plan.deliver(dev(d), Endpoint::Control, at_us, nonce);
-        if !del.delivered() {
-            return '-';
-        }
-        match del.delay_us {
-            0 => '0',
-            50 => 'a',
-            80 => 'b',
-            120 => 'c',
-            300 => 'd',
-            other => panic!("unexpected delay {other}"),
+        match plan.deliver(DeviceId(d), at_us, nonce) {
+            None => '-',
+            Some(delay_us) => match [0, 50, 80, 120, 300].iter().position(|&x| x == delay_us) {
+                Some(i) => char::from(b"0abcd"[i]),
+                None => panic!("unexpected delay {delay_us}"),
+            },
         }
     }
 
@@ -414,26 +351,8 @@ pub(crate) mod tests {
         // gray delay under a partition (device 2), two overlapping gray
         // windows on one device (device 4: the first listed wins) and
         // one lossy gray (device 5).
-        let gray = |d, from_us, until_us, delay_us, drop_per_mille| GrayFault {
-            device: DeviceId(d),
-            from_us,
-            until_us,
-            delay_us,
-            drop_per_mille,
-        };
         let plan = NetPlan {
-            partitions: vec![
-                Partition {
-                    island: vec![DeviceId(1), DeviceId(2)],
-                    from_us: 200,
-                    until_us: 600,
-                },
-                Partition {
-                    island: vec![DeviceId(2), DeviceId(3)],
-                    from_us: 400,
-                    until_us: 900,
-                },
-            ],
+            partitions: vec![island(&[1, 2], 200, 600), island(&[2, 3], 400, 900)],
             grays: vec![
                 gray(2, 100, 700, 300, 0),
                 gray(4, 0, 500, 50, 0),
@@ -441,21 +360,16 @@ pub(crate) mod tests {
                 gray(5, 200, 1_000, 120, 400),
             ],
             seed: 0x5eed,
-            ..NetPlan::default()
         };
         // One row per device; one group of four nonces per time
         // 0, 100, …, 1 100.
+        let group = |d, t: Micros| {
+            (0..4)
+                .map(|n| beat(&plan, d, t * 100, n))
+                .collect::<String>()
+        };
         let rows: Vec<String> = (0..6)
-            .map(|d| {
-                (0..12)
-                    .map(|t| {
-                        (0..4)
-                            .map(|n| beat(&plan, d, t * 100, n))
-                            .collect::<String>()
-                    })
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
+            .map(|d| (0..12).map(|t| group(d, t)).collect::<Vec<_>>().join(" "))
             .collect();
         let golden = [
             "0000 0000 0000 0000 0000 0000 0000 0000 0000 0000 0000 0000",
@@ -466,74 +380,5 @@ pub(crate) mod tests {
             "0000 0000 --cc --c- cc-c cccc cc-- ccc- c-c- c-c- 0000 0000",
         ];
         assert_eq!(rows, golden);
-    }
-
-    #[test]
-    fn link_fault_applies_drop_delay_and_duplication_both_ways() {
-        let plan = NetPlan {
-            links: vec![LinkFault {
-                a: dev(1),
-                b: dev(2),
-                from_us: 0,
-                until_us: 100,
-                drop_per_mille: 0,
-                delay_us: 30,
-                duplicate: true,
-            }],
-            ..Default::default()
-        };
-        for (f, t) in [(dev(1), dev(2)), (dev(2), dev(1))] {
-            let d = plan.deliver(f, t, 50, 0);
-            assert_eq!(
-                d,
-                Delivery {
-                    copies: 2,
-                    delay_us: 30
-                }
-            );
-        }
-        // Unrelated links are clean.
-        let d = plan.deliver(dev(1), dev(3), 50, 0);
-        assert_eq!(
-            d,
-            Delivery {
-                copies: 1,
-                delay_us: 0
-            }
-        );
-    }
-
-    #[test]
-    fn shifted_rebases_every_window() {
-        let plan = NetPlan {
-            partitions: vec![Partition {
-                island: vec![DeviceId(1)],
-                from_us: 10,
-                until_us: 20,
-            }],
-            grays: vec![GrayFault {
-                device: DeviceId(2),
-                from_us: 5,
-                until_us: 15,
-                delay_us: 1,
-                drop_per_mille: 0,
-            }],
-            links: vec![LinkFault {
-                a: dev(1),
-                b: dev(2),
-                from_us: 0,
-                until_us: 8,
-                drop_per_mille: 1000,
-                delay_us: 0,
-                duplicate: false,
-            }],
-            seed: 0,
-        }
-        .shifted(1_000);
-        assert_eq!(plan.partitions[0].from_us, 1_010);
-        assert_eq!(plan.partitions[0].until_us, 1_020);
-        assert_eq!(plan.grays[0].from_us, 1_005);
-        assert_eq!(plan.links[0].until_us, 1_008);
-        assert_eq!(plan.horizon_us(), 1_020);
     }
 }

@@ -10,7 +10,7 @@
 //! # Allocation fast path
 //!
 //! The pool maintains an incremental free-capacity index (see
-//! [`PoolIndex`]) so the hot operations are sub-linear in device count:
+//! `PoolIndex`) so the hot operations are sub-linear in device count:
 //!
 //! | operation            | naive (seed)     | indexed            |
 //! |----------------------|------------------|--------------------|

@@ -27,4 +27,4 @@ pub mod warmpool;
 pub use env::{defends, AttackVector, CostModel, EnvKind};
 pub use instance::{EnvState, Environment, InstanceId};
 pub use select::{select_env, EnvironmentPlan, SelectError};
-pub use warmpool::{WarmAcquire, WarmInstance, WarmPool, WarmPoolConfig, WarmPoolStats};
+pub use warmpool::{WarmAcquire, WarmPool, WarmPoolConfig, WarmPoolStats};

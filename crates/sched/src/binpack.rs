@@ -12,9 +12,9 @@
 //! The seed implementation re-scanned every open server per placed
 //! demand (O(servers) per demand, quadratic per workload). For
 //! first-fit the cluster now maintains a segment tree of per-dimension
-//! free maxima ([`MaxSegTree`]) whose leftmost-fit descent answers in
+//! free maxima (`MaxSegTree`) whose leftmost-fit descent answers in
 //! O(log servers) with the exact `iter().position()` semantics.
-//! Best-fit is the seed's scan ([`best_fit`]), shared by both clusters:
+//! Best-fit is the seed's scan (`best_fit`), shared by both clusters:
 //! no end-to-end metric exercises it, so an index for it would have to
 //! move a gated number first.
 //!

@@ -6,7 +6,7 @@ use std::fmt;
 use udc_economics::{demand_of_app, AdmissionVerdict, SharedQuotaGate};
 use udc_hal::pool::AllocConstraints;
 use udc_hal::{AllocError, Allocation, Datacenter, DeviceId, ResourcePool};
-use udc_isolate::{select_env, EnvKind, EnvironmentPlan, WarmInstance, WarmPool, WarmPoolConfig};
+use udc_isolate::{select_env, EnvKind, EnvironmentPlan, WarmPool, WarmPoolConfig};
 use udc_spec::{
     AppSpec, ConflictPolicy, Goal, ModuleId, ModuleKind, ResolvedApp, ResourceKind, ResourceVector,
     SpecError,
@@ -251,9 +251,9 @@ pub struct Scheduler {
     /// hub) and kept only so that walk allocates nothing after the
     /// first.
     cands: Vec<PolicyCtx>,
-    /// The warm instances the placement in progress drew, in order: a
-    /// refused app hands them back.
-    drawn: Vec<(EnvKind, WarmInstance)>,
+    /// The classes of the warm instances the placement in progress
+    /// drew: a refused app hands them back.
+    drawn: Vec<EnvKind>,
 }
 
 impl Scheduler {
@@ -408,8 +408,8 @@ impl Scheduler {
             // warm instances the earlier modules took.
             let placed = placed.inspect_err(|_| {
                 self.release_app(dc, &placement);
-                for (kind, instance) in self.drawn.drain(..).rev() {
-                    self.warm_pool.restore(kind, instance);
+                for kind in self.drawn.drain(..) {
+                    self.warm_pool.restore(kind);
                 }
             })?;
             mspan.exit();
@@ -1126,16 +1126,12 @@ impl Scheduler {
     }
 
     fn start_env(&mut self, env: EnvironmentPlan, ctx: Option<TraceCtx>) -> (StartMode, u64) {
-        let was_ready = self.warm_pool.ready(env.kind) > 0;
         let got = {
             let _span = self.obs.span_opt(ctx.as_ref(), "isolate.acquire");
             self.warm_pool.acquire_detailed(env.kind)
         };
-        if got.warm {
-            let instance = WarmInstance { device: got.device };
-            self.drawn.push((env.kind, instance));
-        }
-        let mode = if was_ready {
+        let mode = if got.warm {
+            self.drawn.push(env.kind);
             StartMode::Warm
         } else {
             StartMode::Cold
@@ -1661,6 +1657,40 @@ mod tests {
         assert!(p_warm.total_startup_us() < p_cold.total_startup_us());
         assert_eq!(p_warm.warm_fraction(), 1.0);
         assert_eq!(p_cold.warm_fraction(), 0.0);
+    }
+
+    #[test]
+    fn a_pool_of_one_starts_one_module_warm_and_the_rest_cold() {
+        let mut app = AppSpec::new("w");
+        for id in ["A1", "A2", "A3"] {
+            app.add_task(TaskSpec::new(id));
+        }
+        let mut sched = Scheduler::new(SchedOptions {
+            warm_pool: WarmPoolConfig::uniform(1),
+            ..Default::default()
+        });
+        let placed = sched.place_app(&mut dc(), &app).unwrap();
+        let modes: Vec<StartMode> = placed.modules.values().map(|m| m.start_mode).collect();
+        assert_eq!(modes, [StartMode::Warm, StartMode::Cold, StartMode::Cold]);
+        let stats = sched.warm_pool_mut().stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+    }
+
+    #[test]
+    fn a_refused_replacement_draws_no_warm_instance() {
+        let mut sched = Scheduler::new(SchedOptions {
+            warm_pool: WarmPoolConfig::uniform(1),
+            ..Default::default()
+        });
+        let mut dc = dc();
+        let app = ResolvedApp::new(&simple_app(), ConflictPolicy::StrictestWins).unwrap();
+        let placed = sched.place(&mut dc, &app, None).unwrap();
+        let before = sched.warm_pool_mut().stats();
+        let everywhere = dc.device_ids();
+        let id = ModuleId::from("A1");
+        let refused = sched.replace_module(&mut dc, &app, &id, &placed, &everywhere, None);
+        assert!(refused.is_err(), "every device is excluded");
+        assert_eq!(sched.warm_pool_mut().stats(), before);
     }
 
     #[test]

@@ -7,17 +7,16 @@
 //! "actually happened" side: a deterministic observability substrate
 //! the whole control plane reports into, with three pillars:
 //!
-//! - [`metrics`] — a [`MetricsRegistry`](metrics::MetricsRegistry) of
-//!   counters, gauges (with high-water marks), and log-bucketed
-//!   histograms with bounded-error quantiles, keyed by metric name plus
-//!   `(tenant, module)` [`Labels`];
+//! - [`metrics`] — a `MetricsRegistry` of counters, gauges (with
+//!   high-water marks), and log-bucketed histograms with bounded-error
+//!   quantiles, keyed by metric name plus `(tenant, module)` [`Labels`];
 //! - [`span`] — nested span tracing (`telemetry.span("sched.place")`)
 //!   timestamped from the *simulated* clock, so traces are reproducible
 //!   bit-for-bit across runs;
 //! - [`recorder`] — a fixed-capacity flight recorder of structured
-//!   [`Event`](recorder::Event)s (placements, conflict resolutions,
-//!   cold starts, failures, autoscale actions) that survives to JSON
-//!   export for offline analysis.
+//!   [`Event`]s (placements, conflict resolutions, cold starts, failures,
+//!   autoscale actions) that survives to JSON export for offline
+//!   analysis.
 //!
 //! The hub itself ([`Telemetry`]) is cheap to clone and share. A
 //! *disabled* hub (the default) is a true no-op: every method returns
@@ -166,14 +165,9 @@ impl Telemetry {
         Self::default()
     }
 
-    /// An enabled hub with the default flight-recorder capacity.
+    /// An enabled hub with the default ring capacities.
     pub fn enabled() -> Self {
-        Self::with_recorder_capacity(DEFAULT_RECORDER_CAPACITY)
-    }
-
-    /// An enabled hub retaining at most `capacity` flight events.
-    pub fn with_recorder_capacity(capacity: usize) -> Self {
-        Self::with_capacities(capacity, DEFAULT_DECISION_CAPACITY)
+        Self::with_capacities(DEFAULT_RECORDER_CAPACITY, DEFAULT_DECISION_CAPACITY)
     }
 
     /// An enabled hub with explicit ring capacities for the flight
@@ -667,6 +661,31 @@ mod tests {
         let snap = hub.snapshot();
         assert_eq!(snap.alerts.len(), 3);
         assert_eq!(snap.dropped_alerts, 0);
+    }
+
+    #[test]
+    fn an_enabled_hub_keeps_the_default_ring_capacities() {
+        let hub = Telemetry::enabled();
+        for _ in 0..DEFAULT_RECORDER_CAPACITY + 3 {
+            hub.event(EventKind::Measurement, Labels::none(), &[]);
+        }
+        for _ in 0..DEFAULT_DECISION_CAPACITY + 2 {
+            hub.decide(Decision {
+                ctx: None,
+                stage: "s",
+                module: "m",
+                candidate: "c",
+                accepted: false,
+                reason: ReasonCode::Capacity,
+                score: None,
+                detail: String::new(),
+            });
+        }
+        let snap = hub.snapshot();
+        assert_eq!(snap.events.len(), DEFAULT_RECORDER_CAPACITY);
+        assert_eq!(snap.dropped_events, 3);
+        assert_eq!(snap.decisions.len(), DEFAULT_DECISION_CAPACITY);
+        assert_eq!(snap.dropped_decisions, 2);
     }
 
     #[test]

@@ -339,8 +339,8 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times the routine: geometric warm-up to find a batch size that
-    /// runs for at least [`WARMUP_TARGET`], then the median of
-    /// [`MEASURE_BATCHES`] timed batches. (In an interleaved group the
+    /// runs for at least `WARMUP_TARGET`, then the median of
+    /// `MEASURE_BATCHES` timed batches. (In an interleaved group the
     /// two phases run separately, driven by [`InterleavedGroup`].)
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         let (warmup_target, measure_batches) = if quick_mode() {

@@ -5,7 +5,7 @@ use rand::Rng;
 
 use crate::strategy::Strategy;
 
-/// An inclusive size window accepted by [`vec`].
+/// An inclusive size window accepted by [`vec()`].
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
     min: usize,

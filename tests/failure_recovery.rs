@@ -4,9 +4,7 @@
 
 use bytes::Bytes;
 use udc::actor::{Actor, ActorError, ActorId, Ctx, Message, SupervisionPolicy, System};
-use udc::dist::{
-    recover, CheckpointStore, DomainTracker, RecoveryStrategy, ReplicatedStore, ReplicationParams,
-};
+use udc::dist::{recover, CheckpointStore, RecoveryStrategy, ReplicatedStore, ReplicationParams};
 use udc::hal::{Datacenter, FailureEvent, FailurePlan};
 use udc::spec::ConsistencyLevel;
 
@@ -122,28 +120,6 @@ fn crash_recovery_checkpoint_equals_reexecution() {
     assert_eq!(via_reexec.n, 500);
     assert_eq!(r1.replayed, 500);
     assert_eq!(r2.replayed, 100, "only the post-checkpoint suffix");
-}
-
-#[test]
-fn failure_domains_partition_blast_radius() {
-    let mut domains = DomainTracker::new();
-    // The medical pipeline's natural domains: diagnosis path vs
-    // analytics path vs storage.
-    for m in ["A1", "A2", "A3", "A4"] {
-        domains.assign(m, "diagnosis");
-    }
-    for m in ["B1", "B2"] {
-        domains.assign(m, "analytics");
-    }
-    for m in ["S1", "S2", "S3", "S4"] {
-        domains.assign(m, "storage");
-    }
-    let blast = domains.blast_radius("A2");
-    assert_eq!(blast.len(), 4);
-    assert!(blast.contains("A4"));
-    assert!(!blast.contains("B1"), "analytics fails independently");
-    assert!(domains.independent("A1", "S1"));
-    assert!(!domains.independent("B1", "B2"));
 }
 
 #[test]
