@@ -84,9 +84,9 @@ pub enum ModuleHealth {
 /// has ever been impacted (absent = healthy).
 #[derive(Debug, Clone)]
 pub struct HealthState {
-    /// Failed re-placement attempts a module may retry before it is
-    /// declared [`ModuleHealth::Degraded`] (default 5; public so
-    /// harnesses can tighten the budget).
+    /// Retries a module gets after a failed re-placement: the failure
+    /// past them declares it [`ModuleHealth::Degraded`] (default 5, so
+    /// the sixth failed attempt; public so harnesses can tighten it).
     pub max_retries: u32,
     modules: BTreeMap<ModuleId, ModuleHealth>,
 }

@@ -1,6 +1,5 @@
 //! Cross-crate failure-injection tests: device crashes, replica
-//! durability, checkpoint/replay recovery, and failure-domain semantics
-//! (§3.4).
+//! durability and checkpoint/replay recovery (§3.4).
 
 use bytes::Bytes;
 use udc::actor::{Actor, ActorError, ActorId, Ctx, Message, SupervisionPolicy, System};
