@@ -298,8 +298,8 @@ impl UdcCloud {
         self.detector.as_ref()
     }
 
-    /// Installs the deterministic network fault plan (partitions, gray
-    /// devices, per-link faults). Consulted by the lease detector's
+    /// Installs the deterministic network fault plan (partitions and
+    /// gray devices). Consulted by the lease detector's
     /// heartbeat delivery; [`NetPlan::none`] (the default) is a perfect
     /// network.
     pub fn set_net_plan(&mut self, net: NetPlan) {

@@ -806,8 +806,8 @@ impl UdcCloud {
     }
 
     /// Audits the suspicion lifecycle of `dep`'s modules since its last
-    /// look: a gray device's story — suspected, held back, exonerated
-    /// without eviction — must be explainable from the artifact just
+    /// look: a gray device's story — suspected, exonerated without
+    /// eviction — must be explainable from the artifact just
     /// like a real eviction, for every deployment on the device.
     fn audit_suspicion(&self, dep: &Deployment, seen: u64) {
         for (id, p) in &dep.placement.modules {
