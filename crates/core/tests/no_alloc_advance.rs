@@ -1,12 +1,15 @@
 //! A quiet `advance` allocates nothing: once a converged deployment has
 //! been looked at in full, the control loop's per-deployment visit
 //! touches neither the allocator nor its modules — even with a dead
-//! device elsewhere in the datacenter. Counted with a thread-local
+//! device elsewhere in the datacenter, and with lease detection polling
+//! heartbeats across a partition. Counted with a thread-local
 //! counting allocator (the harness runs tests on parallel threads).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use udc_core::{CloudConfig, UdcCloud};
+use udc_failure::{DetectorConfig, NetPlan, Partition};
+use udc_hal::clock::Micros;
 use udc_hal::{FailureEvent, FailurePlan};
 
 struct CountingAlloc;
@@ -87,4 +90,49 @@ fn a_quiet_detached_advance_does_not_allocate() {
         }
     });
     assert_eq!(n, 0, "1 000 quiet advances allocated {n} times");
+}
+
+#[test]
+fn a_quiet_lease_mode_advance_does_not_allocate() {
+    let mut cloud = UdcCloud::new(CloudConfig::default());
+    cloud.attach_failure_detection(DetectorConfig::default());
+    let mut dep = cloud
+        .submit(&udc_workload::microservice_chain(3))
+        .expect("fits the default datacenter");
+    let used: Vec<_> = dep
+        .placement
+        .modules
+        .values()
+        .flat_map(|p| p.allocations.iter().flat_map(|a| a.devices()))
+        .collect();
+    let idle = cloud
+        .datacenter()
+        .device_ids()
+        .into_iter()
+        .find(|d| !used.contains(d))
+        .expect("an idle device");
+    // Cut off for the whole run, so every poll's window meets the
+    // partition and the device's beats are replayed one by one.
+    cloud.set_net_plan(NetPlan {
+        partitions: vec![Partition {
+            island: vec![idle],
+            from_us: 0,
+            until_us: Micros::MAX,
+        }],
+        ..NetPlan::none()
+    });
+
+    // Confirmed dead before counting starts; the deployment never held
+    // anything there.
+    let report = cloud.advance(&mut dep, 500_000);
+    assert_eq!(report.confirmed, vec![idle]);
+    assert!(report.detected.is_empty() && dep.health.is_converged());
+
+    let n = allocs_during(|| {
+        for i in 0..1_000 {
+            let report = cloud.advance(&mut dep, i % 2 * 1_000);
+            assert!(report.is_quiet());
+        }
+    });
+    assert_eq!(n, 0, "1 000 quiet lease-mode advances allocated {n} times");
 }

@@ -75,33 +75,39 @@ impl NetPlan {
         Self::default()
     }
 
-    /// The gray fault affecting `d` at `now`, if any: the first listed.
-    fn gray_at(&self, d: DeviceId, now: Micros) -> Option<&GrayFault> {
-        self.grays.iter().find(|g| g.device == d && g.active(now))
-    }
-
     /// Resolves the heartbeat `d` sends the control plane at `at_us`:
     /// `None` when it is lost (a partition cuts `d` off, or its gray
     /// fault drops it), else the extra delay it arrives with. `nonce`
     /// distinguishes beats sent at the same instant (a beat sequence
     /// number) so their coin flips are independent yet reproducible.
     ///
-    /// Kept out of line: inlined into [`LeaseDetector::observe`]'s
-    /// per-beat loop, it grew that function by a third, and the
-    /// end-to-end benchmark's `fleet_attached` tick (lease detection on)
-    /// ran ~10 % slower at the median on a 2-core Xeon. The partition
-    /// scan is a plain loop for the same caller: written with
-    /// `Iterator::any`, it left `observe` 15 % larger.
+    /// This is the rule [`LeaseDetector::observe`] applies, asked of
+    /// every fault in the plan; the detector asks it of the faults live
+    /// in its poll's window only.
     ///
     /// [`LeaseDetector::observe`]: crate::LeaseDetector::observe
-    #[inline(never)]
     pub fn deliver(&self, d: DeviceId, at_us: Micros, nonce: u64) -> Option<Micros> {
-        for p in &self.partitions {
+        self.resolve(&self.partitions, &self.grays, d, at_us, nonce)
+    }
+
+    /// The delivery rule over `partitions` and `grays`: a sub-list of
+    /// this plan's faults, in plan order, holding every fault live at
+    /// `at_us`. A partition that cuts `d` off wins; else the first gray
+    /// fault of `d` live at `at_us` delays or drops the beat.
+    fn resolve<'a>(
+        &self,
+        partitions: impl IntoIterator<Item = &'a Partition>,
+        grays: impl IntoIterator<Item = &'a GrayFault>,
+        d: DeviceId,
+        at_us: Micros,
+        nonce: u64,
+    ) -> Option<Micros> {
+        for p in partitions {
             if p.cuts(d, at_us) {
                 return None;
             }
         }
-        let Some(g) = self.gray_at(d, at_us) else {
+        let Some(g) = grays.into_iter().find(|g| g.device == d && g.active(at_us)) else {
             return Some(0);
         };
         if g.drop_per_mille > 0 {
@@ -114,6 +120,80 @@ impl NetPlan {
             }
         }
         Some(g.delay_us)
+    }
+}
+
+/// The faults of a [`NetPlan`] that one poll's heartbeats can meet:
+/// those whose window overlaps the poll's emission window, by index in
+/// plan order, and the devices they name. The buffers are kept from
+/// poll to poll, so narrowing allocates nothing once they have grown.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Live {
+    partitions: Vec<usize>,
+    grays: Vec<usize>,
+    /// Every island member and gray device of the faults above, in id
+    /// order, without repeats.
+    devices: Vec<DeviceId>,
+}
+
+impl Live {
+    /// Narrows `net` to the faults live at some instant of
+    /// `(after_us, until_us]`, in one pass over the plan. Keeping a
+    /// fault that turns out not to matter is harmless (delivery checks
+    /// its window again); dropping one live at some emission would not be.
+    pub(crate) fn narrow(&mut self, net: &NetPlan, after_us: Micros, until_us: Micros) {
+        let meets = |from_us: Micros, to_us: Micros| from_us <= until_us && to_us > after_us;
+        self.partitions.clear();
+        self.grays.clear();
+        self.devices.clear();
+        for (i, p) in net.partitions.iter().enumerate() {
+            if meets(p.from_us, p.until_us) {
+                self.partitions.push(i);
+                self.devices.extend_from_slice(&p.island);
+            }
+        }
+        for (i, g) in net.grays.iter().enumerate() {
+            if meets(g.from_us, g.until_us) {
+                self.grays.push(i);
+                self.devices.push(g.device);
+            }
+        }
+        self.devices.sort_unstable();
+        self.devices.dedup();
+    }
+
+    /// The devices a narrowed fault names. Every beat any other device
+    /// emits inside the window arrives at once.
+    pub(crate) fn devices(&self) -> &[DeviceId] {
+        &self.devices
+    }
+
+    /// [`NetPlan::deliver`] for a beat emitted inside the narrowed
+    /// window, asked of the narrowed faults only.
+    ///
+    /// Kept out of line: only a device a narrowed fault names, or one
+    /// with an event this poll, replays its beats through here, so
+    /// inlining would grow [`LeaseDetector::observe`] for its cold path.
+    /// When every beat took this route, inlining the delivery rule into
+    /// `observe` made the end-to-end benchmark's `fleet_attached` tick
+    /// ~10 % slower at the median on a 2-core Xeon.
+    ///
+    /// [`LeaseDetector::observe`]: crate::LeaseDetector::observe
+    #[inline(never)]
+    pub(crate) fn deliver(
+        &self,
+        net: &NetPlan,
+        d: DeviceId,
+        at_us: Micros,
+        nonce: u64,
+    ) -> Option<Micros> {
+        net.resolve(
+            self.partitions.iter().map(|&i| &net.partitions[i]),
+            self.grays.iter().map(|&i| &net.grays[i]),
+            d,
+            at_us,
+            nonce,
+        )
     }
 }
 
