@@ -215,6 +215,11 @@ pub const RING_DROPPED_RULE: &str = "telemetry.ring_dropped";
 /// attached engine's feed read them (see `HubFeed::missed`).
 pub const FEED_MISSED_COUNTER: &str = "query.feed_missed";
 
+/// The payload `UdcCloud::run` seals for a protected access edge: the
+/// edge's first `min(bytes, 4 KiB)` bytes, all `0x5a`, sliced from one
+/// static array instead of allocated per edge.
+static SEAL_SAMPLE: [u8; 4096] = [0x5a; 4096];
+
 /// The attestation key fused into `device` at build time: a pure
 /// function of the device id, so it can be derived whenever a device
 /// first hosts a launch — including one enrolled after the cloud was
@@ -613,10 +618,10 @@ impl UdcCloud {
                             .unwrap_or(udc_spec::DataProtection::NONE);
                         if prot.confidentiality || prot.integrity {
                             if let Some(key) = dep.data_keys.get(data_id) {
-                                let sample = vec![0x5au8; (bytes.min(4096)) as usize];
+                                let sample = &SEAL_SAMPLE[..bytes.min(4096) as usize];
                                 let nonce = Nonce::from_sequence(self.next_seal);
                                 self.next_seal += 1;
-                                let boxed = seal(key, nonce, id.as_str().as_bytes(), &sample);
+                                let boxed = seal(key, nonce, id.as_str().as_bytes(), sample);
                                 debug_assert!(!boxed.ciphertext.is_empty());
                                 #[cfg(test)]
                                 self.sealed_under.push((key.0, boxed.nonce));

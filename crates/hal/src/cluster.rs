@@ -126,7 +126,9 @@ pub struct Datacenter {
 }
 
 impl Datacenter {
-    /// Builds a datacenter from a configuration.
+    /// Builds a datacenter from a configuration: devices get ids in
+    /// configuration order, as if each were added with
+    /// [`Datacenter::add_device`], and each kind's pool is built at once.
     pub fn new(config: DatacenterConfig) -> Self {
         let mut dc = Self {
             clock: SimClock::new(),
@@ -137,27 +139,38 @@ impl Datacenter {
             next_device_id: 0,
             racks: config.racks.max(1),
         };
-        for pc in &config.pools {
-            for _ in 0..pc.devices {
-                dc.add_device(pc.kind, pc.capacity_per_device);
-            }
+        let mut by_kind: BTreeMap<ResourceKind, Vec<Device>> = BTreeMap::new();
+        for pc in config.pools.iter().filter(|pc| pc.devices > 0) {
+            let devices = (0..pc.devices).map(|_| dc.next_device(pc.kind, pc.capacity_per_device));
+            by_kind.entry(pc.kind).or_default().extend(devices);
         }
+        dc.pools = by_kind
+            .into_iter()
+            .map(|(kind, devices)| (kind, ResourcePool::with_devices(kind, devices)))
+            .collect();
         dc
     }
 
     /// Adds one device to the matching pool (created on demand) and
     /// registers it with the fabric. Returns its id.
     pub fn add_device(&mut self, kind: ResourceKind, capacity: u64) -> DeviceId {
-        let id = DeviceId(self.next_device_id);
-        self.next_device_id += 1;
-        let rack = (id.0 as usize % self.racks) as u32;
-        let device = Device::new(id, kind, capacity, rack);
-        self.fabric.place_device(id, rack);
+        let device = self.next_device(kind, capacity);
+        let id = device.id;
         self.pools
             .entry(kind)
             .or_insert_with(|| ResourcePool::new(kind))
             .add_device(device);
         id
+    }
+
+    /// The next device, with the next id and its round-robin rack,
+    /// registered with the fabric but in no pool yet.
+    fn next_device(&mut self, kind: ResourceKind, capacity: u64) -> Device {
+        let id = DeviceId(self.next_device_id);
+        self.next_device_id += 1;
+        let rack = (id.0 as usize % self.racks) as u32;
+        self.fabric.place_device(id, rack);
+        Device::new(id, kind, capacity, rack)
     }
 
     /// The shared simulation clock.

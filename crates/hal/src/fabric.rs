@@ -9,15 +9,7 @@
 use crate::clock::Micros;
 use crate::device::DeviceId;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use udc_telemetry::{Labels, Telemetry};
-
-/// Where a device sits in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Location {
-    /// Rack number.
-    pub rack: u32,
-}
 
 /// Fabric latency/bandwidth parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +30,9 @@ pub struct FabricConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Fabric {
     config: FabricConfig,
-    locations: BTreeMap<DeviceId, Location>,
+    /// `(device, rack)` sorted by device id. Not indexed by the raw id:
+    /// a stray `DeviceId(u32::MAX)` would then cost gigabytes.
+    locations: Vec<(DeviceId, u32)>,
     /// (bytes moved intra-rack, bytes moved cross-rack); RefCell so
     /// transfer accounting works through a shared reference.
     traffic: RefCell<Traffic>,
@@ -72,7 +66,7 @@ impl Fabric {
     pub fn new(config: FabricConfig) -> Self {
         Self {
             config,
-            locations: BTreeMap::new(),
+            locations: Vec::new(),
             traffic: RefCell::new(Traffic::default()),
             obs: Telemetry::disabled(),
         }
@@ -84,14 +78,21 @@ impl Fabric {
         self.obs = obs;
     }
 
-    /// Registers a device's location.
+    /// Registers a device's location, replacing any earlier one.
     pub fn place_device(&mut self, id: DeviceId, rack: u32) {
-        self.locations.insert(id, Location { rack });
+        match self.find(id) {
+            Ok(i) => self.locations[i].1 = rack,
+            Err(i) => self.locations.insert(i, (id, rack)),
+        }
     }
 
     /// The rack a device sits in (None if unregistered).
     pub fn rack_of(&self, id: DeviceId) -> Option<u32> {
-        self.locations.get(&id).map(|l| l.rack)
+        self.find(id).ok().map(|i| self.locations[i].1)
+    }
+
+    fn find(&self, id: DeviceId) -> Result<usize, usize> {
+        self.locations.binary_search_by_key(&id, |&(d, _)| d)
     }
 
     /// One-way latency between two devices, ignoring payload size.

@@ -35,6 +35,6 @@ pub mod pool;
 pub use clock::SimClock;
 pub use cluster::{Datacenter, DatacenterConfig, PoolConfig, TickReport};
 pub use device::{Device, DeviceId, DeviceState, PerfProfile};
-pub use fabric::{Fabric, FabricConfig, Location};
+pub use fabric::{Fabric, FabricConfig};
 pub use failure::{FailureEvent, FailurePlan};
 pub use pool::{AllocConstraints, AllocError, Allocation, ResourcePool, Slice};

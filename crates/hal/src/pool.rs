@@ -21,6 +21,7 @@
 //! | `available_for`      | O(n)             | O(log n + X)       |
 //! | `total_capacity`     | O(n)             | O(1)               |
 //! | `total_used`         | O(n)             | O(1)               |
+//! | build (n devices)    | O(n log n)       | O(n log n), 1 pass |
 //!
 //! where `A` = `constraints.avoid.len()` and `X` = devices the tenant
 //! already occupies (both small in practice). The observable behavior is
@@ -38,7 +39,7 @@ use crate::device::{Device, DeviceId, DeviceState};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Bound::Excluded, Deref, DerefMut, RangeBounds, RangeInclusive};
 use udc_spec::ResourceKind;
 
 /// A slice of one device held by an allocation.
@@ -188,9 +189,9 @@ struct DevMeta {
 }
 
 impl DevMeta {
-    // Kept out of line, like `PoolIndex::insert`: `reindex_device` is the
-    // only caller of both, and with the two inlined into it the
-    // end-to-end benchmark's `fleet_attached` ticks measured ~18 % slower.
+    // Kept out of line, like `Index::edit`: inlined into `reindex_device`,
+    // this and the old `PoolIndex::insert` made `fleet_attached` ~18 %
+    // slower. Out of line, `UdcCloud::advance` kept its code size.
     #[inline(never)]
     fn of(d: &Device) -> Self {
         let mut tenants = d.tenants();
@@ -229,9 +230,10 @@ impl DevMeta {
 /// their sharing state:
 ///
 /// - *general*: healthy, no exclusive holder — free for every tenant;
-///   keyed ascending by `(free, id)` (globally and per rack). Best-fit
-///   probes read it forwards; worst-fit spills walk it one free level
-///   at a time from the top (see [`desc_by_free`]).
+///   keyed ascending by `(free, id)` globally and by `(rack, free, id)`
+///   in one tree whose rack prefixes are the per-rack partitions.
+///   Best-fit probes read it forwards; worst-fit spills walk it one free
+///   level at a time from the top (see [`desc_by_free`]).
 /// - *vacant*: healthy with no allocations at all — the only devices a
 ///   tenant with no footprint can take exclusively.
 /// - *sole\[t\]* / *excl\[t\]*: devices occupied by exactly tenant `t`
@@ -240,11 +242,11 @@ impl DevMeta {
 ///
 /// Failed devices appear in no partition.
 #[derive(Debug, Clone, Default)]
-struct PoolIndex {
-    general_asc: BTreeSet<(u64, DeviceId)>,
-    rack_asc: BTreeMap<u32, BTreeSet<(u64, DeviceId)>>,
-    vacant_asc: BTreeSet<(u64, DeviceId)>,
-    rack_vacant_asc: BTreeMap<u32, BTreeSet<(u64, DeviceId)>>,
+struct Index<G, R> {
+    general_asc: G,
+    rack_asc: R,
+    vacant_asc: G,
+    rack_vacant_asc: R,
     sole: BTreeMap<String, BTreeSet<DeviceId>>,
     excl: BTreeMap<String, BTreeSet<DeviceId>>,
     /// Sum of free units across the general partition.
@@ -253,86 +255,139 @@ struct PoolIndex {
     /// `total_used` in O(1)).
     healthy_capacity: u64,
     healthy_used: u64,
-    meta: BTreeMap<DeviceId, DevMeta>,
+}
+
+/// The live index. [`PoolIndex::build`] stages its keys in `Vec`s, which
+/// are only ever added to.
+type PoolIndex = Index<BTreeSet<(u64, DeviceId)>, BTreeSet<(u32, u64, DeviceId)>>;
+
+/// Where `Index::edit` writes keys: a tree, a staging `Vec`, a tenant's set.
+trait Put<K> {
+    fn put(&mut self, key: K, add: bool);
+}
+
+impl<K: Ord> Put<K> for BTreeSet<K> {
+    fn put(&mut self, key: K, add: bool) {
+        if add {
+            self.insert(key);
+        } else {
+            self.remove(&key);
+        }
+    }
+}
+
+impl<K> Put<K> for Vec<K> {
+    fn put(&mut self, key: K, _: bool) {
+        self.push(key);
+    }
+}
+
+/// Tenant `t`'s set of `id`s; a set that empties is dropped.
+impl Put<(&str, DeviceId)> for BTreeMap<String, BTreeSet<DeviceId>> {
+    fn put(&mut self, (t, id): (&str, DeviceId), add: bool) {
+        if add {
+            self.entry(t.to_string()).or_default().insert(id);
+        } else if let Some(set) = self.get_mut(t) {
+            set.remove(&id);
+            if set.is_empty() {
+                self.remove(t);
+            }
+        }
+    }
+}
+
+impl<G: Put<(u64, DeviceId)>, R: Put<(u32, u64, DeviceId)>> Index<G, R> {
+    /// Adds (`add`) or removes a device's entries: the partition rule,
+    /// written once for inserts, removals and the bulk build. Out of line
+    /// for the reason given at `DevMeta::of`.
+    #[inline(never)]
+    fn edit(&mut self, id: DeviceId, m: &DevMeta, add: bool) {
+        if !m.healthy {
+            return;
+        }
+        let sum = |total: &mut u64, units: u64| {
+            if add {
+                *total += units;
+            } else {
+                *total -= units;
+            }
+        };
+        sum(&mut self.healthy_capacity, m.capacity);
+        sum(&mut self.healthy_used, m.used);
+        if let Some(holder) = &m.holder {
+            return self.excl.put((holder, id), add);
+        }
+        let free = m.free();
+        self.general_asc.put((free, id), add);
+        self.rack_asc.put((m.rack, free, id), add);
+        sum(&mut self.general_free, free);
+        if m.vacant() {
+            self.vacant_asc.put((m.capacity, id), add);
+            self.rack_vacant_asc.put((m.rack, m.capacity, id), add);
+        } else if let Some(t) = &m.sole {
+            self.sole.put((t, id), add);
+        }
+    }
 }
 
 impl PoolIndex {
-    // Out of line for the reason given at `DevMeta::of`.
-    #[inline(never)]
-    fn insert(&mut self, id: DeviceId, m: &DevMeta) {
-        if !m.healthy {
-            return;
+    /// The index of `devices` in one pass: `edit` stages each tree's keys
+    /// in a `Vec`, and `collect` sorts them and bulk-loads the tree into
+    /// full nodes, where one insert per key would leave them half empty.
+    fn build(devices: &[(Device, DevMeta)]) -> Self {
+        let mut staged = Index::<Vec<_>, Vec<_>>::default();
+        for (d, m) in devices {
+            staged.edit(d.id, m, true);
         }
-        self.healthy_capacity += m.capacity;
-        self.healthy_used += m.used;
-        match &m.holder {
-            Some(holder) => {
-                self.excl.entry(holder.clone()).or_default().insert(id);
-            }
-            None => {
-                let free = m.free();
-                self.general_asc.insert((free, id));
-                self.rack_asc.entry(m.rack).or_default().insert((free, id));
-                self.general_free += free;
-                if m.vacant() {
-                    self.vacant_asc.insert((m.capacity, id));
-                    self.rack_vacant_asc
-                        .entry(m.rack)
-                        .or_default()
-                        .insert((m.capacity, id));
-                } else if let Some(t) = &m.sole {
-                    self.sole.entry(t.clone()).or_default().insert(id);
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, id: DeviceId, m: &DevMeta) {
-        if !m.healthy {
-            return;
-        }
-        self.healthy_capacity -= m.capacity;
-        self.healthy_used -= m.used;
-        match &m.holder {
-            Some(holder) => {
-                if let Some(set) = self.excl.get_mut(holder) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.excl.remove(holder);
-                    }
-                }
-            }
-            None => {
-                let free = m.free();
-                self.general_asc.remove(&(free, id));
-                if let Some(set) = self.rack_asc.get_mut(&m.rack) {
-                    set.remove(&(free, id));
-                }
-                self.general_free -= free;
-                if m.vacant() {
-                    self.vacant_asc.remove(&(m.capacity, id));
-                    if let Some(set) = self.rack_vacant_asc.get_mut(&m.rack) {
-                        set.remove(&(m.capacity, id));
-                    }
-                } else if let Some(t) = &m.sole {
-                    if let Some(set) = self.sole.get_mut(t) {
-                        set.remove(&id);
-                        if set.is_empty() {
-                            self.sole.remove(t);
-                        }
-                    }
-                }
-            }
+        Index {
+            general_asc: staged.general_asc.into_iter().collect(),
+            rack_asc: staged.rack_asc.into_iter().collect(),
+            vacant_asc: staged.vacant_asc.into_iter().collect(),
+            rack_vacant_asc: staged.rack_vacant_asc.into_iter().collect(),
+            sole: staged.sole,
+            excl: staged.excl,
+            general_free: staged.general_free,
+            healthy_capacity: staged.healthy_capacity,
+            healthy_used: staged.healthy_used,
         }
     }
 }
 
-/// An ascending `(free, id)` set in worst-fit order — free descending,
-/// id ascending — walked one free level at a time from the top.
-fn desc_by_free(set: &BTreeSet<(u64, DeviceId)>) -> impl Iterator<Item = (u64, DeviceId)> + '_ {
-    let level_below = |free: u64| set.range(..(free, DeviceId(0))).next_back();
-    std::iter::successors(set.last(), move |&&(free, _)| level_below(free))
-        .flat_map(|&(free, _)| set.range((free, DeviceId(0))..=(free, DeviceId(u32::MAX))))
+/// A key that ends in `(free, id)`: a global `(free, id)` key, or a
+/// `(rack, free, id)` key whose rack prefix is one rack's partition.
+trait FreeKey: Ord + Copy {
+    /// The key with `DeviceId(id)` for its id: its free level's bounds.
+    fn with_id(self, id: u32) -> Self;
+}
+
+impl FreeKey for (u64, DeviceId) {
+    fn with_id(self, id: u32) -> Self {
+        (self.0, DeviceId(id))
+    }
+}
+
+impl FreeKey for (u32, u64, DeviceId) {
+    fn with_id(self, id: u32) -> Self {
+        (self.0, self.1, DeviceId(id))
+    }
+}
+
+/// The keys of rack `r`'s partition with at least `free` units.
+fn rack_keys(r: u32, free: u64) -> RangeInclusive<(u32, u64, DeviceId)> {
+    (r, free, DeviceId(0))..=(r, u64::MAX, DeviceId(u32::MAX))
+}
+
+/// The `keys` of an ascending tree (all of a `(free, id)` tree, or one
+/// rack's prefix) in worst-fit order — free descending, id ascending —
+/// walked one free level at a time from the top.
+fn desc_by_free<K: FreeKey>(
+    set: &BTreeSet<K>,
+    keys: impl RangeBounds<K>,
+) -> impl Iterator<Item = K> + '_ {
+    let lo = keys.start_bound().cloned();
+    let level_below = move |k: K| set.range((lo, Excluded(k.with_id(0)))).next_back();
+    std::iter::successors(set.range(keys).next_back(), move |&&k| level_below(k))
+        .flat_map(move |&k| set.range(k.with_id(0)..=k.with_id(u32::MAX)))
         .copied()
 }
 
@@ -340,7 +395,8 @@ fn desc_by_free(set: &BTreeSet<(u64, DeviceId)>) -> impl Iterator<Item = (u64, D
 #[derive(Debug, Clone)]
 pub struct ResourcePool {
     kind: ResourceKind,
-    devices: BTreeMap<DeviceId, Device>,
+    /// Every device beside its index snapshot, sorted by id.
+    devices: Vec<(Device, DevMeta)>,
     index: PoolIndex,
 }
 
@@ -349,8 +405,32 @@ impl ResourcePool {
     pub fn new(kind: ResourceKind) -> Self {
         Self {
             kind,
-            devices: BTreeMap::new(),
+            devices: Vec::new(),
             index: PoolIndex::default(),
+        }
+    }
+
+    /// A pool of `devices` built in one pass: sorted by id (O(n) if they
+    /// are), each snapshot derived once, each index tree bulk-loaded. It
+    /// equals a pool fed them one by one with [`ResourcePool::add_device`]
+    /// in any order and state, and panics where that would.
+    pub fn with_devices(kind: ResourceKind, mut devices: Vec<Device>) -> Self {
+        devices.sort_unstable_by_key(|d| d.id);
+        for pair in devices.windows(2) {
+            assert_ne!(pair[0].id, pair[1].id, "duplicate device id in pool");
+        }
+        let devices: Vec<_> = devices
+            .into_iter()
+            .map(|d| {
+                assert_eq!(d.kind, kind, "device kind must match pool kind");
+                let m = DevMeta::of(&d);
+                (d, m)
+            })
+            .collect();
+        Self {
+            kind,
+            index: PoolIndex::build(&devices),
+            devices,
         }
     }
 
@@ -359,21 +439,24 @@ impl ResourcePool {
         self.kind
     }
 
-    /// Re-derives the index entries for one device after it changed.
-    fn reindex_device(&mut self, id: DeviceId) {
-        let new = self.devices.get(&id).map(DevMeta::of);
-        let old = match &new {
-            Some(m) => self.index.meta.insert(id, m.clone()),
-            None => self.index.meta.remove(&id),
-        };
-        if old == new {
-            return;
-        }
-        if let Some(m) = &old {
-            self.index.remove(id, m);
-        }
-        if let Some(m) = &new {
-            self.index.insert(id, m);
+    /// Where device `id` sits in `devices`, or where it would go.
+    fn find(&self, id: DeviceId) -> Result<usize, usize> {
+        self.devices.binary_search_by_key(&id, |(d, _)| d.id)
+    }
+
+    /// A device the index names, which is always in the pool.
+    fn indexed(&self, id: DeviceId) -> &Device {
+        &self.devices[self.find(id).expect("indexed device exists")].0
+    }
+
+    /// Re-derives the index entries of `devices[i]` after it changed.
+    fn reindex_device(&mut self, i: usize) {
+        let (d, meta) = &mut self.devices[i];
+        let new = DevMeta::of(d);
+        if *meta != new {
+            self.index.edit(d.id, meta, false);
+            self.index.edit(d.id, &new, true);
+            *meta = new;
         }
     }
 
@@ -386,10 +469,12 @@ impl ResourcePool {
     /// conditions.
     pub fn add_device(&mut self, device: Device) {
         assert_eq!(device.kind, self.kind, "device kind must match pool kind");
-        let id = device.id;
-        let prev = self.devices.insert(id, device);
-        assert!(prev.is_none(), "duplicate device id in pool");
-        self.reindex_device(id);
+        let Err(i) = self.find(device.id) else {
+            panic!("duplicate device id in pool");
+        };
+        let meta = DevMeta::of(&device);
+        self.index.edit(device.id, &meta, true);
+        self.devices.insert(i, (device, meta));
     }
 
     /// Number of devices (any state).
@@ -422,57 +507,41 @@ impl ResourcePool {
         }
     }
 
-    /// Free units on the tenant's private devices (exclusively held, or
-    /// solely occupied when `include_sole`), optionally capped to a rack
-    /// predicate. These sets are bounded by the tenant's own footprint,
-    /// not by pool size.
+    /// The tenant's private devices: exclusively held, then solely
+    /// occupied when `include_sole`. These sets are bounded by the
+    /// tenant's own footprint, not by pool size.
     fn tenant_devices<'a>(
         &'a self,
         tenant: &str,
         include_sole: bool,
     ) -> impl Iterator<Item = &'a Device> + 'a {
-        let excl = self.index.excl.get(tenant).into_iter().flatten();
-        let sole = if include_sole {
-            Some(self.index.sole.get(tenant).into_iter().flatten())
-        } else {
-            None
-        };
-        excl.chain(sole.into_iter().flatten())
-            .map(|id| &self.devices[id])
+        let sole = include_sole.then(|| self.index.sole.get(tenant)).flatten();
+        let excl = self.index.excl.get(tenant);
+        excl.into_iter()
+            .chain(sole)
+            .flatten()
+            .map(|&id| self.indexed(id))
     }
 
     /// Units free for `tenant` under `constraints`.
     pub fn available_for(&self, tenant: &str, constraints: &AllocConstraints) -> u64 {
-        if constraints.exclusive {
-            // Largest free slot among devices the tenant could take
-            // exclusively: vacant devices plus its own footprint.
-            let vacant_max = self
-                .index
-                .vacant_asc
-                .iter()
-                .next_back()
-                .map(|&(cap, _)| cap)
-                .unwrap_or(0);
+        if constraints.exclusive || constraints.single_device {
+            // Largest free slot on one device the tenant could take: a
+            // vacant one for exclusive use (else any general one), or one
+            // of its own footprint.
+            let shared = if constraints.exclusive {
+                &self.index.vacant_asc
+            } else {
+                &self.index.general_asc
+            };
             let own_max = self
-                .tenant_devices(tenant, true)
+                .tenant_devices(tenant, constraints.exclusive)
                 .map(|d| d.free_for(tenant))
-                .max()
-                .unwrap_or(0);
-            vacant_max.max(own_max)
-        } else if constraints.single_device {
-            let general_max = self
-                .index
-                .general_asc
-                .iter()
-                .next_back()
-                .map(|&(free, _)| free)
-                .unwrap_or(0);
-            let excl_max = self
-                .tenant_devices(tenant, false)
-                .map(|d| d.free_for(tenant))
-                .max()
-                .unwrap_or(0);
-            general_max.max(excl_max)
+                .max();
+            shared
+                .last()
+                .map_or(0, |&(free, _)| free)
+                .max(own_max.unwrap_or(0))
         } else {
             self.index.general_free
                 + self
@@ -513,7 +582,7 @@ impl ResourcePool {
             .enumerate()
             // Tolerate duplicate avoid entries: count each device once.
             .filter(|(i, id)| !constraints.avoid[..*i].contains(id))
-            .filter_map(|(_, id)| self.index.meta.get(id))
+            .filter_map(|(_, &id)| Some(&self.devices[self.find(id).ok()?].1))
             .filter(|m| m.healthy && m.holder.is_none())
             .map(|m| m.free())
             .sum();
@@ -535,11 +604,12 @@ impl ResourcePool {
         debug_assert_eq!(plan.iter().map(|&(_, u)| u).sum::<u64>(), units);
         let mut slices = Vec::with_capacity(plan.len());
         for (id, take) in plan {
-            let d = self.devices.get_mut(&id).expect("planned device exists");
+            let i = self.find(id).expect("planned device exists");
+            let d = &mut self.devices[i].0;
             let ok = d.allocate(tenant, take, false);
             debug_assert!(ok, "planned allocation must succeed");
             slices.push(Slice::carve(d, take, false));
-            self.reindex_device(id);
+            self.reindex_device(i);
         }
         Ok(Allocation {
             kind: self.kind,
@@ -563,11 +633,8 @@ impl ResourcePool {
         let mut own_near: Vec<(u64, DeviceId)> = Vec::new();
         let mut own_far: Vec<(u64, DeviceId)> = Vec::new();
         for d in self.tenant_devices(tenant, false) {
-            if avoid.contains(&d.id) {
-                continue;
-            }
             let free = d.free_for(tenant);
-            if free == 0 {
+            if free == 0 || avoid.contains(&d.id) {
                 continue;
             }
             match constraints.prefer_rack {
@@ -614,41 +681,24 @@ impl ResourcePool {
 
         match constraints.prefer_rack {
             None => {
-                let mut general = desc_by_free(&self.index.general_asc);
+                let mut general = desc_by_free(&self.index.general_asc, ..);
                 consume(&mut general, &own_near, &mut remaining, &mut plan);
             }
             Some(r) => {
-                let mut near = self
-                    .index
-                    .rack_asc
-                    .get(&r)
-                    .into_iter()
-                    .flat_map(desc_by_free);
+                let mut near = desc_by_free(&self.index.rack_asc, rack_keys(r, 0))
+                    .map(|(_, free, id)| (free, id));
                 consume(&mut near, &own_near, &mut remaining, &mut plan);
                 if remaining > 0 {
                     // Everything in rack `r` is exhausted, so the rack-r
                     // entries still present in the global stream carry
                     // zero takeable units; skip them by rack.
-                    let mut far = desc_by_free(&self.index.general_asc)
-                        .filter(|&(_, id)| self.index.meta[&id].rack != r);
+                    let mut far = desc_by_free(&self.index.general_asc, ..)
+                        .filter(|&(_, id)| self.indexed(id).rack != r);
                     consume(&mut far, &own_far, &mut remaining, &mut plan);
                 }
             }
         }
         plan
-    }
-
-    /// First entry at or above `units` in an ascending `(free, id)` set,
-    /// skipping avoided devices: the best-fit (smallest sufficient,
-    /// lowest id) candidate of that partition.
-    fn probe(
-        set: &BTreeSet<(u64, DeviceId)>,
-        units: u64,
-        avoid: &[DeviceId],
-    ) -> Option<(u64, DeviceId)> {
-        set.range((units, DeviceId(0))..)
-            .find(|(_, id)| !avoid.contains(id))
-            .copied()
     }
 
     /// The device a single-device allocation of `units` for `tenant`
@@ -685,7 +735,7 @@ impl ResourcePool {
         if let Some(req) = constraints.require_device {
             // Hard pin: only the named device can match; check it
             // directly under the same filters as the open scan.
-            if let Some(d) = self.devices.get(&req) {
+            if let Some(d) = self.device(req) {
                 if !constraints.avoid.contains(&d.id)
                     && (!constraints.exclusive || d.vacant_except(tenant))
                     && d.free_for(tenant) >= units
@@ -694,30 +744,28 @@ impl ResourcePool {
                 }
             }
         } else {
-            let shared = if constraints.exclusive {
+            let (all, by_rack) = if constraints.exclusive {
                 (&self.index.vacant_asc, &self.index.rack_vacant_asc)
             } else {
                 (&self.index.general_asc, &self.index.rack_asc)
             };
+            // Each partition's best fit: its first unavoided key ≥ `units`.
+            let avoid = &constraints.avoid;
             if let Some(r) = constraints.prefer_rack {
-                if let Some(set) = shared.1.get(&r) {
-                    if let Some((free, id)) = Self::probe(set, units, &constraints.avoid) {
-                        consider((0, free, id));
-                    }
+                let mut near = by_rack.range(rack_keys(r, units));
+                if let Some(&(_, free, id)) = near.find(|(_, _, id)| !avoid.contains(id)) {
+                    consider((0, free, id));
                 }
             }
-            if let Some((free, id)) = Self::probe(shared.0, units, &constraints.avoid) {
-                consider((penalty_of(self.index.meta[&id].rack), free, id));
+            let mut any = all.range((units, DeviceId(0))..);
+            if let Some(&(free, id)) = any.find(|(_, id)| !avoid.contains(id)) {
+                consider((penalty_of(self.indexed(id).rack), free, id));
             }
             for d in self.tenant_devices(tenant, constraints.exclusive) {
-                if constraints.avoid.contains(&d.id) {
-                    continue;
-                }
                 let free = d.free_for(tenant);
-                if free < units {
-                    continue;
+                if free >= units && !avoid.contains(&d.id) {
+                    consider((penalty_of(d.rack), free, d.id));
                 }
-                consider((penalty_of(d.rack), free, d.id));
             }
         }
         best.map(|(_, _, id)| id)
@@ -743,11 +791,12 @@ impl ResourcePool {
                 }
             });
         };
-        let d = self.devices.get_mut(&id).expect("chosen device exists");
+        let i = self.find(id).expect("chosen device exists");
+        let d = &mut self.devices[i].0;
         let ok = d.allocate(tenant, units, constraints.exclusive);
         debug_assert!(ok, "chosen device must accept the allocation");
         let slice = Slice::carve(d, units, constraints.exclusive);
-        self.reindex_device(id);
+        self.reindex_device(i);
         Ok(Allocation {
             kind: self.kind,
             tenant: tenant.to_string(),
@@ -760,32 +809,29 @@ impl ResourcePool {
     /// after failures.
     pub fn release(&mut self, alloc: &Allocation) {
         for s in &alloc.slices {
-            if let Some(d) = self.devices.get_mut(&s.device) {
-                s.release_from(d, &alloc.tenant);
-                self.reindex_device(s.device);
+            if let Ok(i) = self.find(s.device) {
+                s.release_from(&mut self.devices[i].0, &alloc.tenant);
+                self.reindex_device(i);
             }
         }
     }
 
     /// Access a device by id.
     pub fn device(&self, id: DeviceId) -> Option<&Device> {
-        self.devices.get(&id)
+        self.find(id).ok().map(|i| &self.devices[i].0)
     }
 
     /// Mutable access to a device (failure injection, repair). The
     /// returned guard re-syncs the pool's free-capacity index when
     /// dropped, so callers may mutate the device freely.
     pub fn device_mut(&mut self, id: DeviceId) -> Option<DeviceMut<'_>> {
-        if self.devices.contains_key(&id) {
-            Some(DeviceMut { pool: self, id })
-        } else {
-            None
-        }
+        let i = self.find(id).ok()?;
+        Some(DeviceMut { pool: self, i })
     }
 
     /// Iterates devices in id order.
     pub fn devices(&self) -> impl Iterator<Item = &Device> {
-        self.devices.values()
+        self.devices.iter().map(|(d, _)| d)
     }
 }
 
@@ -794,29 +840,27 @@ impl ResourcePool {
 /// folded back into the index when the guard drops.
 pub struct DeviceMut<'a> {
     pool: &'a mut ResourcePool,
-    id: DeviceId,
+    /// The device's place in the pool's `devices`.
+    i: usize,
 }
 
 impl Deref for DeviceMut<'_> {
     type Target = Device;
 
     fn deref(&self) -> &Device {
-        &self.pool.devices[&self.id]
+        &self.pool.devices[self.i].0
     }
 }
 
 impl DerefMut for DeviceMut<'_> {
     fn deref_mut(&mut self) -> &mut Device {
-        self.pool
-            .devices
-            .get_mut(&self.id)
-            .expect("guarded device exists")
+        &mut self.pool.devices[self.i].0
     }
 }
 
 impl Drop for DeviceMut<'_> {
     fn drop(&mut self) {
-        self.pool.reindex_device(self.id);
+        self.pool.reindex_device(self.i);
     }
 }
 
@@ -1096,14 +1140,53 @@ mod tests {
 
     #[test]
     fn worst_fit_walk_is_free_desc_then_id_asc() {
-        let set: BTreeSet<(u64, DeviceId)> =
-            [(8, 4), (3, 1), (8, 0), (0, 7), (3, 9), (8, 2), (5, 3)]
-                .map(|(free, id)| (free, DeviceId(id)))
-                .into();
-        let mut expected: Vec<_> = set.iter().copied().collect();
+        let keys = [(8, 4), (3, 1), (8, 0), (0, 7), (3, 9), (8, 2), (5, 3)]
+            .map(|(free, id)| (free, DeviceId(id)));
+        let mut expected = keys.to_vec();
         expected.sort_by_key(|&(free, id)| (Reverse(free), id));
-        assert_eq!(desc_by_free(&set).collect::<Vec<_>>(), expected);
-        assert_eq!(desc_by_free(&BTreeSet::new()).next(), None);
+        let set = BTreeSet::from(keys);
+        assert_eq!(desc_by_free(&set, ..).collect::<Vec<_>>(), expected);
+        assert_eq!(
+            desc_by_free(&BTreeSet::<(u64, DeviceId)>::new(), ..).next(),
+            None
+        );
+        // The same keys as rack 1's prefix, between racks with more free
+        // units below and fewer above; rack 3 has no keys.
+        let racks: BTreeSet<_> = keys
+            .iter()
+            .flat_map(|&(free, id)| [(0, free + 9, id), (1, free, id), (2, free / 2, id)])
+            .collect();
+        let walk = |r| {
+            let walk = desc_by_free(&racks, rack_keys(r, 0));
+            walk.map(|(_, free, id)| (free, id)).collect::<Vec<_>>()
+        };
+        assert_eq!(walk(1), expected);
+        assert_eq!(walk(3), []);
+    }
+
+    #[test]
+    fn bulk_build_equals_adding_each_device() {
+        // Failed, exclusively held, solely occupied, shared and vacant
+        // devices, handed over out of id order.
+        let mut src = pool(&[16, 8, 16, 32, 8, 16, 4, 12]);
+        let excl = AllocConstraints {
+            exclusive: true,
+            ..Default::default()
+        };
+        src.allocate("a", 3, &excl).unwrap();
+        src.allocate("b", 20, &AllocConstraints::default()).unwrap();
+        src.allocate("c", 5, &AllocConstraints::default()).unwrap();
+        src.device_mut(DeviceId(5)).unwrap().fail();
+        let mut devices: Vec<Device> = src.devices().cloned().collect();
+        devices.reverse();
+        let mut added = ResourcePool::new(ResourceKind::Cpu);
+        for d in devices.clone() {
+            added.add_device(d);
+        }
+        let built = ResourcePool::with_devices(ResourceKind::Cpu, devices);
+        for p in [&added, &built] {
+            assert_eq!(format!("{:?}", p), format!("{src:?}"));
+        }
     }
 
     #[test]
