@@ -101,11 +101,6 @@ impl Ctx {
     pub fn send(&mut self, to: impl Into<ActorId>, payload: impl Into<Bytes>) {
         self.outbox.push((to.into(), payload.into()));
     }
-
-    /// Number of messages queued so far in this invocation.
-    pub fn pending(&self) -> usize {
-        self.outbox.len()
-    }
 }
 
 /// The behaviour of one module.
@@ -137,7 +132,7 @@ mod tests {
         let mut ctx = Ctx::default();
         ctx.send(ActorId::new("a"), Bytes::from_static(b"1"));
         ctx.send(ActorId::new("b"), Bytes::from_static(b"2"));
-        assert_eq!(ctx.pending(), 2);
+        assert_eq!(ctx.outbox.len(), 2);
         assert_eq!(ctx.outbox[0].0.as_str(), "a");
         assert_eq!(ctx.outbox[1].0.as_str(), "b");
     }

@@ -13,33 +13,22 @@
 //!
 //! - [`actor::Actor`] — the module-behaviour trait (message in,
 //!   messages out, no shared state);
-//! - [`system::System`] — the executor (there is exactly one, see
-//!   DESIGN.md §14): deterministic, single-threaded, interned actor
-//!   slots, an O(active) ready bitmap, and no telemetry call on the
-//!   per-message path;
-//! - [`naive::NaiveSystem`] — the seed executor, kept verbatim as the
-//!   observable-equivalence oracle (see `tests/prop_equiv.rs`);
+//! - [`system::System`] — the one executor: deterministic,
+//!   single-threaded, round-robin in id order (DESIGN.md §12);
 //! - [`log::MessageLog`] — reliable message recording enabling
 //!   replay-based recovery (consumed by `udc-dist`), with an indexed
 //!   replay suffix and checkpoint-driven truncation;
 //! - [`supervise::SupervisionPolicy`] — restart/drop/escalate handling
-//!   of actor failures;
-//! - [`parallel::fan_out`] — scoped threads for independent trials
-//!   whose results land in input order.
+//!   of actor failures.
 
 #![forbid(unsafe_code)]
 
 pub mod actor;
 pub mod log;
-pub mod naive;
-pub mod parallel;
-mod readiness;
-mod slab;
 pub mod supervise;
 pub mod system;
 
 pub use actor::{Actor, ActorError, ActorId, Ctx, Message};
 pub use log::MessageLog;
-pub use naive::NaiveSystem;
 pub use supervise::SupervisionPolicy;
-pub use system::{ActorRef, System, SystemStats};
+pub use system::{System, SystemStats};

@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 
 /// Per-actor replay index over a `MessageLog`'s entries.
 ///
-/// Extended lazily (and rebuilt after a truncation), so pure appending
-/// on the delivery hot path stays a single `Vec::push`.
+/// Extended lazily (and rebuilt after a truncation), so an append stays
+/// a compare and a `Vec::push`.
 #[derive(Debug, Clone, Default)]
 struct LogIndex {
     /// Positions into `entries`, ascending, per destination actor.
@@ -43,6 +43,8 @@ pub struct MessageLog {
     entries: Vec<Message>,
     /// Messages dropped off the front by [`MessageLog::truncate_through`].
     truncated: u64,
+    /// The highest seq ever recorded (0 before the first).
+    last_seq: u64,
     /// Interior mutability keeps `replay_for(&self)` — the index is a
     /// cache over `entries`, not part of the log's logical state.
     index: RefCell<LogIndex>,
@@ -73,8 +75,8 @@ impl MessageLog {
     /// suffix used for recovery from a checkpoint. O(log n + suffix):
     /// the per-actor index is extended to cover any new appends, then
     /// binary-searched for the first sequence past `after_seq`
-    /// (per-actor positions carry ascending seqs because delivery
-    /// assigns them monotonically).
+    /// (per-actor positions carry ascending seqs because
+    /// [`MessageLog::record`] refuses any other order).
     pub fn replay_for(&self, to: &ActorId, after_seq: u64) -> Vec<Message> {
         let mut idx = self.index.borrow_mut();
         idx.extend(&self.entries);
@@ -103,37 +105,24 @@ impl MessageLog {
         k
     }
 
-    /// Appends a delivered message. Takes the message by value — the
-    /// caller is done with it, so nothing is cloned.
+    /// Appends a message. Takes it by value — the caller is done with
+    /// it, so nothing is cloned.
+    ///
+    /// # Panics
+    ///
+    /// When `msg.seq` does not exceed every seq recorded before it,
+    /// truncated ones included: replay's binary search and truncation's
+    /// prefix cut both rely on seqs ascending through the log.
     #[inline]
-    pub(crate) fn record(&mut self, msg: Message) {
+    pub fn record(&mut self, msg: Message) {
+        assert!(
+            msg.seq > self.last_seq,
+            "log seq {} does not exceed the last recorded, {}",
+            msg.seq,
+            self.last_seq
+        );
+        self.last_seq = msg.seq;
         self.entries.push(msg);
-    }
-
-    /// Pre-sizes the log for `additional` upcoming appends (the system
-    /// reserves for its queued backlog before each round, so a large
-    /// burst grows the log once instead of through doubling copies).
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.entries.reserve(additional);
-    }
-
-    /// Removes and returns the most recent entry. Used by the delivery
-    /// failure path to un-record a speculative append (success is the
-    /// common case, so the system records *before* the handler runs and
-    /// hands it the in-log message — one fewer move per delivery).
-    pub(crate) fn pop_last(&mut self) -> Option<Message> {
-        let m = self.entries.pop();
-        let mut idx = self.index.borrow_mut();
-        if idx.upto > self.entries.len() {
-            // The popped entry was already indexed; rebuild lazily.
-            *idx = LogIndex::default();
-        }
-        m
-    }
-
-    /// The most recent entry, if any.
-    pub(crate) fn last(&self) -> Option<&Message> {
-        self.entries.last()
     }
 }
 
@@ -204,6 +193,40 @@ mod tests {
         assert_eq!(log.truncate_through(u64::MAX), 4);
         assert!(log.is_empty());
         assert_eq!(log.truncated(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not exceed")]
+    fn record_refuses_a_seq_that_does_not_ascend() {
+        let mut log = MessageLog::default();
+        log.record(msg("a", 5));
+        log.record(msg("b", 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not exceed")]
+    fn record_refuses_a_seq_at_or_below_a_truncated_one() {
+        let mut log = MessageLog::default();
+        log.record(msg("a", 3));
+        log.truncate_through(3);
+        log.record(msg("a", 2));
+    }
+
+    #[test]
+    fn recording_resumes_past_a_truncation() {
+        let mut log = MessageLog::default();
+        for seq in 1..=4u64 {
+            log.record(msg(if seq % 2 == 0 { "a" } else { "b" }, seq));
+        }
+        assert_eq!(log.replay_for(&ActorId::new("a"), 0).len(), 2);
+        assert_eq!(log.truncate_through(4), 4);
+        log.record(msg("a", 7));
+        log.record(msg("b", 9));
+        assert_eq!(log.truncated(), 4);
+        let a = log.replay_for(&ActorId::new("a"), 0);
+        assert_eq!(a.iter().map(|m| m.seq).collect::<Vec<_>>(), vec![7]);
+        assert_eq!(log.replay_for(&ActorId::new("b"), 7).len(), 1);
+        assert!(log.replay_for(&ActorId::new("b"), 9).is_empty());
     }
 
     #[test]

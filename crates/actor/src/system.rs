@@ -1,48 +1,19 @@
 //! The deterministic actor system: FIFO mailboxes, round-robin
-//! scheduling, reliable message logging, supervision.
+//! scheduling in id order, reliable message logging, supervision.
 //!
-//! This is the optimized runtime (the seed implementation survives as
-//! [`crate::naive::NaiveSystem`], the equivalence oracle). Two changes
-//! make the hot path run at memory speed while keeping the observable
-//! behaviour bit-for-bit identical:
-//!
-//! - **Interned slots.** Each [`ActorId`] is interned once at spawn
-//!   into a dense `u32` slot backed by a slab (`Vec<Slot>`); the
-//!   `BTreeMap` is consulted only at spawn/inject boundaries, never
-//!   per delivery.
-//! - **Ready bitmap.** Instead of cloning every id each round, a
-//!   two-level bitmap tracks which *ranks* (id-order positions) have
-//!   pending mail. A round walks set bits in ascending rank order with
-//!   a strictly increasing cursor, which reproduces the seed contract
-//!   exactly: one message per actor per round, and a message enqueued
-//!   mid-round to an actor later in id order fires in the same round.
-//!   `step()` is O(actors with pending mail) and allocation-free in
-//!   steady state.
-//!
-//! Nothing on the per-message path touches the telemetry hub: a
-//! delivery only bumps [`SystemStats`], and each `step` hands the hub
-//! what the stats gained in one `incr` per counter that moved (see
-//! [`System::set_observer`]).
+//! This is the seed executor and the only one. Nothing on a tenant
+//! request or a provider tick runs it: the recovery model writes its
+//! log directly (DESIGN.md §12). It is a `BTreeMap<ActorId, Registered>`
+//! of actors; a round snapshots every id and delivers at most one
+//! message to each, in id order, so a message sent mid-round to an
+//! actor later in id order fires in the same round.
 
 use crate::actor::{Actor, ActorId, Ctx, Message};
-pub use crate::log::MessageLog;
-use crate::readiness::ReadySet;
-use crate::slab::{SlotTable, SpawnEffect};
+use crate::log::MessageLog;
 use crate::supervise::SupervisionPolicy;
 use bytes::Bytes;
+use std::collections::{BTreeMap, VecDeque};
 use udc_telemetry::{Labels, Telemetry};
-
-/// A resolve-once injection handle: the dense slot an [`ActorId`] was
-/// interned into. Callers on a hot injection path look the id up a
-/// single time with [`System::resolve`] and then inject through the
-/// handle, skipping the per-message index probe.
-///
-/// Slots are never deallocated, so a handle stays valid for the life of
-/// the system; it keeps addressing the same id even across a re-spawn
-/// (the slot is reused) or a stop (injections dead-letter, exactly as
-/// they would by id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ActorRef(pub(crate) u32);
 
 /// Execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,24 +28,27 @@ pub struct SystemStats {
     pub dead_letters: u64,
 }
 
+struct Registered {
+    actor: Box<dyn Actor>,
+    mailbox: VecDeque<Message>,
+    policy: SupervisionPolicy,
+    stopped: bool,
+}
+
 /// The deterministic single-threaded actor system.
 ///
 /// Delivery order is deterministic: actors are polled in id order, one
 /// message per turn, so every run with the same inputs produces the same
-/// message log (property-tested against [`crate::naive::NaiveSystem`]).
+/// message log (pinned by `tests/golden_executor.rs`).
 #[derive(Default)]
 pub struct System {
-    /// Interned slots + rank order (shared layout — see [`crate::slab`]).
-    table: SlotTable,
-    ready: ReadySet,
-    /// Messages queued in non-stopped mailboxes (O(1) `has_pending`).
-    queued: usize,
+    actors: BTreeMap<ActorId, Registered>,
     log: MessageLog,
     next_seq: u64,
     stats: SystemStats,
     obs: Telemetry,
-    /// Deepest mailbox seen; gates gauge updates to high-water
-    /// candidates so steady-state enqueues skip the gauge entirely.
+    /// Deepest mailbox seen; only a new high-water mark touches the
+    /// gauge.
     mailbox_hw: i64,
 }
 
@@ -85,266 +59,116 @@ impl System {
     }
 
     /// Installs the observability hub: deliveries, failures, restarts
-    /// and dead letters become `actor.*` counters, and the deepest
-    /// mailbox seen is tracked as a gauge high-water mark. The counters
-    /// are [`SystemStats`]' own numbers: each `step` reports what they
-    /// gained, and a dead letter outside a step is reported at once, so
-    /// no message costs a hub lock and the hub never lags the stats
-    /// between calls.
+    /// and dead letters become `actor.*` counters as they happen, and
+    /// the deepest mailbox seen is tracked as a gauge high-water mark.
     pub fn set_observer(&mut self, obs: Telemetry) {
         self.obs = obs;
     }
 
     /// Registers an actor under `id` with a supervision policy.
-    /// Replaces any existing registration with the same id.
+    /// Replaces any existing registration with the same id, mailbox
+    /// and stop included.
     pub fn spawn(
         &mut self,
         id: impl Into<ActorId>,
         actor: Box<dyn Actor>,
         policy: SupervisionPolicy,
     ) {
-        let dirty_before = self.table.ranks_dirty();
-        match self.table.spawn(id.into(), actor, policy) {
-            SpawnEffect::Reused { cleared, rank } => {
-                // Same id: the slot was reused (rank order unchanged)
-                // with a fresh mailbox — exactly the seed's map-insert
-                // replacement semantics.
-                self.queued -= cleared;
-                if !dirty_before {
-                    self.ready.clear(rank);
-                }
-            }
-            SpawnEffect::Fresh => {}
-        }
+        self.actors.insert(
+            id.into(),
+            Registered {
+                actor,
+                mailbox: VecDeque::new(),
+                policy,
+                stopped: false,
+            },
+        );
     }
 
     /// Enqueues an external message.
     pub fn inject(&mut self, to: impl Into<ActorId>, payload: impl Into<Bytes>) {
-        if !self.enqueue(Message::external(to, payload)) {
-            // Outside a step: no round will report this dead letter.
-            self.obs.incr("actor.dead_letters", Labels::none(), 1);
-        }
+        self.enqueue(Message::external(to, payload));
     }
 
-    /// Resolves an id to its injection handle, if the id was ever
-    /// spawned. A stopped actor still resolves (its slot persists);
-    /// injecting at it dead-letters, same as injecting by id.
-    pub fn resolve(&self, id: &ActorId) -> Option<ActorRef> {
-        self.table.lookup(id).map(ActorRef)
-    }
-
-    /// Enqueues an external message through a pre-resolved handle:
-    /// identical semantics to [`System::inject`] minus the id lookup.
-    pub fn inject_at(&mut self, at: ActorRef, payload: impl Into<Bytes>) {
-        // One slot borrow end to end: the handle already paid for the
-        // lookup, so the hot path is a stopped check, an id refcount
-        // bump, and the mailbox push.
-        let s = self.table.slot_mut(at.0);
-        if s.stopped {
-            self.stats.dead_letters += 1;
-            self.obs.incr("actor.dead_letters", Labels::none(), 1);
-            return;
-        }
-        let msg = Message {
-            from: None,
-            to: s.id.clone(),
-            payload: payload.into(),
-            seq: 0,
-        };
-        if s.mailbox.capacity() == 0 {
-            s.mailbox.reserve(16);
-        }
-        s.mailbox.push_back(msg);
-        let (depth, rank) = (s.mailbox.len(), s.rank);
-        self.note_enqueued(depth, rank);
-    }
-
-    /// Queues `msg` at its recipient, or counts a dead letter (returning
-    /// false) when the recipient is unknown or stopped.
-    #[inline]
-    fn enqueue(&mut self, msg: Message) -> bool {
-        let slot = match self.table.lookup(&msg.to) {
-            Some(s) if !self.table.slot(s).stopped => s,
-            _ => {
-                self.stats.dead_letters += 1;
-                return false;
+    fn enqueue(&mut self, msg: Message) {
+        match self.actors.get_mut(&msg.to) {
+            Some(r) if !r.stopped => {
+                r.mailbox.push_back(msg);
+                let depth = r.mailbox.len() as i64;
+                if depth > self.mailbox_hw {
+                    self.mailbox_hw = depth;
+                    self.obs
+                        .gauge_set("actor.mailbox_depth", Labels::none(), depth);
+                }
             }
-        };
-        self.enqueue_at(slot, msg);
-        true
-    }
-
-    #[inline]
-    fn enqueue_at(&mut self, slot: u32, msg: Message) {
-        let s = self.table.slot_mut(slot);
-        if s.mailbox.capacity() == 0 {
-            // First mail for this slot: size the buffer for a burst up
-            // front, so a storm does one allocation per mailbox instead
-            // of a realloc-and-copy ladder.
-            s.mailbox.reserve(16);
-        }
-        s.mailbox.push_back(msg);
-        let (depth, rank) = (s.mailbox.len(), s.rank);
-        self.note_enqueued(depth, rank);
-    }
-
-    /// Shared post-push bookkeeping for every enqueue path.
-    #[inline]
-    fn note_enqueued(&mut self, depth: usize, rank: u32) {
-        self.queued += 1;
-        if depth == 1 && !self.table.ranks_dirty() {
-            self.ready.set(rank);
-        }
-        // Only a new high-water candidate touches the gauge; the
-        // steady-state enqueue path costs a compare.
-        if depth as i64 > self.mailbox_hw {
-            self.mailbox_hw = depth as i64;
-            self.obs
-                .gauge_set("actor.mailbox_depth", Labels::none(), self.mailbox_hw);
+            _ => self.count(|s| &mut s.dead_letters, "actor.dead_letters"),
         }
     }
 
-    /// Rebuilds rank order (and the ready bitmap) after new spawns.
-    /// Runs at most once per batch of spawns, not per round.
-    fn refresh_ranks(&mut self) {
-        if !self.table.ranks_dirty() {
-            return;
-        }
-        self.ready.reset(self.table.len());
-        let ready = &mut self.ready;
-        self.table.refresh_ranks(|rank| ready.set(rank));
+    /// Bumps one stat and its hub counter together, so the hub never
+    /// drifts from [`System::stats`].
+    fn count(&mut self, stat: fn(&mut SystemStats) -> &mut u64, name: &str) {
+        *stat(&mut self.stats) += 1;
+        self.obs.incr(name, Labels::none(), 1);
     }
 
     /// Delivers at most one message to each actor (in id order).
-    /// Returns the number of messages handled.
-    ///
-    /// Walks only ready ranks: the cursor is strictly increasing, so an
-    /// actor fires at most once per round, and mail enqueued mid-round
-    /// lands in the same round exactly when its rank is still ahead of
-    /// the cursor — the seed's id-order snapshot semantics.
+    /// Returns the number of messages handled. O(all actors) per round:
+    /// the id snapshot clones every key.
     pub fn step(&mut self) -> usize {
-        self.refresh_ranks();
-        let before = self.stats;
-        self.log.reserve(self.queued);
+        let ids: Vec<ActorId> = self.actors.keys().cloned().collect();
         let mut handled = 0;
-        let mut cursor: u32 = 0;
-        while let Some(rank) = self.ready.next_at_or_after(cursor) {
-            cursor = rank + 1;
-            let slot = self.table.slot_of_rank(rank);
-            let s = self.table.slot_mut(slot);
-            debug_assert!(!s.stopped, "stopped actors are never ready");
-            let Some(front) = s.mailbox.front_mut() else {
-                debug_assert!(false, "ready rank with empty mailbox");
-                self.ready.clear(rank);
+        for id in ids {
+            let Some(mut msg) = self
+                .actors
+                .get_mut(&id)
+                .filter(|r| !r.stopped)
+                .and_then(|r| r.mailbox.pop_front())
+            else {
                 continue;
             };
-            // The sequence number is assigned in place in the ring; the
-            // message then moves mailbox -> log in one step.
             self.next_seq += 1;
-            front.seq = self.next_seq;
-            if s.mailbox.len() == 1 {
-                self.ready.clear(rank);
-            }
-            self.queued -= 1;
+            msg.seq = self.next_seq;
             handled += 1;
-            self.deliver_front(slot, true);
+            self.deliver(&id, msg, true);
         }
-        self.report_since(before);
         handled
     }
 
-    /// Hands the hub what the stats gained since `before`: one `incr`
-    /// per counter that moved, so a round takes at most four hub locks
-    /// however many messages it delivered.
-    fn report_since(&self, before: SystemStats) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let now = self.stats;
-        for (name, was, is) in [
-            ("actor.delivered", before.delivered, now.delivered),
-            ("actor.failures", before.failures, now.failures),
-            ("actor.restarts", before.restarts, now.restarts),
-            ("actor.dead_letters", before.dead_letters, now.dead_letters),
-        ] {
-            if is > was {
-                self.obs.incr(name, Labels::none(), is - was);
-            }
-        }
-    }
-
-    /// Delivers the front of `slot`'s mailbox.
-    #[inline]
-    fn deliver_front(&mut self, slot: u32, allow_retry: bool) {
-        let s = self.table.slot_mut(slot);
-        let msg = s
-            .mailbox
-            .pop_front()
-            .expect("deliver_front on empty mailbox");
-        self.deliver(slot, msg, allow_retry);
-    }
-
-    /// Delivers `msg` to `slot`'s actor with a speculative append:
-    /// success is the overwhelmingly common case, so the message is
-    /// recorded up front (by move — payload and ids are refcounted) and
-    /// the handler reads it in place in the log, saving a Message-sized
-    /// move per delivery. A failed delivery pops it back out: failures
-    /// are never logged, as in the seed.
-    #[inline]
-    fn deliver(&mut self, slot: u32, msg: Message, allow_retry: bool) {
-        self.log.record(msg);
+    fn deliver(&mut self, id: &ActorId, msg: Message, allow_retry: bool) {
+        let r = self
+            .actors
+            .get_mut(id)
+            .expect("delivering to a spawned actor");
         let mut ctx = Ctx::default();
-        let result = {
-            let m = self.log.last().expect("entry just recorded");
-            self.table.slot_mut(slot).actor.on_message(&mut ctx, m)
-        };
-        match result {
+        match r.actor.on_message(&mut ctx, &msg) {
             Ok(()) => {
-                self.stats.delivered += 1;
-                if !ctx.outbox.is_empty() {
-                    let from = self.table.slot(slot).id.clone();
-                    for (to, payload) in ctx.outbox {
-                        self.enqueue(Message {
-                            from: Some(from.clone()),
-                            to,
-                            payload,
-                            seq: 0,
-                        });
-                    }
+                self.count(|s| &mut s.delivered, "actor.delivered");
+                self.log.record(msg);
+                for (to, payload) in ctx.outbox {
+                    self.enqueue(Message {
+                        from: Some(id.clone()),
+                        to,
+                        payload,
+                        seq: 0,
+                    });
                 }
             }
-            Err(_) => self.deliver_failed(slot, allow_retry),
-        }
-    }
-
-    /// Supervision for a failed delivery; out of line, off the hot path.
-    #[cold]
-    fn deliver_failed(&mut self, slot: u32, allow_retry: bool) {
-        let msg = self.log.pop_last().expect("entry just recorded");
-        self.stats.failures += 1;
-        match self.table.slot(slot).policy {
-            SupervisionPolicy::Restart => {
-                self.table.slot_mut(slot).actor.reset();
-                self.stats.restarts += 1;
-            }
-            SupervisionPolicy::RestartAndRetry => {
-                self.table.slot_mut(slot).actor.reset();
-                self.stats.restarts += 1;
-                if allow_retry {
+            Err(_) => {
+                self.count(|s| &mut s.failures, "actor.failures");
+                let r = self.actors.get_mut(id).expect("still spawned");
+                if r.policy == SupervisionPolicy::Stop {
+                    r.stopped = true;
+                    r.mailbox.clear();
+                    return;
+                }
+                r.actor.reset();
+                let retry = allow_retry && r.policy == SupervisionPolicy::RestartAndRetry;
+                self.count(|s| &mut s.restarts, "actor.restarts");
+                if retry {
                     // The retry keeps the message's seq: it is the same
                     // delivery attempt, not a new one.
-                    self.deliver(slot, msg, false);
-                }
-            }
-            SupervisionPolicy::Stop => {
-                let dirty = self.table.ranks_dirty();
-                let s = self.table.slot_mut(slot);
-                s.stopped = true;
-                let (cleared, rank) = (s.mailbox.len(), s.rank);
-                s.mailbox.clear();
-                self.queued -= cleared;
-                if !dirty {
-                    self.ready.clear(rank);
+                    self.deliver(id, msg, false);
                 }
             }
         }
@@ -365,10 +189,11 @@ impl System {
         (total, !self.has_pending())
     }
 
-    /// True when any mailbox still has messages. O(1): queued messages
-    /// in non-stopped mailboxes are counted as they move.
+    /// True when any mailbox still has messages.
     pub fn has_pending(&self) -> bool {
-        self.queued > 0
+        self.actors
+            .values()
+            .any(|r| !r.stopped && !r.mailbox.is_empty())
     }
 
     /// The reliable message log.
@@ -391,14 +216,16 @@ impl System {
     /// Immutable access to an actor (for inspecting state in tests and
     /// experiments). Returns `None` for unknown ids.
     pub fn actor(&self, id: &ActorId) -> Option<&dyn Actor> {
-        self.table
-            .lookup(id)
-            .map(|s| self.table.slot(s).actor.as_ref())
+        self.actors.get(id).map(|r| r.actor.as_ref())
     }
 
     /// Ids of all registered (non-stopped) actors, in id order.
     pub fn actor_ids(&self) -> Vec<ActorId> {
-        self.table.live_ids()
+        self.actors
+            .iter()
+            .filter(|(_, r)| !r.stopped)
+            .map(|(id, _)| id.clone())
+            .collect()
     }
 }
 
@@ -407,8 +234,7 @@ mod tests {
     use super::*;
     use crate::actor::ActorError;
 
-    /// Counts messages; replies "ack" to an optional reply-to encoded as
-    /// the payload.
+    /// Counts messages.
     #[derive(Default)]
     struct Counter {
         seen: u64,
@@ -511,9 +337,8 @@ mod tests {
 
     #[test]
     fn gauge_guard_skips_non_high_water_enqueues() {
-        // Satellite: the gauge is only touched when depth sets a new
-        // high-water candidate; the high-water mark itself must be
-        // unchanged from seed semantics (deepest mailbox ever seen).
+        // The gauge is only touched when depth sets a new high-water
+        // mark; the mark itself is the deepest mailbox ever seen.
         let mut sys = System::new();
         let obs = Telemetry::enabled();
         sys.set_observer(obs.clone());
@@ -539,18 +364,18 @@ mod tests {
 
     #[test]
     fn dead_letters_outside_a_step_reach_the_hub_at_once() {
-        // No round follows to report them: both injection paths count
-        // the dead letter into the hub as it happens.
+        // No round follows an injection: a dead letter to an unknown or
+        // a stopped actor reaches the hub as it happens.
         let mut sys = System::new();
         let obs = Telemetry::enabled();
         sys.set_observer(obs.clone());
         sys.spawn("f", Box::new(Fragile::default()), SupervisionPolicy::Stop);
-        let at = sys.resolve(&ActorId::new("f")).expect("spawned");
         sys.inject("f", Bytes::from_static(b"poison"));
         sys.run_until_quiescent(100);
         sys.inject("ghost", Bytes::from_static(b"x"));
+        assert_eq!(obs.counter("actor.dead_letters", &Labels::none()), 1);
         sys.inject("f", Bytes::from_static(b"ok"));
-        sys.inject_at(at, Bytes::from_static(b"ok"));
+        sys.inject(ActorId::new("f"), Bytes::from_static(b"ok"));
         assert_eq!(sys.stats().dead_letters, 3);
         assert_eq!(obs.counter("actor.dead_letters", &Labels::none()), 3);
     }
@@ -698,8 +523,8 @@ mod tests {
 
     #[test]
     fn respawn_after_stop_revives_actor() {
-        // Slot reuse: re-spawning a stopped id must clear the stop flag
-        // and deliver again (the seed replaced the whole map entry).
+        // Re-spawning a stopped id replaces the registration: the stop
+        // flag is gone and the actor delivers again.
         let mut sys = System::new();
         sys.spawn("f", Box::new(Fragile::default()), SupervisionPolicy::Stop);
         sys.inject("f", Bytes::from_static(b"poison"));
@@ -902,7 +727,7 @@ mod tests {
     #[test]
     fn spawns_between_rounds_keep_id_order() {
         // Spawning out of lexicographic order must still schedule in id
-        // order once ranks refresh, including actors added after a run.
+        // order, including actors added after a run.
         let mut sys = System::new();
         sys.spawn(
             "m",
@@ -930,10 +755,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_readiness_only_visits_active_ranks() {
-        // 1000 idle actors around one busy chain: the round must still
-        // deliver correctly (and in order) — the O(active) walk is the
-        // point of the ready bitmap.
+    fn idle_actors_leave_a_chain_among_them_in_order() {
+        // 1000 idle actors around one busy chain: each round delivers
+        // the chain's one message, in order, and nothing else.
         let mut sys = System::new();
         for i in 0..1000 {
             sys.spawn(

@@ -12,14 +12,14 @@
 //!
 //! The suites gate fast paths against the oracles they replaced, which
 //! no end-to-end metric covers: `control` (`bench_control_plane`: the
-//! indexed pool and bin-packer), `actor` (`bench_actor`: the executor)
-//! and `extvm` (`bench_extvm`: the compiled VM). Request-path costs are
-//! `udc-benchmark`'s per-layer metrics.
+//! indexed pool and bin-packer) and `extvm` (`bench_extvm`: the
+//! compiled VM). Request-path costs are `udc-benchmark`'s per-layer
+//! metrics.
 //!
 //! Every threshold is stated next to its check. All files passed on the
 //! command line are merged into one name → ns/iter map; a missing bench
 //! name fails the run (a silently skipped check is a regression vector).
-//! `--suite=control|actor|extvm` (repeatable) restricts which check
+//! `--suite=control|extvm` (repeatable) restricts which check
 //! suites run, so a CI job that only ran one bench binary can enforce
 //! exactly that binary's floors; with no `--suite=` flag every suite
 //! runs. Exits 0 when every check holds, 1 otherwise.
@@ -92,25 +92,9 @@ impl Checker {
             self.failures += 1;
         }
     }
-
-    /// Requires `a` to cost at most `max_ratio` times `b`.
-    fn ratio_at_most(&mut self, a: &str, b: &str, max_ratio: f64) {
-        let (Some(na), Some(nb)) = (self.ns(a), self.ns(b)) else {
-            return;
-        };
-        let ratio = na / nb.max(1e-9);
-        let ok = ratio <= max_ratio;
-        println!(
-            "{}  {a} / {b} = {ratio:.3} (ceiling {max_ratio:.3})",
-            if ok { "ok  " } else { "FAIL" },
-        );
-        if !ok {
-            self.failures += 1;
-        }
-    }
 }
 
-const SUITES: &[&str] = &["control", "actor", "extvm"];
+const SUITES: &[&str] = &["control", "extvm"];
 
 fn main() -> ExitCode {
     let mut paths = Vec::new();
@@ -127,7 +111,7 @@ fn main() -> ExitCode {
         }
     }
     if paths.is_empty() {
-        eprintln!("usage: bench_check [--suite=control|actor|extvm]... <bench-json>...");
+        eprintln!("usage: bench_check [--suite=control|extvm]... <bench-json>...");
         return ExitCode::from(2);
     }
     let run = |name: &str| suites.is_empty() || suites.iter().any(|s| s == name);
@@ -154,45 +138,6 @@ fn main() -> ExitCode {
         // Indexed bin-packing must beat the naive scan on FFD at 10k
         // demands (floor 1.5x; measured ~9x).
         c.speedup("binpack_10k/naive/ffd", "binpack_10k/indexed/ffd", 1.5);
-    }
-
-    if run("actor") {
-        // The PR's acceptance floor: the optimized runtime must move
-        // the 10k-actor ping storm (telemetry enabled) at >= 5x the
-        // seed's msgs/sec (measured 5.3-5.6x on the dev machine; the
-        // interleaved-group harness keeps the ratio honest on noisy
-        // runners).
-        c.speedup(
-            "actor_ping_storm/naive/enabled",
-            "actor_ping_storm/fast/enabled",
-            5.0,
-        );
-        // The hub switch: the storm with telemetry disabled must cost at
-        // most 1.15x the enabled run. Both run the same per-message code
-        // (`SystemStats` only); enabled adds a few `incr`s per round and
-        // a `gauge_set` per new mailbox high-water mark.
-        c.ratio_at_most(
-            "actor_ping_storm/fast/disabled",
-            "actor_ping_storm/fast/enabled",
-            1.15,
-        );
-        // O(active) scheduling: a 64-hop walk through 10k mostly-idle
-        // actors costs the seed a full population scan per hop. The
-        // measured gap is ~9000x; 100x only trips on a real regression.
-        c.speedup("actor_sparse_chain/naive", "actor_sparse_chain/fast", 100.0);
-        // Message-spine throughput (fan-out cascade) and the
-        // supervised failure/retry path must also stay well ahead of
-        // the seed (measured ~4x each; floor 2x).
-        c.speedup(
-            "actor_fanout_cascade/naive/enabled",
-            "actor_fanout_cascade/fast/enabled",
-            2.0,
-        );
-        c.speedup(
-            "actor_failure_churn/naive/enabled",
-            "actor_failure_churn/fast/enabled",
-            2.0,
-        );
     }
 
     if run("extvm") {

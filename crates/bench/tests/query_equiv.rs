@@ -75,7 +75,7 @@ fn run_trial(i: usize) -> Telemetry {
 /// returns the full artifact JSON.
 fn chaos_style_artifact(threads: usize, trials: usize) -> String {
     let main = Telemetry::enabled();
-    let hubs = udc_actor::parallel::fan_out(threads, trials, run_trial);
+    let hubs = udc_bench::harness::fan_out(threads, trials, run_trial);
     // Absorption in trial order is the determinism contract: the thread
     // count decided who *computed* each hub, never the merge order.
     for hub in &hubs {

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cloud::{Deployment, UdcCloud};
 use bytes::Bytes;
-use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, SupervisionPolicy, System};
+use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, MessageLog};
 use udc_dist::{recover, safe_truncation_seq, CheckpointStore, RecoveryOutcome, RecoveryStrategy};
 use udc_economics::LifecycleEvent;
 use udc_hal::DeviceId;
@@ -276,12 +276,20 @@ struct ModuleActor {
     sum: u64,
 }
 
+impl ModuleActor {
+    /// Folds one payload in: its first 8 bytes as an LE u64, shorter
+    /// payloads zero-extended.
+    fn absorb(&mut self, payload: &[u8]) {
+        let mut b = [0u8; 8];
+        let n = payload.len().min(8);
+        b[..n].copy_from_slice(&payload[..n]);
+        self.sum = self.sum.wrapping_add(u64::from_le_bytes(b));
+    }
+}
+
 impl Actor for ModuleActor {
     fn on_message(&mut self, _ctx: &mut Ctx, msg: &Message) -> Result<(), ActorError> {
-        let mut b = [0u8; 8];
-        let n = msg.payload.len().min(8);
-        b[..n].copy_from_slice(&msg.payload[..n]);
-        self.sum = self.sum.wrapping_add(u64::from_le_bytes(b));
+        self.absorb(&msg.payload);
         Ok(())
     }
 
@@ -300,13 +308,16 @@ impl Actor for ModuleActor {
     }
 }
 
-/// Per-deployment recoverable state: a reliable message log (via a
-/// deterministic actor system) plus user-defined checkpoints. The
+/// Per-deployment recoverable state: the reliable message log each
+/// module's workload is written to, plus user-defined checkpoints. The
 /// harness seeds each module's workload; [`UdcCloud::advance`] recovers
 /// it after a crash with the module's spec'd strategy.
 #[derive(Default)]
 pub struct RecoveryModel {
-    system: System,
+    log: MessageLog,
+    /// The last sequence number written: seqs run on across modules, as
+    /// one executor delivering every stream would number them.
+    next_seq: u64,
     checkpoints: CheckpointStore,
     expected: BTreeMap<ActorId, u64>,
     recovered: BTreeMap<ActorId, u64>,
@@ -329,32 +340,31 @@ impl RecoveryModel {
         checkpoint_every: Option<u64>,
     ) {
         let id = ActorId::new(module.as_str());
-        self.system.spawn(
-            id.clone(),
-            Box::<ModuleActor>::default(),
-            SupervisionPolicy::Restart,
-        );
+        // A module seeded before keeps entries earlier in the log, and
+        // its state folds over those too; a new one starts at the end.
+        let from = if self.expected.contains_key(&id) {
+            0
+        } else {
+            self.log.len()
+        };
         for i in 1..=messages {
-            self.system
-                .inject(id.clone(), Bytes::copy_from_slice(&i.to_le_bytes()));
+            self.next_seq += 1;
+            self.log.record(Message {
+                from: None,
+                to: id.clone(),
+                payload: Bytes::copy_from_slice(&i.to_le_bytes()),
+                seq: self.next_seq,
+            });
         }
-        self.system.run_until_quiescent(usize::MAX);
-        let mut expected = 0u64;
-        let mut count = 0u64;
-        for m in self.system.log().entries().iter().filter(|m| m.to == id) {
-            let mut b = [0u8; 8];
-            let n = m.payload.len().min(8);
-            b[..n].copy_from_slice(&m.payload[..n]);
-            expected = expected.wrapping_add(u64::from_le_bytes(b));
-            count += 1;
-            if let Some(every) = checkpoint_every {
-                if every > 0 && count.is_multiple_of(every) {
-                    self.checkpoints
-                        .save(&id, m.seq, expected.to_le_bytes().to_vec());
-                }
+        let mut state = ModuleActor::default();
+        let stream = self.log.entries()[from..].iter().filter(|m| m.to == id);
+        for (count, m) in (1u64..).zip(stream) {
+            state.absorb(&m.payload);
+            if checkpoint_every.is_some_and(|every| every > 0 && count.is_multiple_of(every)) {
+                self.checkpoints.save(&id, m.seq, state.snapshot());
             }
         }
-        self.expected.insert(id, expected);
+        self.expected.insert(id, state.sum);
         // Checkpoints just advanced for this module: drop whatever log
         // prefix recovery can no longer need. Long-running deployments
         // would otherwise grow the reliable log without bound.
@@ -367,14 +377,14 @@ impl RecoveryModel {
     /// replays from sequence zero. Returns the entries dropped.
     pub fn compact(&mut self) -> usize {
         match safe_truncation_seq(&self.checkpoints, self.expected.keys()) {
-            Some(seq) => self.system.truncate_log_through(seq),
+            Some(seq) => self.log.truncate_through(seq),
             None => 0,
         }
     }
 
     /// Entries currently retained in the reliable message log.
     pub fn log_len(&self) -> usize {
-        self.system.log().len()
+        self.log.len()
     }
 
     /// Seeds every module of `app` with `messages_per_module` messages,
@@ -404,13 +414,7 @@ impl RecoveryModel {
             return None;
         }
         let mut fresh = ModuleActor::default();
-        let out = recover(
-            &id,
-            &mut fresh,
-            self.system.log(),
-            &self.checkpoints,
-            strategy,
-        );
+        let out = recover(&id, &mut fresh, &self.log, &self.checkpoints, strategy);
         self.recovered.insert(id, fresh.sum);
         Some(out)
     }
@@ -2523,6 +2527,116 @@ mod tests {
             .unwrap();
         assert_eq!(out.replayed, 5);
         assert_eq!(model.recovered_state(&a), model.expected_state(&a));
+    }
+
+    use udc_actor::{SupervisionPolicy, System};
+
+    /// The recovery model as one executor built it: every stream
+    /// injected into one `System` running `ModuleActor`, the state and
+    /// checkpoints folded from what the system delivered.
+    #[derive(Default)]
+    struct ExecutorModel {
+        system: System,
+        checkpoints: CheckpointStore,
+        expected: BTreeMap<ActorId, u64>,
+    }
+
+    impl ExecutorModel {
+        fn seed_workload(&mut self, module: &ModuleId, messages: u64, every: Option<u64>) {
+            let id = ActorId::new(module.as_str());
+            self.system.spawn(
+                id.clone(),
+                Box::<ModuleActor>::default(),
+                SupervisionPolicy::Restart,
+            );
+            for i in 1..=messages {
+                self.system
+                    .inject(id.clone(), Bytes::copy_from_slice(&i.to_le_bytes()));
+            }
+            self.system.run_until_quiescent(usize::MAX);
+            let mut expected = 0u64;
+            let mut count = 0u64;
+            for m in self.system.log().entries().iter().filter(|m| m.to == id) {
+                let mut b = [0u8; 8];
+                let n = m.payload.len().min(8);
+                b[..n].copy_from_slice(&m.payload[..n]);
+                expected = expected.wrapping_add(u64::from_le_bytes(b));
+                count += 1;
+                if let Some(every) = every {
+                    if every > 0 && count.is_multiple_of(every) {
+                        self.checkpoints
+                            .save(&id, m.seq, expected.to_le_bytes().to_vec());
+                    }
+                }
+            }
+            self.expected.insert(id, expected);
+            self.compact();
+        }
+
+        fn compact(&mut self) -> usize {
+            match safe_truncation_seq(&self.checkpoints, self.expected.keys()) {
+                Some(seq) => self.system.truncate_log_through(seq),
+                None => 0,
+            }
+        }
+
+        fn recover_module(
+            &self,
+            module: &ModuleId,
+            strategy: RecoveryStrategy,
+        ) -> (RecoveryOutcome, u64) {
+            let id = ActorId::new(module.as_str());
+            let mut fresh = ModuleActor::default();
+            let out = recover(
+                &id,
+                &mut fresh,
+                self.system.log(),
+                &self.checkpoints,
+                strategy,
+            );
+            (out, fresh.sum)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Writing the log directly records exactly what one executor
+        /// delivering every module's stream would: the same entries and
+        /// seqs, state, checkpoints, compaction and recovery. Module
+        /// names repeat, so re-seeding a module is covered too.
+        #[test]
+        fn the_model_logs_what_an_executor_delivers(
+            seeds in prop::collection::vec((0u8..6, 0u64..=64, 0u8..22), 1..=8),
+        ) {
+            let mut model = RecoveryModel::new();
+            let mut exec = ExecutorModel::default();
+            let mut modules = BTreeSet::new();
+            for (name, messages, cadence) in seeds {
+                let module = ModuleId::from(format!("M{name}").as_str());
+                // None, Some(0), or a cadence of 1..=20 messages.
+                let every = cadence.checked_sub(1).map(u64::from);
+                model.seed_workload(&module, messages, every);
+                exec.seed_workload(&module, messages, every);
+                modules.insert(module);
+                prop_assert_eq!(model.log.entries(), exec.system.log().entries());
+                for m in &modules {
+                    prop_assert_eq!(
+                        model.expected_state(m),
+                        exec.expected.get(&ActorId::new(m.as_str())).copied()
+                    );
+                }
+            }
+            prop_assert_eq!(model.compact(), exec.compact());
+            prop_assert_eq!(model.log_len(), exec.system.log().len());
+            for m in &modules {
+                for strategy in [RecoveryStrategy::Reexecute, RecoveryStrategy::FromCheckpoint] {
+                    let (out, state) = exec.recover_module(m, strategy);
+                    prop_assert_eq!(model.recover_module(m, strategy), Some(out));
+                    prop_assert_eq!(model.recovered_state(m), Some(state));
+                }
+            }
+        }
     }
 
     #[test]

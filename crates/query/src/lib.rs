@@ -24,7 +24,7 @@
 //!
 //! The incremental engine ([`engine::QueryEngine`]) is shadowed by a
 //! naive recompute-from-scratch oracle ([`naive::NaiveEngine`]),
-//! mirroring the repo's LinearPool/NaiveSystem pattern: the property
+//! mirroring the repo's `LinearPool` oracle pattern: the property
 //! tests drive both with random streams and window shapes and demand
 //! identical output sequences.
 //!

@@ -1,6 +1,6 @@
 //! The recompute-from-scratch oracle for windowed aggregations.
 //!
-//! Mirrors the repo's LinearPool/NaiveSystem pattern: the same public
+//! Mirrors the repo's `LinearPool` oracle pattern: the same public
 //! shape as [`QueryEngine`](crate::engine::QueryEngine)'s query half,
 //! but with no incremental state at all — every `advance_to` rescans
 //! the complete observation log and recomputes every window (including

@@ -1,5 +1,5 @@
 //! Property proofs for the continuous-query engine, mirroring the
-//! repo's LinearPool/NaiveSystem oracle pattern:
+//! repo's `LinearPool` oracle pattern:
 //!
 //! 1. **Oracle equality** — the incremental engine's output sequence is
 //!    identical to the naive recompute-from-scratch oracle under random

@@ -127,108 +127,6 @@ impl Criterion {
             throughput: None,
         }
     }
-
-    /// Opens a group whose benchmarks are *deferred* and measured with
-    /// interleaved batches: registration stores the closures, and
-    /// [`InterleavedGroup::finish`] runs one timed batch of each
-    /// benchmark per round (with a rotating start) until every benchmark
-    /// has its full sample count. Slow machine drift (thermal, noisy
-    /// neighbours) then lands evenly on every benchmark in the group, so
-    /// within-group ratios — speedups, overhead bounds — stay honest.
-    ///
-    /// Shim extension (no real-criterion equivalent): closures must
-    /// outlive the group, so benchmarks that need per-variant state
-    /// should move it into the closure.
-    pub fn interleaved_group(&mut self, name: &str) -> InterleavedGroup<'_> {
-        InterleavedGroup {
-            _c: self,
-            name: name.to_string(),
-            throughput: None,
-            benches: Vec::new(),
-        }
-    }
-}
-
-/// A deferred benchmark group measured with interleaved batches; see
-/// [`Criterion::interleaved_group`].
-pub struct InterleavedGroup<'a> {
-    _c: &'a mut Criterion,
-    name: String,
-    throughput: Option<Throughput>,
-    #[allow(clippy::type_complexity)]
-    benches: Vec<(String, Box<dyn FnMut(&mut Bencher) + 'a>)>,
-}
-
-impl<'a> InterleavedGroup<'a> {
-    /// Declares the volume of work per iteration, enabling derived
-    /// throughput in reports.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
-        self
-    }
-
-    /// Registers one benchmark; it runs when the group finishes.
-    pub fn bench_function<F>(&mut self, id: impl fmt::Display, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher) + 'a,
-    {
-        self.benches
-            .push((format!("{}/{}", self.name, id), Box::new(f)));
-        self
-    }
-
-    /// Runs every registered benchmark: a warm-up pass sizes each
-    /// benchmark's batch, then measurement rounds run one batch of each
-    /// benchmark with a rotating start order.
-    pub fn finish(mut self) {
-        // Quick mode shrinks the warm-up but keeps the full round
-        // count: interleaved groups exist to make within-group *ratios*
-        // trustworthy, and a median over 3 rounds is one noisy sample
-        // away from a spurious floor violation in CI.
-        let warmup_target = if quick_mode() {
-            QUICK_WARMUP_TARGET
-        } else {
-            WARMUP_TARGET
-        };
-        let measure_batches = MEASURE_BATCHES;
-        let n = self.benches.len();
-        let mut batches = vec![1u64; n];
-        for (i, (_, f)) in self.benches.iter_mut().enumerate() {
-            let mut b = Bencher {
-                mode: Mode::Warmup {
-                    target: warmup_target,
-                },
-                ..Bencher::default()
-            };
-            f(&mut b);
-            batches[i] = b.batch;
-        }
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(measure_batches); n];
-        for round in 0..measure_batches {
-            for k in 0..n {
-                let i = (round + k) % n;
-                let mut b = Bencher {
-                    mode: Mode::Batch { batch: batches[i] },
-                    ..Bencher::default()
-                };
-                (self.benches[i].1)(&mut b);
-                samples[i].push(b.sample_ns);
-            }
-        }
-        for (i, (name, _)) in self.benches.iter().enumerate() {
-            // Minimum, not median: timing noise is one-sided (a sample
-            // can only be inflated by interference, never deflated), so
-            // the fastest round is the least-contaminated estimate of
-            // the true cost — and the estimator under which
-            // within-group ratios are stable on a noisy machine.
-            let best = samples[i].iter().copied().fold(f64::INFINITY, f64::min);
-            let reporter = Bencher {
-                ns_per_iter: best,
-                ..Bencher::default()
-            };
-            reporter.report(name, self.throughput);
-        }
-    }
 }
 
 /// A related set of benchmarks sharing a name prefix and throughput.
@@ -313,57 +211,28 @@ impl fmt::Display for BenchmarkId {
     }
 }
 
-/// What a [`Bencher::iter`] call should do: the classic self-contained
-/// warm-up-then-measure loop, or one phase of an interleaved group run.
-#[derive(Default)]
-enum Mode {
-    /// Warm up, then measure; the default for eagerly-run benchmarks.
-    #[default]
-    Full,
-    /// Geometric warm-up only: find the batch size, record no sample.
-    Warmup { target: Duration },
-    /// Time exactly one batch of the given size.
-    Batch { batch: u64 },
-}
-
 /// Timing loop handed to each benchmark closure.
 #[derive(Default)]
 pub struct Bencher {
-    mode: Mode,
-    /// Batch size chosen by a warm-up pass.
-    batch: u64,
-    /// ns/iter of the single timed batch (interleaved mode).
-    sample_ns: f64,
     ns_per_iter: f64,
 }
 
 impl Bencher {
     /// Times the routine: geometric warm-up to find a batch size that
     /// runs for at least `WARMUP_TARGET`, then the median of
-    /// `MEASURE_BATCHES` timed batches. (In an interleaved group the
-    /// two phases run separately, driven by [`InterleavedGroup`].)
+    /// `MEASURE_BATCHES` timed batches.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         let (warmup_target, measure_batches) = if quick_mode() {
             (QUICK_WARMUP_TARGET, QUICK_MEASURE_BATCHES)
         } else {
             (WARMUP_TARGET, MEASURE_BATCHES)
         };
-        match self.mode {
-            Mode::Full => {
-                let batch = Self::warm_up(warmup_target, &mut routine);
-                let mut samples: Vec<f64> = (0..measure_batches)
-                    .map(|_| Self::time_batch(batch, &mut routine))
-                    .collect();
-                samples.sort_by(|a, b| a.total_cmp(b));
-                self.ns_per_iter = samples[samples.len() / 2];
-            }
-            Mode::Warmup { target } => {
-                self.batch = Self::warm_up(target, &mut routine);
-            }
-            Mode::Batch { batch } => {
-                self.sample_ns = Self::time_batch(batch, &mut routine);
-            }
-        }
+        let batch = Self::warm_up(warmup_target, &mut routine);
+        let mut samples: Vec<f64> = (0..measure_batches)
+            .map(|_| Self::time_batch(batch, &mut routine))
+            .collect();
+        samples.sort_by(|a, b| a.total_cmp(b));
+        self.ns_per_iter = samples[samples.len() / 2];
     }
 
     fn warm_up<O, F: FnMut() -> O>(target: Duration, routine: &mut F) -> u64 {
