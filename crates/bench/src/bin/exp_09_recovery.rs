@@ -9,6 +9,7 @@
 use bytes::Bytes;
 use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, SupervisionPolicy, System};
 use udc_bench::{banner, fmt_us, Table};
+use udc_core::heal::{MSG_COST_US, RESTORE_COST_US};
 use udc_core::{CloudConfig, UdcCloud};
 use udc_dist::{recover, CheckpointStore, RecoveryStrategy};
 use udc_hal::FailurePlan;
@@ -43,9 +44,6 @@ impl Actor for Acc {
         self.sum = u64::from_le_bytes(b);
     }
 }
-
-const MSG_COST_US: u64 = 1_000; // Modelled re-processing cost per message.
-const RESTORE_COST_US: u64 = 50_000; // Checkpoint restore cost.
 
 fn main() {
     banner(

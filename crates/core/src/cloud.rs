@@ -112,6 +112,10 @@ pub struct Deployment {
     pub econ_suspended: std::collections::BTreeSet<ModuleId>,
     /// The cloud's sense epoch at this deployment's last `advance`.
     pub(crate) seen_epoch: u64,
+    /// The attached query engine's [`HEAL_DEGRADED_GAUGE`] series, one
+    /// per module in module order — resolved at the first barrier that
+    /// finds them missing or another engine's.
+    pub(crate) degraded_series: Vec<udc_query::SeriesId>,
     /// Every slice and replica device of the placement, sorted and
     /// deduplicated — known only while the last full look found the
     /// deployment converged and no placement change has happened since.
@@ -184,9 +188,16 @@ pub struct UdcCloud {
     pub(crate) econ_gate: Option<SharedQuotaGate>,
     /// Continuous-query engine fed at every [`UdcCloud::advance`]
     /// barrier. `None` = no queries attached (zero overhead).
-    pub(crate) queries: Option<udc_query::QueryEngine>,
-    /// The attached engine's cursors over `obs`.
-    pub(crate) query_feed: udc_query::HubFeed,
+    pub(crate) queries: Option<AttachedQueries>,
+}
+
+/// An attached query engine and what feeds it at every barrier.
+pub(crate) struct AttachedQueries {
+    pub(crate) engine: udc_query::QueryEngine,
+    /// The engine's cursors over `obs`, reading only what it reads.
+    pub(crate) feed: udc_query::HubFeed,
+    /// The engine's [`RING_DROPPED_GAUGE`] series.
+    pub(crate) dropped: udc_query::SeriesId,
 }
 
 /// Gauge the heal loop feeds the attached query engine: 1.0 while a
@@ -263,7 +274,6 @@ impl UdcCloud {
             fences: FenceRegistry::new(),
             econ_gate: None,
             queries: None,
-            query_feed: udc_query::HubFeed::new(),
         }
     }
 
@@ -328,12 +338,20 @@ impl UdcCloud {
     }
 
     /// Attaches a continuous-query engine. Every [`UdcCloud::advance`]
-    /// barrier then feeds it: the hub's new records (via the feed's
-    /// cursors), one [`HEAL_DEGRADED_GAUGE`] sample per placed module,
-    /// one [`RING_DROPPED_GAUGE`] sample, an `advance_to(now)`
-    /// watermark, and a flush of any fired alerts into the hub's alert
-    /// ring. Attach *before* the first `advance` so the engine sees
-    /// every health transition from its entry time.
+    /// barrier then feeds it: the hub's new records that its queries
+    /// and rules read (via a feed reading the engine's
+    /// [`interest`](udc_query::QueryEngine::interest), so a barrier
+    /// costs per name the engine reads, not per hub series), one
+    /// [`HEAL_DEGRADED_GAUGE`] sample per placed module, one
+    /// [`RING_DROPPED_GAUGE`] sample, an `advance_to(now)` watermark,
+    /// and a flush of any fired alerts into the hub's alert ring.
+    /// Attach *before* the first `advance` so the engine sees every
+    /// health transition from its entry time.
+    ///
+    /// Register queries and rules (and subscribe) before attaching:
+    /// the attached engine is read-only apart from
+    /// [`UdcCloud::poll_query`], because its feed diffs counters and
+    /// histograms only for the names read at attach time.
     ///
     /// If the engine doesn't already carry a rule named
     /// [`HEAL_DEGRADED_RULE`], one is loaded firing after
@@ -361,18 +379,24 @@ impl UdcCloud {
                     .expect("built-in rule is fresh");
             }
         }
-        self.queries = Some(engine);
-        self.query_feed = udc_query::HubFeed::new();
+        self.queries = Some(AttachedQueries {
+            feed: udc_query::HubFeed::reading(engine.interest()),
+            dropped: engine.gauge_series(RING_DROPPED_GAUGE, Labels::none()),
+            engine,
+        });
     }
 
     /// The attached query engine, if any.
     pub fn queries(&self) -> Option<&udc_query::QueryEngine> {
-        self.queries.as_ref()
+        self.queries.as_ref().map(|q| &q.engine)
     }
 
-    /// Mutable access to the attached query engine (subscriptions).
-    pub fn queries_mut(&mut self) -> Option<&mut udc_query::QueryEngine> {
-        self.queries.as_mut()
+    /// Outputs the attached engine emitted for `sub`'s query since the
+    /// subscription's previous poll (empty with no engine attached).
+    pub fn poll_query(&mut self, sub: udc_query::SubId) -> Vec<udc_query::QueryOutput> {
+        self.queries
+            .as_mut()
+            .map_or_else(Vec::new, |q| q.engine.poll(sub))
     }
 
     /// How long `module` has been continuously unhealthy, read from the
@@ -382,7 +406,7 @@ impl UdcCloud {
     /// the gauge sample that opens the run is stamped with the same
     /// barrier time the health transition used.
     pub fn degraded_for_us(&self, module: &str, now: Micros) -> Option<Micros> {
-        let engine = self.queries.as_ref()?;
+        let engine = self.queries()?;
         let labels = Labels::module(self.tenant.as_str(), module);
         engine
             .condition_held_since(HEAL_DEGRADED_RULE, &labels)
@@ -399,7 +423,9 @@ impl UdcCloud {
         self.dc.set_observer(obs.clone());
         self.scheduler.set_observer(obs.clone());
         self.obs = obs;
-        self.query_feed = udc_query::HubFeed::new();
+        if let Some(q) = &mut self.queries {
+            q.feed = udc_query::HubFeed::reading(q.engine.interest());
+        }
     }
 
     /// Convenience: creates an enabled hub, installs it everywhere, and
@@ -499,6 +525,7 @@ impl UdcCloud {
             recovery: crate::heal::RecoveryModel::new(),
             econ_suspended: std::collections::BTreeSet::new(),
             seen_epoch: self.sensed.epoch,
+            degraded_series: Vec::new(),
             footprint: None,
             released: false,
             ir,

@@ -319,8 +319,18 @@ pub struct RecoveryModel {
     /// one executor delivering every stream would number them.
     next_seq: u64,
     checkpoints: CheckpointStore,
-    expected: BTreeMap<ActorId, u64>,
+    expected: BTreeMap<ActorId, Seeded>,
     recovered: BTreeMap<ActorId, u64>,
+}
+
+/// What a module's seeded stream folded to so far.
+#[derive(Default)]
+struct Seeded {
+    /// The module's state after its whole stream.
+    sum: u64,
+    /// Messages in its whole stream (the checkpoint cadence counts
+    /// them).
+    messages: u64,
 }
 
 impl RecoveryModel {
@@ -340,31 +350,29 @@ impl RecoveryModel {
         checkpoint_every: Option<u64>,
     ) {
         let id = ActorId::new(module.as_str());
-        // A module seeded before keeps entries earlier in the log, and
-        // its state folds over those too; a new one starts at the end.
-        let from = if self.expected.contains_key(&id) {
-            0
-        } else {
-            self.log.len()
-        };
+        // A module seeded before continues its fold and its checkpoint
+        // count from where they stood: the log may no longer hold the
+        // prefix they cover.
+        let seeded = self.expected.entry(id.clone()).or_default();
+        let mut state = ModuleActor { sum: seeded.sum };
         for i in 1..=messages {
             self.next_seq += 1;
-            self.log.record(Message {
+            let msg = Message {
                 from: None,
                 to: id.clone(),
                 payload: Bytes::copy_from_slice(&i.to_le_bytes()),
                 seq: self.next_seq,
-            });
-        }
-        let mut state = ModuleActor::default();
-        let stream = self.log.entries()[from..].iter().filter(|m| m.to == id);
-        for (count, m) in (1u64..).zip(stream) {
-            state.absorb(&m.payload);
-            if checkpoint_every.is_some_and(|every| every > 0 && count.is_multiple_of(every)) {
-                self.checkpoints.save(&id, m.seq, state.snapshot());
+            };
+            state.absorb(&msg.payload);
+            seeded.messages += 1;
+            if checkpoint_every
+                .is_some_and(|every| every > 0 && seeded.messages.is_multiple_of(every))
+            {
+                self.checkpoints.save(&id, msg.seq, state.snapshot());
             }
+            self.log.record(msg);
         }
-        self.expected.insert(id, state.sum);
+        seeded.sum = state.sum;
         // Checkpoints just advanced for this module: drop whatever log
         // prefix recovery can no longer need. Long-running deployments
         // would otherwise grow the reliable log without bound.
@@ -421,7 +429,9 @@ impl RecoveryModel {
 
     /// The state the module held before the crash (seeded workloads).
     pub fn expected_state(&self, module: &ModuleId) -> Option<u64> {
-        self.expected.get(&ActorId::new(module.as_str())).copied()
+        self.expected
+            .get(&ActorId::new(module.as_str()))
+            .map(|s| s.sum)
     }
 
     /// The state the last recovery reconstructed.
@@ -944,43 +954,39 @@ impl UdcCloud {
     /// hub's [`RING_DROPPED_GAUGE`](crate::cloud::RING_DROPPED_GAUGE),
     /// advances the watermark, and flushes fired alerts into the hub's
     /// ring.
-    fn observe_queries(&mut self, dep: &Deployment, now: Micros) {
-        let Some(engine) = self.queries.as_mut() else {
+    fn observe_queries(&mut self, dep: &mut Deployment, now: Micros) {
+        let Some(q) = self.queries.as_mut() else {
             return;
         };
-        let missed = self.query_feed.missed();
-        engine.ingest(self.query_feed.poll(&self.obs, now));
-        let missed = self.query_feed.missed() - missed;
+        let missed = q.feed.missed();
+        q.engine.ingest(q.feed.poll(&self.obs, now));
+        let missed = q.feed.missed() - missed;
         if missed > 0 {
             self.obs
                 .incr(crate::cloud::FEED_MISSED_COUNTER, Labels::none(), missed);
         }
-        // One sample reused for every module: only its module label and
-        // value change, in place.
-        let mut sample = udc_query::Obs::Gauge {
-            at_us: now,
-            name: crate::cloud::HEAL_DEGRADED_GAUGE.to_string(),
-            labels: Labels::module(self.tenant.as_str(), ""),
-            value: 0.0,
-        };
-        for id in dep.placement.modules.keys() {
-            if let udc_query::Obs::Gauge { labels, value, .. } = &mut sample {
-                let module = labels.module.get_or_insert_with(String::new);
-                module.clear();
-                module.push_str(id.as_str());
-                let unhealthy = dep.health.module(id) != ModuleHealth::Healthy;
-                *value = if unhealthy { 1.0 } else { 0.0 };
-            }
-            engine.observe(&sample);
+        let series = &mut dep.degraded_series;
+        if series.len() != dep.placement.modules.len()
+            || series.first().is_some_and(|&s| !q.engine.owns(s))
+        {
+            *series = dep
+                .placement
+                .modules
+                .keys()
+                .map(|id| {
+                    let labels = Labels::module(self.tenant.as_str(), id.as_str());
+                    q.engine
+                        .gauge_series(crate::cloud::HEAL_DEGRADED_GAUGE, labels)
+                })
+                .collect();
         }
-        engine.push(udc_query::Obs::Gauge {
-            at_us: now,
-            name: crate::cloud::RING_DROPPED_GAUGE.to_string(),
-            labels: Labels::none(),
-            value: self.query_feed.hub_dropped() as f64,
-        });
-        engine.advance_to(now);
-        engine.fire_into(&self.obs);
+        for (id, &s) in dep.placement.modules.keys().zip(series.iter()) {
+            let unhealthy = dep.health.module(id) != ModuleHealth::Healthy;
+            q.engine.sample(s, now, if unhealthy { 1.0 } else { 0.0 });
+        }
+        q.engine.sample(q.dropped, now, q.feed.hub_dropped() as f64);
+        q.engine.advance_to(now);
+        q.engine.fire_into(&self.obs);
     }
 
     /// Fencing check for a launch (or write) claim: `true` only when
@@ -1381,6 +1387,34 @@ mod tests {
     }
 
     #[test]
+    fn a_newly_attached_engine_gets_every_deployment_series() {
+        let mut cloud = UdcCloud::new(one_cpu_device());
+        cloud.enable_telemetry();
+        cloud.attach_queries(udc_query::QueryEngine::new(), 1_500);
+        let mut dep = cloud.submit(&one_task_app(None)).unwrap();
+        dep.health.max_retries = 0;
+        cloud.advance(&mut dep, 1_000);
+        // The deployment's series belong to the first engine now; the
+        // second must be fed all the same.
+        cloud.attach_queries(udc_query::QueryEngine::new(), 1_500);
+        let id = ModuleId::from("T");
+        let dead = dep.placement.modules[&id].primary_device;
+        cloud
+            .datacenter_mut()
+            .set_failure_plan(FailurePlan::from_events(vec![crash(1_500, dead)]));
+        for now in [2_000, 3_000] {
+            cloud.advance(&mut dep, 1_000);
+            let ModuleHealth::Degraded { detected_us } = dep.health.module(&id) else {
+                panic!("nowhere to heal");
+            };
+            assert_eq!(
+                cloud.degraded_for_us(id.as_str(), now),
+                Some(now - detected_us)
+            );
+        }
+    }
+
+    #[test]
     fn a_hub_that_lost_records_says_so_once() {
         // Rings of two: the submit alone overflows them, before the
         // engine's feed has polled even once.
@@ -1461,8 +1495,7 @@ mod tests {
             cloud.advance(&mut old[0], 1_000);
         }
         let total = |cloud: &mut UdcCloud, sub| -> f64 {
-            let engine = cloud.queries_mut().unwrap();
-            engine.poll(sub).iter().map(|o| o.value).sum()
+            cloud.poll_query(sub).iter().map(|o| o.value).sum()
         };
         assert_eq!(total(&mut cloud, submits), 4.0);
         assert_eq!(total(&mut cloud, submit_events), 4.0);
@@ -1474,7 +1507,7 @@ mod tests {
         }
         assert_eq!(total(&mut cloud, submits), 1.0, "the new hub's delta");
         assert_eq!(total(&mut cloud, submit_events), 1.0, "the new hub's event");
-        assert_eq!(cloud.query_feed.missed(), 0);
+        assert_eq!(cloud.queries.as_ref().unwrap().feed.missed(), 0);
         assert_eq!(
             fresh.counter(crate::cloud::FEED_MISSED_COUNTER, &Labels::none()),
             0
@@ -2529,6 +2562,23 @@ mod tests {
         assert_eq!(model.recovered_state(&a), model.expected_state(&a));
     }
 
+    #[test]
+    fn a_module_seeded_twice_keeps_its_compacted_prefix() {
+        let a = ModuleId::from("A");
+        let mut model = RecoveryModel::new();
+        model.seed_workload(&a, 25, Some(10));
+        model.seed_workload(&a, 5, Some(10));
+        // 1 + … + 25, then 1 + … + 5: the first stream's compacted
+        // prefix still counts, and message 30 is a checkpoint.
+        assert_eq!(model.expected_state(&a), Some(325 + 15));
+        assert_eq!(model.log_len(), 0, "checkpointed through message 30");
+        let out = model
+            .recover_module(&a, RecoveryStrategy::FromCheckpoint)
+            .unwrap();
+        assert_eq!(out.replayed, 0);
+        assert_eq!(model.recovered_state(&a), Some(340));
+    }
+
     use udc_actor::{SupervisionPolicy, System};
 
     /// The recovery model as one executor built it: every stream
@@ -2538,38 +2588,49 @@ mod tests {
     struct ExecutorModel {
         system: System,
         checkpoints: CheckpointStore,
-        expected: BTreeMap<ActorId, u64>,
+        /// Per module: its state and the messages in its stream.
+        expected: BTreeMap<ActorId, (u64, u64)>,
     }
 
     impl ExecutorModel {
         fn seed_workload(&mut self, module: &ModuleId, messages: u64, every: Option<u64>) {
             let id = ActorId::new(module.as_str());
-            self.system.spawn(
-                id.clone(),
-                Box::<ModuleActor>::default(),
-                SupervisionPolicy::Restart,
-            );
+            // A module seeded before keeps its actor, and with it the
+            // state its earlier stream built.
+            if self.system.actor(&id).is_none() {
+                self.system.spawn(
+                    id.clone(),
+                    Box::<ModuleActor>::default(),
+                    SupervisionPolicy::Restart,
+                );
+            }
+            let delivered = self.system.log().len();
             for i in 1..=messages {
                 self.system
                     .inject(id.clone(), Bytes::copy_from_slice(&i.to_le_bytes()));
             }
             self.system.run_until_quiescent(usize::MAX);
-            let mut expected = 0u64;
-            let mut count = 0u64;
-            for m in self.system.log().entries().iter().filter(|m| m.to == id) {
+            let (mut sum, mut count) = self.expected.get(&id).copied().unwrap_or_default();
+            for m in &self.system.log().entries()[delivered..] {
                 let mut b = [0u8; 8];
                 let n = m.payload.len().min(8);
                 b[..n].copy_from_slice(&m.payload[..n]);
-                expected = expected.wrapping_add(u64::from_le_bytes(b));
+                sum = sum.wrapping_add(u64::from_le_bytes(b));
                 count += 1;
                 if let Some(every) = every {
                     if every > 0 && count.is_multiple_of(every) {
                         self.checkpoints
-                            .save(&id, m.seq, expected.to_le_bytes().to_vec());
+                            .save(&id, m.seq, sum.to_le_bytes().to_vec());
                     }
                 }
             }
-            self.expected.insert(id, expected);
+            let actor = self.system.actor(&id).expect("spawned").snapshot();
+            assert_eq!(
+                actor,
+                sum.to_le_bytes(),
+                "the actor folded what was delivered"
+            );
+            self.expected.insert(id, (sum, count));
             self.compact();
         }
 
@@ -2623,7 +2684,7 @@ mod tests {
                 for m in &modules {
                     prop_assert_eq!(
                         model.expected_state(m),
-                        exec.expected.get(&ActorId::new(m.as_str())).copied()
+                        exec.expected.get(&ActorId::new(m.as_str())).map(|e| e.0)
                     );
                 }
             }

@@ -2,12 +2,16 @@
 //! been looked at in full, the control loop's per-deployment visit
 //! touches neither the allocator nor its modules — even with a dead
 //! device elsewhere in the datacenter, and with lease detection polling
-//! heartbeats across a partition. Counted with a thread-local
-//! counting allocator (the harness runs tests on parallel threads).
+//! heartbeats across a partition. With every instrument attached, a
+//! quiet `advance` that carries no time allocates nothing either: the
+//! query barrier reads only the names its rules read and rewrites its
+//! gauge samples in place. Counted with a thread-local counting
+//! allocator (the harness runs tests on parallel threads).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use udc_core::{CloudConfig, UdcCloud};
+use udc_core::{CloudConfig, UdcCloud, HEAL_DEGRADED_RULE, RING_DROPPED_RULE};
+use udc_economics::{PlanSpec, QuotaGate};
 use udc_failure::{DetectorConfig, NetPlan, Partition};
 use udc_hal::clock::Micros;
 use udc_hal::{FailureEvent, FailurePlan};
@@ -135,4 +139,45 @@ fn a_quiet_lease_mode_advance_does_not_allocate() {
         }
     });
     assert_eq!(n, 0, "1 000 quiet lease-mode advances allocated {n} times");
+}
+
+#[test]
+fn a_quiet_attached_advance_does_not_allocate() {
+    let mut cloud = UdcCloud::new(CloudConfig::default());
+    let hub = cloud.enable_telemetry();
+    let mut gate = QuotaGate::new();
+    gate.open_account("tenant", PlanSpec::unlimited("open"), 0);
+    cloud.attach_economics(udc_economics::shared(gate));
+    cloud.attach_failure_detection(DetectorConfig::default());
+    let mut engine = udc_query::QueryEngine::new();
+    for parsed in udc_query::default_ruleset() {
+        for q in parsed.queries {
+            engine.register(q).expect("preset query registers");
+        }
+        engine.add_rule(parsed.rule).expect("preset rule loads");
+    }
+    cloud.attach_queries(engine, 1_000_000);
+    let engine = cloud.queries().expect("attached");
+    assert!(engine.has_rule(HEAL_DEGRADED_RULE) && engine.has_rule(RING_DROPPED_RULE));
+    let mut dep = cloud
+        .submit(&udc_workload::microservice_chain(3))
+        .expect("fits the default datacenter");
+
+    // Time passes once (leases are polled, windows close, the silence
+    // rule fires), then the barrier settles.
+    for delta in [600_000, 0] {
+        assert!(cloud.advance(&mut dep, delta).is_quiet());
+    }
+    assert!(!hub.alerts().is_empty(), "the engine is live");
+
+    let n = allocs_during(|| {
+        for _ in 0..1_000 {
+            let report = cloud.advance(&mut dep, 0);
+            assert!(report.is_quiet());
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "1 000 zero-delta attached advances allocated {n} times"
+    );
 }

@@ -16,9 +16,11 @@
 //! empty window is data (absence rules and EWMA carry depend on it).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use udc_telemetry::{AlertFire, Histogram, Labels, Telemetry};
+use udc_telemetry::{AlertFire, Histogram, Labels, SeriesKey, SeriesName, Telemetry};
 
+use crate::feed::Interest;
 use crate::rules::{AlertRule, RuleState};
 use crate::window::{Aggregation, WindowSpec};
 use crate::Micros;
@@ -87,7 +89,22 @@ pub enum Obs {
     },
 }
 
+/// The streams an observation can belong to, in [`Obs`] variant order.
+const KINDS: usize = 5;
+
 impl Obs {
+    /// The stream the observation belongs to and its name there (metric
+    /// name, event kind, or decision stage).
+    fn key(&self) -> (usize, &str) {
+        match self {
+            Obs::Counter { name, .. } => (0, name),
+            Obs::Gauge { name, .. } => (1, name),
+            Obs::Hist { name, .. } => (2, name),
+            Obs::Event { kind, .. } => (3, kind),
+            Obs::Decision { stage, .. } => (4, stage),
+        }
+    }
+
     /// The observation's simulated timestamp.
     pub fn at_us(&self) -> Micros {
         match self {
@@ -180,6 +197,20 @@ pub(crate) enum Contribution<'a> {
 }
 
 impl Source {
+    /// The stream this source reads and the name it requires there
+    /// (`None`: every event kind or decision stage) — the key the
+    /// engine indexes its readers by. Every observation the source
+    /// has a [`Source::contribution`] for shares it.
+    fn key(&self) -> (usize, Option<&str>) {
+        match self {
+            Source::Counter { name, .. } => (0, Some(name)),
+            Source::Gauge { name, .. } => (1, Some(name)),
+            Source::Hist { name, .. } => (2, Some(name)),
+            Source::Event { kind, .. } => (3, kind.as_deref()),
+            Source::Decision { stage, .. } => (4, stage.as_deref()),
+        }
+    }
+
     /// Whether `obs` feeds this source, and with what contribution.
     pub(crate) fn contribution<'a>(&self, obs: &'a Obs) -> Option<Contribution<'a>> {
         match (self, obs) {
@@ -394,9 +425,121 @@ struct QueryState {
     ewma_carry: Option<f64>,
 }
 
+impl QueryState {
+    /// Adds `obs` to every still-open window covering it; `false` when
+    /// the source reads it but all those windows have closed.
+    fn add(&mut self, obs: &Obs) -> bool {
+        let Some(c) = self.spec.source.contribution(obs) else {
+            return true;
+        };
+        let (lo, hi) = self.spec.window.covering(obs.at_us());
+        let lo = lo.max(self.next_close);
+        if lo > hi {
+            return false;
+        }
+        for k in lo..=hi {
+            self.open
+                .entry(k)
+                .or_insert_with(|| Accum::new(&self.spec.agg))
+                .add(&c);
+        }
+        true
+    }
+}
+
 struct SubState {
     query: String,
     cursor: usize,
+}
+
+/// The queries and rules that read one key, each list in registration
+/// order (so a routed observation visits them in the order an unrouted
+/// one would).
+#[derive(Clone, Debug, Default)]
+struct Readers {
+    queries: Vec<usize>,
+    rules: Vec<usize>,
+}
+
+/// The engine's interest index: per stream, the readers of each name,
+/// and the readers of every name (event `*`, decision `*`), who are
+/// also on each name's list.
+#[derive(Default)]
+struct Index {
+    named: [BTreeMap<String, Readers>; KINDS],
+    any: [Readers; KINDS],
+}
+
+impl Index {
+    /// Adds reader `i` (a query, or a rule when `rule`) of `key`. Readers
+    /// arrive in increasing index order, so pushing keeps every list
+    /// sorted; a rule reading one key twice is listed once.
+    fn add(&mut self, (kind, name): (usize, Option<&str>), i: usize, rule: bool) {
+        let push = |r: &mut Readers| {
+            let list = if rule { &mut r.rules } else { &mut r.queries };
+            if list.last() != Some(&i) {
+                list.push(i);
+            }
+        };
+        match name {
+            Some(name) => {
+                let any = &self.any[kind];
+                push(
+                    self.named[kind]
+                        .entry(name.to_string())
+                        .or_insert_with(|| any.clone()),
+                );
+            }
+            None => {
+                push(&mut self.any[kind]);
+                self.named[kind].values_mut().for_each(push);
+            }
+        }
+    }
+
+    /// Who reads `obs`: one lookup, `None` when nobody does.
+    fn readers(&self, obs: &Obs) -> Option<&Readers> {
+        let (kind, name) = obs.key();
+        self.named[kind].get(name).or_else(|| {
+            let any = &self.any[kind];
+            (!any.queries.is_empty() || !any.rules.is_empty()).then_some(any)
+        })
+    }
+
+    /// The names read on stream `kind`, sorted (`None`: every name).
+    fn names(&self, kind: usize) -> Option<Vec<String>> {
+        let any = &self.any[kind];
+        (any.queries.is_empty() && any.rules.is_empty())
+            .then(|| self.named[kind].keys().cloned().collect())
+    }
+}
+
+/// A series resolved by [`QueryEngine::gauge_series`]; valid only with
+/// the engine that resolved it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeriesId {
+    engine: EngineId,
+    index: usize,
+}
+
+/// A process-unique engine identity, so that a [`SeriesId`] cannot
+/// reach into an engine that did not resolve it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct EngineId(u64);
+
+impl Default for EngineId {
+    fn default() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Self(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// A resolved series: its observation, rewritten in place by every
+/// sample, and the run slot each sustained rule reading it keeps it in.
+struct Resolved {
+    obs: Obs,
+    /// `(rule index, run slot)`.
+    runs: Vec<(usize, usize)>,
 }
 
 /// Opaque subscription handle returned by [`QueryEngine::subscribe`].
@@ -409,6 +552,13 @@ pub struct SubId(usize);
 pub struct QueryEngine {
     queries: Vec<QueryState>,
     rules: Vec<RuleState>,
+    /// Who reads what: routes each observation to its readers.
+    index: Index,
+    id: EngineId,
+    /// Series resolved by [`QueryEngine::gauge_series`], by handle
+    /// index, and their handle indices by series key.
+    series: Vec<Resolved>,
+    series_of: BTreeMap<SeriesKey, usize>,
     subs: Vec<SubState>,
     watermark: Micros,
     /// Outputs not yet released by [`QueryEngine::fire_into`].
@@ -473,6 +623,7 @@ impl QueryEngine {
             }
             _ => {}
         }
+        self.index.add(spec.source.key(), self.queries.len(), false);
         self.queries.push(QueryState {
             spec,
             open: BTreeMap::new(),
@@ -500,8 +651,28 @@ impl QueryEngine {
                 }
             }
         }
+        for source in state.rule.sources() {
+            self.index.add(source.key(), self.rules.len(), true);
+        }
         self.rules.push(state);
         Ok(())
+    }
+
+    /// What a feed must read for this engine: the names its queries and
+    /// rules read, per stream (see [`HubFeed::reading`](crate::HubFeed::reading)).
+    pub fn interest(&self) -> Interest {
+        let series = |kind| {
+            self.index
+                .names(kind)
+                .map(|names| names.iter().map(|n| SeriesName::new(n)).collect())
+        };
+        Interest {
+            counters: series(0),
+            gauges: series(1),
+            hists: series(2),
+            events: self.index.names(3),
+            decisions: self.index.names(4),
+        }
     }
 
     /// Subscribes to a query's outputs; [`QueryEngine::poll`] returns
@@ -536,28 +707,93 @@ impl QueryEngine {
     }
 
     /// [`QueryEngine::push`] by reference, for a caller that samples
-    /// many series through one reused `Obs`.
+    /// many series through one reused `Obs`. An observation no query
+    /// or rule reads costs one index lookup; one that is read visits
+    /// only its readers.
     pub fn observe(&mut self, obs: &Obs) {
-        let t = obs.at_us();
-        for q in &mut self.queries {
-            let Some(c) = q.spec.source.contribution(obs) else {
-                continue;
-            };
-            let (lo, hi) = q.spec.window.covering(t);
-            let lo = lo.max(q.next_close);
-            if lo > hi {
+        let Some(readers) = self.index.readers(obs) else {
+            return;
+        };
+        for &i in &readers.queries {
+            if !self.queries[i].add(obs) {
                 self.late_obs += 1;
-                continue;
-            }
-            for k in lo..=hi {
-                q.open
-                    .entry(k)
-                    .or_insert_with(|| Accum::new(&q.spec.agg))
-                    .add(&c);
             }
         }
-        for r in &mut self.rules {
-            r.on_obs(obs, &mut self.alerts);
+        for &i in &readers.rules {
+            self.rules[i].on_obs(obs, &mut self.alerts);
+        }
+    }
+
+    /// Resolves the gauge series `name{labels}` once, for a caller that
+    /// samples it at every barrier: [`QueryEngine::sample`] then finds
+    /// each sustained rule's run for it by slot rather than by
+    /// searching the rule's label sets. Resolving a series again
+    /// returns the same handle.
+    pub fn gauge_series(&mut self, name: &str, labels: Labels) -> SeriesId {
+        let key = (name.to_string(), labels);
+        let index = match self.series_of.get(&key) {
+            Some(&index) => index,
+            None => {
+                self.series.push(Resolved {
+                    obs: Obs::Gauge {
+                        at_us: 0,
+                        name: key.0.clone(),
+                        labels: key.1.clone(),
+                        value: 0.0,
+                    },
+                    runs: Vec::new(),
+                });
+                self.series_of.insert(key, self.series.len() - 1);
+                self.series.len() - 1
+            }
+        };
+        // Sustained rules added since the series was last resolved get
+        // their slots now; any later still fall back to a lookup.
+        let Resolved { obs, runs } = &mut self.series[index];
+        for (i, r) in self.rules.iter_mut().enumerate() {
+            if !runs.iter().any(|&(rule, _)| rule == i) {
+                runs.extend(r.resolve(obs).map(|slot| (i, slot)));
+            }
+        }
+        SeriesId {
+            engine: self.id,
+            index,
+        }
+    }
+
+    /// Whether this engine resolved `series`.
+    pub fn owns(&self, series: SeriesId) -> bool {
+        series.engine == self.id
+    }
+
+    /// One sample of a resolved series at `at_us`: exactly
+    /// [`QueryEngine::observe`] of the series' gauge observation with
+    /// this time and value.
+    pub fn sample(&mut self, series: SeriesId, at_us: Micros, value: f64) {
+        assert_eq!(series.engine, self.id, "a series of another engine");
+        let Resolved { obs, runs } = &mut self.series[series.index];
+        if let Obs::Gauge {
+            at_us: at,
+            value: v,
+            ..
+        } = obs
+        {
+            (*at, *v) = (at_us, value);
+        }
+        let obs = &*obs;
+        let Some(readers) = self.index.readers(obs) else {
+            return;
+        };
+        for &i in &readers.queries {
+            if !self.queries[i].add(obs) {
+                self.late_obs += 1;
+            }
+        }
+        for &i in &readers.rules {
+            match runs.iter().find(|&&(rule, _)| rule == i) {
+                Some(&(_, slot)) => self.rules[i].on_run_sample(slot, obs, value, &mut self.alerts),
+                None => self.rules[i].on_obs(obs, &mut self.alerts),
+            }
         }
     }
 

@@ -7,7 +7,9 @@
 //! therefore every query output and alert) is byte-identical at any
 //! thread count.
 //!
-//! What a poll yields:
+//! What a poll yields, of what the feed's [`Interest`] names (all of it
+//! for [`HubFeed::new`], only what an engine reads for
+//! [`HubFeed::reading`]):
 //!
 //! - **counters** — the increment since the previous poll, stamped at
 //!   the barrier time `now` (barrier-granularity attribution);
@@ -18,32 +20,99 @@
 //! - **events / decisions** — every record not yet consumed (tracked
 //!   by ring sequence number), at its *true* simulated record time.
 //!
-//! The batch is stable-sorted by timestamp before it is returned, so
-//! replaying a recorded artifact (same sort, see [`crate::replay`])
-//! produces the same per-window contents and the same rule
-//! transitions.
+//! Metric samples come in `(name, labels)` order, then events, then
+//! decisions, and the batch is stable-sorted by timestamp before it is
+//! returned, so replaying a recorded artifact (same sort, see
+//! [`crate::replay`]) produces the same per-window contents and the
+//! same rule transitions. A feed reading an engine's interest yields
+//! exactly the all-interest batch with what the engine does not read
+//! left out.
 //!
 //! What a poll costs: one lock of the hub and a by-reference look
-//! ([`Telemetry::view`]) — a stamp comparison per counter and histogram
-//! series, and real work (a lookup in the feed's own last-seen map, a
-//! name and label clone for the emitted [`Obs`]) only for series written
-//! and ring records appended since *this feed's* previous poll, plus one
-//! sample per gauge. Nothing is copied out of the hub that is not
-//! emitted. The cursors live in the feed, so any number of feeds can
-//! follow one hub without seeing each other.
+//! ([`Telemetry::view`]). An all-interest feed compares a write stamp
+//! per counter and histogram series and samples every gauge; a feed
+//! reading an engine's interest instead seeks each name the engine
+//! reads in the hub's `(name, labels)`-ordered maps, so its cost
+//! follows those names' series, not the hub's size, and it samples
+//! only the gauges something reads. Real work (a lookup in the feed's
+//! own last-seen map, a name and label clone for the emitted [`Obs`])
+//! happens only for series written since *this feed's* previous poll.
+//! Ring records are walked from the feed's cursor; one no reader can
+//! match costs a name comparison and is never cloned. The cursors live
+//! in the feed, so any number of feeds can follow one hub without
+//! seeing each other.
 
 use std::collections::BTreeMap;
+use std::iter::FlatMap;
+use std::slice;
 
-use udc_telemetry::{Histogram, SeriesKey, Telemetry};
+use udc_telemetry::{Histogram, SeriesKey, SeriesName, Telemetry};
 
 use crate::engine::Obs;
 use crate::Micros;
+
+/// Which series and records a feed reads, per stream: every one
+/// (`None`, the default) or those with one of the listed names
+/// (sorted). An engine's is [`QueryEngine::interest`](crate::QueryEngine::interest).
+#[derive(Clone, Debug, Default)]
+pub struct Interest {
+    pub(crate) counters: Option<Vec<SeriesName>>,
+    pub(crate) gauges: Option<Vec<SeriesName>>,
+    pub(crate) hists: Option<Vec<SeriesName>>,
+    /// Event kind names.
+    pub(crate) events: Option<Vec<String>>,
+    /// Decision stages.
+    pub(crate) decisions: Option<Vec<String>>,
+}
+
+/// Whether `names` (sorted; `None` = every name) holds `name`.
+fn reads(names: &Option<Vec<String>>, name: &str) -> bool {
+    names
+        .as_ref()
+        .is_none_or(|n| n.binary_search_by(|k| k.as_str().cmp(name)).is_ok())
+}
+
+/// One metric stream's series: every one the hub holds, or those of a
+/// list of names, looked up name by name.
+enum Series<A, B> {
+    All(A),
+    Named(B),
+}
+
+impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator for Series<A, B> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Series::All(a) => a.next(),
+            Series::Named(b) => b.next(),
+        }
+    }
+}
+
+/// The series `names` asks for: `all()` when it is `None`, else
+/// `named(name)` for each name in order.
+fn series<'n, A, B, F>(
+    names: &'n Option<Vec<SeriesName>>,
+    all: impl FnOnce() -> A,
+    named: F,
+) -> Series<A, FlatMap<slice::Iter<'n, SeriesName>, B, F>>
+where
+    B: IntoIterator,
+    F: FnMut(&'n SeriesName) -> B,
+{
+    match names {
+        None => Series::All(all()),
+        Some(names) => Series::Named(names.iter().flat_map(named)),
+    }
+}
 
 /// Stateful cursor over one hub. Keep one feed per hub for the life of
 /// the run; its diffs assume the hub only accumulates (which absorbed
 /// driver hubs do).
 #[derive(Default)]
 pub struct HubFeed {
+    interest: Interest,
     counters: BTreeMap<SeriesKey, u64>,
     hists: BTreeMap<SeriesKey, Histogram>,
     /// The hub's metric-write count at the previous poll.
@@ -55,14 +124,26 @@ pub struct HubFeed {
 }
 
 impl HubFeed {
-    /// A fresh feed (first poll yields everything recorded so far).
+    /// A fresh feed of everything (first poll yields everything
+    /// recorded so far).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// A fresh feed of only what `interest` names. Its interest is
+    /// fixed: a counter or histogram it starts reading later would
+    /// have no last-seen value to diff against.
+    pub fn reading(interest: Interest) -> Self {
+        Self {
+            interest,
+            ..Self::default()
+        }
+    }
+
     /// Events and decisions the hub's rings evicted before this feed
     /// read them: they never reached the engine. Non-zero means the
-    /// rings are too small for the poll cadence.
+    /// rings are too small for the poll cadence. Counted whatever the
+    /// interest: a cursor passes every record.
     pub fn missed(&self) -> u64 {
         self.missed
     }
@@ -74,15 +155,22 @@ impl HubFeed {
         self.hub_dropped
     }
 
-    /// Drains everything new since the previous poll as a
-    /// timestamp-ordered observation batch. `now` is the barrier's sim
-    /// time; metric samples are stamped with it.
+    /// Drains everything new since the previous poll that the feed's
+    /// interest names, as a timestamp-ordered observation batch. `now`
+    /// is the barrier's sim time; metric samples are stamped with it.
     pub fn poll(&mut self, hub: &Telemetry, now: Micros) -> Vec<Obs> {
         let Some(view) = hub.view() else {
             return Vec::new();
         };
+        let since = self.metric_writes;
+        let want = &self.interest;
         let mut out = Vec::new();
-        for (key, value) in view.counters_since(self.metric_writes) {
+        let counters = series(
+            &want.counters,
+            || view.counters_since(since),
+            |name| view.counters_named(name, since),
+        );
+        for (key, value) in counters {
             let delta = match self.counters.get_mut(key) {
                 Some(prev) => value.saturating_sub(std::mem::replace(prev, value)),
                 None => {
@@ -99,7 +187,12 @@ impl HubFeed {
                 });
             }
         }
-        for (key, value) in view.gauges() {
+        let gauges = series(
+            &want.gauges,
+            || view.gauges(),
+            |name| view.gauges_named(name),
+        );
+        for (key, value) in gauges {
             out.push(Obs::Gauge {
                 at_us: now,
                 name: key.0.clone(),
@@ -107,7 +200,12 @@ impl HubFeed {
                 value: value as f64,
             });
         }
-        for (key, hist) in view.histograms_since(self.metric_writes) {
+        let hists = series(
+            &want.hists,
+            || view.histograms_since(since),
+            |name| view.histograms_named(name, since),
+        );
+        for (key, hist) in hists {
             let delta = match self.hists.get_mut(key) {
                 Some(prev) => {
                     let delta = hist.diff(prev);
@@ -133,23 +231,28 @@ impl HubFeed {
         self.missed += events.missed;
         self.next_event_seq = self.next_event_seq.max(events.next_seq);
         for e in events.records {
-            out.push(Obs::Event {
-                at_us: e.at_us,
-                kind: e.kind.as_str().to_string(),
-                labels: e.labels.clone(),
-            });
+            let kind = e.kind.as_str();
+            if reads(&want.events, kind) {
+                out.push(Obs::Event {
+                    at_us: e.at_us,
+                    kind: kind.to_string(),
+                    labels: e.labels.clone(),
+                });
+            }
         }
         let decisions = view.decisions_since(self.next_decision_seq);
         self.missed += decisions.missed;
         self.next_decision_seq = self.next_decision_seq.max(decisions.next_seq);
         for d in decisions.records {
-            out.push(Obs::Decision {
-                at_us: d.at_us,
-                stage: d.stage.clone(),
-                module: d.module.clone(),
-                reason: d.reason.as_str().to_string(),
-                accepted: d.accepted,
-            });
+            if reads(&want.decisions, &d.stage) {
+                out.push(Obs::Decision {
+                    at_us: d.at_us,
+                    stage: d.stage.clone(),
+                    module: d.module.clone(),
+                    reason: d.reason.as_str().to_string(),
+                    accepted: d.accepted,
+                });
+            }
         }
         self.hub_dropped = view.dropped();
         drop(view);

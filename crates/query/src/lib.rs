@@ -39,8 +39,8 @@ pub mod replay;
 pub mod rules;
 pub mod window;
 
-pub use engine::{LabelFilter, Obs, QueryEngine, QueryOutput, QuerySpec, Source, SubId};
-pub use feed::HubFeed;
+pub use engine::{LabelFilter, Obs, QueryEngine, QueryOutput, QuerySpec, SeriesId, Source, SubId};
+pub use feed::{HubFeed, Interest};
 pub use naive::NaiveEngine;
 pub use replay::{default_horizon, obs_from_json};
 pub use rules::{default_ruleset, parse_rule, AlertRule, Cmp, ParsedRule, RuleKind, DEFAULT_RULES};

@@ -141,6 +141,19 @@ impl AlertRule {
             _ => None,
         }
     }
+
+    /// The sources whose observations drive the rule (none for a
+    /// threshold rule, which reads its query's outputs).
+    pub(crate) fn sources(&self) -> impl Iterator<Item = &Source> {
+        let (a, b) = match &self.kind {
+            RuleKind::Threshold { .. } => (None, None),
+            RuleKind::Sustained { source, .. } | RuleKind::Absence { source, .. } => {
+                (Some(source), None)
+            }
+            RuleKind::Sequence { first, then, .. } => (Some(first), Some(then)),
+        };
+        a.into_iter().chain(b)
+    }
 }
 
 /// Per-label-set state of a sustained rule's condition.
@@ -156,8 +169,14 @@ pub(crate) struct RuleState {
     /// Labels carried by threshold fires (copied from the query's
     /// source filter by the engine at `add_rule`).
     pub threshold_labels: Labels,
-    /// Sustained: condition runs per label set.
-    cond: BTreeMap<Labels, CondState>,
+    /// Sustained: each label set's slot in `runs`.
+    slot_of: BTreeMap<Labels, usize>,
+    /// Sustained: condition runs, by slot (a slot never moves, so a
+    /// series resolved once can name its run directly).
+    runs: Vec<CondState>,
+    /// Sustained: the slots whose run is held and has not fired yet, by
+    /// label set — all a watermark can fire, so it visits only these.
+    pending: BTreeMap<Labels, usize>,
     /// Absence: last time the source spoke (0 = never).
     last_seen_us: Micros,
     /// Absence: whether the current gap already fired.
@@ -184,7 +203,9 @@ impl RuleState {
         Self {
             rule,
             threshold_labels: Labels::none(),
-            cond: BTreeMap::new(),
+            slot_of: BTreeMap::new(),
+            runs: Vec::new(),
+            pending: BTreeMap::new(),
             last_seen_us: 0,
             gap_fired: false,
             pending_first: None,
@@ -192,7 +213,71 @@ impl RuleState {
     }
 
     pub fn held_since(&self, labels: &Labels) -> Option<Micros> {
-        self.cond.get(labels).and_then(|c| c.held_since)
+        self.slot_of
+            .get(labels)
+            .and_then(|&slot| self.runs[slot].held_since)
+    }
+
+    /// The slot of the sustained run for `labels`, made if new.
+    fn run_slot(&mut self, labels: &Labels) -> usize {
+        if let Some(&slot) = self.slot_of.get(labels) {
+            return slot;
+        }
+        self.runs.push(CondState::default());
+        self.slot_of.insert(labels.clone(), self.runs.len() - 1);
+        self.runs.len() - 1
+    }
+
+    /// The run slot of `obs`'s series, if this is a sustained rule
+    /// whose condition reads it: a caller that keeps the slot feeds the
+    /// series' later samples to [`RuleState::on_run_sample`] directly.
+    pub fn resolve(&mut self, obs: &Obs) -> Option<usize> {
+        match &self.rule.kind {
+            RuleKind::Sustained { source, .. } if source.contribution(obs).is_some() => {
+                Some(self.run_slot(&obs_labels(obs)))
+            }
+            _ => None,
+        }
+    }
+
+    /// A sustained rule's transition for the sample `obs`, of value `v`,
+    /// of the series whose run is at `slot`.
+    pub fn on_run_sample(&mut self, slot: usize, obs: &Obs, v: f64, alerts: &mut Vec<AlertFire>) {
+        let RuleKind::Sustained {
+            cmp, value, for_us, ..
+        } = &self.rule.kind
+        else {
+            return;
+        };
+        let at = obs.at_us();
+        let state = &mut self.runs[slot];
+        if cmp.eval(v, *value) {
+            if state.held_since.is_none() {
+                *state = CondState {
+                    held_since: Some(at),
+                    fired: false,
+                };
+                self.pending.insert(obs_labels(obs).into_owned(), slot);
+            }
+        } else {
+            // The run ends here; if it already crossed the duration, it
+            // must fire before being forgotten.
+            if let (Some(t0), false) = (state.held_since, state.fired) {
+                let labels = obs_labels(obs);
+                self.pending.remove(&*labels);
+                if at >= t0.saturating_add(*for_us) {
+                    alerts.push(sustained_fire(
+                        &self.rule.name,
+                        labels.into_owned(),
+                        t0,
+                        *for_us,
+                        cmp,
+                        *value,
+                    ));
+                }
+            }
+            *state = CondState::default();
+        }
     }
 
     /// Observation-driven transitions. The stream is time-ordered, so
@@ -203,47 +288,21 @@ impl RuleState {
         match &self.rule.kind {
             RuleKind::Threshold { .. } => {}
             RuleKind::Sustained {
-                source,
-                cmp,
-                value,
-                for_us,
+                source, cmp, value, ..
             } => {
                 let Some(Contribution::Value(v)) = source.contribution(obs) else {
                     return;
                 };
+                // One lookup by reference: a series seen before (every
+                // barrier re-samples the same gauges) clones nothing,
+                // and one never held is not stored.
                 let labels = obs_labels(obs);
-                let holds = cmp.eval(v, *value);
-                // Look up by reference: a series seen before (every
-                // barrier re-samples the same gauges) clones nothing.
-                if !self.cond.contains_key(&*labels) {
-                    self.cond
-                        .insert(labels.clone().into_owned(), CondState::default());
-                }
-                let state = self.cond.get_mut(&*labels).expect("just ensured");
-                if holds {
-                    if state.held_since.is_none() {
-                        *state = CondState {
-                            held_since: Some(at),
-                            fired: false,
-                        };
-                    }
-                } else {
-                    // The run ends here; if it already crossed the
-                    // duration, it must fire before being forgotten.
-                    if let (Some(t0), false) = (state.held_since, state.fired) {
-                        if at >= t0.saturating_add(*for_us) {
-                            alerts.push(sustained_fire(
-                                &self.rule.name,
-                                labels.into_owned(),
-                                t0,
-                                *for_us,
-                                cmp,
-                                *value,
-                            ));
-                        }
-                    }
-                    *state = CondState::default();
-                }
+                let slot = match self.slot_of.get(&*labels) {
+                    Some(&slot) => slot,
+                    None if cmp.eval(v, *value) => self.run_slot(&labels),
+                    None => return,
+                };
+                self.on_run_sample(slot, obs, v, alerts);
             }
             RuleKind::Absence { source, for_us } => {
                 if source.contribution(obs).is_none() {
@@ -320,21 +379,25 @@ impl RuleState {
             RuleKind::Sustained {
                 cmp, value, for_us, ..
             } => {
-                for (labels, state) in self.cond.iter_mut() {
-                    if let (Some(t0), false) = (state.held_since, state.fired) {
-                        if wm >= t0.saturating_add(*for_us) {
-                            alerts.push(sustained_fire(
-                                &self.rule.name,
-                                labels.clone(),
-                                t0,
-                                *for_us,
-                                cmp,
-                                *value,
-                            ));
-                            state.fired = true;
-                        }
+                // Pending runs in label order: the order a scan of every
+                // label set would fire them in.
+                self.pending.retain(|labels, &mut slot| {
+                    let state = &mut self.runs[slot];
+                    let t0 = state.held_since.expect("pending runs are held");
+                    if wm < t0.saturating_add(*for_us) {
+                        return true;
                     }
-                }
+                    alerts.push(sustained_fire(
+                        &self.rule.name,
+                        labels.clone(),
+                        t0,
+                        *for_us,
+                        cmp,
+                        *value,
+                    ));
+                    state.fired = true;
+                    false
+                });
             }
             RuleKind::Absence { source, for_us }
                 if !self.gap_fired && wm >= self.last_seen_us.saturating_add(*for_us) =>

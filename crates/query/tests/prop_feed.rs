@@ -12,13 +12,21 @@
 //! `absorb` of a worker hub that keeps accumulating or of a fresh one
 //! per round) against two feeds polled independently, over rings small
 //! enough to wrap between polls.
+//!
+//! A feed reading an engine's interest ([`HubFeed::reading`]) must
+//! yield the oracle's batch with every observation the engine's
+//! sources cannot read left out — wildcard event and decision sources
+//! included — and advance its cursors and `missed()` exactly as an
+//! all-interest feed does; an engine fed by it fires what one fed
+//! everything fires.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use udc_query::{HubFeed, Obs};
+use udc_query::rules::parse_source;
+use udc_query::{parse_rule, HubFeed, Obs, QueryEngine, Source};
 use udc_telemetry::{Decision, EventKind, Histogram, Labels, ReasonCode, SeriesKey, Telemetry};
 
 /// The parent commit's `HubFeed`: snapshot the hub, diff everything.
@@ -255,4 +263,108 @@ fn missed_counts_what_the_ring_evicted_between_polls() {
     // A feed that arrives late missed everything already evicted.
     assert_eq!(ring_records(&late.poll(&hub, 20)), 2);
     assert_eq!(late.missed(), 4);
+}
+
+/// Whether `src` reads `obs`'s stream and name: what a feed's interest
+/// keeps (label filters narrow the engine, not the feed).
+fn named_by(src: &Source, obs: &Obs) -> bool {
+    match (src, obs) {
+        (Source::Counter { name, .. }, Obs::Counter { name: n, .. })
+        | (Source::Gauge { name, .. }, Obs::Gauge { name: n, .. })
+        | (Source::Hist { name, .. }, Obs::Hist { name: n, .. }) => name == n,
+        (Source::Event { kind, .. }, Obs::Event { kind: k, .. }) => {
+            kind.as_ref().is_none_or(|w| w == k)
+        }
+        (Source::Decision { stage, .. }, Obs::Decision { stage: s, .. }) => {
+            stage.as_ref().is_none_or(|w| w == s)
+        }
+        _ => false,
+    }
+}
+
+/// Sources an engine may read: names the hub writes, names it never
+/// writes, a prefix of a written name, label filters, and the two
+/// wildcards.
+const SOURCES: [&str; 12] = [
+    "counter:hits",
+    "counter:hits.x",
+    "counter:never",
+    "gauge:depth",
+    "gauge:depth{tenant=acme}",
+    "hist:lat",
+    "hist:la",
+    "event:failure",
+    "event:*",
+    "decision:heal.detect",
+    "decision:*",
+    "decision:sched.place/accepted",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    fn interest_poll_equals_the_oracle_filtered(
+        ops in prop::collection::vec((0u8..9, 0u64..40, 0u64..1000), 0..120),
+        pick in 0u16..(1 << 12),
+        event_cap in 1usize..6,
+        decision_cap in 0usize..6,
+    ) {
+        let sources: Vec<Source> = (0..SOURCES.len())
+            .filter(|i| pick & (1 << i) != 0)
+            .map(|i| parse_source(SOURCES[i]).unwrap())
+            .collect();
+        // One threshold rule (and its query) per source.
+        let engine = || {
+            let mut e = QueryEngine::new();
+            for i in (0..SOURCES.len()).filter(|i| pick & (1 << i) != 0) {
+                let parsed = parse_rule(&format!("r{i}: count({}) over 100us >= 1", SOURCES[i])).unwrap();
+                for q in parsed.queries {
+                    e.register(q).unwrap();
+                }
+                e.add_rule(parsed.rule).unwrap();
+            }
+            e
+        };
+        let (mut routed, mut fed_all) = (engine(), engine());
+        let clock = Arc::new(AtomicU64::new(0));
+        let hub = Telemetry::with_capacities(event_cap, decision_cap);
+        let c = Arc::clone(&clock);
+        hub.set_clock(move || c.load(Ordering::Relaxed));
+        let mut feed = HubFeed::reading(routed.interest());
+        let mut all = HubFeed::new();
+        let mut oracle = OracleFeed::default();
+        let mut t = 0u64;
+        for &(kind, dt, val) in &ops {
+            t += dt;
+            clock.store(t, Ordering::Relaxed);
+            let name = |base: &'static str| match val % 3 {
+                0 => base,
+                1 => ["hits.x", "depth.y", "la"][(val % 9 / 3) as usize],
+                _ => "other",
+            };
+            match kind {
+                0 => hub.incr(name("hits"), labels(val), val % 5),
+                1 => hub.observe(name("lat"), labels(val), val),
+                2 => hub.gauge_set(name("depth"), labels(val), val as i64 - 500),
+                3 => hub.event(EventKind::Failure, labels(val), &[]),
+                4 => hub.event(EventKind::Placement, labels(val), &[]),
+                5 => decide(&hub, val),
+                _ => {
+                    let got = feed.poll(&hub, t);
+                    let every = all.poll(&hub, t);
+                    let mut want = oracle.poll(&hub, t);
+                    prop_assert_eq!(render(&every), render(&want));
+                    want.retain(|o| sources.iter().any(|s| named_by(s, o)));
+                    prop_assert_eq!(render(&got), render(&want));
+                    prop_assert_eq!((feed.missed(), feed.hub_dropped()), (all.missed(), all.hub_dropped()));
+                    routed.ingest(got);
+                    fed_all.ingest(every);
+                    routed.advance_to(t);
+                    fed_all.advance_to(t);
+                }
+            }
+        }
+        prop_assert_eq!(routed.outputs(), fed_all.outputs());
+        prop_assert_eq!(routed.alerts(), fed_all.alerts());
+    }
 }

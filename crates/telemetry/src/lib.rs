@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub use alert::{AlertFire, AlertReason, AlertRecord};
 pub use decision::{Decision, DecisionRecord, ReasonCode};
 pub use export::Snapshot;
-pub use metrics::{Histogram, HistogramSummary, SeriesKey};
+pub use metrics::{Histogram, HistogramSummary, SeriesKey, SeriesName};
 pub use recorder::{Event, EventKind, FieldValue};
 pub use ring::RingTail;
 pub use span::{Span, SpanRecord};
@@ -441,6 +441,37 @@ impl HubView<'_> {
     /// order.
     pub fn histograms_since(&self, since: u64) -> impl Iterator<Item = (&SeriesKey, &Histogram)> {
         self.state.metrics.histograms_since(since)
+    }
+
+    /// [`HubView::counters_since`] for the series named `name` only: a
+    /// range seek in the hub's `(name, labels)`-ordered map, so the
+    /// cost follows that name's series, not the hub's.
+    pub fn counters_named<'s>(
+        &'s self,
+        name: &'s SeriesName,
+        since: u64,
+    ) -> impl Iterator<Item = (&'s SeriesKey, u64)> {
+        self.state.metrics.counters_named(name, since)
+    }
+
+    /// [`HubView::gauges`] for the series named `name` only.
+    pub fn gauges_named<'s>(
+        &'s self,
+        name: &'s SeriesName,
+    ) -> impl Iterator<Item = (&'s SeriesKey, i64)> {
+        self.state
+            .metrics
+            .gauges_named(name)
+            .map(|(k, g)| (k, g.value))
+    }
+
+    /// [`HubView::histograms_since`] for the series named `name` only.
+    pub fn histograms_named<'s>(
+        &'s self,
+        name: &'s SeriesName,
+        since: u64,
+    ) -> impl Iterator<Item = (&'s SeriesKey, &'s Histogram)> {
+        self.state.metrics.histograms_named(name, since)
     }
 
     /// Flight-recorder events with sequence number `seq` or later.

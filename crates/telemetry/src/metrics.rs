@@ -7,6 +7,29 @@ use crate::Labels;
 /// What identifies one metric series: its name and labels.
 pub type SeriesKey = (String, Labels);
 
+/// A metric name prepared for lookups by name: the least series key
+/// the name can have (`Labels::none()` sorts before every other label
+/// set), built once so each lookup is a range seek that allocates
+/// nothing (see [`HubView::counters_named`](crate::HubView::counters_named)).
+#[derive(Clone, Debug)]
+pub struct SeriesName(SeriesKey);
+
+impl SeriesName {
+    /// The name `name`, ready for lookups.
+    pub fn new(name: &str) -> Self {
+        Self((name.to_string(), Labels::none()))
+    }
+}
+
+/// Every series of `map` named `name`, in label order.
+fn named<'a, T>(
+    map: &'a BTreeMap<SeriesKey, T>,
+    name: &'a SeriesName,
+) -> impl Iterator<Item = (&'a SeriesKey, &'a T)> {
+    map.range(&name.0..)
+        .take_while(move |(k, _)| k.0 == name.0 .0)
+}
+
 /// A gauge value plus its high-water mark.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Gauge {
@@ -123,6 +146,35 @@ impl MetricsRegistry {
 
     pub fn gauges(&self) -> impl Iterator<Item = (&SeriesKey, &Gauge)> {
         self.gauges.iter()
+    }
+
+    /// [`MetricsRegistry::counters_since`] restricted to one name.
+    pub fn counters_named<'a>(
+        &'a self,
+        name: &'a SeriesName,
+        since: u64,
+    ) -> impl Iterator<Item = (&'a SeriesKey, u64)> {
+        named(&self.counters, name)
+            .filter(move |(_, c)| c.stamp > since)
+            .map(|(k, c)| (k, c.value))
+    }
+
+    pub fn gauges_named<'a>(
+        &'a self,
+        name: &'a SeriesName,
+    ) -> impl Iterator<Item = (&'a SeriesKey, &'a Gauge)> {
+        named(&self.gauges, name)
+    }
+
+    /// [`MetricsRegistry::histograms_since`] restricted to one name.
+    pub fn histograms_named<'a>(
+        &'a self,
+        name: &'a SeriesName,
+        since: u64,
+    ) -> impl Iterator<Item = (&'a SeriesKey, &'a Histogram)> {
+        named(&self.histograms, name)
+            .filter(move |(_, h)| h.stamp > since)
+            .map(|(k, h)| (k, &h.value))
     }
 
     /// Histograms written after the registry's `since`-th write (0 =
