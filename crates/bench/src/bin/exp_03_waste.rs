@@ -11,14 +11,12 @@
 //! into `results/`. Human-readable output goes to stderr; stdout carries
 //! only the path of the JSON artifact.
 //!
-//! Demand classes are independent trials: each samples from its own
-//! per-class-seeded stream into a private telemetry hub, so `--threads N`
-//! fans them across workers and the absorbed-in-class-order export is
-//! byte-identical at any thread count.
+//! Demand classes are independent trials, run in class order on one
+//! telemetry hub: each samples from its own per-class-seeded stream and
+//! stamps its records with its own logical clock.
 
 use udc_baseline::Catalog;
-use udc_bench::harness::{fan_out, threads_from_args};
-use udc_bench::{banner_stderr, pct, Table};
+use udc_bench::{banner_stderr, pct, trial_ticks, Table};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 use udc_workload::{DemandClass, DemandSampler};
 
@@ -55,17 +53,14 @@ fn main() {
         DemandClass::StorageHeavy,
     ];
     let catalog = Catalog::aws_2021();
-    let threads = threads_from_args();
+    let tel = Telemetry::enabled();
 
     // Phase 1: provision each demand both ways, recording every data
     // point into the registry. Waste is stored in basis points so the
     // integer histogram keeps sub-percent resolution. Each class is one
-    // trial: its own seed (2026 + class index) and its own private hub,
-    // merged below in class order — so the export does not depend on
-    // the thread count.
-    let run_class = |idx: usize| {
-        let class = classes[idx];
-        let tel = Telemetry::enabled();
+    // trial with its own seed (2026 + class index), run in class order.
+    for (idx, &class) in classes.iter().enumerate() {
+        trial_ticks(&tel);
         let labels = class_label(class);
         let mut sampler = DemandSampler::new(2026 + idx as u64);
         for _ in 0..DEMANDS_PER_CLASS {
@@ -116,12 +111,6 @@ fn main() {
                 ),
             ],
         );
-        tel
-    };
-
-    let tel = Telemetry::enabled();
-    for trial in fan_out(threads, classes.len(), run_class) {
-        tel.absorb(&trial);
     }
 
     // Phase 2: the human summary, rendered from the registry alone.

@@ -12,14 +12,11 @@
 //! as structured JSON into `results/`. Human-readable output goes to
 //! stderr; stdout carries only the path of the JSON artifact.
 //!
-//! Both the seed trials and the skew sweep are embarrassingly parallel:
-//! every trial seeds its own sampler and records into a private
-//! telemetry hub, so `--threads N` fans them across workers and the
-//! absorbed-in-trial-order export is byte-identical at any thread
-//! count.
+//! The seed trials and the skew sweep run in order on one telemetry
+//! hub: every trial seeds its own sampler and installs its own clock
+//! (the pools' simulated clock, or logical ticks for a skew trial).
 
-use udc_bench::harness::{fan_out, threads_from_args};
-use udc_bench::{banner_stderr, pct, Table};
+use udc_bench::{banner_stderr, pct, trial_ticks, Table};
 use udc_hal::pool::AllocConstraints;
 use udc_hal::{Datacenter, DatacenterConfig, FabricConfig, PoolConfig};
 use udc_sched::{PackAlgo, ServerCluster, ServerShape};
@@ -63,9 +60,8 @@ fn matched_pools() -> Datacenter {
 
 /// Admits the same demand stream into a server fleet and into
 /// matched-capacity pools, recording every outcome under the trial's
-/// tenant label in a private hub (so trials can run on any worker).
-fn run_trial(skew_seed: u64) -> Telemetry {
-    let tel = Telemetry::enabled();
+/// tenant label.
+fn run_trial(tel: &Telemetry, skew_seed: u64) {
     let tenant = format!("seed{skew_seed}");
     let labels = Labels::tenant(&tenant);
     let mut sampler = DemandSampler::new(skew_seed);
@@ -135,7 +131,6 @@ fn run_trial(skew_seed: u64) -> Telemetry {
             ),
         ],
     );
-    tel
 }
 
 fn main() {
@@ -145,10 +140,9 @@ fn main() {
         "fine-grained disaggregated deployment improves utilization ~2x [36]",
     );
 
-    let threads = threads_from_args();
     let tel = Telemetry::enabled();
-    for trial in fan_out(threads, 5, |i| run_trial(i as u64 + 1)) {
-        tel.absorb(&trial);
+    for seed in 1..=5u64 {
+        run_trial(&tel, seed);
     }
 
     // Human summary, rendered from the registry alone.
@@ -197,8 +191,8 @@ fn main() {
     eprintln!();
     eprintln!("Skew sweep — provision-to-serve (fraction of memory-heavy vs CPU-heavy batch):");
     let skews = [0u64, 25, 50, 75, 100];
-    let run_skew = |pct_mem: u64| {
-        let tel = Telemetry::enabled();
+    for pct_mem in skews {
+        trial_ticks(&tel);
         let labels = Labels::tenant(format!("mem{pct_mem}"));
         let mut sampler = DemandSampler::new(100 + pct_mem);
         let demands: Vec<ResourceVector> = (0..2_000)
@@ -271,10 +265,6 @@ fn main() {
                 ),
             ],
         );
-        tel
-    };
-    for trial in fan_out(threads, skews.len(), |i| run_skew(skews[i])) {
-        tel.absorb(&trial);
     }
     let mut s = Table::new(&[
         "mem-heavy fraction",
@@ -283,7 +273,7 @@ fn main() {
         "pool util",
         "util gain",
     ]);
-    for pct_mem in [0u64, 25, 50, 75, 100] {
+    for pct_mem in skews {
         let labels = Labels::tenant(format!("mem{pct_mem}"));
         let bought = tel.gauge("exp4.skew.servers_bought", &labels).unwrap().0;
         let srv_util = tel.gauge("exp4.skew.server_util_bp", &labels).unwrap().0 as f64 / 10_000.0;

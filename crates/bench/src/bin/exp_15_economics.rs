@@ -20,45 +20,62 @@
 //!    --explain S1` prints the economic rejection like any capacity
 //!    one.
 //!
-//! Sections 2 and 3 fan trials across `--threads N` workers; each
-//! trial derives its seed from its index and records into a private
-//! telemetry hub, absorbed in trial order — the exported JSON is
-//! byte-identical at any thread count. Human tables go to stderr;
-//! stdout carries only the artifact path.
+//! Every section records into one telemetry hub. The market trials of
+//! sections 2 and 3 run in order, each deriving its seed from its index
+//! and stamping its records with its own logical clock. Human tables go
+//! to stderr; stdout carries only the artifact path.
 
 use udc_baseline::IaasProvisioner;
-use udc_bench::harness::{fan_out, threads_from_args};
-use udc_bench::{banner_stderr, pct, Table};
+use udc_bench::{banner_stderr, pct, trial_ticks, Table};
 use udc_economics::{
     BidderPolicy, Lot, PlanSpec, QuotaGate, SpotMarket, AGGRESSIVE_BIDDER, BUDGET_BIDDER,
     SHADED_BIDDER, TRUTHFUL_BIDDER,
 };
 use udc_extvm::assemble;
+use udc_failure::mix64;
 use udc_spec::{ResourceKind, ResourceVector};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 use udc_workload::{medical_pipeline, DemandSampler};
 
 const EPOCHS: u64 = 32;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// What one market trial sold and how efficiently.
+#[derive(Debug, Default, PartialEq)]
+struct MarketTally {
+    revenue: u64,
+    /// Sum and count of the clearing prices of the lots that sold.
+    clearing_sum: u64,
+    sold: u64,
+    unsold: u64,
+    achieved_welfare: u64,
+    optimal_welfare: u64,
+}
+
+impl MarketTally {
+    fn mean_clearing_price(&self) -> f64 {
+        if self.sold == 0 {
+            0.0
+        } else {
+            self.clearing_sum as f64 / self.sold as f64
+        }
+    }
+
+    fn price_of_anarchy(&self) -> f64 {
+        self.optimal_welfare as f64 / self.achieved_welfare.max(1) as f64
+    }
 }
 
 /// One market trial: `tenants` bidding policies (name, program source)
-/// auction `EPOCHS` lots at the given utilization. Valuations are
-/// drawn per epoch per bidder from the trial seed; scarcity raises
-/// them (tighter supply is worth more). Returns the trial's private
-/// hub plus the welfare tallies for the price-of-anarchy ratio.
+/// auction `EPOCHS` lots at the given utilization, recording into
+/// `tel`. Valuations are drawn per epoch per bidder from the trial
+/// seed; scarcity raises them (tighter supply is worth more).
 fn market_trial(
+    tel: &Telemetry,
     seed: u64,
     utilization_pct: u64,
     tenants: &[(&str, &str)],
-) -> (Telemetry, u64, u64) {
-    let tel = Telemetry::enabled();
+) -> MarketTally {
+    trial_ticks(tel);
     let mut gate = QuotaGate::new();
     for (name, _) in tenants {
         gate.open_account(name, PlanSpec::unlimited("spot"), 0);
@@ -72,13 +89,13 @@ fn market_trial(
         units: surplus,
         reserve_price: 2 + utilization_pct / 10,
     };
-    let (mut achieved, mut optimal) = (0u64, 0u64);
+    let mut tally = MarketTally::default();
     for epoch in 0..EPOCHS {
         let bidders: Vec<BidderPolicy> = tenants
             .iter()
             .enumerate()
             .map(|(i, (name, asm))| {
-                let r = splitmix64(seed ^ (epoch << 8) ^ i as u64);
+                let r = mix64(seed ^ (epoch << 8) ^ i as u64);
                 BidderPolicy {
                     tenant: name.to_string(),
                     program: assemble(asm).expect("canned policy assembles"),
@@ -93,12 +110,19 @@ fn market_trial(
             &bidders,
             utilization_pct,
             &mut gate,
-            &tel,
+            tel,
         );
-        achieved += out.achieved_welfare;
-        optimal += out.optimal_welfare;
+        tally.revenue += out.revenue;
+        if out.winner.is_some() {
+            tally.clearing_sum += out.clearing_price;
+            tally.sold += 1;
+        } else {
+            tally.unsold += 1;
+        }
+        tally.achieved_welfare += out.achieved_welfare;
+        tally.optimal_welfare += out.optimal_welfare;
     }
-    (tel, achieved, optimal)
+    tally
 }
 
 fn main() {
@@ -108,7 +132,6 @@ fn main() {
         "UDC can raise unit prices and still undercut users' total cost; \
          surplus capacity clears through a tenant-programmable auction",
     );
-    let threads = threads_from_args();
     let tel = Telemetry::enabled();
 
     // ---- 1. Win-win pricing region (the seed sweep) -----------------
@@ -193,32 +216,6 @@ fn main() {
         ("erin", TRUTHFUL_BIDDER),
     ];
     let utilizations: [u64; 6] = [50, 60, 70, 80, 90, 95];
-    let util_trials = fan_out(threads, utilizations.len(), |idx| {
-        let util = utilizations[idx];
-        let (trial, achieved, optimal) = market_trial(2026 + idx as u64, util, &POPULATION);
-        let labels = Labels::tenant(format!("util{util}"));
-        let revenue = trial.counter("market.revenue_microdollars", &Labels::none());
-        let clearing = trial
-            .histogram("market.clearing_price", &Labels::none())
-            .map(|h| h.mean)
-            .unwrap_or(0.0);
-        let unsold = trial.counter("market.unsold_lots", &Labels::none());
-        trial.event(
-            EventKind::Measurement,
-            labels,
-            &[
-                ("utilization_pct", FieldValue::from(util)),
-                ("revenue_microdollars", FieldValue::from(revenue)),
-                ("mean_clearing_price", FieldValue::from(clearing)),
-                ("unsold_lots", FieldValue::from(unsold)),
-                (
-                    "price_of_anarchy",
-                    FieldValue::from(optimal as f64 / achieved.max(1) as f64),
-                ),
-            ],
-        );
-        (trial, revenue, clearing, unsold)
-    });
     let mut t = Table::new(&[
         "utilization",
         "lot size",
@@ -226,15 +223,29 @@ fn main() {
         "mean clearing µ$/unit",
         "unsold lots",
     ]);
-    for (idx, (trial, revenue, clearing, unsold)) in util_trials.iter().enumerate() {
-        tel.absorb(trial);
-        let util = utilizations[idx];
+    for (idx, &util) in utilizations.iter().enumerate() {
+        let tally = market_trial(&tel, 2026 + idx as u64, util, &POPULATION);
+        let clearing = tally.mean_clearing_price();
+        tel.event(
+            EventKind::Measurement,
+            Labels::tenant(format!("util{util}")),
+            &[
+                ("utilization_pct", FieldValue::from(util)),
+                ("revenue_microdollars", FieldValue::from(tally.revenue)),
+                ("mean_clearing_price", FieldValue::from(clearing)),
+                ("unsold_lots", FieldValue::from(tally.unsold)),
+                (
+                    "price_of_anarchy",
+                    FieldValue::from(tally.price_of_anarchy()),
+                ),
+            ],
+        );
         t.row(&[
             format!("{util}%"),
             format!("{}", (100 - util).max(4)),
-            revenue.to_string(),
+            tally.revenue.to_string(),
             format!("{clearing:.1}"),
-            unsold.to_string(),
+            tally.unsold.to_string(),
         ]);
     }
     t.eprint();
@@ -246,8 +257,8 @@ fn main() {
 
     // ---- 3. Price of anarchy vs bid shading -------------------------
     let shaded_counts: [usize; 5] = [0, 1, 2, 3, 4];
-    let poa_trials = fan_out(threads, shaded_counts.len(), |idx| {
-        let shaded = shaded_counts[idx];
+    let mut t = Table::new(&["shaded bidders (of 4)", "price of anarchy"]);
+    for (idx, &shaded) in shaded_counts.iter().enumerate() {
         let names = ["t0", "t1", "t2", "t3"];
         let tenants: Vec<(&str, &str)> = names
             .iter()
@@ -263,24 +274,19 @@ fn main() {
                 )
             })
             .collect();
-        let (trial, achieved, optimal) = market_trial(4040 + idx as u64, 70, &tenants);
-        let poa = optimal as f64 / achieved.max(1) as f64;
-        trial.event(
+        let tally = market_trial(&tel, 4040 + idx as u64, 70, &tenants);
+        let poa = tally.price_of_anarchy();
+        tel.event(
             EventKind::Measurement,
             Labels::tenant(format!("shaded{shaded}")),
             &[
                 ("shaded_bidders", FieldValue::from(shaded as u64)),
                 ("price_of_anarchy", FieldValue::from(poa)),
-                ("achieved_welfare", FieldValue::from(achieved)),
-                ("optimal_welfare", FieldValue::from(optimal)),
+                ("achieved_welfare", FieldValue::from(tally.achieved_welfare)),
+                ("optimal_welfare", FieldValue::from(tally.optimal_welfare)),
             ],
         );
-        (trial, poa)
-    });
-    let mut t = Table::new(&["shaded bidders (of 4)", "price of anarchy"]);
-    for (idx, (trial, poa)) in poa_trials.iter().enumerate() {
-        tel.absorb(trial);
-        t.row(&[shaded_counts[idx].to_string(), format!("{poa:.3}")]);
+        t.row(&[shaded.to_string(), format!("{poa:.3}")]);
     }
     t.eprint();
     eprintln!(
@@ -295,7 +301,7 @@ fn main() {
     // denial is recorded per module in the decision log and the
     // artifact answers `udc-trace --explain S1`.
     let mut cloud = udc_core::UdcCloud::new(udc_core::CloudConfig::default());
-    let obs = cloud.enable_telemetry();
+    cloud.set_observer(tel.clone());
     let mut gate = QuotaGate::new();
     let tiny = PlanSpec {
         quota: ResourceVector::new().with(ResourceKind::Cpu, 2),
@@ -308,12 +314,12 @@ fn main() {
         Err(e) => e.to_string(),
         Ok(_) => "UNEXPECTED ADMIT".to_string(),
     };
-    let denials = obs
+    let denials = tel
         .decisions()
         .iter()
         .filter(|d| d.stage == "sched.admit")
         .count() as u64;
-    obs.event(
+    tel.event(
         EventKind::Measurement,
         Labels::tenant("quota_demo"),
         &[
@@ -321,7 +327,6 @@ fn main() {
             ("admit_decisions", FieldValue::from(denials)),
         ],
     );
-    tel.absorb(&obs);
     eprintln!();
     eprintln!("Quota-gated admission: {denial_msg}");
     eprintln!(
@@ -330,4 +335,72 @@ fn main() {
     );
 
     udc_bench::report::export("exp_15_economics", &tel);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use udc_telemetry::{Histogram, SeriesName};
+
+    const TENANTS: [(&str, &str); 3] = [
+        ("alice", TRUTHFUL_BIDDER),
+        ("bob", SHADED_BIDDER),
+        ("dave", BUDGET_BIDDER),
+    ];
+
+    fn clearing_prices(tel: &Telemetry) -> Histogram {
+        let view = tel.view().expect("enabled hub");
+        let found = view
+            .histograms_named(&SeriesName::new("market.clearing_price"), 0)
+            .map(|(_, h)| h.clone())
+            .next();
+        found.unwrap_or_default()
+    }
+
+    #[test]
+    fn a_market_tally_is_the_trials_share_of_the_shared_hub() {
+        let tel = Telemetry::enabled();
+        let counter = |name: &str| tel.counter(name, &Labels::none());
+        for (idx, util) in [50u64, 95].into_iter().enumerate() {
+            let revenue = counter("market.revenue_microdollars");
+            let unsold = counter("market.unsold_lots");
+            let before = clearing_prices(&tel);
+            let tally = market_trial(&tel, 2026 + idx as u64, util, &TENANTS);
+            let prices = clearing_prices(&tel).diff(&before);
+            assert_eq!(
+                tally.revenue,
+                counter("market.revenue_microdollars") - revenue
+            );
+            assert_eq!(tally.unsold, counter("market.unsold_lots") - unsold);
+            assert_eq!(tally.sold, prices.count());
+            assert_eq!(u128::from(tally.clearing_sum), prices.sum());
+            assert_eq!(tally.sold + tally.unsold, EPOCHS);
+        }
+    }
+
+    #[test]
+    fn a_market_trial_ignores_what_ran_before_it() {
+        // The same trial on a fresh hub and after another trial on a
+        // shared one tallies and decides identically, timestamps included.
+        let decisions = |tel: &Telemetry, from: usize| -> Vec<String> {
+            tel.decisions()[from..]
+                .iter()
+                .map(|d| {
+                    format!(
+                        "{} {} {} {} {} {:?} {:?}",
+                        d.at_us, d.stage, d.candidate, d.accepted, d.detail, d.reason, d.score
+                    )
+                })
+                .collect()
+        };
+        let fresh = Telemetry::enabled();
+        let alone = market_trial(&fresh, 4041, 70, &TENANTS);
+        let shared = Telemetry::enabled();
+        market_trial(&shared, 4040, 60, &TENANTS);
+        let earlier = shared.decisions().len();
+        let after = market_trial(&shared, 4041, 70, &TENANTS);
+        assert_eq!(alone, after);
+        assert!(earlier > 0, "the first trial decided something");
+        assert_eq!(decisions(&fresh, 0), decisions(&shared, earlier));
+    }
 }

@@ -13,13 +13,13 @@
 //!   reconciles post-heal;
 //! - every deployment ends converged or explicitly Degraded.
 //!
-//! Trials are independent: each derives its RNG seed from its index and
-//! records into a private telemetry hub, absorbed in trial order — so
-//! the exported artifact is byte-identical at any `--threads N`.
+//! Trials are independent: each derives its RNG seed from its index,
+//! builds its own cloud (whose simulated clock stamps its records) and
+//! runs in trial order on one telemetry hub — so the exported artifact
+//! is byte-identical run to run.
 //!
 //! ```text
 //! udc-chaos                      # full 54-trial sweep
-//! udc-chaos --threads 8          # same artifact, faster
 //! udc-chaos --smoke              # small fixed sweep for CI
 //! udc-chaos --explain A2         # repair decision audit for a module
 //! udc-chaos --full-artifact      # dump the whole telemetry snapshot
@@ -39,12 +39,10 @@
 //! The default artifact is a *compact* per-trial summary distilled from
 //! the trial Measurement events (a few hundred lines); `--full-artifact`
 //! restores the complete hub snapshot — every span, decision, and metric
-//! series — for trace tooling like `udc-trace`. Both are byte-identical
-//! at any thread count.
+//! series — for trace tooling like `udc-trace`.
 
 use std::collections::BTreeSet;
 
-use udc_bench::harness::{fan_out, parse_threads};
 use udc_bench::{banner_stderr, fmt_us, pct, Table};
 use udc_core::{CloudConfig, Deployment, ModuleHealth, UdcCloud};
 use udc_dist::{ReplicatedStore, ReplicationParams, StoreError};
@@ -63,6 +61,22 @@ const HORIZON_US: u64 = 1_000_000;
 const STEP_US: u64 = 250_000;
 /// Messages seeded per module (the recoverable state).
 const MESSAGES_PER_MODULE: u64 = 40;
+
+/// One trial's Measurement row, as the compact artifact lists it: the
+/// sweep cell and the event's fields.
+struct TrialRow {
+    cell: String,
+    fields: Vec<(&'static str, FieldValue)>,
+}
+
+impl TrialRow {
+    /// Records the row as the trial's Measurement event and returns it.
+    fn record(tel: &Telemetry, labels: Labels, fields: Vec<(&'static str, FieldValue)>) -> Self {
+        let cell = labels.tenant.clone().unwrap_or_default();
+        tel.event(EventKind::Measurement, labels, &fields);
+        Self { cell, fields }
+    }
+}
 
 /// One cell of the sweep.
 #[derive(Clone, Copy)]
@@ -111,6 +125,17 @@ fn sweep(smoke: bool) -> Vec<Combo> {
     combos
 }
 
+/// The cloud a trial runs: the trial's sweep cell is its tenant, so the
+/// records each trial leaves on the shared hub stay apart — above all
+/// the per-module billing counters its bill is reconciled against.
+fn trial_config(labels: &Labels) -> CloudConfig {
+    CloudConfig {
+        tenant: labels.tenant.clone().expect("a sweep cell names a tenant"),
+        warm_pool: WarmPoolConfig::uniform(2),
+        ..Default::default()
+    }
+}
+
 /// Asserts the structural invariants that must hold after *every*
 /// repair interval, not just at the end.
 fn assert_interval_invariants(dep: &Deployment, dead: &BTreeSet<DeviceId>, trial: usize) {
@@ -153,8 +178,8 @@ fn assert_interval_invariants(dep: &Deployment, dead: &BTreeSet<DeviceId>, trial
     }
 }
 
-/// Runs one trial; returns its private hub for in-order absorption.
-fn run_trial(trial: usize, combo: Combo) -> Telemetry {
+/// Runs one trial, recording into `tel`; returns its Measurement row.
+fn run_trial(tel: &Telemetry, trial: usize, combo: Combo) -> TrialRow {
     let seed = 0xC4A0_5000u64 + trial as u64;
     let labels = combo.label();
 
@@ -171,11 +196,7 @@ fn run_trial(trial: usize, combo: Combo) -> Telemetry {
         });
     }
 
-    let mut cloud = UdcCloud::new(CloudConfig {
-        warm_pool: WarmPoolConfig::uniform(2),
-        ..Default::default()
-    });
-    let tel = Telemetry::enabled();
+    let mut cloud = UdcCloud::new(trial_config(&labels));
     cloud.set_observer(tel.clone());
     let mut dep = cloud.submit(&app).expect("pipeline places");
     cloud.run(&dep); // record the billing counters the post-heal reconciliation audits
@@ -205,6 +226,7 @@ fn run_trial(trial: usize, combo: Combo) -> Telemetry {
     let mut dead: BTreeSet<DeviceId> = BTreeSet::new();
     let mut elapsed = 0u64;
     let (mut crashes, mut repairs, mut retries) = (0u64, 0u64, 0u64);
+    let mut mttr_sum_us = 0u64;
     while elapsed < deadline {
         let report = cloud.advance(&mut dep, STEP_US);
         elapsed += STEP_US;
@@ -216,6 +238,7 @@ fn run_trial(trial: usize, combo: Combo) -> Telemetry {
         }
         crashes += report.crashed_devices.len() as u64;
         repairs += report.repaired.len() as u64;
+        mttr_sum_us += report.repaired.iter().map(|r| r.mttr_us).sum::<u64>();
         retries += report.retried.len() as u64;
         assert_interval_invariants(&dep, &dead, trial);
         if elapsed > HORIZON_US + combo.repair_delay_us
@@ -265,11 +288,17 @@ fn run_trial(trial: usize, combo: Combo) -> Telemetry {
     tel.incr("chaos.device_crashes", labels.clone(), crashes);
     tel.incr("chaos.module_repairs", labels.clone(), repairs);
     tel.incr("chaos.replace_retries", labels.clone(), retries);
-    let mttr = tel.histogram("heal.mttr_us", &Labels::none());
-    tel.event(
-        EventKind::Measurement,
+    // The trial's repairs are the observations it added to the hub's
+    // `heal.mttr_us` histogram.
+    let mttr_mean_us = if repairs == 0 {
+        0.0
+    } else {
+        mttr_sum_us as f64 / repairs as f64
+    };
+    let row = TrialRow::record(
+        tel,
         labels,
-        &[
+        vec![
             ("trial", FieldValue::from(trial)),
             ("crash_prob", FieldValue::from(combo.crash_prob)),
             ("repair_delay_us", FieldValue::from(combo.repair_delay_us)),
@@ -278,15 +307,12 @@ fn run_trial(trial: usize, combo: Combo) -> Telemetry {
             ("module_repairs", FieldValue::from(repairs)),
             ("converged", FieldValue::from(converged)),
             ("degraded_modules", FieldValue::from(degraded.len())),
-            (
-                "mttr_mean_us",
-                FieldValue::from(mttr.as_ref().map(|h| h.mean).unwrap_or(0.0)),
-            ),
+            ("mttr_mean_us", FieldValue::from(mttr_mean_us)),
         ],
     );
 
     cloud.teardown(&mut dep);
-    tel
+    row
 }
 
 /// Partition window: long enough that every lease in the sweep crosses
@@ -342,23 +368,19 @@ fn net_sweep(smoke: bool) -> Vec<NetCombo> {
     combos
 }
 
-/// Runs one `--net` trial; returns its private hub for in-order
-/// absorption. The devices never crash — a partition cuts the island's
+/// Runs one `--net` trial, recording into `tel`; returns its
+/// Measurement row. The devices never crash — a partition cuts the island's
 /// heartbeats and an optional gray fault delays one mainland device's —
 /// so every invariant here is about *belief*: the detector must confirm
 /// the island within its bound and nothing else, re-placement must mint
 /// fresh fencing epochs, and the pre-partition replicas must be fenced
 /// out of launches and writes once the partition heals.
-fn run_net_trial(trial: usize, combo: NetCombo) -> Telemetry {
+fn run_net_trial(tel: &Telemetry, trial: usize, combo: NetCombo) -> TrialRow {
     let seed = 0xD15C_0000u64 + trial as u64;
     let labels = combo.label();
 
     let app = medical_pipeline();
-    let mut cloud = UdcCloud::new(CloudConfig {
-        warm_pool: WarmPoolConfig::uniform(2),
-        ..Default::default()
-    });
-    let tel = Telemetry::enabled();
+    let mut cloud = UdcCloud::new(trial_config(&labels));
     cloud.set_observer(tel.clone());
     cloud.attach_failure_detection(DetectorConfig {
         lease_us: combo.lease_us,
@@ -538,10 +560,10 @@ fn run_net_trial(trial: usize, combo: NetCombo) -> Telemetry {
     tel.incr("chaos.net.false_suspects", labels.clone(), false_suspects);
     tel.incr("chaos.net.fenced_launches", labels.clone(), fenced_launches);
     tel.incr("chaos.net.module_repairs", labels.clone(), repairs);
-    tel.event(
-        EventKind::Measurement,
+    let row = TrialRow::record(
+        tel,
         labels,
-        &[
+        vec![
             ("trial", FieldValue::from(trial)),
             ("partition_width", FieldValue::from(width as u64)),
             ("lease_us", FieldValue::from(combo.lease_us)),
@@ -556,10 +578,10 @@ fn run_net_trial(trial: usize, combo: NetCombo) -> Telemetry {
     );
 
     cloud.teardown(&mut dep);
-    tel
+    row
 }
 
-/// Runs the default alert ruleset over the merged hub's recorded
+/// Runs the default alert ruleset over the hub's recorded
 /// events/decisions and flushes the fires into its alert ring (so both
 /// artifact shapes carry them). Returns per-rule (count, first, last)
 /// fire times, keyed by rule name.
@@ -571,7 +593,7 @@ fn evaluate_alerts(tel: &Telemetry) -> std::collections::BTreeMap<String, (u64, 
         }
         engine.add_rule(parsed.rule).expect("preset rule loads");
     }
-    // Trial clocks all start near zero, so the merged stream is only
+    // Trial clocks all start near zero, so the hub's stream is only
     // time-ordered after the feed's sort; the barrier time just has to
     // sit past the last record (next full second, like replay).
     let snap = tel.snapshot();
@@ -598,18 +620,18 @@ fn evaluate_alerts(tel: &Telemetry) -> std::collections::BTreeMap<String, (u64, 
 }
 
 /// Distills the sweep into the compact per-trial artifact: one object
-/// per trial Measurement event (in deterministic trial order) plus
-/// sweep totals and the absorbed MTTR summary. A 54-trial sweep exports
-/// a few hundred lines instead of the ~200k-line full snapshot. Trials
-/// are read from their private hubs, not the absorbed one, so the
-/// absorbed flight recorder's ring eviction can never drop a row.
+/// per trial Measurement row (in trial order) plus sweep totals and
+/// the hub's MTTR summary. A 54-trial sweep exports a few hundred lines
+/// instead of the ~200k-line full snapshot. Rows come from the trials
+/// themselves, not from the hub's flight recorder, so its ring eviction
+/// can never drop one.
 fn export_compact(
     schema: &str,
     file: &str,
     totals_keys: &[&'static str],
     smoke: bool,
     tel: &Telemetry,
-    trial_hubs: &[Telemetry],
+    rows: &[TrialRow],
     alerts: &std::collections::BTreeMap<String, (u64, u64, u64)>,
 ) -> std::path::PathBuf {
     fn field(v: &FieldValue) -> Value {
@@ -623,22 +645,13 @@ fn export_compact(
     }
     let mut trials = Vec::new();
     let mut totals: Vec<(&str, u64)> = totals_keys.iter().map(|&k| (k, 0)).collect();
-    for hub in trial_hubs {
-        let snap = hub.snapshot();
-        let e = snap
-            .events
-            .iter()
-            .rfind(|e| e.kind == EventKind::Measurement)
-            .expect("every trial records a Measurement event");
-        let mut obj = vec![(
-            "cell".to_string(),
-            Value::String(e.labels.tenant.clone().unwrap_or_default()),
-        )];
-        for (k, v) in &e.fields {
-            obj.push((k.clone(), field(v)));
+    for row in rows {
+        let mut obj = vec![("cell".to_string(), Value::String(row.cell.clone()))];
+        for (k, v) in &row.fields {
+            obj.push((k.to_string(), field(v)));
         }
         for (name, total) in totals.iter_mut() {
-            match e.fields.iter().find(|(k, _)| k == name) {
+            match row.fields.iter().find(|(k, _)| k == name) {
                 Some((_, FieldValue::U64(u))) => *total += u,
                 Some((_, FieldValue::Bool(b))) => *total += *b as u64,
                 _ => *total += (*name == "trials") as u64,
@@ -706,10 +719,9 @@ fn export_compact(
 
 /// The `--net` entry point: partition/gray sweep under the lease
 /// detector. Same execution model as the crash sweep — independent
-/// seeded trials, private hubs absorbed in trial order, alert pass at
-/// the single-threaded barrier — so the artifact is byte-identical at
-/// any `--threads N`.
-fn net_main(smoke: bool, full_artifact: bool, threads: usize, explain: Option<String>) {
+/// seeded trials in trial order on one hub, then one alert pass over
+/// it.
+fn net_main(smoke: bool, full_artifact: bool, explain: Option<String>) {
     banner_stderr(
         "udc-chaos --net",
         "Lease detection under partitions and gray failures",
@@ -720,17 +732,15 @@ fn net_main(smoke: bool, full_artifact: bool, threads: usize, explain: Option<St
 
     let combos = net_sweep(smoke);
     eprintln!(
-        "{} trials ({} mode), {} thread(s)",
+        "{} trials ({} mode)",
         combos.len(),
         if smoke { "smoke" } else { "full" },
-        threads
     );
 
     let tel = Telemetry::enabled();
-    let trial_hubs = fan_out(threads, combos.len(), |i| run_net_trial(i, combos[i]));
-    for trial in &trial_hubs {
-        tel.absorb(trial);
-    }
+    let rows: Vec<TrialRow> = (0..combos.len())
+        .map(|i| run_net_trial(&tel, i, combos[i]))
+        .collect();
     let alerts = evaluate_alerts(&tel);
 
     let mut t = Table::new(&[
@@ -794,7 +804,7 @@ fn net_main(smoke: bool, full_artifact: bool, threads: usize, explain: Option<St
             ],
             smoke,
             &tel,
-            &trial_hubs,
+            &rows,
             &alerts,
         );
     }
@@ -809,16 +819,8 @@ fn main() {
         .iter()
         .position(|a| a == "--explain")
         .and_then(|i| args.get(i + 1).cloned());
-    let threads = match parse_threads(&args) {
-        Ok(n) => n,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-
     if net {
-        return net_main(smoke, full_artifact, threads, explain);
+        return net_main(smoke, full_artifact, explain);
     }
 
     banner_stderr(
@@ -830,25 +832,21 @@ fn main() {
 
     let combos = sweep(smoke);
     eprintln!(
-        "{} trials ({} mode), {} thread(s)",
+        "{} trials ({} mode)",
         combos.len(),
         if smoke { "smoke" } else { "full" },
-        threads
     );
 
     let tel = Telemetry::enabled();
-    let trial_hubs = fan_out(threads, combos.len(), |i| run_trial(i, combos[i]));
-    for trial in &trial_hubs {
-        tel.absorb(trial);
-    }
+    let rows: Vec<TrialRow> = (0..combos.len())
+        .map(|i| run_trial(&tel, i, combos[i]))
+        .collect();
 
-    // Continuous-query pass at the single-threaded barrier: the default
-    // ruleset runs over the merged hub's event/decision stream — after
-    // absorption in trial order, so the fires (and the artifact they
-    // land in) are byte-identical at any `--threads N`.
+    // Continuous-query pass once every trial has run: the default
+    // ruleset reads the hub's event/decision stream.
     let alerts = evaluate_alerts(&tel);
 
-    // Human summary per sweep cell (rep 0 shown; all reps absorbed).
+    // Human summary per sweep cell (rep 0 shown; all reps counted).
     let mut t = Table::new(&[
         "crash prob",
         "repair delay",
@@ -948,7 +946,7 @@ fn main() {
             ],
             smoke,
             &tel,
-            &trial_hubs,
+            &rows,
             &alerts,
         );
     }
@@ -997,5 +995,61 @@ fn explain_module(tel: &Telemetry, module: &str) {
             ]);
         }
         t.eprint();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use udc_telemetry::{Histogram, SeriesName};
+
+    /// The hub's `heal.mttr_us` histogram (one unlabelled series).
+    fn mttr_histogram(tel: &Telemetry) -> Histogram {
+        let view = tel.view().expect("enabled hub");
+        let found = view
+            .histograms_named(&SeriesName::new("heal.mttr_us"), 0)
+            .map(|(_, h)| h.clone())
+            .next();
+        found.unwrap_or_default()
+    }
+
+    fn field<'r>(row: &'r TrialRow, name: &str) -> &'r FieldValue {
+        let (_, value) = row.fields.iter().find(|(k, _)| *k == name).expect("field");
+        value
+    }
+
+    #[test]
+    fn a_trials_mttr_mean_is_its_share_of_the_hub_histogram() {
+        let tel = Telemetry::enabled();
+        let mut repaired = 0;
+        for (trial, combo) in sweep(true).into_iter().enumerate() {
+            let before = mttr_histogram(&tel);
+            let row = run_trial(&tel, trial, combo);
+            let share = mttr_histogram(&tel).diff(&before);
+            let mean = if share.count() == 0 {
+                0.0
+            } else {
+                share.sum() as f64 / share.count() as f64
+            };
+            assert_eq!(
+                field(&row, "module_repairs"),
+                &FieldValue::from(share.count())
+            );
+            assert_eq!(field(&row, "mttr_mean_us"), &FieldValue::from(mean));
+            assert_eq!(row.cell, combo.label().tenant.unwrap());
+            repaired += share.count();
+        }
+        assert!(repaired > 0, "the smoke sweep repairs something");
+    }
+
+    #[test]
+    fn a_trial_measures_the_same_whatever_ran_before_it() {
+        let combos = sweep(true);
+        let alone = run_trial(&Telemetry::enabled(), 1, combos[1]);
+        let shared = Telemetry::enabled();
+        run_trial(&shared, 0, combos[0]);
+        let after = run_trial(&shared, 1, combos[1]);
+        assert_eq!(alone.cell, after.cell);
+        assert_eq!(alone.fields, after.fields);
     }
 }

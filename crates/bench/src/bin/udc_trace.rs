@@ -15,11 +15,10 @@
 //! interval escaping its parent's interval), and disconnected traces
 //! (a trace must form one connected DAG: exactly one root span, every
 //! member reachable from it). The connectivity check is what keeps
-//! multi-shard telemetry honest — `Telemetry::absorb` shifts absorbed
-//! trace ids past the destination's, so a trace split across shard
-//! hubs that was *not* reknit shows up here as extra roots or
-//! unreachable spans. CI runs it over the exp_01 artifact so a
-//! regression in trace propagation fails the build.
+//! trace propagation honest: a request whose spans lost their context
+//! shows up here as extra roots or unreachable spans. CI runs it over
+//! the exp_01 artifact so a regression in trace propagation fails the
+//! build.
 //!
 //! Per-trace output: the span DAG grouped by phase (validate / place /
 //! allocate / launch / actor / dist / heal), the critical path from the root to
@@ -292,10 +291,9 @@ fn validate(spans: &[SpanRow], dropped_spans: u64) -> Validation {
 
 /// Per-trace connectivity: every trace must be ONE connected DAG — a
 /// single root span (no parent, or a parent outside the trace) with
-/// every member span reachable from it by parent links. A merged
-/// artifact that absorbed shard hubs without reknitting their spans
-/// fails this with extra roots; a parent cycle fails it with
-/// unreachable spans. In a `truncated` artifact extra roots are counted
+/// every member span reachable from it by parent links. A trace whose
+/// spans were split from their context fails this with extra roots; a
+/// parent cycle fails it with unreachable spans. In a `truncated` artifact extra roots are counted
 /// as cut by eviction and reachability is checked from all of them.
 fn validate_trace_dags(spans: &[SpanRow], truncated: bool) -> Validation {
     let mut out = Validation::default();
@@ -312,15 +310,15 @@ fn validate_trace_dags(spans: &[SpanRow], truncated: bool) -> Validation {
             .filter(|s| s.parent.map(|p| !ids.contains(&p)).unwrap_or(true))
             .collect();
         if truncated && roots.len() > 1 {
-            // Each root beyond the first lost its parent (an absorbed
-            // store's evicted parents arrive as `null`); those naming a
-            // below-floor parent were already counted as orphans.
+            // Each root beyond the first lost its parent to eviction;
+            // those naming a below-floor parent were already counted as
+            // orphans.
             let parentless = roots.iter().filter(|s| s.parent.is_none()).count();
             out.cut_by_eviction += parentless.saturating_sub(1);
         } else if roots.len() != 1 {
             let names: Vec<&str> = roots.iter().map(|s| s.name.as_str()).collect();
             out.violations.push(format!(
-                "trace {tid} has {} roots ({}) — absorbed shard stores were not reknit into one DAG",
+                "trace {tid} has {} roots ({}) — its spans do not form one DAG",
                 roots.len(),
                 if names.is_empty() {
                     "none".to_string()
@@ -656,38 +654,36 @@ mod tests {
         }
     }
 
-    /// The positive case the check exists for: spans recorded on several
-    /// shard-style hubs, absorbed into one store, exported to JSON, read
-    /// back through the real parse path — every trace must come out as
-    /// one connected DAG with zero violations of any kind.
+    /// The positive case the check exists for: trials run in order on
+    /// one hub, each minting its own complete trace, exported to JSON
+    /// and read back through the real parse path — every trace must
+    /// come out as one connected DAG with zero violations of any kind.
     #[test]
-    fn absorbed_multi_hub_artifact_validates_clean() {
+    fn sequential_trials_on_one_hub_validate_clean() {
         use udc_telemetry::Telemetry;
-        let main = Telemetry::enabled();
+        let hub = Telemetry::enabled();
         {
-            let root = main.trace_root("cloud.submit");
+            let root = hub.trace_root("cloud.submit");
             let ctx = root.ctx().expect("trace context");
-            let child = main.span_in(&ctx, "sched.place");
+            let child = hub.span_in(&ctx, "sched.place");
             child.exit();
             root.exit();
         }
-        // Two worker hubs, each minting its own complete trace (the
-        // harness contract: a trial never splits a trace across hubs).
-        for shard in 0..2u32 {
-            let hub = Telemetry::enabled();
+        for trial in 0..2u64 {
+            // Each trial on its own clock, starting over near zero.
+            hub.set_clock(move || trial);
             let root = hub.trace_root("actor.round");
             let ctx = root.ctx().expect("trace context");
-            let d = hub.span_in(&ctx, &format!("actor.deliver.s{shard}"));
+            let d = hub.span_in(&ctx, &format!("actor.deliver.s{trial}"));
             d.exit();
             root.exit();
-            main.absorb(&hub);
         }
-        let text = main.snapshot().to_json();
+        let text = hub.snapshot().to_json();
         let v = serde_json::parse_value(&text).expect("export parses");
         let spans = parse_spans(&v).expect("span schema");
         assert_eq!(spans.len(), 6);
         let traces: std::collections::BTreeSet<_> = spans.iter().filter_map(|s| s.trace).collect();
-        assert_eq!(traces.len(), 3, "absorb keeps shard traces distinct");
+        assert_eq!(traces.len(), 3, "every trial's trace stays distinct");
         assert_eq!(validate(&spans, 0).violations, Vec::<String>::new());
     }
 
@@ -731,7 +727,7 @@ mod tests {
 
     #[test]
     fn two_roots_in_one_trace_is_a_violation() {
-        // The un-reknit shard-merge shape: both halves claim trace 3.
+        // Two halves that both claim trace 3.
         let spans = vec![
             row(0, None, 3, "actor.round"),
             row(1, Some(0), 3, "actor.deliver"),

@@ -14,12 +14,31 @@
 //!
 //! This library provides the shared table-rendering helpers so every
 //! experiment prints uniform, paper-style tables.
+//!
+//! Experiments run their trials in order on one telemetry hub. Every
+//! trial derives its RNG seed from its index and installs its own clock
+//! before it records — a cloud's simulated clock (`set_observer`), or
+//! [`trial_ticks`] for a trial without one — so a trial's records are
+//! the same whichever trials ran before it.
 
 pub mod finetune_sim;
-pub mod harness;
 pub mod report;
 
 use std::fmt::Display;
+
+use udc_telemetry::Telemetry;
+
+/// Installs on `tel` a logical clock of one trial's own: it ticks once
+/// per timestamped record, from 1, as a fresh hub's fallback clock
+/// does — so a clockless trial stamps its records the same whatever
+/// ran on the hub before it.
+pub fn trial_ticks(tel: &Telemetry) {
+    let ticks = std::cell::Cell::new(0);
+    tel.set_clock(move || {
+        ticks.set(ticks.get() + 1);
+        ticks.get()
+    });
+}
 
 /// A simple fixed-width table printer for experiment output.
 pub struct Table {
@@ -163,6 +182,52 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one"]);
+    }
+
+    #[test]
+    fn trial_ticks_stamp_like_a_fresh_hubs_fallback_clock() {
+        use udc_telemetry::{EventKind, Labels};
+        let record = |tel: &Telemetry| {
+            tel.event(EventKind::Placement, Labels::none(), &[]);
+            tel.span("work").exit();
+            tel.event(EventKind::Measurement, Labels::none(), &[]);
+        };
+        let fresh = Telemetry::enabled();
+        record(&fresh);
+        // An earlier trial leaves the shared hub's own ticks advanced.
+        let shared = Telemetry::enabled();
+        record(&shared);
+        trial_ticks(&shared);
+        record(&shared);
+        let (a, b) = (fresh.snapshot(), shared.snapshot());
+        let events = |s: &udc_telemetry::Snapshot, from: usize| -> Vec<u64> {
+            s.events[from..].iter().map(|e| e.at_us).collect()
+        };
+        let spans = |s: &udc_telemetry::Snapshot, from: usize| -> Vec<(u64, Option<u64>)> {
+            s.spans[from..]
+                .iter()
+                .map(|r| (r.start_us, r.end_us))
+                .collect()
+        };
+        assert_eq!(events(&a, 0), vec![1, 4]);
+        assert_eq!(events(&a, 0), events(&b, 2));
+        assert_eq!(spans(&a, 0), spans(&b, 1));
+    }
+
+    #[test]
+    fn trial_ticks_restart_for_each_trial() {
+        use udc_telemetry::{EventKind, Labels};
+        let hub = Telemetry::enabled();
+        for _ in 0..3 {
+            trial_ticks(&hub);
+            hub.event(EventKind::Placement, Labels::none(), &[]);
+            hub.event(EventKind::Measurement, Labels::none(), &[]);
+        }
+        let snap = hub.snapshot();
+        let at: Vec<u64> = snap.events.iter().map(|e| e.at_us).collect();
+        assert_eq!(at, vec![1, 2, 1, 2, 1, 2]);
+        let seq: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seq, (0..6).collect::<Vec<_>>(), "sequence numbers run on");
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //!    With no alert rules loaded, the two runs must be *byte-identical*
 //!    — same decisions, same final allocations, same exported artifact.
 //!
-//! 2. **Alerts are deterministic at any `--threads N`.** Rule
-//!    evaluation happens only at the single-threaded barrier, after
-//!    shard hubs are absorbed in trial order — so a chaos-style
-//!    multi-hub run must fire the same alerts, in the same order, with
-//!    the same timestamps, whether the trials ran on 1 thread or 4.
+//! 2. **Alerts over in-order trials are deterministic.** Chaos-style
+//!    trials run in order on one hub, each on its own clock, and the
+//!    rules are evaluated once every trial has run — so two runs fire
+//!    the same alerts, in the same order, with the same timestamps.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use udc_bench::finetune_sim::{self, FeedMode};
 use udc_telemetry::{EventKind, Labels, Telemetry};
@@ -47,14 +46,13 @@ fn subscribed_finetune_is_byte_identical_to_polling() {
     );
 }
 
-/// A chaos-style trial: its own hub, its own sim clock, a deterministic
+/// A chaos-style trial on `hub`: its own sim clock, a deterministic
 /// burst/quiet failure pattern derived from the trial index.
-fn run_trial(i: usize) -> Telemetry {
-    let hub = Telemetry::enabled();
-    let clock = Arc::new(AtomicU64::new(0));
+fn run_trial(hub: &Telemetry, i: usize) {
+    let clock = Rc::new(Cell::new(0));
     {
-        let c = clock.clone();
-        hub.set_clock(move || c.load(Ordering::Relaxed));
+        let c = Rc::clone(&clock);
+        hub.set_clock(move || c.get());
     }
     let module = format!("m{i}");
     // Burst at 10ms spacing (trips rapid_refailure's 100ms window and
@@ -62,24 +60,19 @@ fn run_trial(i: usize) -> Telemetry {
     // absence), then one late failure re-arming the sequence rule.
     let burst = 3 + (i % 3) as u64;
     for k in 0..burst {
-        clock.store(100_000 + k * 10_000, Ordering::Relaxed);
+        clock.set(100_000 + k * 10_000);
         hub.event(EventKind::Failure, Labels::module("acme", &module), &[]);
     }
-    clock.store(900_000 + (i as u64) * 1_000, Ordering::Relaxed);
+    clock.set(900_000 + (i as u64) * 1_000);
     hub.event(EventKind::Failure, Labels::module("acme", &module), &[]);
-    hub
 }
 
-/// Merges `trials` trial hubs (computed across `threads` workers) into
-/// one driver hub, evaluates the default ruleset at the barrier, and
-/// returns the full artifact JSON.
-fn chaos_style_artifact(threads: usize, trials: usize) -> String {
-    let main = Telemetry::enabled();
-    let hubs = udc_bench::harness::fan_out(threads, trials, run_trial);
-    // Absorption in trial order is the determinism contract: the thread
-    // count decided who *computed* each hub, never the merge order.
-    for hub in &hubs {
-        main.absorb(hub);
+/// Runs `trials` trials in order on one hub, evaluates the default
+/// ruleset once they have all run, and returns the full artifact JSON.
+fn chaos_style_artifact(trials: usize) -> String {
+    let hub = Telemetry::enabled();
+    for i in 0..trials {
+        run_trial(&hub, i);
     }
     let mut engine = udc_query::QueryEngine::new();
     for parsed in udc_query::default_ruleset() {
@@ -89,22 +82,25 @@ fn chaos_style_artifact(threads: usize, trials: usize) -> String {
         engine.add_rule(parsed.rule).expect("preset rule loads");
     }
     let mut feed = udc_query::HubFeed::new();
-    engine.ingest(feed.poll(&main, 2_000_000));
+    engine.ingest(feed.poll(&hub, 2_000_000));
     engine.advance_to(2_000_000);
     assert!(
         !engine.alerts().is_empty(),
         "the trial pattern must actually trip the default rules"
     );
-    engine.fire_into(&main);
-    main.snapshot().to_json()
+    engine.fire_into(&hub);
+    hub.snapshot().to_json()
 }
 
 #[test]
-fn chaos_alerts_are_byte_identical_across_thread_counts() {
-    let single = chaos_style_artifact(1, 6);
-    let parallel = chaos_style_artifact(4, 6);
+fn chaos_alerts_over_in_order_trials_are_byte_identical() {
+    let first = chaos_style_artifact(6);
     assert_eq!(
-        single, parallel,
-        "alert evaluation at the barrier must not observe the thread count"
+        first,
+        chaos_style_artifact(6),
+        "alert evaluation over in-order trials must be deterministic"
     );
+    // Each trial stamped its records with its own clock: the last
+    // trial's late failure sits at its own offset.
+    assert!(first.contains("\"at_us\": 905000"));
 }

@@ -34,6 +34,7 @@ use bytes::Bytes;
 use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, MessageLog};
 use udc_dist::{recover, safe_truncation_seq, CheckpointStore, RecoveryOutcome, RecoveryStrategy};
 use udc_economics::LifecycleEvent;
+use udc_failure::mix64;
 use udc_hal::DeviceId;
 use udc_sched::ModulePlacement;
 use udc_spec::{AppSpec, FailureHandling, ModuleId};
@@ -440,15 +441,6 @@ impl RecoveryModel {
     }
 }
 
-/// Deterministic splitmix64 step (for seeded retry jitter).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -468,7 +460,7 @@ pub fn backoff_delay_us(module: &ModuleId, attempt: u32) -> Micros {
         .saturating_mul(1u64 << shift)
         .min(MAX_BACKOFF_US);
     let jitter_space = raw / 4 + 1;
-    let h = splitmix64(JITTER_SEED ^ fnv1a(module.as_str().as_bytes()) ^ attempt as u64);
+    let h = mix64(JITTER_SEED ^ fnv1a(module.as_str().as_bytes()) ^ attempt as u64);
     raw + h % jitter_space
 }
 
@@ -1829,7 +1821,7 @@ mod tests {
         }
         let audited = |module: &str, accepted| {
             let decisions = obs.decisions();
-            let of = |d: &&std::sync::Arc<udc_telemetry::DecisionRecord>| {
+            let of = |d: &&std::rc::Rc<udc_telemetry::DecisionRecord>| {
                 d.stage == "heal.suspect" && d.module == module && d.accepted == accepted
             };
             decisions.iter().filter(of).count()
@@ -2000,7 +1992,7 @@ mod tests {
     fn shuffled(n: usize, seed: u64, step: u64) -> Vec<usize> {
         let mut order: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
-            let j = splitmix64(seed ^ step << 32 ^ i as u64) % (i as u64 + 1);
+            let j = mix64(seed ^ step << 32 ^ i as u64) % (i as u64 + 1);
             order.swap(i, j as usize);
         }
         order

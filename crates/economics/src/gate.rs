@@ -157,8 +157,9 @@ impl QuotaGate {
 }
 
 /// The gate as shared by `UdcCloud` (lifecycle) and the `Scheduler`
-/// (admission): `Mutex` rather than `RefCell` keeps the scheduler
-/// `Send`, which the parallel experiment harness requires.
+/// (admission). Everything runs on one thread, so a `RefCell` would
+/// do; it stays `Arc<Mutex<_>>` because the end-to-end benchmark
+/// (`benchmark/`) calls `.lock()` on it.
 pub type SharedQuotaGate = Arc<Mutex<QuotaGate>>;
 
 /// Convenience constructor for the shared form.

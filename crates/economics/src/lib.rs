@@ -27,8 +27,8 @@
 //! flows in as micro-dollar amounts, which keeps the dependency graph
 //! acyclic and the ledger currency-agnostic. Everything is driven by
 //! the simulated clock and seeded inputs — no wall-clock, no ambient
-//! randomness — so economic trajectories replay byte-identically at
-//! any `--threads N`.
+//! randomness — so economic trajectories replay byte-identically run
+//! to run.
 
 pub mod gate;
 pub mod ledger;

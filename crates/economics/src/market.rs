@@ -14,8 +14,7 @@
 //! Determinism: bidders are evaluated in the caller-supplied order but
 //! ranked by `(bid desc, tenant name asc)`, every input comes from the
 //! gate or the seeded experiment, and the VM is deterministic, so the
-//! same seed yields byte-identical auction telemetry at any thread
-//! count.
+//! same seed yields byte-identical auction telemetry run to run.
 
 use udc_extvm::{CompiledCache, Host, Program, Vm, VmLimits};
 use udc_spec::ResourceKind;

@@ -6,8 +6,8 @@
 //! much capacity the tenant may hold at once (the quota). A **tenant
 //! account** binds a plan to a [`UsageLedger`] and a lifecycle status.
 //! Everything is driven from the simulated clock via [`TenantAccount::settle`]
-//! so the control plane (and the experiments) replay identically at any
-//! thread count.
+//! so the control plane (and the experiments) replay identically run to
+//! run.
 
 use udc_spec::ResourceVector;
 

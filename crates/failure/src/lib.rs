@@ -21,8 +21,7 @@
 //!
 //! Everything here is pure state-machine code over the sim clock — no
 //! wall clock, no unseeded randomness — so detector verdicts, fault
-//! schedules, and fencing decisions are byte-identical across runs and
-//! thread counts.
+//! schedules, and fencing decisions are byte-identical across runs.
 
 pub mod detector;
 pub mod fence;
@@ -32,9 +31,10 @@ pub use detector::{DetectorConfig, DetectorReport, LeaseDetector, Suspicion};
 pub use fence::{FenceError, FenceRegistry};
 pub use netplan::{GrayFault, NetPlan, Partition};
 
-/// Deterministic 64-bit mix (splitmix64 finalizer) shared by the
-/// heartbeat drop coin flips and heartbeat phase derivation.
-pub(crate) fn mix64(mut x: u64) -> u64 {
+/// Deterministic 64-bit mix (the splitmix64 finalizer): the workspace's
+/// one seeded hash, behind the heartbeat drop coin flips and phases,
+/// the heal loop's retry jitter, and the experiments' seeded draws.
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

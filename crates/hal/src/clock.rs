@@ -5,8 +5,8 @@
 //! deterministic and lets a laptop simulate hours of datacenter time in
 //! milliseconds.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Virtual time in microseconds since simulation start.
 pub type Micros = u64;
@@ -20,15 +20,14 @@ pub const SEC: Micros = 1_000_000;
 
 /// A shared, cheaply clonable virtual clock.
 ///
-/// Cloning yields a handle onto the *same* clock (interior `Arc`), so a
-/// datacenter and its pools all observe one timeline. The atomic cell
-/// makes handles `Send + Sync`, which lets the clock double as the
-/// timestamp source for `udc-telemetry` spans; the simulator itself is
-/// still single-threaded by design — determinism, not parallelism, is
-/// the goal.
+/// Cloning yields a handle onto the *same* clock (a shared `Rc<Cell>`),
+/// so a datacenter and its pools all observe one timeline, and a handle
+/// doubles as the timestamp source for `udc-telemetry` spans. The
+/// simulator is single-threaded by design — determinism, not
+/// parallelism, is the goal — so handles stay on one thread.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    now: Arc<AtomicU64>,
+    now: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -39,13 +38,13 @@ impl SimClock {
 
     /// Current virtual time.
     pub fn now(&self) -> Micros {
-        self.now.load(Ordering::Relaxed)
+        self.now.get()
     }
 
     /// Advances time by `delta` microseconds and returns the new time.
     pub fn advance(&self, delta: Micros) -> Micros {
         let t = self.now().saturating_add(delta);
-        self.now.store(t, Ordering::Relaxed);
+        self.now.set(t);
         t
     }
 
@@ -54,7 +53,7 @@ impl SimClock {
     pub fn advance_to(&self, t: Micros) -> Micros {
         let cur = self.now();
         if t > cur {
-            self.now.store(t, Ordering::Relaxed);
+            self.now.set(t);
             t
         } else {
             cur
@@ -103,11 +102,5 @@ mod tests {
         c.advance(u64::MAX);
         c.advance(10);
         assert_eq!(c.now(), u64::MAX);
-    }
-
-    #[test]
-    fn handles_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SimClock>();
     }
 }

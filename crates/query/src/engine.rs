@@ -885,9 +885,8 @@ impl QueryEngine {
     /// ring and the subscribers hold what matters from then on, so an
     /// engine flushed at every barrier stays bounded however long it
     /// runs; read [`QueryEngine::alerts`] / [`QueryEngine::outputs`]
-    /// before flushing. Call only on the single-threaded driver hub
-    /// (after the worker hubs are absorbed), never on worker hubs —
-    /// that is the thread-count determinism contract.
+    /// before flushing. Fires carry their own times, so the hub's
+    /// clock (whichever trial installed it last) does not matter.
     pub fn fire_into(&mut self, hub: &Telemetry) {
         for fire in self.alerts.drain(..) {
             hub.alert(fire);

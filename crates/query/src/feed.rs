@@ -1,11 +1,9 @@
 //! Live feed: turns a telemetry hub's state into the engine's
 //! observation stream.
 //!
-//! Poll the feed at single-threaded barriers, *after* shard hubs have
-//! been absorbed in trial order — the feed reads what the merged hub
-//! took in since its previous poll, so the resulting stream (and
-//! therefore every query output and alert) is byte-identical at any
-//! thread count.
+//! Poll the feed at barriers: it reads what the hub took in since its
+//! previous poll, so the resulting stream (and therefore every query
+//! output and alert) is byte-identical run to run.
 //!
 //! What a poll yields, of what the feed's [`Interest`] names (all of it
 //! for [`HubFeed::new`], only what an engine reads for
@@ -108,8 +106,8 @@ where
 }
 
 /// Stateful cursor over one hub. Keep one feed per hub for the life of
-/// the run; its diffs assume the hub only accumulates (which absorbed
-/// driver hubs do).
+/// the run; its diffs assume the hub only accumulates (which every hub
+/// does).
 #[derive(Default)]
 pub struct HubFeed {
     interest: Interest,

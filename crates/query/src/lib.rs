@@ -9,12 +9,11 @@
 //!
 //! Everything is driven by the **simulated** clock and a single
 //! ingestion order, so query outputs and alert fires are byte-identical
-//! at any `--threads N`:
+//! run to run:
 //!
-//! - The engine is only ever attached to the single-threaded driver
-//!   hub. Shard hubs are absorbed (in trial order) *first*; the engine
-//!   polls the merged hub at barriers via [`feed::HubFeed`]. Nothing
-//!   query-related runs on worker threads.
+//! - The engine reads one hub, polled at barriers via
+//!   [`feed::HubFeed`]; experiments run their trials in order on that
+//!   one hub, each trial on its own clock.
 //! - Observations ([`engine::Obs`]) carry explicit simulated
 //!   timestamps. Events and decisions keep their true record times;
 //!   counter/gauge/histogram samples are stamped at the barrier that

@@ -135,20 +135,29 @@ mod tests {
 
     #[test]
     fn stream_is_time_sorted_across_record_kinds() {
-        // Two absorbed trial hubs: timestamps restart per trial, so the
-        // merged arrays are seq-ordered but not time-ordered — replay
-        // re-sorts into one timeline.
+        // Two trials in order on one hub, each with its own clock:
+        // timestamps restart per trial, so the exported arrays are
+        // seq-ordered but not time-ordered — replay re-sorts into one
+        // timeline.
         let hub = Telemetry::enabled();
         for start in [500u64, 100] {
-            let trial = Telemetry::enabled();
-            trial.set_clock(move || start);
-            trial.event(EventKind::Failure, Labels::none(), &[]);
-            hub.absorb(&trial);
+            hub.set_clock(move || start);
+            hub.event(EventKind::Failure, Labels::none(), &[]);
+            hub.decide(Decision {
+                ctx: None,
+                stage: "heal.detect",
+                module: "m0",
+                candidate: "m0",
+                accepted: false,
+                reason: ReasonCode::Evicted,
+                score: None,
+                detail: String::new(),
+            });
         }
         let obs = obs_from_json(&hub.snapshot().to_json()).unwrap();
         assert_eq!(
             obs.iter().map(Obs::at_us).collect::<Vec<_>>(),
-            vec![100, 500]
+            vec![100, 100, 500, 500]
         );
     }
 }

@@ -70,8 +70,7 @@ impl WindowSpec {
 /// What to compute over the observations that fall in a window.
 ///
 /// All of these are deterministic folds. `Count`/`Sum`/`Rate`/`Mean`/
-/// `Max`/`Quantile` are order-insensitive over integer-valued inputs
-/// (the proptests pin this down under shard-merge permutations);
+/// `Max`/`Quantile` are order-insensitive over integer-valued inputs;
 /// `Ewma` is deliberately order-*sensitive* — it replicates the
 /// exponentially-weighted estimator control loops poll (see
 /// `udc_sched::FineTuner::observe`) and so folds samples in

@@ -6,11 +6,9 @@
 //!    observation streams, window shapes, aggregations, and advance
 //!    interleavings (EWMA included: the oracle refolds its carry from
 //!    window zero on every advance).
-//! 2. **Merge-order invariance** — aggregations over a hub that
-//!    absorbs fresh shard hubs every barrier round are byte-identical
-//!    no matter the order the shards are absorbed in (integer-valued sources: counter
-//!    merges and histogram merges are commutative, and every per-window
-//!    fold is order-insensitive over the same multiset).
+//! 2. **In-order trials** — aggregations over one hub on which each
+//!    barrier round is a trial with a clock of its own match the
+//!    oracle, and equal those of the same stream under one clock.
 //! 3. **Retro ≡ live** — replaying a hub's exported snapshot yields the
 //!    same outputs *and alerts* as feeding the live hub, for
 //!    event/decision-sourced queries (the only kind artifacts carry).
@@ -24,8 +22,8 @@
 //! engine that routed one of them to a reader, or dropped one a reader
 //! needed, differs from the oracle.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -243,8 +241,8 @@ proptest! {
         prop_assert_eq!(eng.outputs(), naive.outputs());
     }
 
-    fn aggregations_survive_absorb_order_permutations(
-        ops in prop::collection::vec((0u8..3, 0u8..4, 0u64..40, 1u64..30), 0..60),
+    fn aggregations_over_in_order_trials_match_the_oracle(
+        ops in prop::collection::vec((0u8..5, 0u64..40, 1u64..30), 0..60),
         size_step in 1u64..6,
         slide_step in 1u64..6,
     ) {
@@ -260,23 +258,24 @@ proptest! {
         .into_iter()
         .enumerate()
         .flat_map(|(i, agg)| {
-            all_source_specs(agg, window)
-                .into_iter()
-                // Gauge merges take the *last* absorbed value, which is
-                // order-sensitive by design; every other source merges
-                // commutatively.
-                .filter(|s| !matches!(s.source, Source::Gauge { .. }))
-                .map(move |mut s| {
-                    s.name = format!("{}_{}", s.name, i);
-                    s
-                })
+            all_source_specs(agg, window).into_iter().map(move |mut s| {
+                s.name = format!("{}_{}", s.name, i);
+                s
+            })
         })
         .collect();
 
-        let rounds: Vec<&[(u8, u8, u64, u64)]> = ops.chunks(20).collect();
+        // Each round is one trial on the one hub: it installs a clock
+        // of its own, records, and the engine reads the hub at the
+        // round's barrier. The same stream under one continuous clock
+        // must aggregate identically.
+        let rounds: Vec<&[(u8, u64, u64)]> = ops.chunks(20).collect();
         let mut all_outputs = Vec::new();
-        for order in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0]] {
-            let driver = Telemetry::enabled();
+        for per_trial_clock in [true, false] {
+            let hub = Telemetry::enabled();
+            let mut cell = Rc::new(Cell::new(0));
+            let c = Rc::clone(&cell);
+            hub.set_clock(move || c.get());
             let mut feed = HubFeed::new();
             let mut eng = QueryEngine::new();
             let mut naive = NaiveEngine::new();
@@ -285,27 +284,20 @@ proptest! {
                 naive.register(s.clone());
             }
             for (r, round_ops) in rounds.iter().enumerate() {
-                // Fresh shard hubs every round, so each barrier merges
-                // only what the round recorded.
-                let shards: Vec<(Telemetry, Arc<AtomicU64>)> = (0..3)
-                    .map(|_| {
-                        let cell = Arc::new(AtomicU64::new(0));
-                        let hub = Telemetry::enabled();
-                        let c = Arc::clone(&cell);
-                        hub.set_clock(move || c.load(Ordering::Relaxed));
-                        (hub, cell)
-                    })
-                    .collect();
+                if per_trial_clock {
+                    cell = Rc::new(Cell::new(0));
+                    let c = Rc::clone(&cell);
+                    hub.set_clock(move || c.get());
+                }
                 let mut t = r as u64 * ROUND_US;
-                for &(shard, kind, dt, val) in round_ops.iter() {
+                for &(kind, dt, val) in round_ops.iter() {
                     t += dt; // ≤ 20 ops × <40us keeps t inside the round
-                    let (hub, cell) = &shards[shard as usize % 3];
-                    cell.store(t, Ordering::Relaxed);
-                    match kind % 4 {
+                    cell.set(t);
+                    match kind {
                         0 => hub.incr("c", Labels::none(), val),
                         1 => hub.event(EventKind::Failure, Labels::none(), &[]),
                         2 => hub.observe("h", Labels::none(), val),
-                        _ => hub.decide(Decision {
+                        3 => hub.decide(Decision {
                             ctx: None,
                             stage: "s",
                             module: "m",
@@ -315,14 +307,11 @@ proptest! {
                             score: None,
                             detail: String::new(),
                         }),
+                        _ => hub.gauge_set("g", Labels::none(), val as i64),
                     }
                 }
                 let barrier = (r as u64 + 1) * ROUND_US;
-                for &i in &order {
-                    driver.absorb(&shards[i].0);
-                }
-                let batch = feed.poll(&driver, barrier);
-                for o in batch {
+                for o in feed.poll(&hub, barrier) {
                     eng.push(o.clone());
                     naive.push(o);
                 }
@@ -336,7 +325,6 @@ proptest! {
             all_outputs.push(eng.outputs().to_vec());
         }
         prop_assert_eq!(&all_outputs[0], &all_outputs[1]);
-        prop_assert_eq!(&all_outputs[0], &all_outputs[2]);
     }
 
     fn replay_equals_live_for_recorded_streams(
@@ -359,13 +347,13 @@ proptest! {
             },
         ];
         let hub = Telemetry::enabled();
-        let cell = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&cell);
-        hub.set_clock(move || c.load(Ordering::Relaxed));
+        let cell = Rc::new(Cell::new(0));
+        let c = Rc::clone(&cell);
+        hub.set_clock(move || c.get());
         let mut t = 0u64;
         for &(kind, dt, val) in &ops {
             t += dt;
-            cell.store(t, Ordering::Relaxed);
+            cell.set(t);
             if kind == 0 {
                 hub.event(EventKind::Failure, Labels::module("acme", "m0"), &[]);
             } else {

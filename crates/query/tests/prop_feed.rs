@@ -8,10 +8,9 @@
 //! sequence number. Batches must match one for one, in order.
 //!
 //! The property drives random interleavings of every way a hub takes
-//! data in (`incr` / `observe` / `gauge_set`, `event`, `decide`,
-//! `absorb` of a worker hub that keeps accumulating or of a fresh one
-//! per round) against two feeds polled independently, over rings small
-//! enough to wrap between polls.
+//! data in (`incr` / `observe` / `gauge_set`, `event`, `decide`)
+//! against two feeds polled independently, over rings small enough to
+//! wrap between polls.
 //!
 //! A feed reading an engine's interest ([`HubFeed::reading`]) must
 //! yield the oracle's batch with every observation the engine's
@@ -20,9 +19,9 @@
 //! all-interest feed does; an engine fed by it fires what one fed
 //! everything fires.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use udc_query::rules::parse_source;
@@ -158,19 +157,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     fn poll_equals_the_snapshot_diff_oracle(
-        ops in prop::collection::vec((0u8..11, 0u64..40, 0u64..1000), 0..120),
+        ops in prop::collection::vec((0u8..9, 0u64..40, 0u64..1000), 0..120),
         event_cap in 1usize..6,
         decision_cap in 0usize..6,
     ) {
-        let clock = Arc::new(AtomicU64::new(0));
-        let clocked = |hub: &Telemetry| {
-            let c = Arc::clone(&clock);
-            hub.set_clock(move || c.load(Ordering::Relaxed));
-        };
+        let clock = Rc::new(Cell::new(0));
         let hub = Telemetry::with_capacities(event_cap, decision_cap);
-        clocked(&hub);
-        let mut worker = Telemetry::enabled();
-        clocked(&worker);
+        {
+            let c = Rc::clone(&clock);
+            hub.set_clock(move || c.get());
+        }
 
         // Two independent (feed, oracle) pairs on the one hub, plus how
         // many ring records each feed has delivered.
@@ -182,7 +178,7 @@ proptest! {
         let mut t = 0u64;
         for &(kind, dt, val) in &ops {
             t += dt;
-            clock.store(t, Ordering::Relaxed);
+            clock.set(t);
             match kind {
                 0 => hub.incr("hits", labels(val), val % 5),
                 1 => hub.observe("lat", labels(val), val),
@@ -194,23 +190,6 @@ proptest! {
                 4 => {
                     decide(&hub, val);
                     recorded += 1;
-                }
-                5 => {
-                    worker.incr("hits", labels(val), 1 + val % 3);
-                    worker.observe("lat", labels(val), val);
-                    worker.event(EventKind::Placement, labels(val), &[]);
-                    decide(&worker, val);
-                }
-                6 => {
-                    let before = worker.snapshot();
-                    recorded += (before.events.len() + before.decisions.len()) as u64;
-                    hub.absorb(&worker);
-                    if !val.is_multiple_of(2) {
-                        // A fresh worker: the next absorb brings only
-                        // what was recorded since this one.
-                        worker = Telemetry::enabled();
-                        clocked(&worker);
-                    }
                 }
                 _ => {
                     let (feed, oracle, delivered) = &mut pairs[kind as usize % 2];
@@ -326,17 +305,17 @@ proptest! {
             e
         };
         let (mut routed, mut fed_all) = (engine(), engine());
-        let clock = Arc::new(AtomicU64::new(0));
+        let clock = Rc::new(Cell::new(0));
         let hub = Telemetry::with_capacities(event_cap, decision_cap);
-        let c = Arc::clone(&clock);
-        hub.set_clock(move || c.load(Ordering::Relaxed));
+        let c = Rc::clone(&clock);
+        hub.set_clock(move || c.get());
         let mut feed = HubFeed::reading(routed.interest());
         let mut all = HubFeed::new();
         let mut oracle = OracleFeed::default();
         let mut t = 0u64;
         for &(kind, dt, val) in &ops {
             t += dt;
-            clock.store(t, Ordering::Relaxed);
+            clock.set(t);
             let name = |base: &'static str| match val % 3 {
                 0 => base,
                 1 => ["hits.x", "depth.y", "la"][(val % 9 / 3) as usize],

@@ -10,11 +10,9 @@
 //!
 //! Determinism contract: alerts carry an *explicit* simulated fire time
 //! (the rule evaluation point, usually a window boundary), never the
-//! hub's own clock — so a driver hub with no clock installed can absorb
-//! worker alerts and re-fire replayed ones without perturbing logical
-//! ticks. Like every other ring, absorb re-sequences under the
-//! destination counter while keeping timestamps, so merged artifacts
-//! are byte-identical at any thread count.
+//! hub's own clock — so replayed alerts can be fired into a hub whose
+//! clock belongs to some earlier trial (or to nobody) without
+//! perturbing its timestamps or logical ticks.
 
 use crate::ring::Ring;
 use crate::{Labels, Micros};
@@ -90,7 +88,7 @@ pub struct AlertFire {
 /// One recorded alert (owned, exported to JSON).
 #[derive(Clone, Debug, PartialEq)]
 pub struct AlertRecord {
-    /// Arrival order under the recording hub (re-sequenced on absorb).
+    /// Arrival order under the recording hub.
     pub seq: u64,
     /// Simulated fire time.
     pub at_us: Micros,
@@ -135,13 +133,6 @@ impl AlertLog {
             detail: fire.detail,
         });
     }
-
-    /// Appends `other`'s records, re-sequencing under this log's
-    /// counter (timestamps kept).
-    pub fn absorb(&mut self, other: &AlertLog) {
-        self.ring
-            .absorb(&other.ring, |r, seq| AlertRecord { seq, ..r.clone() });
-    }
 }
 
 #[cfg(test)]
@@ -174,16 +165,27 @@ mod tests {
     }
 
     #[test]
-    fn absorb_resequences_and_keeps_timestamps() {
-        let mut dst = AlertLog::new(16);
-        dst.record(fire(1, "a", AlertReason::Threshold));
-        let mut src = AlertLog::new(16);
-        src.record(fire(99, "b", AlertReason::Sustained));
-        dst.absorb(&src);
-        let recs: Vec<_> = dst.ring.records().cloned().collect();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[1].seq, 1, "re-sequenced under dst counter");
-        assert_eq!(recs[1].at_us, 99, "timestamp preserved");
+    fn records_keep_their_fire_time_and_sequence_in_arrival_order() {
+        // A later trial's rules may fire at an earlier simulated time
+        // than the trial before: the log orders by arrival, not by time.
+        let mut log = AlertLog::new(16);
+        log.record(fire(1, "a", AlertReason::Threshold));
+        log.record(fire(99, "b", AlertReason::Sustained));
+        log.record(fire(7, "c", AlertReason::Sequence));
+        let got: Vec<_> = log
+            .ring
+            .records()
+            .map(|r| (r.seq, r.at_us, r.rule.clone(), r.window_start_us))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 1, "a".to_string(), 0),
+                (1, 99, "b".to_string(), 89),
+                (2, 7, "c".to_string(), 0),
+            ]
+        );
+        assert_eq!(log.ring.dropped(), 0);
     }
 
     #[test]

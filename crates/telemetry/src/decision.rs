@@ -131,7 +131,7 @@ pub struct Decision<'a> {
 /// One recorded decision (owned, exported to JSON).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DecisionRecord {
-    /// Arrival order under the recording hub (re-sequenced on absorb).
+    /// Arrival order under the recording hub.
     pub seq: u64,
     /// Trace id, when the request path carried a [`TraceCtx`].
     pub trace: Option<u64>,
@@ -179,17 +179,6 @@ impl DecisionLog {
             detail: d.detail,
         });
     }
-
-    /// Appends `other`'s records, re-sequencing under this log's
-    /// counter (timestamps kept) and shifting trace ids by
-    /// `trace_offset` to match the span-store remap.
-    pub fn absorb(&mut self, other: &DecisionLog, trace_offset: u64) {
-        self.ring.absorb(&other.ring, |r, seq| DecisionRecord {
-            seq,
-            trace: r.trace.map(|t| t + trace_offset),
-            ..r.clone()
-        });
-    }
 }
 
 #[cfg(test)]
@@ -228,27 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_resequences_and_offsets_traces() {
-        let mut dst = DecisionLog::new(16);
-        dst.record(mk("s", "a", true, ReasonCode::Accepted), 1);
-
-        let mut src = DecisionLog::new(16);
-        let mut d = mk("s", "b", false, ReasonCode::Locality);
-        d.ctx = Some(TraceCtx {
-            trace_id: 0,
-            span: 3,
-        });
-        src.record(d, 9);
-
-        dst.absorb(&src, 5);
-        let recs: Vec<_> = dst.ring.records().cloned().collect();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[1].seq, 1, "re-sequenced under dst counter");
-        assert_eq!(recs[1].at_us, 9, "timestamp preserved");
-        assert_eq!(recs[1].trace, Some(5), "trace id shifted");
-    }
-
-    #[test]
     fn reason_codes_are_exhaustive_and_round_trip() {
         // `ALL` must cover every variant exactly once. The match below
         // fails to compile when a variant is added, forcing both `ALL`
@@ -284,6 +252,33 @@ mod tests {
         }
         assert_eq!(seen.len(), ReasonCode::ALL.len());
         assert_eq!(ReasonCode::from_str_name("nonsense"), None);
+    }
+
+    #[test]
+    fn sequence_and_trace_ids_run_on_across_trials() {
+        // Two trials record into one log in turn: the second's records
+        // take the next sequence numbers, keep the time each trial's
+        // clock stamped, and carry the trace ids the hub minted.
+        let mut log = DecisionLog::new(16);
+        let mut first = mk("s", "a", true, ReasonCode::Accepted);
+        first.ctx = Some(TraceCtx {
+            trace_id: 0,
+            span: 0,
+        });
+        log.record(first, 900);
+        let mut second = mk("s", "b", false, ReasonCode::Locality);
+        second.ctx = Some(TraceCtx {
+            trace_id: 1,
+            span: 3,
+        });
+        log.record(second, 9);
+        log.record(mk("s", "c", false, ReasonCode::Capacity), 10);
+        let got: Vec<_> = log
+            .ring
+            .records()
+            .map(|r| (r.seq, r.at_us, r.trace))
+            .collect();
+        assert_eq!(got, vec![(0, 900, Some(0)), (1, 9, Some(1)), (2, 10, None)]);
     }
 
     #[test]

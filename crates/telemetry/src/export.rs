@@ -2,7 +2,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use serde_json::{Number, Value};
 
@@ -28,15 +28,15 @@ pub struct Snapshot {
     pub dropped_spans: u64,
     /// Flight-recorder contents, oldest first. Ring records are shared
     /// with the hub, not copied.
-    pub events: Vec<Arc<Event>>,
+    pub events: Vec<Rc<Event>>,
     /// Events evicted from the ring before this snapshot.
     pub dropped_events: u64,
     /// Decision records, oldest first.
-    pub decisions: Vec<Arc<DecisionRecord>>,
+    pub decisions: Vec<Rc<DecisionRecord>>,
     /// Decisions evicted from the ring before this snapshot.
     pub dropped_decisions: u64,
     /// Fired alerts, oldest first.
-    pub alerts: Vec<Arc<AlertRecord>>,
+    pub alerts: Vec<Rc<AlertRecord>>,
     /// Alerts evicted from the ring before this snapshot.
     pub dropped_alerts: u64,
 }

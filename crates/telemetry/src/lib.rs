@@ -37,7 +37,8 @@ pub mod recorder;
 mod ring;
 pub mod span;
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::{Ref, RefCell, RefMut};
+use std::rc::Rc;
 
 pub use alert::{AlertFire, AlertReason, AlertRecord};
 pub use decision::{Decision, DecisionRecord, ReasonCode};
@@ -52,7 +53,7 @@ pub use span::{Span, SpanRecord};
 pub type Micros = u64;
 
 /// A clock the hub reads for span and event timestamps.
-pub type ClockSource = Arc<dyn Fn() -> Micros + Send + Sync>;
+pub type ClockSource = Rc<dyn Fn() -> Micros>;
 
 /// Causal trace context: carried explicitly along the request path
 /// (submit → place → allocate → launch → actor/dist ops) so every
@@ -61,8 +62,7 @@ pub type ClockSource = Arc<dyn Fn() -> Micros + Send + Sync>;
 /// chains costs nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceCtx {
-    /// Trace the request belongs to (unique per hub; remapped on
-    /// [`Telemetry::absorb`] so worker-hub traces never collide).
+    /// Trace the request belongs to (unique per hub).
     pub trace_id: u64,
     /// Span id of the caller — children opened via
     /// [`Telemetry::span_in`] attach beneath it.
@@ -111,8 +111,7 @@ struct State {
     recorder: recorder::FlightRecorder,
     decisions: decision::DecisionLog,
     alerts: alert::AlertLog,
-    /// Next trace id to mint; every id in this hub is below it, which
-    /// is what lets `absorb` shift absorbed trace ids collision-free.
+    /// Next trace id to mint; every id in this hub is below it.
     next_trace: u64,
 }
 
@@ -130,14 +129,19 @@ impl State {
 
 /// The observability hub. Clones share state; the default hub is
 /// disabled and all operations are no-ops.
+///
+/// The hub is single-threaded (`Rc<RefCell<_>>`): the control plane
+/// runs on one thread, and experiments run their trials in order on
+/// one hub. Each operation borrows the state for its own duration, so
+/// nothing may record into a hub while a [`HubView`] of it is held.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Mutex<State>>>,
+    inner: Option<Rc<RefCell<State>>>,
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Contents are behind a mutex and unbounded; show only the mode.
+        // Contents are shared and unbounded; show only the mode.
         f.write_str(if self.is_enabled() {
             "Telemetry(enabled)"
         } else {
@@ -173,10 +177,10 @@ impl Telemetry {
     /// An enabled hub with explicit ring capacities for the flight
     /// recorder and the decision log. Both rings evict oldest-first and
     /// count drops, so hub memory stays bounded no matter how many
-    /// events flow through (see the 1M-event absorb test).
+    /// events flow through (see the 1M-event test).
     pub fn with_capacities(recorder_capacity: usize, decision_capacity: usize) -> Self {
         Self {
-            inner: Some(Arc::new(Mutex::new(State {
+            inner: Some(Rc::new(RefCell::new(State {
                 clock: None,
                 ticks: 0,
                 metrics: metrics::MetricsRegistry::default(),
@@ -194,16 +198,20 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    fn state(&self) -> Option<MutexGuard<'_, State>> {
-        self.inner
-            .as_ref()
-            .map(|m| m.lock().expect("telemetry poisoned"))
+    fn state(&self) -> Option<RefMut<'_, State>> {
+        self.inner.as_ref().map(|s| s.borrow_mut())
     }
 
-    /// Installs the timestamp source (typically the simulated clock).
-    pub fn set_clock(&self, clock: impl Fn() -> Micros + Send + Sync + 'static) {
+    fn read(&self) -> Option<Ref<'_, State>> {
+        self.inner.as_ref().map(|s| s.borrow())
+    }
+
+    /// Installs the timestamp source (typically the simulated clock),
+    /// replacing any earlier one: a trial run on a shared hub installs
+    /// its own clock before it records.
+    pub fn set_clock(&self, clock: impl Fn() -> Micros + 'static) {
         if let Some(mut s) = self.state() {
-            s.clock = Some(Arc::new(clock));
+            s.clock = Some(Rc::new(clock));
         }
     }
 
@@ -216,7 +224,7 @@ impl Telemetry {
 
     /// Reads a counter back (0 when absent or disabled).
     pub fn counter(&self, name: &str, labels: &Labels) -> u64 {
-        self.state()
+        self.read()
             .map(|s| s.metrics.counter(name, labels))
             .unwrap_or(0)
     }
@@ -230,7 +238,7 @@ impl Telemetry {
 
     /// Reads a gauge as `(current, high_water)`.
     pub fn gauge(&self, name: &str, labels: &Labels) -> Option<(i64, i64)> {
-        self.state().and_then(|s| s.metrics.gauge(name, labels))
+        self.read().and_then(|s| s.metrics.gauge(name, labels))
     }
 
     /// Records one observation into a log-bucketed histogram.
@@ -242,7 +250,7 @@ impl Telemetry {
 
     /// Summarizes a histogram (count, min/max, p50/p95/p99).
     pub fn histogram(&self, name: &str, labels: &Labels) -> Option<HistogramSummary> {
-        self.state()
+        self.read()
             .and_then(|s| s.metrics.histogram(name, labels).map(|h| h.summary()))
     }
 
@@ -317,8 +325,8 @@ impl Telemetry {
 
     /// Decision records so far (snapshot order). Mostly for tests; the
     /// JSON export carries the same data.
-    pub fn decisions(&self) -> Vec<Arc<DecisionRecord>> {
-        self.state()
+    pub fn decisions(&self) -> Vec<Rc<DecisionRecord>> {
+        self.read()
             .map(|s| s.decisions.ring.records().cloned().collect())
             .unwrap_or_default()
     }
@@ -351,71 +359,39 @@ impl Telemetry {
 
     /// Alert records so far (snapshot order). Mostly for tests; the
     /// JSON export carries the same data.
-    pub fn alerts(&self) -> Vec<Arc<AlertRecord>> {
-        self.state()
+    pub fn alerts(&self) -> Vec<Rc<AlertRecord>> {
+        self.read()
             .map(|s| s.alerts.ring.records().cloned().collect())
             .unwrap_or_default()
     }
 
-    /// Folds everything `other` recorded into this hub: counters add,
-    /// gauges take `other`'s value (high-water marks max), histograms
-    /// merge exactly, spans append with remapped ids, and events are
-    /// re-sequenced in arrival order while keeping their simulated
-    /// timestamps. A no-op when either hub is disabled or both share
-    /// state.
-    ///
-    /// This is how the parallel experiment harness stays deterministic:
-    /// each worker records into a private hub, and the driver absorbs
-    /// them in a fixed order (trial order, not completion order), so
-    /// the merged snapshot is identical at any thread count.
-    pub fn absorb(&self, other: &Telemetry) {
-        let (Some(dst), Some(src)) = (&self.inner, &other.inner) else {
-            return;
-        };
-        if Arc::ptr_eq(dst, src) {
-            return;
-        }
-        let mut d = dst.lock().expect("telemetry poisoned");
-        let s = src.lock().expect("telemetry poisoned");
-        d.ticks = d.ticks.max(s.ticks);
-        d.metrics.merge(&s.metrics);
-        // Shift absorbed trace ids past everything this hub has minted
-        // so worker-hub traces stay distinct after the merge.
-        let trace_offset = d.next_trace;
-        d.spans.absorb(&s.spans, trace_offset);
-        d.recorder.absorb(&s.recorder);
-        d.decisions.absorb(&s.decisions, trace_offset);
-        d.alerts.absorb(&s.alerts);
-        d.next_trace += s.next_trace;
-    }
-
-    /// Locks the hub for one consistent by-reference look (`None` on a
-    /// disabled hub). This is the live-feed primitive for `udc-query`:
+    /// Borrows the hub for one consistent by-reference look (`None` on
+    /// a disabled hub). This is the live-feed primitive for `udc-query`:
     /// where [`Telemetry::snapshot`] copies everything, a view lends
     /// only what the reader asks for, and the `_since` accessors let a
     /// reader holding its own cursors skip what it has already seen.
-    /// The hub stays locked until the view drops — record nothing into
-    /// it meanwhile.
+    /// The hub stays borrowed until the view drops — record nothing into
+    /// it meanwhile: a write through any clone panics.
     pub fn view(&self) -> Option<HubView<'_>> {
-        self.state().map(|state| HubView { state })
+        self.read().map(|state| HubView { state })
     }
 
     /// A consistent copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
-        self.state()
+        self.read()
             .map(|s| Snapshot::capture(&s))
             .unwrap_or_default()
     }
 }
 
-/// A locked, by-reference look at one hub (see [`Telemetry::view`]).
+/// A borrowed, by-reference look at one hub (see [`Telemetry::view`]).
 ///
 /// Cursors belong to the reader, never to the hub: any number of
 /// independent readers can follow one hub, each passing back what its
 /// own previous view reported ([`HubView::metric_writes`],
 /// [`RingTail::next_seq`]).
 pub struct HubView<'a> {
-    state: MutexGuard<'a, State>,
+    state: Ref<'a, State>,
 }
 
 impl HubView<'_> {
@@ -536,165 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_every_pillar() {
-        let hub = Telemetry::enabled();
-        hub.incr("placements", Labels::none(), 2);
-        hub.gauge_set("depth", Labels::none(), 4);
-        hub.observe("latency", Labels::none(), 10);
-        hub.event(EventKind::Placement, Labels::none(), &[]);
-
-        let worker = Telemetry::enabled();
-        worker.set_clock(|| 777);
-        worker.incr("placements", Labels::none(), 3);
-        worker.incr("migrations", Labels::tenant("acme"), 1);
-        worker.gauge_set("depth", Labels::none(), 9);
-        worker.gauge_set("depth", Labels::none(), 1);
-        worker.observe("latency", Labels::none(), 1000);
-        worker.span("trial").exit();
-        worker.event(EventKind::Measurement, Labels::none(), &[]);
-
-        hub.absorb(&worker);
-
-        assert_eq!(hub.counter("placements", &Labels::none()), 5);
-        assert_eq!(hub.counter("migrations", &Labels::tenant("acme")), 1);
-        // Gauge takes the incoming value; high-water folds with max.
-        assert_eq!(hub.gauge("depth", &Labels::none()), Some((1, 9)));
-        let h = hub.histogram("latency", &Labels::none()).unwrap();
-        assert_eq!((h.count, h.min, h.max), (2, 10, 1000));
-
-        let snap = hub.snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].start_us, 777, "span keeps its own clock");
-        assert_eq!(snap.events.len(), 2);
-        // Events re-sequence under the absorbing hub's counter while
-        // keeping their original timestamps.
-        assert_eq!(snap.events[1].seq, 1);
-        assert_eq!(snap.events[1].at_us, 777);
-        assert_eq!(snap.events[1].kind, EventKind::Measurement);
-
-        // Worker is untouched.
-        assert_eq!(worker.counter("placements", &Labels::none()), 3);
-    }
-
-    #[test]
-    fn absorb_is_exact_for_histogram_quantiles() {
-        // Recording split across two hubs then absorbed must summarize
-        // identically to recording everything into one hub.
-        let whole = Telemetry::enabled();
-        let left = Telemetry::enabled();
-        let right = Telemetry::enabled();
-        for v in 1..=1000u64 {
-            whole.observe("lat", Labels::none(), v);
-            let part = if v % 2 == 0 { &left } else { &right };
-            part.observe("lat", Labels::none(), v);
-        }
-        let merged = Telemetry::enabled();
-        merged.absorb(&left);
-        merged.absorb(&right);
-        assert_eq!(
-            merged.histogram("lat", &Labels::none()),
-            whole.histogram("lat", &Labels::none())
-        );
-    }
-
-    #[test]
-    fn absorb_noops_on_disabled_or_shared_hubs() {
-        let hub = Telemetry::enabled();
-        hub.incr("x", Labels::none(), 1);
-        hub.absorb(&Telemetry::disabled());
-        let alias = hub.clone();
-        hub.absorb(&alias); // shared state: must not double or deadlock
-        assert_eq!(hub.counter("x", &Labels::none()), 1);
-        let disabled = Telemetry::disabled();
-        disabled.absorb(&hub);
-        assert!(!disabled.is_enabled());
-    }
-
-    #[test]
-    fn absorb_keeps_worker_traces_distinct() {
-        // Two workers each mint trace 0 on their private hub; after the
-        // driver absorbs them in order, the merged store must hold two
-        // distinct, internally-connected traces.
-        let hub = Telemetry::enabled();
-        let own = hub.trace_root("driver.submit");
-        own.exit();
-
-        for _ in 0..2 {
-            let worker = Telemetry::enabled();
-            let root = worker.trace_root("worker.submit");
-            let ctx = root.ctx().unwrap();
-            worker.span_in(&ctx, "worker.place").exit();
-            worker.decide(Decision {
-                ctx: Some(ctx),
-                stage: "sched.place_task",
-                module: "m0",
-                candidate: "dev0",
-                accepted: true,
-                reason: ReasonCode::Accepted,
-                score: Some(10),
-                detail: String::new(),
-            });
-            root.exit();
-            hub.absorb(&worker);
-        }
-
-        let snap = hub.snapshot();
-        let mut traces: Vec<u64> = snap.spans.iter().filter_map(|s| s.trace).collect();
-        traces.sort_unstable();
-        traces.dedup();
-        assert_eq!(traces.len(), 3, "driver trace + one per worker");
-        // Parent links stay inside each trace.
-        for s in &snap.spans {
-            if let Some(p) = s.parent {
-                let parent = snap.spans.iter().find(|r| r.id == p).unwrap();
-                assert_eq!(parent.trace, s.trace, "parent stays in the same trace");
-            }
-        }
-        // Decisions remapped alongside their spans.
-        assert_eq!(snap.decisions.len(), 2);
-        let d_traces: Vec<_> = snap.decisions.iter().map(|d| d.trace.unwrap()).collect();
-        assert_ne!(d_traces[0], d_traces[1]);
-        for d in &snap.decisions {
-            assert!(
-                snap.spans.iter().any(|s| s.trace == d.trace),
-                "every decision's trace has spans"
-            );
-        }
-    }
-
-    #[test]
-    fn alerts_absorb_like_other_rings() {
-        let fire = |at: u64, rule: &str| AlertFire {
-            at_us: at,
-            rule: rule.to_string(),
-            reason: AlertReason::Threshold,
-            labels: Labels::module("acme", "stage0"),
-            window_start_us: at.saturating_sub(100),
-            window_end_us: at,
-            value: 7.0,
-            detail: "count=7 > 4".to_string(),
-        };
-        let hub = Telemetry::enabled();
-        hub.alert(fire(50, "local.rule"));
-        let worker = Telemetry::enabled();
-        worker.alert(fire(500, "worker.rule"));
-        hub.absorb(&worker);
-        let got = hub.alerts();
-        assert_eq!(got.len(), 2);
-        assert_eq!((got[1].seq, got[1].at_us), (1, 500));
-        assert_eq!(worker.alerts().len(), 1, "the source keeps its records");
-        // A second worker's alerts re-sequence after the first's.
-        let worker = Telemetry::enabled();
-        worker.alert(fire(900, "worker.rule"));
-        hub.absorb(&worker);
-        assert_eq!(hub.alerts().len(), 3);
-        assert_eq!(hub.alerts()[2].seq, 2);
-        let snap = hub.snapshot();
-        assert_eq!(snap.alerts.len(), 3);
-        assert_eq!(snap.dropped_alerts, 0);
-    }
-
-    #[test]
     fn an_enabled_hub_keeps_the_default_ring_capacities() {
         let hub = Telemetry::enabled();
         for _ in 0..DEFAULT_RECORDER_CAPACITY + 3 {
@@ -720,56 +537,255 @@ mod tests {
     }
 
     #[test]
-    fn memory_stays_bounded_under_million_event_absorb_loop() {
-        // Flight-recorder unbounded-growth edge: absorb 1M events (and
+    fn memory_stays_bounded_under_a_million_events() {
+        // Flight-recorder unbounded-growth edge: record 1M events (and
         // decisions) through bounded rings and assert retention never
         // exceeds the configured capacities, with every eviction
         // counted rather than silently lost.
         const RING: usize = 512;
-        const BATCH: usize = 1000;
-        const ROUNDS: usize = 1000; // 1_000 * 1_000 = 1M events
+        const TOTAL: u64 = 1_000_000;
         let hub = Telemetry::with_capacities(RING, RING);
-        for _ in 0..ROUNDS {
-            let worker = Telemetry::with_capacities(RING, RING);
-            for i in 0..BATCH {
-                worker.event(
-                    EventKind::Measurement,
-                    Labels::none(),
-                    &[("i", FieldValue::from(i as u64))],
-                );
-                worker.decide(Decision {
-                    ctx: None,
-                    stage: "s",
-                    module: "m",
-                    candidate: "c",
-                    accepted: false,
-                    reason: ReasonCode::Capacity,
-                    score: None,
-                    detail: String::new(),
-                });
-            }
-            hub.absorb(&worker);
+        for i in 0..TOTAL {
+            hub.event(
+                EventKind::Measurement,
+                Labels::none(),
+                &[("i", FieldValue::from(i))],
+            );
+            hub.decide(Decision {
+                ctx: None,
+                stage: "s",
+                module: "m",
+                candidate: "c",
+                accepted: false,
+                reason: ReasonCode::Capacity,
+                score: None,
+                detail: String::new(),
+            });
         }
         let snap = hub.snapshot();
-        assert!(snap.events.len() <= RING, "event ring stayed bounded");
-        assert!(snap.decisions.len() <= RING, "decision ring stayed bounded");
-        let total = (BATCH * ROUNDS) as u64;
-        assert_eq!(snap.dropped_events + snap.events.len() as u64, total);
-        assert_eq!(snap.dropped_decisions + snap.decisions.len() as u64, total);
+        assert_eq!(snap.events.len(), RING, "event ring stayed at capacity");
+        assert_eq!(
+            snap.decisions.len(),
+            RING,
+            "decision ring stayed at capacity"
+        );
+        assert_eq!(snap.dropped_events, TOTAL - RING as u64);
+        assert_eq!(snap.dropped_decisions, TOTAL - RING as u64);
+        // The survivors are the newest records, their sequence numbers
+        // still counting every record the hub took in.
+        assert_eq!(snap.events.last().unwrap().seq, TOTAL - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "already borrowed")]
+    fn recording_while_a_view_is_held_panics() {
+        let hub = Telemetry::enabled();
+        let writer = hub.clone();
+        let _view = hub.view().expect("enabled hub");
+        writer.incr("x", Labels::none(), 1);
     }
 
     #[test]
     fn clock_source_timestamps_spans() {
         let tel = Telemetry::enabled();
-        let t = Arc::new(std::sync::atomic::AtomicU64::new(100));
-        let tc = Arc::clone(&t);
-        tel.set_clock(move || tc.load(std::sync::atomic::Ordering::Relaxed));
+        let t = Rc::new(std::cell::Cell::new(100));
+        let tc = Rc::clone(&t);
+        tel.set_clock(move || tc.get());
         let span = tel.span("work");
-        t.store(250, std::sync::atomic::Ordering::Relaxed);
+        t.set(250);
         span.exit();
         let snap = tel.snapshot();
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].start_us, 100);
         assert_eq!(snap.spans[0].end_us, Some(250));
+    }
+
+    /// The raw histogram series `name` (unlabelled) as the hub holds it.
+    fn raw_histogram(hub: &Telemetry, name: &str) -> Histogram {
+        let view = hub.view().expect("enabled hub");
+        let found = view
+            .histograms_named(&SeriesName::new(name), 0)
+            .map(|(_, h)| h.clone())
+            .next();
+        found.unwrap_or_default()
+    }
+
+    fn placement_decision(ctx: Option<TraceCtx>) -> Decision<'static> {
+        Decision {
+            ctx,
+            stage: "sched.place_task",
+            module: "m0",
+            candidate: "dev0",
+            accepted: true,
+            reason: ReasonCode::Accepted,
+            score: Some(10),
+            detail: String::new(),
+        }
+    }
+
+    #[test]
+    fn trials_in_order_fold_every_pillar_into_one_hub() {
+        let hub = Telemetry::enabled();
+        hub.incr("placements", Labels::none(), 2);
+        hub.gauge_set("depth", Labels::none(), 4);
+        hub.observe("latency", Labels::none(), 10);
+        hub.event(EventKind::Placement, Labels::none(), &[]);
+
+        // The second trial installs its own clock on the same hub.
+        hub.set_clock(|| 777);
+        hub.incr("placements", Labels::none(), 3);
+        hub.incr("migrations", Labels::tenant("acme"), 1);
+        hub.gauge_set("depth", Labels::none(), 9);
+        hub.gauge_set("depth", Labels::none(), 1);
+        hub.observe("latency", Labels::none(), 1000);
+        hub.span("trial").exit();
+        hub.event(EventKind::Measurement, Labels::none(), &[]);
+
+        assert_eq!(hub.counter("placements", &Labels::none()), 5);
+        assert_eq!(hub.counter("migrations", &Labels::tenant("acme")), 1);
+        // A gauge holds the latest value; its high-water spans both trials.
+        assert_eq!(hub.gauge("depth", &Labels::none()), Some((1, 9)));
+        let h = hub.histogram("latency", &Labels::none()).unwrap();
+        assert_eq!((h.count, h.min, h.max), (2, 10, 1000));
+
+        let snap = hub.snapshot();
+        assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans[0].start_us, 777, "span takes the trial's clock");
+        assert_eq!(snap.events.len(), 2);
+        // Sequence numbers run on across trials; timestamps are the
+        // trial's own.
+        assert_eq!(snap.events[1].seq, 1);
+        assert_eq!(snap.events[1].at_us, 777);
+        assert_eq!(snap.events[1].kind, EventKind::Measurement);
+    }
+
+    #[test]
+    fn a_trials_share_of_a_histogram_is_its_difference_across_the_trial() {
+        // A driver reads one trial's observations from the shared hub as
+        // the difference of the histogram's count and sum across it.
+        let hub = Telemetry::enabled();
+        let whole = Telemetry::enabled();
+        for trial in 1..=3u64 {
+            let before = raw_histogram(&hub, "lat");
+            let mut own = Histogram::default();
+            for v in (1..=200).map(|i| i * trial) {
+                hub.observe("lat", Labels::none(), v);
+                whole.observe("lat", Labels::none(), v);
+                own.record(v);
+            }
+            let share = raw_histogram(&hub, "lat").diff(&before);
+            assert_eq!((share.count(), share.sum()), (own.count(), own.sum()));
+        }
+        assert_eq!(
+            hub.histogram("lat", &Labels::none()),
+            whole.histogram("lat", &Labels::none())
+        );
+    }
+
+    #[test]
+    fn clones_share_one_hub_and_a_disabled_hub_stays_inert() {
+        let hub = Telemetry::enabled();
+        hub.incr("x", Labels::none(), 1);
+        let alias = hub.clone();
+        alias.incr("x", Labels::none(), 2);
+        alias.event(EventKind::Placement, Labels::none(), &[]);
+        assert_eq!(hub.counter("x", &Labels::none()), 3);
+        assert_eq!(hub.snapshot().events.len(), 1);
+
+        let disabled = Telemetry::disabled();
+        let twin = disabled.clone();
+        twin.set_clock(|| 5);
+        twin.incr("x", Labels::none(), 1);
+        assert!(!disabled.is_enabled() && !twin.is_enabled());
+        assert_eq!(disabled.counter("x", &Labels::none()), 0);
+        assert!(disabled.view().is_none());
+    }
+
+    #[test]
+    fn sequential_trials_keep_their_traces_distinct() {
+        // Each trial mints its own trace on the shared hub; the store
+        // must hold one distinct, internally connected trace per trial.
+        let hub = Telemetry::enabled();
+        hub.trace_root("driver.submit").exit();
+        for trial in 0..2u64 {
+            hub.set_clock(move || 1_000 * trial);
+            let root = hub.trace_root("trial.submit");
+            let ctx = root.ctx().unwrap();
+            hub.span_in(&ctx, "trial.place").exit();
+            hub.decide(placement_decision(Some(ctx)));
+            root.exit();
+        }
+
+        let snap = hub.snapshot();
+        let mut traces: Vec<u64> = snap.spans.iter().filter_map(|s| s.trace).collect();
+        traces.sort_unstable();
+        traces.dedup();
+        assert_eq!(traces.len(), 3, "driver trace + one per trial");
+        for s in &snap.spans {
+            if let Some(p) = s.parent {
+                let parent = snap.spans.iter().find(|r| r.id == p).unwrap();
+                assert_eq!(parent.trace, s.trace, "parent stays in the same trace");
+            }
+        }
+        assert_eq!(snap.decisions.len(), 2);
+        let d_traces: Vec<_> = snap.decisions.iter().map(|d| d.trace.unwrap()).collect();
+        assert_ne!(d_traces[0], d_traces[1]);
+        for d in &snap.decisions {
+            assert!(
+                snap.spans.iter().any(|s| s.trace == d.trace),
+                "every decision's trace has spans"
+            );
+        }
+    }
+
+    #[test]
+    fn alerts_sequence_across_trials_like_other_rings() {
+        let fire = |at: u64, rule: &str| AlertFire {
+            at_us: at,
+            rule: rule.to_string(),
+            reason: AlertReason::Threshold,
+            labels: Labels::module("acme", "stage0"),
+            window_start_us: at.saturating_sub(100),
+            window_end_us: at,
+            value: 7.0,
+            detail: "count=7 > 4".to_string(),
+        };
+        let hub = Telemetry::enabled();
+        hub.alert(fire(50, "first.rule"));
+        // A later trial's clock does not restamp its alerts: each keeps
+        // the fire time its rule computed, even one earlier than before.
+        hub.set_clock(|| 10);
+        hub.alert(fire(900, "second.rule"));
+        hub.alert(fire(500, "second.rule"));
+        let got = hub.alerts();
+        assert_eq!(got.len(), 3);
+        let stamps: Vec<_> = got.iter().map(|a| (a.seq, a.at_us)).collect();
+        assert_eq!(stamps, vec![(0, 50), (1, 900), (2, 500)]);
+        let snap = hub.snapshot();
+        assert_eq!(snap.alerts.len(), 3);
+        assert_eq!(snap.dropped_alerts, 0);
+    }
+
+    #[test]
+    fn alerts_leave_the_fallback_ticks_alone() {
+        let quiet = Telemetry::enabled();
+        let alerted = Telemetry::enabled();
+        alerted.alert(AlertFire {
+            at_us: 40,
+            rule: "r".to_string(),
+            reason: AlertReason::Absence,
+            labels: Labels::none(),
+            window_start_us: 0,
+            window_end_us: 40,
+            value: 0.0,
+            detail: String::new(),
+        });
+        for hub in [&quiet, &alerted] {
+            hub.event(EventKind::Measurement, Labels::none(), &[]);
+        }
+        assert_eq!(
+            quiet.snapshot().events[0].at_us,
+            alerted.snapshot().events[0].at_us
+        );
     }
 }

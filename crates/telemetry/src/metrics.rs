@@ -111,24 +111,6 @@ impl MetricsRegistry {
             .map(|h| &h.value)
     }
 
-    /// Folds another registry into this one: counters add, gauges take
-    /// the incoming value (high-water marks max together), histograms
-    /// merge bucket-wise. Used by [`crate::Telemetry::absorb`] to
-    /// combine per-trial hubs from parallel experiment workers.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in other.counters.iter() {
-            *self.counter_mut(k.clone()) += v.value;
-        }
-        for (k, g) in other.gauges.iter() {
-            let e = self.gauges.entry(k.clone()).or_insert(*g);
-            e.value = g.value;
-            e.high_water = e.high_water.max(g.high_water);
-        }
-        for (k, h) in other.histograms.iter() {
-            self.histogram_mut(k.clone()).merge(&h.value);
-        }
-    }
-
     /// Counter and histogram writes so far: remember it after a visit
     /// and pass it to the `_since` iterators at the next one.
     pub fn writes(&self) -> u64 {
@@ -419,6 +401,25 @@ mod tests {
         assert!((500..=511).contains(&p50), "{p50}");
         assert!(h.quantile(0.0) >= 1);
         assert_eq!(h.quantile(1.0), 1000);
+    }
+
+    #[test]
+    fn merge_is_exact_for_quantiles() {
+        // Recording split across two histograms then merged must
+        // summarize identically to recording everything into one.
+        let mut whole = Histogram::default();
+        let (mut even, mut odd) = (Histogram::default(), Histogram::default());
+        for v in 1..=1000u64 {
+            whole.record(v);
+            if v % 2 == 0 {
+                even.record(v);
+            } else {
+                odd.record(v);
+            }
+        }
+        even.merge(&odd);
+        assert_eq!(even.summary(), whole.summary());
+        assert_eq!(even.sum(), whole.sum());
     }
 
     #[test]

@@ -153,15 +153,6 @@ impl FlightRecorder {
                 .collect(),
         });
     }
-
-    /// Appends another recorder's retained events in their original
-    /// order, re-sequencing them under this recorder's counter while
-    /// preserving their simulated timestamps. Drops already suffered by
-    /// `other` carry over, and the ring keeps evicting normally.
-    pub fn absorb(&mut self, other: &FlightRecorder) {
-        self.ring
-            .absorb(&other.ring, |e, seq| Event { seq, ..e.clone() });
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The bounded, sequence-numbered ring behind the flight recorder, the
 //! decision log and the alert log.
 //!
-//! Records are held as `Arc`s so a [`Snapshot`](crate::Snapshot) shares
+//! Records are held as `Rc`s so a [`Snapshot`](crate::Snapshot) shares
 //! them instead of deep-copying the ring, and sequence numbers are
 //! *dense*: the retained records are exactly `next_seq - len .. next_seq`
 //! (eviction pops the front, `next_seq` never goes back). That is what
@@ -10,10 +10,10 @@
 
 use std::collections::vec_deque;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 pub(crate) struct Ring<T> {
-    records: VecDeque<Arc<T>>,
+    records: VecDeque<Rc<T>>,
     capacity: usize,
     next_seq: u64,
     dropped: u64,
@@ -29,7 +29,7 @@ pub struct RingTail<'a, T> {
     /// back as the cursor to read each record exactly once.
     pub next_seq: u64,
     /// The retained records from the cursor on, oldest first.
-    pub records: vec_deque::Iter<'a, Arc<T>>,
+    pub records: vec_deque::Iter<'a, Rc<T>>,
 }
 
 impl<T> Ring<T> {
@@ -56,20 +56,10 @@ impl<T> Ring<T> {
             self.records.pop_front();
             self.dropped += 1;
         }
-        self.records.push_back(Arc::new(make(seq)));
+        self.records.push_back(Rc::new(make(seq)));
     }
 
-    /// Appends `other`'s retained records re-sequenced under this
-    /// ring's counter (`remake` builds the copy for its new sequence
-    /// number). Drops `other` already suffered carry over.
-    pub fn absorb(&mut self, other: &Ring<T>, mut remake: impl FnMut(&T, u64) -> T) {
-        self.dropped += other.dropped;
-        for r in &other.records {
-            self.push_with(|seq| remake(r, seq));
-        }
-    }
-
-    pub fn records(&self) -> vec_deque::Iter<'_, Arc<T>> {
+    pub fn records(&self) -> vec_deque::Iter<'_, Rc<T>> {
         self.records.iter()
     }
 

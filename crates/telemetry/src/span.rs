@@ -132,31 +132,6 @@ impl SpanStore {
         }
     }
 
-    /// Appends another store's records, remapping ids (and parent
-    /// links) past this store's so the combined id space stays unique,
-    /// and shifting trace ids by `trace_offset` so traces minted by
-    /// different worker hubs never collide after a merge.
-    /// Absorbed spans keep their timestamps; any still-open ones stay
-    /// open but are never pushed onto this store's open stack, so they
-    /// cannot become parents of future spans. A parent `other` had
-    /// already evicted cannot be named in this id space: its children
-    /// arrive as roots, and `other`'s drop count carries over to say so.
-    pub fn absorb(&mut self, other: &SpanStore, trace_offset: u64) {
-        let offset = self.next_id();
-        let remap = |id: u32| id.checked_sub(other.base).map(|i| i + offset);
-        self.dropped += other.dropped;
-        for r in &other.records {
-            self.push(SpanRecord {
-                id: r.id - other.base + offset,
-                parent: r.parent.and_then(remap),
-                trace: r.trace.map(|t| t + trace_offset),
-                name: r.name.clone(),
-                start_us: r.start_us,
-                end_us: r.end_us,
-            });
-        }
-    }
-
     pub fn records(&self) -> impl Iterator<Item = &SpanRecord> {
         self.records.iter()
     }
@@ -223,31 +198,31 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use crate::Telemetry;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
-    fn hub_with_ticking_clock() -> (Telemetry, Arc<AtomicU64>) {
+    fn hub_with_ticking_clock() -> (Telemetry, Rc<Cell<u64>>) {
         let tel = Telemetry::enabled();
-        let t = Arc::new(AtomicU64::new(0));
-        let tc = Arc::clone(&t);
-        tel.set_clock(move || tc.load(Ordering::Relaxed));
+        let t = Rc::new(Cell::new(0));
+        let tc = Rc::clone(&t);
+        tel.set_clock(move || tc.get());
         (tel, t)
     }
 
     #[test]
     fn spans_nest_into_a_tree() {
         let (tel, t) = hub_with_ticking_clock();
-        t.store(10, Ordering::Relaxed);
+        t.set(10);
         let run = tel.span("cloud.run");
-        t.store(20, Ordering::Relaxed);
+        t.set(20);
         let place = tel.span("sched.place");
-        t.store(30, Ordering::Relaxed);
+        t.set(30);
         place.exit();
-        t.store(35, Ordering::Relaxed);
+        t.set(35);
         let seal = tel.span("crypto.seal");
-        t.store(40, Ordering::Relaxed);
+        t.set(40);
         seal.exit();
-        t.store(50, Ordering::Relaxed);
+        t.set(50);
         run.exit();
 
         let spans = tel.snapshot().spans;
@@ -270,9 +245,9 @@ mod tests {
     fn parent_drop_closes_open_children() {
         let (tel, t) = hub_with_ticking_clock();
         let outer = tel.span("outer");
-        t.store(5, Ordering::Relaxed);
+        t.set(5);
         let _inner = tel.span("inner");
-        t.store(9, Ordering::Relaxed);
+        t.set(9);
         drop(outer); // inner guard still alive, but subtree closes
 
         let spans = tel.snapshot().spans;
@@ -293,7 +268,7 @@ mod tests {
             Ok(())
         }
         let (tel, t) = hub_with_ticking_clock();
-        t.store(7, Ordering::Relaxed);
+        t.set(7);
         assert!(flaky(&tel, true).is_err());
         let spans = tel.snapshot().spans;
         assert_eq!(spans.len(), 1);
@@ -321,7 +296,7 @@ mod tests {
     #[test]
     fn trace_context_links_spans_across_call_boundaries() {
         let (tel, t) = hub_with_ticking_clock();
-        t.store(1, Ordering::Relaxed);
+        t.set(1);
         let root = tel.trace_root("cloud.submit");
         let ctx = root.ctx().expect("root carries a trace context");
         // A child opened from the context, as a callee would.
@@ -389,36 +364,34 @@ mod tests {
     }
 
     #[test]
-    fn absorbing_a_truncated_store_orphans_nothing_silently() {
+    fn evicting_a_parent_orphans_nothing_silently() {
         use super::SpanStore;
-        let mut src = SpanStore::new(2);
-        let root = src.begin_at("root", 0, None, Some(0));
+        let mut store = SpanStore::new(2);
+        let root = store.begin_at("root", 0, None, Some(0));
         let kids: Vec<u32> = (1..=3)
             .map(|t| {
-                let id = src.begin_at("kid", t, Some(root), Some(0));
-                src.end(id, t);
+                let id = store.begin_at("kid", t, Some(root), Some(0));
+                store.end(id, t);
                 id
             })
             .collect();
-        src.end(root, 4);
-        let tail = src.begin("tail", 5); // evicts root and two kids
-        src.end(tail, 5);
-        assert_eq!(src.dropped(), 3);
+        store.end(root, 4);
+        let tail = store.begin("tail", 5); // evicts the root and two kids
+        store.end(tail, 5);
         assert_eq!(kids, vec![1, 2, 3]);
-
-        let mut dst = SpanStore::new(16);
-        let own = dst.begin("own", 0);
-        dst.end(own, 0);
-        dst.absorb(&src, 10);
-        let got: Vec<_> = dst.records().map(|r| (r.id, r.parent, r.trace)).collect();
-        // Dense ids after the absorber's own; the evicted parent cannot
-        // be named, so its children arrive as roots — and the carried
-        // drop count is what tells a reader why.
+        let got: Vec<_> = store.records().map(|r| (r.id, r.parent, r.trace)).collect();
+        // The surviving kid still names its evicted parent: the id lies
+        // below the retained floor, and the drop count says why it does
+        // not resolve.
+        assert_eq!(got, vec![(3, Some(0), Some(0)), (4, None, None)]);
+        assert_eq!(store.dropped(), 3);
         assert_eq!(
-            got,
-            vec![(0, None, None), (1, None, Some(10)), (2, None, None)]
+            store.trace_of(root),
+            None,
+            "an evicted span resolves to nothing"
         );
-        assert_eq!(dst.dropped(), 3);
+        // The next span continues the id space past everything minted.
+        assert_eq!(store.begin("next", 6), 5);
     }
 
     #[test]

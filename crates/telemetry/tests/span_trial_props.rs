@@ -1,35 +1,40 @@
-//! Property tests for span-store absorption: when the parallel harness
-//! merges worker hubs (`Telemetry::absorb`), every worker's span forest
-//! must survive re-sequencing intact — parent/child links, names,
-//! relative order, and trace membership — no matter how the workers
-//! nested their spans.
+//! Property tests for span forests over trials run in order on one hub:
+//! every trial's forest must come out intact — parent/child links,
+//! names, relative order, and trace membership — with no trace id
+//! shared between trials, no matter how the trials nested their spans.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use udc_telemetry::{SpanRecord, Telemetry};
 
-/// One worker's recording schedule: a stack program where `true` opens
+/// One trial's recording schedule: a stack program where `true` opens
 /// a span and `false` closes the innermost open one (no-op when empty).
 type Program = Vec<bool>;
 
-/// What the merged store must contain for one worker: spans in creation
-/// order with worker-local parent indices and worker-local trace ids.
+/// What the store must contain for one trial: spans in creation order
+/// with trial-local parent indices and trial-local trace numbers.
 struct ExpectedSpan {
     name: String,
     parent: Option<usize>,
     trace: usize,
 }
 
-/// Runs `program` on a fresh hub, mirroring the expected structure with
-/// a plain stack oracle. Stack-empty opens mint new traces (as
-/// `Cloud::submit` does); nested opens use plain `span()` and must
-/// inherit the enclosing trace.
-fn run_worker(program: &Program) -> (Telemetry, Vec<ExpectedSpan>) {
-    let tel = Telemetry::enabled();
+/// Runs `program` on `hub` under a fresh trial clock, mirroring the
+/// expected structure with a plain stack oracle. Stack-empty opens mint
+/// new traces (as `Cloud::submit` does); nested opens use plain
+/// `span()` and must inherit the enclosing trace.
+fn run_trial(hub: &Telemetry, program: &Program) -> Vec<ExpectedSpan> {
+    let clock = Rc::new(Cell::new(0u64));
+    let c = Rc::clone(&clock);
+    hub.set_clock(move || c.get());
     let mut guards = Vec::new();
     let mut stack: Vec<usize> = Vec::new();
     let mut expected: Vec<ExpectedSpan> = Vec::new();
     let mut traces = 0usize;
     for (i, &open) in program.iter().enumerate() {
+        clock.set(i as u64);
         if open {
             let name = format!("op{i}");
             let trace = match stack.last() {
@@ -40,9 +45,9 @@ fn run_worker(program: &Program) -> (Telemetry, Vec<ExpectedSpan>) {
                 }
             };
             let guard = if stack.is_empty() {
-                tel.trace_root(&name)
+                hub.trace_root(&name)
             } else {
-                tel.span(&name)
+                hub.span(&name)
             };
             expected.push(ExpectedSpan {
                 name,
@@ -56,7 +61,7 @@ fn run_worker(program: &Program) -> (Telemetry, Vec<ExpectedSpan>) {
         }
     }
     drop(guards); // close whatever remains open
-    (tel, expected)
+    expected
 }
 
 fn span_by_id(spans: &[SpanRecord], id: u32) -> &SpanRecord {
@@ -65,19 +70,15 @@ fn span_by_id(spans: &[SpanRecord], id: u32) -> &SpanRecord {
 
 proptest! {
     #[test]
-    fn absorb_preserves_worker_forests(
+    fn sequential_trials_preserve_their_span_forests(
         programs in prop::collection::vec(
             prop::collection::vec(any::<bool>(), 1..40),
             1..5,
         ),
     ) {
         let hub = Telemetry::enabled();
-        let mut all_expected = Vec::new();
-        for program in &programs {
-            let (worker, expected) = run_worker(program);
-            hub.absorb(&worker);
-            all_expected.push(expected);
-        }
+        let all_expected: Vec<Vec<ExpectedSpan>> =
+            programs.iter().map(|p| run_trial(&hub, p)).collect();
 
         let spans = hub.snapshot().spans;
         let total: usize = all_expected.iter().map(Vec::len).sum();
@@ -87,10 +88,11 @@ proptest! {
         let mut seen_traces: Vec<u64> = Vec::new();
         for expected in &all_expected {
             let slice = &spans[offset..offset + expected.len()];
-            let mut worker_traces: Vec<u64> = Vec::new();
+            let mut trial_traces: Vec<u64> = Vec::new();
             for (local, (exp, got)) in expected.iter().zip(slice).enumerate() {
                 prop_assert_eq!(&got.name, &exp.name);
-                // Parent links point at the right span of the SAME worker.
+                prop_assert!(got.end_us.is_some(), "every span closed");
+                // Parent links point at the right span of the SAME trial.
                 match exp.parent {
                     Some(p) => {
                         let parent = span_by_id(&spans, got.parent.expect("kept its parent"));
@@ -100,27 +102,27 @@ proptest! {
                     }
                     None => prop_assert!(got.parent.is_none(), "roots stay roots"),
                 }
-                // Trace ids: same worker-local trace -> same merged id.
+                // Same trial-local trace -> same hub trace id.
                 let trace = got.trace.expect("every span traced");
-                while worker_traces.len() <= exp.trace {
-                    worker_traces.push(u64::MAX);
+                while trial_traces.len() <= exp.trace {
+                    trial_traces.push(u64::MAX);
                 }
-                if worker_traces[exp.trace] == u64::MAX {
-                    worker_traces[exp.trace] = trace;
+                if trial_traces[exp.trace] == u64::MAX {
+                    trial_traces[exp.trace] = trace;
                 } else {
-                    prop_assert_eq!(worker_traces[exp.trace], trace);
+                    prop_assert_eq!(trial_traces[exp.trace], trace);
                 }
-                // Creation order survives re-sequencing.
+                // Creation order is id order, timed by the trial's clock.
                 if local > 0 {
                     prop_assert!(slice[local - 1].id < got.id);
                     prop_assert!(slice[local - 1].start_us <= got.start_us);
                 }
             }
-            // No trace id leaks across workers.
-            for t in worker_traces.iter().filter(|&&t| t != u64::MAX) {
+            // No trace id is shared across trials.
+            for t in trial_traces.iter().filter(|&&t| t != u64::MAX) {
                 prop_assert!(
                     !seen_traces.contains(t),
-                    "worker traces must stay distinct after absorb"
+                    "trial traces must stay distinct on one hub"
                 );
                 seen_traces.push(*t);
             }
