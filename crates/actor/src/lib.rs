@@ -9,6 +9,10 @@
 //! implementations. Furthermore, messages could be reliably recorded for
 //! faster recovery."
 //!
+//! No product crate depends on it: the provider's recovery log is
+//! `udc_dist::RecoveryModel`, and `tests/recovery_model.rs` checks that
+//! log against what this executor delivers (DESIGN.md §12).
+//!
 //! This crate provides:
 //!
 //! - [`actor::Actor`] — the module-behaviour trait (message in,
@@ -16,8 +20,8 @@
 //! - [`system::System`] — the one executor: deterministic,
 //!   single-threaded, round-robin in id order (DESIGN.md §12);
 //! - [`log::MessageLog`] — reliable message recording enabling
-//!   replay-based recovery (consumed by `udc-dist`), with an indexed
-//!   replay suffix and checkpoint-driven truncation;
+//!   replay-based recovery, with an indexed replay suffix and
+//!   checkpoint-driven truncation;
 //! - [`supervise::SupervisionPolicy`] — restart/drop/escalate handling
 //!   of actor failures.
 

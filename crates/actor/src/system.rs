@@ -2,8 +2,8 @@
 //! scheduling in id order, reliable message logging, supervision.
 //!
 //! This is the seed executor and the only one. Nothing on a tenant
-//! request or a provider tick runs it: the recovery model writes its
-//! log directly (DESIGN.md §12). It is a `BTreeMap<ActorId, Registered>`
+//! request or a provider tick runs it: the product's recovery log lives
+//! in `udc-dist` (DESIGN.md §12). It is a `BTreeMap<ActorId, Registered>`
 //! of actors; a round snapshots every id and delivers at most one
 //! message to each, in id order, so a message sent mid-round to an
 //! actor later in id order fires in the same round.

@@ -1,49 +1,20 @@
 //! E9 — §3.4/Table 1: failure handling — "whether to re-execute a module
 //! or recover from a user-defined checkpoint."
 //!
-//! An actor processes a long message stream; we crash it at 93% progress
+//! A module processes a long message stream; we crash it at 93% progress
 //! and recover with both strategies across checkpoint cadences, using
-//! the reliable message log (§3.1: "messages could be reliably recorded
-//! for faster recovery").
+//! the product's recovery log (§3.1: "messages could be reliably
+//! recorded for faster recovery"), `udc_dist::RecoveryModel`.
 
-use bytes::Bytes;
-use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, SupervisionPolicy, System};
 use udc_bench::{banner, fmt_us, Table};
 use udc_core::heal::{MSG_COST_US, RESTORE_COST_US};
 use udc_core::{CloudConfig, UdcCloud};
-use udc_dist::{recover, CheckpointStore, RecoveryStrategy};
+use udc_dist::{RecoveryModel, RecoveryStrategy};
 use udc_hal::FailurePlan;
 use udc_spec::{
     AppSpec, DistributedAspect, FailureHandling, ModuleId, ResourceAspect, ResourceKind, TaskSpec,
 };
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
-
-/// A stateful accumulator whose per-message work we model as 1 ms.
-#[derive(Default)]
-struct Acc {
-    sum: u64,
-}
-
-impl Actor for Acc {
-    fn on_message(&mut self, _ctx: &mut Ctx, msg: &Message) -> Result<(), ActorError> {
-        let mut b = [0u8; 8];
-        let n = msg.payload.len().min(8);
-        b[..n].copy_from_slice(&msg.payload[..n]);
-        self.sum = self.sum.wrapping_add(u64::from_le_bytes(b));
-        Ok(())
-    }
-    fn reset(&mut self) {
-        self.sum = 0;
-    }
-    fn snapshot(&self) -> Vec<u8> {
-        self.sum.to_le_bytes().to_vec()
-    }
-    fn restore(&mut self, snap: &[u8]) {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(snap);
-        self.sum = u64::from_le_bytes(b);
-    }
-}
 
 fn main() {
     banner(
@@ -72,39 +43,24 @@ fn main() {
             // The module crashes at 93% progress: only the messages
             // processed before the crash exist in the reliable log.
             let crash_at = n * 93 / 100;
-            let mut sys = System::new();
-            let id = ActorId::new("worker");
-            sys.spawn(
-                id.clone(),
-                Box::<Acc>::default(),
-                SupervisionPolicy::Restart,
+            // Seeding compacts, so a checkpointed log no longer holds
+            // the prefix re-execution replays: one model per strategy.
+            let id = ModuleId::from("worker");
+            let mut reexec_model = RecoveryModel::new();
+            reexec_model.seed_workload(&id, crash_at, None);
+            let mut ckpt_model = RecoveryModel::new();
+            ckpt_model.seed_workload(&id, crash_at, Some(interval));
+            let reexec = reexec_model
+                .recover_module(&id, RecoveryStrategy::Reexecute)
+                .expect("seeded");
+            let ckpt = ckpt_model
+                .recover_module(&id, RecoveryStrategy::FromCheckpoint)
+                .expect("seeded");
+            assert_eq!(
+                reexec_model.recovered_state(&id),
+                ckpt_model.recovered_state(&id),
+                "both strategies must converge"
             );
-            for i in 1..=crash_at {
-                sys.inject(id.clone(), Bytes::copy_from_slice(&i.to_le_bytes()));
-            }
-            sys.run_until_quiescent(usize::MAX);
-            let mut cps = CheckpointStore::new();
-            let entries = sys.log().entries();
-            let mut running = 0u64;
-            for (i, m) in entries.iter().enumerate() {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&m.payload[..8]);
-                running = running.wrapping_add(u64::from_le_bytes(b));
-                if ((i + 1) as u64).is_multiple_of(interval) {
-                    cps.save(&id, m.seq, running.to_le_bytes().to_vec());
-                }
-            }
-            let mut a = Acc::default();
-            let reexec = recover(&id, &mut a, sys.log(), &cps, RecoveryStrategy::Reexecute);
-            let mut b = Acc::default();
-            let ckpt = recover(
-                &id,
-                &mut b,
-                sys.log(),
-                &cps,
-                RecoveryStrategy::FromCheckpoint,
-            );
-            assert_eq!(a.sum, b.sum, "both strategies must converge");
 
             let reexec_us = reexec.replayed as u64 * MSG_COST_US;
             let ckpt_us = ckpt.replayed as u64 * MSG_COST_US + RESTORE_COST_US;
@@ -139,8 +95,8 @@ fn main() {
          exactly Table 1's split (A2/A3/A4 checkpoint; A1/B1 re-execute)."
     );
 
-    // The same trade-off, end to end: instead of calling `recover`
-    // directly, crash the device under a deployed module and let the
+    // The same trade-off, end to end: instead of calling
+    // `recover_module` directly, crash the device under a deployed module and let the
     // control plane's repair loop (detect → evict → re-place →
     // re-launch → recover) pick the user-defined strategy. MTTR now
     // includes the control-plane work, not just state reconstruction.

@@ -105,7 +105,7 @@ pub struct Deployment {
     pub health: crate::heal::HealthState,
     /// Recoverable state: message log + checkpoints the repair loop
     /// replays/restores after a crash.
-    pub recovery: crate::heal::RecoveryModel,
+    pub recovery: udc_dist::RecoveryModel,
     /// Modules evicted because the tenant's account is suspended; they
     /// stay out of the device-repair re-heal path until payment
     /// reinstates the account.
@@ -522,7 +522,7 @@ impl UdcCloud {
             data_keys,
             billing: self.billing,
             health: crate::heal::HealthState::default(),
-            recovery: crate::heal::RecoveryModel::new(),
+            recovery: udc_dist::RecoveryModel::new(),
             econ_suspended: std::collections::BTreeSet::new(),
             seen_epoch: self.sensed.epoch,
             degraded_series: Vec::new(),

@@ -30,14 +30,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cloud::{Deployment, UdcCloud};
-use bytes::Bytes;
-use udc_actor::{Actor, ActorError, ActorId, Ctx, Message, MessageLog};
-use udc_dist::{recover, safe_truncation_seq, CheckpointStore, RecoveryOutcome, RecoveryStrategy};
+use udc_dist::{RecoveryOutcome, RecoveryStrategy};
 use udc_economics::LifecycleEvent;
 use udc_failure::mix64;
 use udc_hal::DeviceId;
 use udc_sched::ModulePlacement;
-use udc_spec::{AppSpec, FailureHandling, ModuleId};
+use udc_spec::{FailureHandling, ModuleId};
 use udc_telemetry::{Decision, EventKind, FieldValue, Labels, Micros, ReasonCode};
 
 /// Modelled cost of re-processing one replayed message (matches E9).
@@ -201,7 +199,7 @@ pub struct ModuleRepair {
     /// costed, not advanced).
     pub mttr_us: Micros,
     /// State recovery outcome (None when the module had no recoverable
-    /// state seeded in the deployment's [`RecoveryModel`]).
+    /// state seeded in the deployment's [`udc_dist::RecoveryModel`]).
     pub recovery: Option<RecoveryOutcome>,
 }
 
@@ -266,178 +264,6 @@ impl HealReport {
             && self.resurrected.is_empty()
             && self.restarted.is_empty()
             && self.false_suspects == 0
-    }
-}
-
-/// The deterministic per-module workload whose state the repair loop
-/// recovers: an accumulator folding little-endian u64 payloads, exactly
-/// the shape E9 uses, so replay/restore costs are comparable.
-#[derive(Default)]
-struct ModuleActor {
-    sum: u64,
-}
-
-impl ModuleActor {
-    /// Folds one payload in: its first 8 bytes as an LE u64, shorter
-    /// payloads zero-extended.
-    fn absorb(&mut self, payload: &[u8]) {
-        let mut b = [0u8; 8];
-        let n = payload.len().min(8);
-        b[..n].copy_from_slice(&payload[..n]);
-        self.sum = self.sum.wrapping_add(u64::from_le_bytes(b));
-    }
-}
-
-impl Actor for ModuleActor {
-    fn on_message(&mut self, _ctx: &mut Ctx, msg: &Message) -> Result<(), ActorError> {
-        self.absorb(&msg.payload);
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.sum = 0;
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        self.sum.to_le_bytes().to_vec()
-    }
-
-    fn restore(&mut self, snapshot: &[u8]) {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(snapshot);
-        self.sum = u64::from_le_bytes(b);
-    }
-}
-
-/// Per-deployment recoverable state: the reliable message log each
-/// module's workload is written to, plus user-defined checkpoints. The
-/// harness seeds each module's workload; [`UdcCloud::advance`] recovers
-/// it after a crash with the module's spec'd strategy.
-#[derive(Default)]
-pub struct RecoveryModel {
-    log: MessageLog,
-    /// The last sequence number written: seqs run on across modules, as
-    /// one executor delivering every stream would number them.
-    next_seq: u64,
-    checkpoints: CheckpointStore,
-    expected: BTreeMap<ActorId, Seeded>,
-    recovered: BTreeMap<ActorId, u64>,
-}
-
-/// What a module's seeded stream folded to so far.
-#[derive(Default)]
-struct Seeded {
-    /// The module's state after its whole stream.
-    sum: u64,
-    /// Messages in its whole stream (the checkpoint cadence counts
-    /// them).
-    messages: u64,
-}
-
-impl RecoveryModel {
-    /// An empty model (modules recover with zero replay).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Seeds `module` with a processed stream of `messages` messages
-    /// (payload `1..=messages` as LE u64), checkpointing every
-    /// `checkpoint_every` messages when given. The stream lives in the
-    /// reliable message log, so recovery can replay it.
-    pub fn seed_workload(
-        &mut self,
-        module: &ModuleId,
-        messages: u64,
-        checkpoint_every: Option<u64>,
-    ) {
-        let id = ActorId::new(module.as_str());
-        // A module seeded before continues its fold and its checkpoint
-        // count from where they stood: the log may no longer hold the
-        // prefix they cover.
-        let seeded = self.expected.entry(id.clone()).or_default();
-        let mut state = ModuleActor { sum: seeded.sum };
-        for i in 1..=messages {
-            self.next_seq += 1;
-            let msg = Message {
-                from: None,
-                to: id.clone(),
-                payload: Bytes::copy_from_slice(&i.to_le_bytes()),
-                seq: self.next_seq,
-            };
-            state.absorb(&msg.payload);
-            seeded.messages += 1;
-            if checkpoint_every
-                .is_some_and(|every| every > 0 && seeded.messages.is_multiple_of(every))
-            {
-                self.checkpoints.save(&id, msg.seq, state.snapshot());
-            }
-            self.log.record(msg);
-        }
-        seeded.sum = state.sum;
-        // Checkpoints just advanced for this module: drop whatever log
-        // prefix recovery can no longer need. Long-running deployments
-        // would otherwise grow the reliable log without bound.
-        self.compact();
-    }
-
-    /// Truncates the reliable log through the oldest checkpoint,
-    /// provided *every* seeded module is checkpointed — one
-    /// re-execution module pins the full history, because its recovery
-    /// replays from sequence zero. Returns the entries dropped.
-    pub fn compact(&mut self) -> usize {
-        match safe_truncation_seq(&self.checkpoints, self.expected.keys()) {
-            Some(seq) => self.log.truncate_through(seq),
-            None => 0,
-        }
-    }
-
-    /// Entries currently retained in the reliable message log.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Seeds every module of `app` with `messages_per_module` messages,
-    /// deriving the checkpoint cadence from each module's failure
-    /// aspect (one message models one millisecond of work, so
-    /// `Checkpoint { interval_ms }` checkpoints every `interval_ms`
-    /// messages).
-    pub fn seed_app(&mut self, app: &AppSpec, messages_per_module: u64) {
-        for m in app.iter_modules() {
-            let every = match m.dist.failure.unwrap_or_default() {
-                FailureHandling::Reexecute => None,
-                FailureHandling::Checkpoint { interval_ms } => Some(interval_ms),
-            };
-            self.seed_workload(&m.id, messages_per_module, every);
-        }
-    }
-
-    /// Recovers `module`'s state into a fresh instance using
-    /// `strategy`. Returns `None` when the module was never seeded.
-    pub fn recover_module(
-        &mut self,
-        module: &ModuleId,
-        strategy: RecoveryStrategy,
-    ) -> Option<RecoveryOutcome> {
-        let id = ActorId::new(module.as_str());
-        if !self.expected.contains_key(&id) {
-            return None;
-        }
-        let mut fresh = ModuleActor::default();
-        let out = recover(&id, &mut fresh, &self.log, &self.checkpoints, strategy);
-        self.recovered.insert(id, fresh.sum);
-        Some(out)
-    }
-
-    /// The state the module held before the crash (seeded workloads).
-    pub fn expected_state(&self, module: &ModuleId) -> Option<u64> {
-        self.expected
-            .get(&ActorId::new(module.as_str()))
-            .map(|s| s.sum)
-    }
-
-    /// The state the last recovery reconstructed.
-    pub fn recovered_state(&self, module: &ModuleId) -> Option<u64> {
-        self.recovered.get(&ActorId::new(module.as_str())).copied()
     }
 }
 
@@ -1145,7 +971,7 @@ mod tests {
     use super::*;
     use crate::cloud::{CloudConfig, UdcCloud};
     use udc_hal::{DatacenterConfig, FailureEvent, FailurePlan, PoolConfig};
-    use udc_spec::{DistributedAspect, ResourceAspect, ResourceKind, TaskSpec};
+    use udc_spec::{AppSpec, DistributedAspect, ResourceAspect, ResourceKind, TaskSpec};
 
     fn one_task_app(dist: Option<DistributedAspect>) -> AppSpec {
         let mut app = AppSpec::new("heal-demo");
@@ -2497,199 +2323,6 @@ mod tests {
             assert_eq!((due.retried.len(), due.degraded.len()), (retried, degraded));
         }
         assert_eq!(dep.health.degraded_modules(), vec![id]);
-    }
-
-    #[test]
-    fn log_compaction_bounds_memory_when_all_modules_checkpoint() {
-        let a = ModuleId::from("A");
-        let b = ModuleId::from("B");
-        let mut model = RecoveryModel::new();
-        model.seed_workload(&a, 100, Some(10));
-        // A's last checkpoint covers its whole stream: nothing retained.
-        assert_eq!(model.log_len(), 0);
-        model.seed_workload(&b, 60, Some(20));
-        // The truncation point is the *oldest* checkpoint (A's), so B's
-        // later stream is retained; memory stays bounded by the suffix
-        // past the oldest checkpoint rather than growing with history.
-        assert_eq!(model.log_len(), 60);
-        // Recovery is unaffected by the dropped prefix.
-        for id in [&a, &b] {
-            let out = model
-                .recover_module(id, RecoveryStrategy::FromCheckpoint)
-                .unwrap();
-            assert_eq!(out.strategy, RecoveryStrategy::FromCheckpoint);
-            assert_eq!(out.replayed, 0, "fully checkpointed: no suffix");
-            assert_eq!(model.recovered_state(id), model.expected_state(id));
-        }
-    }
-
-    #[test]
-    fn uncheckpointed_module_pins_the_full_log() {
-        let a = ModuleId::from("A");
-        let b = ModuleId::from("B");
-        let mut model = RecoveryModel::new();
-        model.seed_workload(&a, 50, None); // re-execution: replays seq 0
-        model.seed_workload(&b, 50, Some(10));
-        assert_eq!(model.compact(), 0, "A's history must be kept");
-        assert_eq!(model.log_len(), 100);
-        let out = model
-            .recover_module(&a, RecoveryStrategy::Reexecute)
-            .unwrap();
-        assert_eq!(out.replayed, 50);
-        assert_eq!(model.recovered_state(&a), model.expected_state(&a));
-    }
-
-    #[test]
-    fn compaction_keeps_replay_suffix_past_last_checkpoint() {
-        let a = ModuleId::from("A");
-        let mut model = RecoveryModel::new();
-        model.seed_workload(&a, 25, Some(10));
-        // Checkpoints at messages 10 and 20: only the 5-message suffix
-        // past the newest checkpoint survives compaction.
-        assert_eq!(model.log_len(), 5);
-        let out = model
-            .recover_module(&a, RecoveryStrategy::FromCheckpoint)
-            .unwrap();
-        assert_eq!(out.replayed, 5);
-        assert_eq!(model.recovered_state(&a), model.expected_state(&a));
-    }
-
-    #[test]
-    fn a_module_seeded_twice_keeps_its_compacted_prefix() {
-        let a = ModuleId::from("A");
-        let mut model = RecoveryModel::new();
-        model.seed_workload(&a, 25, Some(10));
-        model.seed_workload(&a, 5, Some(10));
-        // 1 + … + 25, then 1 + … + 5: the first stream's compacted
-        // prefix still counts, and message 30 is a checkpoint.
-        assert_eq!(model.expected_state(&a), Some(325 + 15));
-        assert_eq!(model.log_len(), 0, "checkpointed through message 30");
-        let out = model
-            .recover_module(&a, RecoveryStrategy::FromCheckpoint)
-            .unwrap();
-        assert_eq!(out.replayed, 0);
-        assert_eq!(model.recovered_state(&a), Some(340));
-    }
-
-    use udc_actor::{SupervisionPolicy, System};
-
-    /// The recovery model as one executor built it: every stream
-    /// injected into one `System` running `ModuleActor`, the state and
-    /// checkpoints folded from what the system delivered.
-    #[derive(Default)]
-    struct ExecutorModel {
-        system: System,
-        checkpoints: CheckpointStore,
-        /// Per module: its state and the messages in its stream.
-        expected: BTreeMap<ActorId, (u64, u64)>,
-    }
-
-    impl ExecutorModel {
-        fn seed_workload(&mut self, module: &ModuleId, messages: u64, every: Option<u64>) {
-            let id = ActorId::new(module.as_str());
-            // A module seeded before keeps its actor, and with it the
-            // state its earlier stream built.
-            if self.system.actor(&id).is_none() {
-                self.system.spawn(
-                    id.clone(),
-                    Box::<ModuleActor>::default(),
-                    SupervisionPolicy::Restart,
-                );
-            }
-            let delivered = self.system.log().len();
-            for i in 1..=messages {
-                self.system
-                    .inject(id.clone(), Bytes::copy_from_slice(&i.to_le_bytes()));
-            }
-            self.system.run_until_quiescent(usize::MAX);
-            let (mut sum, mut count) = self.expected.get(&id).copied().unwrap_or_default();
-            for m in &self.system.log().entries()[delivered..] {
-                let mut b = [0u8; 8];
-                let n = m.payload.len().min(8);
-                b[..n].copy_from_slice(&m.payload[..n]);
-                sum = sum.wrapping_add(u64::from_le_bytes(b));
-                count += 1;
-                if let Some(every) = every {
-                    if every > 0 && count.is_multiple_of(every) {
-                        self.checkpoints
-                            .save(&id, m.seq, sum.to_le_bytes().to_vec());
-                    }
-                }
-            }
-            let actor = self.system.actor(&id).expect("spawned").snapshot();
-            assert_eq!(
-                actor,
-                sum.to_le_bytes(),
-                "the actor folded what was delivered"
-            );
-            self.expected.insert(id, (sum, count));
-            self.compact();
-        }
-
-        fn compact(&mut self) -> usize {
-            match safe_truncation_seq(&self.checkpoints, self.expected.keys()) {
-                Some(seq) => self.system.truncate_log_through(seq),
-                None => 0,
-            }
-        }
-
-        fn recover_module(
-            &self,
-            module: &ModuleId,
-            strategy: RecoveryStrategy,
-        ) -> (RecoveryOutcome, u64) {
-            let id = ActorId::new(module.as_str());
-            let mut fresh = ModuleActor::default();
-            let out = recover(
-                &id,
-                &mut fresh,
-                self.system.log(),
-                &self.checkpoints,
-                strategy,
-            );
-            (out, fresh.sum)
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Writing the log directly records exactly what one executor
-        /// delivering every module's stream would: the same entries and
-        /// seqs, state, checkpoints, compaction and recovery. Module
-        /// names repeat, so re-seeding a module is covered too.
-        #[test]
-        fn the_model_logs_what_an_executor_delivers(
-            seeds in prop::collection::vec((0u8..6, 0u64..=64, 0u8..22), 1..=8),
-        ) {
-            let mut model = RecoveryModel::new();
-            let mut exec = ExecutorModel::default();
-            let mut modules = BTreeSet::new();
-            for (name, messages, cadence) in seeds {
-                let module = ModuleId::from(format!("M{name}").as_str());
-                // None, Some(0), or a cadence of 1..=20 messages.
-                let every = cadence.checked_sub(1).map(u64::from);
-                model.seed_workload(&module, messages, every);
-                exec.seed_workload(&module, messages, every);
-                modules.insert(module);
-                prop_assert_eq!(model.log.entries(), exec.system.log().entries());
-                for m in &modules {
-                    prop_assert_eq!(
-                        model.expected_state(m),
-                        exec.expected.get(&ActorId::new(m.as_str())).map(|e| e.0)
-                    );
-                }
-            }
-            prop_assert_eq!(model.compact(), exec.compact());
-            prop_assert_eq!(model.log_len(), exec.system.log().len());
-            for m in &modules {
-                for strategy in [RecoveryStrategy::Reexecute, RecoveryStrategy::FromCheckpoint] {
-                    let (out, state) = exec.recover_module(m, strategy);
-                    prop_assert_eq!(model.recover_module(m, strategy), Some(out));
-                    prop_assert_eq!(model.recovered_state(m), Some(state));
-                }
-            }
-        }
     }
 
     #[test]

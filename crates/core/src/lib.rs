@@ -34,7 +34,7 @@ pub use cloud::{
     CloudConfig, CloudError, Deployment, RunReport, UdcCloud, FEED_MISSED_COUNTER,
     HEAL_DEGRADED_GAUGE, HEAL_DEGRADED_RULE, RING_DROPPED_GAUGE, RING_DROPPED_RULE,
 };
-pub use heal::{HealReport, HealthState, ModuleHealth, ModuleRepair, RecoveryModel};
+pub use heal::{HealReport, HealthState, ModuleHealth, ModuleRepair};
 pub use ir::{AppIr, ModuleIr};
 pub use verify::{
     check_quote, policy_for_module, BillingCheck, BillingReconciliation, ModuleVerification,

@@ -8,53 +8,14 @@
 //! gauge samples in place. Counted with a thread-local counting
 //! allocator (the harness runs tests on parallel threads).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use udc_core::{CloudConfig, UdcCloud, HEAL_DEGRADED_RULE, RING_DROPPED_RULE};
 use udc_economics::{PlanSpec, QuotaGate};
 use udc_failure::{DetectorConfig, NetPlan, Partition};
 use udc_hal::clock::Micros;
 use udc_hal::{FailureEvent, FailurePlan};
 
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from
-    // inside the allocator never allocates or re-enters.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: a thread being torn down may still free and allocate.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` unchanged; the only extra
-// work is bumping a thread-local `Cell`, which cannot allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.get();
-    f();
-    ALLOCS.get() - before
-}
+static A: udc_alloc_count::CountingAlloc = udc_alloc_count::CountingAlloc;
 
 #[test]
 fn a_quiet_detached_advance_does_not_allocate() {
@@ -87,7 +48,7 @@ fn a_quiet_detached_advance_does_not_allocate() {
     assert_eq!(report.crashed_devices, vec![elsewhere]);
     assert!(report.detected.is_empty() && dep.health.is_converged());
 
-    let n = allocs_during(|| {
+    let n = udc_alloc_count::allocs_during(|| {
         for i in 0..1_000 {
             let report = cloud.advance(&mut dep, i % 2 * 1_000);
             assert!(report.is_quiet());
@@ -132,7 +93,7 @@ fn a_quiet_lease_mode_advance_does_not_allocate() {
     assert_eq!(report.confirmed, vec![idle]);
     assert!(report.detected.is_empty() && dep.health.is_converged());
 
-    let n = allocs_during(|| {
+    let n = udc_alloc_count::allocs_during(|| {
         for i in 0..1_000 {
             let report = cloud.advance(&mut dep, i % 2 * 1_000);
             assert!(report.is_quiet());
@@ -170,7 +131,7 @@ fn a_quiet_attached_advance_does_not_allocate() {
     }
     assert!(!hub.alerts().is_empty(), "the engine is live");
 
-    let n = allocs_during(|| {
+    let n = udc_alloc_count::allocs_during(|| {
         for _ in 0..1_000 {
             let report = cloud.advance(&mut dep, 0);
             assert!(report.is_quiet());

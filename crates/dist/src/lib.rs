@@ -12,21 +12,20 @@
 //!   deterministic latency/staleness model;
 //! - [`prefqueue::PreferenceQueue`] — reader/writer operation
 //!   preference (Table 1's "Reader preference");
-//! - [`checkpoint::CheckpointStore`] and [`checkpoint::recover`] —
-//!   checkpoint/replay recovery versus re-execution, built on
-//!   `udc-actor`'s reliable message log.
+//! - [`recovery::RecoveryModel`] — the provider's reliable recovery
+//!   log: each module's `(seq, value)` stream and its newest checkpoint,
+//!   recovered by checkpoint-and-suffix replay or by re-execution
+//!   (Table 1's failure handling).
 //!
 //! Failure domains ("code and data within a domain will fail as a
 //! whole" while "different domains could fail independently") are
 //! enforced where modules land: `udc-core`'s heal loop never re-places a
 //! module on a device that hosts a module of another domain.
 
-pub mod checkpoint;
 pub mod prefqueue;
+pub mod recovery;
 pub mod store;
 
-pub use checkpoint::{
-    recover, safe_truncation_seq, Checkpoint, CheckpointStore, RecoveryOutcome, RecoveryStrategy,
-};
 pub use prefqueue::{Op, OpKind, PreferenceQueue};
+pub use recovery::{RecoveryModel, RecoveryOutcome, RecoveryStrategy};
 pub use store::{ReadResult, ReplicatedStore, ReplicationParams, StoreError, StoreStats};

@@ -7,49 +7,10 @@
 //! (and allocates on its own), and a process-wide counter charged each
 //! test with its sibling's warm-up.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use udc_extvm::{assemble, CompiledProgram, NullHost, Vm, VmLimits};
 
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from
-    // inside the allocator never allocates or re-enters.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: a thread being torn down may still free and allocate.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` unchanged; the only extra
-// work is bumping a thread-local `Cell`, which cannot allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.get();
-    f();
-    ALLOCS.get() - before
-}
+static A: udc_alloc_count::CountingAlloc = udc_alloc_count::CountingAlloc;
 
 #[test]
 fn steady_state_runs_do_not_allocate() {
@@ -68,7 +29,7 @@ fn steady_state_runs_do_not_allocate() {
         // Interpreter path.
         let mut vm = Vm::new(limits);
         vm.run(program, &args, &mut NullHost).unwrap(); // warm-up
-        let n = allocs_during(|| {
+        let n = udc_alloc_count::allocs_during(|| {
             for _ in 0..100 {
                 vm.run(program, &args, &mut NullHost).unwrap();
             }
@@ -79,7 +40,7 @@ fn steady_state_runs_do_not_allocate() {
         let compiled = CompiledProgram::compile(program, limits);
         let mut vm = Vm::new(limits);
         compiled.run(&mut vm, &args, &mut NullHost).unwrap(); // warm-up
-        let n = allocs_during(|| {
+        let n = udc_alloc_count::allocs_during(|| {
             for _ in 0..100 {
                 compiled.run(&mut vm, &args, &mut NullHost).unwrap();
             }
@@ -104,7 +65,7 @@ fn trapping_runs_do_not_allocate_either() {
         let compiled = CompiledProgram::compile(program, limits);
         let mut vm = Vm::new(limits);
         let _ = compiled.run(&mut vm, &[], &mut NullHost); // warm-up
-        let n = allocs_during(|| {
+        let n = udc_alloc_count::allocs_during(|| {
             for _ in 0..50 {
                 let _ = compiled.run(&mut vm, &[], &mut NullHost);
             }

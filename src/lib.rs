@@ -4,7 +4,6 @@
 //! README for an architecture overview and the `udc-core` crate for the
 //! control-plane entry points.
 
-pub use udc_actor as actor;
 pub use udc_baseline as baseline;
 pub use udc_core as core;
 pub use udc_crypto as crypto;

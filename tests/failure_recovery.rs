@@ -1,34 +1,9 @@
 //! Cross-crate failure-injection tests: device crashes, replica
 //! durability and checkpoint/replay recovery (§3.4).
 
-use bytes::Bytes;
-use udc::actor::{Actor, ActorError, ActorId, Ctx, Message, SupervisionPolicy, System};
-use udc::dist::{recover, CheckpointStore, RecoveryStrategy, ReplicatedStore, ReplicationParams};
+use udc::dist::{RecoveryModel, RecoveryStrategy, ReplicatedStore, ReplicationParams};
 use udc::hal::{Datacenter, FailureEvent, FailurePlan};
-use udc::spec::ConsistencyLevel;
-
-#[derive(Default)]
-struct Counter {
-    n: u64,
-}
-
-impl Actor for Counter {
-    fn on_message(&mut self, _ctx: &mut Ctx, _msg: &Message) -> Result<(), ActorError> {
-        self.n += 1;
-        Ok(())
-    }
-    fn reset(&mut self) {
-        self.n = 0;
-    }
-    fn snapshot(&self) -> Vec<u8> {
-        self.n.to_le_bytes().to_vec()
-    }
-    fn restore(&mut self, s: &[u8]) {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        self.n = u64::from_le_bytes(b);
-    }
-}
+use udc::spec::{ConsistencyLevel, ModuleId};
 
 #[test]
 fn device_crash_and_repair_cycle() {
@@ -82,66 +57,30 @@ fn replicated_data_survives_replica_loss() {
 
 #[test]
 fn crash_recovery_checkpoint_equals_reexecution() {
-    let mut sys = System::new();
-    let id = ActorId::new("worker");
-    sys.spawn(
-        id.clone(),
-        Box::<Counter>::default(),
-        SupervisionPolicy::Restart,
-    );
-    for i in 0..500u64 {
-        sys.inject(id.clone(), Bytes::copy_from_slice(&i.to_le_bytes()));
-    }
-    sys.run_until_quiescent(usize::MAX);
+    // Seeding compacts, so each strategy recovers from its own log: a
+    // checkpointed one no longer holds the prefix re-execution replays.
+    let id = ModuleId::from("worker");
+    let mut reexec = RecoveryModel::new();
+    reexec.seed_workload(&id, 500, None);
+    let mut ckpt = RecoveryModel::new();
+    ckpt.seed_workload(&id, 500, Some(400));
 
-    let mut cps = CheckpointStore::new();
-    let seq_400 = sys.log().entries()[399].seq;
-    cps.save(&id, seq_400, 400u64.to_le_bytes().to_vec());
+    let r1 = reexec
+        .recover_module(&id, RecoveryStrategy::Reexecute)
+        .unwrap();
+    let r2 = ckpt
+        .recover_module(&id, RecoveryStrategy::FromCheckpoint)
+        .unwrap();
 
-    let mut via_reexec = Counter::default();
-    let r1 = recover(
-        &id,
-        &mut via_reexec,
-        sys.log(),
-        &cps,
-        RecoveryStrategy::Reexecute,
+    assert_eq!(
+        reexec.recovered_state(&id),
+        ckpt.recovered_state(&id),
+        "strategies must converge"
     );
-    let mut via_ckpt = Counter::default();
-    let r2 = recover(
-        &id,
-        &mut via_ckpt,
-        sys.log(),
-        &cps,
-        RecoveryStrategy::FromCheckpoint,
-    );
-
-    assert_eq!(via_reexec.n, via_ckpt.n, "strategies must converge");
-    assert_eq!(via_reexec.n, 500);
+    assert_eq!(reexec.recovered_state(&id), Some(500 * 501 / 2));
+    assert_eq!(ckpt.expected_state(&id), ckpt.recovered_state(&id));
     assert_eq!(r1.replayed, 500);
     assert_eq!(r2.replayed, 100, "only the post-checkpoint suffix");
-}
-
-#[test]
-fn poison_message_does_not_wedge_the_system() {
-    struct Fragile;
-    impl Actor for Fragile {
-        fn on_message(&mut self, _ctx: &mut Ctx, msg: &Message) -> Result<(), ActorError> {
-            if msg.payload.as_ref() == b"poison" {
-                Err(ActorError("boom".into()))
-            } else {
-                Ok(())
-            }
-        }
-    }
-    let mut sys = System::new();
-    sys.spawn("f", Box::new(Fragile), SupervisionPolicy::RestartAndRetry);
-    sys.inject("f", Bytes::from_static(b"ok"));
-    sys.inject("f", Bytes::from_static(b"poison"));
-    sys.inject("f", Bytes::from_static(b"ok"));
-    let (_, quiescent) = sys.run_until_quiescent(1_000);
-    assert!(quiescent, "poison must be dropped, not retried forever");
-    assert_eq!(sys.stats().delivered, 2);
-    assert_eq!(sys.stats().failures, 2, "original + one retry");
 }
 
 #[test]
