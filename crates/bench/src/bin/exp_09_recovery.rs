@@ -43,8 +43,9 @@ fn main() {
             // The module crashes at 93% progress: only the messages
             // processed before the crash exist in the reliable log.
             let crash_at = n * 93 / 100;
-            // Seeding compacts, so a checkpointed log no longer holds
-            // the prefix re-execution replays: one model per strategy.
+            // A checkpointed stream no longer holds the prefix
+            // re-execution replays, so it always restores: one model
+            // per strategy.
             let id = ModuleId::from("worker");
             let mut reexec_model = RecoveryModel::new();
             reexec_model.seed_workload(&id, crash_at, None);

@@ -5,11 +5,12 @@
 //! "define how failures are handled for each domain (e.g., whether to
 //! re-execute a module or recover from a user-defined checkpoint)".
 //! Each module's messages live in its own stream of `(seq, value)`
-//! entries, with seqs numbered across modules. Recovery from a
-//! checkpoint restores the newest snapshot and folds the logged suffix
-//! past it; re-execution folds the retained stream from initial state.
-//! `udc-core`'s repair loop recovers with the module's spec'd strategy;
-//! experiment E9 sweeps checkpoint cadences against stream lengths.
+//! entries, with seqs numbered across modules. A stream keeps only the
+//! entries past its own newest checkpoint. Recovery restores that
+//! checkpoint and folds the suffix; a stream that never checkpointed
+//! re-executes its whole history from initial state. `udc-core`'s
+//! repair loop recovers each module after a crash; experiment E9 sweeps
+//! checkpoint cadences against stream lengths.
 
 use std::collections::BTreeMap;
 use udc_spec::{AppSpec, FailureHandling, ModuleId};
@@ -17,17 +18,19 @@ use udc_spec::{AppSpec, FailureHandling, ModuleId};
 /// The user-selected recovery strategy for a failure domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStrategy {
-    /// Replay the entire message history from initial state.
+    /// Replay the module's whole stream from initial state.
     Reexecute,
-    /// Restore the latest checkpoint and replay only the suffix.
+    /// Restore the newest checkpoint and replay only the suffix.
     FromCheckpoint,
 }
 
 /// What recovery did and what it cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryOutcome {
-    /// Strategy applied (FromCheckpoint silently degrades to Reexecute
-    /// when no checkpoint exists).
+    /// Strategy applied. The stream decides it, not the request: a
+    /// checkpointed stream has dropped its prefix, so it restores from
+    /// the checkpoint even when re-execution was asked for, and a
+    /// stream that never checkpointed re-executes.
     pub strategy: RecoveryStrategy,
     /// Messages replayed.
     pub replayed: usize,
@@ -44,7 +47,8 @@ fn absorb(state: u64, value: u64) -> u64 {
 /// One module's part of the log.
 #[derive(Debug, Default)]
 struct Stream {
-    /// Retained `(seq, value)` entries, seqs ascending.
+    /// Retained `(seq, value)` entries: those past the checkpoint, seqs
+    /// ascending.
     log: Vec<(u64, u64)>,
     /// The newest checkpoint: the seq of the last message folded into
     /// it, and the state it holds.
@@ -58,30 +62,9 @@ struct Stream {
     recovered: Option<u64>,
 }
 
-impl Stream {
-    /// Folds the retained entries past the restore point: the newest
-    /// checkpoint under `FromCheckpoint`, initial state otherwise or
-    /// when no checkpoint exists.
-    fn recover(&self, strategy: RecoveryStrategy) -> (RecoveryOutcome, u64) {
-        let (strategy, (from_seq, state)) = match (strategy, self.checkpoint) {
-            (RecoveryStrategy::FromCheckpoint, Some(cp)) => (RecoveryStrategy::FromCheckpoint, cp),
-            _ => (RecoveryStrategy::Reexecute, (0, 0)),
-        };
-        let suffix = &self.log[self.log.partition_point(|&(seq, _)| seq <= from_seq)..];
-        let state = suffix.iter().fold(state, |s, &(_, value)| absorb(s, value));
-        let out = RecoveryOutcome {
-            strategy,
-            replayed: suffix.len(),
-            from_seq,
-        };
-        (out, state)
-    }
-}
-
 /// Per-deployment recoverable state: each module's logged stream and
 /// its newest checkpoint. The harness seeds each module's workload;
-/// `udc-core`'s repair loop recovers it after a crash with the module's
-/// spec'd strategy.
+/// `udc-core`'s repair loop recovers it after a crash.
 #[derive(Debug, Default)]
 pub struct RecoveryModel {
     streams: BTreeMap<ModuleId, Stream>,
@@ -98,8 +81,8 @@ impl RecoveryModel {
 
     /// Seeds `module` with a processed stream of `messages` messages
     /// (values `1..=messages`), checkpointing every `checkpoint_every`
-    /// messages when given. The stream lives in the log, so recovery
-    /// can replay it.
+    /// messages when given. The stream truncates through its own newest
+    /// checkpoint, so it logs only the messages past it.
     pub fn seed_workload(
         &mut self,
         module: &ModuleId,
@@ -107,55 +90,30 @@ impl RecoveryModel {
         checkpoint_every: Option<u64>,
     ) {
         // A module seeded before continues its fold and its checkpoint
-        // count from where they stood: the log may no longer hold the
-        // prefix they cover.
+        // count from where they stood.
         let stream = self.streams.entry(module.clone()).or_default();
-        stream.log.reserve(messages as usize);
+        let (start, end) = (stream.messages, stream.messages + messages);
+        // The newest checkpoint this seeding takes, by message count:
+        // nothing up to it is logged, and the older suffix goes.
+        let cut = checkpoint_every
+            .filter(|&every| every > 0)
+            .map(|every| end / every * every)
+            .filter(|&cut| cut > start);
+        if cut.is_some() {
+            stream.log.clear();
+        }
+        let keep_after = cut.unwrap_or(start);
+        stream.log.reserve((end - keep_after) as usize);
         for value in 1..=messages {
             self.last_seq += 1;
             stream.state = absorb(stream.state, value);
             stream.messages += 1;
-            if checkpoint_every
-                .is_some_and(|every| every > 0 && stream.messages.is_multiple_of(every))
-            {
+            if Some(stream.messages) == cut {
                 stream.checkpoint = Some((self.last_seq, stream.state));
+            } else if stream.messages > keep_after {
+                stream.log.push((self.last_seq, value));
             }
-            stream.log.push((self.last_seq, value));
         }
-        // Checkpoints just advanced for this module: drop whatever log
-        // prefix recovery can no longer need. Long-running deployments
-        // would otherwise grow the log without bound.
-        self.compact();
-    }
-
-    /// The highest seq no recovery needs again: the oldest checkpoint,
-    /// since each module replays only past its own. `None` when no
-    /// module is seeded or one lacks a checkpoint — re-execution needs
-    /// its full history.
-    fn safe_truncation_seq(&self) -> Option<u64> {
-        self.streams
-            .values()
-            .map(|s| s.checkpoint.map(|(seq, _)| seq))
-            .min()
-            .flatten()
-    }
-
-    /// Truncates the log through the oldest checkpoint, provided
-    /// *every* seeded module is checkpointed — one re-execution module
-    /// pins the full history, because its recovery replays from
-    /// sequence zero. Returns the entries dropped.
-    pub fn compact(&mut self) -> usize {
-        let Some(cut) = self.safe_truncation_seq() else {
-            return 0;
-        };
-        self.streams
-            .values_mut()
-            .map(|s| {
-                let k = s.log.partition_point(|&(seq, _)| seq <= cut);
-                s.log.drain(..k);
-                k
-            })
-            .sum()
     }
 
     /// Entries currently retained in the log.
@@ -186,17 +144,29 @@ impl RecoveryModel {
         }
     }
 
-    /// Recovers `module`'s state into a fresh instance using
-    /// `strategy`. Returns `None` when the module was never seeded.
+    /// Recovers `module`'s state into a fresh instance: restores its
+    /// newest checkpoint and folds the entries past it, or folds its
+    /// whole stream from initial state when it never checkpointed.
+    /// `_strategy` is the module's spec'd handling; the outcome says
+    /// which strategy the stream allowed. Returns `None` when the
+    /// module was never seeded.
     pub fn recover_module(
         &mut self,
         module: &ModuleId,
-        strategy: RecoveryStrategy,
+        _strategy: RecoveryStrategy,
     ) -> Option<RecoveryOutcome> {
         let stream = self.streams.get_mut(module)?;
-        let (out, state) = stream.recover(strategy);
+        let (strategy, (from_seq, state)) = match stream.checkpoint {
+            Some(cp) => (RecoveryStrategy::FromCheckpoint, cp),
+            None => (RecoveryStrategy::Reexecute, (0, 0)),
+        };
+        let state = stream.log.iter().fold(state, |s, &(_, v)| absorb(s, v));
         stream.recovered = Some(state);
-        Some(out)
+        Some(RecoveryOutcome {
+            strategy,
+            replayed: stream.log.len(),
+            from_seq,
+        })
     }
 
     /// The state the module held before the crash (seeded workloads).
@@ -284,37 +254,38 @@ mod tests {
         // Messages 6..=9 continue the count: message 9 checkpoints.
         model.seed_workload(&id, 4, Some(9));
         assert_eq!(model.streams[&id].checkpoint, Some((9, 25)));
-        assert_eq!(model.safe_truncation_seq(), Some(9));
+        assert_eq!(model.log_len(), 0);
     }
 
     #[test]
-    fn safe_truncation_is_min_checkpoint_seq() {
+    fn each_stream_truncates_through_its_own_checkpoint() {
         let a = ModuleId::from("a");
         let b = ModuleId::from("b");
         let mut model = RecoveryModel::new();
         model.seed_workload(&b, 4, Some(4)); // checkpoint at seq 4
-        assert_eq!(model.safe_truncation_seq(), Some(4));
-        model.seed_workload(&a, 7, Some(7)); // checkpoint at seq 11
-        assert_eq!(model.safe_truncation_seq(), Some(4));
-        let mut alone = RecoveryModel::new();
-        alone.seed_workload(&a, 7, Some(7));
-        assert_eq!(alone.safe_truncation_seq(), Some(7));
+        assert_eq!(model.log_len(), 0);
+        // Messages 1..=7 of a are seqs 5..=11; its checkpoint at
+        // message 5 (seq 9) drops its prefix whatever b's stands at.
+        model.seed_workload(&a, 7, Some(5));
+        let entries: Vec<_> = model
+            .entries()
+            .map(|(m, seq, v)| (m.clone(), seq, v))
+            .collect();
+        assert_eq!(entries, vec![(a.clone(), 10, 6), (a, 11, 7)]);
     }
 
     #[test]
-    fn safe_truncation_blocked_by_uncheckpointed_actor() {
+    fn an_uncheckpointed_stream_keeps_its_whole_history() {
         let a = ModuleId::from("a");
         let b = ModuleId::from("b");
         let mut model = RecoveryModel::new();
-        // An empty model yields no truncation point.
-        assert_eq!(model.safe_truncation_seq(), None);
+        assert_eq!(model.log_len(), 0);
         model.seed_workload(&a, 7, Some(7));
-        // `b` has no checkpoint (a Reexecute domain): its history must
-        // be retained, so no truncation point exists.
+        // `b` has no checkpoint (a Reexecute domain): re-execution
+        // replays its whole stream, so all of it is retained.
         model.seed_workload(&b, 3, None);
-        assert_eq!(model.safe_truncation_seq(), None);
-        assert_eq!(model.compact(), 0);
-        assert_eq!(model.log_len(), 3, "a's prefix went before b came");
+        assert_eq!(model.log_len(), 3);
+        assert!(model.entries().all(|(m, _, _)| *m == b));
     }
 
     #[test]
@@ -337,8 +308,8 @@ mod tests {
 
     #[test]
     fn checkpoint_saves_replay_cost() {
-        // Seeding compacts, so each strategy gets its own model: a
-        // checkpointed log no longer holds the prefix re-execution needs.
+        // Each strategy gets its own model: a checkpointed stream no
+        // longer holds the prefix re-execution needs.
         let id = ModuleId::from("acc");
         let mut full = RecoveryModel::new();
         full.seed_workload(&id, 1000, None);
@@ -355,19 +326,17 @@ mod tests {
     }
 
     #[test]
-    fn log_compaction_bounds_memory_when_all_modules_checkpoint() {
+    fn log_compaction_bounds_memory_per_stream() {
         let a = ModuleId::from("A");
         let b = ModuleId::from("B");
         let mut model = RecoveryModel::new();
-        assert_eq!(model.compact(), 0, "nothing seeded: no truncation point");
         model.seed_workload(&a, 100, Some(10));
         // A's last checkpoint covers its whole stream: nothing retained.
         assert_eq!(model.log_len(), 0);
         model.seed_workload(&b, 60, Some(20));
-        // The truncation point is the *oldest* checkpoint (A's), so B's
-        // later stream is retained; memory stays bounded by the suffix
-        // past the oldest checkpoint rather than growing with history.
-        assert_eq!(model.log_len(), 60);
+        // So does B's, although its checkpoint is newer than A's: each
+        // stream keeps only the suffix past its own checkpoint.
+        assert_eq!(model.log_len(), 0);
         // Recovery is unaffected by the dropped prefix.
         for id in [&a, &b] {
             let out = model
@@ -380,19 +349,52 @@ mod tests {
     }
 
     #[test]
-    fn uncheckpointed_module_pins_the_full_log() {
+    fn an_uncheckpointed_module_pins_only_its_own_stream() {
         let a = ModuleId::from("A");
         let b = ModuleId::from("B");
         let mut model = RecoveryModel::new();
-        model.seed_workload(&a, 50, None); // re-execution: replays seq 0
-        model.seed_workload(&b, 50, Some(10));
-        assert_eq!(model.compact(), 0, "A's history must be kept");
-        assert_eq!(model.log_len(), 100);
+        model.seed_workload(&a, 1, None); // re-execution: replays seq 0
+        model.seed_workload(&b, 1000, Some(10));
+        assert_eq!(model.log_len(), 1, "B needs none of its 1 000 entries");
         let out = model
             .recover_module(&a, RecoveryStrategy::Reexecute)
             .unwrap();
-        assert_eq!(out.replayed, 50);
-        assert_eq!(model.recovered_state(&a), model.expected_state(&a));
+        assert_eq!(out.replayed, 1);
+        assert_eq!(model.recovered_state(&a), Some(1));
+        let out = model
+            .recover_module(&b, RecoveryStrategy::FromCheckpoint)
+            .unwrap();
+        assert_eq!((out.from_seq, out.replayed), (1001, 0));
+        assert_eq!(model.recovered_state(&b), Some(500_500));
+    }
+
+    #[test]
+    fn reexecution_after_compaction_restores_from_the_checkpoint() {
+        let a = ModuleId::from("A");
+        let mut model = RecoveryModel::new();
+        model.seed_workload(&a, 25, Some(10));
+        // Messages 1..=20 are gone: re-execution from seq 0 would fold
+        // only 21..=25.
+        let out = model
+            .recover_module(&a, RecoveryStrategy::Reexecute)
+            .unwrap();
+        assert_eq!(out.strategy, RecoveryStrategy::FromCheckpoint);
+        assert_eq!((out.from_seq, out.replayed), (20, 5));
+        assert_eq!(model.recovered_state(&a), Some(325));
+    }
+
+    #[test]
+    fn a_module_switched_to_reexecute_restores_its_old_checkpoint() {
+        let a = ModuleId::from("A");
+        let mut model = RecoveryModel::new();
+        model.seed_workload(&a, 25, Some(10));
+        model.seed_workload(&a, 5, None);
+        let out = model
+            .recover_module(&a, RecoveryStrategy::Reexecute)
+            .unwrap();
+        assert_eq!(out.strategy, RecoveryStrategy::FromCheckpoint);
+        assert_eq!((out.from_seq, out.replayed), (20, 10));
+        assert_eq!(model.recovered_state(&a), Some(325 + 15));
     }
 
     #[test]
@@ -427,5 +429,195 @@ mod tests {
             .unwrap();
         assert_eq!(out.replayed, 0);
         assert_eq!(model.recovered_state(&a), Some(340));
+    }
+
+    /// Recovers `id` by re-execution and reports the outcome with the
+    /// state it reached.
+    fn recover(model: &mut RecoveryModel, id: &ModuleId) -> (RecoveryOutcome, Option<u64>) {
+        let out = model.recover_module(id, RecoveryStrategy::Reexecute);
+        (out.expect("seeded"), model.recovered_state(id))
+    }
+
+    fn outcome(strategy: RecoveryStrategy, from_seq: u64, replayed: usize) -> RecoveryOutcome {
+        RecoveryOutcome {
+            strategy,
+            replayed,
+            from_seq,
+        }
+    }
+
+    #[test]
+    fn an_unseeded_module_has_no_state() {
+        let mut model = RecoveryModel::new();
+        let id = ModuleId::from("ghost");
+        assert_eq!(model.recover_module(&id, RecoveryStrategy::Reexecute), None);
+        assert_eq!(
+            (model.expected_state(&id), model.recovered_state(&id)),
+            (None, None)
+        );
+        assert_eq!((model.log_len(), model.entries().count()), (0, 0));
+    }
+
+    #[test]
+    fn an_empty_seeding_recovers_to_initial_state() {
+        let (mut model, id) = (RecoveryModel::new(), ModuleId::from("a"));
+        model.seed_workload(&id, 0, Some(1));
+        assert_eq!(model.expected_state(&id), Some(0));
+        assert_eq!(
+            recover(&mut model, &id),
+            (outcome(RecoveryStrategy::Reexecute, 0, 0), Some(0))
+        );
+    }
+
+    #[test]
+    fn a_zero_cadence_never_checkpoints() {
+        let (mut model, id) = (RecoveryModel::new(), ModuleId::from("a"));
+        model.seed_workload(&id, 10, Some(0));
+        assert_eq!(model.log_len(), 10);
+        assert_eq!(
+            recover(&mut model, &id),
+            (outcome(RecoveryStrategy::Reexecute, 0, 10), Some(55))
+        );
+    }
+
+    #[test]
+    fn a_cadence_past_the_stream_takes_no_checkpoint() {
+        let (mut model, id) = (RecoveryModel::new(), ModuleId::from("a"));
+        model.seed_workload(&id, 10, Some(11));
+        assert_eq!(model.streams[&id].checkpoint, None);
+        assert_eq!(
+            recover(&mut model, &id),
+            (outcome(RecoveryStrategy::Reexecute, 0, 10), Some(55))
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_on_the_last_message_leaves_nothing_to_replay() {
+        let (mut model, id) = (RecoveryModel::new(), ModuleId::from("a"));
+        model.seed_workload(&id, 10, Some(10));
+        assert_eq!(model.log_len(), 0);
+        let cp = RecoveryStrategy::FromCheckpoint;
+        assert_eq!(recover(&mut model, &id), (outcome(cp, 10, 0), Some(55)));
+    }
+
+    #[test]
+    fn seqs_run_on_across_modules_in_seeding_order() {
+        let (a, b) = (ModuleId::from("a"), ModuleId::from("b"));
+        let mut model = RecoveryModel::new();
+        model.seed_workload(&a, 3, None);
+        model.seed_workload(&b, 2, None);
+        model.seed_workload(&a, 2, None);
+        let seqs: Vec<_> = model
+            .entries()
+            .map(|(m, seq, v)| (m.as_str(), seq, v))
+            .collect();
+        let a_then_b = [
+            ("a", 1, 1),
+            ("a", 2, 2),
+            ("a", 3, 3),
+            ("a", 6, 1),
+            ("a", 7, 2),
+        ];
+        assert_eq!(seqs[..5], a_then_b, "a's stream in seq order, then b's");
+        assert_eq!(seqs[5..], [("b", 4, 1), ("b", 5, 2)]);
+    }
+
+    #[test]
+    fn entries_come_module_by_module_in_name_order() {
+        let mut model = RecoveryModel::new();
+        for name in ["zeta", "alpha", "mid"] {
+            model.seed_workload(&ModuleId::from(name), 2, None);
+        }
+        let order: Vec<_> = model.entries().map(|(m, _, _)| m.as_str()).collect();
+        assert_eq!(order, ["alpha", "alpha", "mid", "mid", "zeta", "zeta"]);
+        assert_eq!(model.log_len(), order.len());
+    }
+
+    #[test]
+    fn recovery_leaves_the_log_as_it_was() {
+        let (mut model, id) = (RecoveryModel::new(), ModuleId::from("a"));
+        model.seed_workload(&id, 25, Some(10));
+        let before: Vec<_> = model.entries().map(|(_, seq, v)| (seq, v)).collect();
+        let first = recover(&mut model, &id);
+        assert_eq!(
+            recover(&mut model, &id),
+            first,
+            "recovering again changes nothing"
+        );
+        let after: Vec<_> = model.entries().map(|(_, seq, v)| (seq, v)).collect();
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn each_recovery_starts_from_the_restore_point_not_the_last_recovered_state() {
+        let (mut model, id) = (RecoveryModel::new(), ModuleId::from("a"));
+        model.seed_workload(&id, 4, None);
+        assert_eq!(recover(&mut model, &id).1, Some(10));
+        model.seed_workload(&id, 2, None);
+        assert_eq!(
+            model.recovered_state(&id),
+            Some(10),
+            "stale until recovered again"
+        );
+        assert_eq!(
+            recover(&mut model, &id),
+            (outcome(RecoveryStrategy::Reexecute, 0, 6), Some(13))
+        );
+    }
+
+    #[test]
+    fn the_cadence_counts_messages_across_seedings() {
+        let (mut model, id) = (RecoveryModel::new(), ModuleId::from("a"));
+        model.seed_workload(&id, 7, Some(10));
+        assert_eq!(model.streams[&id].checkpoint, None);
+        // Message 10 is the second seeding's third: 28 + 1 + 2 + 3.
+        model.seed_workload(&id, 5, Some(10));
+        assert_eq!(model.streams[&id].checkpoint, Some((10, 34)));
+        let cp = RecoveryStrategy::FromCheckpoint;
+        assert_eq!(recover(&mut model, &id), (outcome(cp, 10, 2), Some(43)));
+    }
+
+    #[test]
+    fn a_seeding_short_of_the_next_checkpoint_keeps_the_older_suffix() {
+        let (mut model, id) = (RecoveryModel::new(), ModuleId::from("a"));
+        model.seed_workload(&id, 25, Some(10));
+        model.seed_workload(&id, 3, Some(10));
+        assert_eq!(model.log_len(), 8, "messages 21..=28");
+        let cp = RecoveryStrategy::FromCheckpoint;
+        assert_eq!(
+            recover(&mut model, &id),
+            (outcome(cp, 20, 8), Some(325 + 6))
+        );
+    }
+
+    #[test]
+    fn seed_app_takes_each_cadence_from_the_failure_aspect() {
+        use udc_spec::{DistributedAspect, TaskSpec};
+        let mut app = AppSpec::new("app");
+        let cp = FailureHandling::Checkpoint { interval_ms: 4 };
+        for (name, f) in [
+            ("cp", Some(cp)),
+            ("re", Some(FailureHandling::Reexecute)),
+            ("dflt", None),
+        ] {
+            let dist = DistributedAspect {
+                failure: f,
+                ..Default::default()
+            };
+            app.add_module(TaskSpec::new(name).with_dist(dist).build());
+        }
+        let mut model = RecoveryModel::new();
+        model.seed_app(&app, 10);
+        let kept = |m: &str| {
+            model
+                .entries()
+                .filter(|(id, _, _)| id.as_str() == m)
+                .count()
+        };
+        // No failure aspect means the default, re-execution.
+        assert_eq!((kept("cp"), kept("re"), kept("dflt")), (2, 10, 10));
+        for m in ["cp", "re", "dflt"] {
+            assert_eq!(model.expected_state(&ModuleId::from(m)), Some(55));
+        }
     }
 }

@@ -251,4 +251,103 @@ mod tests {
         g.settle_all(7);
         assert!(g.admit("acme", &d).is_admit());
     }
+
+    #[test]
+    fn tenants_are_listed_in_name_order() {
+        let mut g = QuotaGate::new();
+        for t in ["zed", "acme", "mid"] {
+            g.open_account(t, PlanSpec::unlimited("free"), 0);
+        }
+        assert_eq!(g.tenants().collect::<Vec<_>>(), ["acme", "mid", "zed"]);
+    }
+
+    #[test]
+    fn reopening_an_account_resets_its_usage() {
+        let mut g = QuotaGate::new();
+        g.open_account("acme", quota(8, 100), 0);
+        g.commit("acme", &demand_of_app(&app()));
+        g.open_account("acme", quota(8, 100), 10);
+        let acct = g.account("acme").unwrap();
+        assert_eq!(
+            (acct.in_use.get(ResourceKind::Cpu), acct.window_start_us),
+            (0, 10)
+        );
+    }
+
+    #[test]
+    fn unknown_tenants_commit_and_release_nothing() {
+        let mut g = QuotaGate::new();
+        let d = demand_of_app(&app());
+        g.commit("ghost", &d);
+        g.release("ghost", &d);
+        assert!(g.account("ghost").is_none() && g.account_mut("ghost").is_none());
+        assert_eq!(g.tenants().count(), 0);
+    }
+
+    #[test]
+    fn release_never_drives_usage_below_zero() {
+        let mut g = QuotaGate::new();
+        g.open_account("acme", quota(8, 100), 0);
+        let d = demand_of_app(&app());
+        g.commit("acme", &d);
+        g.release("acme", &d);
+        g.release("acme", &d);
+        assert_eq!(g.account("acme").unwrap().in_use.get(ResourceKind::Cpu), 0);
+        // The head-room is the plan's, no more: one copy fits, two do not.
+        assert!(g.admit("acme", &d).is_admit());
+        assert!(!g.admit("acme", &d.scaled(2)).is_admit());
+    }
+
+    #[test]
+    fn uncapped_dimensions_are_not_enforced() {
+        let mut g = QuotaGate::new();
+        g.open_account("acme", quota(0, 2), 0);
+        let cpu_only = ResourceVector::new().with(ResourceKind::Cpu, 1_000);
+        assert!(g.admit("acme", &cpu_only).is_admit(), "cpu has no cap");
+        let verdict = g.admit("acme", &demand_of_app(&app()));
+        assert_eq!(
+            verdict,
+            AdmissionVerdict::QuotaExceeded {
+                kind: ResourceKind::Ssd,
+                requested: 3,
+                in_use: 0,
+                limit: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn demand_scales_with_replication_and_sizes_empty_data_at_one_mib() {
+        use udc_spec::DistributedAspect;
+        let mut app = AppSpec::new("r");
+        let dist = DistributedAspect {
+            replication: 3,
+            ..Default::default()
+        };
+        app.add_module(TaskSpec::new("web").with_dist(dist).build());
+        app.add_module(DataSpec::new("empty").build());
+        let d = demand_of_app(&app);
+        assert_eq!((d.get(ResourceKind::Cpu), d.get(ResourceKind::Ssd)), (3, 1));
+    }
+
+    #[test]
+    fn settle_all_reports_only_tenants_that_changed() {
+        let mut g = QuotaGate::new();
+        g.open_account("quiet", PlanSpec::unlimited("free"), 0);
+        g.open_account("owing", PlanSpec::unlimited("free"), 0);
+        g.account_mut("owing").unwrap().charge(1, 10, None, "usage");
+        let events = g.settle_all(5);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].0, "owing");
+        assert!(g.settle_all(6).is_empty(), "no further transition");
+    }
+
+    #[test]
+    fn the_shared_gate_admits_through_its_lock() {
+        let mut g = QuotaGate::new();
+        g.open_account("acme", quota(4, 100), 0);
+        let s = shared(g);
+        let d = demand_of_app(&app());
+        assert!(!s.lock().unwrap().admit("acme", &d).is_admit(), "5 cpu > 4");
+    }
 }

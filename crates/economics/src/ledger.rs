@@ -169,4 +169,64 @@ mod tests {
         assert_eq!(l.entries().len(), 3);
         assert_eq!(l.entries()[2].seq, 2);
     }
+
+    #[test]
+    fn an_empty_ledger_conserves_at_zero() {
+        let l = UsageLedger::new();
+        assert_eq!(
+            (
+                l.balance_microdollars(),
+                l.total_credits(),
+                l.total_debits()
+            ),
+            (0, 0, 0)
+        );
+        assert!(l.entries().is_empty() && l.conservation_holds());
+    }
+
+    #[test]
+    fn entries_record_time_kind_module_and_memo() {
+        let mut l = UsageLedger::new();
+        l.debit(7, 40, Some("A1"), "usage window");
+        l.credit(9, 50, "payment");
+        let debit = LedgerEntry {
+            seq: 0,
+            at_us: 7,
+            kind: EntryKind::Debit,
+            amount_microdollars: 40,
+            module: Some("A1".into()),
+            memo: "usage window".into(),
+        };
+        assert_eq!(l.entries()[0], debit);
+        assert_eq!(
+            (l.entries()[1].seq, l.entries()[1].kind),
+            (1, EntryKind::Credit)
+        );
+        assert_eq!(
+            (
+                l.entries()[1].module.as_deref(),
+                l.entries()[1].memo.as_str()
+            ),
+            (None, "payment")
+        );
+    }
+
+    #[test]
+    fn unmetered_debits_count_toward_no_module() {
+        let mut l = UsageLedger::new();
+        l.debit(0, 30, None, "suspension fee");
+        l.debit(1, 5, Some("A1"), "usage window");
+        assert_eq!((l.total_debits(), l.debits_for_module("A1")), (35, 5));
+        assert_eq!(l.balance_microdollars(), -35);
+    }
+
+    #[test]
+    fn a_saturated_balance_fails_the_conservation_check() {
+        // The running balance saturates instead of wrapping; the replay
+        // in i128 sees that it no longer matches the entries.
+        let mut l = UsageLedger::new();
+        l.debit(0, u64::MAX, None, "runaway");
+        assert_eq!(l.balance_microdollars(), i64::MIN);
+        assert!(!l.conservation_holds());
+    }
 }

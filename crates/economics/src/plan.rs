@@ -369,4 +369,70 @@ mod tests {
         assert_eq!(a.settle(u64::MAX - 1), vec![]);
         assert!(!a.is_suspended());
     }
+
+    #[test]
+    fn a_plan_without_credit_opens_an_empty_ledger() {
+        let a = TenantAccount::open("acme", PlanSpec::unlimited("free"), 42);
+        assert!(a.ledger.entries().is_empty());
+        assert_eq!((a.status, a.window_start_us), (AccountStatus::Active, 42));
+    }
+
+    #[test]
+    fn a_zero_length_window_never_renews() {
+        let plan = PlanSpec {
+            window_us: 0,
+            ..plan()
+        };
+        let mut a = TenantAccount::open("acme", plan, 0);
+        assert!(a.settle(10_000).is_empty());
+        assert_eq!(
+            a.ledger.balance_microdollars(),
+            100,
+            "the opening credit only"
+        );
+    }
+
+    #[test]
+    fn payment_in_the_grace_period_reinstates_before_degrading() {
+        let mut a = TenantAccount::open("acme", plan(), 0);
+        a.charge(1, 150, Some("m"), "usage window");
+        assert_eq!(
+            a.settle(2),
+            vec![LifecycleEvent::BecameOverdue { at_us: 2 }]
+        );
+        a.pay(3, 50);
+        assert_eq!(
+            a.settle(600),
+            vec![LifecycleEvent::Reinstated { at_us: 600 }]
+        );
+        assert_eq!(a.status.as_str(), "active");
+    }
+
+    #[test]
+    fn a_suspended_account_stays_suspended_while_it_owes() {
+        let plan = PlanSpec {
+            degrade_after_us: 0,
+            suspend_after_us: 0,
+            ..PlanSpec::unlimited("strict")
+        };
+        let mut a = TenantAccount::open("acme", plan, 0);
+        a.charge(1, 10, None, "usage");
+        a.settle(2);
+        assert_eq!(a.status, AccountStatus::Suspended { since_us: 2 });
+        a.pay(3, 5);
+        assert!(a.settle(1_000).is_empty(), "still owing 5");
+        assert_eq!(a.status, AccountStatus::Suspended { since_us: 2 });
+    }
+
+    #[test]
+    fn status_names_are_stable() {
+        let names = [
+            AccountStatus::Active,
+            AccountStatus::Overdue { since_us: 1 },
+            AccountStatus::Degraded { since_us: 1 },
+            AccountStatus::Suspended { since_us: 1 },
+        ]
+        .map(|s| s.as_str());
+        assert_eq!(names, ["active", "overdue", "degraded", "suspended"]);
+    }
 }

@@ -267,4 +267,52 @@ mod tests {
         let total: u64 = p.flows.iter().map(|f| f.bytes).sum();
         assert_eq!(p.cut_bytes(&all_cut), total);
     }
+
+    fn blocks(phases: &[ResourcePhase]) -> Vec<Block> {
+        let block = |(i, &phase)| Block {
+            id: BlockId(i),
+            label: format!("b{i}"),
+            phase,
+            work: 1,
+            working_set_mib: 1,
+        };
+        phases.iter().enumerate().map(block).collect()
+    }
+
+    fn flow(from: usize, to: usize, bytes: u64) -> Flow {
+        Flow {
+            from: BlockId(from),
+            to: BlockId(to),
+            bytes,
+        }
+    }
+
+    #[test]
+    fn rejects_an_empty_program() {
+        assert!(LegacyProgram::new(vec![], vec![]).is_none());
+    }
+
+    #[test]
+    fn rejects_flows_past_the_last_block() {
+        let two = blocks(&[ResourcePhase::CpuBound; 2]);
+        assert!(LegacyProgram::new(two.clone(), vec![flow(0, 2, 1)]).is_none());
+        assert!(LegacyProgram::new(two, vec![flow(0, 1, 1)]).is_some());
+    }
+
+    #[test]
+    fn forward_flows_build_a_program_with_each_phase_once() {
+        use ResourcePhase::{CpuBound, IoBound};
+        let flows = vec![flow(0, 2, 7), flow(0, 1, 3)];
+        let p = LegacyProgram::new(blocks(&[CpuBound, CpuBound, IoBound]), flows).unwrap();
+        assert_eq!((p.len(), p.is_empty()), (3, false));
+        assert_eq!(
+            p.phases().into_iter().collect::<Vec<_>>(),
+            [CpuBound, IoBound]
+        );
+        assert_eq!(
+            p.cut_bytes(&[0, 0, 1]),
+            7,
+            "only the flow into block 2 is cut"
+        );
+    }
 }

@@ -264,4 +264,59 @@ mod tests {
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((1_500..3_500).contains(&hits), "{hits}");
     }
+
+    #[test]
+    fn inclusive_ranges_reach_both_ends() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut seen = [false; 4];
+        for _ in 0..1_000 {
+            seen[rng.gen_range(0u8..=3) as usize] = true;
+        }
+        assert_eq!(seen, [true; 4]);
+        // The full width of a type is one range, not an overflow.
+        let _: u64 = rng.gen_range(0..=u64::MAX);
+        let _: i64 = rng.gen_range(i64::MIN..=i64::MAX);
+    }
+
+    #[test]
+    fn a_one_value_range_always_yields_it() {
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!((0..100).all(|_| rng.gen_range(7u32..=7) == 7 && rng.gen_range(-2i8..-1) == -2));
+    }
+
+    #[test]
+    #[should_panic(expected = "gen_range: empty range")]
+    fn an_empty_range_panics() {
+        StdRng::seed_from_u64(5).gen_range(3u64..3);
+    }
+
+    #[test]
+    fn fill_takes_whole_words_and_cuts_the_last() {
+        use super::RngCore;
+        let mut words = StdRng::seed_from_u64(6);
+        let mut expected = words.next_u64().to_le_bytes().to_vec();
+        expected.extend_from_slice(&words.next_u64().to_le_bytes()[..5]);
+        let mut bytes = [0u8; 13];
+        StdRng::seed_from_u64(6).fill(&mut bytes);
+        assert_eq!(bytes[..], expected[..]);
+    }
+
+    #[test]
+    fn the_all_zero_seed_still_generates() {
+        use super::RngCore;
+        let mut rng = StdRng::from_seed([0; 32]);
+        let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert!(words.iter().any(|&w| w != 0), "{words:?}");
+        assert_ne!(words[0], words[1]);
+    }
+
+    #[test]
+    fn distinct_seeds_give_distinct_streams() {
+        let draw = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..8).map(|_| rng.gen::<u64>()).collect::<Vec<_>>()
+        };
+        assert_ne!(draw(1), draw(2));
+        assert!((0..1_000).all(|_| (0.0..1.0).contains(&StdRng::seed_from_u64(9).gen::<f64>())));
+    }
 }

@@ -423,4 +423,40 @@ mod tests {
         let objects = format!("{}1{}", r#"{"k":"#.repeat(200_000), "}".repeat(200_000));
         assert!(matches!(parse_value(&objects), Err(Error::TooDeep { .. })));
     }
+
+    #[test]
+    fn errors_display_their_offset() {
+        let syntax = parse_value("[1 2]").unwrap_err();
+        assert_eq!(
+            syntax.to_string(),
+            "expected `,` or a closing bracket at offset 3"
+        );
+        let deep = Error::TooDeep { offset: 4 };
+        assert_eq!(
+            deep.to_string(),
+            "nested deeper than 128 levels at offset 4"
+        );
+    }
+
+    #[test]
+    fn objects_keep_their_key_order_and_get_finds_the_first() {
+        let v = parse_value(r#"{"z":1,"a":2,"z":3}"#).unwrap();
+        let keys: Vec<_> = match &v {
+            Value::Object(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(keys, ["z", "a", "z"]);
+        assert_eq!(v.get("z").and_then(Value::as_u64), Some(1));
+        assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn accessors_refuse_the_wrong_kind() {
+        let v = parse_value(r#"[null,true,"s",[1],{"k":0}]"#).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!((items[0].as_bool(), items[1].as_bool()), (None, Some(true)));
+        assert_eq!((items[1].as_str(), items[2].as_f64()), (None, None));
+        assert_eq!((items[3].get("k"), items[4].as_array()), (None, None));
+        assert_eq!((items[2].as_i64(), v.get("k")), (None, None));
+    }
 }
