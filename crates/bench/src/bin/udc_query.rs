@@ -21,10 +21,9 @@
 //! Exits 0 on a clean run, 2 on a malformed artifact, unknown rule, or
 //! bad usage.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use udc_bench::{fmt_us, Table};
+use udc_bench::{fmt_us, tally_fires, Table};
 use udc_query::{default_horizon, default_ruleset, obs_from_json, ParsedRule, RuleKind, Source};
 use udc_telemetry::Telemetry;
 
@@ -33,6 +32,14 @@ fn is_metric_source(s: &Source) -> bool {
         s,
         Source::Counter { .. } | Source::Gauge { .. } | Source::Hist { .. }
     )
+}
+
+/// Warns that a replayed query or rule reads a metric series.
+fn warn_metric(what: &str, name: &str) {
+    eprintln!(
+        "warning: {what} `{name}` reads a metric series — artifacts only record \
+         end states, so it sees no observations in replay"
+    );
 }
 
 /// Sources a rule reads directly (threshold rules read via their query,
@@ -93,11 +100,7 @@ fn run() -> Result<ExitCode, String> {
     for parsed in rules {
         for q in parsed.queries {
             if is_metric_source(&q.source) {
-                eprintln!(
-                    "warning: query `{}` reads a metric series — artifacts only record \
-                     end states, so it sees no observations in replay",
-                    q.name
-                );
+                warn_metric("query", &q.name);
             }
             engine
                 .register(q)
@@ -107,11 +110,7 @@ fn run() -> Result<ExitCode, String> {
             .iter()
             .any(|s| is_metric_source(s))
         {
-            eprintln!(
-                "warning: rule `{}` reads a metric series — artifacts only record \
-                 end states, so it sees no observations in replay",
-                parsed.rule.name
-            );
+            warn_metric("rule", &parsed.rule.name);
         }
         order.push((parsed.rule.name.clone(), reason_of(&parsed.rule.kind)));
         engine
@@ -136,13 +135,7 @@ fn run() -> Result<ExitCode, String> {
     );
     println!();
 
-    let mut fires: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
-    for a in engine.alerts() {
-        let e = fires.entry(a.rule.as_str()).or_insert((0, u64::MAX, 0));
-        e.0 += 1;
-        e.1 = e.1.min(a.at_us);
-        e.2 = e.2.max(a.at_us);
-    }
+    let fires = tally_fires(engine.alerts().iter().map(|a| (a.rule.as_str(), a.at_us)));
     let mut t = Table::new(&["rule", "kind", "fires", "first", "last"]);
     for (name, reason) in &order {
         let row = fires.get(name.as_str());

@@ -7,12 +7,12 @@
 //! on every protected access, and the user verifies fulfillment via
 //! remote attestation.
 
-use udc_bench::{banner, fmt_cost, fmt_us, pct, Table};
+use crate::{banner, fmt_cost, fmt_us, pct, Table};
 use udc_core::{CloudConfig, ModuleVerification, UdcCloud};
 use udc_isolate::WarmPoolConfig;
 use udc_workload::medical_pipeline;
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E1",
         "Medical pipeline (Fig. 2, Table 1)",
@@ -109,5 +109,5 @@ fn main() {
         "Table 1 fulfillment check: S1 replicas=3 sequential, A4 strongest+2x, B2 weak \
          container — all encoded, placed and (where verifiable) attested."
     );
-    udc_bench::report::export("exp_01_medical", &obs);
+    obs.snapshot().to_json()
 }

@@ -3,11 +3,15 @@
 //! cost, GPU support, control, and IT burden — the four columns of the
 //! paper's architecture figure.
 
+use crate::{banner, fmt_cost, fmt_us, Table};
 use udc_baseline::{CaasProvisioner, Catalog, FaasRuntime, IaasProvisioner};
-use udc_bench::{banner, fmt_cost, fmt_us, Table};
-use udc_core::{CloudConfig, UdcCloud};
+use udc_core::{BillingModel, CloudConfig, UdcCloud};
 use udc_spec::{ModuleKind, ResourceKind, ResourceVector};
+use udc_telemetry::{EventKind, FieldValue, Labels};
 use udc_workload::medical_pipeline;
+
+/// One hour, to price a placement as an hourly rate.
+const HOUR_US: u64 = 3_600_000_000;
 
 /// Extracts per-module demand vectors the baselines can price. Modules
 /// without explicit demands get the defaults UDC would infer (1 CPU for
@@ -40,7 +44,7 @@ fn demands() -> Vec<(String, ResourceVector, u64, bool)> {
         .collect()
 }
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E2",
         "Cloud schemes compared on the medical pipeline (Fig. 1)",
@@ -85,18 +89,12 @@ fn main() {
     let obs = cloud.enable_telemetry();
     let mut dep = cloud.submit(&medical_pipeline()).expect("places");
     let report = cloud.run(&dep);
-    let udc_hourly = {
-        // Normalize to an hourly rate for comparison.
-        let hour = 3_600_000_000u64;
-        cloud
-            .datacenter()
-            .device(udc_hal::DeviceId(0))
-            .map(|_| ())
-            .expect("dc exists");
-        udc_core::BillingModel::default()
-            .price(cloud.datacenter(), &dep.placement, |_| hour)
+    let hourly = |cloud: &UdcCloud, dep: &udc_core::Deployment| {
+        BillingModel::default()
+            .price(cloud.datacenter(), &dep.placement, |_| HOUR_US)
             .total
     };
+    let udc_hourly = hourly(&cloud, &dep);
 
     let mut t = Table::new(&[
         "scheme",
@@ -160,21 +158,15 @@ fn main() {
     // Table 1 are what make the secure variant expensive — §1: strong
     // isolation "comes at the cost of reduced resource utilization").
     let mut relaxed = medical_pipeline();
-    let ids: Vec<udc_spec::ModuleId> = relaxed.modules.keys().cloned().collect();
-    for id in ids {
-        if let Some(m) = relaxed.modules.get_mut(&id) {
-            m.exec_env.isolation = None;
-            m.exec_env.tenancy = None;
-            m.exec_env.tee_if_cpu = false;
-        }
+    for m in relaxed.modules.values_mut() {
+        m.exec_env.isolation = None;
+        m.exec_env.tenancy = None;
+        m.exec_env.tee_if_cpu = false;
     }
     let mut cloud2 = UdcCloud::new(CloudConfig::default());
     let mut dep2 = cloud2.submit(&relaxed).expect("places");
     let report2 = cloud2.run(&dep2);
-    let hour = 3_600_000_000u64;
-    let udc_relaxed_hourly = udc_core::BillingModel::default()
-        .price(cloud2.datacenter(), &dep2.placement, |_| hour)
-        .total;
+    let udc_relaxed_hourly = hourly(&cloud2, &dep2);
     t.row(&[
         "UDC (security relaxed)".to_string(),
         fmt_cost(udc_relaxed_hourly),
@@ -201,39 +193,18 @@ fn main() {
     cloud.teardown(&mut dep);
 
     obs.event(
-        udc_telemetry::EventKind::Measurement,
-        udc_telemetry::Labels::none(),
+        EventKind::Measurement,
+        Labels::none(),
         &[
-            (
-                "local_hourly",
-                udc_telemetry::FieldValue::from(local_hourly),
-            ),
-            (
-                "iaas_hourly",
-                udc_telemetry::FieldValue::from(iaas_out.hourly_cost),
-            ),
-            (
-                "caas_hourly",
-                udc_telemetry::FieldValue::from(caas_out.hourly_cost),
-            ),
-            (
-                "faas_cost_per_run",
-                udc_telemetry::FieldValue::from(faas_cost_per_run),
-            ),
-            ("udc_hourly", udc_telemetry::FieldValue::from(udc_hourly)),
-            (
-                "udc_relaxed_hourly",
-                udc_telemetry::FieldValue::from(udc_relaxed_hourly),
-            ),
-            (
-                "iaas_mean_waste",
-                udc_telemetry::FieldValue::from(iaas_out.mean_waste),
-            ),
-            (
-                "faas_unservable",
-                udc_telemetry::FieldValue::from(faas_unservable as u64),
-            ),
+            ("local_hourly", FieldValue::from(local_hourly)),
+            ("iaas_hourly", FieldValue::from(iaas_out.hourly_cost)),
+            ("caas_hourly", FieldValue::from(caas_out.hourly_cost)),
+            ("faas_cost_per_run", FieldValue::from(faas_cost_per_run)),
+            ("udc_hourly", FieldValue::from(udc_hourly)),
+            ("udc_relaxed_hourly", FieldValue::from(udc_relaxed_hourly)),
+            ("iaas_mean_waste", FieldValue::from(iaas_out.mean_waste)),
+            ("faas_unservable", FieldValue::from(faas_unservable as u64)),
         ],
     );
-    udc_bench::report::export("exp_02_schemes", &obs);
+    obs.snapshot().to_json()
 }

@@ -7,16 +7,14 @@
 //! and (b) the UDC way — exact-fit pool allocation. Every per-demand
 //! data point is recorded into a `udc-telemetry` registry; the summary
 //! table is rendered *from* the registry and the full snapshot (counters,
-//! waste histograms, measurement events) is exported as structured JSON
-//! into `results/`. Human-readable output goes to stderr; stdout carries
-//! only the path of the JSON artifact.
+//! waste histograms, measurement events) is the artifact.
 //!
 //! Demand classes are independent trials, run in class order on one
 //! telemetry hub: each samples from its own per-class-seeded stream and
 //! stamps its records with its own logical clock.
 
+use crate::{banner, pct, trial_ticks, Table};
 use udc_baseline::Catalog;
-use udc_bench::{banner_stderr, pct, trial_ticks, Table};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 use udc_workload::{DemandClass, DemandSampler};
 
@@ -37,8 +35,8 @@ fn udc_hourly_microdollars(d: &udc_spec::ResourceVector) -> u64 {
         .sum()
 }
 
-fn main() {
-    banner_stderr(
+pub fn run() -> String {
+    banner(
         "E3",
         "Paid-but-unused resources: catalog shapes vs exact fit",
         "~35% of public-cloud spend is waste [14]; UDC eliminates shape \
@@ -150,7 +148,7 @@ fn main() {
         format!("${:.0}", iaas_all as f64 / 1e6),
         format!("${:.0}", udc_all as f64 / 1e6),
     ]);
-    t.eprint();
+    t.print();
 
     // Paper's flagship case — 8 GPUs + 4 vCPUs of orchestration (§1).
     let mut d = udc_spec::ResourceVector::new();
@@ -167,19 +165,19 @@ fn main() {
             ("udc_waste", FieldValue::from(0.0)),
         ],
     );
-    eprintln!();
-    eprintln!("Paper's flagship case — 8 GPUs + 4 vCPUs of orchestration (§1):");
-    eprintln!(
+    println!();
+    println!("Paper's flagship case — 8 GPUs + 4 vCPUs of orchestration (§1):");
+    println!(
         "  forced instance: {} (64 vCPUs for a 4-vCPU need), waste = {}",
         forced.name,
         pct(forced.waste_fraction(&d))
     );
-    eprintln!("  UDC: allocates exactly 8 GPU + 4 CPU + 64 GiB from the pools — waste = 0%");
-    eprintln!();
-    eprintln!(
+    println!("  UDC: allocates exactly 8 GPU + 4 CPU + 64 GiB from the pools — waste = 0%");
+    println!();
+    println!(
         "Expected shape: IaaS overall waste in the 30-40% band (paper cites 35%); \
          UDC waste identically 0 by construction."
     );
 
-    udc_bench::report::export("exp_03_waste", &tel);
+    tel.snapshot().to_json()
 }

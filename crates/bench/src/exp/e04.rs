@@ -8,15 +8,14 @@
 //! runs with a `udc-telemetry` observer installed on the HAL, so the
 //! admitted count comes from the real `hal.allocations` counter; every
 //! trial's outcome is recorded as gauges and measurement events, the
-//! tables are rendered *from* the registry, and the snapshot is exported
-//! as structured JSON into `results/`. Human-readable output goes to
-//! stderr; stdout carries only the path of the JSON artifact.
+//! tables are rendered *from* the registry, and the snapshot is the
+//! artifact.
 //!
 //! The seed trials and the skew sweep run in order on one telemetry
 //! hub: every trial seeds its own sampler and installs its own clock
 //! (the pools' simulated clock, or logical ticks for a skew trial).
 
-use udc_bench::{banner_stderr, pct, trial_ticks, Table};
+use crate::{banner, pct, trial_ticks, Table};
 use udc_hal::pool::AllocConstraints;
 use udc_hal::{Datacenter, DatacenterConfig, FabricConfig, PoolConfig};
 use udc_sched::{PackAlgo, ServerCluster, ServerShape};
@@ -133,8 +132,8 @@ fn run_trial(tel: &Telemetry, skew_seed: u64) {
     );
 }
 
-fn main() {
-    banner_stderr(
+pub fn run() -> String {
+    banner(
         "E4",
         "Consolidation: server bin-packing vs disaggregated pools",
         "fine-grained disaggregated deployment improves utilization ~2x [36]",
@@ -174,10 +173,10 @@ fn main() {
             format!("{util_gain:.2}x"),
         ]);
     }
-    t.eprint();
+    t.print();
     let mean_gain = gains.iter().sum::<f64>() / gains.len() as f64;
-    eprintln!();
-    eprintln!(
+    println!();
+    println!(
         "Mean utilization gain on the balanced mix: {mean_gain:.2}x. The gain \
          comes from dimension decoupling: a server is full when ANY dimension \
          fills; a pool is full only when ITS dimension fills."
@@ -188,8 +187,8 @@ fn main() {
     // bought in bundled shapes, so a skewed demand ratio strands the
     // other dimensions; pools are provisioned per kind (device-granular)
     // and strand almost nothing.
-    eprintln!();
-    eprintln!("Skew sweep — provision-to-serve (fraction of memory-heavy vs CPU-heavy batch):");
+    println!();
+    println!("Skew sweep — provision-to-serve (fraction of memory-heavy vs CPU-heavy batch):");
     let skews = [0u64, 25, 50, 75, 100];
     for pct_mem in skews {
         trial_ticks(&tel);
@@ -286,13 +285,13 @@ fn main() {
             format!("{:.2}x", pool_util / srv_util.max(1e-9)),
         ]);
     }
-    s.eprint();
-    eprintln!();
-    eprintln!(
+    s.print();
+    println!();
+    println!(
         "Expected shape (paper, via LegoOS [36]): ~2x when demand ratios are \
          skewed away from the server shape; the gain shrinks when the mix \
          happens to match the bundle."
     );
 
-    udc_bench::report::export("exp_04_utilization", &tel);
+    tel.snapshot().to_json()
 }

@@ -2,11 +2,11 @@
 //! every feature must be wired into every service (coupled, today) vs
 //! once into a decoupled layer (UDC).
 
+use crate::{banner, Table};
 use udc_baseline::{simulate_rollout_report, DevOpsMatrix};
-use udc_bench::{banner, Table};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E5",
         "DevOps matrix from hell: M x N vs M + N",
@@ -70,5 +70,5 @@ fn main() {
             ),
         ],
     );
-    udc_bench::report::export("exp_05_matrix", &tel);
+    tel.snapshot().to_json()
 }

@@ -6,11 +6,11 @@
 //! class, cold versus warm-pooled. Reported: per-module startup and the
 //! aggregate startup work.
 
-use udc_bench::{banner, fmt_us, pct, Table};
+use crate::{banner, fmt_us, pct, Table};
 use udc_isolate::{EnvKind, WarmPool, WarmPoolConfig};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E6",
         "Cold starts at fine granularity, and warm pools as mitigation",
@@ -79,5 +79,5 @@ fn main() {
          by the secure classes (TEE 30x container warm start); a warm pool \
          sized to the fan-out flattens the curve until it drains."
     );
-    udc_bench::report::export("exp_06_coldstart", &tel);
+    tel.snapshot().to_json()
 }

@@ -6,7 +6,7 @@
 //! tenant: stranded capacity and how many tenants a fixed cluster can
 //! host.
 
-use udc_bench::{banner, pct, Table};
+use crate::{banner, pct, Table};
 use udc_hal::pool::AllocConstraints;
 use udc_hal::{Datacenter, DatacenterConfig, FabricConfig, PoolConfig};
 use udc_spec::{ResourceKind, ResourceVector};
@@ -24,7 +24,25 @@ fn cluster() -> Datacenter {
     })
 }
 
-fn main() {
+/// Hosts `demand`-sized tenants on a fresh cluster until one is
+/// refused; returns the cluster and how many it hosted.
+fn fill(demand: &ResourceVector, exclusive: bool) -> (Datacenter, usize) {
+    let mut dc = cluster();
+    let constraints = AllocConstraints {
+        exclusive,
+        ..Default::default()
+    };
+    let mut hosted = 0;
+    while dc
+        .allocate_vector(&format!("t{hosted}"), demand, &constraints)
+        .is_ok()
+    {
+        hosted += 1;
+    }
+    (dc, hosted)
+}
+
+pub fn run() -> String {
     banner(
         "E7",
         "Single-tenant placement waste at module granularity",
@@ -43,30 +61,8 @@ fn main() {
     for size in [1u64, 2, 4, 8, 16, 32, 64] {
         let demand = ResourceVector::new().with(ResourceKind::Cpu, size);
 
-        let mut shared_dc = cluster();
-        let mut shared = 0;
-        while shared_dc
-            .allocate_vector(&format!("t{shared}"), &demand, &AllocConstraints::default())
-            .is_ok()
-        {
-            shared += 1;
-        }
-
-        let mut excl_dc = cluster();
-        let mut excl = 0;
-        while excl_dc
-            .allocate_vector(
-                &format!("t{excl}"),
-                &demand,
-                &AllocConstraints {
-                    exclusive: true,
-                    ..Default::default()
-                },
-            )
-            .is_ok()
-        {
-            excl += 1;
-        }
+        let (_, shared) = fill(&demand, false);
+        let (excl_dc, excl) = fill(&demand, true);
         let pool = excl_dc.pool(ResourceKind::Cpu).expect("cpu pool");
         let stranded = 1.0 - pool.total_used() as f64 / pool.total_capacity() as f64;
         tel.event(
@@ -95,5 +91,5 @@ fn main() {
          device size. This is why UDC prices exclusivity as the whole device \
          (see udc-core billing) and why the paper calls it out as a challenge."
     );
-    udc_bench::report::export("exp_07_tenancy", &tel);
+    tel.snapshot().to_json()
 }

@@ -7,7 +7,7 @@
 //! workload; report write/read latency, staleness exposure, and the
 //! reader-preference effect of Table 1's S2.
 
-use udc_bench::{banner, pct, Table};
+use crate::{banner, pct, Table};
 use udc_dist::{Op, OpKind, PreferenceQueue, ReplicatedStore, ReplicationParams};
 use udc_spec::{ConsistencyLevel, OpPreference};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
@@ -20,7 +20,7 @@ const LEVELS: [ConsistencyLevel; 5] = [
     ConsistencyLevel::Linearizable,
 ];
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E8",
         "Replication factor x consistency level",
@@ -167,5 +167,5 @@ fn main() {
          causal; reader preference moves reads ahead of writes without \
          starving them (bounded)."
     );
-    udc_bench::report::export("exp_08_consistency", &tel);
+    tel.snapshot().to_json()
 }

@@ -6,7 +6,7 @@
 //! the product's recovery log (§3.1: "messages could be reliably
 //! recorded for faster recovery"), `udc_dist::RecoveryModel`.
 
-use udc_bench::{banner, fmt_us, Table};
+use crate::{banner, fmt_us, Table};
 use udc_core::heal::{MSG_COST_US, RESTORE_COST_US};
 use udc_core::{CloudConfig, UdcCloud};
 use udc_dist::{RecoveryModel, RecoveryStrategy};
@@ -16,7 +16,7 @@ use udc_spec::{
 };
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E9",
         "Recovery: re-execute vs user-defined checkpoints",
@@ -170,5 +170,5 @@ fn main() {
          suffix, so its repair-loop MTTR stays near the restore floor while \
          re-execution pays for the whole log."
     );
-    udc_bench::report::export("exp_09_recovery", &tel);
+    tel.snapshot().to_json()
 }

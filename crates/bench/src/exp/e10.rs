@@ -6,13 +6,13 @@
 //! Random DAGs with seeded ground-truth conflicts: detection recall,
 //! detection cost at scale, and the behaviour of both policies.
 
+use crate::{banner, pct, Table};
 use std::time::Instant;
-use udc_bench::{banner, pct, Table};
 use udc_spec::conflict::{detect_conflicts, resolve, ConflictPolicy};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 use udc_workload::{random_app, RandomDagConfig};
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E10",
         "Aspect-conflict detection and resolution at scale",
@@ -84,5 +84,5 @@ fn main() {
          cost grows near-linearly in modules+edges, staying far below \
          placement cost even at 13k modules."
     );
-    udc_bench::report::export("exp_10_conflicts", &tel);
+    tel.snapshot().to_json()
 }

@@ -3,15 +3,15 @@
 //! primitives ("e.g., whether or not resources were provided as
 //! specified").
 
+use crate::{banner, Table};
 use std::collections::BTreeMap;
 use std::time::Instant;
-use udc_bench::{banner, Table};
 use udc_core::{check_quote, policy_for_module, ModuleVerification};
 use udc_crypto::attest::{RootOfTrust, Verifier};
 use udc_crypto::derive_key;
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E11",
         "Verifying user definitions with (extended) remote attestation",
@@ -25,28 +25,32 @@ fn main() {
         "today's primitives",
         "UDC extended quotes",
     ]);
-    m.row(&["software identity (measurement)", "yes", "yes"]);
-    m.row(&["isolation = strongest/strong (TEE)", "yes", "yes"]);
-    m.row(&[
-        "tenancy = single-tenant",
-        "no",
-        "yes (claim, device-signed)",
-    ]);
-    m.row(&[
-        "resources as specified (e.g. 4 CPUs)",
-        "no",
-        "yes (claim, device-signed)",
-    ]);
-    m.row(&[
-        "isolation = medium/weak",
-        "no (trust provider)",
-        "no (trust provider)",
-    ]);
-    m.row(&[
-        "replication factor fulfilled",
-        "no",
-        "yes (per-replica quotes)",
-    ]);
+    for row in [
+        ["software identity (measurement)", "yes", "yes"],
+        ["isolation = strongest/strong (TEE)", "yes", "yes"],
+        [
+            "tenancy = single-tenant",
+            "no",
+            "yes (claim, device-signed)",
+        ],
+        [
+            "resources as specified (e.g. 4 CPUs)",
+            "no",
+            "yes (claim, device-signed)",
+        ],
+        [
+            "isolation = medium/weak",
+            "no (trust provider)",
+            "no (trust provider)",
+        ],
+        [
+            "replication factor fulfilled",
+            "no",
+            "yes (per-replica quotes)",
+        ],
+    ] {
+        m.row(&row);
+    }
     m.print();
 
     println!();
@@ -140,5 +144,5 @@ fn main() {
         Labels::tenant("cheat"),
         &[("under_provision_caught", FieldValue::from(caught))],
     );
-    udc_bench::report::export("exp_11_attest", &tel);
+    tel.snapshot().to_json()
 }

@@ -17,8 +17,8 @@
 //! the rounds where a module ran above its allocation for a full
 //! control period — the auditable record of *why* the loop grew it.
 
-use udc_bench::finetune_sim::{self, FeedMode, USAGE_GAUGE};
-use udc_bench::{banner, fmt_us, pct, Table};
+use super::finetune_sim::{self, FeedMode, USAGE_GAUGE};
+use crate::{banner, fmt_us, pct, Table};
 
 /// Fires when a module's raw usage sits above 1.0 (saturated: demand
 /// exceeds allocation) for a full control round — the condition that
@@ -27,7 +27,7 @@ fn saturation_rule() -> String {
     format!("e12.saturated: sustained(gauge:{USAGE_GAUGE} > 1) for 1s")
 }
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E12",
         "Telemetry-driven fine-tuning of mis-specified resources",
@@ -106,5 +106,5 @@ fn main() {
          control round, which is exactly when the tuner escalated.",
         out.slo_violations, out.actions_issued
     );
-    udc_bench::report::export("exp_12_finetune", &out.hub);
+    out.hub.snapshot().to_json()
 }

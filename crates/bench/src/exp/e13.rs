@@ -6,7 +6,7 @@
 //! The same applications are placed with hints honoured vs ignored;
 //! reported: access-edge transfer time and cross-rack bytes.
 
-use udc_bench::{banner, fmt_us, Table};
+use crate::{banner, fmt_us, Table};
 use udc_hal::Datacenter;
 use udc_sched::{data_movement, SchedOptions, Scheduler};
 use udc_spec::AppSpec;
@@ -24,7 +24,7 @@ fn place_and_measure(app: &AppSpec, use_hints: bool) -> (u64, u64) {
     data_movement(&dc, app, &placement)
 }
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E13",
         "Locality hints: colocate and task-data affinity",
@@ -78,5 +78,5 @@ fn main() {
          record store dominates). Placement without hints still works — \
          hints are advisory, exactly as §3.1 describes."
     );
-    udc_bench::report::export("exp_13_locality", &tel);
+    tel.snapshot().to_json()
 }

@@ -6,8 +6,8 @@
 //! tenant-supplied bytecode policy; gas per invocation; and containment
 //! of hostile extensions (infinite loops, stack bombs, veto-everything).
 
+use crate::{banner, Table};
 use std::time::Instant;
-use udc_bench::{banner, Table};
 use udc_extvm::{
     assemble, CompiledProgram, NullHost, Vm, VmLimits, BEST_FIT, HALF_EMPTY_ONLY, RACK_AFFINITY,
     WORST_FIT,
@@ -28,6 +28,14 @@ fn workload() -> udc_spec::AppSpec {
     app
 }
 
+/// A scheduler that scores candidates with a tenant's VM policy.
+fn with_policy(policy: ExtVmPolicy) -> Scheduler {
+    Scheduler::new(SchedOptions {
+        policy: Box::new(policy),
+        ..Default::default()
+    })
+}
+
 fn time_placements(mut sched: Scheduler, rounds: usize) -> (f64, usize) {
     let app = workload();
     let start = Instant::now();
@@ -41,7 +49,7 @@ fn time_placements(mut sched: Scheduler, rounds: usize) -> (f64, usize) {
     (start.elapsed().as_secs_f64(), placed)
 }
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E14",
         "Tenant extensions in the control plane (sandboxed policy VM)",
@@ -60,14 +68,11 @@ fn main() {
     // the provider does not offer, expressed in 4 instructions.
     let worst_fit = assemble("arg 0\narg 4\nsub\nret").expect("valid policy");
     let (vm_s, vm_placed) = time_placements(
-        Scheduler::new(SchedOptions {
-            policy: Box::new(ExtVmPolicy::new(
-                "tenant-worst-fit",
-                worst_fit.clone(),
-                VmLimits::default(),
-            )),
-            ..Default::default()
-        }),
+        with_policy(ExtVmPolicy::new(
+            "tenant-worst-fit",
+            worst_fit.clone(),
+            VmLimits::default(),
+        )),
         ROUNDS,
     );
 
@@ -75,14 +80,11 @@ fn main() {
     // pre-register-IR engine — so the table shows the end-to-end cost
     // the compiler removed.
     let (interp_s, interp_placed) = time_placements(
-        Scheduler::new(SchedOptions {
-            policy: Box::new(ExtVmPolicy::interpreted(
-                "tenant-worst-fit-interp",
-                worst_fit,
-                VmLimits::default(),
-            )),
-            ..Default::default()
-        }),
+        with_policy(ExtVmPolicy::interpreted(
+            "tenant-worst-fit-interp",
+            worst_fit,
+            VmLimits::default(),
+        )),
         ROUNDS,
     );
 
@@ -110,14 +112,11 @@ fn main() {
     )
     .expect("valid policy");
     let (fancy_s, fancy_placed) = time_placements(
-        Scheduler::new(SchedOptions {
-            policy: Box::new(ExtVmPolicy::new(
-                "tenant-rack-aware",
-                fancy,
-                VmLimits::default(),
-            )),
-            ..Default::default()
-        }),
+        with_policy(ExtVmPolicy::new(
+            "tenant-rack-aware",
+            fancy,
+            VmLimits::default(),
+        )),
         ROUNDS,
     );
 
@@ -240,17 +239,14 @@ fn main() {
         ("veto everything", "push -1\nret"),
     ] {
         let prog = assemble(src).expect("assembles");
-        let mut sched = Scheduler::new(SchedOptions {
-            policy: Box::new(ExtVmPolicy::new(
-                name,
-                prog,
-                VmLimits {
-                    max_gas: 50_000,
-                    ..Default::default()
-                },
-            )),
-            ..Default::default()
-        });
+        let mut sched = with_policy(ExtVmPolicy::new(
+            name,
+            prog,
+            VmLimits {
+                max_gas: 50_000,
+                ..Default::default()
+            },
+        ));
         let mut dc = Datacenter::default();
         let result = sched.place_app(&mut dc, &workload());
         tel.event(
@@ -280,5 +276,5 @@ fn main() {
          their own tenant's placement quality — the control plane never \
          crashes or hangs."
     );
-    udc_bench::report::export("exp_14_extvm", &tel);
+    tel.snapshot().to_json()
 }

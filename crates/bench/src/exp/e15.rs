@@ -22,11 +22,10 @@
 //!
 //! Every section records into one telemetry hub. The market trials of
 //! sections 2 and 3 run in order, each deriving its seed from its index
-//! and stamping its records with its own logical clock. Human tables go
-//! to stderr; stdout carries only the artifact path.
+//! and stamping its records with its own logical clock.
 
+use crate::{banner, pct, trial_ticks, Table};
 use udc_baseline::IaasProvisioner;
-use udc_bench::{banner_stderr, pct, trial_ticks, Table};
 use udc_economics::{
     BidderPolicy, Lot, PlanSpec, QuotaGate, SpotMarket, AGGRESSIVE_BIDDER, BUDGET_BIDDER,
     SHADED_BIDDER, TRUTHFUL_BIDDER,
@@ -125,8 +124,8 @@ fn market_trial(
     tally
 }
 
-fn main() {
-    banner_stderr(
+pub fn run() -> String {
+    banner(
         "E15",
         "Tenant economics: win-win pricing, spot market, quota gate",
         "UDC can raise unit prices and still undercut users' total cost; \
@@ -197,8 +196,8 @@ fn main() {
             if win_win { "YES" } else { "no" }.to_string(),
         ]);
     }
-    t.eprint();
-    eprintln!(
+    t.print();
+    println!(
         "IaaS mean waste on this population: {}. Assumptions: hardware+ops \
          cost = 40% of base unit price for provisioned capacity; IaaS \
          provisions 1/(1-waste) per used unit, UDC 1/0.8 (consolidation, E4).",
@@ -248,8 +247,8 @@ fn main() {
             tally.unsold.to_string(),
         ]);
     }
-    t.eprint();
-    eprintln!(
+    t.print();
+    println!(
         "Scarcity pricing: as utilization rises the surplus lot shrinks and \
          valuations climb, so the per-unit clearing price rises — the \
          provider monetizes exactly the capacity users compete for."
@@ -288,8 +287,8 @@ fn main() {
         );
         t.row(&[shaded.to_string(), format!("{poa:.3}")]);
     }
-    t.eprint();
-    eprintln!(
+    t.print();
+    println!(
         "All-truthful bidding is efficient (PoA = 1.0, Vickrey's dominant \
          strategy). Asymmetric shading hands lots to lower-valuation rivals \
          and welfare drops; when every bidder shades by the same factor the \
@@ -327,14 +326,14 @@ fn main() {
             ("admit_decisions", FieldValue::from(denials)),
         ],
     );
-    eprintln!();
-    eprintln!("Quota-gated admission: {denial_msg}");
-    eprintln!(
+    println!();
+    println!("Quota-gated admission: {denial_msg}");
+    println!(
         "  {denials} per-module denial records in the decision log — try \
          `udc-trace results/exp_15_economics.json --explain S1`"
     );
 
-    udc_bench::report::export("exp_15_economics", &tel);
+    tel.snapshot().to_json()
 }
 
 #[cfg(test)]

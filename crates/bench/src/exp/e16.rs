@@ -6,7 +6,7 @@
 //! enables at each layer, leading to suboptimal performance and/or
 //! resource utilization."
 
-use udc_bench::{banner, fmt_cost, fmt_us, pct, Table};
+use crate::{banner, fmt_cost, fmt_us, pct, Table};
 use udc_core::{BillingModel, CloudConfig, UdcCloud};
 use udc_legacy::{etl_ml_monolith_program, partition, to_app_spec, Hint, PartitionConfig};
 use udc_spec::prelude::*;
@@ -40,7 +40,7 @@ fn monolith_app() -> AppSpec {
     app
 }
 
-fn run(app: &AppSpec) -> (u64, u64, u64) {
+fn deploy(app: &AppSpec) -> (u64, u64, u64) {
     let mut cloud = UdcCloud::new(CloudConfig::default());
     let mut dep = cloud.submit(app).expect("fits the default datacenter");
     let report = cloud.run(&dep);
@@ -53,7 +53,7 @@ fn run(app: &AppSpec) -> (u64, u64, u64) {
     (makespan, run_cost, hourly)
 }
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E16",
         "Legacy software: monolith vs semi-automated partitioning",
@@ -95,8 +95,8 @@ fn main() {
     }
     m.print();
 
-    let (mono_span, mono_cost, mono_hourly) = run(&monolith_app());
-    let (part_span, part_cost, part_hourly) = run(&partitioned);
+    let (mono_span, mono_cost, mono_hourly) = deploy(&monolith_app());
+    let (part_span, part_cost, part_hourly) = deploy(&partitioned);
 
     let tel = Telemetry::enabled();
     tel.event(
@@ -157,5 +157,5 @@ fn main() {
          monolith's whole-run GPU reservation is mostly idle capacity.",
         gpu_work * 100 / total_work
     );
-    udc_bench::report::export("exp_16_legacy", &tel);
+    tel.snapshot().to_json()
 }

@@ -8,8 +8,8 @@
 //! for such applications, no cloud provider has yet supported GPU in
 //! their serverless computing offerings."
 
+use crate::{banner, fmt_us, Table};
 use udc_baseline::FaasRuntime;
-use udc_bench::{banner, fmt_us, Table};
 use udc_isolate::{EnvKind, WarmPool, WarmPoolConfig};
 use udc_spec::{ResourceKind, ResourceVector};
 use udc_telemetry::{EventKind, FieldValue, Labels, Telemetry};
@@ -85,7 +85,7 @@ fn serve_faas(arrivals: &[u64]) -> (Vec<u64>, f64) {
     (latencies, cost / 1e6 / arrivals.len() as f64 * 1_000.0)
 }
 
-fn main() {
+pub fn run() -> String {
     banner(
         "E17",
         "Event-triggered ML inference serving: FaaS vs UDC",
@@ -130,27 +130,19 @@ fn main() {
                 ("udc_cost_per_1k", FieldValue::from(udc_cost)),
             ],
         );
-        t.row(&[
-            name.to_string(),
-            "FaaS (CPU degraded)".to_string(),
-            fmt_us(percentile(&faas_lat, 0.5)),
-            fmt_us(percentile(&faas_lat, 0.99)),
-            format!("${faas_cost:.3}"),
-        ]);
-        t.row(&[
-            name.to_string(),
-            "UDC (GPU, no warm pool)".to_string(),
-            fmt_us(percentile(&udc_cold_lat, 0.5)),
-            fmt_us(percentile(&udc_cold_lat, 0.99)),
-            format!("${udc_cold_cost:.3}"),
-        ]);
-        t.row(&[
-            name.to_string(),
-            "UDC (GPU, warm pool 4)".to_string(),
-            fmt_us(percentile(&udc_lat, 0.5)),
-            fmt_us(percentile(&udc_lat, 0.99)),
-            format!("${udc_cost:.3}"),
-        ]);
+        for (scheme, lat, cost) in [
+            ("FaaS (CPU degraded)", &faas_lat, faas_cost),
+            ("UDC (GPU, no warm pool)", &udc_cold_lat, udc_cold_cost),
+            ("UDC (GPU, warm pool 4)", &udc_lat, udc_cost),
+        ] {
+            t.row(&[
+                name.to_string(),
+                scheme.to_string(),
+                fmt_us(percentile(lat, 0.5)),
+                fmt_us(percentile(lat, 0.99)),
+                format!("${cost:.3}"),
+            ]);
+        }
     }
     t.print();
 
@@ -163,5 +155,5 @@ fn main() {
          serverless does not offer.",
         fmt_us((WORK_UNITS as f64 / GPU_RATE * 1e6) as u64)
     );
-    udc_bench::report::export("exp_17_serving", &tel);
+    tel.snapshot().to_json()
 }

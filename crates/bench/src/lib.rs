@@ -1,19 +1,21 @@
 //! # udc-bench — experiment harness and micro-benchmarks
 //!
-//! One binary per experiment in DESIGN.md's per-experiment index
-//! (E1–E15), each regenerating one figure/table/claim of the paper:
+//! One function per experiment in DESIGN.md's per-experiment index
+//! (E1–E17), each regenerating one figure/table/claim of the paper, plus
+//! the two chaos sweeps — all listed in one registry, [`exp::REGISTRY`]:
 //!
 //! ```text
-//! cargo run -p udc-bench --release --bin exp_01_medical
-//! cargo run -p udc-bench --release --bin exp_03_waste
-//! ...
+//! cargo run -p udc-bench --release --bin udc-exp -- exp_01_medical
+//! cargo run -p udc-bench --release --bin udc-exp -- all
 //! ```
 //!
-//! Criterion micro-benchmarks live in `benches/`:
-//! `cargo bench -p udc-bench`.
+//! `tests/artifacts.rs` regenerates every registered artifact in memory
+//! and compares it with the committed `results/*.json`. Criterion
+//! micro-benchmarks live in `benches/`: `cargo bench -p udc-bench`.
 //!
-//! This library provides the shared table-rendering helpers so every
-//! experiment prints uniform, paper-style tables.
+//! This library also provides the shared table-rendering helpers so
+//! every experiment prints uniform, paper-style tables, and the
+//! artifact reader [`trace`] behind `udc-trace`.
 //!
 //! Experiments run their trials in order on one telemetry hub. Every
 //! trial derives its RNG seed from its index and installs its own clock
@@ -21,9 +23,10 @@
 //! [`trial_ticks`] for a trial without one — so a trial's records are
 //! the same whichever trials ran before it.
 
-pub mod finetune_sim;
-pub mod report;
+pub mod exp;
+pub mod trace;
 
+use std::collections::BTreeMap;
 use std::fmt::Display;
 
 use udc_telemetry::Telemetry;
@@ -69,38 +72,24 @@ impl Table {
 
     /// Renders the table.
     pub fn render(&self) -> String {
-        let cols = self.headers.len();
-        let mut widths = vec![0usize; cols];
-        for (i, h) in self.headers.iter().enumerate() {
-            widths[i] = widths[i].max(h.chars().count());
-        }
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.chars().count());
+        let mut widths = vec![0; self.headers.len()];
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.chars().count());
             }
         }
-        let mut out = String::new();
-        let line = |out: &mut String, cells: &[String]| {
-            out.push_str("| ");
-            for (i, c) in cells.iter().enumerate() {
-                out.push_str(c);
-                for _ in c.chars().count()..widths[i] {
-                    out.push(' ');
-                }
-                out.push_str(" | ");
-            }
-            out.pop();
-            out.push('\n');
+        let line = |cells: &[String]| {
+            let padded: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .map(|(cell, w)| format!("{cell:<w$}"))
+                .collect();
+            format!("| {} |\n", padded.join(" | "))
         };
-        line(&mut out, &self.headers);
-        out.push('|');
-        for w in &widths {
-            out.push_str(&"-".repeat(w + 2));
-            out.push('|');
-        }
-        out.push('\n');
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+        let mut out = line(&self.headers) + &format!("|{}|\n", rule.join("|"));
         for row in &self.rows {
-            line(&mut out, row);
+            out += &line(row);
         }
         out
     }
@@ -108,12 +97,6 @@ impl Table {
     /// Prints the table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
-    }
-
-    /// Prints the table to stderr — for experiments whose stdout is
-    /// reserved for machine-readable output.
-    pub fn eprint(&self) {
-        eprint!("{}", self.render());
     }
 }
 
@@ -124,20 +107,34 @@ pub fn banner(id: &str, title: &str, claim: &str) {
     println!();
 }
 
-/// Prints an experiment banner to stderr — the human-facing channel for
-/// experiments that write structured JSON to `results/`.
-pub fn banner_stderr(id: &str, title: &str, claim: &str) {
-    eprintln!("=== {id}: {title} ===");
-    eprintln!("Paper claim: {claim}");
-    eprintln!();
-}
-
-/// Resolves `results/<name>` at the workspace root, independent of the
-/// directory the experiment is launched from.
+/// `results/<name>.json` at the workspace root, independent of the
+/// directory the tool is launched from.
 pub fn results_path(name: &str) -> std::path::PathBuf {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let root = root.canonicalize().unwrap_or(root);
-    root.join("results").join(name)
+    root.join("results").join(format!("{name}.json"))
+}
+
+/// Writes artifact `name` to its [`results_path`] and prints the path.
+pub fn export(name: &str, json: &str) {
+    let path = results_path(name);
+    std::fs::create_dir_all(path.parent().expect("under results/")).expect("results dir");
+    std::fs::write(&path, json).expect("artifact writes");
+    println!("artifact: {}", path.display());
+}
+
+/// Per key, how many alerts fired and the first and last fire time.
+pub fn tally_fires<K: Ord>(
+    fires: impl IntoIterator<Item = (K, u64)>,
+) -> BTreeMap<K, (u64, u64, u64)> {
+    let mut out = BTreeMap::new();
+    for (key, at_us) in fires {
+        let e = out.entry(key).or_insert((0, u64::MAX, 0));
+        e.0 += 1;
+        e.1 = e.1.min(at_us);
+        e.2 = e.2.max(at_us);
+    }
+    out
 }
 
 /// Formats microseconds human-readably.

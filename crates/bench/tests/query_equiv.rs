@@ -15,7 +15,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use udc_bench::finetune_sim::{self, FeedMode};
+use udc_bench::exp::finetune_sim::{self, FeedMode};
 use udc_telemetry::{EventKind, Labels, Telemetry};
 
 #[test]

@@ -7,6 +7,7 @@ use crate::verify::{
     check_quote, policy_for_module, BillingCheck, BillingReconciliation, ModuleVerification,
     VerificationReport,
 };
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use udc_crypto::aead::{seal, Key, Nonce};
@@ -120,8 +121,24 @@ pub struct Deployment {
     /// deduplicated — known only while the last full look found the
     /// deployment converged and no placement change has happened since.
     pub(crate) footprint: Option<Vec<DeviceId>>,
+    /// What `run` metered for this deployment while the hub was
+    /// enabled, one entry per module in placement order (empty if it
+    /// never was): the bill [`UdcCloud::verify_deployment`] checks.
+    meter: RefCell<Vec<Metered>>,
     /// Released flag (idempotent teardown).
     released: bool,
+}
+
+/// One module's metered usage, summed over a deployment's runs.
+#[derive(Clone, Copy, Debug, Default)]
+struct Metered {
+    /// Holding time.
+    window_us: u64,
+    /// What the provider billed, at its prices when it ran.
+    billed: u64,
+    /// What the tenant's ledger was debited, at the prices agreed at
+    /// submit.
+    debited: u64,
 }
 
 /// The result of running a deployment end to end.
@@ -527,6 +544,7 @@ impl UdcCloud {
             seen_epoch: self.sensed.epoch,
             degraded_series: Vec::new(),
             footprint: None,
+            meter: RefCell::default(),
             released: false,
             ir,
         })
@@ -689,6 +707,12 @@ impl UdcCloud {
         report.cost = self
             .billing
             .price(&self.dc, &dep.placement, |id| held_us[id]);
+        // With the hub enabled the deployment meters itself too, one
+        // entry per module in placement order.
+        let mut meter = self.obs.is_enabled().then(|| dep.meter.borrow_mut());
+        if let Some(meter) = &mut meter {
+            meter.resize(dep.placement.modules.len(), Metered::default());
+        }
         // Tenant-side metering: debit the ledger at the prices *agreed
         // at submit* (`dep.billing`), never the provider's current
         // model. The provider-side counters below use `self.billing`,
@@ -698,16 +722,19 @@ impl UdcCloud {
             let now = self.dc.clock().now();
             let mut g = gate.lock().expect("quota gate poisoned");
             if let Some(acct) = g.account_mut(&self.tenant) {
-                for (id, m) in &dep.placement.modules {
+                for (i, (id, m)) in dep.placement.modules.iter().enumerate() {
                     let owed = dep.billing.price_module(&self.dc, m, held_us[id]);
                     acct.charge(now, owed, Some(id.as_str()), "usage window");
+                    if let Some(meter) = &mut meter {
+                        meter[i].debited += owed;
+                    }
                 }
             }
         }
-        if self.obs.is_enabled() {
+        if let Some(meter) = &mut meter {
             self.obs
                 .incr("core.runs", Labels::tenant(self.tenant.as_str()), 1);
-            for (id, m) in &dep.placement.modules {
+            for (i, (id, m)) in dep.placement.modules.iter().enumerate() {
                 let held = held_us[id];
                 let labels = Labels::module(self.tenant.as_str(), id.as_str());
                 let units: u64 = m.allocations.iter().map(|a| a.total_units()).sum();
@@ -719,6 +746,8 @@ impl UdcCloud {
                 );
                 let billed = self.billing.price_module(&self.dc, m, held);
                 self.obs.incr("core.billed_microdollars", labels, billed);
+                meter[i].window_us += held;
+                meter[i].billed += billed;
             }
         }
         self.dc.clock().advance(report.makespan_us);
@@ -853,47 +882,47 @@ impl UdcCloud {
         report
     }
 
-    /// Cross-checks what the provider billed (the
-    /// `core.billed_microdollars` counters recorded at run time) against
-    /// the tenant's own record of what it owes.
+    /// Cross-checks what the provider billed this deployment (what
+    /// `run` metered at the provider's prices of the moment) against the
+    /// tenant's own record of what it owes.
     ///
-    /// With economics attached, the expected number is the sum of the
-    /// tenant ledger's debits for the module — the append-only entries
-    /// `run` metered at the prices agreed at submit — so verification
-    /// audits the actual system of record instead of recomputing costs
-    /// from scratch. Without economics the seed behavior remains: the
-    /// tenant recomputes from telemetry-observed holding windows at the
-    /// submit-time prices. Per-slice rounding means recomputation is
-    /// not bit-exact, so bills within 1% (or 2 micro-dollars absolute)
-    /// pass either way.
+    /// With economics attached, the expected number is what `run` debited
+    /// the tenant ledger for the module — the append-only entries metered
+    /// at the prices agreed at submit — so verification audits the
+    /// actual system of record instead of recomputing costs from
+    /// scratch. Without economics the seed behavior remains: the tenant
+    /// recomputes from the metered holding windows at the submit-time
+    /// prices. Per-slice rounding means recomputation is not bit-exact,
+    /// so bills within 1% (or 2 micro-dollars absolute) pass either way.
+    ///
+    /// Both sides come from the deployment's own meter, never from the
+    /// hub's counters or the ledger's per-module totals: those are keyed
+    /// by module name and sum every deployment that ever used it.
     fn reconcile_billing(&self, dep: &Deployment) -> BillingReconciliation {
         let mut rec = BillingReconciliation {
             tolerance: 0.01,
             ..Default::default()
         };
-        let ledger_gate = self
-            .econ_gate
-            .as_ref()
-            .map(|g| g.lock().expect("quota gate poisoned"));
-        for (id, m) in &dep.placement.modules {
-            let labels = Labels::module(self.tenant.as_str(), id.as_str());
-            let billed = self.obs.counter("core.billed_microdollars", &labels);
-            let window = self.obs.counter("core.module_window_us", &labels);
-            if billed == 0 && window == 0 {
-                continue; // Never ran with telemetry on: nothing to check.
-            }
-            let expected = ledger_gate
-                .as_ref()
-                .and_then(|g| g.account(&self.tenant))
-                .map(|a| a.ledger.debits_for_module(id.as_str()))
-                .unwrap_or_else(|| dep.billing.price_module(&self.dc, m, window));
+        let ledgered = self.econ_gate.as_ref().is_some_and(|g| {
+            let g = g.lock().expect("quota gate poisoned");
+            g.account(&self.tenant).is_some()
+        });
+        let meter = dep.meter.borrow();
+        // Empty when the deployment never ran with telemetry on: nothing
+        // to check.
+        for ((id, m), metered) in dep.placement.modules.iter().zip(meter.iter()) {
+            let expected = if ledgered {
+                metered.debited
+            } else {
+                dep.billing.price_module(&self.dc, m, metered.window_us)
+            };
             let slack = (expected as f64 * rec.tolerance).max(2.0);
             rec.modules.insert(
                 id.clone(),
                 BillingCheck {
-                    billed,
+                    billed: metered.billed,
                     expected,
-                    within_tolerance: billed.abs_diff(expected) as f64 <= slack,
+                    within_tolerance: metered.billed.abs_diff(expected) as f64 <= slack,
                 },
             );
         }
@@ -1422,6 +1451,59 @@ mod tests {
         assert!(!rec.consistent(), "price raise must be flagged");
         assert!(!rec.flagged().is_empty());
         assert!(!report.all_fulfilled());
+    }
+
+    /// The same module name deployed twice on one cloud: the second
+    /// deployment's bill is checked against its own windows and prices,
+    /// not against what the hub has metered under that name in total.
+    #[test]
+    fn a_redeployed_module_name_reconciles_only_its_own_bill() {
+        let one_task = |cpus: u64| {
+            let mut app = AppSpec::new("probe");
+            app.add_task(
+                TaskSpec::new("A1")
+                    .with_resource(ResourceAspect::default().with_demand(ResourceKind::Cpu, cpus))
+                    .with_work(30),
+            );
+            app
+        };
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        cloud.enable_telemetry();
+        let mut first = cloud.submit(&one_task(2)).unwrap();
+        cloud.run(&first);
+        cloud.teardown(&mut first);
+        let second = cloud.submit(&one_task(8)).unwrap();
+        cloud.run(&second);
+        let report = cloud.verify_deployment(&second);
+        let rec = report.billing.as_ref().expect("reconciliation ran");
+        assert_eq!(rec.modules.len(), 1);
+        assert!(rec.consistent(), "honest bill flagged: {rec:?}");
+    }
+
+    /// Two live deployments with the same module names and one ledger: a
+    /// price raise around the second one's `run` is flagged on the
+    /// second deployment and on no module of the first.
+    #[test]
+    fn a_price_raise_is_flagged_only_on_the_deployment_it_hit() {
+        use udc_economics::{PlanSpec, QuotaGate};
+        let mut cloud = UdcCloud::new(CloudConfig::default());
+        cloud.enable_telemetry();
+        let mut gate = QuotaGate::new();
+        gate.open_account("tenant", PlanSpec::unlimited("open"), 0);
+        cloud.attach_economics(udc_economics::shared(gate));
+
+        let first = cloud.submit(&small_app()).unwrap();
+        cloud.run(&first);
+        let second = cloud.submit(&small_app()).unwrap();
+        let agreed = cloud.billing.price_multiplier;
+        cloud.billing.price_multiplier = 2.0;
+        cloud.run(&second);
+        cloud.billing.price_multiplier = agreed;
+
+        let first_rec = cloud.verify_deployment(&first).billing.unwrap();
+        assert!(first_rec.consistent(), "honest bill flagged: {first_rec:?}");
+        let second_rec = cloud.verify_deployment(&second).billing.unwrap();
+        assert!(!second_rec.consistent(), "price raise not flagged");
     }
 
     #[test]

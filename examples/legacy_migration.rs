@@ -60,7 +60,7 @@ fn main() {
     println!(
         "\ndeployed and ran: makespan {:.1} s, cost ${:.4} — each phase paid \
          only for its own hardware (the monolith would hold the GPU and the \
-         16 GiB working set for the whole run; see exp_16_legacy).",
+         16 GiB working set for the whole run; see `udc-exp exp_16_legacy`).",
         report.makespan_us as f64 / 1e6,
         report.cost.total as f64 / 1e6
     );
