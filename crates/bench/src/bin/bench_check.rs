@@ -97,6 +97,7 @@ impl Checker {
 const SUITES: &[&str] = &["control", "extvm"];
 
 fn main() -> ExitCode {
+    udc_bench::stop_quietly_on_broken_pipe();
     let mut paths = Vec::new();
     let mut suites = Vec::new();
     for arg in std::env::args().skip(1) {

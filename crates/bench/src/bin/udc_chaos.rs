@@ -18,6 +18,7 @@
 use udc_bench::exp::chaos;
 
 fn main() {
+    udc_bench::stop_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
     let smoke = flag("--smoke");

@@ -15,6 +15,7 @@ use std::process::ExitCode;
 use udc_bench::exp::REGISTRY;
 
 fn main() -> ExitCode {
+    udc_bench::stop_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted = match args.as_slice() {
         [name] => name.as_str(),

@@ -169,6 +169,7 @@ fn run() -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
+    udc_bench::stop_quietly_on_broken_pipe();
     match run() {
         Ok(code) => code,
         Err(e) => {

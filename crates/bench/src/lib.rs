@@ -100,6 +100,33 @@ impl Table {
     }
 }
 
+/// Makes the calling tool stop quietly, with exit status 0, when the
+/// reader of its stdout goes away early — `udc-trace … | grep -q …`
+/// closes the pipe at the first match. `print!` panics on a broken
+/// pipe; this hook turns exactly that panic into a clean exit and
+/// reports every other panic as before. Call it first thing in `main`.
+pub fn stop_quietly_on_broken_pipe() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if is_broken_pipe_panic(info.payload()) {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
+}
+
+/// Whether a panic payload is `print!`'s "failed printing to stdout"
+/// on a broken pipe.
+fn is_broken_pipe_panic(payload: &(dyn std::any::Any + Send)) -> bool {
+    let message = match payload.downcast_ref::<String>() {
+        Some(s) => s.as_str(),
+        None => payload.downcast_ref::<&str>().copied().unwrap_or(""),
+    };
+    // "Broken pipe (os error 32)" from the OS, "broken pipe" by kind.
+    message.starts_with("failed printing to stdout")
+        && message.to_ascii_lowercase().contains("broken pipe")
+}
+
 /// Prints an experiment banner.
 pub fn banner(id: &str, title: &str, claim: &str) {
     println!("=== {id}: {title} ===");
@@ -225,6 +252,38 @@ mod tests {
         assert_eq!(at, vec![1, 2, 1, 2, 1, 2]);
         let seq: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
         assert_eq!(seq, (0..6).collect::<Vec<_>>(), "sequence numbers run on");
+    }
+
+    #[test]
+    fn only_a_broken_pipe_on_stdout_stops_quietly() {
+        use std::io::Write;
+        struct Closed;
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let e = write!(Closed, "table").unwrap_err();
+        // The message `print!` panics with when stdout's write fails.
+        let payload = |text: String| -> Box<dyn std::any::Any + Send> { Box::new(text) };
+        assert!(is_broken_pipe_panic(&*payload(format!(
+            "failed printing to stdout: {e}"
+        ))));
+        #[cfg(target_os = "linux")]
+        assert!(is_broken_pipe_panic(&*payload(format!(
+            "failed printing to stdout: {}",
+            std::io::Error::from_raw_os_error(32)
+        ))));
+        let denied = std::io::Error::from(std::io::ErrorKind::PermissionDenied);
+        assert!(!is_broken_pipe_panic(&*payload(format!(
+            "failed printing to stdout: {denied}"
+        ))));
+        assert!(!is_broken_pipe_panic(&*payload(format!("parse: {e}"))));
+        let by_str: Box<dyn std::any::Any + Send> = Box::new("index out of bounds");
+        assert!(!is_broken_pipe_panic(&*by_str));
     }
 
     #[test]

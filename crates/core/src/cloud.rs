@@ -496,17 +496,19 @@ impl UdcCloud {
             AppIr::compile(app, self.conflict_policy)?
         };
         let mut placement = self.scheduler.place(&mut self.dc, &ir.app, ctx)?;
-        self.obs
-            .incr("core.submits", Labels::tenant(self.tenant.as_str()), 1);
-        self.obs.event(
-            EventKind::Submit,
-            Labels::tenant(self.tenant.as_str()),
-            &[
-                ("app", FieldValue::from(ir.app.name.as_str())),
-                ("modules", FieldValue::from(placement.modules.len())),
-                ("warm_fraction", FieldValue::from(placement.warm_fraction())),
-            ],
-        );
+        if self.obs.is_enabled() {
+            self.obs
+                .incr("core.submits", Labels::tenant(self.tenant.as_str()), 1);
+            self.obs.event(
+                EventKind::Submit,
+                Labels::tenant(self.tenant.as_str()),
+                &[
+                    ("app", FieldValue::from(ir.app.name.as_str())),
+                    ("modules", FieldValue::from(placement.modules.len())),
+                    ("warm_fraction", FieldValue::from(placement.warm_fraction())),
+                ],
+            );
+        }
 
         let mut environments = BTreeMap::new();
         let mut objects = Vec::new();
@@ -1024,14 +1026,16 @@ impl UdcCloud {
                 .release(&self.tenant, &dep.placement.admitted_demand);
         }
         dep.released = true;
-        self.obs.event(
-            EventKind::Teardown,
-            Labels::tenant(self.tenant.as_str()),
-            &[
-                ("app", FieldValue::from(dep.ir.app.name.as_str())),
-                ("modules", FieldValue::from(dep.placement.modules.len())),
-            ],
-        );
+        if self.obs.is_enabled() {
+            self.obs.event(
+                EventKind::Teardown,
+                Labels::tenant(self.tenant.as_str()),
+                &[
+                    ("app", FieldValue::from(dep.ir.app.name.as_str())),
+                    ("modules", FieldValue::from(dep.placement.modules.len())),
+                ],
+            );
+        }
     }
 
     /// Data-movement metric for a deployment (experiment E13).

@@ -51,9 +51,13 @@ impl FenceRegistry {
     /// Mints the next epoch for `module`. Epochs start at 1 and only
     /// ever increase.
     pub fn mint(&mut self, module: &str) -> u64 {
-        let e = self.epochs.entry(module.to_string()).or_insert(0);
-        *e += 1;
-        *e
+        // Look up first: the name is copied only the first time.
+        if let Some(e) = self.epochs.get_mut(module) {
+            *e += 1;
+            return *e;
+        }
+        self.epochs.insert(module.to_string(), 1);
+        1
     }
 
     /// The module's current epoch (0 = never placed).

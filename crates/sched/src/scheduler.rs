@@ -527,14 +527,13 @@ impl Scheduler {
 
     /// Precomputed colocation-group keys: module -> group leader index.
     fn colocation_racks(&self, app: &AppSpec) -> BTreeMap<ModuleId, usize> {
-        let ids: Vec<ModuleId> = app.modules.keys().cloned().collect();
-        let index: BTreeMap<&ModuleId, usize> =
-            ids.iter().enumerate().map(|(i, id)| (id, i)).collect();
+        let ids: Vec<&ModuleId> = app.modules.keys().collect();
+        let index = |id: &ModuleId| ids.binary_search(&id).ok();
         let mut dsu = Dsu::new(ids.len());
         if self.options.use_locality_hints {
             for h in &app.hints {
                 if let udc_spec::LocalityHint::Colocate(a, b) = h {
-                    if let (Some(&ia), Some(&ib)) = (index.get(a), index.get(b)) {
+                    if let (Some(ia), Some(ib)) = (index(a), index(b)) {
                         dsu.union(ia, ib);
                     }
                 }
@@ -542,7 +541,7 @@ impl Scheduler {
         }
         ids.iter()
             .enumerate()
-            .map(|(i, id)| (id.clone(), dsu.find(i)))
+            .map(|(i, &id)| (id.clone(), dsu.find(i)))
             .collect()
     }
 
@@ -556,15 +555,15 @@ impl Scheduler {
                 return kind;
             }
         }
-        let candidates: Vec<ResourceKind> = if module.resource.candidates.is_empty() {
-            vec![
+        let candidates: &[ResourceKind] = if module.resource.candidates.is_empty() {
+            &[
                 ResourceKind::Cpu,
                 ResourceKind::Gpu,
                 ResourceKind::Fpga,
                 ResourceKind::Soc,
             ]
         } else {
-            module.resource.candidates.clone()
+            &module.resource.candidates
         };
         let available = |k: &ResourceKind| {
             dc.pool(*k)

@@ -22,9 +22,10 @@
 //! [`SpecError::Conflict`] listing every conflict.
 
 use crate::aspect::{ConsistencyLevel, DataProtection, IsolationLevel, Tenancy};
-use crate::dag::{AppSpec, EdgeKind, LocalityHint, ModuleKind};
+use crate::dag::{AppSpec, EdgeKind, LocalityHint, ModuleKind, ModuleSpec};
 use crate::error::{SpecError, SpecResult};
 use crate::ids::ModuleId;
+use crate::validate::group_by_key;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -149,26 +150,38 @@ impl ConflictReport {
 pub fn detect_conflicts(app: &AppSpec) -> ConflictReport {
     let mut conflicts = Vec::new();
 
-    // Consistency + protection conflicts on shared data modules.
-    for data in app.iter_modules().filter(|m| m.kind == ModuleKind::Data) {
+    // Consistency + protection conflicts on shared data modules. One
+    // pass files each access edge under the data module(s) it touches
+    // (both ends of an ill-kinded data–data edge), in edge order.
+    let modules: Vec<&ModuleSpec> = app.modules.values().collect();
+    let data_index = |id: &ModuleId| {
+        modules
+            .binary_search_by(|m| m.id.cmp(id))
+            .ok()
+            .filter(|&i| modules[i].kind == ModuleKind::Data)
+    };
+    // `(data module, accessor, edge)`.
+    let mut touches = Vec::new();
+    for e in app.edges.iter().filter(|e| e.kind == EdgeKind::Access) {
+        if let Some(d) = data_index(&e.to) {
+            touches.push((d, &e.from, e));
+        }
+        if e.from != e.to {
+            if let Some(d) = data_index(&e.from) {
+                touches.push((d, &e.to, e));
+            }
+        }
+    }
+    let (first, by_data) = group_by_key(modules.len(), touches.iter().map(|t| t.0));
+    for (d, data) in modules.iter().enumerate() {
         let mut levels: Vec<ConsistencyLevel> = Vec::new();
         if let Some(own) = data.dist.consistency {
             levels.push(own);
         }
         let declared_prot = data.exec_env.protection.unwrap_or(DataProtection::NONE);
         let mut union_prot = declared_prot;
-        for e in &app.edges {
-            if e.kind != EdgeKind::Access {
-                continue;
-            }
-            let (accessor, touched) = if e.to == data.id {
-                (&e.from, &e.to)
-            } else if e.from == data.id {
-                (&e.to, &e.from)
-            } else {
-                continue;
-            };
-            debug_assert_eq!(touched, &data.id);
+        for &t in &by_data[first[d]..first[d + 1]] {
+            let (_, accessor, e) = touches[t];
             if let Some(req) = e.require_consistency {
                 if !levels.contains(&req) {
                     levels.push(req);

@@ -111,6 +111,22 @@ pub struct ModuleSpec {
     pub bytes: Option<u64>,
 }
 
+impl ModuleSpec {
+    /// A module with every aspect left to the provider.
+    pub(crate) fn blank(id: ModuleId, kind: ModuleKind) -> Self {
+        Self {
+            id,
+            kind,
+            description: None,
+            resource: ResourceAspect::default(),
+            exec_env: ExecEnvAspect::default(),
+            dist: DistributedAspect::default(),
+            work_units: None,
+            bytes: None,
+        }
+    }
+}
+
 /// Builder for a task module.
 #[derive(Debug, Clone)]
 pub struct TaskSpec(ModuleSpec);
@@ -122,16 +138,7 @@ impl TaskSpec {
     ///
     /// Panics when `id` is not a valid identifier (see [`ModuleId::new`]).
     pub fn new(id: &str) -> Self {
-        Self(ModuleSpec {
-            id: ModuleId::from(id),
-            kind: ModuleKind::Task,
-            description: None,
-            resource: ResourceAspect::default(),
-            exec_env: ExecEnvAspect::default(),
-            dist: DistributedAspect::default(),
-            work_units: None,
-            bytes: None,
-        })
+        Self(ModuleSpec::blank(ModuleId::from(id), ModuleKind::Task))
     }
 
     /// Sets the human-readable description.
@@ -187,16 +194,7 @@ impl DataSpec {
     ///
     /// Panics when `id` is not a valid identifier (see [`ModuleId::new`]).
     pub fn new(id: &str) -> Self {
-        Self(ModuleSpec {
-            id: ModuleId::from(id),
-            kind: ModuleKind::Data,
-            description: None,
-            resource: ResourceAspect::default(),
-            exec_env: ExecEnvAspect::default(),
-            dist: DistributedAspect::default(),
-            work_units: None,
-            bytes: None,
-        })
+        Self(ModuleSpec::blank(ModuleId::from(id), ModuleKind::Data))
     }
 
     /// Sets the human-readable description.
@@ -352,14 +350,13 @@ impl AppSpec {
         Ok(())
     }
 
-    /// Looks up a module id by name.
+    /// Looks up a module id by name; the id returned shares the stored
+    /// one's name.
     pub fn lookup(&self, name: &str) -> SpecResult<ModuleId> {
-        let id = ModuleId::new(name).ok_or_else(|| SpecError::UnknownModule(name.to_string()))?;
-        if self.modules.contains_key(&id) {
-            Ok(id)
-        } else {
-            Err(SpecError::UnknownModule(name.to_string()))
-        }
+        self.modules
+            .get_key_value(name)
+            .map(|(id, _)| id.clone())
+            .ok_or_else(|| SpecError::UnknownModule(name.to_string()))
     }
 
     /// Returns the module with the given id, if present.

@@ -1,29 +1,29 @@
 //! Identifier newtypes shared across the spec.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Name of a module (task or data) inside an application DAG.
 ///
 /// Module ids are user-chosen strings such as `A1` or `S3` (Fig. 2 of the
 /// paper). They must be non-empty and consist of ASCII alphanumerics,
 /// `_` or `-`; [`ModuleId::new`] enforces this.
+///
+/// The name is allocated once and shared: a clone is a reference-count
+/// bump, so the copies every layer keeps (the IR, the placement, the
+/// environments, the data keys) cost no allocation. Equality, order and
+/// hashing are the string's.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ModuleId(String);
+pub struct ModuleId(Arc<str>);
 
 impl ModuleId {
     /// Creates a module id, returning `None` when `name` is not a valid
     /// identifier (empty, or containing characters outside
     /// `[A-Za-z0-9_-]`).
-    pub fn new(name: impl Into<String>) -> Option<Self> {
-        let name = name.into();
-        if name.is_empty()
-            || !name
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
-        {
-            return None;
-        }
-        Some(Self(name))
+    pub fn new(name: impl AsRef<str>) -> Option<Self> {
+        let name = name.as_ref();
+        is_identifier(name).then(|| Self(Arc::from(name)))
     }
 
     /// Returns the identifier as a string slice.
@@ -35,6 +35,13 @@ impl ModuleId {
 impl fmt::Display for ModuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// Lets a map keyed by [`ModuleId`] be searched with a `&str`.
+impl Borrow<str> for ModuleId {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 
@@ -58,14 +65,7 @@ impl AppName {
     /// Creates an application name; same identifier rules as [`ModuleId`].
     pub fn new(name: impl Into<String>) -> Option<Self> {
         let name = name.into();
-        if name.is_empty()
-            || !name
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
-        {
-            return None;
-        }
-        Some(Self(name))
+        is_identifier(&name).then_some(Self(name))
     }
 
     /// Returns the name as a string slice.
@@ -78,6 +78,14 @@ impl fmt::Display for AppName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
     }
+}
+
+/// Non-empty, and only `[A-Za-z0-9_-]`.
+fn is_identifier(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
 #[cfg(test)]
@@ -103,6 +111,15 @@ mod tests {
         let id = ModuleId::new("A1").unwrap();
         assert_eq!(id.to_string(), "A1");
         assert_eq!(id.as_str(), "A1");
+        assert_eq!(format!("{id:?}"), "ModuleId(\"A1\")");
+    }
+
+    #[test]
+    fn a_clone_shares_the_name() {
+        let id = ModuleId::new(String::from("A1")).unwrap();
+        let copy = id.clone();
+        assert!(std::ptr::eq(id.as_str(), copy.as_str()));
+        assert_eq!(copy, ModuleId::from("A1"));
     }
 
     #[test]

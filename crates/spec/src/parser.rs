@@ -31,13 +31,18 @@ use crate::aspect::{
     ConsistencyLevel, DataProtection, DistributedAspect, ExecEnvAspect, FailureHandling, Goal,
     IsolationLevel, OpPreference, ResourceAspect, ResourceKind, ResourceVector, Tenancy,
 };
-use crate::dag::{AppSpec, DataSpec, EdgeKind, TaskSpec};
+use crate::dag::{AppSpec, EdgeKind, ModuleKind, ModuleSpec};
 use crate::error::{SpecError, SpecResult};
+use crate::ids::ModuleId;
+use std::collections::BTreeMap;
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Str(String),
+/// A token borrowing its text from the input: lexing allocates nothing
+/// but the token list, and the parser copies out only the names and
+/// strings the [`AppSpec`] keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Str(&'a str),
     Num(u64),
     LBrace,
     RBrace,
@@ -52,101 +57,46 @@ enum Tok {
     Semi,
 }
 
-#[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct SpannedTok<'a> {
+    tok: Tok<'a>,
     line: usize,
 }
 
-fn lex(input: &str) -> SpecResult<Vec<SpannedTok>> {
+fn lex(input: &str) -> SpecResult<Vec<SpannedTok<'_>>> {
     let mut toks = Vec::new();
     let mut line = 1usize;
     let bytes = input.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
+        let single = match c {
+            // Newlines act as statement separators inside blocks.
+            '\n' => Some(Tok::Semi),
+            '{' => Some(Tok::LBrace),
+            '}' => Some(Tok::RBrace),
+            '[' => Some(Tok::LBracket),
+            ']' => Some(Tok::RBracket),
+            '(' => Some(Tok::LParen),
+            ')' => Some(Tok::RParen),
+            '=' => Some(Tok::Eq),
+            ',' => Some(Tok::Comma),
+            '+' => Some(Tok::Plus),
+            ';' => Some(Tok::Semi),
+            _ => None,
+        };
+        if let Some(tok) = single {
+            toks.push(SpannedTok { tok, line });
+            line += usize::from(c == '\n');
+            i += 1;
+            continue;
+        }
         match c {
-            '\n' => {
-                // Newlines act as statement separators inside blocks.
-                toks.push(SpannedTok {
-                    tok: Tok::Semi,
-                    line,
-                });
-                line += 1;
-                i += 1;
-            }
             ' ' | '\t' | '\r' => i += 1,
             '#' => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
-            }
-            '{' => {
-                toks.push(SpannedTok {
-                    tok: Tok::LBrace,
-                    line,
-                });
-                i += 1;
-            }
-            '}' => {
-                toks.push(SpannedTok {
-                    tok: Tok::RBrace,
-                    line,
-                });
-                i += 1;
-            }
-            '[' => {
-                toks.push(SpannedTok {
-                    tok: Tok::LBracket,
-                    line,
-                });
-                i += 1;
-            }
-            ']' => {
-                toks.push(SpannedTok {
-                    tok: Tok::RBracket,
-                    line,
-                });
-                i += 1;
-            }
-            '(' => {
-                toks.push(SpannedTok {
-                    tok: Tok::LParen,
-                    line,
-                });
-                i += 1;
-            }
-            ')' => {
-                toks.push(SpannedTok {
-                    tok: Tok::RParen,
-                    line,
-                });
-                i += 1;
-            }
-            '=' => {
-                toks.push(SpannedTok { tok: Tok::Eq, line });
-                i += 1;
-            }
-            ',' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Comma,
-                    line,
-                });
-                i += 1;
-            }
-            '+' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Plus,
-                    line,
-                });
-                i += 1;
-            }
-            ';' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Semi,
-                    line,
-                });
-                i += 1;
             }
             '-' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
@@ -183,7 +133,7 @@ fn lex(input: &str) -> SpecResult<Vec<SpannedTok>> {
                     });
                 }
                 toks.push(SpannedTok {
-                    tok: Tok::Str(input[start..j].to_string()),
+                    tok: Tok::Str(&input[start..j]),
                     line,
                 });
                 i = j + 1;
@@ -219,7 +169,7 @@ fn lex(input: &str) -> SpecResult<Vec<SpannedTok>> {
                     }
                 }
                 toks.push(SpannedTok {
-                    tok: Tok::Ident(input[start..i].to_string()),
+                    tok: Tok::Ident(&input[start..i]),
                     line,
                 });
             }
@@ -234,14 +184,14 @@ fn lex(input: &str) -> SpecResult<Vec<SpannedTok>> {
     Ok(toks)
 }
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'a> {
+    toks: Vec<SpannedTok<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|t| t.tok)
     }
 
     fn line(&self) -> usize {
@@ -258,8 +208,8 @@ impl Parser {
         }
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -272,15 +222,15 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: &Tok) -> SpecResult<()> {
+    fn expect(&mut self, want: Tok<'_>) -> SpecResult<()> {
         match self.next() {
-            Some(t) if &t == want => Ok(()),
+            Some(t) if t == want => Ok(()),
             Some(t) => Err(self.err(format!("expected {want:?}, found {t:?}"))),
             None => Err(self.err(format!("expected {want:?}, found end of input"))),
         }
     }
 
-    fn expect_ident(&mut self) -> SpecResult<String> {
+    fn expect_ident(&mut self) -> SpecResult<&'a str> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             Some(t) => Err(self.err(format!("expected identifier, found {t:?}"))),
@@ -311,11 +261,16 @@ pub fn parse_app(input: &str) -> SpecResult<AppSpec> {
         return Err(p.err(format!("expected `app`, found `{kw}`")));
     }
     let name = p.expect_ident()?;
-    let mut app = match crate::ids::AppName::new(&name) {
-        Some(_) => AppSpec::new(&name),
+    let mut app = match crate::ids::AppName::new(name) {
+        Some(name) => AppSpec {
+            name,
+            modules: BTreeMap::new(),
+            edges: Vec::new(),
+            hints: Vec::new(),
+        },
         None => return Err(p.err(format!("invalid app name `{name}`"))),
     };
-    p.expect(&Tok::LBrace)?;
+    p.expect(Tok::LBrace)?;
     loop {
         p.skip_semis();
         match p.peek() {
@@ -337,17 +292,17 @@ pub fn parse_app(input: &str) -> SpecResult<AppSpec> {
 
 fn parse_statement(p: &mut Parser, app: &mut AppSpec) -> SpecResult<()> {
     let kw = p.expect_ident()?;
-    match kw.as_str() {
-        "task" | "data" => parse_module(p, app, &kw),
+    match kw {
+        "task" | "data" => parse_module(p, app, kw),
         "edge" => {
             let from = p.expect_ident()?;
-            p.expect(&Tok::Arrow)?;
+            p.expect(Tok::Arrow)?;
             let to = p.expect_ident()?;
-            app.add_edge(&from, &to, EdgeKind::Dependency)
+            app.add_edge(from, to, EdgeKind::Dependency)
         }
         "access" => {
             let from = p.expect_ident()?;
-            p.expect(&Tok::Arrow)?;
+            p.expect(Tok::Arrow)?;
             let to = p.expect_ident()?;
             let mut consistency = None;
             let mut protection = None;
@@ -360,12 +315,12 @@ fn parse_statement(p: &mut Parser, app: &mut AppSpec) -> SpecResult<()> {
                         break;
                     }
                     let key = p.expect_ident()?;
-                    p.expect(&Tok::Eq)?;
-                    match key.as_str() {
+                    p.expect(Tok::Eq)?;
+                    match key {
                         "consistency" => {
                             let v = p.expect_ident()?;
                             consistency = Some(
-                                ConsistencyLevel::from_name(&v)
+                                ConsistencyLevel::from_name(v)
                                     .ok_or_else(|| p.err(format!("unknown consistency `{v}`")))?,
                             );
                         }
@@ -374,17 +329,17 @@ fn parse_statement(p: &mut Parser, app: &mut AppSpec) -> SpecResult<()> {
                     }
                 }
             }
-            app.add_access_with(&from, &to, consistency, protection)
+            app.add_access_with(from, to, consistency, protection)
         }
         "colocate" => {
             let a = p.expect_ident()?;
             let b = p.expect_ident()?;
-            app.colocate(&a, &b)
+            app.colocate(a, b)
         }
         "affinity" => {
             let a = p.expect_ident()?;
             let b = p.expect_ident()?;
-            app.affinity(&a, &b)
+            app.affinity(a, b)
         }
         other => Err(p.err(format!("unknown statement `{other}`"))),
     }
@@ -393,15 +348,15 @@ fn parse_statement(p: &mut Parser, app: &mut AppSpec) -> SpecResult<()> {
 fn parse_module(p: &mut Parser, app: &mut AppSpec, kind: &str) -> SpecResult<()> {
     let id = p.expect_ident()?;
     let description = match p.peek() {
-        Some(Tok::Str(_)) => match p.next() {
-            Some(Tok::Str(s)) => Some(s),
-            _ => unreachable!("peeked a string"),
-        },
+        Some(Tok::Str(s)) => {
+            p.pos += 1;
+            Some(s.to_string())
+        }
         _ => None,
     };
-    if crate::ids::ModuleId::new(&id).is_none() {
+    let Some(id) = ModuleId::new(id) else {
         return Err(p.err(format!("invalid module id `{id}`")));
-    }
+    };
 
     let mut resource = ResourceAspect::default();
     let mut exec_env = ExecEnvAspect::default();
@@ -420,16 +375,16 @@ fn parse_module(p: &mut Parser, app: &mut AppSpec, kind: &str) -> SpecResult<()>
                 }
                 Some(Tok::Ident(_)) => {
                     let key = p.expect_ident()?;
-                    match key.as_str() {
+                    match key {
                         "resource" => resource = parse_resource_block(p)?,
                         "exec" => exec_env = parse_exec_block(p)?,
                         "dist" => dist = parse_dist_block(p)?,
                         "work" => {
-                            p.expect(&Tok::Eq)?;
+                            p.expect(Tok::Eq)?;
                             work_units = Some(p.expect_num()?);
                         }
                         "bytes" => {
-                            p.expect(&Tok::Eq)?;
+                            p.expect(Tok::Eq)?;
                             bytes = Some(p.expect_num()?);
                         }
                         other => return Err(p.err(format!("unknown module attribute `{other}`"))),
@@ -441,11 +396,12 @@ fn parse_module(p: &mut Parser, app: &mut AppSpec, kind: &str) -> SpecResult<()>
         }
     }
 
-    let mut spec = if kind == "task" {
-        TaskSpec::new(&id).build()
+    let kind = if kind == "task" {
+        ModuleKind::Task
     } else {
-        DataSpec::new(&id).build()
+        ModuleKind::Data
     };
+    let mut spec = ModuleSpec::blank(id, kind);
     spec.description = description;
     spec.resource = resource;
     spec.exec_env = exec_env;
@@ -458,7 +414,7 @@ fn parse_module(p: &mut Parser, app: &mut AppSpec, kind: &str) -> SpecResult<()>
 
 fn parse_resource_block(p: &mut Parser) -> SpecResult<ResourceAspect> {
     let mut aspect = ResourceAspect::default();
-    p.expect(&Tok::LBrace)?;
+    p.expect(Tok::LBrace)?;
     loop {
         p.skip_semis();
         match p.peek() {
@@ -468,19 +424,19 @@ fn parse_resource_block(p: &mut Parser) -> SpecResult<ResourceAspect> {
             }
             _ => {
                 let key = p.expect_ident()?;
-                p.expect(&Tok::Eq)?;
-                match key.as_str() {
+                p.expect(Tok::Eq)?;
+                match key {
                     "goal" => {
                         let v = p.expect_ident()?;
                         aspect.goal = Some(
-                            Goal::from_name(&v)
+                            Goal::from_name(v)
                                 .ok_or_else(|| p.err(format!("unknown goal `{v}`")))?,
                         );
                     }
                     "demand" => aspect.demand = parse_resource_vector(p)?,
                     "candidates" => loop {
                         let v = p.expect_ident()?;
-                        let k = ResourceKind::from_name(&v)
+                        let k = ResourceKind::from_name(v)
                             .ok_or_else(|| p.err(format!("unknown resource kind `{v}`")))?;
                         if !aspect.candidates.contains(&k) {
                             aspect.candidates.push(k);
@@ -504,7 +460,7 @@ fn parse_resource_vector(p: &mut Parser) -> SpecResult<ResourceVector> {
     loop {
         let n = p.expect_num()?;
         let kind_name = p.expect_ident()?;
-        let kind = ResourceKind::from_name(&kind_name)
+        let kind = ResourceKind::from_name(kind_name)
             .ok_or_else(|| p.err(format!("unknown resource kind `{kind_name}`")))?;
         v.set(kind, v.get(kind).saturating_add(n));
         if matches!(p.peek(), Some(Tok::Plus)) {
@@ -520,7 +476,7 @@ fn parse_protection(p: &mut Parser) -> SpecResult<DataProtection> {
     let mut prot = DataProtection::NONE;
     loop {
         let flag = p.expect_ident()?;
-        match flag.as_str() {
+        match flag {
             "confidentiality" => prot.confidentiality = true,
             "integrity" => prot.integrity = true,
             "replay" => prot.replay = true,
@@ -538,7 +494,7 @@ fn parse_protection(p: &mut Parser) -> SpecResult<DataProtection> {
 
 fn parse_exec_block(p: &mut Parser) -> SpecResult<ExecEnvAspect> {
     let mut aspect = ExecEnvAspect::default();
-    p.expect(&Tok::LBrace)?;
+    p.expect(Tok::LBrace)?;
     loop {
         p.skip_semis();
         match p.peek() {
@@ -548,18 +504,18 @@ fn parse_exec_block(p: &mut Parser) -> SpecResult<ExecEnvAspect> {
             }
             _ => {
                 let key = p.expect_ident()?;
-                p.expect(&Tok::Eq)?;
-                match key.as_str() {
+                p.expect(Tok::Eq)?;
+                match key {
                     "isolation" => {
                         let v = p.expect_ident()?;
                         aspect.isolation = Some(
-                            IsolationLevel::from_name(&v)
+                            IsolationLevel::from_name(v)
                                 .ok_or_else(|| p.err(format!("unknown isolation `{v}`")))?,
                         );
                     }
                     "tenancy" => {
                         let v = p.expect_ident()?;
-                        aspect.tenancy = Some(match v.as_str() {
+                        aspect.tenancy = Some(match v {
                             "shared" => Tenancy::Shared,
                             "single_tenant" => Tenancy::SingleTenant,
                             other => return Err(p.err(format!("unknown tenancy `{other}`"))),
@@ -567,7 +523,7 @@ fn parse_exec_block(p: &mut Parser) -> SpecResult<ExecEnvAspect> {
                     }
                     "tee_if_cpu" => {
                         let v = p.expect_ident()?;
-                        aspect.tee_if_cpu = match v.as_str() {
+                        aspect.tee_if_cpu = match v {
                             "true" => true,
                             "false" => false,
                             other => return Err(p.err(format!("expected bool, found `{other}`"))),
@@ -584,7 +540,7 @@ fn parse_exec_block(p: &mut Parser) -> SpecResult<ExecEnvAspect> {
 
 fn parse_dist_block(p: &mut Parser) -> SpecResult<DistributedAspect> {
     let mut aspect = DistributedAspect::default();
-    p.expect(&Tok::LBrace)?;
+    p.expect(Tok::LBrace)?;
     loop {
         p.skip_semis();
         match p.peek() {
@@ -594,8 +550,8 @@ fn parse_dist_block(p: &mut Parser) -> SpecResult<DistributedAspect> {
             }
             _ => {
                 let key = p.expect_ident()?;
-                p.expect(&Tok::Eq)?;
-                match key.as_str() {
+                p.expect(Tok::Eq)?;
+                match key {
                     "replication" => {
                         let n = p.expect_num()?;
                         aspect.replication = u32::try_from(n)
@@ -604,23 +560,23 @@ fn parse_dist_block(p: &mut Parser) -> SpecResult<DistributedAspect> {
                     "consistency" => {
                         let v = p.expect_ident()?;
                         aspect.consistency = Some(
-                            ConsistencyLevel::from_name(&v)
+                            ConsistencyLevel::from_name(v)
                                 .ok_or_else(|| p.err(format!("unknown consistency `{v}`")))?,
                         );
                     }
                     "preference" => {
                         let v = p.expect_ident()?;
-                        aspect.preference = OpPreference::from_name(&v)
+                        aspect.preference = OpPreference::from_name(v)
                             .ok_or_else(|| p.err(format!("unknown preference `{v}`")))?;
                     }
                     "failure" => {
                         let v = p.expect_ident()?;
-                        aspect.failure = Some(match v.as_str() {
+                        aspect.failure = Some(match v {
                             "reexecute" => FailureHandling::Reexecute,
                             "checkpoint" => {
-                                p.expect(&Tok::LParen)?;
+                                p.expect(Tok::LParen)?;
                                 let interval_ms = p.expect_num()?;
-                                p.expect(&Tok::RParen)?;
+                                p.expect(Tok::RParen)?;
                                 FailureHandling::Checkpoint { interval_ms }
                             }
                             other => return Err(p.err(format!("unknown failure mode `{other}`"))),
@@ -628,11 +584,10 @@ fn parse_dist_block(p: &mut Parser) -> SpecResult<DistributedAspect> {
                     }
                     "domain" => {
                         let v = match p.next() {
-                            Some(Tok::Str(s)) => s,
-                            Some(Tok::Ident(s)) => s,
+                            Some(Tok::Str(s) | Tok::Ident(s)) => s,
                             _ => return Err(p.err("expected domain name")),
                         };
-                        aspect.failure_domain = Some(v);
+                        aspect.failure_domain = Some(v.to_string());
                     }
                     other => return Err(p.err(format!("unknown dist attribute `{other}`"))),
                 }

@@ -9,7 +9,6 @@ use crate::aspect::{IsolationLevel, Tenancy};
 use crate::dag::{AppSpec, EdgeKind, LocalityHint, ModuleKind};
 use crate::error::{SpecError, SpecResult};
 use crate::ids::ModuleId;
-use std::collections::{BTreeMap, VecDeque};
 
 /// Maximum replication factor we accept. Table 1 uses at most 3; we allow
 /// headroom but reject absurd values that would exhaust the simulator.
@@ -138,63 +137,46 @@ pub fn validate(app: &AppSpec) -> SpecResult<Vec<ModuleId>> {
     }
 
     for m in app.iter_modules() {
-        let id = m.id.to_string();
+        let invalid = |reason: String| {
+            Err(SpecError::InvalidModule {
+                module: m.id.to_string(),
+                reason,
+            })
+        };
         if m.dist.replication == 0 {
-            return Err(SpecError::InvalidModule {
-                module: id,
-                reason: "replication factor must be at least 1".into(),
-            });
+            return invalid("replication factor must be at least 1".into());
         }
         if m.dist.replication > MAX_REPLICATION {
-            return Err(SpecError::InvalidModule {
-                module: id,
-                reason: format!(
-                    "replication factor {} exceeds maximum {MAX_REPLICATION}",
-                    m.dist.replication
-                ),
-            });
+            return invalid(format!(
+                "replication factor {} exceeds maximum {MAX_REPLICATION}",
+                m.dist.replication
+            ));
         }
         if m.kind == ModuleKind::Task && m.dist.consistency.is_some() {
-            return Err(SpecError::InvalidModule {
-                module: id,
-                reason: "consistency levels apply to data modules only".into(),
-            });
+            return invalid("consistency levels apply to data modules only".into());
         }
         if let Some(crate::aspect::FailureHandling::Checkpoint { interval_ms }) = m.dist.failure {
             if interval_ms == 0 {
-                return Err(SpecError::InvalidModule {
-                    module: id,
-                    reason: "checkpoint interval must be non-zero".into(),
-                });
+                return invalid("checkpoint interval must be non-zero".into());
             }
         }
         if m.exec_env.isolation == Some(IsolationLevel::Strongest)
             && m.exec_env.tenancy == Some(Tenancy::Shared)
         {
-            return Err(SpecError::InvalidModule {
-                module: id,
-                reason: "strongest isolation requires single-tenant hardware, \
+            return invalid(
+                "strongest isolation requires single-tenant hardware, \
                          but tenancy = shared was specified"
                     .into(),
-            });
+            );
         }
         if let Some(0) = m.work_units {
-            return Err(SpecError::InvalidModule {
-                module: id,
-                reason: "work_units, when given, must be non-zero".into(),
-            });
+            return invalid("work_units, when given, must be non-zero".into());
         }
         if let Some(work) = m.work_units.filter(|&w| w > MAX_WORK_UNITS) {
-            return Err(SpecError::InvalidModule {
-                module: id,
-                reason: format!("work {work} exceeds maximum {MAX_WORK_UNITS}"),
-            });
+            return invalid(format!("work {work} exceeds maximum {MAX_WORK_UNITS}"));
         }
         if let Some(bytes) = m.bytes.filter(|&b| b > MAX_BYTES) {
-            return Err(SpecError::InvalidModule {
-                module: id,
-                reason: format!("bytes {bytes} exceeds maximum {MAX_BYTES}"),
-            });
+            return invalid(format!("bytes {bytes} exceeds maximum {MAX_BYTES}"));
         }
     }
 
@@ -205,44 +187,73 @@ pub fn validate(app: &AppSpec) -> SpecResult<Vec<ModuleId>> {
 ///
 /// Data modules and tasks without dependencies appear first (in id
 /// order); returns [`SpecError::Cycle`] naming one module on a cycle.
+/// Modules are numbered in id order and each edge's endpoints looked up
+/// once, so the sort is O((V + E) · log V); a module's successors are
+/// visited in edge order.
 pub fn topo_order(app: &AppSpec) -> SpecResult<Vec<ModuleId>> {
-    let mut indeg: BTreeMap<&ModuleId, usize> = app.modules.keys().map(|k| (k, 0)).collect();
-    for e in &app.edges {
-        if e.kind == EdgeKind::Dependency {
-            if let Some(d) = indeg.get_mut(&e.to) {
-                *d += 1;
+    let ids: Vec<&ModuleId> = app.modules.keys().collect();
+    let index = |id: &ModuleId| ids.binary_search(&id).ok();
+    let mut indeg = vec![0usize; ids.len()];
+    // `(from, to)` of each dependency edge between two known modules.
+    let mut arcs = Vec::new();
+    for e in app.edges.iter().filter(|e| e.kind == EdgeKind::Dependency) {
+        if let Some(to) = index(&e.to) {
+            indeg[to] += 1;
+            if let Some(from) = index(&e.from) {
+                arcs.push((from, to));
             }
         }
     }
-    let mut queue: VecDeque<&ModuleId> = indeg
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&k, _)| k)
-        .collect();
-    let mut order = Vec::with_capacity(app.len());
-    while let Some(id) = queue.pop_front() {
-        order.push(id.clone());
-        for e in app.edges_from(id) {
-            if e.kind != EdgeKind::Dependency {
-                continue;
-            }
-            if let Some(d) = indeg.get_mut(&e.to) {
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(&e.to);
-                }
+    let (first, by_from) = group_by_key(ids.len(), arcs.iter().map(|&(from, _)| from));
+    // Kahn's queue is the order itself: `order[head..]` is still queued.
+    let mut order: Vec<usize> = (0..ids.len()).filter(|&i| indeg[i] == 0).collect();
+    let mut head = 0;
+    while let Some(&i) = order.get(head) {
+        head += 1;
+        for &arc in &by_from[first[i]..first[i + 1]] {
+            let to = arcs[arc].1;
+            indeg[to] -= 1;
+            if indeg[to] == 0 {
+                order.push(to);
             }
         }
     }
-    if order.len() != app.len() {
+    if order.len() != ids.len() {
         let stuck = indeg
             .iter()
-            .find(|(_, &d)| d > 0)
-            .map(|(k, _)| k.to_string())
+            .position(|&d| d > 0)
+            .map(|i| ids[i].to_string())
             .unwrap_or_default();
         return Err(SpecError::Cycle(stuck));
     }
-    Ok(order)
+    Ok(order.into_iter().map(|i| ids[i].clone()).collect())
+}
+
+/// Groups positions by key with a counting sort: given each position's
+/// key in `0..n`, returns `(first, positions)` where the positions
+/// whose key is `k` are `positions[first[k]..first[k + 1]]`, in their
+/// original order. O(n + positions).
+pub(crate) fn group_by_key(
+    n: usize,
+    keys: impl DoubleEndedIterator<Item = usize> + ExactSizeIterator + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    // `first[k]` counts up to the end of group `k`, then back down to
+    // its start as the positions are placed from the last one.
+    let mut first = vec![0usize; n + 1];
+    for k in keys.clone() {
+        first[k] += 1;
+    }
+    let mut end = 0;
+    for f in &mut first {
+        end += *f;
+        *f = end;
+    }
+    let mut positions = vec![0usize; keys.len()];
+    for (pos, k) in keys.enumerate().rev() {
+        first[k] -= 1;
+        positions[first[k]] = pos;
+    }
+    (first, positions)
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ fn faas_cannot_serve_gpu_but_udc_can() {
     let mut dc = Datacenter::default();
     let mut sched = Scheduler::new(SchedOptions::default());
     let placement = sched.place_app(&mut dc, &app).expect("GPU pool exists");
-    let p = &placement.modules[&"infer".into()];
+    let p = &placement.modules["infer"];
     assert_eq!(p.placed_kind, ResourceKind::Gpu);
     // The GPU run is far faster than the degraded FaaS run.
     assert!(p.est_exec_us.unwrap() * 10 < out.exec_us);

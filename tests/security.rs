@@ -115,22 +115,10 @@ fn verification_policy_matrix_matches_isolation_levels() {
     let mut cloud = UdcCloud::new(CloudConfig::default());
     let dep = cloud.submit(&app).expect("places");
     let report = cloud.verify_deployment(&dep);
-    assert_eq!(
-        report.modules[&"weak".into()],
-        ModuleVerification::NotVerifiable
-    );
-    assert_eq!(
-        report.modules[&"medium".into()],
-        ModuleVerification::NotVerifiable
-    );
-    assert_eq!(
-        report.modules[&"strong".into()],
-        ModuleVerification::Verified
-    );
-    assert_eq!(
-        report.modules[&"strongest".into()],
-        ModuleVerification::Verified
-    );
+    assert_eq!(report.modules["weak"], ModuleVerification::NotVerifiable);
+    assert_eq!(report.modules["medium"], ModuleVerification::NotVerifiable);
+    assert_eq!(report.modules["strong"], ModuleVerification::Verified);
+    assert_eq!(report.modules["strongest"], ModuleVerification::Verified);
 }
 
 #[test]
